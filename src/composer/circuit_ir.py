@@ -2,10 +2,10 @@
 
 The skeleton records the selector tree, the adaptor bank's gate layers
 with structural slot identifiers, and the signal-processing scaffold;
-its fingerprint hashes gate kinds, qubit tuples, layer order, and slot
-identifiers, never angle values.  A dial sheet binds every parameter slot
-for one instance (pools, mask, coefficient set) and is the only thing
-that changes between instances.
+its fingerprint hashes the register widths, gate kinds, ordered qubit
+tuples, layer order, and slot identifiers, never angle values.  A dial
+sheet binds every parameter slot for one instance (pools, mask,
+coefficient set) and is the only thing that changes between instances.
 
 Layer lists describe the forward body of each gadget; the mirrored
 uncompute halves reuse the same slots by construction, so they are
@@ -20,10 +20,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import jw, ladders, oracle
+from . import ladders, oracle
 from .errors import BindError, CapacityError, ParseError, ValidationError
+from .factorization import bilinear_asym_spectrum, generator_branch_alpha
 
-SKEL_FORMAT = "composer-skel-v1"
+SKEL_FORMAT = "composer-skel-v2"
 DIAL_FORMAT = "composer-dial-v1"
 
 
@@ -57,18 +58,6 @@ class CompilePlan:
     gen: tuple
 
 
-def _pair_argmax_pivot(lad, n_occ, n):
-    uv = np.zeros(len(ladders.pair_indices(n)), dtype=complex)
-    pos = ladders.pair_position(n)
-    for k, (a, b) in enumerate(ladders.pair_indices(len(lad.x))):
-        uv[pos[(n_occ + a, n_occ + b)]] = lad.virtual_pair_vector()[k]
-    vo = np.zeros_like(uv)
-    for k, (i, j) in enumerate(ladders.pair_indices(len(lad.r))):
-        vo[pos[(i, j)]] = lad.occupied_pair_vector()[k]
-    pairs = ladders.pair_indices(n)
-    return pairs[int(np.argmax(np.abs(uv)))], pairs[int(np.argmax(np.abs(vo)))], uv, vo
-
-
 def pivots_from_pools(ham_pool, gen_pool):
     """Canonical pivot plan: argmax amplitudes, frozen at compile time."""
     n = ham_pool.n_so
@@ -92,14 +81,14 @@ def pivots_from_pools(ham_pool, gen_pool):
         )
     gen = []
     if gen_pool is not None:
-        from .factorization import bilinear_asym_spectrum
-
         for lad in gen_pool.ladders:
             if lad.kind == "pair":
-                pu, pv, _, _ = _pair_argmax_pivot(lad, gen_pool.n_occ, n)
-                gen.append(
-                    AdaptorDescriptor("pair", lad.address, pivot=(pu, pv))
+                pairs = ladders.pair_indices(n)
+                pivot = tuple(
+                    pairs[int(np.argmax(np.abs(vec)))]
+                    for vec in lad.embedded_pair_vectors(gen_pool.n_occ, n)
                 )
+                gen.append(AdaptorDescriptor("pair", lad.address, pivot=pivot))
             else:
                 w_vals, w_vecs = bilinear_asym_spectrum(lad.u, lad.v)
                 pivots = tuple(
@@ -268,23 +257,21 @@ class DialSheet:
 # ---------------------------------------------------------------------------
 
 
-def _workspace_widths(plan, n):
-    widths = [1]  # null branch flip
+def plan_workspace_width(plan):
+    """Widest workspace any branch of the plan touches (the null flip is one)."""
+    widths = [1]
     for ad in plan.ham:
         if ad.kind == "one_body_mode":
             widths.append(1 if ad.rank <= 1 else 2)
         elif ad.kind == "channel":
-            a_i = max(int(np.ceil(np.log2(ad.rank))), 0) if ad.rank > 1 else 0
-            widths.append(a_i + 2)
+            # index register, flag, squaring signal qubit
+            widths.append(oracle.index_width(ad.rank) + 2)
         else:
             raise ValidationError(f"unknown hamiltonian adaptor kind {ad.kind!r}")
     for ad in plan.gen:
-        if ad.kind == "pair":
-            widths.append(2)
-        elif ad.kind == "bilinear_asym":
-            widths.append(2)
-        else:
+        if ad.kind not in ("pair", "bilinear_asym"):
             raise ValidationError(f"unknown generator adaptor kind {ad.kind!r}")
+        widths.append(2)  # sub-selector and flag
     return max(widths)
 
 
@@ -304,7 +291,7 @@ def compile_skeleton(ham_pool_size, gen_pool_size, n, pivots, connectivity="full
     width = max(
         int(np.ceil(np.log2(max(ham_pool_size, gen_pool_size + 1)))), 1
     )
-    t = _workspace_widths(pivots, n)
+    t = plan_workspace_width(pivots)
     sys0 = width + t  # global index of system qubit 0
     ws0 = width
 
@@ -402,7 +389,7 @@ def _compile_one_body(ad, n, sysq, ws0, t):
 
 def _compile_channel(ad, n, sysq, ws0, t):
     prefix = f"ham/{ad.address}"
-    a_i = max(int(np.ceil(np.log2(ad.rank))), 0) if ad.rank > 1 else 0
+    a_i = oracle.index_width(ad.rank)
     t_s = a_i + 2
     base = ws0 + t - t_s  # signal qubit position
     signal = base
@@ -455,6 +442,11 @@ def _compile_pair(ad, n, sysq, ws0, t):
     )
 
 
+def _mode_pivot(ad, j):
+    """Pivot of mode ``j`` of a two-mode bilinear adaptor (0 when absent)."""
+    return ad.pivot[j] if j < len(ad.pivot) else 0
+
+
 def _compile_bilinear_asym(ad, n, sysq, ws0, t):
     prefix = f"gen/{ad.address}"
     sub = ws0 + t - 2
@@ -462,10 +454,10 @@ def _compile_bilinear_asym(ad, n, sysq, ws0, t):
     layers = [("h", (sub,), None)]
     slots = []
     for j in range(2):
-        lmode, smode = _ladder_layers(f"{prefix}/mode{j}", n, ad.pivot[j] if j < len(ad.pivot) else 0, sysq)
+        pivot = _mode_pivot(ad, j)
+        lmode, smode = _ladder_layers(f"{prefix}/mode{j}", n, pivot, sysq)
         layers += lmode
-        pivot_q = ad.pivot[j] if j < len(ad.pivot) else 0
-        layers.append(("cx", (sysq(pivot_q), flag), None))
+        layers.append(("cx", (sysq(pivot), flag), None))
         layers.append(("x", (flag,), None))
         slots += smode
         amp = f"{prefix}/subprep/{j}"
@@ -481,13 +473,21 @@ def _compile_bilinear_asym(ad, n, sysq, ws0, t):
 
 
 def fabric_fingerprint(skel):
-    """SHA-256 digest of the canonical layer stream (structure only)."""
+    """SHA-256 digest of the register widths and the canonical layer stream.
+
+    Structure only: qubit tuples are hashed in gate order (control before
+    target), never angle values.
+    """
     h = hashlib.sha256()
+    h.update(
+        f"registers|{skel.n_system}|{skel.selector_width}|{skel.workspace_width}\n"
+        .encode()
+    )
     for ad in skel.adaptors_ham + skel.adaptors_gen:
         h.update(f"adaptor:{ad.address}:{ad.kind}\n".encode())
         for gate, qubits, slot in ad.layers:
             h.update(
-                f"{gate}|{','.join(str(q) for q in sorted(qubits))}|{slot or ''}\n".encode()
+                f"{gate}|{','.join(str(q) for q in qubits)}|{slot or ''}\n".encode()
             )
     for slot in skel.prep_slots_ham + skel.prep_slots_gen:
         h.update(f"prep|{slot}\n".encode())
@@ -579,25 +579,19 @@ def dial(skel, ham_pool, gen_pool, mask, alpha=None, alpha_bar=None, mask_id=Non
                 angles[f"ham/{addr}/net/{k}/theta"] = float(theta)
             for p in range(n):
                 phases[f"ham/{addr}/net/phase/{p}"] = float(net.phases[p])
-            gamma = ch.gamma
+            amps, signs, _ = oracle.signed_loading(ch.eigvals)
+            # surplus compiled eigenmodes load zero amplitude
             for xi in range(ad.rank):
-                if xi < ch.rank:
-                    angles[f"ham/{addr}/prep/{xi}"] = float(
-                        np.sqrt(abs(ch.eigvals[xi]) / gamma)
-                    )
-                    phases[f"ham/{addr}/select/{xi}/sign_phi"] = float(
-                        0.0 if ch.eigvals[xi] >= 0 else np.pi
-                    )
-                else:
-                    angles[f"ham/{addr}/prep/{xi}"] = 0.0
-                    phases[f"ham/{addr}/select/{xi}/sign_phi"] = 0.0
-            weight = abs(lad.coefficient) * gamma**2
+                loaded = xi < ch.rank
+                angles[f"ham/{addr}/prep/{xi}"] = float(amps[xi]) if loaded else 0.0
+                phases[f"ham/{addr}/select/{xi}/sign_phi"] = (
+                    np.pi if loaded and signs[xi] < 0 else 0.0
+                )
+            weight = abs(lad.coefficient) * ch.gamma**2
         omega_list.append(lad.coefficient)
         angles[f"prep/ham/{addr}"] = float(np.sqrt(weight / alpha))
     for addr in range(ham_pool.ell, skel.ell_ham):
         angles[f"prep/ham/{addr}"] = 0.0
-
-    from .factorization import bilinear_asym_spectrum, generator_branch_alpha
 
     adaptors_gen = {ad.address: ad for ad in skel.adaptors_gen}
     gen_by_addr = gen_pool.by_address()
@@ -612,27 +606,23 @@ def dial(skel, ham_pool, gen_pool, mask, alpha=None, alpha_bar=None, mask_id=Non
         if ad.kind != expected:
             raise BindError("adaptor kind mismatch", addresses=[addr])
         if lad.kind == "pair":
-            pu, pv, uv, vo = _pair_argmax_pivot(lad, gen_pool.n_occ, n)
+            uv, vo = lad.embedded_pair_vectors(gen_pool.n_occ, n)
             su = ladders.two_electron_angles(uv, pivot_pair=ad.pivot[0], n=n)
             sv = ladders.two_electron_angles(vo, pivot_pair=ad.pivot[1], n=n)
             _bind(angles, phases, su, f"gen/{addr}/u")
             _bind(angles, phases, sv, f"gen/{addr}/v")
         else:
             w_vals, w_vecs = bilinear_asym_spectrum(lad.u, lad.v)
-            gamma = np.abs(w_vals).sum()
-            for j in range(2):
-                pivot = ad.pivot[j] if j < len(ad.pivot) else 0
+            amps, signs, _ = oracle.signed_loading(w_vals)
+            for j in range(2):  # a missing second mode idles at zero amplitude
+                pivot = _mode_pivot(ad, j)
                 if j < len(w_vals):
-                    sched = ladders.one_electron_angles(
-                        w_vecs[:, j], pivot=pivot, n=n
-                    )
-                    amp = float(np.sqrt(abs(w_vals[j]) / gamma))
-                    sign = 0.0 if w_vals[j] >= 0 else np.pi
+                    vec = w_vecs[:, j]
+                    amp, sign = float(amps[j]), np.pi if signs[j] < 0 else 0.0
                 else:
-                    sched = ladders.one_electron_angles(
-                        np.eye(n, dtype=complex)[:, pivot], pivot=pivot, n=n
-                    )
+                    vec = np.eye(n, dtype=complex)[:, pivot]
                     amp, sign = 0.0, 0.0
+                sched = ladders.one_electron_angles(vec, pivot=pivot, n=n)
                 _bind(angles, phases, sched, f"gen/{addr}/mode{j}")
                 angles[f"gen/{addr}/subprep/{j}"] = amp
                 phases[f"gen/{addr}/submode/{j}/sign_phi"] = sign
@@ -686,7 +676,8 @@ def dial(skel, ham_pool, gen_pool, mask, alpha=None, alpha_bar=None, mask_id=Non
 # ---------------------------------------------------------------------------
 
 
-def _sched_from_bindings(sheet, prefix, sector, n, pivot):
+def schedule_from_bindings(sheet, prefix, sector, n, pivot):
+    """Ladder schedule read back from the slots :func:`_bind` filled."""
     if sector == "one":
         ordering = tuple(p for p in range(n) if p != pivot[0])
     else:
@@ -705,48 +696,30 @@ def _sched_from_bindings(sheet, prefix, sector, n, pivot):
     )
 
 
-def _gen_branch_from_bindings(skel, sheet, ad, n):
+def _occupation_from_bindings(sheet, prefix, n, pivot):
+    sched = schedule_from_bindings(sheet, prefix, "one", n, (pivot,))
+    return oracle.flagged_occupation(sched.as_number_conserving(), n)
+
+
+def _gen_branch_from_bindings(sheet, ad, n):
+    prefix = f"gen/{ad.address}"
     if ad.kind == "null":
-        return np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2**n))
+        return oracle.null_branch(n)
     if ad.kind == "pair":
-        su = _sched_from_bindings(sheet, f"gen/{ad.address}/u", "two", n, ad.pivot[0])
-        sv = _sched_from_bindings(sheet, f"gen/{ad.address}/v", "two", n, ad.pivot[1])
-        prep_u = ladders.schedule_unitary(su)
-        prep_v = ladders.schedule_unitary(sv)
-        w_l = (
-            oracle._lift(prep_u, 1)
-            @ oracle.vacuum_reflection_gadget(n)
-            @ oracle._lift(prep_v.conj().T, 1)
-        )
-        amps = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        return oracle._prep_select_prep(
-            amps, [w_l, w_l.conj().T], [1j, -1j], n, workspace=1
-        )
+        su = schedule_from_bindings(sheet, f"{prefix}/u", "two", n, ad.pivot[0])
+        sv = schedule_from_bindings(sheet, f"{prefix}/v", "two", n, ad.pivot[1])
+        return oracle.hermitian_dyad_branch(su, sv, n)
     if ad.kind == "bilinear_asym":
-        ops = []
-        sub_phases = []
-        amps = np.zeros(2)
-        for j in range(2):
-            pivot = ad.pivot[j] if j < len(ad.pivot) else 0
-            sched = _sched_from_bindings(
-                sheet, f"gen/{ad.address}/mode{j}", "one", n, (pivot,)
-            ).as_number_conserving()
-            u_lad = ladders.schedule_unitary(sched)
-            total = 1 + n
-            core = (
-                jw.pauli_x(total, 0) @ jw.controlled_x(total, 1 + pivot, 0)
-            ).toarray()
-            lifted = oracle._lift(u_lad, 1)
-            ops.append(lifted @ core @ lifted.conj().T)
-            amps[j] = sheet.angle_bindings[f"gen/{ad.address}/subprep/{j}"]
-            sub_phases.append(
-                np.exp(1j * sheet.phase_bindings[f"gen/{ad.address}/submode/{j}/sign_phi"])
-            )
-        if np.linalg.norm(amps) < 1e-12:
-            # surplus compiled adaptor idling at zero weight: any valid
-            # sub-prep keeps the branch unitary; it is never selected
-            amps = np.array([1.0, 0.0])
-        return oracle._prep_select_prep(amps, ops, sub_phases, n, workspace=1)
+        gadgets = [
+            _occupation_from_bindings(sheet, f"{prefix}/mode{j}", n, _mode_pivot(ad, j))
+            for j in range(2)
+        ]
+        amps = [sheet.angle_bindings[f"{prefix}/subprep/{j}"] for j in range(2)]
+        phases = [
+            np.exp(1j * sheet.phase_bindings[f"{prefix}/submode/{j}/sign_phi"])
+            for j in range(2)
+        ]
+        return oracle.occupation_select(gadgets, amps, phases, n)
     raise ValidationError(f"unknown generator adaptor kind {ad.kind!r}")
 
 
@@ -757,11 +730,8 @@ def generator_workspace_width(skel):
     execution lifts only to its own branch width (the idle ancillas do
     not affect the encoded block and would inflate the dense register).
     """
-    width = 1  # null branch flip
-    for ad in skel.adaptors_gen:
-        if ad.kind in ("pair", "bilinear_asym"):
-            width = max(width, 2)
-    return width
+    branches = tuple(ad for ad in skel.adaptors_gen if ad.kind != "null")
+    return plan_workspace_width(CompilePlan(ham=(), gen=branches))
 
 
 def execute_generator_encoding(skel, sheet):
@@ -779,7 +749,7 @@ def execute_generator_encoding(skel, sheet):
     branch_phases = []
     amps = np.zeros(2**skel.selector_width)
     for ad in sorted(skel.adaptors_gen, key=lambda a: a.address):
-        branch_ops.append(_gen_branch_from_bindings(skel, sheet, ad, n))
+        branch_ops.append(_gen_branch_from_bindings(sheet, ad, n))
         if ad.kind == "null":
             branch_phases.append(1.0)
         else:
@@ -794,59 +764,33 @@ def execute_generator_encoding(skel, sheet):
     )
 
 
-def _ham_branch_from_bindings(skel, sheet, ad, n):
+def _ham_branch_from_bindings(sheet, ad, n):
+    prefix = f"ham/{ad.address}"
     if ad.kind == "one_body_mode":
         m = max(ad.rank, 1)
-        total = 1 + n
-        gadgets = []
-        amps = np.zeros(m)
-        for j in range(m):
-            sched = _sched_from_bindings(
-                sheet, f"ham/{ad.address}/mode{j}", "one", n, (ad.pivot[j],)
-            ).as_number_conserving()
-            u_lad = ladders.schedule_unitary(sched)
-            core = (
-                jw.pauli_x(total, 0) @ jw.controlled_x(total, 1 + ad.pivot[j], 0)
-            ).toarray()
-            lifted = oracle._lift(u_lad, 1)
-            gadgets.append(lifted @ core @ lifted.conj().T)
-            amps[j] = sheet.angle_bindings[f"ham/{ad.address}/subprep/{j}"]
-        if m == 1:
-            return gadgets[0]
-        if np.linalg.norm(amps) < 1e-12:
-            amps = np.zeros(m)
-            amps[0] = 1.0
-        return oracle._prep_select_prep(amps, gadgets, [1.0] * m, n, workspace=1)
+        gadgets = [
+            _occupation_from_bindings(sheet, f"{prefix}/mode{j}", n, ad.pivot[j])
+            for j in range(m)
+        ]
+        amps = [sheet.angle_bindings[f"{prefix}/subprep/{j}"] for j in range(m)]
+        return oracle.occupation_select(gadgets, amps, [1.0] * m, n)
     if ad.kind == "channel":
         seq = ladders.network_pair_sequence(n)
         rotations = tuple(
-            (p, q, sheet.angle_bindings[f"ham/{ad.address}/net/{k}/theta"])
+            (p, q, sheet.angle_bindings[f"{prefix}/net/{k}/theta"])
             for k, (p, q) in enumerate(seq)
         )
         net_phases = np.array(
-            [sheet.phase_bindings[f"ham/{ad.address}/net/phase/{p}"] for p in range(n)]
+            [sheet.phase_bindings[f"{prefix}/net/phase/{p}"] for p in range(n)]
         )
         net = ladders.RotationNetwork(n, rotations, net_phases)
-        u_rot = ladders.network_unitary(net)
-        a_i = max(int(np.ceil(np.log2(ad.rank))), 0) if ad.rank > 1 else 0
-        amps = np.zeros(2**a_i)
-        total = 1 + n
-        ops = []
-        sel_phases = []
-        for xi in range(ad.rank):
-            amps[xi] = sheet.angle_bindings[f"ham/{ad.address}/prep/{xi}"]
-            ops.append(
-                (jw.pauli_x(total, 0) @ jw.controlled_x(total, 1 + xi, 0)).toarray()
-            )
-            sel_phases.append(
-                np.exp(
-                    1j * sheet.phase_bindings[f"ham/{ad.address}/select/{xi}/sign_phi"]
-                )
-            )
-        gadget = oracle._prep_select_prep(amps, ops, sel_phases, n, workspace=1)
-        lifted = oracle._lift(u_rot, a_i + 1)
-        w = lifted @ gadget @ lifted.conj().T
-        return oracle.squared_block_gadget(w, a_i + 1, n)
+        amps = [sheet.angle_bindings[f"{prefix}/prep/{xi}"] for xi in range(ad.rank)]
+        phases = [
+            np.exp(1j * sheet.phase_bindings[f"{prefix}/select/{xi}/sign_phi"])
+            for xi in range(ad.rank)
+        ]
+        w, t = oracle.rotated_diagonal_gadget(net, amps, phases, n)
+        return oracle.squared_block_gadget(w, t, n)
     raise ValidationError(f"unknown hamiltonian adaptor kind {ad.kind!r}")
 
 
@@ -866,7 +810,7 @@ def execute_hamiltonian_encoding(skel, sheet):
             branch_ops.append(None)
             branch_phases.append(1.0)
             continue
-        branch_ops.append(_ham_branch_from_bindings(skel, sheet, ad, n))
+        branch_ops.append(_ham_branch_from_bindings(sheet, ad, n))
         om = omegas[ad.address] if ad.address < len(omegas) else 0.0
         branch_phases.append(1.0 if om >= 0 else -1.0)
     norm = np.linalg.norm(amps)

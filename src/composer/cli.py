@@ -244,10 +244,10 @@ def _generator_target_from_sheet(skel, sheet):
         sign = 1.0 if om >= 0 else -1.0
         weight = amp**2 * sign
         if ad.kind == "pair":
-            su = cir._sched_from_bindings(
+            su = cir.schedule_from_bindings(
                 sheet, f"gen/{ad.address}/u", "two", n, ad.pivot[0]
             )
-            sv = cir._sched_from_bindings(
+            sv = cir.schedule_from_bindings(
                 sheet, f"gen/{ad.address}/v", "two", n, ad.pivot[1]
             )
             state_u = ladders.apply_ladder_dense(su, vac)
@@ -257,7 +257,7 @@ def _generator_target_from_sheet(skel, sheet):
         else:
             for j in range(2):
                 pivot = ad.pivot[j] if j < len(ad.pivot) else 0
-                sched = cir._sched_from_bindings(
+                sched = cir.schedule_from_bindings(
                     sheet, f"gen/{ad.address}/mode{j}", "one", n, (pivot,)
                 )
                 state = ladders.apply_ladder_dense(sched, vac)

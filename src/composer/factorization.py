@@ -145,6 +145,22 @@ class PairLadder:
     def occupied_pair_vector(self):
         return wedge_pair_vector(self.r, self.s)
 
+    def embedded_pair_vectors(self, n_occ, n):
+        """Virtual and occupied pair vectors over the full ``p < q`` index.
+
+        Virtual wedge indices are offset by the occupied count; the
+        occupied wedge sits on the lowest modes.
+        """
+        pos = ladder_mod.pair_position(n)
+        uv = np.zeros(len(pos), dtype=complex)
+        vo = np.zeros_like(uv)
+        virt = ladder_mod.pair_indices(len(self.x))
+        uv[[pos[(n_occ + a, n_occ + b)] for a, b in virt]] = self.virtual_pair_vector()
+        vo[[pos[ij] for ij in ladder_mod.pair_indices(len(self.r))]] = (
+            self.occupied_pair_vector()
+        )
+        return uv, vo
+
 
 @dataclass(frozen=True, eq=False)
 class ChannelLadder:

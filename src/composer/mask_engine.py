@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jw, oracle, qsp
+from . import circuit_ir, jw, oracle, qsp
 from .errors import (
     DegenerateBasisError,
     SectorError,
@@ -89,8 +89,16 @@ def similarity_sandwich(ham_pool, gen_pool, mask, model_space, eps_poly,
     ``2 eps_exp + eps_ham`` at the requested slack.
     """
     n = ham_pool.n_so
-    if n > 8:
-        raise ShapeError("dense sandwich verification is limited to n <= 8")
+    # register of the Hamiltonian encoding: selector + widest branch + system
+    plan = circuit_ir.pivots_from_pools(ham_pool, None)
+    needed = (
+        oracle.index_width(ham_pool.ell) + circuit_ir.plan_workspace_width(plan) + n
+    )
+    if needed > oracle.MAX_ASSEMBLY_QUBITS:
+        raise ShapeError(
+            f"the Hamiltonian encoding needs {needed} qubits; dense assembly "
+            f"allows {oracle.MAX_ASSEMBLY_QUBITS}"
+        )
     n_elec = ham_pool.n_elec
     mask_indices = frozenset(getattr(mask, "indices", mask))
 

@@ -27,6 +27,9 @@ from .jw import jw_ladder_ops, sector_indices  # re-exported oracle surface
 
 REPORT_FORMAT = "composer-report-v1"
 
+# widest register (selector + workspace + system) assembled as a dense matrix
+MAX_ASSEMBLY_QUBITS = 13
+
 _H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
@@ -291,9 +294,10 @@ def _prep_select_prep(amplitudes, branch_ops, branch_phases, n, workspace=None):
     ]
     t = workspace if workspace is not None else max(widths, default=0)
     total_qubits = int(np.log2(n_states)) + t + n
-    if total_qubits > 13:
+    if total_qubits > MAX_ASSEMBLY_QUBITS:
         raise ShapeError(
-            f"dense assembly needs {total_qubits} qubits; the oracle caps at 13"
+            f"dense assembly needs {total_qubits} qubits; "
+            f"the oracle caps at {MAX_ASSEMBLY_QUBITS}"
         )
     if any(wd > t for wd in widths):
         raise ShapeError("branch workspace exceeds the shared width")
@@ -312,6 +316,92 @@ def _prep_select_prep(amplitudes, branch_ops, branch_phases, n, workspace=None):
     return w.reshape(dim, dim)
 
 
+def index_width(r):
+    """Qubits of a binary index register over ``r`` branches."""
+    return int(np.ceil(np.log2(r))) if r > 1 else 0
+
+
+def null_branch(n):
+    """Reserved null branch ``X (x) I``: a workspace flip, no system action."""
+    return np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2**n))
+
+
+def signed_loading(eigvals):
+    """PREP data of a signed spectrum ``sum_k lambda_k P_k``.
+
+    Returns ``(amplitudes, signs, gamma)``: ``sqrt(|lambda_k| / Gamma)``,
+    the eigenvalue signs as ``+-1`` and ``Gamma = sum |lambda_k|``.
+    """
+    eigvals = np.asarray(eigvals, dtype=float)
+    gamma = np.abs(eigvals).sum()
+    return np.sqrt(np.abs(eigvals) / gamma), np.where(eigvals >= 0, 1.0, -1.0), gamma
+
+
+def _flag_copy(pivot, n):
+    """Flag-copy core ``X_f CNOT_(pivot -> f)`` on one flag plus the system."""
+    total = 1 + n
+    return (jw.pauli_x(total, 0) @ jw.controlled_x(total, 1 + pivot, 0)).toarray()
+
+
+def flagged_occupation(sched, n):
+    """Flag-copy core conjugated by a number-conserving one-electron ladder."""
+    lifted = _lift(ladders.schedule_unitary(sched), 1)
+    return lifted @ _flag_copy(sched.pivot[0], n) @ lifted.conj().T
+
+
+def occupation_select(gadgets, amps, phases, n):
+    """One-qubit sub-select over flagged occupation gadgets.
+
+    A single gadget is returned as itself (times its phase).  All-zero
+    amplitudes mark a surplus compiled adaptor idling at zero weight: any
+    valid sub-prep keeps it unitary and it is never selected, so branch 0
+    is loaded.
+    """
+    if len(gadgets) == 1:
+        return phases[0] * gadgets[0]
+    amps = np.asarray(amps, dtype=float)
+    if np.linalg.norm(amps) < 1e-12:
+        amps = np.eye(len(amps))[0]
+    return _prep_select_prep(amps, gadgets, phases, n, workspace=1)
+
+
+def rotated_diagonal_gadget(net, amps, phases, n):
+    """Flag-copy select over modes ``0 .. r-1`` conjugated by a rotation network.
+
+    Returns the unitary and its ancilla count (index register plus flag).
+    """
+    r = len(phases)
+    t = index_width(r) + 1
+    loaded = np.zeros(2 ** (t - 1))
+    loaded[:r] = amps
+    ops = [_flag_copy(xi, n) for xi in range(r)]
+    gadget = _prep_select_prep(loaded, ops, phases, n, workspace=1)
+    lifted = _lift(ladders.network_unitary(net), t)
+    return lifted @ gadget @ lifted.conj().T, t
+
+
+def dyad_gadget(su, sv, n):
+    """``lift(U_u) R_vac lift(U_v^dag)`` from two prep-form ladders.
+
+    The ancilla-zero block is the dyad ``|u><v|`` of the two loaded states.
+    """
+    prep_u = ladders.schedule_unitary(su)
+    prep_v = ladders.schedule_unitary(sv)
+    return _lift(prep_u, 1) @ vacuum_reflection_gadget(n) @ _lift(prep_v.conj().T, 1)
+
+
+def hermitian_dyad_branch(su, sv, n):
+    """Hermitian ``i(L - L^dag)/2`` for the dyad ``L`` of two prep-form ladders.
+
+    Two-term sub-select over the dyad gadget and its adjoint with phases
+    ``[i, -i]``; the adjoint gadget encodes the adjoint dyad, so both arms
+    reuse one circuit body.
+    """
+    w_l = dyad_gadget(su, sv, n)
+    amps = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    return _prep_select_prep(amps, [w_l, w_l.conj().T], [1j, -1j], n, workspace=1)
+
+
 def dyad_block_encoding(u, v, lam, n, pivot_u=None, pivot_v=None):
     """Single-ancilla block encoding of the one-electron dyad ``|u><v|``.
 
@@ -326,13 +416,7 @@ def dyad_block_encoding(u, v, lam, n, pivot_u=None, pivot_v=None):
         raise ValidationError("lam must be nonnegative")
     su = ladders.one_electron_angles(u, pivot=pivot_u, n=n)
     sv = ladders.one_electron_angles(v, pivot=pivot_v, n=n)
-    prep_u = ladders.schedule_unitary(su)
-    prep_v = ladders.schedule_unitary(sv)
-    w = (
-        _lift(prep_u, 1)
-        @ vacuum_reflection_gadget(n)
-        @ _lift(prep_v.conj().T, 1)
-    )
+    w = dyad_gadget(su, sv, n)
     flags = ()
     alpha = lam
     if lam == 0.0:
@@ -362,13 +446,7 @@ def pair_dyad_block_encoding(u_pairs, v_pairs, lam, n, pivot_u=None, pivot_v=Non
     """Single-ancilla block encoding of the two-electron dyad ``|U><V|``."""
     su = ladders.two_electron_angles(u_pairs, pivot_pair=pivot_u, n=n)
     sv = ladders.two_electron_angles(v_pairs, pivot_pair=pivot_v, n=n)
-    prep_u = ladders.schedule_unitary(su)
-    prep_v = ladders.schedule_unitary(sv)
-    w = (
-        _lift(prep_u, 1)
-        @ vacuum_reflection_gadget(n)
-        @ _lift(prep_v.conj().T, 1)
-    )
+    w = dyad_gadget(su, sv, n)
     target = FockOperator(pair_dyad_matrix(u_pairs, v_pairs, n), n, tag="pair dyad")
     err = restricted_block_error(w, target, 1, sector=2)
     return w, BlockEncodingReport(
@@ -395,12 +473,7 @@ def occupation_gadget(w_vec, n, pivot=None):
     every particle sector.
     """
     sched = ladders.one_electron_angles(w_vec, pivot=pivot, n=n).as_number_conserving()
-    pivot = sched.pivot[0]
-    u_lad = ladders.schedule_unitary(sched)
-    total = 1 + n
-    core = (jw.pauli_x(total, 0) @ jw.controlled_x(total, 1 + pivot, 0)).toarray()
-    lifted = _lift(u_lad, 1)
-    return lifted @ core @ lifted.conj().T
+    return flagged_occupation(sched, n)
 
 
 def diagonal_one_body_encoding(eigvals, rotation_full, n):
@@ -412,27 +485,12 @@ def diagonal_one_body_encoding(eigvals, rotation_full, n):
     rotation conjugates the whole gadget.  The encoded block equals the
     operator divided by ``Gamma = sum |lambda|`` exactly.
     """
-    eigvals = np.asarray(eigvals, dtype=float)
-    r = len(eigvals)
-    if r == 0:
+    if len(eigvals) == 0:
         raise ValidationError("empty eigenvalue list")
-    gamma = np.abs(eigvals).sum()
-    a_i = max(int(np.ceil(np.log2(r))), 0) if r > 1 else 0
-    amps = np.zeros(2**a_i)
-    amps[:r] = np.sqrt(np.abs(eigvals) / gamma)
-    total = 1 + n
-    branch_ops = []
-    branch_phases = []
-    for xi in range(r):
-        branch_ops.append(
-            (jw.pauli_x(total, 0) @ jw.controlled_x(total, 1 + xi, 0)).toarray()
-        )
-        branch_phases.append(1.0 if eigvals[xi] >= 0 else -1.0)
-    gadget = _prep_select_prep(amps, branch_ops, branch_phases, n, workspace=1)
+    amps, signs, gamma = signed_loading(eigvals)
     net = ladders.rotation_network_from_matrix(rotation_full)
-    u_rot = ladders.network_unitary(net)
-    lifted = _lift(u_rot, a_i + 1)
-    return lifted @ gadget @ lifted.conj().T, gamma, a_i + 1
+    w, t = rotated_diagonal_gadget(net, amps, signs, n)
+    return w, gamma, t
 
 
 def reflect_about_ancilla_vacuum(t, n):
@@ -530,7 +588,7 @@ def lcu_multiplex(branches, n, selector_width=None, workspace=None, target=None,
         raise ValidationError("all branch weights vanish")
     width = selector_width
     if width is None:
-        width = max(int(np.ceil(np.log2(len(branches)))), 0)
+        width = index_width(len(branches))
     if 2**width < len(branches):
         raise CapacityError(
             f"{len(branches)} branches exceed selector capacity 2**{width}"
@@ -571,15 +629,11 @@ def mode_group_encoding(vectors, n, pivots=None, signs=None):
     """
     m = vectors.shape[1]
     signs = [1.0] * m if signs is None else list(signs)
-    if m == 1:
-        pivot = None if pivots is None else pivots[0]
-        return signs[0] * occupation_gadget(vectors[:, 0], n, pivot=pivot)
-    amps = np.full(m, 1.0 / np.sqrt(m))
-    ops = []
-    for j in range(m):
-        pivot = None if pivots is None else pivots[j]
-        ops.append(occupation_gadget(vectors[:, j], n, pivot=pivot))
-    return _prep_select_prep(amps, ops, signs, n, workspace=1)
+    gadgets = [
+        occupation_gadget(vectors[:, j], n, pivot=None if pivots is None else pivots[j])
+        for j in range(m)
+    ]
+    return occupation_select(gadgets, np.full(m, 1.0 / np.sqrt(m)), signs, n)
 
 
 def hamiltonian_branches(pool):
@@ -612,25 +666,11 @@ def hamiltonian_block_encoding(pool, sector=None, selector_width=None, workspace
 
 
 def pair_branch_encoding(lad, n_occ, n, pivot_u=None, pivot_v=None):
-    """Hermitian branch ``i(L - L^dag)/2`` for one pair ladder.
-
-    Two-term sub-multiplex over the dyad encoding and its adjoint; the
-    adjoint of the dyad gadget encodes the adjoint dyad, so both arms reuse
-    one circuit body.
-    """
-    uv = np.zeros(len(ladders.pair_indices(n)), dtype=complex)
-    vo = np.zeros_like(uv)
-    for k, (a, b) in enumerate(ladders.pair_indices(len(lad.x))):
-        uv[ladders.pair_position(n)[(n_occ + a, n_occ + b)]] = (
-            lad.virtual_pair_vector()[k]
-        )
-    for k, (i, j) in enumerate(ladders.pair_indices(len(lad.r))):
-        vo[ladders.pair_position(n)[(i, j)]] = lad.occupied_pair_vector()[k]
-    w_l, _ = pair_dyad_block_encoding(uv, vo, 1.0, n, pivot_u=pivot_u, pivot_v=pivot_v)
-    amps = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    return _prep_select_prep(
-        amps, [w_l, w_l.conj().T], [1j, -1j], n, workspace=1
-    )
+    """Hermitian branch ``i(L - L^dag)/2`` for one pair ladder."""
+    uv, vo = lad.embedded_pair_vectors(n_occ, n)
+    su = ladders.two_electron_angles(uv, pivot_pair=pivot_u, n=n)
+    sv = ladders.two_electron_angles(vo, pivot_pair=pivot_v, n=n)
+    return hermitian_dyad_branch(su, sv, n)
 
 
 def bilinear_branch_encoding(lad, n, pivots=None):
@@ -641,22 +681,14 @@ def bilinear_branch_encoding(lad, n, pivots=None):
     one-qubit sub-selector.
     """
     w_vals, w_vecs = bilinear_asym_spectrum(lad.u, lad.v)
-    r = len(w_vals)
-    if r == 0:
+    if len(w_vals) == 0:
         raise ValidationError("bilinear generator term vanishes")
-    gamma = np.abs(w_vals).sum()
-    a_r = max(int(np.ceil(np.log2(r))), 0) if r > 1 else 0
-    amps = np.zeros(2**a_r)
-    amps[:r] = np.sqrt(np.abs(w_vals) / gamma)
-    ops = []
-    phases = []
-    for j in range(r):
-        pivot = None if pivots is None else pivots[j]
-        ops.append(occupation_gadget(w_vecs[:, j], n, pivot=pivot))
-        phases.append(1.0 if w_vals[j] >= 0 else -1.0)
-    if a_r == 0:
-        return phases[0] * ops[0]
-    return _prep_select_prep(amps, ops, phases, n, workspace=1)
+    amps, signs, _ = signed_loading(w_vals)
+    gadgets = [
+        occupation_gadget(w_vecs[:, j], n, pivot=None if pivots is None else pivots[j])
+        for j in range(len(w_vals))
+    ]
+    return occupation_select(gadgets, amps, signs, n)
 
 
 def generator_branch_encoding(lad, n_occ, n, pivots=None):
@@ -697,8 +729,7 @@ def generator_block_encoding(pool, mask_indices, alpha_bar=None, pivots=None,
     amps = np.zeros(2**width)
     branch_ops = [None] * (pool.ell + 1)
     branch_phases = [1.0] * (pool.ell + 1)
-    # null branch: identity on the system, flip on a workspace ancilla
-    branch_ops[0] = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2**n))
+    branch_ops[0] = null_branch(n)
     used = 0.0
     for lad in pool.ladders:
         weight = abs(lad.coefficient) * generator_branch_alpha(lad)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .oracle import index_width
 
 CONTROL_OVERHEAD = 2
 
@@ -214,7 +215,7 @@ def estimate(skel, mask=None, connectivity=None, n_occ=None, n_virt=None):
     width = max(a_sigma, a_ham) + skel.workspace_width
 
     max_rank = max(shape.channel_ranks, default=0)
-    a_index = max(int(np.ceil(np.log2(max_rank))), 0) if max_rank > 1 else 0
+    a_index = index_width(max_rank)
     rows = (
         ResourceRow("adaptor (bilinear dyad)", n, 1, depth_bilinear),
         ResourceRow("adaptor (pair-excitation ladder)", n, 1, depth_pair),

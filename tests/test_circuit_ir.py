@@ -5,8 +5,13 @@ import pytest
 
 from composer import circuit_ir as cir
 from composer import oracle
-from composer.errors import BindError, ValidationError
-from composer.factorization import GeneratorPool, build_hamiltonian_pool
+from composer.errors import BindError, ParseError, ValidationError
+from composer.factorization import (
+    GeneratorPool,
+    build_hamiltonian_pool,
+    mp2_amplitudes,
+    nested_svd_t2,
+)
 from composer.integrals import synth_instance
 from conftest import mixed_generator_pool
 
@@ -17,6 +22,18 @@ def compiled(small_pools, mixed_gen_pool):
     gen = mixed_gen_pool
     plan = cir.pivots_from_pools(ham, gen)
     skel = cir.compile_skeleton(ham.ell, gen.ell, 4, plan, "full", qsp_degree=8)
+    return ham, gen, skel
+
+
+@pytest.fixture(scope="module")
+def compiled_n6():
+    """n_so = 6 at the command-line thresholds: an 11-qubit generator encoding."""
+    ints = synth_instance(7, 3, 2)
+    ham = build_hamiltonian_pool(ints, 1e-8, 0.0)
+    gen = nested_svd_t2(mp2_amplitudes(ints), 1e-6, 1e-6)
+    gen = mixed_generator_pool(gen, n_so=6)
+    plan = cir.pivots_from_pools(ham, gen)
+    skel = cir.compile_skeleton(ham.ell, gen.ell, 6, plan, "full", qsp_degree=8)
     return ham, gen, skel
 
 
@@ -185,8 +202,9 @@ def test_dial_rejects_foreign_mask(compiled):
         cir.dial(skel, ham, gen, cir.Mask.of("m", [17]))
 
 
-def test_roundtrip_generator_execution(compiled):
-    ham, gen, skel = compiled
+@pytest.mark.parametrize("instance", ["compiled", "compiled_n6"])
+def test_roundtrip_generator_execution(instance, request):
+    ham, gen, skel = request.getfixturevalue(instance)
     for mask_indices in ([1], [1, 2], [2, 3], []):
         sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", mask_indices))
         w = cir.execute_generator_encoding(skel, sheet)
@@ -231,11 +249,56 @@ def test_skeleton_json_roundtrip(compiled):
     assert back.to_json() == skel.to_json()
 
 
-def test_skeleton_json_tamper_detected(compiled):
+def _reverse_first(gate):
+    """Swap control and target of the first ``gate`` layer in the skeleton."""
+
+    def tamper(doc):
+        layer = next(
+            layer
+            for ad in doc["adaptors_ham"] + doc["adaptors_gen"]
+            for layer in ad["layers"]
+            if layer[0] == gate
+        )
+        layer[1] = layer[1][::-1]
+
+    return tamper
+
+
+def _widen(field):
+    def tamper(doc):
+        doc[field] += 3
+
+    return tamper
+
+
+def _retarget(doc):
+    doc["adaptors_gen"][1]["layers"][0][1] = [0]
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        pytest.param(_retarget, id="retarget"),
+        pytest.param(_reverse_first("cx"), id="reversed-cx"),
+        pytest.param(_reverse_first("givens"), id="reversed-givens"),
+        pytest.param(_widen("n_system"), id="n_system"),
+        pytest.param(_widen("selector_width"), id="selector_width"),
+        pytest.param(_widen("workspace_width"), id="workspace_width"),
+    ],
+)
+def test_skeleton_json_tamper_detected(compiled, tamper):
     _, _, skel = compiled
     doc = json.loads(skel.to_json())
-    doc["adaptors_gen"][1]["layers"][0][1] = [0]
+    tamper(doc)
     with pytest.raises(ValidationError):
+        cir.CircuitSkeleton.from_json(json.dumps(doc))
+
+
+def test_skeleton_v1_rejected(compiled):
+    _, _, skel = compiled
+    doc = json.loads(skel.to_json())
+    doc["format"] = "composer-skel-v1"
+    with pytest.raises(ParseError):
         cir.CircuitSkeleton.from_json(json.dumps(doc))
 
 

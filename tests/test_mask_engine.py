@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from composer import jw, mask_engine as me, oracle
-from composer.errors import DegenerateBasisError, SectorError, ValidationError
+from composer.errors import (
+    DegenerateBasisError,
+    SectorError,
+    ShapeError,
+    ValidationError,
+)
+from composer.factorization import build_hamiltonian_pool, mp2_amplitudes, nested_svd_t2
 
 
 def sector_basis(n, n_elec):
@@ -46,6 +52,23 @@ def test_sandwich_inherits_hamiltonian_normalization(small_pools, mixed_gen_pool
     sector = list(jw.sector_indices(4, 2))
     rep, _ = me.similarity_sandwich(ham, mixed_gen_pool, frozenset([1]), sector, 1e-9)
     assert rep.alpha == pytest.approx(ham.alpha)
+
+
+def test_sandwich_rejects_oversized_register_before_building(
+    medium_instance, monkeypatch
+):
+    """n_so = 6: the Hamiltonian encoding needs 14 qubits; no gadget is built."""
+    ham = build_hamiltonian_pool(medium_instance, 1e-8, 0.0)
+    gen = nested_svd_t2(mp2_amplitudes(medium_instance), 1e-6, 1e-6)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("encoding assembled before the size check")
+
+    monkeypatch.setattr(oracle, "hamiltonian_block_encoding", forbidden)
+    monkeypatch.setattr(oracle, "generator_block_encoding", forbidden)
+    sector = list(jw.sector_indices(6, 2))
+    with pytest.raises(ShapeError, match="needs 14 qubits.*allows 13"):
+        me.similarity_sandwich(ham, gen, frozenset([1]), sector, 1e-8)
 
 
 def test_topology_invariant_blocks_differ(small_pools, mixed_gen_pool):
