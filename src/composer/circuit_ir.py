@@ -1,8 +1,12 @@
 """Compile-once circuit IR: frozen two-qubit fabric plus re-dialable angles.
 
 The skeleton records the selector tree, the adaptor bank's gate layers
-with structural slot identifiers, and the signal-processing scaffold;
-its fingerprint hashes the register widths, gate kinds, ordered qubit
+with structural slot identifiers, and the signal-processing scaffold.
+Each layer is one canonical line ``gate|q0,q1,...|slot`` (empty slot
+field for a fixed gate); the lines are held in memory, stored in the
+JSON document and hashed by the fingerprint in that one form, and the
+slot fields are the skeleton's only list of parameter slots.  The
+fingerprint hashes the register widths, gate kinds, ordered qubit
 tuples, layer order, and slot identifiers, never angle values.  A dial
 sheet binds every parameter slot for one instance (pools, mask,
 coefficient set) and is the only thing that changes between instances.
@@ -21,10 +25,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ladders, oracle
-from .errors import BindError, CapacityError, ParseError, ValidationError
+from .errors import BindError, CapacityError, MaskError, ParseError, ValidationError
 from .factorization import bilinear_asym_spectrum, generator_branch_alpha
 
-SKEL_FORMAT = "composer-skel-v2"
+SKEL_FORMAT = "composer-skel-v3"
 DIAL_FORMAT = "composer-dial-v1"
 
 
@@ -104,14 +108,13 @@ def pivots_from_pools(ham_pool, gen_pool):
 
 @dataclass(frozen=True)
 class AdaptorSpec:
-    """One compiled adaptor: address, kind, pivot data, layers, slot ids."""
+    """One compiled adaptor: address, kind, pivot data, canonical layer lines."""
 
     address: int
     kind: str
     pivot: tuple
     rank: int
-    layers: tuple  # ((gate, qubits, slot_or_None), ...)
-    slots: tuple
+    layers: tuple  # ("gate|q0,q1,...|slot", ...), see _layer
 
 
 @dataclass(frozen=True)
@@ -141,7 +144,10 @@ class CircuitSkeleton:
     def all_slots(self):
         out = []
         for ad in self.adaptors_ham + self.adaptors_gen:
-            out.extend(ad.slots)
+            for line in ad.layers:
+                slot = line.rpartition("|")[2]
+                if slot:
+                    out.append(slot)
         out.extend(self.prep_slots_ham)
         out.extend(self.prep_slots_gen)
         return tuple(out)
@@ -190,8 +196,7 @@ def _adaptor_doc(ad):
         "kind": ad.kind,
         "pivot": _pivot_doc(ad.pivot),
         "rank": ad.rank,
-        "layers": [[g, list(q), s] for (g, q, s) in ad.layers],
-        "slots": list(ad.slots),
+        "layers": list(ad.layers),
     }
 
 
@@ -204,13 +209,21 @@ def _pivot_load(doc):
 
 
 def _adaptor_load(doc):
+    layers = doc["layers"]
+    if type(layers) is not list:
+        raise ParseError(f"adaptor {doc['address']}: layers must be a list of lines")
+    for line in layers:
+        # one line per layer keeps the hashed text unambiguous
+        if type(line) is not str or "\n" in line or line.count("|") != 2:
+            raise ParseError(
+                f"adaptor {doc['address']}: malformed layer line {line!r}"
+            )
     return AdaptorSpec(
         address=doc["address"],
         kind=doc["kind"],
         pivot=_pivot_load(doc["pivot"]),
         rank=doc["rank"],
-        layers=tuple((g, tuple(q), s) for g, q, s in doc["layers"]),
-        slots=tuple(doc["slots"]),
+        layers=tuple(layers),
     )
 
 
@@ -327,22 +340,26 @@ def compile_skeleton(ham_pool_size, gen_pool_size, n, pivots, connectivity="full
     return replace(skel, fingerprint=fabric_fingerprint(skel))
 
 
+def _layer(gate, qubits, slot=None):
+    """One layer as the canonical line the skeleton stores and hashes.
+
+    ``gate|q0,q1,...|slot``, with an empty slot field for a fixed gate.
+    """
+    return f"{gate}|{','.join(map(str, qubits))}|{slot or ''}"
+
+
 def _ladder_layers(prefix, n, pivot, sysq):
     ordering = tuple(p for p in range(n) if p != pivot)
-    layers = []
-    slots = []
-    for k, p in enumerate(ordering):
-        slot = f"{prefix}/rot/{k}/theta"
-        layers.append(("givens", (sysq(p), sysq(pivot)), slot))
-        slots.append(slot)
-    for k, p in enumerate(ordering):
-        slot = f"{prefix}/rot/{k}/phi"
-        layers.append(("rz", (sysq(p),), slot))
-        slots.append(slot)
-    slot = f"{prefix}/pivot_phi"
-    layers.append(("rz", (sysq(pivot),), slot))
-    slots.append(slot)
-    return layers, slots
+    layers = [
+        _layer("givens", (sysq(p), sysq(pivot)), f"{prefix}/rot/{k}/theta")
+        for k, p in enumerate(ordering)
+    ]
+    layers += [
+        _layer("rz", (sysq(p),), f"{prefix}/rot/{k}/phi")
+        for k, p in enumerate(ordering)
+    ]
+    layers.append(_layer("rz", (sysq(pivot),), f"{prefix}/pivot_phi"))
+    return layers
 
 
 def _pair_ladder_layers(prefix, n, pivot_pair, sysq):
@@ -351,18 +368,12 @@ def _pair_ladder_layers(prefix, n, pivot_pair, sysq):
     )
     r, s = pivot_pair
     layers = []
-    slots = []
     for k, (p, q) in enumerate(ordering):
-        slot = f"{prefix}/rot/{k}/theta"
-        layers.append(("pgivens", (sysq(p), sysq(q), sysq(r), sysq(s)), slot))
-        slots.append(slot)
-        slot = f"{prefix}/rot/{k}/phi"
-        layers.append(("pgivens_phase", (sysq(p), sysq(q), sysq(r), sysq(s)), slot))
-        slots.append(slot)
-    slot = f"{prefix}/pivot_phi"
-    layers.append(("cphase", (sysq(r), sysq(s)), slot))
-    slots.append(slot)
-    return layers, slots
+        qubits = (sysq(p), sysq(q), sysq(r), sysq(s))
+        layers.append(_layer("pgivens", qubits, f"{prefix}/rot/{k}/theta"))
+        layers.append(_layer("pgivens_phase", qubits, f"{prefix}/rot/{k}/phi"))
+    layers.append(_layer("cphase", (sysq(r), sysq(s)), f"{prefix}/pivot_phi"))
+    return layers
 
 
 def _compile_one_body(ad, n, sysq, ws0, t):
@@ -371,20 +382,17 @@ def _compile_one_body(ad, n, sysq, ws0, t):
     m = max(ad.rank, 1)
     flag = ws0 + t - 1
     sub = ws0 + t - 2
-    layers = [] if m == 1 else [("h", (sub,), None)]
-    slots = []
+    layers = [] if m == 1 else [_layer("h", (sub,))]
     for j in range(m):
-        lmode, smode = _ladder_layers(f"{prefix}/mode{j}", n, ad.pivot[j], sysq)
-        layers += lmode
-        slots += smode
-        layers.append(("cx", (sysq(ad.pivot[j]), flag), None))
-        layers.append(("x", (flag,), None))
-        amp = f"{prefix}/subprep/{j}"
-        layers.append(("index_load", (sub,) if m > 1 else (), amp))
-        slots.append(amp)
+        layers += _ladder_layers(f"{prefix}/mode{j}", n, ad.pivot[j], sysq)
+        layers.append(_layer("cx", (sysq(ad.pivot[j]), flag)))
+        layers.append(_layer("x", (flag,)))
+        layers.append(
+            _layer("index_load", (sub,) if m > 1 else (), f"{prefix}/subprep/{j}")
+        )
     if m > 1:
-        layers.append(("h", (sub,), None))
-    return AdaptorSpec(ad.address, ad.kind, ad.pivot, m, tuple(layers), tuple(slots))
+        layers.append(_layer("h", (sub,)))
+    return AdaptorSpec(ad.address, ad.kind, ad.pivot, m, tuple(layers))
 
 
 def _compile_channel(ad, n, sysq, ws0, t):
@@ -395,35 +403,24 @@ def _compile_channel(ad, n, sysq, ws0, t):
     signal = base
     index = tuple(range(base + 1, base + 1 + a_i))
     flag = base + 1 + a_i
-    layers = []
-    slots = []
-    for k, (p, q) in enumerate(ladders.network_pair_sequence(n)):
-        slot = f"{prefix}/net/{k}/theta"
-        layers.append(("givens", (sysq(p), sysq(q)), slot))
-        slots.append(slot)
-    for p in range(n):
-        slot = f"{prefix}/net/phase/{p}"
-        layers.append(("rz", (sysq(p),), slot))
-        slots.append(slot)
+    layers = [
+        _layer("givens", (sysq(p), sysq(q)), f"{prefix}/net/{k}/theta")
+        for k, (p, q) in enumerate(ladders.network_pair_sequence(n))
+    ]
+    layers += [_layer("rz", (sysq(p),), f"{prefix}/net/phase/{p}") for p in range(n)]
     for xi in range(ad.rank):
-        slot = f"{prefix}/prep/{xi}"
-        layers.append(("index_load", index, slot))
-        slots.append(slot)
-        sign = f"{prefix}/select/{xi}/sign_phi"
-        layers.append(("cx", (sysq(xi), flag), None))
-        layers.append(("x", (flag,), None))
-        layers.append(("rz", (flag,), sign))
-        slots.append(sign)
-    layers.append(("h", (signal,), None))
-    layers.append(("mcz", tuple(index) + (flag,), None))
-    layers.append(("h", (signal,), None))
-    return AdaptorSpec(
-        ad.address, ad.kind, ad.pivot, ad.rank, tuple(layers), tuple(slots)
-    )
+        layers.append(_layer("index_load", index, f"{prefix}/prep/{xi}"))
+        layers.append(_layer("cx", (sysq(xi), flag)))
+        layers.append(_layer("x", (flag,)))
+        layers.append(_layer("rz", (flag,), f"{prefix}/select/{xi}/sign_phi"))
+    layers.append(_layer("h", (signal,)))
+    layers.append(_layer("mcz", index + (flag,)))
+    layers.append(_layer("h", (signal,)))
+    return AdaptorSpec(ad.address, ad.kind, ad.pivot, ad.rank, tuple(layers))
 
 
 def _compile_null(flag):
-    return AdaptorSpec(0, "null", (), 0, (("x", (flag,), None),), ())
+    return AdaptorSpec(0, "null", (), 0, (_layer("x", (flag,)),))
 
 
 def _compile_pair(ad, n, sysq, ws0, t):
@@ -431,15 +428,18 @@ def _compile_pair(ad, n, sysq, ws0, t):
     sub = ws0 + t - 2
     anc = ws0 + t - 1
     pu, pv = ad.pivot
-    layers = [("h", (sub,), None), ("x", (sysq(pu[0]),), None), ("x", (sysq(pu[1]),), None)]
-    lu, su = _pair_ladder_layers(f"{prefix}/u", n, pu, sysq)
-    lv, sv = _pair_ladder_layers(f"{prefix}/v", n, pv, sysq)
-    layers += lv + [("h", (anc,), None), ("mcz", tuple(sysq(p) for p in range(n)), None),
-                    ("h", (anc,), None)] + lu
-    layers.append(("h", (sub,), None))
-    return AdaptorSpec(
-        ad.address, ad.kind, ad.pivot, 0, tuple(layers), tuple(su + sv)
-    )
+    layers = [
+        _layer("h", (sub,)),
+        _layer("x", (sysq(pu[0]),)),
+        _layer("x", (sysq(pu[1]),)),
+        *_pair_ladder_layers(f"{prefix}/v", n, pv, sysq),
+        _layer("h", (anc,)),
+        _layer("mcz", tuple(sysq(p) for p in range(n))),
+        _layer("h", (anc,)),
+        *_pair_ladder_layers(f"{prefix}/u", n, pu, sysq),
+        _layer("h", (sub,)),
+    ]
+    return AdaptorSpec(ad.address, ad.kind, ad.pivot, 0, tuple(layers))
 
 
 def _mode_pivot(ad, j):
@@ -451,32 +451,24 @@ def _compile_bilinear_asym(ad, n, sysq, ws0, t):
     prefix = f"gen/{ad.address}"
     sub = ws0 + t - 2
     flag = ws0 + t - 1
-    layers = [("h", (sub,), None)]
-    slots = []
+    layers = [_layer("h", (sub,))]
     for j in range(2):
         pivot = _mode_pivot(ad, j)
-        lmode, smode = _ladder_layers(f"{prefix}/mode{j}", n, pivot, sysq)
-        layers += lmode
-        layers.append(("cx", (sysq(pivot), flag), None))
-        layers.append(("x", (flag,), None))
-        slots += smode
-        amp = f"{prefix}/subprep/{j}"
-        layers.append(("index_load", (sub,), amp))
-        slots.append(amp)
-        sign = f"{prefix}/submode/{j}/sign_phi"
-        layers.append(("rz", (flag,), sign))
-        slots.append(sign)
-    layers.append(("h", (sub,), None))
-    return AdaptorSpec(
-        ad.address, ad.kind, ad.pivot, 2, tuple(layers), tuple(slots)
-    )
+        layers += _ladder_layers(f"{prefix}/mode{j}", n, pivot, sysq)
+        layers.append(_layer("cx", (sysq(pivot), flag)))
+        layers.append(_layer("x", (flag,)))
+        layers.append(_layer("index_load", (sub,), f"{prefix}/subprep/{j}"))
+        layers.append(_layer("rz", (flag,), f"{prefix}/submode/{j}/sign_phi"))
+    layers.append(_layer("h", (sub,)))
+    return AdaptorSpec(ad.address, ad.kind, ad.pivot, 2, tuple(layers))
 
 
 def fabric_fingerprint(skel):
     """SHA-256 digest of the register widths and the canonical layer stream.
 
-    Structure only: qubit tuples are hashed in gate order (control before
-    target), never angle values.
+    Structure only: each adaptor's layer lines are hashed as stored, one
+    per text line, so qubit tuples enter in gate order (control before
+    target); angle values never do.
     """
     h = hashlib.sha256()
     h.update(
@@ -485,10 +477,7 @@ def fabric_fingerprint(skel):
     )
     for ad in skel.adaptors_ham + skel.adaptors_gen:
         h.update(f"adaptor:{ad.address}:{ad.kind}\n".encode())
-        for gate, qubits, slot in ad.layers:
-            h.update(
-                f"{gate}|{','.join(str(q) for q in qubits)}|{slot or ''}\n".encode()
-            )
+        h.update("".join(line + "\n" for line in ad.layers).encode())
     for slot in skel.prep_slots_ham + skel.prep_slots_gen:
         h.update(f"prep|{slot}\n".encode())
     for k in range(skel.qsp_degree):
@@ -535,9 +524,9 @@ def dial(skel, ham_pool, gen_pool, mask, alpha=None, alpha_bar=None, mask_id=Non
     if sorted(lad.address for lad in ham_pool.ladders) != list(range(ham_pool.ell)):
         raise BindError("hamiltonian addresses must be contiguous from 0")
     if not mask_indices <= addresses:
-        raise BindError(
-            "mask addresses missing from generator pool",
-            addresses=mask_indices - addresses,
+        raise MaskError(
+            "mask addresses missing from generator pool "
+            f"(addresses: {sorted(mask_indices - addresses)})"
         )
     alpha = ham_pool.alpha if alpha is None else float(alpha)
     alpha_bar = gen_pool.alpha_bar if alpha_bar is None else float(alpha_bar)

@@ -89,16 +89,29 @@ def similarity_sandwich(ham_pool, gen_pool, mask, model_space, eps_poly,
     ``2 eps_exp + eps_ham`` at the requested slack.
     """
     n = ham_pool.n_so
-    # register of the Hamiltonian encoding: selector + widest branch + system
-    plan = circuit_ir.pivots_from_pools(ham_pool, None)
-    needed = (
-        oracle.index_width(ham_pool.ell) + circuit_ir.plan_workspace_width(plan) + n
+    # registers of both encodings: selector + widest branch + system; the
+    # generator selector also counts the null branch at address 0
+    gen_plan = circuit_ir.CompilePlan(
+        ham=(),
+        gen=tuple(
+            circuit_ir.AdaptorDescriptor(
+                "pair" if lad.kind == "pair" else "bilinear_asym", lad.address
+            )
+            for lad in gen_pool.ladders
+        ),
     )
-    if needed > oracle.MAX_ASSEMBLY_QUBITS:
-        raise ShapeError(
-            f"the Hamiltonian encoding needs {needed} qubits; dense assembly "
-            f"allows {oracle.MAX_ASSEMBLY_QUBITS}"
-        )
+    registers = (
+        ("Hamiltonian", oracle.index_width(ham_pool.ell),
+         circuit_ir.pivots_from_pools(ham_pool, None)),
+        ("generator", max(oracle.index_width(gen_pool.ell + 1), 1), gen_plan),
+    )
+    for name, selector, plan in registers:
+        needed = selector + circuit_ir.plan_workspace_width(plan) + n
+        if needed > oracle.MAX_ASSEMBLY_QUBITS:
+            raise ShapeError(
+                f"the {name} encoding needs {needed} qubits; dense assembly "
+                f"allows {oracle.MAX_ASSEMBLY_QUBITS}"
+            )
     n_elec = ham_pool.n_elec
     mask_indices = frozenset(getattr(mask, "indices", mask))
 

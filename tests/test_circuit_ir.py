@@ -5,7 +5,7 @@ import pytest
 
 from composer import circuit_ir as cir
 from composer import oracle
-from composer.errors import BindError, ParseError, ValidationError
+from composer.errors import BindError, MaskError, ParseError, ValidationError
 from composer.factorization import (
     GeneratorPool,
     build_hamiltonian_pool,
@@ -198,7 +198,7 @@ def test_dial_rejects_oversized_pool(compiled, small_pools):
 
 def test_dial_rejects_foreign_mask(compiled):
     ham, gen, skel = compiled
-    with pytest.raises(BindError):
+    with pytest.raises(MaskError):
         cir.dial(skel, ham, gen, cir.Mask.of("m", [17]))
 
 
@@ -249,19 +249,34 @@ def test_skeleton_json_roundtrip(compiled):
     assert back.to_json() == skel.to_json()
 
 
+def _edit_first(gate, edit):
+    """Apply ``edit`` to the fields of the first ``gate`` line in the skeleton."""
+
+    def tamper(doc):
+        ad, k = next(
+            (ad, k)
+            for ad in doc["adaptors_ham"] + doc["adaptors_gen"]
+            for k, line in enumerate(ad["layers"])
+            if line.split("|")[0] == gate
+        )
+        fields = ad["layers"][k].split("|")
+        edit(fields)
+        ad["layers"][k] = "|".join(fields)
+
+    return tamper
+
+
 def _reverse_first(gate):
     """Swap control and target of the first ``gate`` layer in the skeleton."""
 
-    def tamper(doc):
-        layer = next(
-            layer
-            for ad in doc["adaptors_ham"] + doc["adaptors_gen"]
-            for layer in ad["layers"]
-            if layer[0] == gate
-        )
-        layer[1] = layer[1][::-1]
+    def reverse(fields):
+        fields[1] = ",".join(fields[1].split(",")[::-1])
 
-    return tamper
+    return _edit_first(gate, reverse)
+
+
+def _rename_slot(fields):
+    fields[2] += "_renamed"
 
 
 def _widen(field):
@@ -272,32 +287,60 @@ def _widen(field):
 
 
 def _retarget(doc):
-    doc["adaptors_gen"][1]["layers"][0][1] = [0]
+    gate, _, slot = doc["adaptors_gen"][1]["layers"][0].split("|")
+    doc["adaptors_gen"][1]["layers"][0] = f"{gate}|0|{slot}"
+
+
+def _embed_newline(doc):
+    """Merge the first two lines into one text with the same hashed bytes."""
+    layers = doc["adaptors_gen"][1]["layers"]
+    layers[0:2] = [layers[0] + "\n" + layers[1]]
+
+
+def _list_layer(doc):
+    """A v2-style ``[gate, qubits, slot]`` list in place of a line."""
+    gate, qubits, slot = doc["adaptors_gen"][1]["layers"][0].split("|")
+    doc["adaptors_gen"][1]["layers"][0] = [
+        gate, [int(q) for q in qubits.split(",")], slot or None
+    ]
+
+
+def _scalar_layers(doc):
+    doc["adaptors_gen"][1]["layers"] = 5
 
 
 @pytest.mark.parametrize(
-    "tamper",
+    "tamper, error",
     [
-        pytest.param(_retarget, id="retarget"),
-        pytest.param(_reverse_first("cx"), id="reversed-cx"),
-        pytest.param(_reverse_first("givens"), id="reversed-givens"),
-        pytest.param(_widen("n_system"), id="n_system"),
-        pytest.param(_widen("selector_width"), id="selector_width"),
-        pytest.param(_widen("workspace_width"), id="workspace_width"),
+        pytest.param(_retarget, ValidationError, id="retarget"),
+        pytest.param(_reverse_first("cx"), ValidationError, id="reversed-cx"),
+        pytest.param(_reverse_first("givens"), ValidationError, id="reversed-givens"),
+        pytest.param(_widen("n_system"), ValidationError, id="n_system"),
+        pytest.param(_widen("selector_width"), ValidationError, id="selector_width"),
+        pytest.param(_widen("workspace_width"), ValidationError, id="workspace_width"),
+        pytest.param(
+            _edit_first("index_load", _rename_slot), ValidationError, id="renamed-slot"
+        ),
+        pytest.param(_embed_newline, ParseError, id="embedded-newline"),
+        pytest.param(_list_layer, ParseError, id="non-string-layer"),
+        pytest.param(_scalar_layers, ParseError, id="non-list-layers"),
     ],
 )
-def test_skeleton_json_tamper_detected(compiled, tamper):
+def test_skeleton_json_tamper_detected(compiled, tamper, error):
     _, _, skel = compiled
     doc = json.loads(skel.to_json())
     tamper(doc)
-    with pytest.raises(ValidationError):
+    with pytest.raises(error):
         cir.CircuitSkeleton.from_json(json.dumps(doc))
 
 
-def test_skeleton_v1_rejected(compiled):
+@pytest.mark.parametrize(
+    "fmt", ["composer-skel-v1", "composer-skel-v2"], ids=["v1", "v2"]
+)
+def test_skeleton_v1_rejected(compiled, fmt):
     _, _, skel = compiled
     doc = json.loads(skel.to_json())
-    doc["format"] = "composer-skel-v1"
+    doc["format"] = fmt
     with pytest.raises(ParseError):
         cir.CircuitSkeleton.from_json(json.dumps(doc))
 

@@ -107,6 +107,16 @@ def test_verify_tampered_fingerprint_exits_three(pipeline, tmp_path):
     assert run(["verify", "--skel", str(skel), "--dial", str(bad)]) == 3
 
 
+def test_dial_foreign_mask_exits_two(pipeline, capsys):
+    """A mask naming an address the pool lacks is an input error, not topology."""
+    tmp, pool, skel, _ = pipeline
+    out = tmp / "foreign.json"
+    argv = ["dial", "--skel", str(skel), "--pool", str(pool), "--mask", "99"]
+    assert run(argv + ["--out", str(out)]) == 2
+    assert "mask addresses missing from generator pool" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_input_exits_two(tmp_path):
     assert (
         run(["factorize", "--ints", str(tmp_path / "nope"), "--out", "x.json"]) == 2

@@ -9,6 +9,7 @@ from composer.errors import (
     ValidationError,
 )
 from composer.factorization import build_hamiltonian_pool, mp2_amplitudes, nested_svd_t2
+from conftest import mixed_generator_pool
 
 
 def sector_basis(n, n_elec):
@@ -69,6 +70,24 @@ def test_sandwich_rejects_oversized_register_before_building(
     sector = list(jw.sector_indices(6, 2))
     with pytest.raises(ShapeError, match="needs 14 qubits.*allows 13"):
         me.similarity_sandwich(ham, gen, frozenset([1]), sector, 1e-8)
+
+
+def test_sandwich_rejects_oversized_generator_register_before_building(
+    small_pools, monkeypatch
+):
+    """n_so = 4 with 128 generator ladders: selector 8 + workspace 2 + 4 = 14."""
+    ham, gen = small_pools
+    gen = mixed_generator_pool(gen, extra=128 - gen.ell)
+    assert gen.ell == 128
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("encoding assembled before the size check")
+
+    monkeypatch.setattr(oracle, "hamiltonian_block_encoding", forbidden)
+    monkeypatch.setattr(oracle, "generator_block_encoding", forbidden)
+    sector = list(jw.sector_indices(4, 2))
+    with pytest.raises(ShapeError, match="generator encoding needs 14 qubits.*allows 13"):
+        me.similarity_sandwich(ham, gen, frozenset([1]), sector, 1e-9)
 
 
 def test_topology_invariant_blocks_differ(small_pools, mixed_gen_pool):
