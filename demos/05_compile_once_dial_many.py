@@ -1,7 +1,7 @@
 """Compile one skeleton, dial many instances, keep one fingerprint.
 
 Masks and coefficient rescalings produce distinct dial sheets bound to
-the same fabric digest; executing any sheet in the dense oracle
+the same fabric digest; executing any sheet in the oracle
 reproduces the directly constructed encoding.
 """
 

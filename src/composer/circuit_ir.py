@@ -170,9 +170,15 @@ class CircuitSkeleton:
 
     @staticmethod
     def from_json(text):
-        doc = json.loads(text)
+        doc = _checked(json.loads(text), _DICT, "skeleton")
         if doc.get("format") != SKEL_FORMAT:
             raise ParseError(f"expected format {SKEL_FORMAT!r}")
+        for key in ("n_system", "selector_width", "workspace_width", "qsp_degree"):
+            _checked(doc[key], _INT, key)
+        for key in ("adaptors_ham", "adaptors_gen"):
+            _checked_list(doc[key], _DICT, key)
+        for key in ("prep_slots_ham", "prep_slots_gen"):
+            _checked_list(doc[key], _STR, key)
         skel = CircuitSkeleton(
             n_system=doc["n_system"],
             selector_width=doc["selector_width"],
@@ -182,8 +188,8 @@ class CircuitSkeleton:
             adaptors_gen=tuple(_adaptor_load(a) for a in doc["adaptors_gen"]),
             prep_slots_ham=tuple(doc["prep_slots_ham"]),
             prep_slots_gen=tuple(doc["prep_slots_gen"]),
-            connectivity=doc.get("connectivity", "full"),
-            fingerprint=doc["fingerprint"],
+            connectivity=_checked(doc.get("connectivity", "full"), _STR, "connectivity"),
+            fingerprint=_checked(doc["fingerprint"], _STR, "fingerprint"),
         )
         if fabric_fingerprint(skel) != skel.fingerprint:
             raise ValidationError("skeleton fingerprint does not match its layers")
@@ -204,24 +210,58 @@ def _pivot_doc(pivot):
     return [list(p) if isinstance(p, tuple) else p for p in pivot]
 
 
-def _pivot_load(doc):
+# exact JSON value types: a bool is not an int and an int is not a string
+_INT = (int,)
+_NUMBER = (int, float)
+_STR = (str,)
+_LIST = (list,)
+_DICT = (dict,)
+
+
+def _checked(value, kinds, what):
+    """``value`` if its exact type is one of ``kinds``; else a ParseError."""
+    if type(value) not in kinds:
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ParseError(f"{what} must be {names}, not {type(value).__name__}")
+    return value
+
+
+def _checked_list(value, kinds, what):
+    """A JSON list whose entries all have one of the exact types ``kinds``."""
+    _checked(value, _LIST, what)
+    bad = set(map(type, value)).difference(kinds)
+    if bad:
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ParseError(
+            f"{what} entries must be {names}, not {min(t.__name__ for t in bad)}"
+        )
+    return value
+
+
+def _pivot_load(doc, where):
+    for p in _checked(doc, _LIST, f"{where}: pivot"):
+        if type(p) is list:
+            _checked_list(p, _INT, f"{where}: pivot pair")
+        else:
+            _checked(p, _INT, f"{where}: pivot")
     return tuple(tuple(p) if isinstance(p, list) else p for p in doc)
 
 
 def _adaptor_load(doc):
+    where = f"adaptor {_checked(doc['address'], _INT, 'adaptor address')}"
+    _checked(doc["kind"], _STR, f"{where}: kind")
+    _checked(doc["rank"], _INT, f"{where}: rank")
     layers = doc["layers"]
     if type(layers) is not list:
-        raise ParseError(f"adaptor {doc['address']}: layers must be a list of lines")
+        raise ParseError(f"{where}: layers must be a list of lines")
     for line in layers:
         # one line per layer keeps the hashed text unambiguous
         if type(line) is not str or "\n" in line or line.count("|") != 2:
-            raise ParseError(
-                f"adaptor {doc['address']}: malformed layer line {line!r}"
-            )
+            raise ParseError(f"{where}: malformed layer line {line!r}")
     return AdaptorSpec(
         address=doc["address"],
         kind=doc["kind"],
-        pivot=_pivot_load(doc["pivot"]),
+        pivot=_pivot_load(doc["pivot"], where),
         rank=doc["rank"],
         layers=tuple(layers),
     )
@@ -252,9 +292,22 @@ class DialSheet:
 
     @staticmethod
     def from_json(text):
-        doc = json.loads(text)
+        doc = _checked(json.loads(text), _DICT, "dial sheet")
         if doc.get("format") != DIAL_FORMAT:
             raise ParseError(f"expected format {DIAL_FORMAT!r}")
+        _checked(doc["skeleton_fingerprint"], _STR, "skeleton_fingerprint")
+        _checked(doc["mask_id"], _STR, "mask_id")
+        _checked_list(doc["mask_indices"], _INT, "mask_indices")
+        for key in ("angle_bindings", "phase_bindings"):
+            bindings = _checked(doc[key], _DICT, key)
+            _checked_list(list(bindings.values()), _NUMBER, key)
+        coeffs = _checked(doc["classical_coeffs"], _DICT, "classical_coeffs")
+        for key in ("Omega", "omega"):
+            if key in coeffs:
+                _checked_list(coeffs[key], _NUMBER, f"classical_coeffs {key}")
+        for key, kinds in (("alpha", _NUMBER), ("alpha_bar", _NUMBER), ("n_occ", _INT)):
+            if key in coeffs:
+                _checked(coeffs[key], kinds, f"classical_coeffs {key}")
         return DialSheet(
             skeleton_fingerprint=doc["skeleton_fingerprint"],
             mask_id=doc["mask_id"],
@@ -661,7 +714,7 @@ def dial(skel, ham_pool, gen_pool, mask, alpha=None, alpha_bar=None, mask_id=Non
 
 
 # ---------------------------------------------------------------------------
-# execution (dense rebuild from bindings alone)
+# execution (sparse rebuild from bindings alone)
 # ---------------------------------------------------------------------------
 
 
@@ -717,14 +770,14 @@ def generator_workspace_width(skel):
 
     The shared register is sized by the Hamiltonian channels; generator
     execution lifts only to its own branch width (the idle ancillas do
-    not affect the encoded block and would inflate the dense register).
+    not affect the encoded block and would inflate the assembled register).
     """
     branches = tuple(ad for ad in skel.adaptors_gen if ad.kind != "null")
     return plan_workspace_width(CompilePlan(ham=(), gen=branches))
 
 
 def execute_generator_encoding(skel, sheet):
-    """Dense rebuild of the masked generator encoding from a dial sheet.
+    """Sparse (CSR) rebuild of the masked generator encoding from a dial sheet.
 
     Verifies the fingerprint binding and reconstructs every branch from
     slot values only, so the result certifies the dial data rather than
@@ -784,7 +837,7 @@ def _ham_branch_from_bindings(sheet, ad, n):
 
 
 def execute_hamiltonian_encoding(skel, sheet):
-    """Dense rebuild of the Hamiltonian encoding from a dial sheet."""
+    """Sparse (CSR) rebuild of the Hamiltonian encoding from a dial sheet."""
     if sheet.skeleton_fingerprint != skel.fingerprint:
         raise BindError("dial sheet bound to a different skeleton fingerprint")
     n = skel.n_system

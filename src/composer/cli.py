@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from . import circuit_ir as cir
 from . import diagnostics as dg
@@ -188,9 +189,9 @@ def cmd_verify(args):
         raise ComposerError("--eps-budget must be nonnegative")
     n = skel.n_system
     w = cir.execute_generator_encoding(skel, sheet)
-    unitarity = float(
-        np.abs(w.conj().T @ w - np.eye(w.shape[0])).max()
-    )
+    # every entry of W^dag W - I, as a sparse Gram product
+    gram = w.conj().T @ w - sparse.identity(w.shape[0], format="csr")
+    unitarity = float(abs(gram).max())
     target = _generator_target_from_sheet(skel, sheet)
     block = oracle.extract_block(w, n)
     err = float(np.linalg.norm(block - target, 2))

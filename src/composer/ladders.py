@@ -3,9 +3,11 @@
 A ladder redistributes amplitude from a fixed pivot mode (or pivot pair)
 through a fixed ordering of targets; only the rotation angles and phases
 depend on the data vector, which is what makes the topology reusable.
-Dense application goes through the exact Euler form of each rotation
-generator (``K^3 = -K`` for both the two-mode and the four-mode case), so
-no matrix exponentials are needed.
+Every gate is a sparse matrix in the exact Euler form of its rotation
+generator (``K^3 = -K`` for both the two-mode and the four-mode case),
+scattered onto a sparsity pattern cached per register size and mode
+tuple, so neither matrix exponentials nor per-gate sparse arithmetic are
+needed; schedule and network unitaries are sparse products of gates.
 """
 
 from __future__ import annotations
@@ -151,45 +153,95 @@ def two_electron_angles(u_pairs, pivot_pair=None, n=None):
     return LadderSchedule("two", n, pivot_pair, ordering, thetas, phases, gauge)
 
 
-def _euler_gate(k_op, theta):
-    """``exp(theta K)`` for a generator with ``K^3 = -K`` (sparse)."""
-    k2 = (k_op @ k_op).tocsr()
-    dim = k_op.shape[0]
-    return (
-        sparse.identity(dim, format="csr", dtype=complex)
-        + np.sin(theta) * k_op
-        + (1.0 - np.cos(theta)) * k2
+def _gate_pattern(terms):
+    """Union CSR pattern of the Euler terms of a gate, with scatter maps.
+
+    Returns ``(indptr, indices, scatter)``; ``scatter[k]`` holds the
+    positions of term ``k``'s entries in the union pattern and their
+    values, so a gate ``sum_k c_k T_k`` is assembled by scattering the
+    coefficients without any sparse arithmetic.
+    """
+    dim = terms[0].shape[0]
+    rows = np.arange(dim)
+    keys, values = [], []
+    for term in terms:
+        term = sparse.csr_matrix(term)
+        term.sum_duplicates()
+        keys.append(np.repeat(rows, np.diff(term.indptr)) * dim + term.indices)
+        values.append(term.data)
+    union = np.unique(np.concatenate(keys))
+    union_rows, cols = np.divmod(union, dim)
+    indptr = np.searchsorted(union_rows, np.arange(dim + 1)).astype(np.int32)
+    scatter = tuple(
+        (np.searchsorted(union, key), value) for key, value in zip(keys, values)
+    )
+    return indptr, cols.astype(np.int32), scatter
+
+
+def _pattern_gate(pattern, coeffs):
+    """CSR matrix ``sum_k coeffs[k] T_k`` on a cached :func:`_gate_pattern`."""
+    indptr, indices, scatter = pattern
+    data = np.zeros(len(indices), dtype=complex)
+    for coeff, (pos, vals) in zip(coeffs, scatter):
+        data[pos] += coeff * vals
+    dim = len(indptr) - 1
+    # copies keep the cached pattern safe from in-place sparse methods
+    return sparse.csr_matrix(
+        (data, indices.copy(), indptr.copy()), shape=(dim, dim)
     )
 
 
 @lru_cache(maxsize=None)
-def _givens_generator(n, p, r):
-    """``K = a_p^dag a_r - a_r^dag a_p`` (sparse)."""
+def _givens_pattern(n, p, r):
+    """Terms ``I, K, K^2`` of ``K = a_p^dag a_r - a_r^dag a_p``."""
     cr, an = jw.jw_ladder_ops(n)
-    return (cr[p] @ an[r] - cr[r] @ an[p]).tocsr()
+    k_op = (cr[p] @ an[r] - cr[r] @ an[p]).tocsr()
+    return _gate_pattern([sparse.identity(2**n, format="csr"), k_op, k_op @ k_op])
 
 
 @lru_cache(maxsize=None)
-def _pair_transfer(n, p, q, r, s):
-    """``A = a_p^dag a_q^dag a_s a_r`` (sparse)."""
+def _pair_pattern(n, p, q, r, s):
+    """Terms ``I, A, A^dag, A^2, A^dag^2, A A^dag + A^dag A``.
+
+    ``A = a_p^dag a_q^dag a_s a_r``; each term is kept, so the gate does
+    not rely on ``A^2`` vanishing.
+    """
     cr, an = jw.jw_ladder_ops(n)
-    return (cr[p] @ cr[q] @ an[s] @ an[r]).tocsr()
+    a_op = (cr[p] @ cr[q] @ an[s] @ an[r]).tocsr()
+    a_dag = a_op.conj().T.tocsr()
+    return _gate_pattern([
+        sparse.identity(2**n, format="csr"),
+        a_op,
+        a_dag,
+        a_op @ a_op,
+        a_dag @ a_dag,
+        a_op @ a_dag + a_dag @ a_op,
+    ])
 
 
 def givens_gate(n, p, r, theta):
-    """Dense-capable sparse ``G_pr(theta) = exp[theta (a_p^dag a_r - h.c.)]``."""
-    return _euler_gate(_givens_generator(n, p, r), theta)
+    """Sparse ``G_pr(theta) = exp[theta (a_p^dag a_r - h.c.)]``.
+
+    Euler form ``I + sin(theta) K + (1 - cos(theta)) K^2`` (``K^3 = -K``).
+    """
+    return _pattern_gate(
+        _givens_pattern(n, p, r), (1.0, np.sin(theta), 1.0 - np.cos(theta))
+    )
 
 
 def pair_givens_gate(n, p, q, r, s, theta, phi):
     """Phased pair-Givens on the full Jordan-Wigner space.
 
     ``exp[theta (e^{i phi} a_p^dag a_q^dag a_s a_r - h.c.)]`` with the
-    generator exponentiated faithfully on every particle-number sector.
+    generator exponentiated faithfully on every particle-number sector:
+    ``K = e A - conj(e) A^dag`` gives ``K^2 = e^2 A^2 - (A A^dag + A^dag A)
+    + conj(e)^2 A^dag^2`` in the Euler form of :func:`givens_gate`.
     """
-    a_op = _pair_transfer(n, p, q, r, s)
-    k_op = (np.exp(1j * phi) * a_op - np.exp(-1j * phi) * a_op.conj().T).tocsr()
-    return _euler_gate(k_op, theta)
+    e = np.exp(1j * phi)
+    sin, vers = np.sin(theta), 1.0 - np.cos(theta)
+    coeffs = (1.0, sin * e, -sin * e.conjugate(), vers * e * e,
+              vers * (e * e).conjugate(), -vers)
+    return _pattern_gate(_pair_pattern(n, p, q, r, s), coeffs)
 
 
 def _schedule_gates(sched, inverse=False):
@@ -249,10 +301,13 @@ def apply_ladder_dense(sched, state, n=None, inverse=False):
 
 
 def schedule_unitary(sched, n=None):
-    """Dense unitary of the full schedule."""
+    """Sparse (CSR) unitary of the full schedule: the product of its gates."""
     n = n or sched.n_modes
-    out = np.eye(2**n, dtype=complex)
-    for gate in _schedule_gates(sched):
+    if n != sched.n_modes:
+        raise ShapeError("mode count disagrees with schedule")
+    gates = _schedule_gates(sched)
+    out = gates[0]
+    for gate in gates[1:]:
         out = gate @ out
     return out
 
@@ -352,13 +407,11 @@ def network_single_particle(net):
 
 
 def network_unitary(net, n=None):
-    """Dense Fock-space unitary realizing the network."""
+    """Sparse (CSR) Fock-space unitary realizing the network."""
     n = n or net.n_modes
     if n != net.n_modes:
         raise ShapeError("mode count disagrees with network")
-    out = sparse.diags(jw.phase_layer(n, net.phases), format="csr") @ np.eye(
-        2**n, dtype=complex
-    )
+    out = sparse.diags(jw.phase_layer(n, net.phases), format="csr")
     for p, q, theta in net.rotations:
         out = givens_gate(n, p, q, theta) @ out
     return out

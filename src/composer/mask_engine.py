@@ -109,7 +109,7 @@ def similarity_sandwich(ham_pool, gen_pool, mask, model_space, eps_poly,
         needed = selector + circuit_ir.plan_workspace_width(plan) + n
         if needed > oracle.MAX_ASSEMBLY_QUBITS:
             raise ShapeError(
-                f"the {name} encoding needs {needed} qubits; dense assembly "
+                f"the {name} encoding needs {needed} qubits; assembly "
                 f"allows {oracle.MAX_ASSEMBLY_QUBITS}"
             )
     n_elec = ham_pool.n_elec

@@ -1,9 +1,11 @@
-"""Dense Jordan-Wigner oracle for block-encoding verification.
+"""Jordan-Wigner oracle for block-encoding verification.
 
-Every block encoding is assembled as an explicit dense unitary straight
-from its defining construction (vacuum-reflection dyad gadgets, flagged
-occupation gadgets, PREP-SELECT-PREP multiplexing) and then checked
-against the dense operator it is supposed to encode, restricted to the
+Every block encoding is assembled as an explicit sparse (CSR) unitary
+straight from its defining construction (vacuum-reflection dyad gadgets,
+flagged occupation gadgets, PREP-SELECT-PREP multiplexing); only its
+``2**n x 2**n`` ancilla-zero block is made dense, and that block is
+checked against the dense operator it is supposed to encode, built
+independently from Jordan-Wigner ladder operators and restricted to the
 working particle-number sector.
 """
 
@@ -27,7 +29,7 @@ from .jw import jw_ladder_ops, sector_indices  # re-exported oracle surface
 
 REPORT_FORMAT = "composer-report-v1"
 
-# widest register (selector + workspace + system) assembled as a dense matrix
+# widest register (selector + workspace + system) an encoding is assembled on
 MAX_ASSEMBLY_QUBITS = 13
 
 _H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -194,11 +196,15 @@ def generator_dense(pool, mask_indices=None):
 
 
 def extract_block(w, n):
-    """Top-left ``<0_anc| W |0_anc>`` block of a unitary with leading ancillas."""
+    """Dense top-left ``<0_anc| W |0_anc>`` block of a sparse unitary.
+
+    The unitary has leading ancillas; only the ``2**n x 2**n`` block is
+    made dense.
+    """
     dim = 2**n
     if w.shape[0] % dim != 0:
         raise ShapeError("unitary dimension is not a multiple of the system size")
-    return np.asarray(w)[:dim, :dim]
+    return sparse.csr_matrix(w)[:dim, :dim].toarray()
 
 
 def restricted_block_error(w, target, ancilla_count, sector=None, projector=None):
@@ -245,15 +251,15 @@ def vacuum_reflection_gadget(n):
     r0 = np.ones(dim)
     r0[0] = -1.0
     mid = np.concatenate([np.ones(dim), -r0])
-    had = np.kron(_H2, np.eye(dim))
-    return had @ (mid[:, None] * had)
+    had = sparse.kron(_H2, sparse.identity(dim), format="csr")
+    return had @ sparse.diags(mid) @ had
 
 
 def _lift(op, extra):
     """Pad ``extra`` trivially-acting ancillas as most-significant qubits."""
     if extra == 0:
-        return np.asarray(op)
-    return np.kron(np.eye(2**extra), op)
+        return sparse.csr_matrix(op)
+    return sparse.kron(sparse.identity(2**extra), op, format="csr")
 
 
 def _householder_prep(amplitudes):
@@ -274,11 +280,14 @@ def _householder_prep(amplitudes):
 
 
 def _prep_select_prep(amplitudes, branch_ops, branch_phases, n, workspace=None):
-    """Assemble ``(PREP^dag (x) I) W_sel (PREP (x) I)`` as a dense unitary.
+    """Assemble ``(PREP^T (x) I) W_sel (PREP (x) I)`` as a sparse unitary.
 
-    ``branch_ops[s]`` is the unitary of selector value ``s`` on its own
-    workspace + system register (``None`` means identity); workspace widths
-    are equalized by padding most-significant identity ancillas.
+    ``branch_ops[s]`` is the sparse unitary of selector value ``s`` on its
+    own workspace + system register (``None`` means identity); workspace
+    widths are equalized by padding most-significant identity ancillas.
+    ``W_sel`` is the block diagonal of the phased branches; ``PREP`` is the
+    real Householder reflection, so its zero entries (unloaded addresses)
+    add no fill.
     """
     n_states = len(amplitudes)
     if n_states & (n_states - 1):
@@ -296,24 +305,26 @@ def _prep_select_prep(amplitudes, branch_ops, branch_phases, n, workspace=None):
     total_qubits = int(np.log2(n_states)) + t + n
     if total_qubits > MAX_ASSEMBLY_QUBITS:
         raise ShapeError(
-            f"dense assembly needs {total_qubits} qubits; "
+            f"assembly needs {total_qubits} qubits; "
             f"the oracle caps at {MAX_ASSEMBLY_QUBITS}"
         )
     if any(wd > t for wd in widths):
         raise ShapeError("branch workspace exceeds the shared width")
-    dim_ws = 2**t
-    blocks = np.zeros((n_states, dim_ws * dim_sys, dim_ws * dim_sys), dtype=complex)
+    eye = sparse.identity(2**t * dim_sys, format="csr")
+    blocks = []
     for s in range(n_states):
         if s < len(branch_ops) and branch_ops[s] is not None:
-            op = _lift(branch_ops[s], t - widths[s])
             phase = branch_phases[s] if s < len(branch_phases) else 1.0
-            blocks[s] = phase * op
+            blocks.append(phase * _lift(branch_ops[s], t - widths[s]))
         else:
-            blocks[s] = np.eye(dim_ws * dim_sys)
+            blocks.append(eye)
+    select = sparse.block_diag(blocks, format="csr")
     prep = _householder_prep(amplitudes)
-    w = np.einsum("mt,mab,ms->tasb", prep.conj(), blocks, prep, optimize=True)
-    dim = n_states * dim_ws * dim_sys
-    return w.reshape(dim, dim)
+    return (
+        sparse.kron(prep.T, eye, format="csr")
+        @ select
+        @ sparse.kron(prep, eye, format="csr")
+    )
 
 
 def index_width(r):
@@ -323,7 +334,7 @@ def index_width(r):
 
 def null_branch(n):
     """Reserved null branch ``X (x) I``: a workspace flip, no system action."""
-    return np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2**n))
+    return jw.pauli_x(1 + n, 0)
 
 
 def signed_loading(eigvals):
@@ -340,7 +351,7 @@ def signed_loading(eigvals):
 def _flag_copy(pivot, n):
     """Flag-copy core ``X_f CNOT_(pivot -> f)`` on one flag plus the system."""
     total = 1 + n
-    return (jw.pauli_x(total, 0) @ jw.controlled_x(total, 1 + pivot, 0)).toarray()
+    return jw.pauli_x(total, 0) @ jw.controlled_x(total, 1 + pivot, 0)
 
 
 def flagged_occupation(sched, n):
@@ -510,12 +521,10 @@ def squared_block_gadget(w, t, n):
     exactly.
     """
     refl = reflect_about_ancilla_vacuum(t, n)
-    double = w @ (refl[:, None] * w)
+    double = w @ sparse.diags(refl) @ w
     dim = double.shape[0]
-    had = np.kron(_H2, np.eye(dim))
-    mid = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    mid[:dim, :dim] = double
-    mid[dim:, dim:] = np.eye(dim)
+    had = sparse.kron(_H2, sparse.identity(dim), format="csr")
+    mid = sparse.block_diag([double, sparse.identity(dim)], format="csr")
     return had @ mid @ had
 
 
@@ -568,7 +577,7 @@ class LCUBranch:
     """One multiplexed branch: coefficient, block-encoding unitary, its alpha."""
 
     omega: complex
-    unitary: np.ndarray
+    unitary: sparse.csr_matrix
     alpha: float
 
 
@@ -603,7 +612,7 @@ def lcu_multiplex(branches, n, selector_width=None, workspace=None, target=None,
     )
     t = t_branches if workspace is None else workspace
     if width == 0 and t == t_branches:
-        w = phases[0] * np.asarray(branches[0].unitary)
+        w = phases[0] * branches[0].unitary
         w = _lift(w, t - int(np.log2(w.shape[0] // 2**n)))
     else:
         w = _prep_select_prep(

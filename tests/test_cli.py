@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from composer import cli
 from conftest import H2_LIKE_FCIDUMP
@@ -115,6 +116,87 @@ def test_dial_foreign_mask_exits_two(pipeline, capsys):
     assert run(argv + ["--out", str(out)]) == 2
     assert "mask addresses missing from generator pool" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _scale(w):
+    return w * (1 + 1e-9)
+
+
+def _scale_last_column(w):
+    # outside the encoded block: only the unitarity check can see it
+    return w @ sparse.diags(np.r_[np.ones(w.shape[0] - 1), 1 + 1e-9])
+
+
+@pytest.mark.parametrize("perturb", [_scale, _scale_last_column],
+                         ids=["scaled", "last-column"])
+def test_verify_sees_a_perturbed_product(pipeline, monkeypatch, perturb):
+    """The unitarity check covers every entry of the Gram product ``W^dag W``."""
+    tmp, _, skel, sheet = pipeline
+    execute = cli.cir.execute_generator_encoding
+    monkeypatch.setattr(
+        cli.cir, "execute_generator_encoding", lambda s, d: perturb(execute(s, d))
+    )
+    out = tmp / "report.json"
+    assert run(["verify", "--skel", str(skel), "--dial", str(sheet),
+                "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["unitarity"] > 1e-11
+    assert report["passed"] is False
+
+
+def _set_pivot(doc):
+    doc["adaptors_gen"][1]["pivot"] = 3
+
+
+def _set_n_system(doc):
+    doc["n_system"] = str(doc["n_system"])  # the fingerprint text is unchanged
+
+
+def _set_mask_indices(doc):
+    doc["mask_indices"] = 5
+
+
+def _set_binding(doc):
+    slot = sorted(doc["angle_bindings"])[0]
+    doc["angle_bindings"][slot] = str(doc["angle_bindings"][slot])
+
+
+@pytest.mark.parametrize(
+    "artifact, edit",
+    [
+        ("skel", _set_pivot),
+        ("skel", _set_n_system),
+        ("dial", _set_mask_indices),
+        ("dial", _set_binding),
+    ],
+    ids=["pivot", "n_system", "mask_indices", "angle_binding"],
+)
+def test_estimate_wrongly_typed_field_exits_two(pipeline, capsys, artifact, edit):
+    tmp, _, skel, sheet = pipeline
+    paths = {"skel": skel, "dial": sheet}
+    doc = json.loads(paths[artifact].read_text())
+    edit(doc)
+    paths[artifact] = tmp / f"bad-{artifact}.json"
+    paths[artifact].write_text(json.dumps(doc))
+    argv = ["estimate", "--skel", str(paths["skel"]), "--dial", str(paths["dial"])]
+    assert run(argv + ["--out", str(tmp / "est.json")]) == 2
+    assert "must be" in capsys.readouterr().err
+
+
+def test_pipeline_verify_n_so_8(tmp_path):
+    """factorize -> compile -> dial -> verify end to end at n_so = 8 (full mask)."""
+    pool, skel, sheet, report = (
+        tmp_path / name for name in ("pool.json", "skel.json", "dial.json", "rep.json")
+    )
+    assert run(["factorize", "--synth", "7:4:2", "--out", str(pool)]) == 0
+    assert run(["compile", "--pool", str(pool), "--out", str(skel)]) == 0
+    assert run(["dial", "--skel", str(skel), "--pool", str(pool),
+                "--out", str(sheet)]) == 0
+    assert run(["verify", "--skel", str(skel), "--dial", str(sheet),
+                "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert doc["measured_error"] <= 1e-9
+    assert doc["unitarity"] <= 1e-11
 
 
 def test_missing_input_exits_two(tmp_path):

@@ -136,6 +136,52 @@ def test_givens_full_swap_rotation():
     assert abs(abs(out[tgt]) - 1.0) <= 1e-14
 
 
+def expm_full(k_op):
+    """``scipy.linalg.expm`` of a dense generator over the whole Fock space.
+
+    ``K`` is zero outside the rows and columns it touches, so the
+    exponential is the identity there and ``expm`` of that sub-block
+    inside it (small matrices keep ``expm`` fast).
+    """
+    from scipy.linalg import expm
+
+    idx = np.nonzero(np.abs(k_op).sum(axis=0) + np.abs(k_op).sum(axis=1))[0]
+    out = np.eye(k_op.shape[0], dtype=complex)
+    out[np.ix_(idx, idx)] = expm(k_op[np.ix_(idx, idx)])
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_gates_match_matrix_exponential(n):
+    """Every Givens and pair-Givens gate equals ``expm(theta K)`` on the Fock space.
+
+    Pivot and target pairs that share a mode are included.
+    """
+    rng = np.random.default_rng(n)
+    cr, an = jw.jw_ladder_ops(n)
+    for p in range(n):
+        for r in range(n):
+            if p == r:
+                continue
+            theta = rng.uniform(-np.pi, np.pi)
+            k_op = (cr[p] @ an[r] - cr[r] @ an[p]).toarray()
+            gate = ladders.givens_gate(n, p, r, theta).toarray()
+            assert np.abs(gate - expm_full(theta * k_op)).max() <= 1e-13
+    pairs = ladders.pair_indices(n)
+    overlapping = 0
+    for p, q in pairs:
+        for r, s in pairs:
+            if (p, q) == (r, s):
+                continue
+            overlapping += len({p, q} & {r, s}) > 0
+            theta, phi = rng.uniform(-np.pi, np.pi, size=2)
+            a_op = (cr[p] @ cr[q] @ an[s] @ an[r]).toarray()
+            k_op = np.exp(1j * phi) * a_op - np.exp(-1j * phi) * a_op.conj().T
+            gate = ladders.pair_givens_gate(n, p, q, r, s, theta, phi).toarray()
+            assert np.abs(gate - expm_full(theta * k_op)).max() <= 1e-13
+    assert overlapping > 0
+
+
 def test_dimension_mismatch_raises():
     sched = ladders.one_electron_angles(np.array([1.0, 0.0]), pivot=0)
     with pytest.raises(ShapeError):

@@ -67,6 +67,17 @@ def test_dyad_random_orthogonal_pair():
     assert np.abs((block - target)[np.ix_(idx, idx)]).max() <= 1e-12
 
 
+def test_pair_dyad_random_pair():
+    rng = np.random.default_rng(5)
+    n = 5
+    m = len(ladders.pair_indices(n))
+    u, v = unit(rng, m), unit(rng, m)
+    w, rep = oracle.pair_dyad_block_encoding(u, v, 0.7, n)
+    assert rep.measured_error <= 1e-12
+    assert (rep.alpha, rep.ancillas, rep.sector) == (0.7, 1, "N=2")
+    assert_unitary(w)
+
+
 def test_dyad_zero_coefficient_flagged():
     rng = np.random.default_rng(2)
     n = 3
