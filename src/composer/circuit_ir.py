@@ -7,9 +7,10 @@ field for a fixed gate); the lines are held in memory, stored in the
 JSON document and hashed by the fingerprint in that one form, and the
 slot fields are the skeleton's only list of parameter slots.  The
 fingerprint hashes the register widths, gate kinds, ordered qubit
-tuples, layer order, and slot identifiers, never angle values.  A dial
-sheet binds every parameter slot for one instance (pools, mask,
-coefficient set) and is the only thing that changes between instances.
+tuples, layer order, slot identifiers, and each adaptor's pivots and
+rank, never angle values.  A dial sheet binds every parameter slot for
+one instance (pools, mask, coefficient set) and is the only thing that
+changes between instances.
 
 Layer lists describe the forward body of each gadget; the mirrored
 uncompute halves reuse the same slots by construction, so they are
@@ -26,9 +27,10 @@ import numpy as np
 
 from . import ladders, oracle
 from .errors import BindError, CapacityError, MaskError, ParseError, ValidationError
+from .errors import DICT, INT, LIST, NUMBER, STR, checked, checked_list
 from .factorization import bilinear_asym_spectrum, generator_branch_alpha
 
-SKEL_FORMAT = "composer-skel-v3"
+SKEL_FORMAT = "composer-skel-v4"
 DIAL_FORMAT = "composer-dial-v1"
 
 
@@ -63,28 +65,32 @@ class CompilePlan:
 
 
 def pivots_from_pools(ham_pool, gen_pool):
-    """Canonical pivot plan: argmax amplitudes, frozen at compile time."""
-    n = ham_pool.n_so
+    """Canonical pivot plan: argmax amplitudes, frozen at compile time.
+
+    Either pool may be ``None``; the plan then covers the other alone.
+    """
     ham = []
-    for lad in ham_pool.one_body:
-        pivots = tuple(
-            int(np.argmax(np.abs(lad.vectors[:, j])))
-            for j in range(lad.multiplicity)
-        )
-        ham.append(
-            AdaptorDescriptor(
-                "one_body_mode",
-                lad.address,
-                pivot=pivots,
-                rank=lad.multiplicity,
+    if ham_pool is not None:
+        for lad in ham_pool.one_body:
+            pivots = tuple(
+                int(np.argmax(np.abs(lad.vectors[:, j])))
+                for j in range(lad.multiplicity)
             )
-        )
-    for lad in ham_pool.channels:
-        ham.append(
-            AdaptorDescriptor("channel", lad.address, rank=lad.channel.rank)
-        )
+            ham.append(
+                AdaptorDescriptor(
+                    "one_body_mode",
+                    lad.address,
+                    pivot=pivots,
+                    rank=lad.multiplicity,
+                )
+            )
+        for lad in ham_pool.channels:
+            ham.append(
+                AdaptorDescriptor("channel", lad.address, rank=lad.channel.rank)
+            )
     gen = []
     if gen_pool is not None:
+        n = gen_pool.n_so
         for lad in gen_pool.ladders:
             if lad.kind == "pair":
                 pairs = ladders.pair_indices(n)
@@ -170,15 +176,15 @@ class CircuitSkeleton:
 
     @staticmethod
     def from_json(text):
-        doc = _checked(json.loads(text), _DICT, "skeleton")
+        doc = checked(json.loads(text), DICT, "skeleton")
         if doc.get("format") != SKEL_FORMAT:
             raise ParseError(f"expected format {SKEL_FORMAT!r}")
         for key in ("n_system", "selector_width", "workspace_width", "qsp_degree"):
-            _checked(doc[key], _INT, key)
+            checked(doc[key], INT, key)
         for key in ("adaptors_ham", "adaptors_gen"):
-            _checked_list(doc[key], _DICT, key)
+            checked_list(doc[key], DICT, key)
         for key in ("prep_slots_ham", "prep_slots_gen"):
-            _checked_list(doc[key], _STR, key)
+            checked_list(doc[key], STR, key)
         skel = CircuitSkeleton(
             n_system=doc["n_system"],
             selector_width=doc["selector_width"],
@@ -188,8 +194,8 @@ class CircuitSkeleton:
             adaptors_gen=tuple(_adaptor_load(a) for a in doc["adaptors_gen"]),
             prep_slots_ham=tuple(doc["prep_slots_ham"]),
             prep_slots_gen=tuple(doc["prep_slots_gen"]),
-            connectivity=_checked(doc.get("connectivity", "full"), _STR, "connectivity"),
-            fingerprint=_checked(doc["fingerprint"], _STR, "fingerprint"),
+            connectivity=checked(doc.get("connectivity", "full"), STR, "connectivity"),
+            fingerprint=checked(doc["fingerprint"], STR, "fingerprint"),
         )
         if fabric_fingerprint(skel) != skel.fingerprint:
             raise ValidationError("skeleton fingerprint does not match its layers")
@@ -210,47 +216,19 @@ def _pivot_doc(pivot):
     return [list(p) if isinstance(p, tuple) else p for p in pivot]
 
 
-# exact JSON value types: a bool is not an int and an int is not a string
-_INT = (int,)
-_NUMBER = (int, float)
-_STR = (str,)
-_LIST = (list,)
-_DICT = (dict,)
-
-
-def _checked(value, kinds, what):
-    """``value`` if its exact type is one of ``kinds``; else a ParseError."""
-    if type(value) not in kinds:
-        names = " or ".join(k.__name__ for k in kinds)
-        raise ParseError(f"{what} must be {names}, not {type(value).__name__}")
-    return value
-
-
-def _checked_list(value, kinds, what):
-    """A JSON list whose entries all have one of the exact types ``kinds``."""
-    _checked(value, _LIST, what)
-    bad = set(map(type, value)).difference(kinds)
-    if bad:
-        names = " or ".join(k.__name__ for k in kinds)
-        raise ParseError(
-            f"{what} entries must be {names}, not {min(t.__name__ for t in bad)}"
-        )
-    return value
-
-
 def _pivot_load(doc, where):
-    for p in _checked(doc, _LIST, f"{where}: pivot"):
+    for p in checked(doc, LIST, f"{where}: pivot"):
         if type(p) is list:
-            _checked_list(p, _INT, f"{where}: pivot pair")
+            checked_list(p, INT, f"{where}: pivot pair")
         else:
-            _checked(p, _INT, f"{where}: pivot")
+            checked(p, INT, f"{where}: pivot")
     return tuple(tuple(p) if isinstance(p, list) else p for p in doc)
 
 
 def _adaptor_load(doc):
-    where = f"adaptor {_checked(doc['address'], _INT, 'adaptor address')}"
-    _checked(doc["kind"], _STR, f"{where}: kind")
-    _checked(doc["rank"], _INT, f"{where}: rank")
+    where = f"adaptor {checked(doc['address'], INT, 'adaptor address')}"
+    checked(doc["kind"], STR, f"{where}: kind")
+    checked(doc["rank"], INT, f"{where}: rank")
     layers = doc["layers"]
     if type(layers) is not list:
         raise ParseError(f"{where}: layers must be a list of lines")
@@ -292,22 +270,22 @@ class DialSheet:
 
     @staticmethod
     def from_json(text):
-        doc = _checked(json.loads(text), _DICT, "dial sheet")
+        doc = checked(json.loads(text), DICT, "dial sheet")
         if doc.get("format") != DIAL_FORMAT:
             raise ParseError(f"expected format {DIAL_FORMAT!r}")
-        _checked(doc["skeleton_fingerprint"], _STR, "skeleton_fingerprint")
-        _checked(doc["mask_id"], _STR, "mask_id")
-        _checked_list(doc["mask_indices"], _INT, "mask_indices")
+        checked(doc["skeleton_fingerprint"], STR, "skeleton_fingerprint")
+        checked(doc["mask_id"], STR, "mask_id")
+        checked_list(doc["mask_indices"], INT, "mask_indices")
         for key in ("angle_bindings", "phase_bindings"):
-            bindings = _checked(doc[key], _DICT, key)
-            _checked_list(list(bindings.values()), _NUMBER, key)
-        coeffs = _checked(doc["classical_coeffs"], _DICT, "classical_coeffs")
+            bindings = checked(doc[key], DICT, key)
+            checked_list(list(bindings.values()), NUMBER, key)
+        coeffs = checked(doc["classical_coeffs"], DICT, "classical_coeffs")
         for key in ("Omega", "omega"):
             if key in coeffs:
-                _checked_list(coeffs[key], _NUMBER, f"classical_coeffs {key}")
-        for key, kinds in (("alpha", _NUMBER), ("alpha_bar", _NUMBER), ("n_occ", _INT)):
+                checked_list(coeffs[key], NUMBER, f"classical_coeffs {key}")
+        for key, kinds in (("alpha", NUMBER), ("alpha_bar", NUMBER), ("n_occ", INT)):
             if key in coeffs:
-                _checked(coeffs[key], kinds, f"classical_coeffs {key}")
+                checked(coeffs[key], kinds, f"classical_coeffs {key}")
         return DialSheet(
             skeleton_fingerprint=doc["skeleton_fingerprint"],
             mask_id=doc["mask_id"],
@@ -348,10 +326,11 @@ def compile_skeleton(ham_pool_size, gen_pool_size, n, pivots, connectivity="full
     Selector width covers ``max(ell_H, ell_sigma + 1)`` (the +1 is the
     reserved null branch at address 0); every rotation receives a unique
     structural slot identifier; the fingerprint digests the canonical
-    layer stream.
+    layer stream.  One pool may have no ladders, for a skeleton that
+    encodes the other alone.
     """
-    if ham_pool_size <= 0 or gen_pool_size <= 0:
-        raise ValidationError("pool sizes must be positive")
+    if min(ham_pool_size, gen_pool_size) < 0 or ham_pool_size + gen_pool_size == 0:
+        raise ValidationError("pool sizes must be nonnegative and not both zero")
     if len(pivots.ham) != ham_pool_size or len(pivots.gen) != gen_pool_size:
         raise CapacityError("pivot plan does not cover every adaptor")
     width = max(
@@ -391,6 +370,13 @@ def compile_skeleton(ham_pool_size, gen_pool_size, n, pivots, connectivity="full
         fingerprint="",
     )
     return replace(skel, fingerprint=fabric_fingerprint(skel))
+
+
+def one_pool_skeleton(ham_pool, gen_pool):
+    """Skeleton compiled for one pool alone; the other is passed as ``None``."""
+    plan = pivots_from_pools(ham_pool, gen_pool)
+    n = (gen_pool if ham_pool is None else ham_pool).n_so
+    return compile_skeleton(len(plan.ham), len(plan.gen), n, plan)
 
 
 def _layer(gate, qubits, slot=None):
@@ -519,9 +505,9 @@ def _compile_bilinear_asym(ad, n, sysq, ws0, t):
 def fabric_fingerprint(skel):
     """SHA-256 digest of the register widths and the canonical layer stream.
 
-    Structure only: each adaptor's layer lines are hashed as stored, one
-    per text line, so qubit tuples enter in gate order (control before
-    target); angle values never do.
+    Structure only: each adaptor's address, kind, pivots and rank, then
+    its layer lines as stored, one per text line, so qubit tuples enter
+    in gate order (control before target); angle values never do.
     """
     h = hashlib.sha256()
     h.update(
@@ -529,7 +515,8 @@ def fabric_fingerprint(skel):
         .encode()
     )
     for ad in skel.adaptors_ham + skel.adaptors_gen:
-        h.update(f"adaptor:{ad.address}:{ad.kind}\n".encode())
+        pivot = json.dumps(_pivot_doc(ad.pivot))
+        h.update(f"adaptor:{ad.address}:{ad.kind}:{pivot}:{ad.rank}\n".encode())
         h.update("".join(line + "\n" for line in ad.layers).encode())
     for slot in skel.prep_slots_ham + skel.prep_slots_gen:
         h.update(f"prep|{slot}\n".encode())
@@ -556,36 +543,62 @@ def dial(skel, ham_pool, gen_pool, mask, alpha=None, alpha_bar=None, mask_id=Non
 
     Pools may be smaller than the compiled sizes; surplus amplitude routes
     to the null branch (generator) or zero-weight branches (Hamiltonian).
+    A pool is ``None`` exactly when the skeleton compiled no ladders for it.
     """
-    n = skel.n_system
-    if ham_pool.n_so != n or gen_pool.n_so != n:
+    if (ham_pool is None, gen_pool is None) != (skel.ell_ham == 0, skel.ell_gen == 0):
+        raise BindError("pools must match the sides the skeleton compiled")
+    if any(p is not None and p.n_so != skel.n_system for p in (ham_pool, gen_pool)):
         raise BindError("pool register size differs from the compiled system")
+    masked = frozenset(mask.indices if isinstance(mask, Mask) else mask)
+    if gen_pool is None and masked:
+        raise MaskError("nonzero mask over a skeleton without a generator pool")
+    angles = {}
+    phases = {}
+    coeffs = {}
+    if ham_pool is not None:
+        coeffs.update(_bind_hamiltonian(skel, ham_pool, alpha, angles, phases))
+    if gen_pool is not None:
+        coeffs.update(
+            _bind_generator(skel, gen_pool, masked, alpha_bar, angles, phases)
+        )
+
+    known = set(skel.all_slots())
+    double = set(angles) & set(phases)
+    if double:
+        raise BindError("slots bound twice", addresses=sorted(double))
+    bound = set(angles) | set(phases)
+    unknown = bound - known
+    if unknown:
+        raise BindError("bindings address unknown slots", addresses=sorted(unknown))
+    # surplus compiled adaptors idle at zero angles so every slot is bound
+    for slot in known - bound:
+        if slot.endswith("phi") or "/phase/" in slot:
+            phases[slot] = 0.0
+        else:
+            angles[slot] = 0.0
+
+    label = mask.label if isinstance(mask, Mask) else (mask_id or "mask")
+    return DialSheet(
+        skeleton_fingerprint=skel.fingerprint,
+        mask_id=label,
+        mask_indices=tuple(sorted(masked)),
+        angle_bindings=angles,
+        phase_bindings=phases,
+        classical_coeffs=coeffs,
+    )
+
+
+def _bind_hamiltonian(skel, ham_pool, alpha, angles, phases):
+    """Bind the Hamiltonian adaptors and PREP; returns the classical coefficients."""
+    n = skel.n_system
     if ham_pool.ell > skel.ell_ham:
         raise BindError(
             "hamiltonian pool exceeds compiled size",
             addresses=[lad.address for lad in ham_pool.ladders[skel.ell_ham:]],
         )
-    if gen_pool.ell > skel.ell_gen:
-        raise BindError(
-            "generator pool exceeds compiled size",
-            addresses=[lad.address for lad in gen_pool.ladders[skel.ell_gen:]],
-        )
-    mask_indices = frozenset(mask.indices if isinstance(mask, Mask) else mask)
-    addresses = {lad.address for lad in gen_pool.ladders}
-    if sorted(addresses) != list(range(1, gen_pool.ell + 1)):
-        raise BindError("generator addresses must be contiguous from 1")
     if sorted(lad.address for lad in ham_pool.ladders) != list(range(ham_pool.ell)):
         raise BindError("hamiltonian addresses must be contiguous from 0")
-    if not mask_indices <= addresses:
-        raise MaskError(
-            "mask addresses missing from generator pool "
-            f"(addresses: {sorted(mask_indices - addresses)})"
-        )
     alpha = ham_pool.alpha if alpha is None else float(alpha)
-    alpha_bar = gen_pool.alpha_bar if alpha_bar is None else float(alpha_bar)
-
-    angles = {}
-    phases = {}
     ham_by_addr = {lad.address: lad for lad in ham_pool.ladders}
     adaptors_ham = {ad.address: ad for ad in skel.adaptors_ham}
     omega_list = []
@@ -634,7 +647,26 @@ def dial(skel, ham_pool, gen_pool, mask, alpha=None, alpha_bar=None, mask_id=Non
         angles[f"prep/ham/{addr}"] = float(np.sqrt(weight / alpha))
     for addr in range(ham_pool.ell, skel.ell_ham):
         angles[f"prep/ham/{addr}"] = 0.0
+    return {"Omega": [float(x) for x in omega_list], "alpha": float(alpha)}
 
+
+def _bind_generator(skel, gen_pool, masked, alpha_bar, angles, phases):
+    """Bind the generator adaptors and the masked PREP; checks mask and budget."""
+    n = skel.n_system
+    if gen_pool.ell > skel.ell_gen:
+        raise BindError(
+            "generator pool exceeds compiled size",
+            addresses=[lad.address for lad in gen_pool.ladders[skel.ell_gen:]],
+        )
+    addresses = {lad.address for lad in gen_pool.ladders}
+    if sorted(addresses) != list(range(1, gen_pool.ell + 1)):
+        raise BindError("generator addresses must be contiguous from 1")
+    if not masked <= addresses:
+        raise MaskError(
+            "mask addresses missing from generator pool "
+            f"(addresses: {sorted(masked - addresses)})"
+        )
+    alpha_bar = gen_pool.alpha_bar if alpha_bar is None else float(alpha_bar)
     adaptors_gen = {ad.address: ad for ad in skel.adaptors_gen}
     gen_by_addr = gen_pool.by_address()
     omega_gen = []
@@ -670,7 +702,7 @@ def dial(skel, ham_pool, gen_pool, mask, alpha=None, alpha_bar=None, mask_id=Non
                 phases[f"gen/{addr}/submode/{j}/sign_phi"] = sign
         omega_gen.append(lad.coefficient)
         weight = abs(lad.coefficient) * generator_branch_alpha(lad)
-        if addr in mask_indices:
+        if addr in masked:
             angles[f"prep/gen/{addr}"] = float(np.sqrt(weight / alpha_bar))
             used += weight
         else:
@@ -680,37 +712,11 @@ def dial(skel, ham_pool, gen_pool, mask, alpha=None, alpha_bar=None, mask_id=Non
     if used > alpha_bar * (1 + 1e-12):
         raise BindError("masked weight exceeds the global normalization")
     angles["prep/gen/0"] = float(np.sqrt(max(1.0 - used / alpha_bar, 0.0)))
-
-    known = set(skel.all_slots())
-    double = set(angles) & set(phases)
-    if double:
-        raise BindError("slots bound twice", addresses=sorted(double))
-    bound = set(angles) | set(phases)
-    unknown = bound - known
-    if unknown:
-        raise BindError("bindings address unknown slots", addresses=sorted(unknown))
-    # surplus compiled adaptors idle at zero angles so every slot is bound
-    for slot in known - bound:
-        if slot.endswith("phi") or "/phase/" in slot:
-            phases[slot] = 0.0
-        else:
-            angles[slot] = 0.0
-
-    label = mask.label if isinstance(mask, Mask) else (mask_id or "mask")
-    return DialSheet(
-        skeleton_fingerprint=skel.fingerprint,
-        mask_id=label,
-        mask_indices=tuple(sorted(mask_indices)),
-        angle_bindings=angles,
-        phase_bindings=phases,
-        classical_coeffs={
-            "Omega": [float(x) for x in omega_list],
-            "omega": [float(x) for x in omega_gen],
-            "alpha": float(alpha),
-            "alpha_bar": float(alpha_bar),
-            "n_occ": int(gen_pool.n_occ),
-        },
-    )
+    return {
+        "omega": [float(x) for x in omega_gen],
+        "alpha_bar": float(alpha_bar),
+        "n_occ": int(gen_pool.n_occ),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -776,6 +782,16 @@ def generator_workspace_width(skel):
     return plan_workspace_width(CompilePlan(ham=(), gen=branches))
 
 
+def hamiltonian_ancillas(skel):
+    """Selector plus workspace qubits the Hamiltonian encoding is assembled on."""
+    return skel.selector_width + skel.workspace_width
+
+
+def generator_ancillas(skel):
+    """Selector plus workspace qubits the generator encoding is assembled on."""
+    return skel.selector_width + generator_workspace_width(skel)
+
+
 def execute_generator_encoding(skel, sheet):
     """Sparse (CSR) rebuild of the masked generator encoding from a dial sheet.
 
@@ -785,6 +801,7 @@ def execute_generator_encoding(skel, sheet):
     """
     if sheet.skeleton_fingerprint != skel.fingerprint:
         raise BindError("dial sheet bound to a different skeleton fingerprint")
+    oracle.check_assembly_width(generator_ancillas(skel) + skel.n_system)
     n = skel.n_system
     omegas = sheet.classical_coeffs["omega"]
     branch_ops = []
@@ -840,6 +857,7 @@ def execute_hamiltonian_encoding(skel, sheet):
     """Sparse (CSR) rebuild of the Hamiltonian encoding from a dial sheet."""
     if sheet.skeleton_fingerprint != skel.fingerprint:
         raise BindError("dial sheet bound to a different skeleton fingerprint")
+    oracle.check_assembly_width(hamiltonian_ancillas(skel) + skel.n_system)
     n = skel.n_system
     branch_ops = []
     branch_phases = []

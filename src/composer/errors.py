@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the exact-type checks
+the JSON artifact loaders run on every field they read."""
 
 
 class ComposerError(Exception):
@@ -71,3 +72,31 @@ class SpectralBoundError(ComposerError):
 
 class DegenerateBasisError(ComposerError):
     """All overlap-matrix eigenvalues fall below the regularization cut."""
+
+
+# exact JSON value types: a bool is not an int and an int is not a string
+INT = (int,)
+NUMBER = (int, float)
+STR = (str,)
+LIST = (list,)
+DICT = (dict,)
+
+
+def checked(value, kinds, what):
+    """``value`` if its exact type is one of ``kinds``; else a ParseError."""
+    if type(value) not in kinds:
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ParseError(f"{what} must be {names}, not {type(value).__name__}")
+    return value
+
+
+def checked_list(value, kinds, what):
+    """A JSON list whose entries all have one of the exact types ``kinds``."""
+    checked(value, LIST, what)
+    bad = set(map(type, value)).difference(kinds)
+    if bad:
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ParseError(
+            f"{what} entries must be {names}, not {min(t.__name__ for t in bad)}"
+        )
+    return value

@@ -23,6 +23,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
+from .errors import DICT, INT, NUMBER, STR, checked, checked_list
 from .integrals import mean_field_shift, with_orbital_energies
 
 POOL_FORMAT = "composer-pool-v1"
@@ -255,6 +256,11 @@ class GeneratorPool:
     @property
     def ell(self):
         return len(self.ladders)
+
+    @property
+    def sector(self):
+        """Working particle-number sector: ``n_elec``, else the occupied count."""
+        return self.n_occ if self.n_elec is None else self.n_elec
 
     @property
     def alpha_bar(self):
@@ -642,12 +648,27 @@ def _vec_doc(vec):
     return {"re": vec.real.tolist(), "im": vec.imag.tolist()}
 
 
-def _vec_load(doc):
-    re = np.array(doc["re"], dtype=float)
-    im = np.array(doc["im"], dtype=float)
+def _numbers(doc, key, where):
+    """A JSON list of numbers as a float array."""
+    return np.array(checked_list(doc[key], NUMBER, f"{where} {key}"), dtype=float)
+
+
+def _vec_load(doc, where):
+    checked(doc, DICT, where)
+    re = _numbers(doc, "re", where)
+    im = _numbers(doc, "im", where)
     if np.abs(im).max(initial=0.0) == 0.0:
         return re
     return re + 1j * im
+
+
+def _ladder_fields(item, where):
+    """Checked ``coefficient`` and ``address`` of one serialized ladder."""
+    coefficient = checked(item["coefficient"], NUMBER, f"{where} coefficient")
+    return {
+        "coefficient": float(coefficient),
+        "address": checked(item["address"], INT, f"{where} address"),
+    }
 
 
 def pools_to_json(ham, gen=None):
@@ -718,76 +739,73 @@ def _gen_ladder_doc(lad):
 
 
 def pools_from_json(text):
-    """Inverse of :func:`pools_to_json`; returns ``(ham, gen_or_None)``."""
-    doc = json.loads(text)
+    """Inverse of :func:`pools_to_json`; returns ``(ham, gen_or_None)``.
+
+    Every field read is type-checked; a wrongly typed one is a ParseError.
+    """
+    doc = checked(json.loads(text), DICT, "pool")
     if doc.get("format") != POOL_FORMAT:
         raise ParseError(f"expected format {POOL_FORMAT!r}")
-    n = doc["n_so"]
-    hdoc = doc["hamiltonian"]
+    n = checked(doc["n_so"], INT, "n_so")
+    hdoc = checked(doc["hamiltonian"], DICT, "hamiltonian")
     one_body = tuple(
         OneBodyModeLadder(
-            vectors=np.array(item["vectors"], dtype=float).reshape(
-                n, int(item["multiplicity"])
+            vectors=_numbers(item, "vectors", "one_body ladder").reshape(
+                n, checked(item["multiplicity"], INT, "one_body ladder multiplicity")
             ),
-            coefficient=float(item["coefficient"]),
-            address=int(item["address"]),
+            **_ladder_fields(item, "one_body ladder"),
         )
-        for item in hdoc["one_body"]
+        for item in checked_list(hdoc["one_body"], DICT, "one_body")
     )
     channels = []
-    for item in hdoc["channels"]:
-        eig = np.array(item["eigvals"], dtype=float)
+    for item in checked_list(hdoc["channels"], DICT, "channels"):
+        eig = _numbers(item, "eigvals", "channel")
         r = len(eig)
         ch = CholeskyChannel(
             index=len(channels),
-            factor=np.array(item["factor"], dtype=float).reshape(n, n),
+            factor=_numbers(item, "factor", "channel").reshape(n, n),
             eigvals=eig,
-            rotation=np.array(item["rotation"], dtype=float).reshape(n, r),
-            rotation_full=np.array(item["rotation_full"], dtype=float).reshape(n, -1),
+            rotation=_numbers(item, "rotation", "channel").reshape(n, r),
+            rotation_full=_numbers(item, "rotation_full", "channel").reshape(n, -1),
         )
-        channels.append(
-            ChannelLadder(
-                channel=ch,
-                coefficient=float(item["coefficient"]),
-                address=int(item["address"]),
-            )
-        )
+        channels.append(ChannelLadder(channel=ch, **_ladder_fields(item, "channel")))
     ham = HamiltonianPool(
         one_body=one_body,
         channels=tuple(channels),
         n_so=n,
-        n_elec=doc["n_elec"],
-        e_nn=float(doc.get("e_nn", 0.0)),
+        n_elec=checked(doc["n_elec"], INT, "n_elec"),
+        e_nn=float(checked(doc.get("e_nn", 0.0), NUMBER, "e_nn")),
     )
     gen = None
     if "generator" in doc:
-        gdoc = doc["generator"]
+        gdoc = checked(doc["generator"], DICT, "generator")
+        n_occ = checked(gdoc["n_occ"], INT, "generator n_occ")
         lads = []
-        for item in gdoc["ladders"]:
-            if item["kind"] == "pair":
+        for item in checked_list(gdoc["ladders"], DICT, "generator ladders"):
+            fields = _ladder_fields(item, "generator ladder")
+            where = f"generator ladder {fields['address']}"
+            if checked(item["kind"], STR, f"{where} kind") == "pair":
                 lads.append(
                     PairLadder(
-                        x=_vec_load(item["x"]),
-                        y=_vec_load(item["y"]),
-                        r=_vec_load(item["r"]),
-                        s=_vec_load(item["s"]),
-                        coefficient=float(item["coefficient"]),
-                        address=int(item["address"]),
+                        x=_vec_load(item["x"], f"{where} x"),
+                        y=_vec_load(item["y"], f"{where} y"),
+                        r=_vec_load(item["r"], f"{where} r"),
+                        s=_vec_load(item["s"], f"{where} s"),
+                        **fields,
                     )
                 )
             else:
                 lads.append(
                     BilinearLadder(
-                        u=_vec_load(item["u"]).astype(complex),
-                        v=_vec_load(item["v"]).astype(complex),
-                        coefficient=float(item["coefficient"]),
-                        address=int(item["address"]),
+                        u=_vec_load(item["u"], f"{where} u").astype(complex),
+                        v=_vec_load(item["v"], f"{where} v").astype(complex),
+                        **fields,
                     )
                 )
         gen = GeneratorPool(
             ladders=tuple(lads),
-            n_occ=gdoc["n_occ"],
-            n_virt=gdoc["n_virt"],
-            n_elec=gdoc["n_occ"],
+            n_occ=n_occ,
+            n_virt=checked(gdoc["n_virt"], INT, "generator n_virt"),
+            n_elec=n_occ,
         )
     return ham, gen

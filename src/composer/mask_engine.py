@@ -89,47 +89,44 @@ def similarity_sandwich(ham_pool, gen_pool, mask, model_space, eps_poly,
     ``2 eps_exp + eps_ham`` at the requested slack.
     """
     n = ham_pool.n_so
-    # registers of both encodings: selector + widest branch + system; the
-    # generator selector also counts the null branch at address 0
-    gen_plan = circuit_ir.CompilePlan(
-        ham=(),
-        gen=tuple(
-            circuit_ir.AdaptorDescriptor(
-                "pair" if lad.kind == "pair" else "bilinear_asym", lad.address
-            )
-            for lad in gen_pool.ladders
-        ),
-    )
-    registers = (
-        ("Hamiltonian", oracle.index_width(ham_pool.ell),
-         circuit_ir.pivots_from_pools(ham_pool, None)),
-        ("generator", max(oracle.index_width(gen_pool.ell + 1), 1), gen_plan),
-    )
-    for name, selector, plan in registers:
-        needed = selector + circuit_ir.plan_workspace_width(plan) + n
+    n_elec = ham_pool.n_elec
+    mask_indices = frozenset(getattr(mask, "indices", mask))
+    alpha_bar = gen_pool.alpha_bar if alpha_bar is None else float(alpha_bar)
+    # both encodings run on one-pool skeletons; both registers are checked
+    # before either is executed
+    ham_skel = circuit_ir.one_pool_skeleton(ham_pool, None)
+    gen_skel = circuit_ir.one_pool_skeleton(None, gen_pool)
+    ham_anc = circuit_ir.hamiltonian_ancillas(ham_skel)
+    for name, ancillas in (
+        ("Hamiltonian", ham_anc),
+        ("generator", circuit_ir.generator_ancillas(gen_skel)),
+    ):
+        needed = ancillas + n
         if needed > oracle.MAX_ASSEMBLY_QUBITS:
             raise ShapeError(
                 f"the {name} encoding needs {needed} qubits; assembly "
                 f"allows {oracle.MAX_ASSEMBLY_QUBITS}"
             )
-    n_elec = ham_pool.n_elec
-    mask_indices = frozenset(getattr(mask, "indices", mask))
 
-    w_ham, ham_rep = oracle.hamiltonian_block_encoding(ham_pool)
-    b_block = oracle.extract_block(w_ham, n)
-    eps_ham = ham_rep.measured_error
+    sheet = circuit_ir.dial(ham_skel, ham_pool, None, ())
+    w_ham = circuit_ir.execute_hamiltonian_encoding(ham_skel, sheet)
+    h_exact = oracle.hamiltonian_from_pool(ham_pool).matrix / ham_pool.alpha
+    eps_ham = oracle.restricted_block_error(
+        w_ham, oracle.FockOperator(h_exact, n), ham_anc, sector=n_elec
+    )
 
-    e_block, exp_rep = qsp.exp_sigma_block(
-        gen_pool, mask_indices, eps_poly, alpha_bar=alpha_bar
+    sheet = circuit_ir.dial(gen_skel, None, gen_pool, mask_indices, alpha_bar=alpha_bar)
+    w_gen = circuit_ir.execute_generator_encoding(gen_skel, sheet)
+    exp_exact = qsp.exact_exponential(
+        oracle.generator_dense(gen_pool, mask_indices).matrix
+    )
+    e_block, exp_rep = qsp.exp_encoded_block(
+        oracle.extract_block(w_gen, n), exp_exact, alpha_bar, eps_poly, gen_pool.sector
     )
     eps_exp = exp_rep.measured_deviation
 
+    b_block = oracle.extract_block(w_ham, n)
     sandwich = e_block.conj().T @ b_block @ e_block
-
-    herm = oracle.generator_dense(gen_pool, mask_indices).matrix
-    evals, evecs = np.linalg.eigh(herm)
-    exp_exact = (evecs * np.exp(-1j * evals)) @ evecs.conj().T
-    h_exact = oracle.hamiltonian_from_pool(ham_pool).matrix / ham_pool.alpha
     exact = exp_exact.conj().T @ h_exact @ exp_exact
 
     proj = model_space_projector(model_space, n, n_elec)
@@ -261,8 +258,7 @@ def toy_two_generator_instance(coupling=0.55, theta1=0.45, theta2=0.65):
 
 
 def _expm_antihermitian(g):
-    w, v = np.linalg.eigh(1j * g)
-    return (v * np.exp(-1j * w)) @ v.conj().T
+    return qsp.exact_exponential(1j * g)
 
 
 def toy_basis_states(toy, r=None):

@@ -7,6 +7,10 @@ flagged occupation gadgets, PREP-SELECT-PREP multiplexing); only its
 checked against the dense operator it is supposed to encode, built
 independently from Jordan-Wigner ladder operators and restricted to the
 working particle-number sector.
+
+The pool encoders do not build their own branches: each compiles a
+skeleton for its one pool, dials it and executes the dial sheet
+(:mod:`circuit_ir`), then measures the result against its dense target.
 """
 
 from __future__ import annotations
@@ -17,14 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from . import jw, ladders
+from . import circuit_ir, jw, ladders
 from .errors import (
     CapacityError,
     MaskError,
     ShapeError,
     ValidationError,
 )
-from .factorization import bilinear_asym_spectrum, generator_branch_alpha
 from .jw import jw_ladder_ops, sector_indices  # re-exported oracle surface
 
 REPORT_FORMAT = "composer-report-v1"
@@ -279,6 +282,14 @@ def _householder_prep(amplitudes):
     return np.eye(len(amp)) - 2.0 * np.outer(v, v) / (vn * vn)
 
 
+def check_assembly_width(qubits):
+    """Reject an encoding wider than :data:`MAX_ASSEMBLY_QUBITS`."""
+    if qubits > MAX_ASSEMBLY_QUBITS:
+        raise ShapeError(
+            f"assembly needs {qubits} qubits; the oracle caps at {MAX_ASSEMBLY_QUBITS}"
+        )
+
+
 def _prep_select_prep(amplitudes, branch_ops, branch_phases, n, workspace=None):
     """Assemble ``(PREP^T (x) I) W_sel (PREP (x) I)`` as a sparse unitary.
 
@@ -302,12 +313,7 @@ def _prep_select_prep(amplitudes, branch_ops, branch_phases, n, workspace=None):
         for op in branch_ops
     ]
     t = workspace if workspace is not None else max(widths, default=0)
-    total_qubits = int(np.log2(n_states)) + t + n
-    if total_qubits > MAX_ASSEMBLY_QUBITS:
-        raise ShapeError(
-            f"assembly needs {total_qubits} qubits; "
-            f"the oracle caps at {MAX_ASSEMBLY_QUBITS}"
-        )
+    check_assembly_width(int(np.log2(n_states)) + t + n)
     if any(wd > t for wd in widths):
         raise ShapeError("branch workspace exceeds the shared width")
     eye = sparse.identity(2**t * dim_sys, format="csr")
@@ -476,14 +482,14 @@ def pair_dyad_matrix(u_pairs, v_pairs, n):
     return np.outer(pu, pv.conj())
 
 
-def occupation_gadget(w_vec, n, pivot=None):
+def occupation_gadget(w_vec, n):
     """Flagged encoding of the rotated occupation ``n_w`` (one ancilla).
 
     The number-conserving ladder for ``w`` conjugates a flag-copy gadget
     ``X_f CNOT_{pivot->f}``; the flag-zero block is ``n_w`` exactly on
     every particle sector.
     """
-    sched = ladders.one_electron_angles(w_vec, pivot=pivot, n=n).as_number_conserving()
+    sched = ladders.one_electron_angles(w_vec, n=n).as_number_conserving()
     return flagged_occupation(sched, n)
 
 
@@ -581,8 +587,7 @@ class LCUBranch:
     alpha: float
 
 
-def lcu_multiplex(branches, n, selector_width=None, workspace=None, target=None,
-                  sector=None):
+def lcu_multiplex(branches, n, selector_width=None, target=None, sector=None):
     """Binary-multiplexed PREP-SELECT-PREP combination of branch encodings.
 
     PREP loads ``sqrt(|Omega_s| alpha_s / alpha)``; coefficient phases ride
@@ -607,13 +612,9 @@ def lcu_multiplex(branches, n, selector_width=None, workspace=None, target=None,
     phases = [
         b.omega / abs(b.omega) if abs(b.omega) > 0 else 1.0 for b in branches
     ]
-    t_branches = max(
-        int(np.log2(b.unitary.shape[0] // 2**n)) for b in branches
-    )
-    t = t_branches if workspace is None else workspace
-    if width == 0 and t == t_branches:
+    t = max(int(np.log2(b.unitary.shape[0] // 2**n)) for b in branches)
+    if width == 0:
         w = phases[0] * branches[0].unitary
-        w = _lift(w, t - int(np.log2(w.shape[0] // 2**n)))
     else:
         w = _prep_select_prep(
             amps, [b.unitary for b in branches], phases, n, workspace=t
@@ -629,7 +630,7 @@ def lcu_multiplex(branches, n, selector_width=None, workspace=None, target=None,
     )
 
 
-def mode_group_encoding(vectors, n, pivots=None, signs=None):
+def mode_group_encoding(vectors, n):
     """Encoding of ``sum_j sign_j n(w_j) / m`` over a small mode group.
 
     A single mode reduces to the flagged occupation gadget; two modes ride
@@ -637,140 +638,55 @@ def mode_group_encoding(vectors, n, pivots=None, signs=None):
     its own number-conserving ladder.  Exact on every particle sector.
     """
     m = vectors.shape[1]
-    signs = [1.0] * m if signs is None else list(signs)
-    gadgets = [
-        occupation_gadget(vectors[:, j], n, pivot=None if pivots is None else pivots[j])
-        for j in range(m)
-    ]
-    return occupation_select(gadgets, np.full(m, 1.0 / np.sqrt(m)), signs, n)
+    gadgets = [occupation_gadget(vectors[:, j], n) for j in range(m)]
+    return occupation_select(gadgets, np.full(m, 1.0 / np.sqrt(m)), [1.0] * m, n)
 
 
-def hamiltonian_branches(pool):
-    """Branch list (coefficient, unitary, alpha) for a Hamiltonian pool."""
-    n = pool.n_so
-    out = []
-    for lad in pool.one_body:
-        w = mode_group_encoding(lad.vectors.astype(complex), n)
-        out.append(LCUBranch(lad.coefficient, w, float(lad.multiplicity)))
-    for lad in pool.channels:
-        w, rep = channel_block_encoding(lad.channel, n, squared=True)
-        out.append(LCUBranch(lad.coefficient, w, rep.alpha))
-    return out
+def _measured(w, target, alpha, ancillas, sector):
+    """Report of an executed encoding measured against its dense target."""
+    err = restricted_block_error(w, target, ancillas, sector=sector)
+    return BlockEncodingReport(
+        alpha=alpha, ancillas=ancillas, measured_error=err, sector=f"N={sector}"
+    )
 
 
-def hamiltonian_block_encoding(pool, sector=None, selector_width=None, workspace=None):
-    """Full multiplexed encoding of the pool Hamiltonian (no constant shift)."""
+def hamiltonian_block_encoding(pool):
+    """Full multiplexed encoding of the pool Hamiltonian (no constant shift).
+
+    Compiles a Hamiltonian-only skeleton, dials and executes it, and
+    measures the block against the dense pool rebuild on the working sector.
+    """
+    skel = circuit_ir.one_pool_skeleton(pool, None)
+    sheet = circuit_ir.dial(skel, pool, None, ())
+    w = circuit_ir.execute_hamiltonian_encoding(skel, sheet)
     target = FockOperator(
         hamiltonian_from_pool(pool).matrix / pool.alpha, pool.n_so, tag="H/alpha"
     )
-    sector = pool.n_elec if sector is None else sector
-    return lcu_multiplex(
-        hamiltonian_branches(pool),
-        pool.n_so,
-        selector_width=selector_width,
-        workspace=workspace,
-        target=target,
-        sector=sector,
-    )
+    ancillas = circuit_ir.hamiltonian_ancillas(skel)
+    return w, _measured(w, target, pool.alpha, ancillas, pool.n_elec)
 
 
-def pair_branch_encoding(lad, n_occ, n, pivot_u=None, pivot_v=None):
-    """Hermitian branch ``i(L - L^dag)/2`` for one pair ladder."""
-    uv, vo = lad.embedded_pair_vectors(n_occ, n)
-    su = ladders.two_electron_angles(uv, pivot_pair=pivot_u, n=n)
-    sv = ladders.two_electron_angles(vo, pivot_pair=pivot_v, n=n)
-    return hermitian_dyad_branch(su, sv, n)
-
-
-def bilinear_branch_encoding(lad, n, pivots=None):
-    """Hermitian branch ``i(L - L^dag)/Gamma`` for one bilinear ladder.
-
-    The Hermitian form diagonalizes into at most two rotated occupation
-    modes, each realized by a flagged one-electron ladder gadget under a
-    one-qubit sub-selector.
-    """
-    w_vals, w_vecs = bilinear_asym_spectrum(lad.u, lad.v)
-    if len(w_vals) == 0:
-        raise ValidationError("bilinear generator term vanishes")
-    amps, signs, _ = signed_loading(w_vals)
-    gadgets = [
-        occupation_gadget(w_vecs[:, j], n, pivot=None if pivots is None else pivots[j])
-        for j in range(len(w_vals))
-    ]
-    return occupation_select(gadgets, amps, signs, n)
-
-
-def generator_branch_encoding(lad, n_occ, n, pivots=None):
-    if lad.kind == "pair":
-        pu = None if pivots is None else pivots.get("u")
-        pv = None if pivots is None else pivots.get("v")
-        return pair_branch_encoding(lad, n_occ, n, pivot_u=pu, pivot_v=pv)
-    if lad.kind == "bilinear":
-        pv = None if pivots is None else pivots.get("modes")
-        return bilinear_branch_encoding(lad, n, pivots=pv)
-    raise ValidationError(f"unsupported generator ladder kind {lad.kind!r}")
-
-
-def generator_block_encoding(pool, mask_indices, alpha_bar=None, pivots=None,
-                             selector_width=None, workspace=None):
+def generator_block_encoding(pool, mask_indices, alpha_bar=None):
     """Masked generator encoding with the global-normalization null branch.
 
     The block equals ``sum_(s in mask) omega_s i(L_s - L_s^dag) / alpha_bar``
     with ``alpha_bar`` fixed by the full compiled pool (never by the mask);
     surplus PREP amplitude is routed to the reserved address-0 null branch,
     whose workspace flip keeps it invisible to the ancilla-vacuum block.
+    A generator-only skeleton is compiled, dialed (which checks the mask
+    and the masked-weight budget) and executed.
     """
     mask_indices = frozenset(mask_indices)
     if pool.ell == 0 and mask_indices:
         raise MaskError("nonzero mask over an empty generator pool")
-    addresses = {lad.address for lad in pool.ladders}
-    if not mask_indices <= addresses:
-        raise MaskError(
-            f"mask indices {sorted(mask_indices - addresses)} not in pool"
-        )
     alpha_bar = pool.alpha_bar if alpha_bar is None else float(alpha_bar)
-    n = pool.n_so
-    width = max(int(np.ceil(np.log2(pool.ell + 1))), 1)
-    if selector_width is not None:
-        if 2**selector_width < pool.ell + 1:
-            raise CapacityError("selector width too small for the pool")
-        width = selector_width
-    amps = np.zeros(2**width)
-    branch_ops = [None] * (pool.ell + 1)
-    branch_phases = [1.0] * (pool.ell + 1)
-    branch_ops[0] = null_branch(n)
-    used = 0.0
-    for lad in pool.ladders:
-        weight = abs(lad.coefficient) * generator_branch_alpha(lad)
-        if lad.address in mask_indices:
-            amps[lad.address] = np.sqrt(weight / alpha_bar)
-            used += weight
-        branch_pivots = None if pivots is None else pivots.get(lad.address)
-        branch_ops[lad.address] = generator_branch_encoding(
-            lad, pool.n_occ, n, pivots=branch_pivots
-        )
-        branch_phases[lad.address] = 1.0 if lad.coefficient >= 0 else -1.0
-    if used > alpha_bar * (1 + 1e-12):
-        raise ValidationError(
-            f"masked weight {used} exceeds global normalization {alpha_bar}"
-        )
-    amps[0] = np.sqrt(max(1.0 - used / alpha_bar, 0.0))
-    t = max(
-        int(np.log2(op.shape[0] // 2**n)) for op in branch_ops if op is not None
-    )
-    if workspace is not None:
-        if workspace < t:
-            raise ShapeError("workspace narrower than the widest branch")
-        t = workspace
-    w = _prep_select_prep(amps, branch_ops, branch_phases, n, workspace=t)
+    skel = circuit_ir.one_pool_skeleton(None, pool)
+    sheet = circuit_ir.dial(skel, None, pool, mask_indices, alpha_bar=alpha_bar)
+    w = circuit_ir.execute_generator_encoding(skel, sheet)
     target = FockOperator(
-        generator_dense(pool, mask_indices).matrix / alpha_bar, n, tag="A/alpha_bar"
+        generator_dense(pool, mask_indices).matrix / alpha_bar,
+        pool.n_so,
+        tag="A/alpha_bar",
     )
-    sector = pool.n_elec if pool.n_elec is not None else pool.n_occ
-    err = restricted_block_error(w, target, width + t, sector=sector)
-    return w, BlockEncodingReport(
-        alpha=alpha_bar,
-        ancillas=width + t,
-        measured_error=err,
-        sector=f"N={sector}",
-    )
+    ancillas = circuit_ir.generator_ancillas(skel)
+    return w, _measured(w, target, alpha_bar, ancillas, pool.sector)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import oracle
+from . import circuit_ir, jw, oracle
 from .errors import SpectralBoundError, ValidationError
 
 _TAIL_EXTRA = 60
@@ -151,21 +151,21 @@ def _seeded_hermitian_direction(dim, seed=0):
     return p / np.linalg.norm(p, 2)
 
 
-def exp_sigma_block(pool, mask_indices, eps_poly, eps_prime=0.0, alpha_bar=None,
-                    perturbation_seed=0):
-    """Approximate ``exp(sigma)`` for the masked generator at the block level.
+def exact_exponential(herm):
+    """``exp(-i A)`` of a dense Hermitian matrix by eigendecomposition."""
+    evals, evecs = np.linalg.eigh(herm)
+    return (evecs * np.exp(-1j * evals)) @ evecs.conj().T
 
-    Builds the masked generator encoding, extracts its block, optionally
-    injects a Hermitian perturbation of spectral norm ``eps_prime`` (a
-    stand-in for branch synthesis error), and applies the Chebyshev
-    approximation of ``exp(-i alpha_bar x)``.  The report records the
-    measured deviation from the eigendecomposition-exact exponential on
-    the working sector.
+
+def exp_encoded_block(block, exact, alpha_bar, eps_poly, sector, eps_prime=0.0,
+                      perturbation_seed=0):
+    """Chebyshev ``exp(-i alpha_bar x)`` of an encoded generator block.
+
+    Optionally injects a Hermitian perturbation of spectral norm
+    ``eps_prime`` (a stand-in for branch synthesis error) first; the
+    report records the deviation from ``exact`` on the particle-number
+    ``sector``.
     """
-    alpha_bar = pool.alpha_bar if alpha_bar is None else float(alpha_bar)
-    n = pool.n_so
-    w, rep = oracle.generator_block_encoding(pool, mask_indices, alpha_bar=alpha_bar)
-    block = oracle.extract_block(w, n)
     if eps_prime:
         block = block + eps_prime * _seeded_hermitian_direction(
             block.shape[0], perturbation_seed
@@ -177,13 +177,7 @@ def exp_sigma_block(pool, mask_indices, eps_poly, eps_prime=0.0, alpha_bar=None,
     poly = jacobi_anger_coeffs(alpha_bar, d)
     approx = apply_matrix_poly(poly, block)
 
-    herm = oracle.generator_dense(pool, mask_indices).matrix
-    evals, evecs = np.linalg.eigh(herm)
-    exact = (evecs * np.exp(-1j * evals)) @ evecs.conj().T
-
-    sector = pool.n_elec if pool.n_elec is not None else pool.n_occ
-    from . import jw
-
+    n = int(np.log2(block.shape[0]))
     diag = jw.sector_projector_diagonal(n, sector)
     delta = (approx - exact) * diag[:, None] * diag[None, :]
     deviation = float(np.linalg.norm(delta, 2))
@@ -196,3 +190,24 @@ def exp_sigma_block(pool, mask_indices, eps_poly, eps_prime=0.0, alpha_bar=None,
         sector=f"N={sector}",
     )
     return approx, report
+
+
+def exp_sigma_block(pool, mask_indices, eps_poly, eps_prime=0.0, alpha_bar=None,
+                    perturbation_seed=0):
+    """Approximate ``exp(sigma)`` for the masked generator at the block level.
+
+    Compiles, dials and executes the masked generator encoding, extracts
+    its block and applies :func:`exp_encoded_block`; the report records
+    the measured deviation from the eigendecomposition-exact exponential
+    on the working sector.
+    """
+    alpha_bar = pool.alpha_bar if alpha_bar is None else float(alpha_bar)
+    skel = circuit_ir.one_pool_skeleton(None, pool)
+    sheet = circuit_ir.dial(skel, None, pool, mask_indices, alpha_bar=alpha_bar)
+    block = oracle.extract_block(
+        circuit_ir.execute_generator_encoding(skel, sheet), pool.n_so
+    )
+    exact = exact_exponential(oracle.generator_dense(pool, mask_indices).matrix)
+    return exp_encoded_block(
+        block, exact, alpha_bar, eps_poly, pool.sector, eps_prime, perturbation_seed
+    )

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
+from composer import jw, oracle
 from composer.factorization import (
     BilinearLadder,
     GeneratorPool,
@@ -68,3 +70,16 @@ def mixed_generator_pool(base_gen, n_so=4, seed=11, extra=2):
 def mixed_gen_pool(small_pools):
     _, gen = small_pools
     return mixed_generator_pool(gen)
+
+
+def assert_encodes(w, target, n, sector):
+    """Executed encoding ``w`` encodes ``target`` on the particle sector.
+
+    Entrywise within 1e-10 on the sector block, and unitary to 1e-11 over
+    every entry of the Gram product ``W^dag W - I``.
+    """
+    diag = jw.sector_projector_diagonal(n, sector)
+    delta = (oracle.extract_block(w, n) - target) * np.outer(diag, diag)
+    assert np.abs(delta).max() <= 1e-10
+    gram = w.conj().T @ w - sparse.identity(w.shape[0], format="csr")
+    assert abs(gram).max() <= 1e-11

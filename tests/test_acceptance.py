@@ -27,7 +27,7 @@ from composer.factorization import (
 )
 from composer.integrals import parse_fcidump, synth_instance
 from composer.resources import block_cost
-from conftest import mixed_generator_pool
+from conftest import assert_encodes, mixed_generator_pool
 
 
 def _stamp(label, t0, budget):
@@ -258,14 +258,8 @@ def test_c06_compile_once_invariance():
     assert len(distinct) == 12
     for pool, mask, sheet in sheets:
         w = cir.execute_generator_encoding(skel, sheet)
-        w_direct, _ = oracle.generator_block_encoding(
-            pool,
-            mask.indices,
-            alpha_bar=worst,
-            selector_width=skel.selector_width,
-            workspace=cir.generator_workspace_width(skel),
-        )
-        assert np.abs(w - w_direct).max() <= 1e-10
+        target = oracle.generator_dense(pool, mask.indices).matrix / worst
+        assert_encodes(w, target, skel.n_system, pool.sector)
     _stamp("6 compile-once invariance", t0, 60.0)
 
 

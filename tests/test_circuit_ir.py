@@ -13,7 +13,7 @@ from composer.factorization import (
     nested_svd_t2,
 )
 from composer.integrals import synth_instance
-from conftest import mixed_generator_pool
+from conftest import assert_encodes, mixed_generator_pool
 
 
 @pytest.fixture(scope="module")
@@ -202,29 +202,45 @@ def test_dial_rejects_foreign_mask(compiled):
         cir.dial(skel, ham, gen, cir.Mask.of("m", [17]))
 
 
+def generator_target(gen, mask_indices):
+    return oracle.generator_dense(gen, mask_indices).matrix / gen.alpha_bar
+
+
+def hamiltonian_target(ham):
+    return oracle.hamiltonian_from_pool(ham).matrix / ham.alpha
+
+
 @pytest.mark.parametrize("instance", ["compiled", "compiled_n6"])
 def test_roundtrip_generator_execution(instance, request):
     ham, gen, skel = request.getfixturevalue(instance)
     for mask_indices in ([1], [1, 2], [2, 3], []):
         sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", mask_indices))
         w = cir.execute_generator_encoding(skel, sheet)
-        w_direct, _ = oracle.generator_block_encoding(
-            gen,
-            frozenset(mask_indices),
-            selector_width=skel.selector_width,
-            workspace=cir.generator_workspace_width(skel),
-        )
-        assert np.abs(w - w_direct).max() <= 1e-10
+        target = generator_target(gen, mask_indices)
+        assert_encodes(w, target, skel.n_system, gen.sector)
 
 
 def test_roundtrip_hamiltonian_execution(compiled):
     ham, gen, skel = compiled
     sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", [1]))
     w = cir.execute_hamiltonian_encoding(skel, sheet)
-    w_direct, _ = oracle.hamiltonian_block_encoding(
-        ham, selector_width=skel.selector_width, workspace=skel.workspace_width
-    )
-    assert np.abs(w - w_direct).max() <= 1e-10
+    assert_encodes(w, hamiltonian_target(ham), skel.n_system, ham.n_elec)
+
+
+def test_one_pool_skeletons_dial_only_their_pool(compiled):
+    ham, gen, _ = compiled
+    ham_skel = cir.one_pool_skeleton(ham, None)
+    gen_skel = cir.one_pool_skeleton(None, gen)
+    assert (ham_skel.ell_ham, ham_skel.ell_gen) == (ham.ell, 0)
+    assert (gen_skel.ell_ham, gen_skel.ell_gen) == (0, gen.ell)
+    with pytest.raises(BindError):
+        cir.dial(ham_skel, ham, gen, ())
+    with pytest.raises(BindError):
+        cir.dial(gen_skel, None, None, ())
+    with pytest.raises(MaskError):
+        cir.dial(ham_skel, ham, None, [1])
+    with pytest.raises(ValidationError):
+        cir.compile_skeleton(0, 0, 4, cir.CompilePlan(ham=(), gen=()))
 
 
 def test_execute_rejects_fingerprint_mismatch(compiled):
@@ -309,6 +325,17 @@ def _scalar_layers(doc):
     doc["adaptors_gen"][1]["layers"] = 5
 
 
+def _move_pair_pivot(doc):
+    """Another u-pivot pair for the first pair adaptor; its layers unchanged."""
+    ad = next(ad for ad in doc["adaptors_gen"] if ad["kind"] == "pair")
+    ad["pivot"][0] = [0, 1] if ad["pivot"][0] != [0, 1] else [2, 3]
+
+
+def _lower_channel_rank(doc):
+    ad = next(ad for ad in doc["adaptors_ham"] if ad["kind"] == "channel")
+    ad["rank"] -= 1
+
+
 @pytest.mark.parametrize(
     "tamper, error",
     [
@@ -324,6 +351,8 @@ def _scalar_layers(doc):
         pytest.param(_embed_newline, ParseError, id="embedded-newline"),
         pytest.param(_list_layer, ParseError, id="non-string-layer"),
         pytest.param(_scalar_layers, ParseError, id="non-list-layers"),
+        pytest.param(_move_pair_pivot, ValidationError, id="pivot"),
+        pytest.param(_lower_channel_rank, ValidationError, id="rank"),
     ],
 )
 def test_skeleton_json_tamper_detected(compiled, tamper, error):
@@ -335,7 +364,9 @@ def test_skeleton_json_tamper_detected(compiled, tamper, error):
 
 
 @pytest.mark.parametrize(
-    "fmt", ["composer-skel-v1", "composer-skel-v2"], ids=["v1", "v2"]
+    "fmt",
+    ["composer-skel-v1", "composer-skel-v2", "composer-skel-v3"],
+    ids=["v1", "v2", "v3"],
 )
 def test_skeleton_v1_rejected(compiled, fmt):
     _, _, skel = compiled
@@ -360,15 +391,8 @@ def test_smaller_pool_than_compiled_routes_to_null(compiled, small_pools):
     _, gen_small = small_pools  # one ladder versus the compiled three
     sheet = cir.dial(skel, ham, gen_small, cir.Mask.of("m", [1]))
     w = cir.execute_generator_encoding(skel, sheet)
-    w_direct, _ = oracle.generator_block_encoding(
-        gen_small,
-        frozenset([1]),
-        selector_width=skel.selector_width,
-        workspace=cir.generator_workspace_width(skel),
-    )
-    block = oracle.extract_block(w, skel.n_system)
-    block_direct = oracle.extract_block(w_direct, skel.n_system)
-    assert np.abs(block - block_direct).max() <= 1e-10
+    target = generator_target(gen_small, [1])
+    assert_encodes(w, target, skel.n_system, gen_small.sector)
 
 
 def test_smaller_hamiltonian_pool_than_compiled(compiled, small_pools):
@@ -380,10 +404,4 @@ def test_smaller_hamiltonian_pool_than_compiled(compiled, small_pools):
     assert loose.ell < skel.ell_ham
     sheet = cir.dial(skel, loose, gen, cir.Mask.of("m", [1]))
     w = cir.execute_hamiltonian_encoding(skel, sheet)
-    w_direct, _ = oracle.hamiltonian_block_encoding(
-        loose, selector_width=skel.selector_width, workspace=skel.workspace_width
-    )
-    n = skel.n_system
-    assert np.abs(
-        oracle.extract_block(w, n) - oracle.extract_block(w_direct, n)
-    ).max() <= 1e-10
+    assert_encodes(w, hamiltonian_target(loose), skel.n_system, loose.n_elec)

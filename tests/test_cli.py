@@ -183,6 +183,40 @@ def test_estimate_wrongly_typed_field_exits_two(pipeline, capsys, artifact, edit
     assert "must be" in capsys.readouterr().err
 
 
+def _set_n_occ(doc):
+    doc["generator"]["n_occ"] = str(doc["generator"]["n_occ"])
+
+
+def _set_n_so(doc):
+    doc["n_so"] = str(doc["n_so"])
+
+
+def _set_coefficient(doc):
+    lad = doc["generator"]["ladders"][0]
+    lad["coefficient"] = str(lad["coefficient"])
+
+
+def _set_eigval(doc):
+    eigvals = doc["hamiltonian"]["channels"][0]["eigvals"]
+    eigvals[0] = str(eigvals[0])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_set_n_occ, _set_n_so, _set_coefficient, _set_eigval],
+    ids=["n_occ", "n_so", "coefficient", "eigvals"],
+)
+def test_dial_wrongly_typed_pool_field_exits_two(pipeline, capsys, edit):
+    tmp, pool, skel, _ = pipeline
+    doc = json.loads(pool.read_text())
+    edit(doc)
+    bad = tmp / "bad-pool.json"
+    bad.write_text(json.dumps(doc))
+    argv = ["dial", "--skel", str(skel), "--pool", str(bad), "--mask", "1"]
+    assert run(argv + ["--out", str(tmp / "d.json")]) == 2
+    assert "must be" in capsys.readouterr().err
+
+
 def test_pipeline_verify_n_so_8(tmp_path):
     """factorize -> compile -> dial -> verify end to end at n_so = 8 (full mask)."""
     pool, skel, sheet, report = (

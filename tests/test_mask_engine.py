@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from composer import circuit_ir as cir
 from composer import jw, mask_engine as me, oracle
 from composer.errors import (
     DegenerateBasisError,
@@ -55,6 +56,14 @@ def test_sandwich_inherits_hamiltonian_normalization(small_pools, mixed_gen_pool
     assert rep.alpha == pytest.approx(ham.alpha)
 
 
+FORBIDDEN_BEFORE_SIZE_CHECK = (
+    (oracle, "hamiltonian_block_encoding"),
+    (oracle, "generator_block_encoding"),
+    (cir, "execute_hamiltonian_encoding"),
+    (cir, "execute_generator_encoding"),
+)
+
+
 def test_sandwich_rejects_oversized_register_before_building(
     medium_instance, monkeypatch
 ):
@@ -65,8 +74,8 @@ def test_sandwich_rejects_oversized_register_before_building(
     def forbidden(*args, **kwargs):
         raise AssertionError("encoding assembled before the size check")
 
-    monkeypatch.setattr(oracle, "hamiltonian_block_encoding", forbidden)
-    monkeypatch.setattr(oracle, "generator_block_encoding", forbidden)
+    for module, name in FORBIDDEN_BEFORE_SIZE_CHECK:
+        monkeypatch.setattr(module, name, forbidden)
     sector = list(jw.sector_indices(6, 2))
     with pytest.raises(ShapeError, match="needs 14 qubits.*allows 13"):
         me.similarity_sandwich(ham, gen, frozenset([1]), sector, 1e-8)
@@ -83,17 +92,43 @@ def test_sandwich_rejects_oversized_generator_register_before_building(
     def forbidden(*args, **kwargs):
         raise AssertionError("encoding assembled before the size check")
 
-    monkeypatch.setattr(oracle, "hamiltonian_block_encoding", forbidden)
-    monkeypatch.setattr(oracle, "generator_block_encoding", forbidden)
+    for module, name in FORBIDDEN_BEFORE_SIZE_CHECK:
+        monkeypatch.setattr(module, name, forbidden)
     sector = list(jw.sector_indices(4, 2))
     with pytest.raises(ShapeError, match="generator encoding needs 14 qubits.*allows 13"):
         me.similarity_sandwich(ham, gen, frozenset([1]), sector, 1e-9)
 
 
+def test_sandwich_builds_each_dense_target_once(small_pools, mixed_gen_pool,
+                                                monkeypatch):
+    """One call: one Hamiltonian rebuild, one generator rebuild, one ``eigh``."""
+    ham, _ = small_pools
+    dim = 2**ham.n_so
+    calls = {"hamiltonian_from_pool": 0, "generator_dense": 0, "eigh": 0}
+
+    def counted(name, fn, dense_only=False):
+        def wrapper(*args, **kwargs):
+            if not dense_only or np.shape(args[0]) == (dim, dim):
+                calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("hamiltonian_from_pool", "generator_dense"):
+        monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
+    # small eigh calls (ladder spectra) are not dense-target work
+    monkeypatch.setattr(
+        np.linalg, "eigh", counted("eigh", np.linalg.eigh, dense_only=True)
+    )
+    sector = list(jw.sector_indices(4, 2))
+    mask = frozenset([1, 2])
+    rep, _ = me.similarity_sandwich(ham, mixed_gen_pool, mask, sector, 1e-9)
+    assert rep.within_budget
+    assert calls == {"hamiltonian_from_pool": 1, "generator_dense": 1, "eigh": 1}
+
+
 def test_topology_invariant_blocks_differ(small_pools, mixed_gen_pool):
     """One fabric digest across four masks, yet four distinct blocks."""
-    from composer import circuit_ir as cir
-
     ham, _ = small_pools
     gen = mixed_gen_pool
     plan = cir.pivots_from_pools(ham, gen)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from composer import jw, ladders, oracle
-from composer.errors import CapacityError, MaskError
+from composer.errors import CapacityError, MaskError, ShapeError
 from composer.factorization import build_hamiltonian_pool
 from composer.integrals import synth_instance
 
@@ -191,6 +191,33 @@ def test_full_hamiltonian_block_encoding(small_instance, small_pools):
         w, target, rep.ancillas, sector=ham.n_elec
     )
     assert err <= 1e-9 + 10 * tau * ham.n_so**2 / ham.alpha
+
+
+GADGET_BUILDERS = (
+    "flagged_occupation",
+    "occupation_select",
+    "rotated_diagonal_gadget",
+    "squared_block_gadget",
+    "dyad_gadget",
+    "hermitian_dyad_branch",
+    "null_branch",
+)
+
+
+def test_hamiltonian_encoding_rejects_oversized_register_before_building(
+    medium_instance, monkeypatch
+):
+    """n_so = 6: 14 qubits exceed the cap, and no gadget is built first."""
+    ham = build_hamiltonian_pool(medium_instance, 1e-8, 0.0)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("gadget built before the size check")
+
+    for name in GADGET_BUILDERS:
+        monkeypatch.setattr(oracle, name, forbidden)
+    message = "assembly needs 14 qubits; the oracle caps at 13"
+    with pytest.raises(ShapeError, match=message):
+        oracle.hamiltonian_block_encoding(ham)
 
 
 def test_theorem_error_formula_with_injected_errors(small_pools):
