@@ -1,7 +1,8 @@
 """Masked similarity sandwich with a verified additive error budget.
 
 The effective-Hamiltonian block exp(-sigma) H exp(sigma) / alpha is
-assembled from the generator exponential and Hamiltonian encodings; the
+composed from the blocks of the generator exponential and the Hamiltonian
+encoding, each run on its ancilla-zero columns; the
 measured model-space deviation stays inside twice the exponential error
 plus the multiplexing error.
 """

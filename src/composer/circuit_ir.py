@@ -15,6 +15,11 @@ changes between instances.
 Layer lists describe the forward body of each gadget; the mirrored
 uncompute halves reuse the same slots by construction, so they are
 implied by the gadget template rather than listed twice.
+
+Execution rebuilds each encoding from a dial sheet as one gadget tree
+(:mod:`oracle`): ``execute_*_encoding`` assemble it as a sparse unitary,
+``execute_*_block`` run it on the ``2**n`` ancilla-zero columns and
+return only the dense encoded block.
 """
 
 from __future__ import annotations
@@ -799,9 +804,20 @@ def execute_generator_encoding(skel, sheet):
     slot values only, so the result certifies the dial data rather than
     the pools it came from.
     """
+    oracle.check_assembly_width(generator_ancillas(skel) + skel.n_system)
+    return _generator_select(skel, sheet).tocsr()
+
+
+def execute_generator_block(skel, sheet):
+    """Dense block of :func:`execute_generator_encoding`, run on columns."""
+    oracle.check_column_batch(generator_ancillas(skel), skel.n_system, "generator")
+    return oracle.column_block(_generator_select(skel, sheet), skel.n_system)
+
+
+def _generator_select(skel, sheet):
+    """Generator PREP-SELECT-PREP node; checks the fingerprint and the PREP norm."""
     if sheet.skeleton_fingerprint != skel.fingerprint:
         raise BindError("dial sheet bound to a different skeleton fingerprint")
-    oracle.check_assembly_width(generator_ancillas(skel) + skel.n_system)
     n = skel.n_system
     omegas = sheet.classical_coeffs["omega"]
     branch_ops = []
@@ -855,9 +871,20 @@ def _ham_branch_from_bindings(sheet, ad, n):
 
 def execute_hamiltonian_encoding(skel, sheet):
     """Sparse (CSR) rebuild of the Hamiltonian encoding from a dial sheet."""
+    oracle.check_assembly_width(hamiltonian_ancillas(skel) + skel.n_system)
+    return _hamiltonian_select(skel, sheet).tocsr()
+
+
+def execute_hamiltonian_block(skel, sheet):
+    """Dense block of :func:`execute_hamiltonian_encoding`, run on columns."""
+    oracle.check_column_batch(hamiltonian_ancillas(skel), skel.n_system, "Hamiltonian")
+    return oracle.column_block(_hamiltonian_select(skel, sheet), skel.n_system)
+
+
+def _hamiltonian_select(skel, sheet):
+    """Hamiltonian PREP-SELECT-PREP node; checks the fingerprint and the PREP norm."""
     if sheet.skeleton_fingerprint != skel.fingerprint:
         raise BindError("dial sheet bound to a different skeleton fingerprint")
-    oracle.check_assembly_width(hamiltonian_ancillas(skel) + skel.n_system)
     n = skel.n_system
     branch_ops = []
     branch_phases = []

@@ -2,8 +2,10 @@
 
 The sandwich composes the three block encodings on disjoint ancilla
 groups, so its all-ancilla-zero block is exactly the product of the three
-encoded blocks; the assembly therefore works with the extracted blocks
-directly and never forms the joint-register matrix.
+encoded blocks; it therefore works with the encoded blocks directly and
+never forms the joint-register matrix.  Each block is computed by running
+its encoding on the ``2**n`` ancilla-zero columns, so no encoding is
+assembled either.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def model_space_projector(indices, n, n_elec):
 
 def similarity_sandwich(ham_pool, gen_pool, mask, model_space, eps_poly,
                         alpha_bar=None, budget_slack=0.10):
-    """Assemble and verify one masked effective-Hamiltonian block.
+    """Compute and verify one masked effective-Hamiltonian block.
 
     Returns ``(report, block)`` where ``block`` approximates
     ``exp(-sigma) H exp(sigma) / alpha`` on the system register and the
@@ -92,40 +94,32 @@ def similarity_sandwich(ham_pool, gen_pool, mask, model_space, eps_poly,
     n_elec = ham_pool.n_elec
     mask_indices = frozenset(getattr(mask, "indices", mask))
     alpha_bar = gen_pool.alpha_bar if alpha_bar is None else float(alpha_bar)
-    # both encodings run on one-pool skeletons; both registers are checked
-    # before either is executed
+    # both encodings run on one-pool skeletons; both column batches are
+    # checked before either is dialed or run
     ham_skel = circuit_ir.one_pool_skeleton(ham_pool, None)
     gen_skel = circuit_ir.one_pool_skeleton(None, gen_pool)
     ham_anc = circuit_ir.hamiltonian_ancillas(ham_skel)
-    for name, ancillas in (
-        ("Hamiltonian", ham_anc),
-        ("generator", circuit_ir.generator_ancillas(gen_skel)),
-    ):
-        needed = ancillas + n
-        if needed > oracle.MAX_ASSEMBLY_QUBITS:
-            raise ShapeError(
-                f"the {name} encoding needs {needed} qubits; assembly "
-                f"allows {oracle.MAX_ASSEMBLY_QUBITS}"
-            )
+    oracle.check_column_batch(ham_anc, n, "Hamiltonian")
+    oracle.check_column_batch(circuit_ir.generator_ancillas(gen_skel), n, "generator")
 
     sheet = circuit_ir.dial(ham_skel, ham_pool, None, ())
-    w_ham = circuit_ir.execute_hamiltonian_encoding(ham_skel, sheet)
+    b_block = circuit_ir.execute_hamiltonian_block(ham_skel, sheet)
     h_exact = oracle.hamiltonian_from_pool(ham_pool).matrix / ham_pool.alpha
+    # the encoded block is its own zero-ancilla encoding
     eps_ham = oracle.restricted_block_error(
-        w_ham, oracle.FockOperator(h_exact, n), ham_anc, sector=n_elec
+        b_block, oracle.FockOperator(h_exact, n), 0, sector=n_elec
     )
 
     sheet = circuit_ir.dial(gen_skel, None, gen_pool, mask_indices, alpha_bar=alpha_bar)
-    w_gen = circuit_ir.execute_generator_encoding(gen_skel, sheet)
     exp_exact = qsp.exact_exponential(
         oracle.generator_dense(gen_pool, mask_indices).matrix
     )
     e_block, exp_rep = qsp.exp_encoded_block(
-        oracle.extract_block(w_gen, n), exp_exact, alpha_bar, eps_poly, gen_pool.sector
+        circuit_ir.execute_generator_block(gen_skel, sheet),
+        exp_exact, alpha_bar, eps_poly, gen_pool.sector,
     )
     eps_exp = exp_rep.measured_deviation
 
-    b_block = oracle.extract_block(w_ham, n)
     sandwich = e_block.conj().T @ b_block @ e_block
     exact = exp_exact.conj().T @ h_exact @ exp_exact
 

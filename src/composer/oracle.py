@@ -1,12 +1,13 @@
 """Jordan-Wigner oracle for block-encoding verification.
 
-Every block encoding is assembled as an explicit sparse (CSR) unitary
-straight from its defining construction (vacuum-reflection dyad gadgets,
-flagged occupation gadgets, PREP-SELECT-PREP multiplexing); only its
-``2**n x 2**n`` ancilla-zero block is made dense, and that block is
-checked against the dense operator it is supposed to encode, built
-independently from Jordan-Wigner ladder operators and restricted to the
-working particle-number sector.
+Each gadget (vacuum-reflection dyads, flagged occupations, squared
+channels, PREP-SELECT-PREP multiplexing) is built once, as an operator
+tree over sparse gates with two evaluations: ``apply`` runs it on dense
+state columns, so block consumers read the ``2**n x 2**n`` ancilla-zero
+block from the ``2**n`` columns ``|0_anc>|x>``; ``tocsr`` assembles the
+sparse (CSR) unitary for unitarity checks.  The block is checked against
+the dense operator it is supposed to encode, built independently from
+Jordan-Wigner ladder operators and restricted to the working sector.
 
 The pool encoders do not build their own branches: each compiles a
 skeleton for its one pool, dials it and executes the dial sheet
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -127,21 +129,34 @@ def hamiltonian_from_pool(pool):
     dim = 2**n
     out = np.zeros((dim, dim), dtype=complex)
     for lad in pool.one_body:
-        for j in range(lad.multiplicity):
-            w = lad.vectors[:, j]
-            out += lad.coefficient * dense_bilinear(w, w, n)
+        w = lad.vectors
+        out += lad.coefficient * _bilinear_sum(w @ w.conj().T, n)
     for lad in pool.channels:
         o_mu = channel_operator(lad.channel, n)
         out += lad.coefficient * (o_mu @ o_mu)
     return FockOperator(out, n, tag="hamiltonian(pool)")
 
 
-def dense_bilinear(u, v, n):
-    """Dense ``a^dag(u) a(v)``."""
+@lru_cache(maxsize=None)
+def _bilinear_pattern(n):
+    """Sparse ``4**n x n**2`` map: column ``p * n + q`` is ``a_p^dag a_q`` flattened.
+
+    Built from :func:`jw.jw_ladder_ops`, never from the gate patterns of
+    :mod:`ladders`, so the reference stays independent of what it checks.
+    """
     cr, an = jw.jw_ladder_ops(n)
-    au = sum(u[p] * cr[p] for p in range(n))
-    av = sum(np.conj(v[q]) * an[q] for q in range(n))
-    return (au @ av).toarray()
+    ops = [(cr[p] @ an[q]).reshape(4**n, 1) for p in range(n) for q in range(n)]
+    return _frozen(sparse.hstack(ops, format="csr"))
+
+
+def _bilinear_sum(coef, n):
+    """Dense ``sum_pq coef[p, q] a_p^dag a_q``, scattered by the cached map."""
+    return (_bilinear_pattern(n) @ np.ravel(coef)).reshape(2**n, 2**n)
+
+
+def dense_bilinear(u, v, n):
+    """Dense ``a^dag(u) a(v) = sum_pq u_p conj(v_q) a_p^dag a_q``."""
+    return _bilinear_sum(np.outer(u, np.conj(v)), n)
 
 
 def dense_pair_ladder(lad, n_occ, n):
@@ -243,19 +258,144 @@ def assert_sector_preserving(block, n, tol=1e-11):
 # ---------------------------------------------------------------------------
 
 
+def _frozen(mat):
+    """Make a cached sparse leaf read-only, so no caller can alter the cache."""
+    for arr in (mat.data, mat.indices, mat.indptr):
+        arr.setflags(write=False)
+    return mat
+
+
+def _apply(op, cols, adjoint=False):
+    """``op @ cols`` (or ``op^dag @ cols``) for a sparse leaf or a gadget node."""
+    if sparse.issparse(op):
+        return (op.conj().T if adjoint else op) @ cols
+    return op.apply(cols, adjoint)
+
+
+def _csr(op):
+    return op if sparse.issparse(op) else op.tocsr()
+
+
+class _Node:
+    """Gadget node: ``apply`` acts on dense columns, ``tocsr`` assembles once."""
+
+    _assembled = None
+
+    def tocsr(self):
+        if self._assembled is None:
+            self._assembled = self._assemble()
+        return self._assembled
+
+
+class _Lift(_Node):
+    """``phase * (I (x) op)``, ``extra`` idle most-significant ancillas: a reshape."""
+
+    def __init__(self, op, extra, phase=None):
+        self.op, self.extra, self.phase = op, extra, phase
+        self.shape = (2**extra * op.shape[0],) * 2
+
+    def _assemble(self):
+        lifted = _lift(_csr(self.op), self.extra)
+        return lifted if self.phase is None else self.phase * lifted
+
+    def apply(self, cols, adjoint=False):
+        dim, k = self.op.shape[0], cols.shape[1]
+        slabs = cols.reshape(-1, dim, k).transpose(1, 0, 2).reshape(dim, -1)
+        out = _apply(self.op, slabs, adjoint).reshape(dim, -1, k)
+        if self.phase is not None:
+            out = out * (np.conj(self.phase) if adjoint else self.phase)
+        return out.transpose(1, 0, 2).reshape(-1, k)
+
+
+class _Product(_Node):
+    """``factors[0] @ factors[1] @ ...``, assembled left to right."""
+
+    def __init__(self, *factors):
+        self.factors, self.shape = factors, factors[0].shape
+
+    def _assemble(self):
+        out = _csr(self.factors[0])
+        for factor in self.factors[1:]:
+            out = out @ _csr(factor)
+        return out
+
+    def apply(self, cols, adjoint=False):
+        for factor in self.factors if adjoint else self.factors[::-1]:
+            cols = _apply(factor, cols, adjoint)
+        return cols
+
+
+class _Adjoint(_Node):
+    """``op^dag``, assembled as the conjugate transpose of ``op``'s matrix."""
+
+    def __init__(self, op):
+        self.op, self.shape = op, op.shape
+
+    def _assemble(self):
+        return _csr(self.op).conj().T
+
+    def apply(self, cols, adjoint=False):
+        return _apply(self.op, cols, not adjoint)
+
+
+class _PrepSelectPrep(_Node):
+    """``(P^T (x) I) W_sel (P (x) I)``; applied, branch ``s`` acts on slab ``s``."""
+
+    def __init__(self, prep, branches, qubits):
+        self.prep, self.branches, self.qubits = prep, branches, qubits
+        self.shape = (2**qubits,) * 2
+
+    def _assemble(self):
+        check_assembly_width(self.qubits)
+        eye = sparse.identity(self.shape[0] // len(self.prep), format="csr")
+        blocks = [eye if b is None else b.tocsr() for b in self.branches]
+        select = sparse.block_diag(blocks, format="csr")
+        return (
+            sparse.kron(self.prep.T, eye, format="csr")
+            @ select
+            @ sparse.kron(self.prep, eye, format="csr")
+        )
+
+    def apply(self, cols, adjoint=False):
+        n_states, k = len(self.prep), cols.shape[1]
+        slabs = (self.prep @ cols.reshape(n_states, -1)).reshape(n_states, -1, k)
+        for s, branch in enumerate(self.branches):
+            if branch is not None:
+                slabs[s] = branch.apply(slabs[s], adjoint)
+        return (self.prep.T @ slabs.reshape(n_states, -1)).reshape(-1, k)
+
+
+def column_block(op, n):
+    """Dense ``<0_anc| W |0_anc>`` of a node, run on the columns ``|0_anc>|x>``."""
+    cols = np.zeros((op.shape[0], 2**n), dtype=complex)
+    cols[: 2**n] = np.eye(2**n)
+    return op.apply(cols)[: 2**n]
+
+
+def check_column_batch(ancillas, n, name):
+    """Reject ``2**(t + n) x 2**n`` columns larger than the largest FockOperator."""
+    needed, allowed = 2 ** (ancillas + 2 * n), 4**jw.MAX_QUBITS
+    if needed > allowed:
+        raise ShapeError(
+            f"the {name} column batch needs {needed} amplitudes "
+            f"(2**{ancillas + n} rows x 2**{n} columns); the oracle allows {allowed}"
+        )
+
+
+@lru_cache(maxsize=None)
 def vacuum_reflection_gadget(n):
     """Single-ancilla deterministic encoding of the vacuum projector.
 
     ``(H (x) I) (|0><0| (x) I + |1><1| (x) (-R0)) (H (x) I)`` with
     ``R0 = I - 2|0^n><0^n|``; the ancilla-zero block is exactly
-    ``|0^n><0^n|``.
+    ``|0^n><0^n|``.  Cached per ``n`` and read-only.
     """
     dim = 2**n
     r0 = np.ones(dim)
     r0[0] = -1.0
     mid = np.concatenate([np.ones(dim), -r0])
     had = sparse.kron(_H2, sparse.identity(dim), format="csr")
-    return had @ sparse.diags(mid) @ had
+    return _frozen(had @ sparse.diags(mid) @ had)
 
 
 def _lift(op, extra):
@@ -291,14 +431,13 @@ def check_assembly_width(qubits):
 
 
 def _prep_select_prep(amplitudes, branch_ops, branch_phases, n, workspace=None):
-    """Assemble ``(PREP^T (x) I) W_sel (PREP (x) I)`` as a sparse unitary.
+    """``(PREP^T (x) I) W_sel (PREP (x) I)`` as a gadget node.
 
-    ``branch_ops[s]`` is the sparse unitary of selector value ``s`` on its
-    own workspace + system register (``None`` means identity); workspace
-    widths are equalized by padding most-significant identity ancillas.
-    ``W_sel`` is the block diagonal of the phased branches; ``PREP`` is the
-    real Householder reflection, so its zero entries (unloaded addresses)
-    add no fill.
+    ``branch_ops[s]`` is the unitary (sparse or a node) of selector value
+    ``s`` on its own workspace + system register (``None`` means identity);
+    workspace widths are equalized by padding most-significant identity
+    ancillas.  ``PREP`` is the real Householder reflection, so its zero
+    entries (unloaded addresses) add no fill.
     """
     n_states = len(amplitudes)
     if n_states & (n_states - 1):
@@ -313,24 +452,15 @@ def _prep_select_prep(amplitudes, branch_ops, branch_phases, n, workspace=None):
         for op in branch_ops
     ]
     t = workspace if workspace is not None else max(widths, default=0)
-    check_assembly_width(int(np.log2(n_states)) + t + n)
     if any(wd > t for wd in widths):
         raise ShapeError("branch workspace exceeds the shared width")
-    eye = sparse.identity(2**t * dim_sys, format="csr")
-    blocks = []
-    for s in range(n_states):
-        if s < len(branch_ops) and branch_ops[s] is not None:
+    branches = [None] * n_states
+    for s, op in enumerate(branch_ops):
+        if op is not None:
             phase = branch_phases[s] if s < len(branch_phases) else 1.0
-            blocks.append(phase * _lift(branch_ops[s], t - widths[s]))
-        else:
-            blocks.append(eye)
-    select = sparse.block_diag(blocks, format="csr")
+            branches[s] = _Lift(op, t - widths[s], phase)
     prep = _householder_prep(amplitudes)
-    return (
-        sparse.kron(prep.T, eye, format="csr")
-        @ select
-        @ sparse.kron(prep, eye, format="csr")
-    )
+    return _PrepSelectPrep(prep, branches, int(np.log2(n_states)) + t + n)
 
 
 def index_width(r):
@@ -338,9 +468,10 @@ def index_width(r):
     return int(np.ceil(np.log2(r))) if r > 1 else 0
 
 
+@lru_cache(maxsize=None)
 def null_branch(n):
-    """Reserved null branch ``X (x) I``: a workspace flip, no system action."""
-    return jw.pauli_x(1 + n, 0)
+    """Reserved null branch ``X (x) I``: a workspace flip (cached, read-only)."""
+    return _frozen(jw.pauli_x(1 + n, 0))
 
 
 def signed_loading(eigvals):
@@ -354,16 +485,17 @@ def signed_loading(eigvals):
     return np.sqrt(np.abs(eigvals) / gamma), np.where(eigvals >= 0, 1.0, -1.0), gamma
 
 
+@lru_cache(maxsize=None)
 def _flag_copy(pivot, n):
-    """Flag-copy core ``X_f CNOT_(pivot -> f)`` on one flag plus the system."""
+    """Flag-copy core ``X_f CNOT_(pivot -> f)`` (cached, read-only)."""
     total = 1 + n
-    return jw.pauli_x(total, 0) @ jw.controlled_x(total, 1 + pivot, 0)
+    return _frozen(jw.pauli_x(total, 0) @ jw.controlled_x(total, 1 + pivot, 0))
 
 
 def flagged_occupation(sched, n):
     """Flag-copy core conjugated by a number-conserving one-electron ladder."""
-    lifted = _lift(ladders.schedule_unitary(sched), 1)
-    return lifted @ _flag_copy(sched.pivot[0], n) @ lifted.conj().T
+    lifted = _Lift(ladders.schedule_unitary(sched), 1)
+    return _Product(lifted, _flag_copy(sched.pivot[0], n), _Adjoint(lifted))
 
 
 def occupation_select(gadgets, amps, phases, n):
@@ -375,7 +507,7 @@ def occupation_select(gadgets, amps, phases, n):
     is loaded.
     """
     if len(gadgets) == 1:
-        return phases[0] * gadgets[0]
+        return _Lift(gadgets[0], 0, phases[0])
     amps = np.asarray(amps, dtype=float)
     if np.linalg.norm(amps) < 1e-12:
         amps = np.eye(len(amps))[0]
@@ -385,7 +517,7 @@ def occupation_select(gadgets, amps, phases, n):
 def rotated_diagonal_gadget(net, amps, phases, n):
     """Flag-copy select over modes ``0 .. r-1`` conjugated by a rotation network.
 
-    Returns the unitary and its ancilla count (index register plus flag).
+    Returns the gadget and its ancilla count (index register plus flag).
     """
     r = len(phases)
     t = index_width(r) + 1
@@ -393,8 +525,8 @@ def rotated_diagonal_gadget(net, amps, phases, n):
     loaded[:r] = amps
     ops = [_flag_copy(xi, n) for xi in range(r)]
     gadget = _prep_select_prep(loaded, ops, phases, n, workspace=1)
-    lifted = _lift(ladders.network_unitary(net), t)
-    return lifted @ gadget @ lifted.conj().T, t
+    lifted = _Lift(ladders.network_unitary(net), t)
+    return _Product(lifted, gadget, _Adjoint(lifted)), t
 
 
 def dyad_gadget(su, sv, n):
@@ -404,7 +536,9 @@ def dyad_gadget(su, sv, n):
     """
     prep_u = ladders.schedule_unitary(su)
     prep_v = ladders.schedule_unitary(sv)
-    return _lift(prep_u, 1) @ vacuum_reflection_gadget(n) @ _lift(prep_v.conj().T, 1)
+    return _Product(
+        _Lift(prep_u, 1), vacuum_reflection_gadget(n), _Lift(prep_v.conj().T, 1)
+    )
 
 
 def hermitian_dyad_branch(su, sv, n):
@@ -416,7 +550,7 @@ def hermitian_dyad_branch(su, sv, n):
     """
     w_l = dyad_gadget(su, sv, n)
     amps = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    return _prep_select_prep(amps, [w_l, w_l.conj().T], [1j, -1j], n, workspace=1)
+    return _prep_select_prep(amps, [w_l, _Adjoint(w_l)], [1j, -1j], n, workspace=1)
 
 
 def dyad_block_encoding(u, v, lam, n, pivot_u=None, pivot_v=None):
@@ -433,7 +567,7 @@ def dyad_block_encoding(u, v, lam, n, pivot_u=None, pivot_v=None):
         raise ValidationError("lam must be nonnegative")
     su = ladders.one_electron_angles(u, pivot=pivot_u, n=n)
     sv = ladders.one_electron_angles(v, pivot=pivot_v, n=n)
-    w = dyad_gadget(su, sv, n)
+    w = dyad_gadget(su, sv, n).tocsr()
     flags = ()
     alpha = lam
     if lam == 0.0:
@@ -463,7 +597,7 @@ def pair_dyad_block_encoding(u_pairs, v_pairs, lam, n, pivot_u=None, pivot_v=Non
     """Single-ancilla block encoding of the two-electron dyad ``|U><V|``."""
     su = ladders.two_electron_angles(u_pairs, pivot_pair=pivot_u, n=n)
     sv = ladders.two_electron_angles(v_pairs, pivot_pair=pivot_v, n=n)
-    w = dyad_gadget(su, sv, n)
+    w = dyad_gadget(su, sv, n).tocsr()
     target = FockOperator(pair_dyad_matrix(u_pairs, v_pairs, n), n, tag="pair dyad")
     err = restricted_block_error(w, target, 1, sector=2)
     return w, BlockEncodingReport(
@@ -490,7 +624,7 @@ def occupation_gadget(w_vec, n):
     every particle sector.
     """
     sched = ladders.one_electron_angles(w_vec, n=n).as_number_conserving()
-    return flagged_occupation(sched, n)
+    return flagged_occupation(sched, n).tocsr()
 
 
 def diagonal_one_body_encoding(eigvals, rotation_full, n):
@@ -507,7 +641,7 @@ def diagonal_one_body_encoding(eigvals, rotation_full, n):
     amps, signs, gamma = signed_loading(eigvals)
     net = ladders.rotation_network_from_matrix(rotation_full)
     w, t = rotated_diagonal_gadget(net, amps, signs, n)
-    return w, gamma, t
+    return w.tocsr(), gamma, t
 
 
 def reflect_about_ancilla_vacuum(t, n):
@@ -524,14 +658,11 @@ def squared_block_gadget(w, t, n):
     Averages ``W R0 W`` (one reflection-conjugated double application)
     with the identity on a Hadamard-conjugated signal qubit; for an
     involution ``W`` with Hermitian block ``A`` the result encodes ``A^2``
-    exactly.
+    exactly.  A two-state PREP-SELECT-PREP with ``PREP = H`` over the
+    branches ``[W R0 W, I]``; ``w`` is a sparse matrix or a gadget node.
     """
-    refl = reflect_about_ancilla_vacuum(t, n)
-    double = w @ sparse.diags(refl) @ w
-    dim = double.shape[0]
-    had = sparse.kron(_H2, sparse.identity(dim), format="csr")
-    mid = sparse.block_diag([double, sparse.identity(dim)], format="csr")
-    return had @ mid @ had
+    double = _Product(w, sparse.diags(reflect_about_ancilla_vacuum(t, n)), w)
+    return _PrepSelectPrep(_H2, [double, None], t + 1 + n)
 
 
 def channel_block_encoding(ch, n, squared=True):
@@ -553,7 +684,7 @@ def channel_block_encoding(ch, n, squared=True):
         return w, BlockEncodingReport(
             alpha=gamma, ancillas=t, measured_error=err, sector="all"
         )
-    w2 = squared_block_gadget(w, t, n)
+    w2 = squared_block_gadget(w, t, n).tocsr()
     target = FockOperator(o_mu @ o_mu / gamma**2, n, tag="channel squared")
     err = restricted_block_error(w2, target, t + 1)
     return w2, BlockEncodingReport(
@@ -562,15 +693,9 @@ def channel_block_encoding(ch, n, squared=True):
 
 
 def channel_operator(ch, n):
-    """Dense ``O_mu = sum_xi lambda_xi n_(mu xi)``."""
-    cr, _ = jw.jw_ladder_ops(n)
-    dim = 2**n
-    out = np.zeros((dim, dim), dtype=complex)
-    for xi in range(ch.rank):
-        w = ch.rotation[:, xi]
-        aw = sum(w[p] * cr[p] for p in range(n))
-        out += ch.eigvals[xi] * (aw @ aw.conj().T).toarray()
-    return out
+    """Dense ``O_mu = sum_xi lambda_xi n_(mu xi)``, scattered once."""
+    w = ch.rotation
+    return _bilinear_sum((w * ch.eigvals) @ w.conj().T, n)
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +743,7 @@ def lcu_multiplex(branches, n, selector_width=None, target=None, sector=None):
     else:
         w = _prep_select_prep(
             amps, [b.unitary for b in branches], phases, n, workspace=t
-        )
+        ).tocsr()
     err = float("nan")
     if target is not None:
         err = restricted_block_error(w, target, width + t, sector=sector)
@@ -639,7 +764,8 @@ def mode_group_encoding(vectors, n):
     """
     m = vectors.shape[1]
     gadgets = [occupation_gadget(vectors[:, j], n) for j in range(m)]
-    return occupation_select(gadgets, np.full(m, 1.0 / np.sqrt(m)), [1.0] * m, n)
+    amps = np.full(m, 1.0 / np.sqrt(m))
+    return occupation_select(gadgets, amps, [1.0] * m, n).tocsr()
 
 
 def _measured(w, target, alpha, ancillas, sector):

@@ -4,7 +4,10 @@ The exponential ``exp(-i alpha x)`` truncates to an even-degree Chebyshev
 series whose coefficients are Bessel values, with a certified tail bound;
 the polynomial is applied to the encoded block through the three-term
 matrix recurrence, which realizes the same map a phased signal-processing
-sequence would produce without synthesizing phase lists.
+sequence would produce without synthesizing phase lists.  The generator
+block comes from running its encoding on the ancilla-zero columns
+(:func:`circuit_ir.execute_generator_block`); the unitary is never
+assembled.
 """
 
 from __future__ import annotations
@@ -196,17 +199,15 @@ def exp_sigma_block(pool, mask_indices, eps_poly, eps_prime=0.0, alpha_bar=None,
                     perturbation_seed=0):
     """Approximate ``exp(sigma)`` for the masked generator at the block level.
 
-    Compiles, dials and executes the masked generator encoding, extracts
-    its block and applies :func:`exp_encoded_block`; the report records
-    the measured deviation from the eigendecomposition-exact exponential
-    on the working sector.
+    Compiles and dials the masked generator encoding, runs it on its
+    ancilla-zero columns and applies :func:`exp_encoded_block`; the report
+    records the measured deviation from the eigendecomposition-exact
+    exponential on the working sector.
     """
     alpha_bar = pool.alpha_bar if alpha_bar is None else float(alpha_bar)
     skel = circuit_ir.one_pool_skeleton(None, pool)
     sheet = circuit_ir.dial(skel, None, pool, mask_indices, alpha_bar=alpha_bar)
-    block = oracle.extract_block(
-        circuit_ir.execute_generator_encoding(skel, sheet), pool.n_so
-    )
+    block = circuit_ir.execute_generator_block(skel, sheet)
     exact = exact_exponential(oracle.generator_dense(pool, mask_indices).matrix)
     return exp_encoded_block(
         block, exact, alpha_bar, eps_poly, pool.sector, eps_prime, perturbation_seed

@@ -2,12 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from composer import circuit_ir as cir
 from composer import oracle
 from composer.errors import BindError, MaskError, ParseError, ValidationError
 from composer.factorization import (
     GeneratorPool,
+    HamiltonianPool,
     build_hamiltonian_pool,
     mp2_amplitudes,
     nested_svd_t2,
@@ -225,6 +228,63 @@ def test_roundtrip_hamiltonian_execution(compiled):
     sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", [1]))
     w = cir.execute_hamiltonian_encoding(skel, sheet)
     assert_encodes(w, hamiltonian_target(ham), skel.n_system, ham.n_elec)
+
+
+def _dial_random_prefix(ham, gen, skel, data):
+    """Dial the first ladders of each pool under a random mask."""
+    k_ham = data.draw(st.integers(1, ham.ell), label="hamiltonian ladders")
+    k_gen = data.draw(st.integers(1, gen.ell), label="generator ladders")
+    mask = data.draw(st.sets(st.integers(1, k_gen)), label="mask")
+    kept = ham.ladders[:k_ham]
+    ham = HamiltonianPool(
+        one_body=tuple(lad for lad in kept if lad.kind == "one_body_mode"),
+        channels=tuple(lad for lad in kept if lad.kind != "one_body_mode"),
+        n_so=ham.n_so,
+        n_elec=ham.n_elec,
+        e_nn=ham.e_nn,
+    )
+    gen = GeneratorPool(
+        ladders=gen.ladders[:k_gen],
+        n_occ=gen.n_occ,
+        n_virt=gen.n_virt,
+        n_elec=gen.n_elec,
+    )
+    return cir.dial(skel, ham, gen, cir.Mask.of("m", mask))
+
+
+def _assert_block_matches_assembly(block, w, n):
+    assert np.abs(block - oracle.extract_block(w, n)).max() <= 1e-13
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_column_blocks_match_assembly(compiled, data):
+    """n_so = 4: both encodings, run on columns, equal the assembled blocks."""
+    ham, gen, skel = compiled
+    sheet = _dial_random_prefix(ham, gen, skel, data)
+    n = skel.n_system
+    _assert_block_matches_assembly(
+        cir.execute_generator_block(skel, sheet),
+        cir.execute_generator_encoding(skel, sheet),
+        n,
+    )
+    _assert_block_matches_assembly(
+        cir.execute_hamiltonian_block(skel, sheet),
+        cir.execute_hamiltonian_encoding(skel, sheet),
+        n,
+    )
+
+
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_generator_column_block_matches_assembly_n6(compiled_n6, data):
+    ham, gen, skel = compiled_n6
+    sheet = _dial_random_prefix(ham, gen, skel, data)
+    _assert_block_matches_assembly(
+        cir.execute_generator_block(skel, sheet),
+        cir.execute_generator_encoding(skel, sheet),
+        skel.n_system,
+    )
 
 
 def test_one_pool_skeletons_dial_only_their_pool(compiled):

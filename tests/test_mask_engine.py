@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from composer import circuit_ir as cir
-from composer import jw, mask_engine as me, oracle
+from composer import jw, mask_engine as me, oracle, qsp
 from composer.errors import (
     DegenerateBasisError,
     SectorError,
@@ -10,6 +10,7 @@ from composer.errors import (
     ValidationError,
 )
 from composer.factorization import build_hamiltonian_pool, mp2_amplitudes, nested_svd_t2
+from composer.integrals import synth_instance
 from conftest import mixed_generator_pool
 
 
@@ -61,42 +62,79 @@ FORBIDDEN_BEFORE_SIZE_CHECK = (
     (oracle, "generator_block_encoding"),
     (cir, "execute_hamiltonian_encoding"),
     (cir, "execute_generator_encoding"),
+    (cir, "execute_hamiltonian_block"),
+    (cir, "execute_generator_block"),
 )
+COLUMN_LIMIT = 4**jw.MAX_QUBITS  # amplitudes in the largest FockOperator
 
 
-def test_sandwich_rejects_oversized_register_before_building(
-    medium_instance, monkeypatch
-):
-    """n_so = 6: the Hamiltonian encoding needs 14 qubits; no gadget is built."""
-    ham = build_hamiltonian_pool(medium_instance, 1e-8, 0.0)
-    gen = nested_svd_t2(mp2_amplitudes(medium_instance), 1e-6, 1e-6)
+def test_sandwich_rejects_oversized_register_before_building(monkeypatch):
+    """n_so = 10: the Hamiltonian batch needs 2**30 amplitudes; nothing is built."""
+    instance = synth_instance(3, 5, 2)
+    ham = build_hamiltonian_pool(instance, 1e-8, 0.0)
+    gen = nested_svd_t2(mp2_amplitudes(instance), 1e-6, 1e-6)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("encoding assembled before the size check")
+        raise AssertionError("encoding built before the size check")
 
     for module, name in FORBIDDEN_BEFORE_SIZE_CHECK:
         monkeypatch.setattr(module, name, forbidden)
-    sector = list(jw.sector_indices(6, 2))
-    with pytest.raises(ShapeError, match="needs 14 qubits.*allows 13"):
+    sector = list(jw.sector_indices(10, 2))
+    message = f"Hamiltonian column batch needs {2**30} .*allows {COLUMN_LIMIT}"
+    with pytest.raises(ShapeError, match=message):
         me.similarity_sandwich(ham, gen, frozenset([1]), sector, 1e-8)
 
 
-def test_sandwich_rejects_oversized_generator_register_before_building(
-    small_pools, monkeypatch
-):
-    """n_so = 4 with 128 generator ladders: selector 8 + workspace 2 + 4 = 14."""
-    ham, gen = small_pools
-    gen = mixed_generator_pool(gen, extra=128 - gen.ell)
-    assert gen.ell == 128
+def test_sandwich_rejects_oversized_generator_register_before_building(monkeypatch):
+    """n_so = 8, 64 generator ladders: 2**(7 + 2 + 8) rows x 2**8 columns.
+
+    The Hamiltonian batch (2**16 rows x 2**8 columns) fits exactly.
+    """
+    instance = synth_instance(7, 4, 2)
+    ham = build_hamiltonian_pool(instance, 1e-8, 0.0)
+    gen = nested_svd_t2(mp2_amplitudes(instance), 1e-6, 1e-6)
+    gen = mixed_generator_pool(gen, n_so=8, extra=64 - gen.ell)
+    assert gen.ell == 64
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("encoding assembled before the size check")
+        raise AssertionError("encoding built before the size check")
 
     for module, name in FORBIDDEN_BEFORE_SIZE_CHECK:
         monkeypatch.setattr(module, name, forbidden)
-    sector = list(jw.sector_indices(4, 2))
-    with pytest.raises(ShapeError, match="generator encoding needs 14 qubits.*allows 13"):
+    sector = list(jw.sector_indices(8, 2))
+    message = f"generator column batch needs {2**25} .*allows {COLUMN_LIMIT}"
+    with pytest.raises(ShapeError, match=message):
         me.similarity_sandwich(ham, gen, frozenset([1]), sector, 1e-9)
+
+
+def test_sandwich_on_six_modes(medium_instance):
+    """n_so = 6: a 14-qubit Hamiltonian encoding, run on its 64 columns."""
+    ham = build_hamiltonian_pool(medium_instance, 1e-8, 0.0)
+    gen = nested_svd_t2(mp2_amplitudes(medium_instance), 1e-6, 1e-6)
+    assert cir.hamiltonian_ancillas(cir.one_pool_skeleton(ham, None)) + 6 == 14
+    sector = list(jw.sector_indices(6, 2))
+    for mask in (frozenset(), frozenset([1])):
+        rep, block = me.similarity_sandwich(ham, gen, mask, sector, 1e-8)
+        assert rep.within_budget
+        assert np.abs(block - block.conj().T).max() <= 1e-10
+
+
+def test_block_consumers_never_assemble(small_pools, mixed_gen_pool, monkeypatch):
+    """The sandwich and exp(sigma) pass with every assembly path disabled."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("encoding assembled")
+
+    monkeypatch.setattr(oracle._Node, "tocsr", forbidden)
+    for name in ("execute_hamiltonian_encoding", "execute_generator_encoding"):
+        monkeypatch.setattr(cir, name, forbidden)
+    ham, _ = small_pools
+    sector = list(jw.sector_indices(4, 2))
+    mask = frozenset([1, 2])
+    rep, _ = me.similarity_sandwich(ham, mixed_gen_pool, mask, sector, 1e-9)
+    assert rep.within_budget
+    _, exp_rep = qsp.exp_sigma_block(mixed_gen_pool, mask, 1e-10)
+    assert exp_rep.measured_deviation <= exp_rep.eps_poly + 1e-12
 
 
 def test_sandwich_builds_each_dense_target_once(small_pools, mixed_gen_pool,

@@ -129,6 +129,69 @@ def test_channel_square_matches_dense_square():
     assert_unitary(w)
 
 
+def _plain_bilinear(u, v, n):
+    """``a^dag(u) a(v)`` as the sum of sparse ladder products."""
+    cr, an = jw.jw_ladder_ops(n)
+    au = sum(u[p] * cr[p] for p in range(n))
+    av = sum(np.conj(v[q]) * an[q] for q in range(n))
+    return (au @ av).toarray()
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_dense_references_match_plain_sums(n):
+    """The scattered bilinear pattern equals the plain ladder sums."""
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        u, v = unit(rng, n), unit(rng, n)
+        dense = oracle.dense_bilinear(u, v, n)
+        assert np.abs(dense - _plain_bilinear(u, v, n)).max() <= 1e-14
+    pool = build_hamiltonian_pool(synth_instance(7, n // 2, 2), 1e-10, 0.0)
+    assert pool.channels
+    for lad in pool.channels:
+        ch = lad.channel
+        plain = sum(
+            ch.eigvals[xi] * _plain_bilinear(ch.rotation[:, xi], ch.rotation[:, xi], n)
+            for xi in range(ch.rank)
+        )
+        assert np.abs(oracle.channel_operator(ch, n) - plain).max() <= 1e-14
+
+
+def test_cached_leaves_unchanged_by_verify_and_sandwich(
+    small_pools, mixed_gen_pool, tmp_path
+):
+    """The angle-free leaves are built once, read-only, and never altered."""
+    from composer import cli, mask_engine
+
+    leaves = {
+        "flag_copy": (oracle._flag_copy, (0, 4)),
+        "vacuum_reflection": (oracle.vacuum_reflection_gadget, (4,)),
+        "null_branch": (oracle.null_branch, (4,)),
+    }
+    cached = {name: build(*args) for name, (build, args) in leaves.items()}
+    before = {
+        name: [arr.tobytes() for arr in (m.data, m.indices, m.indptr)]
+        for name, m in cached.items()
+    }
+    pool, skel, sheet = (tmp_path / f for f in ("pool.json", "skel.json", "dial.json"))
+    assert cli.main(["factorize", "--synth", "7:2:2", "--out", str(pool)]) == 0
+    assert cli.main(["compile", "--pool", str(pool), "--out", str(skel)]) == 0
+    assert cli.main(["dial", "--skel", str(skel), "--pool", str(pool),
+                     "--mask", "1", "--out", str(sheet)]) == 0
+    assert cli.main(["verify", "--skel", str(skel), "--dial", str(sheet)]) == 0
+    ham, _ = small_pools
+    sector = list(jw.sector_indices(4, 2))
+    rep, _ = mask_engine.similarity_sandwich(
+        ham, mixed_gen_pool, frozenset([1, 2]), sector, 1e-9
+    )
+    assert rep.within_budget
+    for name, (build, args) in leaves.items():
+        leaf = cached[name]
+        assert build(*args) is leaf
+        arrays = (leaf.data, leaf.indices, leaf.indptr)
+        assert not any(arr.flags.writeable for arr in arrays)
+        assert [arr.tobytes() for arr in arrays] == before[name]
+
+
 def test_flag_identity_exact():
     # <0_f| X_f CNOT |0_f> equals the occupation operator as matrices
     n = 2
