@@ -1,36 +1,58 @@
-"""Assemble and verify the three adaptor families and the full multiplex.
+"""Execute and verify the adaptor families and the full multiplex.
 
-Every unitary is built as a sparse matrix from its defining construction,
-and its block is checked against the dense operator it encodes,
-restricted to the working particle-number sector.
+Every adaptor comes from the dialed fabric: one skeleton is compiled for
+a Hamiltonian pool and a generator pool, dialed once, and each adaptor's
+branch is executed from the dial sheet alone (``execute_adaptor``).  Its
+block is checked against the dense operator it encodes, restricted to the
+working particle-number sector.
 """
 
 import numpy as np
 from scipy import sparse
 
+from composer import circuit_ir as cir
 from composer import oracle
-from composer.factorization import build_hamiltonian_pool
+from composer.factorization import (
+    build_hamiltonian_pool,
+    generator_branch_alpha,
+    mp2_amplitudes,
+    nested_svd_t2,
+)
 from composer.integrals import synth_instance
 
-rng = np.random.default_rng(1)
-n = 4
-
-# 1. one-ancilla dyad adaptor |u><v| via the vacuum-reflection gadget
-u = rng.normal(size=n) + 1j * rng.normal(size=n)
-u /= np.linalg.norm(u)
-v = rng.normal(size=n) + 1j * rng.normal(size=n)
-v /= np.linalg.norm(v)
-w, rep = oracle.dyad_block_encoding(u, v, 0.8, n)
-print(f"dyad adaptor: alpha = {rep.alpha}, ancillas = {rep.ancillas}, "
-      f"restricted error = {rep.measured_error:.2e}")
-
-# 2. squared diagonalized channel adaptor
 ints = synth_instance(4, 2, 2)
+n = ints.n_so
 pool = build_hamiltonian_pool(ints, 1e-10, 0.0)
-ch = pool.channels[0].channel
-w2, rep2 = oracle.channel_block_encoding(ch, n, squared=True)
-print(f"channel adaptor: Gamma^2 = {rep2.alpha:.4f}, "
-      f"ancillas = {rep2.ancillas}, error = {rep2.measured_error:.2e}")
+gen = nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0)
+plan = cir.pivots_from_pools(pool, gen)
+skel = cir.compile_skeleton(pool.ell, gen.ell, n, plan)
+sheet = cir.dial(skel, pool, gen, [lad.address for lad in gen.ladders])
+
+
+def report(label, w, target, sector):
+    ancillas = int(np.log2(w.shape[0])) - n
+    err = oracle.restricted_block_error(
+        w, oracle.FockOperator(target, n), ancillas, sector=sector
+    )
+    gram = w.conj().T @ w - sparse.identity(w.shape[0])
+    print(f"{label}: ancillas = {ancillas}, restricted error = {err:.2e}, "
+          f"unitarity = {abs(gram).max():.2e}")
+
+
+# 1. pair adaptor: the dyad |U><V| of two prepared two-electron states
+#    through the vacuum-reflection gadget, in the Hermitian form i(L - L^dag)/2
+lad = gen.ladders[0]
+ell = oracle.dense_generator_ladder(lad, gen.n_occ, n)
+report(f"dyad (pair) adaptor gen/{lad.address}",
+       cir.execute_adaptor(skel, sheet, f"gen/{lad.address}"),
+       1j * (ell - ell.conj().T) / generator_branch_alpha(lad), gen.sector)
+
+# 2. squared diagonalized channel adaptor: O^2 / Gamma^2
+lad = pool.channels[0]
+o_mu = oracle.channel_operator(lad.channel, n)
+report(f"channel adaptor ham/{lad.address} (Gamma^2 = {lad.channel.gamma**2:.4f})",
+       cir.execute_adaptor(skel, sheet, f"ham/{lad.address}"),
+       o_mu @ o_mu / lad.channel.gamma**2, pool.n_elec)
 
 # 3. the binary-multiplexed Hamiltonian: block = H / alpha on the sector
 wh, reph = oracle.hamiltonian_block_encoding(pool)

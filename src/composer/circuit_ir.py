@@ -816,8 +816,7 @@ def execute_generator_block(skel, sheet):
 
 def _generator_select(skel, sheet):
     """Generator PREP-SELECT-PREP node; checks the fingerprint and the PREP norm."""
-    if sheet.skeleton_fingerprint != skel.fingerprint:
-        raise BindError("dial sheet bound to a different skeleton fingerprint")
+    _check_fingerprint(skel, sheet)
     n = skel.n_system
     omegas = sheet.classical_coeffs["omega"]
     branch_ops = []
@@ -835,7 +834,7 @@ def _generator_select(skel, sheet):
     if abs(norm - 1.0) > 1e-9:
         raise BindError(f"generator prep amplitudes have norm {norm!r}")
     return oracle._prep_select_prep(
-        amps, branch_ops, branch_phases, n, workspace=generator_workspace_width(skel)
+        amps, branch_ops, branch_phases, n, generator_workspace_width(skel)
     )
 
 
@@ -869,6 +868,35 @@ def _ham_branch_from_bindings(sheet, ad, n):
     raise ValidationError(f"unknown hamiltonian adaptor kind {ad.kind!r}")
 
 
+def execute_adaptor(skel, sheet, address):
+    """Sparse (CSR) branch unitary of one adaptor, rebuilt from a dial sheet.
+
+    ``address`` is the adaptor's slot prefix, ``"ham/<a>"`` or
+    ``"gen/<a>"``.  The branch is the one the multiplexed encoding selects
+    (the same builder), on its own workspace plus the system register and
+    without its coefficient sign, so its block is the adaptor's
+    normalized ladder term.
+    """
+    side = address.partition("/")[0]
+    adaptors = {"ham": skel.adaptors_ham, "gen": skel.adaptors_gen}.get(side, ())
+    ad = next((a for a in adaptors if f"{side}/{a.address}" == address), None)
+    if ad is None:
+        raise BindError(f"no adaptor at {address!r} in the skeleton")
+    if side == "ham":
+        plan = CompilePlan(ham=(ad,), gen=())
+    else:  # the null flip is the one-qubit floor of plan_workspace_width
+        plan = CompilePlan(ham=(), gen=() if ad.kind == "null" else (ad,))
+    oracle.check_assembly_width(plan_workspace_width(plan) + skel.n_system)
+    _check_fingerprint(skel, sheet)
+    build = _ham_branch_from_bindings if side == "ham" else _gen_branch_from_bindings
+    return build(sheet, ad, skel.n_system).tocsr()
+
+
+def _check_fingerprint(skel, sheet):
+    if sheet.skeleton_fingerprint != skel.fingerprint:
+        raise BindError("dial sheet bound to a different skeleton fingerprint")
+
+
 def execute_hamiltonian_encoding(skel, sheet):
     """Sparse (CSR) rebuild of the Hamiltonian encoding from a dial sheet."""
     oracle.check_assembly_width(hamiltonian_ancillas(skel) + skel.n_system)
@@ -883,8 +911,7 @@ def execute_hamiltonian_block(skel, sheet):
 
 def _hamiltonian_select(skel, sheet):
     """Hamiltonian PREP-SELECT-PREP node; checks the fingerprint and the PREP norm."""
-    if sheet.skeleton_fingerprint != skel.fingerprint:
-        raise BindError("dial sheet bound to a different skeleton fingerprint")
+    _check_fingerprint(skel, sheet)
     n = skel.n_system
     branch_ops = []
     branch_phases = []
@@ -904,5 +931,5 @@ def _hamiltonian_select(skel, sheet):
     if abs(norm - 1.0) > 1e-9:
         raise BindError(f"hamiltonian prep amplitudes have norm {norm!r}")
     return oracle._prep_select_prep(
-        amps, branch_ops, branch_phases, n, workspace=skel.workspace_width
+        amps, branch_ops, branch_phases, n, skel.workspace_width
     )

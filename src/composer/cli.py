@@ -199,7 +199,7 @@ def cmd_verify(args):
     report = {
         "format": oracle.REPORT_FORMAT,
         "alpha": sheet.classical_coeffs["alpha_bar"],
-        "ancillas": skel.selector_width + skel.workspace_width,
+        "ancillas": cir.generator_ancillas(skel),
         "measured_error": err,
         "unitarity": unitarity,
         "sector_preserving": bool(sector_ok),

@@ -25,6 +25,9 @@ from .errors import (
     ValidationError,
 )
 
+# relative slack on the sandwich's additive budget 2 eps_exp + eps_ham
+BUDGET_SLACK = 0.10
+
 
 @dataclass(frozen=True)
 class EffectiveHamiltonianReport:
@@ -80,20 +83,19 @@ def model_space_projector(indices, n, n_elec):
     return proj
 
 
-def similarity_sandwich(ham_pool, gen_pool, mask, model_space, eps_poly,
-                        alpha_bar=None, budget_slack=0.10):
+def similarity_sandwich(ham_pool, gen_pool, mask, model_space, eps_poly):
     """Compute and verify one masked effective-Hamiltonian block.
 
     Returns ``(report, block)`` where ``block`` approximates
     ``exp(-sigma) H exp(sigma) / alpha`` on the system register and the
     report compares the model-space restriction against the
     eigendecomposition-exact sandwich, checking the additive budget
-    ``2 eps_exp + eps_ham`` at the requested slack.
+    ``2 eps_exp + eps_ham`` at the slack :data:`BUDGET_SLACK`.  The
+    generator is normalized by the full pool's ``alpha_bar``.
     """
     n = ham_pool.n_so
     n_elec = ham_pool.n_elec
     mask_indices = frozenset(getattr(mask, "indices", mask))
-    alpha_bar = gen_pool.alpha_bar if alpha_bar is None else float(alpha_bar)
     # both encodings run on one-pool skeletons; both column batches are
     # checked before either is dialed or run
     ham_skel = circuit_ir.one_pool_skeleton(ham_pool, None)
@@ -110,13 +112,13 @@ def similarity_sandwich(ham_pool, gen_pool, mask, model_space, eps_poly,
         b_block, oracle.FockOperator(h_exact, n), 0, sector=n_elec
     )
 
-    sheet = circuit_ir.dial(gen_skel, None, gen_pool, mask_indices, alpha_bar=alpha_bar)
+    sheet = circuit_ir.dial(gen_skel, None, gen_pool, mask_indices)
     exp_exact = qsp.exact_exponential(
         oracle.generator_dense(gen_pool, mask_indices).matrix
     )
     e_block, exp_rep = qsp.exp_encoded_block(
         circuit_ir.execute_generator_block(gen_skel, sheet),
-        exp_exact, alpha_bar, eps_poly, gen_pool.sector,
+        exp_exact, gen_pool.alpha_bar, eps_poly, gen_pool.sector,
     )
     eps_exp = exp_rep.measured_deviation
 
@@ -127,7 +129,7 @@ def similarity_sandwich(ham_pool, gen_pool, mask, model_space, eps_poly,
     delta = proj @ (sandwich - exact) @ proj
     measured = float(np.linalg.norm(delta, 2))
     budget = 2.0 * eps_exp + eps_ham
-    within = measured <= budget * (1.0 + budget_slack) + 1e-13
+    within = measured <= budget * (1.0 + BUDGET_SLACK) + 1e-13
     report = EffectiveHamiltonianReport(
         mask_id=getattr(mask, "label", "mask"),
         alpha=ham_pool.alpha,

@@ -9,9 +9,12 @@ sparse (CSR) unitary for unitarity checks.  The block is checked against
 the dense operator it is supposed to encode, built independently from
 Jordan-Wigner ladder operators and restricted to the working sector.
 
-The pool encoders do not build their own branches: each compiles a
-skeleton for its one pool, dials it and executes the dial sheet
-(:mod:`circuit_ir`), then measures the result against its dense target.
+The gadget builders here are the only ones, and in the program only
+:mod:`circuit_ir` execution calls them, with angles read from a dial
+sheet.  Each pool encoder (and :func:`channel_block_encoding`, for one
+channel) compiles a skeleton for its one pool, dials it and executes the
+dial sheet, then measures the result against its dense target.  One
+adaptor's branch alone comes from :func:`circuit_ir.execute_adaptor`.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
+from .factorization import ChannelLadder, HamiltonianPool
 from .jw import jw_ladder_ops, sector_indices  # re-exported oracle surface
 
 REPORT_FORMAT = "composer-report-v1"
@@ -63,7 +67,6 @@ class BlockEncodingReport:
     ancillas: int
     measured_error: float
     sector: str
-    flags: tuple = ()
     budget: dict | None = None
 
     def to_json(self):
@@ -73,7 +76,6 @@ class BlockEncodingReport:
             "ancillas": self.ancillas,
             "measured_error": self.measured_error,
             "sector": self.sector,
-            "flags": list(self.flags),
             "budget": self.budget,
         }
         return json.dumps(doc, sort_keys=True)
@@ -225,12 +227,12 @@ def extract_block(w, n):
     return sparse.csr_matrix(w)[:dim, :dim].toarray()
 
 
-def restricted_block_error(w, target, ancilla_count, sector=None, projector=None):
+def restricted_block_error(w, target, ancilla_count, sector=None):
     """Spectral norm of the encoded-block deviation on the working subspace.
 
     Extracts the all-ancilla-zero block, subtracts the (already scaled)
-    target, sandwiches with the particle-number-sector projector and the
-    optional model-space projector, and returns the 2-norm.
+    target, sandwiches with the particle-number-sector projector (when a
+    sector is given) and returns the 2-norm.
     """
     n = target.n
     if w.shape[0] != 2 ** (ancilla_count + n):
@@ -241,8 +243,6 @@ def restricted_block_error(w, target, ancilla_count, sector=None, projector=None
     if sector is not None:
         diag = jw.sector_projector_diagonal(n, sector)
         delta = delta * diag[:, None] * diag[None, :]
-    if projector is not None:
-        delta = projector @ delta @ projector
     return float(np.linalg.norm(delta, 2))
 
 
@@ -430,14 +430,14 @@ def check_assembly_width(qubits):
         )
 
 
-def _prep_select_prep(amplitudes, branch_ops, branch_phases, n, workspace=None):
+def _prep_select_prep(amplitudes, branch_ops, branch_phases, n, workspace):
     """``(PREP^T (x) I) W_sel (PREP (x) I)`` as a gadget node.
 
     ``branch_ops[s]`` is the unitary (sparse or a node) of selector value
     ``s`` on its own workspace + system register (``None`` means identity);
-    workspace widths are equalized by padding most-significant identity
-    ancillas.  ``PREP`` is the real Householder reflection, so its zero
-    entries (unloaded addresses) add no fill.
+    each is padded with most-significant identity ancillas to the shared
+    ``workspace`` width.  ``PREP`` is the real Householder reflection, so
+    its zero entries (unloaded addresses) add no fill.
     """
     n_states = len(amplitudes)
     if n_states & (n_states - 1):
@@ -451,16 +451,15 @@ def _prep_select_prep(amplitudes, branch_ops, branch_phases, n, workspace=None):
         0 if op is None else int(np.log2(op.shape[0] // dim_sys))
         for op in branch_ops
     ]
-    t = workspace if workspace is not None else max(widths, default=0)
-    if any(wd > t for wd in widths):
+    if any(wd > workspace for wd in widths):
         raise ShapeError("branch workspace exceeds the shared width")
     branches = [None] * n_states
     for s, op in enumerate(branch_ops):
         if op is not None:
             phase = branch_phases[s] if s < len(branch_phases) else 1.0
-            branches[s] = _Lift(op, t - widths[s], phase)
+            branches[s] = _Lift(op, workspace - widths[s], phase)
     prep = _householder_prep(amplitudes)
-    return _PrepSelectPrep(prep, branches, int(np.log2(n_states)) + t + n)
+    return _PrepSelectPrep(prep, branches, int(np.log2(n_states)) + workspace + n)
 
 
 def index_width(r):
@@ -511,7 +510,7 @@ def occupation_select(gadgets, amps, phases, n):
     amps = np.asarray(amps, dtype=float)
     if np.linalg.norm(amps) < 1e-12:
         amps = np.eye(len(amps))[0]
-    return _prep_select_prep(amps, gadgets, phases, n, workspace=1)
+    return _prep_select_prep(amps, gadgets, phases, n, 1)
 
 
 def rotated_diagonal_gadget(net, amps, phases, n):
@@ -524,7 +523,7 @@ def rotated_diagonal_gadget(net, amps, phases, n):
     loaded = np.zeros(2 ** (t - 1))
     loaded[:r] = amps
     ops = [_flag_copy(xi, n) for xi in range(r)]
-    gadget = _prep_select_prep(loaded, ops, phases, n, workspace=1)
+    gadget = _prep_select_prep(loaded, ops, phases, n, 1)
     lifted = _Lift(ladders.network_unitary(net), t)
     return _Product(lifted, gadget, _Adjoint(lifted)), t
 
@@ -550,98 +549,7 @@ def hermitian_dyad_branch(su, sv, n):
     """
     w_l = dyad_gadget(su, sv, n)
     amps = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    return _prep_select_prep(amps, [w_l, _Adjoint(w_l)], [1j, -1j], n, workspace=1)
-
-
-def dyad_block_encoding(u, v, lam, n, pivot_u=None, pivot_v=None):
-    """Single-ancilla block encoding of the one-electron dyad ``|u><v|``.
-
-    The vacuum-reflection gadget conjugated by the two prep-form ladders;
-    the encoded block equals the dyad exactly on the one-excitation
-    sector.  ``lam`` only sets the reported normalization (``alpha = lam``);
-    a zero coefficient falls back to ``alpha = 1`` and is flagged.
-    """
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if lam < 0:
-        raise ValidationError("lam must be nonnegative")
-    su = ladders.one_electron_angles(u, pivot=pivot_u, n=n)
-    sv = ladders.one_electron_angles(v, pivot=pivot_v, n=n)
-    w = dyad_gadget(su, sv, n).tocsr()
-    flags = ()
-    alpha = lam
-    if lam == 0.0:
-        alpha = 1.0
-        flags = ("DegenerateCoefficient",)
-        target = FockOperator(np.zeros((2**n, 2**n), dtype=complex), n)
-    else:
-        target = FockOperator(dyad_matrix(u, v, n), n, tag="dyad")
-    err = restricted_block_error(w, target, 1, sector=1)
-    return w, BlockEncodingReport(
-        alpha=alpha, ancillas=1, measured_error=err, sector="N=1", flags=flags
-    )
-
-
-def dyad_matrix(u, v, n):
-    """Dense ``|u><v|`` over one-electron basis states."""
-    dim = 2**n
-    pu = np.zeros(dim, dtype=complex)
-    pv = np.zeros(dim, dtype=complex)
-    for p in range(n):
-        pu[jw.basis_state(n, [p])] = u[p]
-        pv[jw.basis_state(n, [p])] = v[p]
-    return np.outer(pu, pv.conj())
-
-
-def pair_dyad_block_encoding(u_pairs, v_pairs, lam, n, pivot_u=None, pivot_v=None):
-    """Single-ancilla block encoding of the two-electron dyad ``|U><V|``."""
-    su = ladders.two_electron_angles(u_pairs, pivot_pair=pivot_u, n=n)
-    sv = ladders.two_electron_angles(v_pairs, pivot_pair=pivot_v, n=n)
-    w = dyad_gadget(su, sv, n).tocsr()
-    target = FockOperator(pair_dyad_matrix(u_pairs, v_pairs, n), n, tag="pair dyad")
-    err = restricted_block_error(w, target, 1, sector=2)
-    return w, BlockEncodingReport(
-        alpha=lam, ancillas=1, measured_error=err, sector="N=2"
-    )
-
-
-def pair_dyad_matrix(u_pairs, v_pairs, n):
-    """Dense ``|U><V|`` over two-electron basis states."""
-    dim = 2**n
-    pu = np.zeros(dim, dtype=complex)
-    pv = np.zeros(dim, dtype=complex)
-    for k, (p, q) in enumerate(ladders.pair_indices(n)):
-        pu[jw.basis_state(n, [p, q])] = u_pairs[k]
-        pv[jw.basis_state(n, [p, q])] = v_pairs[k]
-    return np.outer(pu, pv.conj())
-
-
-def occupation_gadget(w_vec, n):
-    """Flagged encoding of the rotated occupation ``n_w`` (one ancilla).
-
-    The number-conserving ladder for ``w`` conjugates a flag-copy gadget
-    ``X_f CNOT_{pivot->f}``; the flag-zero block is ``n_w`` exactly on
-    every particle sector.
-    """
-    sched = ladders.one_electron_angles(w_vec, n=n).as_number_conserving()
-    return flagged_occupation(sched, n).tocsr()
-
-
-def diagonal_one_body_encoding(eigvals, rotation_full, n):
-    """PREP-SELECT-PREP encoding of ``sum_xi lambda_xi n_(xi)`` rotated.
-
-    Index register of width ``ceil(log2 R)`` loads ``sqrt(|lambda|/Gamma)``
-    amplitudes; each branch is a flag-copy gadget on the corresponding
-    mode with the eigenvalue sign as a branch phase; the shared basis
-    rotation conjugates the whole gadget.  The encoded block equals the
-    operator divided by ``Gamma = sum |lambda|`` exactly.
-    """
-    if len(eigvals) == 0:
-        raise ValidationError("empty eigenvalue list")
-    amps, signs, gamma = signed_loading(eigvals)
-    net = ladders.rotation_network_from_matrix(rotation_full)
-    w, t = rotated_diagonal_gadget(net, amps, signs, n)
-    return w.tocsr(), gamma, t
+    return _prep_select_prep(amps, [w_l, _Adjoint(w_l)], [1j, -1j], n, 1)
 
 
 def reflect_about_ancilla_vacuum(t, n):
@@ -665,30 +573,26 @@ def squared_block_gadget(w, t, n):
     return _PrepSelectPrep(_H2, [double, None], t + 1 + n)
 
 
-def channel_block_encoding(ch, n, squared=True):
-    """Deterministic block encoding of a diagonalized Cholesky channel.
+def channel_block_encoding(ch, n):
+    """Squared channel adaptor, executed on the fabric of a one-channel pool.
 
-    Unsquared form encodes ``O_mu / Gamma_mu`` with ``a_I + 1`` ancillas;
-    the squared form adds one signal qubit and encodes
-    ``O_mu^2 / Gamma_mu^2``.
+    Compiles, dials and executes ``ham/0`` of that pool and measures the
+    block against ``O_mu^2 / Gamma_mu^2`` on every particle sector.
     """
     if ch.eigvals is None:
         raise ValidationError("channel must be eigendecomposed first")
     if ch.rank == 0:
         raise ValidationError("channel has no retained eigenmodes")
-    w, gamma, t = diagonal_one_body_encoding(ch.eigvals, ch.rotation_full, n)
+    # the channel block is exact on every sector, so n_elec is never read
+    pool = HamiltonianPool((), (ChannelLadder(ch, 1.0, 0),), n_so=n, n_elec=0)
+    skel = circuit_ir.one_pool_skeleton(pool, None)
+    w = circuit_ir.execute_adaptor(skel, circuit_ir.dial(skel, pool, None, ()), "ham/0")
     o_mu = channel_operator(ch, n)
-    if not squared:
-        target = FockOperator(o_mu / gamma, n, tag="channel")
-        err = restricted_block_error(w, target, t)
-        return w, BlockEncodingReport(
-            alpha=gamma, ancillas=t, measured_error=err, sector="all"
-        )
-    w2 = squared_block_gadget(w, t, n).tocsr()
-    target = FockOperator(o_mu @ o_mu / gamma**2, n, tag="channel squared")
-    err = restricted_block_error(w2, target, t + 1)
-    return w2, BlockEncodingReport(
-        alpha=gamma**2, ancillas=t + 1, measured_error=err, sector="all"
+    target = FockOperator(o_mu @ o_mu / ch.gamma**2, n, tag="channel squared")
+    ancillas = int(np.log2(w.shape[0])) - n
+    err = restricted_block_error(w, target, ancillas)
+    return w, BlockEncodingReport(
+        alpha=ch.gamma**2, ancillas=ancillas, measured_error=err, sector="all"
     )
 
 
@@ -696,76 +600,6 @@ def channel_operator(ch, n):
     """Dense ``O_mu = sum_xi lambda_xi n_(mu xi)``, scattered once."""
     w = ch.rotation
     return _bilinear_sum((w * ch.eigvals) @ w.conj().T, n)
-
-
-# ---------------------------------------------------------------------------
-# multiplexing
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LCUBranch:
-    """One multiplexed branch: coefficient, block-encoding unitary, its alpha."""
-
-    omega: complex
-    unitary: sparse.csr_matrix
-    alpha: float
-
-
-def lcu_multiplex(branches, n, selector_width=None, target=None, sector=None):
-    """Binary-multiplexed PREP-SELECT-PREP combination of branch encodings.
-
-    PREP loads ``sqrt(|Omega_s| alpha_s / alpha)``; coefficient phases ride
-    on the SELECT branches.  The encoded block is
-    ``sum_s Omega_s L_s / alpha`` with ``alpha = sum_s |Omega_s| alpha_s``.
-    """
-    if not branches:
-        raise ValidationError("at least one branch required")
-    weights = np.array([abs(b.omega) * b.alpha for b in branches])
-    alpha = float(weights.sum())
-    if alpha <= 0:
-        raise ValidationError("all branch weights vanish")
-    width = selector_width
-    if width is None:
-        width = index_width(len(branches))
-    if 2**width < len(branches):
-        raise CapacityError(
-            f"{len(branches)} branches exceed selector capacity 2**{width}"
-        )
-    amps = np.zeros(2**width)
-    amps[: len(branches)] = np.sqrt(weights / alpha)
-    phases = [
-        b.omega / abs(b.omega) if abs(b.omega) > 0 else 1.0 for b in branches
-    ]
-    t = max(int(np.log2(b.unitary.shape[0] // 2**n)) for b in branches)
-    if width == 0:
-        w = phases[0] * branches[0].unitary
-    else:
-        w = _prep_select_prep(
-            amps, [b.unitary for b in branches], phases, n, workspace=t
-        ).tocsr()
-    err = float("nan")
-    if target is not None:
-        err = restricted_block_error(w, target, width + t, sector=sector)
-    return w, BlockEncodingReport(
-        alpha=alpha,
-        ancillas=width + t,
-        measured_error=err,
-        sector="all" if sector is None else f"N={sector}",
-    )
-
-
-def mode_group_encoding(vectors, n):
-    """Encoding of ``sum_j sign_j n(w_j) / m`` over a small mode group.
-
-    A single mode reduces to the flagged occupation gadget; two modes ride
-    a one-qubit sub-selector with equal amplitudes, each realized through
-    its own number-conserving ladder.  Exact on every particle sector.
-    """
-    m = vectors.shape[1]
-    gadgets = [occupation_gadget(vectors[:, j], n) for j in range(m)]
-    amps = np.full(m, 1.0 / np.sqrt(m))
-    return occupation_select(gadgets, amps, [1.0] * m, n).tocsr()
 
 
 def _measured(w, target, alpha, ancillas, sector):

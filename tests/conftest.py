@@ -7,6 +7,7 @@ from composer.factorization import (
     BilinearLadder,
     GeneratorPool,
     build_hamiltonian_pool,
+    generator_branch_alpha,
     mp2_amplitudes,
     nested_svd_t2,
 )
@@ -83,3 +84,31 @@ def assert_encodes(w, target, n, sector):
     assert np.abs(delta).max() <= 1e-10
     gram = w.conj().T @ w - sparse.identity(w.shape[0], format="csr")
     assert abs(gram).max() <= 1e-11
+
+
+def adaptor_targets(ham, gen):
+    """Dense per-ladder target of every adaptor, keyed by its slot prefix.
+
+    Built from the pools, independently of the gadgets: a one-body mode
+    encodes ``sum_j n(w_j) / m``, a channel ``O^2 / Gamma^2``, and a pair
+    or bilinear ladder ``i(L - L^dag) / generator_branch_alpha``.  Either
+    pool may be ``None``.
+    """
+    out = {}
+    if ham is not None:
+        n = ham.n_so
+        for lad in ham.one_body:
+            modes = [lad.vectors[:, j] for j in range(lad.multiplicity)]
+            out[f"ham/{lad.address}"] = sum(
+                oracle.dense_bilinear(w, w, n) for w in modes
+            ) / len(modes)
+        for lad in ham.channels:
+            o_mu = oracle.channel_operator(lad.channel, n)
+            out[f"ham/{lad.address}"] = o_mu @ o_mu / lad.channel.gamma**2
+    if gen is not None:
+        for lad in gen.ladders:
+            ell = oracle.dense_generator_ladder(lad, gen.n_occ, gen.n_so)
+            out[f"gen/{lad.address}"] = (
+                1j * (ell - ell.conj().T) / generator_branch_alpha(lad)
+            )
+    return out

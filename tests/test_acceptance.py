@@ -7,6 +7,7 @@ numerical bounds.
 
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from composer.factorization import (
 )
 from composer.integrals import parse_fcidump, synth_instance
 from composer.resources import block_cost
-from conftest import assert_encodes, mixed_generator_pool
+from conftest import adaptor_targets, assert_encodes, mixed_generator_pool
 
 
 def _stamp(label, t0, budget):
@@ -96,64 +97,89 @@ def test_c02_ladder_exactness():
     _stamp("2 ladder exactness", t0, 30.0)
 
 
+def _perturbed_modes(vectors, rng, scale):
+    """Mode columns moved by ``scale`` random noise, then re-orthonormalized."""
+    cols = []
+    for j in range(vectors.shape[1]):
+        w = vectors[:, j] + scale * (
+            rng.normal(size=len(vectors)) + 1j * rng.normal(size=len(vectors))
+        )
+        for prev in cols:
+            w = w - np.vdot(prev, w) * prev
+        cols.append(w / np.linalg.norm(w))
+    return np.stack(cols, axis=1)
+
+
 def test_c03_adaptor_and_multiplex_verification():
     t0 = time.monotonic()
     rng = np.random.default_rng(3)
-    # dyad encodings on n <= 4
-    for n in (2, 3, 4):
-        u = rng.normal(size=n) + 1j * rng.normal(size=n)
-        u /= np.linalg.norm(u)
-        v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        v /= np.linalg.norm(v)
-        _, rep = oracle.dyad_block_encoding(u, v, 1.0, n)
-        assert rep.measured_error <= 1e-10
-    # channel encodings: flagged-block identity and the squared form
-    ints = synth_instance(5, 2, 2)
-    pool = build_hamiltonian_pool(ints, 1e-10, 0.0)
-    n = ints.n_so
-    for lad in pool.channels:
-        ch = lad.channel
-        w1, rep1 = oracle.channel_block_encoding(ch, n, squared=False)
-        assert rep1.measured_error <= 1e-10
-        w2, rep2 = oracle.channel_block_encoding(ch, n, squared=True)
-        assert rep2.measured_error <= 1e-10
-    # multiplexed Hamiltonian within the additive error formula under
-    # injected branch errors
-    branches = []
-    eps_terms = []
-    for lad in pool.one_body:
-        cols = []
-        for j in range(lad.multiplicity):
-            w = lad.vectors[:, j].astype(complex)
-            w = w + 3e-6 * (rng.normal(size=n) + 1j * rng.normal(size=n))
-            cols.append(w / np.linalg.norm(w))
-        wb = oracle.mode_group_encoding(np.stack(cols, axis=1), n)
-        exact = sum(
-            oracle.dense_bilinear(lad.vectors[:, j], lad.vectors[:, j], n)
-            for j in range(lad.multiplicity)
-        ) / lad.multiplicity
-        target_s = oracle.FockOperator(exact, n)
-        eps_s = oracle.restricted_block_error(
-            wb, target_s, int(np.log2(wb.shape[0] // 2**n)), sector=pool.n_elec
+    # n_so = 4 and 6; the 14-qubit Hamiltonian encoding at n_so = 6 runs on
+    # its ancilla-zero columns instead of being assembled
+    for synth, assembled in (((5, 2, 2), True), ((7, 3, 2), False)):
+        ints = synth_instance(*synth)
+        n = ints.n_so
+        pool = build_hamiltonian_pool(ints, 1e-10, 0.0)
+        gen = mixed_generator_pool(
+            nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0), n_so=n
         )
-        branches.append(
-            oracle.LCUBranch(lad.coefficient, wb, float(lad.multiplicity))
+        # every adaptor of both pools, executed from dial data, against its
+        # own per-ladder target on the working sector
+        plan = cir.pivots_from_pools(pool, gen)
+        skel = cir.compile_skeleton(len(plan.ham), len(plan.gen), n, plan)
+        sheet = cir.dial(skel, pool, gen, [lad.address for lad in gen.ladders])
+        targets = adaptor_targets(pool, gen)
+        assert len(targets) == pool.ell + gen.ell
+        for address, target in targets.items():
+            w = cir.execute_adaptor(skel, sheet, address)
+            assert_encodes(w, target, n, pool.n_elec)
+
+        # multiplexed Hamiltonian within the additive error formula under
+        # injected one-body errors, dialed into the clean pool's fabric
+        skel = cir.one_pool_skeleton(pool, None)
+        h_target = oracle.FockOperator(
+            oracle.hamiltonian_from_pool(pool).matrix / pool.alpha, n
         )
-        eps_terms.append(abs(lad.coefficient) * lad.multiplicity * eps_s)
-    for lad in pool.channels:
-        wb, repb = oracle.channel_block_encoding(lad.channel, n, squared=True)
-        branches.append(oracle.LCUBranch(lad.coefficient, wb, repb.alpha))
-        eps_terms.append(abs(lad.coefficient) * repb.alpha * repb.measured_error)
-    target = oracle.FockOperator(
-        oracle.hamiltonian_from_pool(pool).matrix / pool.alpha, n
-    )
-    _, rep = oracle.lcu_multiplex(branches, n, target=target, sector=pool.n_elec)
-    bound = sum(eps_terms) / pool.alpha
-    assert rep.measured_error <= bound * (1 + 1e-6) + 1e-14
-    # and the unperturbed encoding is numerically exact
-    _, rep0 = oracle.hamiltonian_block_encoding(pool)
-    assert rep0.measured_error <= 1e-9
-    _stamp("3 dyad/channel/multiplex verification", t0, 120.0)
+
+        def multiplexed_error(sheet):
+            if assembled:
+                w = cir.execute_hamiltonian_encoding(skel, sheet)
+                ancillas = cir.hamiltonian_ancillas(skel)
+            else:
+                w, ancillas = cir.execute_hamiltonian_block(skel, sheet), 0
+            return oracle.restricted_block_error(
+                w, h_target, ancillas, sector=pool.n_elec
+            )
+
+        noisy = replace(
+            pool,
+            one_body=tuple(
+                replace(lad, vectors=_perturbed_modes(lad.vectors, rng, 3e-6))
+                for lad in pool.one_body
+            ),
+        )
+        sheet = cir.dial(skel, noisy, None, ())
+        eps_terms = []
+        for lad in pool.ladders:
+            address = f"ham/{lad.address}"
+            w = cir.execute_adaptor(skel, sheet, address)
+            eps_s = oracle.restricted_block_error(
+                w,
+                oracle.FockOperator(targets[address], n),
+                int(np.log2(w.shape[0])) - n,
+                sector=pool.n_elec,
+            )
+            if lad.kind == "one_body_mode":
+                alpha_s = lad.multiplicity
+            else:
+                alpha_s = lad.channel.gamma**2
+            eps_terms.append(abs(lad.coefficient) * alpha_s * eps_s)
+        assert noisy.alpha == pytest.approx(pool.alpha, rel=1e-14)
+        bound = sum(eps_terms) / pool.alpha
+        assert bound > 0.0
+        assert multiplexed_error(sheet) <= bound * (1 + 1e-6) + 1e-14
+        # and the unperturbed encoding is numerically exact
+        assert multiplexed_error(cir.dial(skel, pool, None, ())) <= 1e-9
+    _stamp("3 adaptor/multiplex verification", t0, 120.0)
 
 
 def test_c04_qsp_budget():

@@ -16,7 +16,7 @@ from composer.factorization import (
     nested_svd_t2,
 )
 from composer.integrals import synth_instance
-from conftest import assert_encodes, mixed_generator_pool
+from conftest import adaptor_targets, assert_encodes, mixed_generator_pool
 
 
 @pytest.fixture(scope="module")
@@ -230,8 +230,8 @@ def test_roundtrip_hamiltonian_execution(compiled):
     assert_encodes(w, hamiltonian_target(ham), skel.n_system, ham.n_elec)
 
 
-def _dial_random_prefix(ham, gen, skel, data):
-    """Dial the first ladders of each pool under a random mask."""
+def _random_prefix(ham, gen, data):
+    """The first ladders of each pool, and a random mask over the kept ones."""
     k_ham = data.draw(st.integers(1, ham.ell), label="hamiltonian ladders")
     k_gen = data.draw(st.integers(1, gen.ell), label="generator ladders")
     mask = data.draw(st.sets(st.integers(1, k_gen)), label="mask")
@@ -249,6 +249,12 @@ def _dial_random_prefix(ham, gen, skel, data):
         n_virt=gen.n_virt,
         n_elec=gen.n_elec,
     )
+    return ham, gen, mask
+
+
+def _dial_random_prefix(ham, gen, skel, data):
+    """Dial the first ladders of each pool under a random mask."""
+    ham, gen, mask = _random_prefix(ham, gen, data)
     return cir.dial(skel, ham, gen, cir.Mask.of("m", mask))
 
 
@@ -285,6 +291,34 @@ def test_generator_column_block_matches_assembly_n6(compiled_n6, data):
         cir.execute_generator_encoding(skel, sheet),
         skel.n_system,
     )
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_every_adaptor_encodes_its_ladder(small_pools, mixed_gen_pool, data):
+    """Compile -> dial -> execute_adaptor: each branch encodes its own ladder."""
+    ham, gen, mask = _random_prefix(small_pools[0], mixed_gen_pool, data)
+    plan = cir.pivots_from_pools(ham, gen)
+    n = ham.n_so
+    skel = cir.compile_skeleton(ham.ell, gen.ell, n, plan)
+    sheet = cir.dial(skel, ham, gen, mask)
+    targets = adaptor_targets(ham, gen)
+    assert len(targets) == ham.ell + gen.ell
+    for address, target in targets.items():
+        assert_encodes(cir.execute_adaptor(skel, sheet, address), target, n, ham.n_elec)
+    null = cir.execute_adaptor(skel, sheet, "gen/0")
+    assert_encodes(null, np.zeros((2**n, 2**n)), n, ham.n_elec)
+
+
+def test_execute_adaptor_rejects_unknown_address_and_foreign_sheet(compiled):
+    ham, gen, skel = compiled
+    sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", [1]))
+    for address in ("ham/99", "gen/99", "qsp/0", "ham"):
+        with pytest.raises(BindError, match="no adaptor"):
+            cir.execute_adaptor(skel, sheet, address)
+    other = cir.one_pool_skeleton(ham, None)
+    with pytest.raises(BindError, match="fingerprint"):
+        cir.execute_adaptor(other, sheet, "ham/0")
 
 
 def test_one_pool_skeletons_dial_only_their_pool(compiled):

@@ -144,6 +144,26 @@ def test_verify_sees_a_perturbed_product(pipeline, monkeypatch, perturb):
     assert report["passed"] is False
 
 
+@pytest.mark.parametrize("synth", ["7:2:2", "5:3:2"])
+def test_verify_reports_the_ancillas_of_the_checked_encoding(tmp_path, synth):
+    """``ancillas`` is the width of the ``W`` that verify checks, not the skeleton's."""
+    pool, skel, sheet, report = (
+        tmp_path / name for name in ("pool.json", "skel.json", "dial.json", "rep.json")
+    )
+    assert run(["factorize", "--synth", synth, "--out", str(pool)]) == 0
+    assert run(["compile", "--pool", str(pool), "--out", str(skel)]) == 0
+    assert run(["dial", "--skel", str(skel), "--pool", str(pool),
+                "--out", str(sheet)]) == 0
+    assert run(["verify", "--skel", str(skel), "--dial", str(sheet),
+                "--out", str(report)]) == 0
+    loaded = cli.cir.CircuitSkeleton.from_json(skel.read_text())
+    w = cli.cir.execute_generator_encoding(
+        loaded, cli.cir.DialSheet.from_json(sheet.read_text())
+    )
+    n = loaded.n_system
+    assert json.loads(report.read_text())["ancillas"] == np.log2(w.shape[0]) - n
+
+
 def _set_pivot(doc):
     doc["adaptors_gen"][1]["pivot"] = 3
 

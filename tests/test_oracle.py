@@ -1,10 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from composer import circuit_ir as cir
 from composer import jw, ladders, oracle
 from composer.errors import CapacityError, MaskError, ShapeError
-from composer.factorization import build_hamiltonian_pool
+from composer.factorization import (
+    BilinearLadder,
+    GeneratorPool,
+    HamiltonianPool,
+    OneBodyModeLadder,
+    PairLadder,
+    build_hamiltonian_pool,
+)
 from composer.integrals import synth_instance
+from conftest import adaptor_targets
 
 
 def unit(rng, n):
@@ -14,6 +25,28 @@ def unit(rng, n):
 
 def assert_unitary(w, tol=1e-11):
     assert np.abs(w.conj().T @ w - np.eye(w.shape[0])).max() <= tol
+
+
+def orthonormal_pair(rng, n):
+    """Two orthonormal random complex vectors of length ``n``."""
+    u, v = unit(rng, n), unit(rng, n)
+    v = v - np.vdot(u, v) * u
+    return u, v / np.linalg.norm(v)
+
+
+def dialed(ham, gen):
+    """One-pool skeleton (the other pool ``None``) and its full-mask dial sheet."""
+    skel = cir.one_pool_skeleton(ham, gen)
+    mask = () if gen is None else [lad.address for lad in gen.ladders]
+    return skel, cir.dial(skel, ham, gen, mask)
+
+
+def generator_adaptor(lad, n_occ, n_virt):
+    """Executed branch of a one-ladder generator pool's adaptor, and its target."""
+    gen = GeneratorPool((lad,), n_occ=n_occ, n_virt=n_virt)
+    skel, sheet = dialed(None, gen)
+    target = adaptor_targets(None, gen)["gen/1"]
+    return cir.execute_adaptor(skel, sheet, "gen/1"), target
 
 
 def test_single_mode_ladder_matrices():
@@ -42,50 +75,73 @@ def test_number_operator_is_hamming_diagonal():
 
 
 def test_dyad_basis_projector():
-    n = 3
-    e0 = np.zeros(n, dtype=complex)
-    e0[0] = 1.0
-    w, rep = oracle.dyad_block_encoding(e0, e0, 1.0, n)
-    assert rep.measured_error <= 1e-12
-    assert rep.alpha == 1.0
-    assert_unitary(w)
+    """Pair adaptor on basis wedges: the branch encodes i(|U><V| - h.c.)/2."""
+    e = np.eye(2)
+    lad = PairLadder(e[0], e[1], e[0], e[1], coefficient=1.0, address=1)
+    w, target = generator_adaptor(lad, 2, 2)
+    n = 4
+    u_state, v_state = jw.basis_state(n, [2, 3]), jw.basis_state(n, [0, 1])
+    assert target[u_state, v_state] == pytest.approx(0.5j)
+    idx = jw.sector_indices(n, 2)
+    delta = (oracle.extract_block(w, n) - target)[np.ix_(idx, idx)]
+    assert np.abs(delta).max() <= 1e-12
+    assert w.shape[0] == 2 ** (2 + n)
+    assert_unitary(w.toarray())
 
 
 def test_dyad_random_orthogonal_pair():
+    """Bilinear adaptor of a random orthogonal dyad ``a^dag(u) a(v)``, every sector."""
     rng = np.random.default_rng(1)
     n = 4
-    u = unit(rng, n)
-    v = unit(rng, n)
-    v = v - np.vdot(u, v) * u
-    v /= np.linalg.norm(v)
-    w, rep = oracle.dyad_block_encoding(u, v, 0.8, n)
-    assert rep.measured_error <= 1e-10
-    # block equals the dense outer-product oracle on the 1-electron sector
-    block = oracle.extract_block(w, n)
-    target = oracle.dyad_matrix(u, v, n)
-    idx = jw.sector_indices(n, 1)
-    assert np.abs((block - target)[np.ix_(idx, idx)]).max() <= 1e-12
+    u, v = orthonormal_pair(rng, n)
+    lad = BilinearLadder(u=u, v=v, coefficient=0.8, address=1)
+    w, target = generator_adaptor(lad, 2, 2)
+    err = oracle.restricted_block_error(w, oracle.FockOperator(target, n), 2)
+    assert err <= 1e-10
+    assert np.abs(oracle.extract_block(w, n) - target).max() <= 1e-12
 
 
 def test_pair_dyad_random_pair():
     rng = np.random.default_rng(5)
-    n = 5
-    m = len(ladders.pair_indices(n))
-    u, v = unit(rng, m), unit(rng, m)
-    w, rep = oracle.pair_dyad_block_encoding(u, v, 0.7, n)
-    assert rep.measured_error <= 1e-12
-    assert (rep.alpha, rep.ancillas, rep.sector) == (0.7, 1, "N=2")
-    assert_unitary(w)
+    n_occ, n_virt = 3, 3
+    x, y = orthonormal_pair(rng, n_virt)
+    r, s = orthonormal_pair(rng, n_occ)
+    lad = PairLadder(x, y, r, s, coefficient=0.7, address=1)
+    w, target = generator_adaptor(lad, n_occ, n_virt)
+    n = n_occ + n_virt
+    err = oracle.restricted_block_error(w, oracle.FockOperator(target, n), 2, sector=2)
+    assert err <= 1e-12
+    assert w.shape[0] == 2 ** (2 + n)
+    assert_unitary(w.toarray())
 
 
-def test_dyad_zero_coefficient_flagged():
+def test_zero_coefficient_ladder_loads_no_weight():
+    """A zero-coefficient ladder keeps its unit branch but loads no amplitude."""
     rng = np.random.default_rng(2)
     n = 3
-    u, v = unit(rng, n), unit(rng, n)
-    w, rep = oracle.dyad_block_encoding(u, v, 0.0, n)
-    assert rep.flags == ("DegenerateCoefficient",)
-    assert rep.alpha == 1.0
-    assert rep.measured_error == pytest.approx(1.0, abs=1e-10)
+    u, v = orthonormal_pair(rng, n)
+    ladders_ = [
+        BilinearLadder(u=u, v=v, coefficient=0.5, address=1),
+        BilinearLadder(u=v, v=u, coefficient=0.0, address=2),
+    ]
+    gen = GeneratorPool(tuple(ladders_), n_occ=1, n_virt=2)
+    skel = cir.one_pool_skeleton(None, gen)
+    sheet = cir.dial(skel, None, gen, [2])
+    zero = oracle.FockOperator(np.zeros((2**n, 2**n), dtype=complex), n)
+    w = cir.execute_adaptor(skel, sheet, "gen/2")
+    # the branch alone encodes i(L - L^dag)/2 for orthonormal u, v: norm 1/2
+    err = oracle.restricted_block_error(w, zero, 2)
+    assert err == pytest.approx(0.5, abs=1e-10)
+    block = oracle.extract_block(cir.execute_generator_encoding(skel, sheet), n)
+    assert np.abs(block).max() == 0.0
+
+
+def _rotated_diagonal_block(ch, n):
+    """Unsquared channel gadget, run on columns: block ``O_mu / Gamma_mu``."""
+    amps, signs, _ = oracle.signed_loading(ch.eigvals)
+    net = ladders.rotation_network_from_matrix(ch.rotation_full)
+    gadget, _ = oracle.rotated_diagonal_gadget(net, amps, signs, n)
+    return oracle.column_block(gadget, n)
 
 
 def test_channel_single_mode_is_occupation():
@@ -96,10 +152,9 @@ def test_channel_single_mode_is_occupation():
         CholeskyChannel(index=0, factor=np.diag([1.0, 0.0])), 1e-10
     )
     assert ch.rank == 1
-    w, rep = oracle.channel_block_encoding(ch, n, squared=False)
     cr, an = oracle.jw_ladder_ops(n)
     target = (cr[0] @ an[0]).toarray()
-    assert np.abs(oracle.extract_block(w, n) - target).max() <= 1e-12
+    assert np.abs(_rotated_diagonal_block(ch, n) - target).max() <= 1e-12
 
 
 def test_channel_two_branch_signs():
@@ -110,10 +165,9 @@ def test_channel_two_branch_signs():
         CholeskyChannel(index=0, factor=np.diag([1.0, -1.0])), 0.0
     )
     assert ch.gamma == pytest.approx(2.0)
-    w, rep = oracle.channel_block_encoding(ch, n, squared=False)
     cr, an = oracle.jw_ladder_ops(n)
     target = ((cr[0] @ an[0]) - (cr[1] @ an[1])).toarray() / 2.0
-    assert np.abs(oracle.extract_block(w, n) - target).max() <= 1e-12
+    assert np.abs(_rotated_diagonal_block(ch, n) - target).max() <= 1e-12
 
 
 def test_channel_square_matches_dense_square():
@@ -121,7 +175,7 @@ def test_channel_square_matches_dense_square():
     pool = build_hamiltonian_pool(ints, 1e-10, 0.0)
     ch = pool.channels[0].channel
     n = ints.n_so
-    w, rep = oracle.channel_block_encoding(ch, n, squared=True)
+    w, rep = oracle.channel_block_encoding(ch, n)
     o_mu = oracle.channel_operator(ch, n)
     target = o_mu @ o_mu / ch.gamma**2
     assert np.abs(oracle.extract_block(w, n) - target).max() <= 1e-10
@@ -202,36 +256,43 @@ def test_flag_identity_exact():
     assert np.abs(block - (cr[0] @ an[0]).toarray()).max() == 0.0
 
 
-def test_lcu_single_branch_reduces():
-    rng = np.random.default_rng(3)
-    n = 3
-    u = unit(rng, n)
-    w, _ = oracle.dyad_block_encoding(u, u, 1.0, n)
-    wl, rep = oracle.lcu_multiplex(
-        [oracle.LCUBranch(0.7, w, 1.0)], n
+def _mode(vec, coefficient, address):
+    vectors = np.asarray(vec, dtype=complex).reshape(-1, 1)
+    return OneBodyModeLadder(vectors=vectors, coefficient=coefficient, address=address)
+
+
+def test_lcu_single_branch_reduces(small_pools):
+    """One ladder: the multiplexed encoding is its adaptor's branch, signed."""
+    ham, _ = small_pools
+    lad = ham.one_body[0]
+    one = HamiltonianPool(
+        (replace(lad, coefficient=-0.7, address=0),), (), ham.n_so, ham.n_elec
     )
-    assert rep.alpha == pytest.approx(0.7)
-    assert np.abs(wl - w).max() <= 1e-14
+    skel, sheet = dialed(one, None)
+    assert one.alpha == pytest.approx(0.7 * lad.multiplicity)
+    branch = cir.execute_adaptor(skel, sheet, "ham/0")
+    w = cir.execute_hamiltonian_encoding(skel, sheet)
+    dim = branch.shape[0]
+    assert np.abs((w[:dim, :dim] + branch).toarray()).max() <= 1e-14
 
 
 def test_lcu_two_diagonal_branches_with_signs():
     n = 2
     cr, an = oracle.jw_ladder_ops(n)
-    b0 = oracle.occupation_gadget(np.array([1.0, 0.0], dtype=complex), n)
-    b1 = oracle.occupation_gadget(np.array([0.0, 1.0], dtype=complex), n)
-    w, rep = oracle.lcu_multiplex(
-        [oracle.LCUBranch(1.0, b0, 1.0), oracle.LCUBranch(-1.0, b1, 1.0)], n
+    pool = HamiltonianPool(
+        (_mode([1.0, 0.0], 1.0, 0), _mode([0.0, 1.0], -1.0, 1)), (), n, 1
     )
+    skel, sheet = dialed(pool, None)
+    w = cir.execute_hamiltonian_encoding(skel, sheet)
     target = ((cr[0] @ an[0]) - (cr[1] @ an[1])).toarray() / 2.0
     assert np.abs(oracle.extract_block(w, n) - target).max() <= 1e-12
 
 
 def test_lcu_capacity_error():
     n = 2
-    b = oracle.occupation_gadget(np.array([1.0, 0.0], dtype=complex), n)
-    branches = [oracle.LCUBranch(1.0, b, 1.0)] * 3
+    b = oracle._flag_copy(0, n)
     with pytest.raises(CapacityError):
-        oracle.lcu_multiplex(branches, n, selector_width=1)
+        oracle._prep_select_prep(np.array([1.0, 0.0]), [b] * 3, [1.0] * 3, n, 1)
 
 
 def test_full_hamiltonian_block_encoding(small_instance, small_pools):
@@ -254,6 +315,52 @@ def test_full_hamiltonian_block_encoding(small_instance, small_pools):
         w, target, rep.ancillas, sector=ham.n_elec
     )
     assert err <= 1e-9 + 10 * tau * ham.n_so**2 / ham.alpha
+
+
+def test_theorem_error_formula_with_injected_errors(small_pools):
+    """Perturb each branch, measure its own error, and check the bound."""
+    ham, _ = small_pools
+    n = ham.n_so
+    rng = np.random.default_rng(9)
+    targets = adaptor_targets(ham, None)
+    noisy_modes = []
+    for lad in ham.one_body:
+        cols = []
+        for j in range(lad.multiplicity):
+            w_pert = lad.vectors[:, j].astype(complex) + 5e-6 * unit(rng, n)
+            for prev in cols:
+                w_pert = w_pert - np.vdot(prev, w_pert) * prev
+            cols.append(w_pert / np.linalg.norm(w_pert))
+        noisy_modes.append(replace(lad, vectors=np.stack(cols, axis=1)))
+    noisy = replace(ham, one_body=tuple(noisy_modes))
+    # the perturbed pool dialed into the clean pool's fabric
+    skel = cir.one_pool_skeleton(ham, None)
+    sheet = cir.dial(skel, noisy, None, ())
+    eps_terms = []
+    for lad in ham.ladders:
+        address = f"ham/{lad.address}"
+        wb = cir.execute_adaptor(skel, sheet, address)
+        eps_s = oracle.restricted_block_error(
+            wb,
+            oracle.FockOperator(targets[address], n),
+            int(np.log2(wb.shape[0])) - n,
+            sector=ham.n_elec,
+        )
+        if lad.kind == "one_body_mode":
+            alpha_s = lad.multiplicity
+        else:
+            alpha_s = lad.channel.gamma**2
+        eps_terms.append(abs(lad.coefficient) * alpha_s * eps_s)
+    target = oracle.FockOperator(
+        oracle.hamiltonian_from_pool(ham).matrix / ham.alpha, n
+    )
+    w = cir.execute_hamiltonian_encoding(skel, sheet)
+    err = oracle.restricted_block_error(
+        w, target, cir.hamiltonian_ancillas(skel), sector=ham.n_elec
+    )
+    bound = sum(eps_terms) / ham.alpha
+    assert bound > 0.0
+    assert err <= bound * (1 + 1e-6) + 1e-14
 
 
 GADGET_BUILDERS = (
@@ -281,47 +388,6 @@ def test_hamiltonian_encoding_rejects_oversized_register_before_building(
     message = "assembly needs 14 qubits; the oracle caps at 13"
     with pytest.raises(ShapeError, match=message):
         oracle.hamiltonian_block_encoding(ham)
-
-
-def test_theorem_error_formula_with_injected_errors(small_pools):
-    """Perturb each branch, measure its own error, and check the bound."""
-    ham, _ = small_pools
-    n = ham.n_so
-    rng = np.random.default_rng(9)
-    branches = []
-    eps_terms = []
-    for lad in ham.one_body:
-        cols = []
-        for j in range(lad.multiplicity):
-            w_pert = lad.vectors[:, j].astype(complex) + 5e-6 * unit(rng, n)
-            w_pert /= np.linalg.norm(w_pert)
-            cols.append(w_pert)
-        vec_pert = np.stack(cols, axis=1)
-        wb = oracle.mode_group_encoding(vec_pert, n)
-        exact = sum(
-            oracle.dense_bilinear(lad.vectors[:, j], lad.vectors[:, j], n)
-            for j in range(lad.multiplicity)
-        ) / lad.multiplicity
-        target = oracle.FockOperator(exact, n)
-        eps_s = oracle.restricted_block_error(
-            wb, target, int(np.log2(wb.shape[0] // 2**n)), sector=ham.n_elec
-        )
-        branches.append(
-            oracle.LCUBranch(lad.coefficient, wb, float(lad.multiplicity))
-        )
-        eps_terms.append(abs(lad.coefficient) * lad.multiplicity * eps_s)
-    for lad in ham.channels:
-        wb, repb = oracle.channel_block_encoding(lad.channel, n, squared=True)
-        branches.append(oracle.LCUBranch(lad.coefficient, wb, repb.alpha))
-        eps_terms.append(abs(lad.coefficient) * repb.alpha * repb.measured_error)
-    target = oracle.FockOperator(
-        oracle.hamiltonian_from_pool(ham).matrix / ham.alpha, n
-    )
-    w, rep = oracle.lcu_multiplex(
-        branches, n, target=target, sector=ham.n_elec
-    )
-    bound = sum(eps_terms) / ham.alpha
-    assert rep.measured_error <= bound * (1 + 1e-6) + 1e-14
 
 
 def test_generator_empty_mask_is_null(small_pools):
@@ -363,30 +429,24 @@ def test_restricted_block_error_identity():
 
 
 def test_restricted_block_error_perturbation_scaling():
-    """One perturbed angle: error scales linearly over two decades."""
+    """One perturbed dialed angle: error scales linearly over two decades."""
     rng = np.random.default_rng(4)
     n = 3
-    u = unit(rng, n)
-    v = unit(rng, n)
-    v = v - np.vdot(u, v) * u
-    v /= np.linalg.norm(v)
-    target = oracle.FockOperator(oracle.dyad_matrix(u, v, n), n)
+    u, v = orthonormal_pair(rng, n)
+    gen = GeneratorPool(
+        (BilinearLadder(u=u, v=v, coefficient=0.8, address=1),), n_occ=1, n_virt=2
+    )
+    skel, sheet = dialed(None, gen)
+    target = oracle.FockOperator(adaptor_targets(None, gen)["gen/1"], n)
+    slot = "gen/1/mode0/rot/0/theta"
 
     def perturbed_error(delta):
-        su = ladders.one_electron_angles(u, n=n)
-        thetas = su.thetas.copy()
-        thetas[0] += delta
-        su_p = ladders.LadderSchedule(
-            "one", n, su.pivot, su.ordering, thetas, su.phases, su.pivot_phase
-        )
-        sv = ladders.one_electron_angles(v, n=n)
-        w = (
-            oracle._lift(ladders.schedule_unitary(su_p), 1)
-            @ oracle.vacuum_reflection_gadget(n)
-            @ oracle._lift(ladders.schedule_unitary(sv).conj().T, 1)
-        )
-        return oracle.restricted_block_error(w, target, 1, sector=1)
+        angles = dict(sheet.angle_bindings)
+        angles[slot] += delta
+        w = cir.execute_adaptor(skel, replace(sheet, angle_bindings=angles), "gen/1")
+        return oracle.restricted_block_error(w, target, 2, sector=1)
 
+    assert perturbed_error(0.0) <= 1e-14
     e4 = perturbed_error(1e-4)
     e2 = perturbed_error(1e-2)
     assert 1e-6 <= e4 <= 1e-2
