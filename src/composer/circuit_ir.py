@@ -12,14 +12,24 @@ rank, never angle values.  A dial sheet binds every parameter slot for
 one instance (pools, mask, coefficient set) and is the only thing that
 changes between instances.
 
-Layer lists describe the forward body of each gadget; the mirrored
-uncompute halves reuse the same slots by construction, so they are
-implied by the gadget template rather than listed twice.
-
-Execution rebuilds each encoding from a dial sheet as one gadget tree
-(:mod:`oracle`): ``execute_*_encoding`` assemble it as a sparse unitary,
-``execute_*_block`` run it on the ``2**n`` ancilla-zero columns and
-return only the dense encoded block.
+An adaptor's lines, in application order, are its whole branch
+(``composer-skel-v5``), and execution interprets them: each run of
+system gates (``givens``, ``pgivens`` then its ``pgivens_phase``, ``rz``,
+``cphase``, ``x``) becomes one sparse leaf; on the workspace, ``cx x``
+is the flag copy, ``h mcz h`` the vacuum reflection, a lone ``x`` the
+null flip.  ``gphase`` multiplies its branch or case by a dialed phase
+(``.../sign_phi``: 0 or pi), ``gphase+i`` / ``gphase-i`` by a fixed one.
+``begin`` opens a block that ``end`` applies as listed or ``dagger`` as
+its adjoint; ``mirror`` applies the adjoint of the last closed block as
+applied, so a mirrored half is one line.  ``select|r|`` opens a
+sub-select over register ``r`` whose ``case`` lines (slot: the PREP
+amplitude; none: equal fixed amplitudes) each start a branch, up to
+``end``.  ``square|s|`` makes everything before it ``W R0 W`` on signal
+``s``, whose block is the square.  Execution first checks the
+fingerprint and that the dial sheet binds exactly the skeleton's slots;
+``execute_*_encoding`` assemble the gadget tree (:mod:`oracle`) as a
+sparse unitary, ``execute_*_block`` run it on the ``2**n`` ancilla-zero
+columns.
 """
 
 from __future__ import annotations
@@ -29,14 +39,18 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import sparse
 
-from . import ladders, oracle
+from . import jw, ladders, oracle
 from .errors import BindError, CapacityError, MaskError, ParseError, ValidationError
 from .errors import DICT, INT, LIST, NUMBER, STR, checked, checked_list
 from .factorization import bilinear_asym_spectrum, generator_branch_alpha
 
-SKEL_FORMAT = "composer-skel-v4"
+SKEL_FORMAT = "composer-skel-v5"
 DIAL_FORMAT = "composer-dial-v1"
+
+# gates whose slot binds a phase; every other slot binds an angle or amplitude
+PHASE_GATES = frozenset({"rz", "cphase", "pgivens_phase", "gphase"})
 
 
 @dataclass(frozen=True)
@@ -152,16 +166,15 @@ class CircuitSkeleton:
         # address 0 is the reserved null branch
         return len(self.adaptors_gen) - 1
 
-    def all_slots(self):
-        out = []
+    def slot_kinds(self):
+        """``(angle slots, phase slots)``: each slot classed by its line's gate."""
+        angles, phases = list(self.prep_slots_ham + self.prep_slots_gen), []
         for ad in self.adaptors_ham + self.adaptors_gen:
             for line in ad.layers:
-                slot = line.rpartition("|")[2]
+                gate, _, slot = line.split("|")
                 if slot:
-                    out.append(slot)
-        out.extend(self.prep_slots_ham)
-        out.extend(self.prep_slots_gen)
-        return tuple(out)
+                    (phases if gate in PHASE_GATES else angles).append(slot)
+        return frozenset(angles), frozenset(phases)
 
     def to_json(self):
         doc = {
@@ -348,18 +361,11 @@ def compile_skeleton(ham_pool_size, gen_pool_size, n, pivots, connectivity="full
     def sysq(p):
         return sys0 + p
 
-    adaptors_ham = []
-    for ad in pivots.ham:
-        if ad.kind == "one_body_mode":
-            adaptors_ham.append(_compile_one_body(ad, n, sysq, ws0, t))
-        else:
-            adaptors_ham.append(_compile_channel(ad, n, sysq, ws0, t))
-    adaptors_gen = [_compile_null(ws0 + t - 1)]
-    for ad in pivots.gen:
-        if ad.kind == "pair":
-            adaptors_gen.append(_compile_pair(ad, n, sysq, ws0, t))
-        else:
-            adaptors_gen.append(_compile_bilinear_asym(ad, n, sysq, ws0, t))
+    emit = {"one_body_mode": _compile_one_body, "channel": _compile_channel,
+            "pair": _compile_pair, "bilinear_asym": _compile_bilinear_asym}
+    adaptors_ham = [emit[ad.kind](ad, n, sysq, ws0, t) for ad in pivots.ham]
+    adaptors_gen = [AdaptorSpec(0, "null", (), 0, (_layer("x", (ws0 + t - 1,)),))]
+    adaptors_gen += [emit[ad.kind](ad, n, sysq, ws0, t) for ad in pivots.gen]
     prep_ham = tuple(f"prep/ham/{s}" for s in range(ham_pool_size))
     prep_gen = tuple(f"prep/gen/{s}" for s in range(gen_pool_size + 1))
     skel = CircuitSkeleton(
@@ -407,11 +413,10 @@ def _ladder_layers(prefix, n, pivot, sysq):
 
 
 def _pair_ladder_layers(prefix, n, pivot_pair, sysq):
-    ordering = tuple(
-        pq for pq in ladders.pair_indices(n) if pq != tuple(pivot_pair)
-    )
+    """Prep-form pair ladder: ``x`` on its own pivot pair, then the rotations."""
     r, s = pivot_pair
-    layers = []
+    layers = [_layer("x", (sysq(r),)), _layer("x", (sysq(s),))]
+    ordering = (pq for pq in ladders.pair_indices(n) if pq != (r, s))
     for k, (p, q) in enumerate(ordering):
         qubits = (sysq(p), sysq(q), sysq(r), sysq(s))
         layers.append(_layer("pgivens", qubits, f"{prefix}/rot/{k}/theta"))
@@ -420,70 +425,65 @@ def _pair_ladder_layers(prefix, n, pivot_pair, sysq):
     return layers
 
 
+def _occupation_layers(prefix, n, pivot, sysq, flag):
+    """Flagged occupation ``U C U^dag``: ``U^dag``, the flag copy ``C``, ``U``."""
+    return ["begin||", *_ladder_layers(prefix, n, pivot, sysq), "dagger||",
+            _layer("cx", (sysq(pivot), flag)), _layer("x", (flag,)), "mirror||"]
+
+
+def _select_layers(register, cases):
+    """Sub-select over ``register``: (amplitude slot or ``None``, body) per case."""
+    cases = [line for slot, body in cases for line in (_layer("case", (), slot), *body)]
+    return [_layer("select", register), *cases, "end||"]
+
+
+def _sign(prefix):
+    return _layer("gphase", (), f"{prefix}/sign_phi")
+
+
 def _compile_one_body(ad, n, sysq, ws0, t):
     """Mode-group adaptor: one flagged ladder per grouped eigenvector."""
-    prefix = f"ham/{ad.address}"
-    m = max(ad.rank, 1)
-    flag = ws0 + t - 1
-    sub = ws0 + t - 2
-    layers = [] if m == 1 else [_layer("h", (sub,))]
-    for j in range(m):
-        layers += _ladder_layers(f"{prefix}/mode{j}", n, ad.pivot[j], sysq)
-        layers.append(_layer("cx", (sysq(ad.pivot[j]), flag)))
-        layers.append(_layer("x", (flag,)))
-        layers.append(
-            _layer("index_load", (sub,) if m > 1 else (), f"{prefix}/subprep/{j}")
-        )
-    if m > 1:
-        layers.append(_layer("h", (sub,)))
-    return AdaptorSpec(ad.address, ad.kind, ad.pivot, m, tuple(layers))
+    prefix, flag, m = f"ham/{ad.address}", ws0 + t - 1, max(ad.rank, 1)
+    modes = [
+        (f"{prefix}/subprep/{j}",
+         _occupation_layers(f"{prefix}/mode{j}", n, ad.pivot[j], sysq, flag))
+        for j in range(m)
+    ]
+    body = modes[0][1] if m == 1 else _select_layers((flag - 1,), modes)
+    return AdaptorSpec(ad.address, ad.kind, ad.pivot, m, (_sign(prefix), *body))
 
 
 def _compile_channel(ad, n, sysq, ws0, t):
-    prefix = f"ham/{ad.address}"
+    """Squared channel: ``N S N^dag`` over a signed flag-copy select."""
+    prefix, flag = f"ham/{ad.address}", ws0 + t - 1
     a_i = oracle.index_width(ad.rank)
-    t_s = a_i + 2
-    base = ws0 + t - t_s  # signal qubit position
-    signal = base
-    index = tuple(range(base + 1, base + 1 + a_i))
-    flag = base + 1 + a_i
-    layers = [
+    network = [_layer("rz", (sysq(p),), f"{prefix}/net/phase/{p}") for p in range(n)]
+    network += [
         _layer("givens", (sysq(p), sysq(q)), f"{prefix}/net/{k}/theta")
         for k, (p, q) in enumerate(ladders.network_pair_sequence(n))
     ]
-    layers += [_layer("rz", (sysq(p),), f"{prefix}/net/phase/{p}") for p in range(n)]
-    for xi in range(ad.rank):
-        layers.append(_layer("index_load", index, f"{prefix}/prep/{xi}"))
-        layers.append(_layer("cx", (sysq(xi), flag)))
-        layers.append(_layer("x", (flag,)))
-        layers.append(_layer("rz", (flag,), f"{prefix}/select/{xi}/sign_phi"))
-    layers.append(_layer("h", (signal,)))
-    layers.append(_layer("mcz", index + (flag,)))
-    layers.append(_layer("h", (signal,)))
+    cases = [
+        (f"{prefix}/prep/{xi}", [_layer("cx", (sysq(xi), flag)), _layer("x", (flag,)),
+                                 _sign(f"{prefix}/select/{xi}")])
+        for xi in range(ad.rank)
+    ]
+    layers = [_sign(prefix), "begin||", *network, "dagger||",
+              *_select_layers(tuple(range(flag - a_i, flag)), cases),
+              "mirror||", _layer("square", (flag - a_i - 1,))]
     return AdaptorSpec(ad.address, ad.kind, ad.pivot, ad.rank, tuple(layers))
 
 
-def _compile_null(flag):
-    return AdaptorSpec(0, "null", (), 0, (_layer("x", (flag,)),))
-
-
 def _compile_pair(ad, n, sysq, ws0, t):
-    prefix = f"gen/{ad.address}"
-    sub = ws0 + t - 2
-    anc = ws0 + t - 1
-    pu, pv = ad.pivot
-    layers = [
-        _layer("h", (sub,)),
-        _layer("x", (sysq(pu[0]),)),
-        _layer("x", (sysq(pu[1]),)),
-        *_pair_ladder_layers(f"{prefix}/v", n, pv, sysq),
-        _layer("h", (anc,)),
-        _layer("mcz", tuple(sysq(p) for p in range(n))),
-        _layer("h", (anc,)),
-        *_pair_ladder_layers(f"{prefix}/u", n, pu, sysq),
-        _layer("h", (sub,)),
-    ]
-    return AdaptorSpec(ad.address, ad.kind, ad.pivot, 0, tuple(layers))
+    """``i(L - L^dag)``: the arm ``W_L = U_u R_vac U_v^dag``, then its mirror."""
+    prefix, anc = f"gen/{ad.address}", ws0 + t - 1
+    u, v = (_pair_ladder_layers(f"{prefix}/{x}", n, p, sysq)
+            for x, p in zip("uv", ad.pivot))
+    vacuum = [_layer("h", (anc,)), _layer("mcz", tuple(map(sysq, range(n)))),
+              _layer("h", (anc,))]
+    arm = ["gphase+i||", "begin||", "begin||", *v, "dagger||", *vacuum, *u, "end||"]
+    cases = [(None, arm), (None, ["gphase-i||", "mirror||"])]
+    layers = (_sign(prefix), *_select_layers((anc - 1,), cases))
+    return AdaptorSpec(ad.address, ad.kind, ad.pivot, 0, layers)
 
 
 def _mode_pivot(ad, j):
@@ -492,19 +492,15 @@ def _mode_pivot(ad, j):
 
 
 def _compile_bilinear_asym(ad, n, sysq, ws0, t):
-    prefix = f"gen/{ad.address}"
-    sub = ws0 + t - 2
-    flag = ws0 + t - 1
-    layers = [_layer("h", (sub,))]
-    for j in range(2):
-        pivot = _mode_pivot(ad, j)
-        layers += _ladder_layers(f"{prefix}/mode{j}", n, pivot, sysq)
-        layers.append(_layer("cx", (sysq(pivot), flag)))
-        layers.append(_layer("x", (flag,)))
-        layers.append(_layer("index_load", (sub,), f"{prefix}/subprep/{j}"))
-        layers.append(_layer("rz", (flag,), f"{prefix}/submode/{j}/sign_phi"))
-    layers.append(_layer("h", (sub,)))
-    return AdaptorSpec(ad.address, ad.kind, ad.pivot, 2, tuple(layers))
+    prefix, flag = f"gen/{ad.address}", ws0 + t - 1
+    cases = [
+        (f"{prefix}/subprep/{j}",
+         [*_occupation_layers(f"{prefix}/mode{j}", n, _mode_pivot(ad, j), sysq, flag),
+          _sign(f"{prefix}/submode/{j}")])
+        for j in range(2)
+    ]
+    layers = (_sign(prefix), *_select_layers((flag - 1,), cases))
+    return AdaptorSpec(ad.address, ad.kind, ad.pivot, 2, layers)
 
 
 def fabric_fingerprint(skel):
@@ -557,30 +553,19 @@ def dial(skel, ham_pool, gen_pool, mask, alpha=None, alpha_bar=None, mask_id=Non
     masked = frozenset(mask.indices if isinstance(mask, Mask) else mask)
     if gen_pool is None and masked:
         raise MaskError("nonzero mask over a skeleton without a generator pool")
-    angles = {}
-    phases = {}
-    coeffs = {}
+    angles, phases, coeffs = {}, {}, {}
     if ham_pool is not None:
         coeffs.update(_bind_hamiltonian(skel, ham_pool, alpha, angles, phases))
     if gen_pool is not None:
         coeffs.update(
             _bind_generator(skel, gen_pool, masked, alpha_bar, angles, phases)
         )
-
-    known = set(skel.all_slots())
-    double = set(angles) & set(phases)
-    if double:
-        raise BindError("slots bound twice", addresses=sorted(double))
-    bound = set(angles) | set(phases)
-    unknown = bound - known
+    missing, unknown = _slot_mismatch(skel, angles, phases)
     if unknown:
-        raise BindError("bindings address unknown slots", addresses=sorted(unknown))
-    # surplus compiled adaptors idle at zero angles so every slot is bound
-    for slot in known - bound:
-        if slot.endswith("phi") or "/phase/" in slot:
-            phases[slot] = 0.0
-        else:
-            angles[slot] = 0.0
+        raise BindError("bindings address unknown slots", addresses=unknown)
+    for bindings, idle in zip((angles, phases), missing):
+        # surplus compiled adaptors idle at zero so every slot is bound
+        bindings.update(dict.fromkeys(idle, 0.0))
 
     label = mask.label if isinstance(mask, Mask) else (mask_id or "mask")
     return DialSheet(
@@ -624,9 +609,8 @@ def _bind_hamiltonian(skel, ham_pool, alpha, angles, phases):
                     lad.vectors[:, j].astype(complex), pivot=ad.pivot[j], n=n
                 )
                 _bind(angles, phases, sched, f"ham/{addr}/mode{j}")
-                angles[f"ham/{addr}/subprep/{j}"] = float(
-                    1.0 / np.sqrt(lad.multiplicity)
-                )
+                if lad.multiplicity > 1:
+                    angles[f"ham/{addr}/subprep/{j}"] = float(1 / np.sqrt(ad.rank))
             weight = abs(lad.coefficient) * lad.multiplicity
         else:
             ch = lad.channel
@@ -640,18 +624,15 @@ def _bind_hamiltonian(skel, ham_pool, alpha, angles, phases):
             for p in range(n):
                 phases[f"ham/{addr}/net/phase/{p}"] = float(net.phases[p])
             amps, signs, _ = oracle.signed_loading(ch.eigvals)
-            # surplus compiled eigenmodes load zero amplitude
-            for xi in range(ad.rank):
-                loaded = xi < ch.rank
-                angles[f"ham/{addr}/prep/{xi}"] = float(amps[xi]) if loaded else 0.0
+            for xi in range(ch.rank):  # surplus compiled eigenmodes idle at zero
+                angles[f"ham/{addr}/prep/{xi}"] = float(amps[xi])
                 phases[f"ham/{addr}/select/{xi}/sign_phi"] = (
-                    np.pi if loaded and signs[xi] < 0 else 0.0
+                    np.pi if signs[xi] < 0 else 0.0
                 )
             weight = abs(lad.coefficient) * ch.gamma**2
         omega_list.append(lad.coefficient)
+        phases[f"ham/{addr}/sign_phi"] = np.pi if lad.coefficient < 0 else 0.0
         angles[f"prep/ham/{addr}"] = float(np.sqrt(weight / alpha))
-    for addr in range(ham_pool.ell, skel.ell_ham):
-        angles[f"prep/ham/{addr}"] = 0.0
     return {"Omega": [float(x) for x in omega_list], "alpha": float(alpha)}
 
 
@@ -693,27 +674,22 @@ def _bind_generator(skel, gen_pool, masked, alpha_bar, angles, phases):
         else:
             w_vals, w_vecs = bilinear_asym_spectrum(lad.u, lad.v)
             amps, signs, _ = oracle.signed_loading(w_vals)
-            for j in range(2):  # a missing second mode idles at zero amplitude
+            for j in range(len(w_vals)):  # a missing second mode idles at zero
                 pivot = _mode_pivot(ad, j)
-                if j < len(w_vals):
-                    vec = w_vecs[:, j]
-                    amp, sign = float(amps[j]), np.pi if signs[j] < 0 else 0.0
-                else:
-                    vec = np.eye(n, dtype=complex)[:, pivot]
-                    amp, sign = 0.0, 0.0
-                sched = ladders.one_electron_angles(vec, pivot=pivot, n=n)
+                sched = ladders.one_electron_angles(w_vecs[:, j], pivot=pivot, n=n)
                 _bind(angles, phases, sched, f"gen/{addr}/mode{j}")
-                angles[f"gen/{addr}/subprep/{j}"] = amp
-                phases[f"gen/{addr}/submode/{j}/sign_phi"] = sign
+                angles[f"gen/{addr}/subprep/{j}"] = float(amps[j])
+                phases[f"gen/{addr}/submode/{j}/sign_phi"] = (
+                    np.pi if signs[j] < 0 else 0.0
+                )
         omega_gen.append(lad.coefficient)
+        phases[f"gen/{addr}/sign_phi"] = np.pi if lad.coefficient < 0 else 0.0
         weight = abs(lad.coefficient) * generator_branch_alpha(lad)
         if addr in masked:
             angles[f"prep/gen/{addr}"] = float(np.sqrt(weight / alpha_bar))
             used += weight
         else:
             angles[f"prep/gen/{addr}"] = 0.0
-    for addr in range(gen_pool.ell + 1, skel.ell_gen + 1):
-        angles[f"prep/gen/{addr}"] = 0.0
     if used > alpha_bar * (1 + 1e-12):
         raise BindError("masked weight exceeds the global normalization")
     angles["prep/gen/0"] = float(np.sqrt(max(1.0 - used / alpha_bar, 0.0)))
@@ -725,7 +701,7 @@ def _bind_generator(skel, gen_pool, masked, alpha_bar, angles, phases):
 
 
 # ---------------------------------------------------------------------------
-# execution (sparse rebuild from bindings alone)
+# execution: the layer stream, interpreted with the dial sheet's values
 # ---------------------------------------------------------------------------
 
 
@@ -749,31 +725,164 @@ def schedule_from_bindings(sheet, prefix, sector, n, pivot):
     )
 
 
-def _occupation_from_bindings(sheet, prefix, n, pivot):
-    sched = schedule_from_bindings(sheet, prefix, "one", n, (pivot,))
-    return oracle.flagged_occupation(sched.as_number_conserving(), n)
+class _Interpreter:
+    """One adaptor's layer lines (grammar in the module docstring), run once.
+
+    A frame's factors are ``(node, width, adjoint)`` in application order;
+    ``width`` counts workspace qubits up from the system register, whose
+    neighbour is local qubit ``-1``.
+    """
+
+    def __init__(self, skel, sheet, lines):
+        self.n = skel.n_system
+        self.sys0 = skel.selector_width + skel.workspace_width
+        self.angles, self.phases = sheet.angle_bindings, sheet.phase_bindings
+        self.lines = [line.split("|") for line in lines]
+        self.pos = 0
+        self.last = None  # the most recently closed block, as applied
+
+    def frame(self):
+        """Factors and phase of the lines up to the next closer, and that closer."""
+        factors, run, phase = [], [], 1.0
+        while self.pos < len(self.lines):
+            gate, qubits, slot = self.lines[self.pos]
+            self.pos += 1
+            qs = [int(q) - self.sys0 for q in qubits.split(",")] if qubits else []
+            if qs and min(qs) >= 0:
+                run.append((gate, qs, slot))
+                continue
+            if run:
+                factors.append((self._leaf(run), 0, False))
+                run = []
+            if gate in ("end", "dagger", "case"):
+                return factors, phase, (gate, slot)
+            if gate == "gphase":
+                phase *= np.exp(1j * self.phases[slot])
+            elif gate in ("gphase+i", "gphase-i"):
+                phase *= 1j if gate == "gphase+i" else -1j
+            elif gate == "begin":
+                body, body_phase, closer = self.frame()
+                self._expect(closer and closer[0] != "case" and body_phase == 1.0,
+                             "a phase-free block closed by end or dagger")
+                self.last = (*_combine(body), closer[0] == "dagger")
+                factors.append(self.last)
+            elif gate == "mirror":
+                self._expect(self.last, "a closed block before its mirror")
+                node, width, adjoint = self.last
+                factors.append((node, width, not adjoint))
+            elif gate == "select":
+                factors.append(self._sub_select(qs))
+            elif gate == "square":
+                node, width = _combine(factors)
+                self._expect(qs == [-width - 1], "the signal right above the block")
+                squared = oracle.squared_block_gadget(node, width, self.n)
+                factors = [(squared, width + 1, False)]
+            else:
+                factors.append((self._idiom(gate, qs), 1, False))
+        if run:
+            factors.append((self._leaf(run), 0, False))
+        return factors, phase, None
+
+    def _leaf(self, run):
+        """Product of a run of system gates; consecutive ``rz`` form one phase layer."""
+        n, gates, rz = self.n, [], None
+        # a closing sentinel flushes a trailing phase layer
+        for k, (gate, qs, slot) in enumerate(run + [("", [], "")]):
+            if gate == "rz":
+                rz = np.zeros(n) if rz is None else rz
+                rz[qs[0]] += self.phases[slot]
+                continue
+            if rz is not None and rz.any():
+                gates.append(_diag(jw.phase_layer(n, rz)))
+            rz = None
+            if gate == "givens":
+                gates.append(ladders.givens_gate(n, *qs, self.angles[slot]))
+            elif gate == "pgivens":  # its phase is the next line's slot
+                nxt = run[k + 1] if k + 1 < len(run) else ("",)
+                self._expect(nxt[:2] == ("pgivens_phase", qs), "pgivens, its phase")
+                theta, phi = self.angles[slot], self.phases[nxt[2]]
+                gates.append(ladders.pair_givens_gate(n, *qs, theta, phi))
+            elif gate == "cphase" and self.phases[slot] != 0.0:
+                gates.append(_diag(jw.pair_phase_diagonal(n, *qs, self.phases[slot])))
+            elif gate == "x":
+                gates.append(jw.pauli_x(n, qs[0]))
+            elif gate not in ("cphase", "pgivens_phase", ""):
+                raise ValidationError(f"unknown system gate {gate!r}")
+        leaf = gates[0] if gates else _diag(np.ones(2**n, dtype=complex))
+        for gate in gates[1:]:
+            leaf = gate @ leaf
+        return leaf
+
+    def _idiom(self, gate, qs):
+        """Flag copy ``cx x``, vacuum reflection ``h mcz h``, or the null flip ``x``."""
+        n, flag = self.n, [str(self.sys0 - 1), ""]
+        rest = self.lines[self.pos:self.pos + 2]
+        system = ",".join(str(self.sys0 + p) for p in range(n))
+        if gate == "x" and qs == [-1]:
+            return oracle.null_branch(n)
+        if gate == "cx" and qs[1:] == [-1] and qs[0] >= 0:
+            self._expect(rest[:1] == [["x", *flag]], "cx, then x on its flag")
+            self.pos += 1
+            return oracle._flag_copy(qs[0], n)
+        if gate == "h" and qs == [-1] and rest == [["mcz", system, ""], ["h", *flag]]:
+            self.pos += 2
+            return oracle.vacuum_reflection_gadget(n)
+        raise ValidationError(f"no gadget for {gate!r} on local qubits {qs}")
+
+    def _sub_select(self, register):
+        """PREP-SELECT-PREP over ``register``; an idle all-zero PREP loads case 0."""
+        body, _, closer = self.frame()
+        self._expect(not body and closer and closer[0] == "case", "select opens a case")
+        cases = []
+        while closer and closer[0] == "case":
+            slot = closer[1]
+            body, phase, closer = self.frame()
+            cases.append((slot, *_combine(body), phase))
+        slots, ops, widths, phases = zip(*cases)
+        width = max(widths)
+        self._expect(closer and closer[0] == "end", "select closed by end")
+        self._expect(register == list(range(-width - len(register), -width)),
+                     "the select register right above its cases")
+        amps = np.zeros(2 ** len(register))
+        amps[: len(ops)] = (
+            [self.angles[s] for s in slots] if all(slots) else 1 / np.sqrt(len(ops))
+        )
+        if np.linalg.norm(amps) < 1e-12:
+            amps[0] = 1.0
+        node = oracle._prep_select_prep(amps, ops, phases, self.n, width)
+        return node, width + len(register), False
+
+    def _expect(self, ok, what):
+        if not ok:
+            raise ValidationError(f"layer stream near line {self.pos}: expected {what}")
 
 
-def _gen_branch_from_bindings(sheet, ad, n):
-    prefix = f"gen/{ad.address}"
-    if ad.kind == "null":
-        return oracle.null_branch(n)
-    if ad.kind == "pair":
-        su = schedule_from_bindings(sheet, f"{prefix}/u", "two", n, ad.pivot[0])
-        sv = schedule_from_bindings(sheet, f"{prefix}/v", "two", n, ad.pivot[1])
-        return oracle.hermitian_dyad_branch(su, sv, n)
-    if ad.kind == "bilinear_asym":
-        gadgets = [
-            _occupation_from_bindings(sheet, f"{prefix}/mode{j}", n, _mode_pivot(ad, j))
-            for j in range(2)
-        ]
-        amps = [sheet.angle_bindings[f"{prefix}/subprep/{j}"] for j in range(2)]
-        phases = [
-            np.exp(1j * sheet.phase_bindings[f"{prefix}/submode/{j}/sign_phi"])
-            for j in range(2)
-        ]
-        return oracle.occupation_select(gadgets, amps, phases, n)
-    raise ValidationError(f"unknown generator adaptor kind {ad.kind!r}")
+def _diag(entries):
+    return sparse.diags(entries, format="csr")
+
+
+def _combine(factors):
+    """One node from factors in application order, lifted to the widest.
+
+    A block and its mirror share one lifted node.
+    """
+    if not factors:
+        raise ValidationError("empty block in the layer stream")
+    width = max(w for _, w, _ in factors)
+    lifted, ops = {}, []
+    for node, w, adjoint in reversed(factors):
+        if w < width:
+            node = lifted.setdefault(id(node), oracle._Lift(node, width - w))
+        ops.append(oracle._Adjoint(node) if adjoint else node)
+    return (ops[0] if len(ops) == 1 else oracle._Product(*ops)), width
+
+
+def _branch(skel, sheet, ad):
+    """Gadget node of one adaptor's lines, and its branch phase (the sign)."""
+    factors, phase, closer = _Interpreter(skel, sheet, ad.layers).frame()
+    if closer is not None:
+        raise ValidationError(f"adaptor {ad.address}: unmatched {closer[0]!r}")
+    return _combine(factors)[0], phase
 
 
 def generator_workspace_width(skel):
@@ -798,83 +907,57 @@ def generator_ancillas(skel):
 
 
 def execute_generator_encoding(skel, sheet):
-    """Sparse (CSR) rebuild of the masked generator encoding from a dial sheet.
+    """Sparse (CSR) masked generator encoding, run from the skeleton's lines.
 
-    Verifies the fingerprint binding and reconstructs every branch from
-    slot values only, so the result certifies the dial data rather than
-    the pools it came from.
+    The result certifies the fabric and the dial data, not the pools.
     """
     oracle.check_assembly_width(generator_ancillas(skel) + skel.n_system)
-    return _generator_select(skel, sheet).tocsr()
+    return _select(skel, sheet, "gen").tocsr()
 
 
 def execute_generator_block(skel, sheet):
     """Dense block of :func:`execute_generator_encoding`, run on columns."""
     oracle.check_column_batch(generator_ancillas(skel), skel.n_system, "generator")
-    return oracle.column_block(_generator_select(skel, sheet), skel.n_system)
+    return oracle.column_block(_select(skel, sheet, "gen"), skel.n_system)
 
 
-def _generator_select(skel, sheet):
-    """Generator PREP-SELECT-PREP node; checks the fingerprint and the PREP norm."""
-    _check_fingerprint(skel, sheet)
-    n = skel.n_system
-    omegas = sheet.classical_coeffs["omega"]
-    branch_ops = []
-    branch_phases = []
+def execute_hamiltonian_encoding(skel, sheet):
+    """Sparse (CSR) Hamiltonian encoding, run from the skeleton's lines."""
+    oracle.check_assembly_width(hamiltonian_ancillas(skel) + skel.n_system)
+    return _select(skel, sheet, "ham").tocsr()
+
+
+def execute_hamiltonian_block(skel, sheet):
+    """Dense block of :func:`execute_hamiltonian_encoding`, run on columns."""
+    oracle.check_column_batch(hamiltonian_ancillas(skel), skel.n_system, "Hamiltonian")
+    return oracle.column_block(_select(skel, sheet, "ham"), skel.n_system)
+
+
+def _select(skel, sheet, side):
+    """PREP-SELECT-PREP node over one side's branches; checks the PREP norm."""
+    _check_sheet(skel, sheet)
+    adaptors = skel.adaptors_gen if side == "gen" else skel.adaptors_ham
     amps = np.zeros(2**skel.selector_width)
-    for ad in sorted(skel.adaptors_gen, key=lambda a: a.address):
-        branch_ops.append(_gen_branch_from_bindings(sheet, ad, n))
-        if ad.kind == "null":
-            branch_phases.append(1.0)
-        else:
-            om = omegas[ad.address - 1] if ad.address - 1 < len(omegas) else 0.0
-            branch_phases.append(1.0 if om >= 0 else -1.0)
-        amps[ad.address] = sheet.angle_bindings.get(f"prep/gen/{ad.address}", 0.0)
+    for ad in adaptors:
+        amps[ad.address] = sheet.angle_bindings[f"prep/{side}/{ad.address}"]
     norm = np.linalg.norm(amps)
     if abs(norm - 1.0) > 1e-9:
-        raise BindError(f"generator prep amplitudes have norm {norm!r}")
-    return oracle._prep_select_prep(
-        amps, branch_ops, branch_phases, n, generator_workspace_width(skel)
-    )
-
-
-def _ham_branch_from_bindings(sheet, ad, n):
-    prefix = f"ham/{ad.address}"
-    if ad.kind == "one_body_mode":
-        m = max(ad.rank, 1)
-        gadgets = [
-            _occupation_from_bindings(sheet, f"{prefix}/mode{j}", n, ad.pivot[j])
-            for j in range(m)
-        ]
-        amps = [sheet.angle_bindings[f"{prefix}/subprep/{j}"] for j in range(m)]
-        return oracle.occupation_select(gadgets, amps, [1.0] * m, n)
-    if ad.kind == "channel":
-        seq = ladders.network_pair_sequence(n)
-        rotations = tuple(
-            (p, q, sheet.angle_bindings[f"{prefix}/net/{k}/theta"])
-            for k, (p, q) in enumerate(seq)
-        )
-        net_phases = np.array(
-            [sheet.phase_bindings[f"{prefix}/net/phase/{p}"] for p in range(n)]
-        )
-        net = ladders.RotationNetwork(n, rotations, net_phases)
-        amps = [sheet.angle_bindings[f"{prefix}/prep/{xi}"] for xi in range(ad.rank)]
-        phases = [
-            np.exp(1j * sheet.phase_bindings[f"{prefix}/select/{xi}/sign_phi"])
-            for xi in range(ad.rank)
-        ]
-        w, t = oracle.rotated_diagonal_gadget(net, amps, phases, n)
-        return oracle.squared_block_gadget(w, t, n)
-    raise ValidationError(f"unknown hamiltonian adaptor kind {ad.kind!r}")
+        name = "generator" if side == "gen" else "hamiltonian"
+        raise BindError(f"{name} prep amplitudes have norm {norm!r}")
+    ops, phases = zip(*(
+        _branch(skel, sheet, ad) for ad in sorted(adaptors, key=lambda a: a.address)
+    ))
+    width = generator_workspace_width(skel) if side == "gen" else skel.workspace_width
+    return oracle._prep_select_prep(amps, ops, phases, skel.n_system, width)
 
 
 def execute_adaptor(skel, sheet, address):
-    """Sparse (CSR) branch unitary of one adaptor, rebuilt from a dial sheet.
+    """Sparse (CSR) branch unitary of one adaptor, run from its layer lines.
 
     ``address`` is the adaptor's slot prefix, ``"ham/<a>"`` or
     ``"gen/<a>"``.  The branch is the one the multiplexed encoding selects
-    (the same builder), on its own workspace plus the system register and
-    without its coefficient sign, so its block is the adaptor's
+    (the same lines), on its own workspace plus the system register and
+    without its sign line's phase, so its block is the adaptor's
     normalized ladder term.
     """
     side = address.partition("/")[0]
@@ -887,49 +970,27 @@ def execute_adaptor(skel, sheet, address):
     else:  # the null flip is the one-qubit floor of plan_workspace_width
         plan = CompilePlan(ham=(), gen=() if ad.kind == "null" else (ad,))
     oracle.check_assembly_width(plan_workspace_width(plan) + skel.n_system)
-    _check_fingerprint(skel, sheet)
-    build = _ham_branch_from_bindings if side == "ham" else _gen_branch_from_bindings
-    return build(sheet, ad, skel.n_system).tocsr()
+    _check_sheet(skel, sheet)
+    return _branch(skel, sheet, ad)[0].tocsr()
 
 
-def _check_fingerprint(skel, sheet):
+def _check_sheet(skel, sheet):
+    """The sheet is bound to this skeleton and binds exactly its slots."""
     if sheet.skeleton_fingerprint != skel.fingerprint:
         raise BindError("dial sheet bound to a different skeleton fingerprint")
+    missing, unknown = _slot_mismatch(skel, sheet.angle_bindings, sheet.phase_bindings)
+    if unknown or any(missing):
+        raise BindError(
+            "dial sheet must bind exactly the skeleton's slots "
+            f"(missing: {sorted(set().union(*missing))}; unknown: {unknown})"
+        )
 
 
-def execute_hamiltonian_encoding(skel, sheet):
-    """Sparse (CSR) rebuild of the Hamiltonian encoding from a dial sheet."""
-    oracle.check_assembly_width(hamiltonian_ancillas(skel) + skel.n_system)
-    return _hamiltonian_select(skel, sheet).tocsr()
-
-
-def execute_hamiltonian_block(skel, sheet):
-    """Dense block of :func:`execute_hamiltonian_encoding`, run on columns."""
-    oracle.check_column_batch(hamiltonian_ancillas(skel), skel.n_system, "Hamiltonian")
-    return oracle.column_block(_hamiltonian_select(skel, sheet), skel.n_system)
-
-
-def _hamiltonian_select(skel, sheet):
-    """Hamiltonian PREP-SELECT-PREP node; checks the fingerprint and the PREP norm."""
-    _check_fingerprint(skel, sheet)
-    n = skel.n_system
-    branch_ops = []
-    branch_phases = []
-    amps = np.zeros(2**skel.selector_width)
-    omegas = sheet.classical_coeffs["Omega"]
-    for ad in sorted(skel.adaptors_ham, key=lambda a: a.address):
-        amp = sheet.angle_bindings.get(f"prep/ham/{ad.address}", 0.0)
-        amps[ad.address] = amp
-        if amp == 0.0 and ad.address >= len(omegas):
-            branch_ops.append(None)
-            branch_phases.append(1.0)
-            continue
-        branch_ops.append(_ham_branch_from_bindings(sheet, ad, n))
-        om = omegas[ad.address] if ad.address < len(omegas) else 0.0
-        branch_phases.append(1.0 if om >= 0 else -1.0)
-    norm = np.linalg.norm(amps)
-    if abs(norm - 1.0) > 1e-9:
-        raise BindError(f"hamiltonian prep amplitudes have norm {norm!r}")
-    return oracle._prep_select_prep(
-        amps, branch_ops, branch_phases, n, skel.workspace_width
-    )
+def _slot_mismatch(skel, angles, phases):
+    """Angle and phase slots left unbound, and the bound names no such slot has."""
+    missing, unknown = [], []
+    for kind, bindings in zip(skel.slot_kinds(), (angles, phases)):
+        missing.append(kind.difference(bindings))
+        if len(bindings) > len(kind) - len(missing[-1]):
+            unknown += bindings.keys() - kind
+    return missing, sorted(unknown)

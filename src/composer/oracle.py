@@ -1,20 +1,20 @@
 """Jordan-Wigner oracle for block-encoding verification.
 
-Each gadget (vacuum-reflection dyads, flagged occupations, squared
-channels, PREP-SELECT-PREP multiplexing) is built once, as an operator
-tree over sparse gates with two evaluations: ``apply`` runs it on dense
-state columns, so block consumers read the ``2**n x 2**n`` ancilla-zero
-block from the ``2**n`` columns ``|0_anc>|x>``; ``tocsr`` assembles the
-sparse (CSR) unitary for unitarity checks.  The block is checked against
-the dense operator it is supposed to encode, built independently from
-Jordan-Wigner ladder operators and restricted to the working sector.
+Every gadget is an operator tree over sparse gates with two
+evaluations: ``apply`` runs it on dense state columns, so block
+consumers read the ``2**n x 2**n`` ancilla-zero block from the ``2**n``
+columns ``|0_anc>|x>``; ``tocsr`` assembles the sparse (CSR) unitary for
+unitarity checks.  The block is checked against the dense operator it is
+supposed to encode, built independently from Jordan-Wigner ladder
+operators and restricted to the working sector.
 
-The gadget builders here are the only ones, and in the program only
-:mod:`circuit_ir` execution calls them, with angles read from a dial
-sheet.  Each pool encoder (and :func:`channel_block_encoding`, for one
-channel) compiles a skeleton for its one pool, dials it and executes the
-dial sheet, then measures the result against its dense target.  One
-adaptor's branch alone comes from :func:`circuit_ir.execute_adaptor`.
+The trees are built only by the :mod:`circuit_ir` interpreter, from a
+skeleton's layer lines and a dial sheet; this module holds their nodes
+and the cached angle-free leaves the lines map onto (flag copy, vacuum
+reflection, null flip, squaring, PREP-SELECT-PREP).  Each pool encoder
+(and :func:`channel_block_encoding`, for one channel) compiles a
+skeleton for its one pool, dials it and executes the dial sheet, then
+measures the result against its dense target.
 """
 
 from __future__ import annotations
@@ -433,11 +433,11 @@ def check_assembly_width(qubits):
 def _prep_select_prep(amplitudes, branch_ops, branch_phases, n, workspace):
     """``(PREP^T (x) I) W_sel (PREP (x) I)`` as a gadget node.
 
-    ``branch_ops[s]`` is the unitary (sparse or a node) of selector value
-    ``s`` on its own workspace + system register (``None`` means identity);
-    each is padded with most-significant identity ancillas to the shared
-    ``workspace`` width.  ``PREP`` is the real Householder reflection, so
-    its zero entries (unloaded addresses) add no fill.
+    ``branch_ops[s]`` (sparse or a node) times ``branch_phases[s]`` acts
+    for selector value ``s`` on its own workspace + system register, padded
+    with most-significant identity ancillas to the shared ``workspace``
+    width; other values act as the identity.  ``PREP`` is the real
+    Householder reflection, so unloaded addresses add no fill.
     """
     n_states = len(amplitudes)
     if n_states & (n_states - 1):
@@ -446,18 +446,12 @@ def _prep_select_prep(amplitudes, branch_ops, branch_phases, n, workspace):
         raise CapacityError(
             f"{len(branch_ops)} branches exceed selector capacity {n_states}"
         )
-    dim_sys = 2**n
-    widths = [
-        0 if op is None else int(np.log2(op.shape[0] // dim_sys))
-        for op in branch_ops
-    ]
-    if any(wd > workspace for wd in widths):
-        raise ShapeError("branch workspace exceeds the shared width")
     branches = [None] * n_states
-    for s, op in enumerate(branch_ops):
-        if op is not None:
-            phase = branch_phases[s] if s < len(branch_phases) else 1.0
-            branches[s] = _Lift(op, workspace - widths[s], phase)
+    for s, (op, phase) in enumerate(zip(branch_ops, branch_phases)):
+        width = int(np.log2(op.shape[0] >> n))
+        if width > workspace:
+            raise ShapeError("branch workspace exceeds the shared width")
+        branches[s] = _Lift(op, workspace - width, phase)
     prep = _householder_prep(amplitudes)
     return _PrepSelectPrep(prep, branches, int(np.log2(n_states)) + workspace + n)
 
@@ -489,67 +483,6 @@ def _flag_copy(pivot, n):
     """Flag-copy core ``X_f CNOT_(pivot -> f)`` (cached, read-only)."""
     total = 1 + n
     return _frozen(jw.pauli_x(total, 0) @ jw.controlled_x(total, 1 + pivot, 0))
-
-
-def flagged_occupation(sched, n):
-    """Flag-copy core conjugated by a number-conserving one-electron ladder."""
-    lifted = _Lift(ladders.schedule_unitary(sched), 1)
-    return _Product(lifted, _flag_copy(sched.pivot[0], n), _Adjoint(lifted))
-
-
-def occupation_select(gadgets, amps, phases, n):
-    """One-qubit sub-select over flagged occupation gadgets.
-
-    A single gadget is returned as itself (times its phase).  All-zero
-    amplitudes mark a surplus compiled adaptor idling at zero weight: any
-    valid sub-prep keeps it unitary and it is never selected, so branch 0
-    is loaded.
-    """
-    if len(gadgets) == 1:
-        return _Lift(gadgets[0], 0, phases[0])
-    amps = np.asarray(amps, dtype=float)
-    if np.linalg.norm(amps) < 1e-12:
-        amps = np.eye(len(amps))[0]
-    return _prep_select_prep(amps, gadgets, phases, n, 1)
-
-
-def rotated_diagonal_gadget(net, amps, phases, n):
-    """Flag-copy select over modes ``0 .. r-1`` conjugated by a rotation network.
-
-    Returns the gadget and its ancilla count (index register plus flag).
-    """
-    r = len(phases)
-    t = index_width(r) + 1
-    loaded = np.zeros(2 ** (t - 1))
-    loaded[:r] = amps
-    ops = [_flag_copy(xi, n) for xi in range(r)]
-    gadget = _prep_select_prep(loaded, ops, phases, n, 1)
-    lifted = _Lift(ladders.network_unitary(net), t)
-    return _Product(lifted, gadget, _Adjoint(lifted)), t
-
-
-def dyad_gadget(su, sv, n):
-    """``lift(U_u) R_vac lift(U_v^dag)`` from two prep-form ladders.
-
-    The ancilla-zero block is the dyad ``|u><v|`` of the two loaded states.
-    """
-    prep_u = ladders.schedule_unitary(su)
-    prep_v = ladders.schedule_unitary(sv)
-    return _Product(
-        _Lift(prep_u, 1), vacuum_reflection_gadget(n), _Lift(prep_v.conj().T, 1)
-    )
-
-
-def hermitian_dyad_branch(su, sv, n):
-    """Hermitian ``i(L - L^dag)/2`` for the dyad ``L`` of two prep-form ladders.
-
-    Two-term sub-select over the dyad gadget and its adjoint with phases
-    ``[i, -i]``; the adjoint gadget encodes the adjoint dyad, so both arms
-    reuse one circuit body.
-    """
-    w_l = dyad_gadget(su, sv, n)
-    amps = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    return _prep_select_prep(amps, [w_l, _Adjoint(w_l)], [1j, -1j], n, 1)
 
 
 def reflect_about_ancilla_vacuum(t, n):

@@ -216,76 +216,68 @@ def test_c04_qsp_budget():
 
 def test_c05_similarity_sandwich():
     t0 = time.monotonic()
-    sector = list(jw.sector_indices(4, 2))
-    for seed in (7, 13):
-        ints = synth_instance(seed, 2, 2)
+    # n_so = 4 at two seeds, and n_so = 6 (synth 7:3:2)
+    for synth in ((7, 2, 2), (13, 2, 2), (7, 3, 2)):
+        ints = synth_instance(*synth)
+        sector = list(jw.sector_indices(ints.n_so, ints.n_elec))
         ham = build_hamiltonian_pool(ints, 1e-10, 0.0)
         base_gen = nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0)
-        gen = mixed_generator_pool(base_gen, seed=seed)
+        gen = mixed_generator_pool(base_gen, n_so=ints.n_so, seed=synth[0])
         masks = (frozenset([1]), frozenset([1, 2]), frozenset([2, 3]))
         for mask in masks:
             rep, _ = me.similarity_sandwich(ham, gen, mask, sector, 1e-9)
             assert rep.within_budget, (
-                f"seed {seed} mask {sorted(mask)}: "
+                f"synth {synth} mask {sorted(mask)}: "
                 f"{rep.measured_error} > 1.1 * {rep.budget_total}"
             )
     _stamp("5 similarity sandwich", t0, 120.0)
 
 
+def _scaled(pool, factor):
+    """The generator pool with every coefficient multiplied by ``factor``."""
+    return replace(
+        pool,
+        ladders=tuple(
+            replace(lad, coefficient=lad.coefficient * factor) for lad in pool.ladders
+        ),
+    )
+
+
 def test_c06_compile_once_invariance():
     t0 = time.monotonic()
-    ints = synth_instance(7, 2, 2)
-    ham = build_hamiltonian_pool(ints, 1e-10, 0.0)
-    gen = mixed_generator_pool(nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0))
-    plan = cir.pivots_from_pools(ham, gen)
-    skel = cir.compile_skeleton(ham.ell, gen.ell, 4, plan, "full", qsp_degree=6)
-
-    def scaled(pool, factor):
-        out = []
-        for lad in pool.ladders:
-            if lad.kind == "pair":
-                from composer.factorization import PairLadder
-
-                out.append(
-                    PairLadder(
-                        x=lad.x, y=lad.y, r=lad.r, s=lad.s,
-                        coefficient=lad.coefficient * factor,
-                        address=lad.address,
-                    )
-                )
-            else:
-                out.append(
-                    BilinearLadder(
-                        u=lad.u, v=lad.v,
-                        coefficient=lad.coefficient * factor,
-                        address=lad.address,
-                    )
-                )
-        return GeneratorPool(
-            ladders=tuple(out), n_occ=pool.n_occ, n_virt=pool.n_virt,
-            n_elec=pool.n_elec,
+    # n_so = 4 (synth 7:2:2) and n_so = 6 (synth 7:3:2)
+    for synth in ((7, 2, 2), (7, 3, 2)):
+        ints = synth_instance(*synth)
+        n = ints.n_so
+        ham = build_hamiltonian_pool(ints, 1e-10, 0.0)
+        gen = mixed_generator_pool(
+            nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0), n_so=n
         )
+        plan = cir.pivots_from_pools(ham, gen)
+        skel = cir.compile_skeleton(ham.ell, gen.ell, n, plan, "full", qsp_degree=6)
 
-    coefficient_sets = [scaled(gen, f) for f in (1.0, 0.5, 1.25)]
-    worst = max(p.alpha_bar for p in coefficient_sets)
-    masks = [
-        cir.Mask.of("m0", []),
-        cir.Mask.of("m1", [1]),
-        cir.Mask.of("m2", [2, 3]),
-        cir.Mask.of("m3", [1, 2, 3]),
-    ]
-    sheets = []
-    for pool in coefficient_sets:
-        for mask in masks:
-            sheets.append((pool, mask, cir.dial(skel, ham, pool, mask, alpha_bar=worst)))
-    fingerprints = {sheet.skeleton_fingerprint for _, _, sheet in sheets}
-    assert fingerprints == {skel.fingerprint}
-    distinct = {sheet.to_json() for _, _, sheet in sheets}
-    assert len(distinct) == 12
-    for pool, mask, sheet in sheets:
-        w = cir.execute_generator_encoding(skel, sheet)
-        target = oracle.generator_dense(pool, mask.indices).matrix / worst
-        assert_encodes(w, target, skel.n_system, pool.sector)
+        coefficient_sets = [_scaled(gen, f) for f in (1.0, 0.5, 1.25)]
+        worst = max(p.alpha_bar for p in coefficient_sets)
+        masks = [
+            cir.Mask.of("m0", []),
+            cir.Mask.of("m1", [1]),
+            cir.Mask.of("m2", [2, 3]),
+            cir.Mask.of("m3", [1, 2, 3]),
+        ]
+        sheets = []
+        for pool in coefficient_sets:
+            for mask in masks:
+                sheets.append(
+                    (pool, mask, cir.dial(skel, ham, pool, mask, alpha_bar=worst))
+                )
+        fingerprints = {sheet.skeleton_fingerprint for _, _, sheet in sheets}
+        assert fingerprints == {skel.fingerprint}
+        distinct = {sheet.to_json() for _, _, sheet in sheets}
+        assert len(distinct) == 12
+        for pool, mask, sheet in sheets:
+            w = cir.execute_generator_encoding(skel, sheet)
+            target = oracle.generator_dense(pool, mask.indices).matrix / worst
+            assert_encodes(w, target, skel.n_system, pool.sector)
     _stamp("6 compile-once invariance", t0, 60.0)
 
 

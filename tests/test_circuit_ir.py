@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from composer import circuit_ir as cir
-from composer import oracle
+from composer import jw, oracle
 from composer.errors import BindError, MaskError, ParseError, ValidationError
 from composer.factorization import (
     GeneratorPool,
@@ -112,8 +113,9 @@ def test_fingerprint_recompute_matches(compiled):
 def test_dial_binds_every_slot(compiled):
     ham, gen, skel = compiled
     sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", [1, 2]))
-    bound = set(sheet.angle_bindings) | set(sheet.phase_bindings)
-    assert set(skel.all_slots()) <= bound
+    angle_slots, phase_slots = skel.slot_kinds()
+    assert angle_slots == set(sheet.angle_bindings)
+    assert phase_slots == set(sheet.phase_bindings)
     assert sheet.skeleton_fingerprint == skel.fingerprint
 
 
@@ -310,6 +312,74 @@ def test_every_adaptor_encodes_its_ladder(small_pools, mixed_gen_pool, data):
     assert_encodes(null, np.zeros((2**n, 2**n)), n, ham.n_elec)
 
 
+def _sector_max(block, target, n, sector):
+    diag = jw.sector_projector_diagonal(n, sector)
+    return float(np.abs((block - target) * np.outer(diag, diag)).max())
+
+
+def _flipped(ladders, flips):
+    return tuple(
+        replace(lad, coefficient=-lad.coefficient) if flip else lad
+        for lad, flip in zip(ladders, flips)
+    )
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_branch_signs_follow_the_coefficients(small_pools, mixed_gen_pool, data):
+    """n_so = 4: random Omega and omega signs reach both blocks through the dial."""
+    ham, gen, mask = _random_prefix(small_pools[0], mixed_gen_pool, data)
+    flips = data.draw(
+        st.lists(st.booleans(), min_size=ham.ell + gen.ell, max_size=ham.ell + gen.ell),
+        label="flipped signs",
+    )
+    ham = replace(
+        ham,
+        one_body=_flipped(ham.one_body, flips),
+        channels=_flipped(ham.channels, flips[len(ham.one_body):]),
+    )
+    gen = replace(gen, ladders=_flipped(gen.ladders, flips[ham.ell:]))
+    n = ham.n_so
+    skel = cir.compile_skeleton(ham.ell, gen.ell, n, cir.pivots_from_pools(ham, gen))
+    sheet = cir.dial(skel, ham, gen, mask)
+    block = cir.execute_generator_block(skel, sheet)
+    assert _sector_max(block, generator_target(gen, mask), n, gen.sector) <= 1e-12
+    block = cir.execute_hamiltonian_block(skel, sheet)
+    assert _sector_max(block, hamiltonian_target(ham), n, ham.n_elec) <= 1e-12
+
+
+def test_layer_stream_is_the_program(compiled):
+    """A re-targeted givens line, re-fingerprinted, changes what executes."""
+    ham, gen, skel = compiled
+    sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", [1]))
+    n = skel.n_system
+    target = hamiltonian_target(ham)
+    block = cir.execute_hamiltonian_block(skel, sheet)
+    assert _sector_max(block, target, n, ham.n_elec) <= 1e-10
+    # the givens line of the first one-body adaptor with the largest angle
+    ad = next(a for a in skel.adaptors_ham if a.kind == "one_body_mode")
+    k = max(
+        (k for k, line in enumerate(ad.layers) if line.startswith("givens|")),
+        key=lambda k: abs(sheet.angle_bindings[ad.layers[k].split("|")[2]]),
+    )
+    _, qubits, slot = ad.layers[k].split("|")
+    target_q, pivot = (int(q) for q in qubits.split(","))
+    sys0 = skel.selector_width + skel.workspace_width
+    other = next(q for q in range(sys0, sys0 + n) if q not in (target_q, pivot))
+    layers = list(ad.layers)
+    layers[k] = f"givens|{other},{pivot}|{slot}"
+    retargeted = replace(ad, layers=tuple(layers))
+    tampered = replace(
+        skel,
+        adaptors_ham=tuple(retargeted if a is ad else a for a in skel.adaptors_ham),
+    )
+    tampered = replace(tampered, fingerprint=cir.fabric_fingerprint(tampered))
+    tampered = cir.CircuitSkeleton.from_json(tampered.to_json())
+    sheet = cir.dial(tampered, ham, gen, cir.Mask.of("m", [1]))
+    block = cir.execute_hamiltonian_block(tampered, sheet)
+    assert _sector_max(block, target, n, ham.n_elec) > 1e-3
+
+
 def test_execute_adaptor_rejects_unknown_address_and_foreign_sheet(compiled):
     ham, gen, skel = compiled
     sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", [1]))
@@ -411,8 +481,25 @@ def _list_layer(doc):
     """A v2-style ``[gate, qubits, slot]`` list in place of a line."""
     gate, qubits, slot = doc["adaptors_gen"][1]["layers"][0].split("|")
     doc["adaptors_gen"][1]["layers"][0] = [
-        gate, [int(q) for q in qubits.split(",")], slot or None
+        gate, [int(q) for q in qubits.split(",") if q], slot or None
     ]
+
+
+def _drop_first(gate):
+    """Delete the first ``gate`` line in the skeleton."""
+
+    def tamper(doc):
+        for ad in doc["adaptors_ham"] + doc["adaptors_gen"]:
+            for k, line in enumerate(ad["layers"]):
+                if line.split("|")[0] == gate:
+                    del ad["layers"][k]
+                    return
+
+    return tamper
+
+
+def _move_select(fields):
+    fields[1] = str(int(fields[1]) - 1)
 
 
 def _scalar_layers(doc):
@@ -440,7 +527,12 @@ def _lower_channel_rank(doc):
         pytest.param(_widen("selector_width"), ValidationError, id="selector_width"),
         pytest.param(_widen("workspace_width"), ValidationError, id="workspace_width"),
         pytest.param(
-            _edit_first("index_load", _rename_slot), ValidationError, id="renamed-slot"
+            _edit_first("case", _rename_slot), ValidationError, id="renamed-slot"
+        ),
+        pytest.param(_drop_first("gphase"), ValidationError, id="dropped-sign-line"),
+        pytest.param(_drop_first("mirror"), ValidationError, id="dropped-mirror"),
+        pytest.param(
+            _edit_first("select", _move_select), ValidationError, id="moved-select"
         ),
         pytest.param(_embed_newline, ParseError, id="embedded-newline"),
         pytest.param(_list_layer, ParseError, id="non-string-layer"),
@@ -459,8 +551,8 @@ def test_skeleton_json_tamper_detected(compiled, tamper, error):
 
 @pytest.mark.parametrize(
     "fmt",
-    ["composer-skel-v1", "composer-skel-v2", "composer-skel-v3"],
-    ids=["v1", "v2", "v3"],
+    ["composer-skel-v1", "composer-skel-v2", "composer-skel-v3", "composer-skel-v4"],
+    ids=["v1", "v2", "v3", "v4"],
 )
 def test_skeleton_v1_rejected(compiled, fmt):
     _, _, skel = compiled

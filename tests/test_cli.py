@@ -108,6 +108,36 @@ def test_verify_tampered_fingerprint_exits_three(pipeline, tmp_path):
     assert run(["verify", "--skel", str(skel), "--dial", str(bad)]) == 3
 
 
+def _add_binding(doc):
+    doc["angle_bindings"]["gen/1/bogus"] = 0.0
+    return "gen/1/bogus"
+
+
+def _drop_binding(doc):
+    slot = min(s for s in doc["angle_bindings"] if s.startswith("gen/1/"))
+    del doc["angle_bindings"][slot]
+    return slot
+
+
+@pytest.mark.parametrize(
+    "edit, kind",
+    [(_add_binding, "unknown"), (_drop_binding, "missing")],
+    ids=["extra-slot", "missing-slot"],
+)
+def test_verify_sheet_must_bind_exactly_the_skeleton_slots(
+    pipeline, capsys, edit, kind
+):
+    """An extra or a missing binding is a topology violation that names the slot."""
+    tmp, _, skel, sheet = pipeline
+    doc = json.loads(sheet.read_text())
+    slot = edit(doc)
+    bad = tmp / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["verify", "--skel", str(skel), "--dial", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert f"{kind}: ['{slot}']" in err
+
+
 def test_dial_foreign_mask_exits_two(pipeline, capsys):
     """A mask naming an address the pool lacks is an input error, not topology."""
     tmp, pool, skel, _ = pipeline

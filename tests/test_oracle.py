@@ -8,6 +8,7 @@ from composer import jw, ladders, oracle
 from composer.errors import CapacityError, MaskError, ShapeError
 from composer.factorization import (
     BilinearLadder,
+    ChannelLadder,
     GeneratorPool,
     HamiltonianPool,
     OneBodyModeLadder,
@@ -137,11 +138,19 @@ def test_zero_coefficient_ladder_loads_no_weight():
 
 
 def _rotated_diagonal_block(ch, n):
-    """Unsquared channel gadget, run on columns: block ``O_mu / Gamma_mu``."""
-    amps, signs, _ = oracle.signed_loading(ch.eigvals)
-    net = ladders.rotation_network_from_matrix(ch.rotation_full)
-    gadget, _ = oracle.rotated_diagonal_gadget(net, amps, signs, n)
-    return oracle.column_block(gadget, n)
+    """Unsquared channel gadget: block ``O_mu / Gamma_mu``.
+
+    The channel adaptor's own lines without their final ``square`` marker,
+    dialed and executed.
+    """
+    pool = HamiltonianPool((), (ChannelLadder(ch, 1.0, 0),), n_so=n, n_elec=0)
+    skel = cir.one_pool_skeleton(pool, None)
+    (ad,) = skel.adaptors_ham
+    assert ad.layers[-1].startswith("square|")
+    skel = replace(skel, adaptors_ham=(replace(ad, layers=ad.layers[:-1]),))
+    skel = replace(skel, fingerprint=cir.fabric_fingerprint(skel))
+    sheet = cir.dial(skel, pool, None, ())
+    return oracle.extract_block(cir.execute_adaptor(skel, sheet, "ham/0"), n)
 
 
 def test_channel_single_mode_is_occupation():
@@ -363,14 +372,15 @@ def test_theorem_error_formula_with_injected_errors(small_pools):
     assert err <= bound * (1 + 1e-6) + 1e-14
 
 
+# every leaf and node builder the layer-stream interpreter calls
 GADGET_BUILDERS = (
-    "flagged_occupation",
-    "occupation_select",
-    "rotated_diagonal_gadget",
-    "squared_block_gadget",
-    "dyad_gadget",
-    "hermitian_dyad_branch",
-    "null_branch",
+    (oracle, "_flag_copy"),
+    (oracle, "vacuum_reflection_gadget"),
+    (oracle, "null_branch"),
+    (oracle, "squared_block_gadget"),
+    (oracle, "_prep_select_prep"),
+    (ladders, "givens_gate"),
+    (ladders, "pair_givens_gate"),
 )
 
 
@@ -383,8 +393,8 @@ def test_hamiltonian_encoding_rejects_oversized_register_before_building(
     def forbidden(*args, **kwargs):
         raise AssertionError("gadget built before the size check")
 
-    for name in GADGET_BUILDERS:
-        monkeypatch.setattr(oracle, name, forbidden)
+    for module, name in GADGET_BUILDERS:
+        monkeypatch.setattr(module, name, forbidden)
     message = "assembly needs 14 qubits; the oracle caps at 13"
     with pytest.raises(ShapeError, match=message):
         oracle.hamiltonian_block_encoding(ham)
