@@ -15,7 +15,9 @@ changes between instances.
 An adaptor's lines, in application order, are its whole branch
 (``composer-skel-v5``), and execution interprets them: each run of
 system gates (``givens``, ``pgivens`` then its ``pgivens_phase``, ``rz``,
-``cphase``, ``x``) becomes one sparse leaf; on the workspace, ``cx x``
+``cphase``, ``x``) becomes one dense ``2**n x 2**n`` leaf, the gates
+applied in order to the identity by the :mod:`ladders` kernel (a
+``pgivens_phase`` anywhere else is an error); on the workspace, ``cx x``
 is the flag copy, ``h mcz h`` the vacuum reflection, a lone ``x`` the
 null flip.  ``gphase`` multiplies its branch or case by a dialed phase
 (``.../sign_phi``: 0 or pi), ``gphase+i`` / ``gphase-i`` by a fixed one.
@@ -39,7 +41,6 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
 
 from . import jw, ladders, oracle
 from .errors import BindError, CapacityError, MaskError, ParseError, ValidationError
@@ -51,6 +52,9 @@ DIAL_FORMAT = "composer-dial-v1"
 
 # gates whose slot binds a phase; every other slot binds an angle or amplitude
 PHASE_GATES = frozenset({"rz", "cphase", "pgivens_phase", "gphase"})
+
+# gates on the system register, each with the number of modes it acts on
+SYSTEM_GATES = {"givens": 2, "pgivens": 4, "rz": 1, "cphase": 2, "x": 1}
 
 
 @dataclass(frozen=True)
@@ -749,7 +753,7 @@ class _Interpreter:
             self.pos += 1
             qs = [int(q) - self.sys0 for q in qubits.split(",")] if qubits else []
             if qs and min(qs) >= 0:
-                run.append((gate, qs, slot))
+                run.append(self._system_gate(gate, qubits, tuple(qs), slot))
                 continue
             if run:
                 factors.append((self._leaf(run), 0, False))
@@ -783,35 +787,32 @@ class _Interpreter:
             factors.append((self._leaf(run), 0, False))
         return factors, phase, None
 
+    def _system_gate(self, gate, qubits, qs, slot):
+        """One system line as a :func:`ladders.apply_gates` gate.
+
+        ``pgivens`` reads its ``pgivens_phase`` line here, so a phase line
+        met anywhere else is stray.
+        """
+        self._expect(gate != "pgivens_phase", "pgivens before its phase")
+        if gate not in SYSTEM_GATES:
+            raise ValidationError(f"unknown system gate {gate!r}")
+        arity = SYSTEM_GATES[gate]
+        self._expect(len(qs) == arity, f"{gate} on {arity} modes")
+        if gate == "givens":
+            return ("rot", qs, self.angles[slot], 0.0)
+        if gate == "pgivens":
+            phase_line = self.lines[self.pos] if self.pos < len(self.lines) else []
+            self._expect(phase_line[:2] == ["pgivens_phase", qubits],
+                         "pgivens, its phase")
+            self.pos += 1
+            return ("rot", qs, self.angles[slot], self.phases[phase_line[2]])
+        if gate == "x":
+            return ("x", qs)
+        return ("phase", qs, self.phases[slot])
+
     def _leaf(self, run):
-        """Product of a run of system gates; consecutive ``rz`` form one phase layer."""
-        n, gates, rz = self.n, [], None
-        # a closing sentinel flushes a trailing phase layer
-        for k, (gate, qs, slot) in enumerate(run + [("", [], "")]):
-            if gate == "rz":
-                rz = np.zeros(n) if rz is None else rz
-                rz[qs[0]] += self.phases[slot]
-                continue
-            if rz is not None and rz.any():
-                gates.append(_diag(jw.phase_layer(n, rz)))
-            rz = None
-            if gate == "givens":
-                gates.append(ladders.givens_gate(n, *qs, self.angles[slot]))
-            elif gate == "pgivens":  # its phase is the next line's slot
-                nxt = run[k + 1] if k + 1 < len(run) else ("",)
-                self._expect(nxt[:2] == ("pgivens_phase", qs), "pgivens, its phase")
-                theta, phi = self.angles[slot], self.phases[nxt[2]]
-                gates.append(ladders.pair_givens_gate(n, *qs, theta, phi))
-            elif gate == "cphase" and self.phases[slot] != 0.0:
-                gates.append(_diag(jw.pair_phase_diagonal(n, *qs, self.phases[slot])))
-            elif gate == "x":
-                gates.append(jw.pauli_x(n, qs[0]))
-            elif gate not in ("cphase", "pgivens_phase", ""):
-                raise ValidationError(f"unknown system gate {gate!r}")
-        leaf = gates[0] if gates else _diag(np.ones(2**n, dtype=complex))
-        for gate in gates[1:]:
-            leaf = gate @ leaf
-        return leaf
+        """Dense product of a run of system gates, applied in order to the identity."""
+        return ladders.apply_gates(np.eye(2**self.n, dtype=complex), self.n, run)
 
     def _idiom(self, gate, qs):
         """Flag copy ``cx x``, vacuum reflection ``h mcz h``, or the null flip ``x``."""
@@ -855,10 +856,6 @@ class _Interpreter:
     def _expect(self, ok, what):
         if not ok:
             raise ValidationError(f"layer stream near line {self.pos}: expected {what}")
-
-
-def _diag(entries):
-    return sparse.diags(entries, format="csr")
 
 
 def _combine(factors):
@@ -971,7 +968,7 @@ def execute_adaptor(skel, sheet, address):
         plan = CompilePlan(ham=(), gen=() if ad.kind == "null" else (ad,))
     oracle.check_assembly_width(plan_workspace_width(plan) + skel.n_system)
     _check_sheet(skel, sheet)
-    return _branch(skel, sheet, ad)[0].tocsr()
+    return oracle._csr(_branch(skel, sheet, ad)[0])
 
 
 def _check_sheet(skel, sheet):

@@ -84,37 +84,41 @@ def basis_state(n, occupied):
     return idx
 
 
+@lru_cache(maxsize=None)
+def bit_flip(total, q, control=None):
+    """Read-only index map of X on qubit ``q``, controlled on ``control`` if given.
+
+    ``(X v)[i] = v[flip[i]]`` on a ``total``-qubit register.
+    """
+    src = np.arange(2**total)
+    bit = 1 if control is None else (src >> (total - 1 - control)) & 1
+    flip = src ^ (bit << (total - 1 - q))
+    flip.setflags(write=False)
+    return flip
+
+
+@lru_cache(maxsize=None)
+def occupied_states(n, modes):
+    """Read-only indices of the basis states with every mode in ``modes`` occupied."""
+    mask = sum(1 << (n - 1 - p) for p in modes)
+    idx = np.nonzero((np.arange(2**n) & mask) == mask)[0]
+    idx.setflags(write=False)
+    return idx
+
+
+def permutation(index_map):
+    """Sparse ``P`` with ``(P v)[i] = v[index_map[i]]``."""
+    dim = len(index_map)
+    return sparse.csr_matrix(
+        (np.ones(dim), (np.arange(dim), index_map)), shape=(dim, dim)
+    )
+
+
 def pauli_x(total, q):
     """Qubit X on position ``q`` of a ``total``-qubit register (sparse)."""
-    dim = 2**total
-    src = np.arange(dim)
-    dst = src ^ (1 << (total - 1 - q))
-    return sparse.csr_matrix((np.ones(dim), (dst, src)), shape=(dim, dim))
+    return permutation(bit_flip(total, q))
 
 
 def controlled_x(total, control, target):
     """CNOT with the given control/target qubit positions (sparse)."""
-    dim = 2**total
-    src = np.arange(dim)
-    cbit = (src >> (total - 1 - control)) & 1
-    dst = src ^ (cbit << (total - 1 - target))
-    return sparse.csr_matrix((np.ones(dim), (dst, src)), shape=(dim, dim))
-
-
-def phase_layer(n, phases):
-    """Diagonal ``prod_p exp(i phi_p n_p)`` over the mode register."""
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape != (n,):
-        raise ShapeError("one phase per mode required")
-    diag = np.zeros(2**n)
-    for p in range(n):
-        occ = (np.arange(2**n) >> (n - 1 - p)) & 1
-        diag = diag + phases[p] * occ
-    return np.exp(1j * diag)
-
-
-def pair_phase_diagonal(n, p, q, phi):
-    """Diagonal ``exp(i phi n_p n_q)`` over the mode register."""
-    idx = np.arange(2**n)
-    both = ((idx >> (n - 1 - p)) & 1) * ((idx >> (n - 1 - q)) & 1)
-    return np.exp(1j * phi * both)
+    return permutation(bit_flip(total, target, control))

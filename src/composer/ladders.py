@@ -3,23 +3,27 @@
 A ladder redistributes amplitude from a fixed pivot mode (or pivot pair)
 through a fixed ordering of targets; only the rotation angles and phases
 depend on the data vector, which is what makes the topology reusable.
-Every gate is a sparse matrix in the exact Euler form of its rotation
-generator (``K^3 = -K`` for both the two-mode and the four-mode case),
-scattered onto a sparsity pattern cached per register size and mode
-tuple, so neither matrix exponentials nor per-gate sparse arithmetic are
-needed; schedule and network unitaries are sparse products of gates.
+Every gate has one definition: the signed index map of its rotation
+generator, cached per register size and mode tuple and checked, when
+first built, to be a partial signed permutation with disjoint rows and
+partners (``A^2 = 0``, so ``K^3 = -K`` for both the two-mode and the
+four-mode case).  In that exact Euler form ``exp(theta K)`` mixes each
+touched row with its partner only, so one kernel applies it to a column
+array with neither matrix exponentials nor sparse arithmetic; the CSR
+gates and the schedule and network unitaries are read off the same map.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy import sparse
 
 from . import jw
-from .errors import NormalizationError, ShapeError
+from .errors import NormalizationError, ShapeError, ValidationError
 
 _NORM_TOL = 1e-10
 
@@ -153,163 +157,147 @@ def two_electron_angles(u_pairs, pivot_pair=None, n=None):
     return LadderSchedule("two", n, pivot_pair, ordering, thetas, phases, gauge)
 
 
-def _gate_pattern(terms):
-    """Union CSR pattern of the Euler terms of a gate, with scatter maps.
-
-    Returns ``(indptr, indices, scatter)``; ``scatter[k]`` holds the
-    positions of term ``k``'s entries in the union pattern and their
-    values, so a gate ``sum_k c_k T_k`` is assembled by scattering the
-    coefficients without any sparse arithmetic.
-    """
-    dim = terms[0].shape[0]
-    rows = np.arange(dim)
-    keys, values = [], []
-    for term in terms:
-        term = sparse.csr_matrix(term)
-        term.sum_duplicates()
-        keys.append(np.repeat(rows, np.diff(term.indptr)) * dim + term.indices)
-        values.append(term.data)
-    union = np.unique(np.concatenate(keys))
-    union_rows, cols = np.divmod(union, dim)
-    indptr = np.searchsorted(union_rows, np.arange(dim + 1)).astype(np.int32)
-    scatter = tuple(
-        (np.searchsorted(union, key), value) for key, value in zip(keys, values)
-    )
-    return indptr, cols.astype(np.int32), scatter
-
-
-def _pattern_gate(pattern, coeffs):
-    """CSR matrix ``sum_k coeffs[k] T_k`` on a cached :func:`_gate_pattern`."""
-    indptr, indices, scatter = pattern
-    data = np.zeros(len(indices), dtype=complex)
-    for coeff, (pos, vals) in zip(coeffs, scatter):
-        data[pos] += coeff * vals
-    dim = len(indptr) - 1
-    # copies keep the cached pattern safe from in-place sparse methods
-    return sparse.csr_matrix(
-        (data, indices.copy(), indptr.copy()), shape=(dim, dim)
-    )
-
-
 @lru_cache(maxsize=None)
-def _givens_pattern(n, p, r):
-    """Terms ``I, K, K^2`` of ``K = a_p^dag a_r - a_r^dag a_p``."""
-    cr, an = jw.jw_ladder_ops(n)
-    k_op = (cr[p] @ an[r] - cr[r] @ an[p]).tocsr()
-    return _gate_pattern([sparse.identity(2**n, format="csr"), k_op, k_op @ k_op])
+def gate_map(n, modes):
+    """Signed index map ``(rows, partners, signs)`` of a rotation generator's ``A``.
 
-
-@lru_cache(maxsize=None)
-def _pair_pattern(n, p, q, r, s):
-    """Terms ``I, A, A^dag, A^2, A^dag^2, A A^dag + A^dag A``.
-
-    ``A = a_p^dag a_q^dag a_s a_r``; each term is kept, so the gate does
-    not rely on ``A^2`` vanishing.
+    ``modes`` is ``(p, r)`` for ``A = a_p^dag a_r`` or ``(p, q, r, s)`` for
+    ``A = a_p^dag a_q^dag a_s a_r``, read off :func:`jw.jw_ladder_ops`;
+    ``A`` is zero except ``A[rows[k], partners[k]] = signs[k]``.  The map
+    is checked once, when cached: ``A`` is a nonzero partial signed
+    permutation and its rows and partners are disjoint, i.e. ``A^2 = 0``,
+    so the generator ``K = e A - conj(e) A^dag`` (``|e| = 1``) has
+    ``K^3 = -K``.  A repeated mode (``A = n_p`` or ``A = 0``) fails.
     """
     cr, an = jw.jw_ladder_ops(n)
-    a_op = (cr[p] @ cr[q] @ an[s] @ an[r]).tocsr()
-    a_dag = a_op.conj().T.tocsr()
-    return _gate_pattern([
-        sparse.identity(2**n, format="csr"),
-        a_op,
-        a_dag,
-        a_op @ a_op,
-        a_dag @ a_dag,
-        a_op @ a_dag + a_dag @ a_op,
-    ])
+    half = len(modes) // 2
+    ops = [cr[m] for m in modes[:half]] + [an[m] for m in reversed(modes[half:])]
+    a_op = reduce(operator.matmul, ops).tocoo()
+    a_op.eliminate_zeros()
+    rows, partners, signs = a_op.row, a_op.col, a_op.data.real
+    if not (
+        len(rows)
+        and np.all(np.abs(a_op.data) == 1.0)
+        and len(np.unique(rows)) == len(np.unique(partners)) == len(rows)
+        and not np.intersect1d(rows, partners).size
+    ):
+        raise ValidationError(f"modes {modes}: generator is not a rotation")
+    signs = signs.reshape(-1, 1)
+    for arr in (rows, partners, signs):
+        arr.setflags(write=False)
+    return rows, partners, signs
+
+
+def rotate(cols, n, modes, theta, phi=0.0):
+    """Apply ``exp(theta K)`` in place to a ``2**n x k`` column array.
+
+    ``K = e A - conj(e) A^dag`` with ``e = exp(i phi)`` and ``A`` the
+    :func:`gate_map` of ``modes``: each touched row mixes only with its
+    partner, ``out[rows] = c x[rows] + s e v x[partners]`` and
+    ``out[partners] = c x[partners] - s conj(e) v x[rows]``.  The adjoint
+    is the rotation by ``-theta``.
+    """
+    rows, partners, signs = gate_map(n, modes)
+    c, s, e = np.cos(theta), np.sin(theta), np.exp(1j * phi)
+    top, bottom = cols[rows], cols[partners]
+    cols[rows] = c * top + (s * e) * signs * bottom
+    cols[partners] = c * bottom - (s * e.conjugate()) * signs * top
+    return cols
+
+
+def apply_gates(cols, n, gates, inverse=False):
+    """Apply system gates in order, in place along axis 0 of ``cols``.
+
+    A gate is ``("x", (q,))``, a bit flip; ``("phase", modes, phi)``,
+    ``e^{i phi}`` on the states with every mode in ``modes`` occupied; or
+    ``("rot", modes, theta, phi)``, :func:`rotate`.  ``inverse`` applies
+    the adjoint of the sequence.
+    """
+    sign = -1.0 if inverse else 1.0
+    for kind, modes, *values in reversed(gates) if inverse else gates:
+        if kind == "x":
+            cols[:] = cols[jw.bit_flip(n, modes[0])]
+        elif kind == "phase":
+            if values[0] != 0.0:
+                cols[jw.occupied_states(n, modes)] *= np.exp(sign * 1j * values[0])
+        else:
+            rotate(cols, n, modes, sign * values[0], values[1])
+    return cols
+
+
+def _rotation_csr(n, modes, theta, phi=0.0):
+    """Sparse ``exp(theta K)``: the identity plus two entries per touched row."""
+    rows, partners, signs = gate_map(n, modes)
+    c, s, e = np.cos(theta), np.sin(theta), np.exp(1j * phi)
+    diag = np.ones(2**n, dtype=complex)
+    diag[rows] = diag[partners] = c
+    idx = np.arange(2**n)
+    data = [diag, s * e * signs[:, 0], -s * e.conjugate() * signs[:, 0]]
+    ij = (np.concatenate([idx, rows, partners]), np.concatenate([idx, partners, rows]))
+    return sparse.csr_matrix((np.concatenate(data), ij), shape=(2**n, 2**n))
 
 
 def givens_gate(n, p, r, theta):
-    """Sparse ``G_pr(theta) = exp[theta (a_p^dag a_r - h.c.)]``.
-
-    Euler form ``I + sin(theta) K + (1 - cos(theta)) K^2`` (``K^3 = -K``).
-    """
-    return _pattern_gate(
-        _givens_pattern(n, p, r), (1.0, np.sin(theta), 1.0 - np.cos(theta))
-    )
+    """Sparse ``G_pr(theta) = exp[theta (a_p^dag a_r - h.c.)]``."""
+    return _rotation_csr(n, (p, r), theta)
 
 
 def pair_givens_gate(n, p, q, r, s, theta, phi):
-    """Phased pair-Givens on the full Jordan-Wigner space.
+    """Phased pair-Givens on the full Jordan-Wigner space (sparse).
 
-    ``exp[theta (e^{i phi} a_p^dag a_q^dag a_s a_r - h.c.)]`` with the
-    generator exponentiated faithfully on every particle-number sector:
-    ``K = e A - conj(e) A^dag`` gives ``K^2 = e^2 A^2 - (A A^dag + A^dag A)
-    + conj(e)^2 A^dag^2`` in the Euler form of :func:`givens_gate`.
+    ``exp[theta (e^{i phi} a_p^dag a_q^dag a_s a_r - h.c.)]``, exact on
+    every particle-number sector.
     """
-    e = np.exp(1j * phi)
-    sin, vers = np.sin(theta), 1.0 - np.cos(theta)
-    coeffs = (1.0, sin * e, -sin * e.conjugate(), vers * e * e,
-              vers * (e * e).conjugate(), -vers)
-    return _pattern_gate(_pair_pattern(n, p, q, r, s), coeffs)
+    return _rotation_csr(n, (p, q, r, s), theta, phi)
 
 
-def _schedule_gates(sched, inverse=False):
-    """Ordered sparse gate list realizing the schedule.
+def _schedule_gates(sched):
+    """The schedule's gates (see :func:`apply_gates`) in application order.
 
-    Inversion reverses the gate order and negates rotation angles; the
-    separate one-electron phase layer is negated as well, while the phases
-    carried inside pair-Givens blocks are left untouched (the block inverse
-    is the negative-angle rotation at the same phase).
+    The one-electron phases form a trailing per-mode layer; the pair
+    phases ride inside their pair-Givens rotations.
     """
-    n = sched.n_modes
-    gates = []
-    if sched.prep_form:
-        for r in sched.pivot:
-            gates.append(jw.pauli_x(n, r))
+    gates = [("x", (r,)) for r in sched.pivot] if sched.prep_form else []
     if sched.sector == "one":
         r = sched.pivot[0]
-        for k, p in enumerate(sched.ordering):
-            gates.append(givens_gate(n, p, r, float(sched.thetas[k])))
-        phases = np.zeros(n)
-        for k, p in enumerate(sched.ordering):
-            phases[p] = sched.phases[k]
-        phases[r] = sched.pivot_phase
-        gates.append(sparse.diags(jw.phase_layer(n, phases), format="csr"))
+        gates += [("rot", (p, r), t, 0.0) for p, t in zip(sched.ordering, sched.thetas)]
+        gates += [
+            ("phase", (p,), phi)
+            for p, phi in zip((*sched.ordering, r), (*sched.phases, sched.pivot_phase))
+        ]
     elif sched.sector == "two":
-        r, s = sched.pivot
-        for k, (p, q) in enumerate(sched.ordering):
-            gates.append(
-                pair_givens_gate(
-                    n, p, q, r, s, float(sched.thetas[k]), float(sched.phases[k])
-                )
-            )
-        if sched.pivot_phase != 0.0:
-            gates.append(
-                sparse.diags(
-                    jw.pair_phase_diagonal(n, r, s, sched.pivot_phase), format="csr"
-                )
-            )
+        gates += [
+            ("rot", (*pq, *sched.pivot), t, phi)
+            for pq, t, phi in zip(sched.ordering, sched.thetas, sched.phases)
+        ]
+        gates.append(("phase", sched.pivot, sched.pivot_phase))
     else:
         raise ShapeError(f"unknown sector {sched.sector!r}")
-    if inverse:
-        gates = [g.conj().T.tocsr() for g in reversed(gates)]
     return gates
+
+
+def _check_modes(n, circuit):
+    """The mode count of a schedule or network, which ``n`` must match if given."""
+    if n and n != circuit.n_modes:
+        raise ShapeError(f"mode count {n} disagrees with {circuit.n_modes}")
+    return circuit.n_modes
 
 
 def apply_ladder_dense(sched, state, n=None, inverse=False):
     """Apply a schedule to a dense state vector on ``2**n`` amplitudes."""
-    n = n or sched.n_modes
-    if n != sched.n_modes:
-        raise ShapeError("mode count disagrees with schedule")
-    state = np.asarray(state, dtype=complex).reshape(-1)
+    n = _check_modes(n, sched)
+    state = np.array(state, dtype=complex).reshape(-1, 1)
     if state.shape[0] != 2**n:
         raise ShapeError(f"state dimension {state.shape[0]} != 2**{n}")
-    for gate in _schedule_gates(sched, inverse=inverse):
-        state = gate @ state
-    return state
+    return apply_gates(state, n, _schedule_gates(sched), inverse)[:, 0]
 
 
 def schedule_unitary(sched, n=None):
-    """Sparse (CSR) unitary of the full schedule: the product of its gates."""
-    n = n or sched.n_modes
-    if n != sched.n_modes:
-        raise ShapeError("mode count disagrees with schedule")
-    gates = _schedule_gates(sched)
-    out = gates[0]
-    for gate in gates[1:]:
-        out = gate @ out
-    return out
+    """Sparse (CSR) unitary of the full schedule, applied to the identity."""
+    n = _check_modes(n, sched)
+    return sparse.csr_matrix(
+        apply_gates(np.eye(2**n, dtype=complex), n, _schedule_gates(sched))
+    )
 
 
 def prepare_one_electron(u, pivot=None):
@@ -408,10 +396,7 @@ def network_single_particle(net):
 
 def network_unitary(net, n=None):
     """Sparse (CSR) Fock-space unitary realizing the network."""
-    n = n or net.n_modes
-    if n != net.n_modes:
-        raise ShapeError("mode count disagrees with network")
-    out = sparse.diags(jw.phase_layer(n, net.phases), format="csr")
-    for p, q, theta in net.rotations:
-        out = givens_gate(n, p, q, theta) @ out
-    return out
+    n = _check_modes(n, net)
+    gates = [("phase", (p,), phi) for p, phi in enumerate(net.phases)]
+    gates += [("rot", (p, q), theta, 0.0) for p, q, theta in net.rotations]
+    return sparse.csr_matrix(apply_gates(np.eye(2**n, dtype=complex), n, gates))

@@ -1,9 +1,11 @@
 """Jordan-Wigner oracle for block-encoding verification.
 
-Every gadget is an operator tree over sparse gates with two
-evaluations: ``apply`` runs it on dense state columns, so block
-consumers read the ``2**n x 2**n`` ancilla-zero block from the ``2**n``
-columns ``|0_anc>|x>``; ``tocsr`` assembles the sparse (CSR) unitary for
+Every gadget is an operator tree whose leaves are dense system-gate
+runs (built by the :mod:`circuit_ir` interpreter with the :mod:`ladders`
+kernel) and cached sparse workspace gadgets.  It has two evaluations:
+``apply`` runs it on dense state columns, so block consumers read the
+``2**n x 2**n`` ancilla-zero block from the ``2**n`` columns
+``|0_anc>|x>``; ``tocsr`` assembles the sparse (CSR) unitary for
 unitarity checks.  The block is checked against the dense operator it is
 supposed to encode, built independently from Jordan-Wigner ladder
 operators and restricted to the working sector.
@@ -143,7 +145,7 @@ def hamiltonian_from_pool(pool):
 def _bilinear_pattern(n):
     """Sparse ``4**n x n**2`` map: column ``p * n + q`` is ``a_p^dag a_q`` flattened.
 
-    Built from :func:`jw.jw_ladder_ops`, never from the gate patterns of
+    Built from :func:`jw.jw_ladder_ops`, never from the gate maps of
     :mod:`ladders`, so the reference stays independent of what it checks.
     """
     cr, an = jw.jw_ladder_ops(n)
@@ -266,14 +268,17 @@ def _frozen(mat):
 
 
 def _apply(op, cols, adjoint=False):
-    """``op @ cols`` (or ``op^dag @ cols``) for a sparse leaf or a gadget node."""
-    if sparse.issparse(op):
-        return (op.conj().T if adjoint else op) @ cols
-    return op.apply(cols, adjoint)
+    """``op @ cols`` (or ``op^dag @ cols``) for a dense or sparse leaf or a node."""
+    if isinstance(op, _Node):
+        return op.apply(cols, adjoint)
+    return (op.conj().T if adjoint else op) @ cols
 
 
 def _csr(op):
-    return op if sparse.issparse(op) else op.tocsr()
+    """CSR matrix of a dense or sparse leaf or a node."""
+    if isinstance(op, _Node):
+        return op.tocsr()
+    return op if sparse.issparse(op) else sparse.csr_matrix(op)
 
 
 class _Node:
@@ -464,7 +469,7 @@ def index_width(r):
 @lru_cache(maxsize=None)
 def null_branch(n):
     """Reserved null branch ``X (x) I``: a workspace flip (cached, read-only)."""
-    return _frozen(jw.pauli_x(1 + n, 0))
+    return _frozen(jw.permutation(jw.bit_flip(1 + n, 0)))
 
 
 def signed_loading(eigvals):
@@ -480,9 +485,14 @@ def signed_loading(eigvals):
 
 @lru_cache(maxsize=None)
 def _flag_copy(pivot, n):
-    """Flag-copy core ``X_f CNOT_(pivot -> f)`` (cached, read-only)."""
+    """Flag-copy core ``X_f CNOT_(pivot -> f)`` (cached, read-only).
+
+    The two flips of the flag commute, so their index maps compose in
+    either order.
+    """
     total = 1 + n
-    return _frozen(jw.pauli_x(total, 0) @ jw.controlled_x(total, 1 + pivot, 0))
+    flip = jw.bit_flip(total, 0)[jw.bit_flip(total, 0, 1 + pivot)]
+    return _frozen(jw.permutation(flip))
 
 
 def reflect_about_ancilla_vacuum(t, n):

@@ -1,13 +1,15 @@
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from composer import circuit_ir as cir
-from composer import jw, oracle
+from composer import jw, ladders, oracle
 from composer.errors import BindError, MaskError, ParseError, ValidationError
 from composer.factorization import (
     GeneratorPool,
@@ -378,6 +380,120 @@ def test_layer_stream_is_the_program(compiled):
     sheet = cir.dial(tampered, ham, gen, cir.Mask.of("m", [1]))
     block = cir.execute_hamiltonian_block(tampered, sheet)
     assert _sector_max(block, target, n, ham.n_elec) > 1e-3
+
+
+def _stray_phase(layers):
+    """Copy a ``pgivens_phase`` line to right after the ``cphase`` line."""
+    k = next(k for k, line in enumerate(layers) if line.startswith("cphase|"))
+    phase_line = next(line for line in layers if line.startswith("pgivens_phase|"))
+    layers.insert(k + 1, phase_line)
+    return k + 2
+
+
+def _two_mode_pgivens(layers):
+    """Drop the pivot modes of the first ``pgivens`` and of its phase line."""
+    k = next(k for k, line in enumerate(layers) if line.startswith("pgivens|"))
+    for j in (k, k + 1):
+        gate, qubits, slot = layers[j].split("|")
+        layers[j] = f"{gate}|{','.join(qubits.split(',')[:2])}|{slot}"
+    return k + 1
+
+
+@pytest.mark.parametrize("edit", [_stray_phase, _two_mode_pgivens])
+def test_malformed_pair_lines_are_rejected(edit):
+    """A stray ``pgivens_phase`` or a two-mode ``pgivens`` fails execution.
+
+    The edit is fingerprinted with the stream, so it loads and dials; the
+    error names the line, where a stray phase line used to change nothing.
+    """
+    ints = synth_instance(1, 2, 2)
+    ham = build_hamiltonian_pool(ints, 1e-8, 0.0)
+    gen = nested_svd_t2(mp2_amplitudes(ints), 1e-6, 1e-6)
+    skel = cir.one_pool_skeleton(ham, gen)
+    ad = next(a for a in skel.adaptors_gen if a.kind == "pair")
+    layers = list(ad.layers)
+    line = edit(layers)
+    edited = replace(ad, layers=tuple(layers))
+    tampered = replace(
+        skel, adaptors_gen=tuple(edited if a is ad else a for a in skel.adaptors_gen)
+    )
+    tampered = replace(tampered, fingerprint=cir.fabric_fingerprint(tampered))
+    tampered = cir.CircuitSkeleton.from_json(tampered.to_json())
+    sheet = cir.dial(tampered, ham, gen, cir.Mask.of("m", [1]))
+    with pytest.raises(ValidationError, match=f"layer stream near line {line}:"):
+        cir.execute_generator_block(tampered, sheet)
+    with pytest.raises(ValidationError, match=f"layer stream near line {line}:"):
+        cir.execute_adaptor(tampered, sheet, f"gen/{ad.address}")
+
+
+def _expm_line(n, gate, qs, values):
+    """Dense ``expm`` (for ``x``: the Pauli kron product) of one system line."""
+    cr, an = jw.jw_ladder_ops(n)
+    if gate == "x":
+        before, after = np.eye(2 ** qs[0]), np.eye(2 ** (n - 1 - qs[0]))
+        return np.kron(np.kron(before, [[0.0, 1.0], [1.0, 0.0]]), after)
+    if gate in ("rz", "cphase"):
+        occ = np.eye(2**n)
+        for q in qs:
+            occ = occ @ (cr[q] @ an[q]).toarray()
+        return expm(1j * values[0] * occ)
+    if gate == "givens":
+        p, r = qs
+        k_op = (cr[p] @ an[r] - cr[r] @ an[p]).toarray()
+    else:
+        p, q, r, s = qs
+        a_op = (cr[p] @ cr[q] @ an[s] @ an[r]).toarray()
+        e = np.exp(1j * values[1])
+        k_op = e * a_op - e.conjugate() * a_op.conj().T
+    return expm(values[0] * k_op)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_run_of_system_lines_is_the_product_of_its_gates(data):
+    """A random run of system lines, interpreted, is the ``expm`` product.
+
+    The leaf equals the product of the lines' exponentials in application
+    order, and its adjoint application their conjugate transpose.
+    """
+    n = data.draw(st.integers(3, 6), label="modes")
+    modes, pairs = st.integers(0, n - 1), st.sampled_from(ladders.pair_indices(n))
+    angle = st.floats(-np.pi, np.pi)
+    lines, angles, phases, expected = [], {}, {}, np.eye(2**n)
+    for k in range(data.draw(st.integers(1, 8), label="length")):
+        gate = data.draw(st.sampled_from(["givens", "pgivens", "rz", "cphase", "x"]))
+        if gate == "givens":
+            qs = data.draw(st.lists(modes, min_size=2, max_size=2, unique=True))
+        elif gate == "pgivens":
+            two_pairs = data.draw(st.lists(pairs, min_size=2, max_size=2, unique=True))
+            qs = [*two_pairs[0], *two_pairs[1]]
+        elif gate == "cphase":
+            qs = list(data.draw(pairs))
+        else:
+            qs = [data.draw(modes)]
+        values = [data.draw(angle), data.draw(angle)]
+        qubits = ",".join(map(str, qs))
+        if gate in ("givens", "pgivens"):
+            angles[f"t{k}"] = values[0]
+            lines.append(f"{gate}|{qubits}|t{k}")
+        elif gate != "x":
+            phases[f"f{k}"] = values[0]
+            lines.append(f"{gate}|{qubits}|f{k}")
+        else:
+            lines.append(f"x|{qubits}|")
+        if gate == "pgivens":
+            phases[f"f{k}"] = values[1]
+            lines.append(f"pgivens_phase|{qubits}|f{k}")
+        expected = _expm_line(n, gate, qs, values) @ expected
+    skel = SimpleNamespace(n_system=n, selector_width=0, workspace_width=0)
+    sheet = SimpleNamespace(angle_bindings=angles, phase_bindings=phases)
+    factors, _, closer = cir._Interpreter(skel, sheet, lines).frame()
+    assert closer is None
+    [(leaf, width, adjoint)] = factors
+    assert (width, adjoint) == (0, False)
+    assert np.abs(leaf - expected).max() <= 1e-13
+    adjoint = oracle._apply(leaf, np.eye(2**n, dtype=complex), adjoint=True)
+    assert np.abs(adjoint - expected.conj().T).max() <= 1e-13
 
 
 def test_execute_adaptor_rejects_unknown_address_and_foreign_sheet(compiled):

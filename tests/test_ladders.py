@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from composer import jw, ladders
-from composer.errors import NormalizationError, ShapeError
+from composer.errors import NormalizationError, ShapeError, ValidationError
 
 
 def one_electron_target(u, n):
@@ -151,11 +151,24 @@ def expm_full(k_op):
     return out
 
 
+def assert_gate_matches(n, modes, theta, phi, k_op, gate):
+    """The CSR gate and the kernel (and its adjoint) on the identity equal ``expm``."""
+    expected = expm_full(theta * k_op)
+    assert np.abs(gate.toarray() - expected).max() <= 1e-13
+    eye = np.eye(2**n, dtype=complex)
+    kernel = ladders.rotate(eye.copy(), n, modes, theta, phi)
+    assert np.abs(kernel - expected).max() <= 1e-13
+    adjoint = ladders.rotate(eye, n, modes, -theta, phi)
+    assert np.abs(adjoint - expected.conj().T).max() <= 1e-13
+
+
 @pytest.mark.parametrize("n", [4, 6])
 def test_gates_match_matrix_exponential(n):
     """Every Givens and pair-Givens gate equals ``expm(theta K)`` on the Fock space.
 
-    Pivot and target pairs that share a mode are included.
+    Both the CSR gate and the kernel applied to the identity are checked,
+    the kernel also at ``-theta`` against the adjoint.  Pivot and target
+    pairs that share a mode are included.
     """
     rng = np.random.default_rng(n)
     cr, an = jw.jw_ladder_ops(n)
@@ -165,8 +178,8 @@ def test_gates_match_matrix_exponential(n):
                 continue
             theta = rng.uniform(-np.pi, np.pi)
             k_op = (cr[p] @ an[r] - cr[r] @ an[p]).toarray()
-            gate = ladders.givens_gate(n, p, r, theta).toarray()
-            assert np.abs(gate - expm_full(theta * k_op)).max() <= 1e-13
+            gate = ladders.givens_gate(n, p, r, theta)
+            assert_gate_matches(n, (p, r), theta, 0.0, k_op, gate)
     pairs = ladders.pair_indices(n)
     overlapping = 0
     for p, q in pairs:
@@ -177,9 +190,33 @@ def test_gates_match_matrix_exponential(n):
             theta, phi = rng.uniform(-np.pi, np.pi, size=2)
             a_op = (cr[p] @ cr[q] @ an[s] @ an[r]).toarray()
             k_op = np.exp(1j * phi) * a_op - np.exp(-1j * phi) * a_op.conj().T
-            gate = ladders.pair_givens_gate(n, p, q, r, s, theta, phi).toarray()
-            assert np.abs(gate - expm_full(theta * k_op)).max() <= 1e-13
+            gate = ladders.pair_givens_gate(n, p, q, r, s, theta, phi)
+            assert_gate_matches(n, (p, q, r, s), theta, phi, k_op, gate)
     assert overlapping > 0
+
+
+def test_pair_maps_pass_the_rotation_check():
+    """At n = 6 every pair tuple's map is a signed permutation with disjoint sides.
+
+    The map reproduces ``A`` exactly; a pair rotated onto itself
+    (``A = n_p n_q``) and a repeated mode fail the cache-time check.
+    """
+    n = 6
+    cr, an = jw.jw_ladder_ops(n)
+    pairs = ladders.pair_indices(n)
+    for p, q in pairs:
+        for r, s in pairs:
+            if (p, q) == (r, s):
+                continue
+            rows, partners, signs = ladders.gate_map(n, (p, q, r, s))
+            assert len(rows) and not set(rows) & set(partners)
+            assert len(set(rows)) == len(set(partners)) == len(rows)
+            a_op = np.zeros((2**n, 2**n))
+            a_op[rows, partners] = signs[:, 0]
+            assert np.array_equal(a_op, (cr[p] @ cr[q] @ an[s] @ an[r]).toarray())
+    for modes in [(0, 1, 0, 1), (0, 0, 1, 2), (1, 1)]:
+        with pytest.raises(ValidationError, match="not a rotation"):
+            ladders.gate_map(n, modes)
 
 
 def test_dimension_mismatch_raises():

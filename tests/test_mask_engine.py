@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from composer import circuit_ir as cir
-from composer import jw, mask_engine as me, oracle, qsp
+from composer import jw, ladders, mask_engine as me, oracle, qsp
 from composer.errors import (
     DegenerateBasisError,
     SectorError,
@@ -120,14 +120,27 @@ def test_sandwich_on_six_modes(medium_instance):
 
 
 def test_block_consumers_never_assemble(small_pools, mixed_gen_pool, monkeypatch):
-    """The sandwich and exp(sigma) pass with every assembly path disabled."""
+    """The sandwich and exp(sigma) pass with every assembly path disabled.
+
+    The per-gate CSR builders are disabled too; the cached flag-copy and
+    null-flip leaves are rebuilt under the patch, so the check does not
+    depend on which test warmed them.
+    """
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("encoding assembled")
+        raise AssertionError("encoding assembled or per-gate matrix built")
 
     monkeypatch.setattr(oracle._Node, "tocsr", forbidden)
-    for name in ("execute_hamiltonian_encoding", "execute_generator_encoding"):
-        monkeypatch.setattr(cir, name, forbidden)
+    for module, name in (
+        (cir, "execute_hamiltonian_encoding"),
+        (cir, "execute_generator_encoding"),
+        (ladders, "givens_gate"),
+        (ladders, "pair_givens_gate"),
+        (jw, "pauli_x"),
+    ):
+        monkeypatch.setattr(module, name, forbidden)
+    oracle._flag_copy.cache_clear()
+    oracle.null_branch.cache_clear()
     ham, _ = small_pools
     sector = list(jw.sector_indices(4, 2))
     mask = frozenset([1, 2])

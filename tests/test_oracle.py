@@ -379,8 +379,8 @@ GADGET_BUILDERS = (
     (oracle, "null_branch"),
     (oracle, "squared_block_gadget"),
     (oracle, "_prep_select_prep"),
-    (ladders, "givens_gate"),
-    (ladders, "pair_givens_gate"),
+    (ladders, "apply_gates"),
+    (ladders, "rotate"),
 )
 
 
