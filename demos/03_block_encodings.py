@@ -25,7 +25,7 @@ n = ints.n_so
 pool = build_hamiltonian_pool(ints, 1e-10, 0.0)
 gen = nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0)
 plan = cir.pivots_from_pools(pool, gen)
-skel = cir.compile_skeleton(pool.ell, gen.ell, n, plan)
+skel = cir.compile_skeleton(n, plan)
 sheet = cir.dial(skel, pool, gen, [lad.address for lad in gen.ladders])
 
 

@@ -23,8 +23,7 @@ ints = synth_instance(7, 3, 2)
 ham = build_hamiltonian_pool(ints, 1e-8, 0.0)
 gen = nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0)
 plan = cir.pivots_from_pools(ham, gen)
-skel = cir.compile_skeleton(ham.ell, gen.ell, ints.n_so, plan, "full",
-                            qsp_degree=10)
+skel = cir.compile_skeleton(ints.n_so, plan, "full", qsp_degree=10)
 
 for conn in ("full", "linear:2"):
     est = estimate(skel, connectivity=conn, n_occ=2, n_virt=4)

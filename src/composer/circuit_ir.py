@@ -42,8 +42,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import jw, ladders, oracle
-from .errors import BindError, CapacityError, MaskError, ParseError, ValidationError
+from . import ladders, oracle
+from .errors import BindError, MaskError, ParseError, ValidationError
 from .errors import DICT, INT, LIST, NUMBER, STR, checked, checked_list
 from .factorization import bilinear_asym_spectrum, generator_branch_alpha
 
@@ -341,9 +341,8 @@ def plan_workspace_width(plan):
     return max(widths)
 
 
-def compile_skeleton(ham_pool_size, gen_pool_size, n, pivots, connectivity="full",
-                     qsp_degree=0):
-    """Emit the reusable fabric for the given pool sizes and pivot plan.
+def compile_skeleton(n, pivots, connectivity="full", qsp_degree=0):
+    """Emit the reusable fabric for the pivot plan; its adaptors set the pool sizes.
 
     Selector width covers ``max(ell_H, ell_sigma + 1)`` (the +1 is the
     reserved null branch at address 0); every rotation receives a unique
@@ -351,13 +350,10 @@ def compile_skeleton(ham_pool_size, gen_pool_size, n, pivots, connectivity="full
     layer stream.  One pool may have no ladders, for a skeleton that
     encodes the other alone.
     """
-    if min(ham_pool_size, gen_pool_size) < 0 or ham_pool_size + gen_pool_size == 0:
-        raise ValidationError("pool sizes must be nonnegative and not both zero")
-    if len(pivots.ham) != ham_pool_size or len(pivots.gen) != gen_pool_size:
-        raise CapacityError("pivot plan does not cover every adaptor")
-    width = max(
-        int(np.ceil(np.log2(max(ham_pool_size, gen_pool_size + 1)))), 1
-    )
+    ell_ham, ell_gen = len(pivots.ham), len(pivots.gen)
+    if ell_ham + ell_gen == 0:
+        raise ValidationError("pivot plan must hold at least one adaptor")
+    width = max(int(np.ceil(np.log2(max(ell_ham, ell_gen + 1)))), 1)
     t = plan_workspace_width(pivots)
     sys0 = width + t  # global index of system qubit 0
     ws0 = width
@@ -370,8 +366,8 @@ def compile_skeleton(ham_pool_size, gen_pool_size, n, pivots, connectivity="full
     adaptors_ham = [emit[ad.kind](ad, n, sysq, ws0, t) for ad in pivots.ham]
     adaptors_gen = [AdaptorSpec(0, "null", (), 0, (_layer("x", (ws0 + t - 1,)),))]
     adaptors_gen += [emit[ad.kind](ad, n, sysq, ws0, t) for ad in pivots.gen]
-    prep_ham = tuple(f"prep/ham/{s}" for s in range(ham_pool_size))
-    prep_gen = tuple(f"prep/gen/{s}" for s in range(gen_pool_size + 1))
+    prep_ham = tuple(f"prep/ham/{s}" for s in range(ell_ham))
+    prep_gen = tuple(f"prep/gen/{s}" for s in range(ell_gen + 1))
     skel = CircuitSkeleton(
         n_system=n,
         selector_width=width,
@@ -391,7 +387,7 @@ def one_pool_skeleton(ham_pool, gen_pool):
     """Skeleton compiled for one pool alone; the other is passed as ``None``."""
     plan = pivots_from_pools(ham_pool, gen_pool)
     n = (gen_pool if ham_pool is None else ham_pool).n_so
-    return compile_skeleton(len(plan.ham), len(plan.gen), n, plan)
+    return compile_skeleton(n, plan)
 
 
 def _layer(gate, qubits, slot=None):
@@ -543,7 +539,7 @@ def _bind(angles, phases, sched, prefix):
     phases[f"{prefix}/pivot_phi"] = float(sched.pivot_phase)
 
 
-def dial(skel, ham_pool, gen_pool, mask, alpha=None, alpha_bar=None, mask_id=None):
+def dial(skel, ham_pool, gen_pool, mask, alpha_bar=None):
     """Bind every parameter slot for one instance; the skeleton is untouched.
 
     Pools may be smaller than the compiled sizes; surplus amplitude routes
@@ -559,7 +555,7 @@ def dial(skel, ham_pool, gen_pool, mask, alpha=None, alpha_bar=None, mask_id=Non
         raise MaskError("nonzero mask over a skeleton without a generator pool")
     angles, phases, coeffs = {}, {}, {}
     if ham_pool is not None:
-        coeffs.update(_bind_hamiltonian(skel, ham_pool, alpha, angles, phases))
+        coeffs.update(_bind_hamiltonian(skel, ham_pool, angles, phases))
     if gen_pool is not None:
         coeffs.update(
             _bind_generator(skel, gen_pool, masked, alpha_bar, angles, phases)
@@ -571,7 +567,7 @@ def dial(skel, ham_pool, gen_pool, mask, alpha=None, alpha_bar=None, mask_id=Non
         # surplus compiled adaptors idle at zero so every slot is bound
         bindings.update(dict.fromkeys(idle, 0.0))
 
-    label = mask.label if isinstance(mask, Mask) else (mask_id or "mask")
+    label = mask.label if isinstance(mask, Mask) else "mask"
     return DialSheet(
         skeleton_fingerprint=skel.fingerprint,
         mask_id=label,
@@ -582,7 +578,7 @@ def dial(skel, ham_pool, gen_pool, mask, alpha=None, alpha_bar=None, mask_id=Non
     )
 
 
-def _bind_hamiltonian(skel, ham_pool, alpha, angles, phases):
+def _bind_hamiltonian(skel, ham_pool, angles, phases):
     """Bind the Hamiltonian adaptors and PREP; returns the classical coefficients."""
     n = skel.n_system
     if ham_pool.ell > skel.ell_ham:
@@ -592,7 +588,7 @@ def _bind_hamiltonian(skel, ham_pool, alpha, angles, phases):
         )
     if sorted(lad.address for lad in ham_pool.ladders) != list(range(ham_pool.ell)):
         raise BindError("hamiltonian addresses must be contiguous from 0")
-    alpha = ham_pool.alpha if alpha is None else float(alpha)
+    alpha = ham_pool.alpha
     ham_by_addr = {lad.address: lad for lad in ham_pool.ladders}
     adaptors_ham = {ad.address: ad for ad in skel.adaptors_ham}
     omega_list = []

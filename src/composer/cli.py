@@ -131,8 +131,7 @@ def cmd_compile(args):
     plan = cir.pivots_from_pools(ham, gen)
     degree = qsp.degree_for(gen.alpha_bar, args.eps_poly)
     skel = cir.compile_skeleton(
-        ham.ell, gen.ell, ham.n_so, plan, connectivity=args.connectivity,
-        qsp_degree=degree,
+        ham.n_so, plan, connectivity=args.connectivity, qsp_degree=degree
     )
     doc = json.loads(skel.to_json())
     doc["manifest"] = RunManifest(
@@ -278,14 +277,18 @@ def _generator_target_from_sheet(skel, sheet):
 
 def cmd_estimate(args):
     skel = _load_skeleton(args.skel)
-    mask = None
+    mask = n_occ = None
     if args.dial:
         sheet = cir.DialSheet.from_json(_read(args.dial))
         if sheet.skeleton_fingerprint != skel.fingerprint:
             print("estimate: topology violation (fingerprint mismatch)", file=sys.stderr)
             return EXIT_TOPOLOGY
         mask = cir.Mask.of(sheet.mask_id, sheet.mask_indices)
-    est = resources.estimate(skel, mask=mask, connectivity=args.connectivity)
+        # the generator pool's occupied count, which the pair adaptors are priced on
+        n_occ = sheet.classical_coeffs.get("n_occ")
+    est = resources.estimate(
+        skel, mask=mask, connectivity=args.connectivity, n_occ=n_occ
+    )
     _write(args.out, est.to_json())
     print(est.format_table())
     return EXIT_OK

@@ -176,8 +176,7 @@ def reduced_density_blocks(gen_pool, mask, reference_state, n):
     ``D_pq = <phi| exp(-sigma) a_q^dag a_p exp(sigma) |phi>`` evaluated
     densely, split at the occupied/virtual boundary.
     """
-    if n > 8:
-        raise ValidationError("dense density matrices limited to n <= 8")
+    cr, an = jw.jw_ladder_ops(n)  # checks n against jw.MAX_QUBITS
     phi = np.asarray(reference_state, dtype=complex)
     if np.linalg.norm(phi) < 1e-14:
         raise ValidationError("reference state must be nonzero")
@@ -185,7 +184,6 @@ def reduced_density_blocks(gen_pool, mask, reference_state, n):
     herm = oracle.generator_dense(gen_pool, getattr(mask, "indices", mask)).matrix
     evals, evecs = np.linalg.eigh(herm)
     psi = (evecs * np.exp(-1j * evals)) @ evecs.conj().T @ phi
-    cr, an = jw.jw_ladder_ops(n)
     dmat = np.empty((n, n), dtype=complex)
     for p in range(n):
         for q in range(n):

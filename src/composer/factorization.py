@@ -312,14 +312,17 @@ class T2Tensor:
 
     @staticmethod
     def from_json(text):
-        doc = json.loads(text)
+        """Inverse of :meth:`to_json`; a wrongly typed field is a ParseError."""
+        doc = checked(json.loads(text), DICT, "t2")
         if doc.get("format") != T2_FORMAT:
             raise ParseError(f"expected format {T2_FORMAT!r}")
-        n_occ, n_virt = doc["n_occ"], doc["n_virt"]
+        n_occ = checked(doc["n_occ"], INT, "n_occ")
+        n_virt = checked(doc["n_virt"], INT, "n_virt")
+        e_corr = checked(doc.get("e_corr"), (*NUMBER, type(None)), "e_corr")
         nvp = n_virt * (n_virt - 1) // 2
         nop = n_occ * (n_occ - 1) // 2
-        values = np.array(doc["values"], dtype=float).reshape(nvp, nop)
-        return T2Tensor(values, n_occ, n_virt, e_corr=doc.get("e_corr"))
+        values = np.array(checked_list(doc["values"], NUMBER, "values"), dtype=float)
+        return T2Tensor(values.reshape(nvp, nop), n_occ, n_virt, e_corr=e_corr)
 
 
 def wedge_pair_vector(x, y):
@@ -453,7 +456,7 @@ def _one_body_modes(htilde):
     ]
 
 
-def build_hamiltonian_pool(ints, tau_chol, tau_eig, tau_onebody=0.0):
+def build_hamiltonian_pool(ints, tau_chol, tau_eig):
     """Factor the Hamiltonian into its rank-one ladder pool.
 
     The mean-field-shifted one-body matrix supplies diagonal one-body
@@ -466,18 +469,10 @@ def build_hamiltonian_pool(ints, tau_chol, tau_eig, tau_onebody=0.0):
         raise ValidationError("complex one-body matrices are not supported")
     modes = _one_body_modes(htilde.real)
     modes.sort(key=lambda item: -abs(item[0]))
-    kmax = max((abs(k) for k, _ in modes), default=0.0)
-    one_body = []
-    for kappa, cols in modes:
-        if kmax > 0.0 and abs(kappa) / kmax < tau_onebody:
-            continue
-        if kmax == 0.0 and tau_onebody > 0.0:
-            continue
-        one_body.append(
-            OneBodyModeLadder(
-                vectors=cols, coefficient=kappa, address=len(one_body)
-            )
-        )
+    one_body = tuple(
+        OneBodyModeLadder(vectors=cols, coefficient=kappa, address=k)
+        for k, (kappa, cols) in enumerate(modes)
+    )
     channels = [
         channel_eigendecomp(ch, tau_eig) for ch in pivoted_cholesky(ints, tau_chol)
     ]
@@ -486,7 +481,7 @@ def build_hamiltonian_pool(ints, tau_chol, tau_eig, tau_onebody=0.0):
         for k, ch in enumerate(channels)
     )
     return HamiltonianPool(
-        one_body=tuple(one_body),
+        one_body=one_body,
         channels=chan_ladders,
         n_so=ints.n_so,
         n_elec=ints.n_elec,

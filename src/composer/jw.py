@@ -113,12 +113,3 @@ def permutation(index_map):
         (np.ones(dim), (np.arange(dim), index_map)), shape=(dim, dim)
     )
 
-
-def pauli_x(total, q):
-    """Qubit X on position ``q`` of a ``total``-qubit register (sparse)."""
-    return permutation(bit_flip(total, q))
-
-
-def controlled_x(total, control, target):
-    """CNOT with the given control/target qubit positions (sparse)."""
-    return permutation(bit_flip(total, target, control))

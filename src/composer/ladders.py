@@ -9,8 +9,8 @@ first built, to be a partial signed permutation with disjoint rows and
 partners (``A^2 = 0``, so ``K^3 = -K`` for both the two-mode and the
 four-mode case).  In that exact Euler form ``exp(theta K)`` mixes each
 touched row with its partner only, so one kernel applies it to a column
-array with neither matrix exponentials nor sparse arithmetic; the CSR
-gates and the schedule and network unitaries are read off the same map.
+array with neither matrix exponentials nor sparse arithmetic; the
+schedule and network unitaries are that kernel applied to the identity.
 """
 
 from __future__ import annotations
@@ -225,32 +225,6 @@ def apply_gates(cols, n, gates, inverse=False):
     return cols
 
 
-def _rotation_csr(n, modes, theta, phi=0.0):
-    """Sparse ``exp(theta K)``: the identity plus two entries per touched row."""
-    rows, partners, signs = gate_map(n, modes)
-    c, s, e = np.cos(theta), np.sin(theta), np.exp(1j * phi)
-    diag = np.ones(2**n, dtype=complex)
-    diag[rows] = diag[partners] = c
-    idx = np.arange(2**n)
-    data = [diag, s * e * signs[:, 0], -s * e.conjugate() * signs[:, 0]]
-    ij = (np.concatenate([idx, rows, partners]), np.concatenate([idx, partners, rows]))
-    return sparse.csr_matrix((np.concatenate(data), ij), shape=(2**n, 2**n))
-
-
-def givens_gate(n, p, r, theta):
-    """Sparse ``G_pr(theta) = exp[theta (a_p^dag a_r - h.c.)]``."""
-    return _rotation_csr(n, (p, r), theta)
-
-
-def pair_givens_gate(n, p, q, r, s, theta, phi):
-    """Phased pair-Givens on the full Jordan-Wigner space (sparse).
-
-    ``exp[theta (e^{i phi} a_p^dag a_q^dag a_s a_r - h.c.)]``, exact on
-    every particle-number sector.
-    """
-    return _rotation_csr(n, (p, q, r, s), theta, phi)
-
-
 def _schedule_gates(sched):
     """The schedule's gates (see :func:`apply_gates`) in application order.
 
@@ -276,25 +250,20 @@ def _schedule_gates(sched):
     return gates
 
 
-def _check_modes(n, circuit):
-    """The mode count of a schedule or network, which ``n`` must match if given."""
-    if n and n != circuit.n_modes:
-        raise ShapeError(f"mode count {n} disagrees with {circuit.n_modes}")
-    return circuit.n_modes
-
-
 def apply_ladder_dense(sched, state, n=None, inverse=False):
     """Apply a schedule to a dense state vector on ``2**n`` amplitudes."""
-    n = _check_modes(n, sched)
+    if n and n != sched.n_modes:
+        raise ShapeError(f"mode count {n} disagrees with {sched.n_modes}")
+    n = sched.n_modes
     state = np.array(state, dtype=complex).reshape(-1, 1)
     if state.shape[0] != 2**n:
         raise ShapeError(f"state dimension {state.shape[0]} != 2**{n}")
     return apply_gates(state, n, _schedule_gates(sched), inverse)[:, 0]
 
 
-def schedule_unitary(sched, n=None):
+def schedule_unitary(sched):
     """Sparse (CSR) unitary of the full schedule, applied to the identity."""
-    n = _check_modes(n, sched)
+    n = sched.n_modes
     return sparse.csr_matrix(
         apply_gates(np.eye(2**n, dtype=complex), n, _schedule_gates(sched))
     )
@@ -394,9 +363,9 @@ def network_single_particle(net):
     return v
 
 
-def network_unitary(net, n=None):
+def network_unitary(net):
     """Sparse (CSR) Fock-space unitary realizing the network."""
-    n = _check_modes(n, net)
+    n = net.n_modes
     gates = [("phase", (p,), phi) for p, phi in enumerate(net.phases)]
     gates += [("rot", (p, q), theta, 0.0) for p, q, theta in net.rotations]
     return sparse.csr_matrix(apply_gates(np.eye(2**n, dtype=complex), n, gates))

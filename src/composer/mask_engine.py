@@ -107,10 +107,7 @@ def similarity_sandwich(ham_pool, gen_pool, mask, model_space, eps_poly):
     sheet = circuit_ir.dial(ham_skel, ham_pool, None, ())
     b_block = circuit_ir.execute_hamiltonian_block(ham_skel, sheet)
     h_exact = oracle.hamiltonian_from_pool(ham_pool).matrix / ham_pool.alpha
-    # the encoded block is its own zero-ancilla encoding
-    eps_ham = oracle.restricted_block_error(
-        b_block, oracle.FockOperator(h_exact, n), 0, sector=n_elec
-    )
+    eps_ham = oracle._sector_norm(b_block - h_exact, n_elec)
 
     sheet = circuit_ir.dial(gen_skel, None, gen_pool, mask_indices)
     exp_exact = qsp.exact_exponential(
@@ -222,7 +219,7 @@ class ToyInstance:
     n_elec: int = 2
 
 
-def toy_two_generator_instance(coupling=0.55, theta1=0.45, theta2=0.65):
+def toy_two_generator_instance():
     """Deterministic toy instance used by the sweep demonstrations.
 
     A stretched two-orbital model with a strong double-excitation matrix
@@ -237,9 +234,7 @@ def toy_two_generator_instance(coupling=0.55, theta1=0.45, theta2=0.65):
     chem[0, 0, 0, 0] = 0.65
     chem[1, 1, 1, 1] = 0.62
     chem[0, 0, 1, 1] = chem[1, 1, 0, 0] = 0.45
-    chem[0, 1, 0, 1] = chem[1, 0, 0, 1] = chem[0, 1, 1, 0] = chem[1, 0, 1, 0] = (
-        coupling
-    )
+    chem[0, 1, 0, 1] = chem[1, 0, 0, 1] = chem[0, 1, 1, 0] = chem[1, 0, 1, 0] = 0.55
     from .integrals import expand_spin
 
     h, eri = expand_spin(h_sp, chem)
@@ -248,8 +243,8 @@ def toy_two_generator_instance(coupling=0.55, theta1=0.45, theta2=0.65):
     cr, an = jw.jw_ladder_ops(n)
     ref = np.zeros(2**n, dtype=complex)
     ref[jw.basis_state(n, [0, 1])] = 1.0
-    g1 = (cr[2] @ an[0] - cr[0] @ an[2]).toarray() * theta1
-    g2 = (cr[3] @ an[1] - cr[1] @ an[3]).toarray() * theta2
+    g1 = (cr[2] @ an[0] - cr[0] @ an[2]).toarray() * 0.45
+    g2 = (cr[3] @ an[1] - cr[1] @ an[3]).toarray() * 0.65
     return ToyInstance(hmat, ref, g1, g2)
 
 
@@ -277,19 +272,23 @@ def toy_sweep_energy(toy, r):
     return float(energies[0])
 
 
-def swept_coordinate_minimum(toy, lo=-3.0, hi=3.0, grid=241, refine_tol=1e-12):
-    """Minimize the swept-coordinate energy over ``r`` (grid + golden polish)."""
+def swept_coordinate_minimum(toy):
+    """Minimize the swept-coordinate energy over ``r`` in [-3, 3].
+
+    A 241-point grid brackets the minimum, then a bounded (golden) polish
+    refines it to 1e-12 in ``r``.
+    """
     from scipy import optimize
 
-    rs = np.linspace(lo, hi, grid)
+    rs = np.linspace(-3.0, 3.0, 241)
     energies = np.array([toy_sweep_energy(toy, r) for r in rs])
     k = int(np.argmin(energies))
     a = rs[max(k - 1, 0)]
-    b = rs[min(k + 1, grid - 1)]
+    b = rs[min(k + 1, len(rs) - 1)]
     result = optimize.minimize_scalar(
         lambda r: toy_sweep_energy(toy, r),
         bounds=(a, b),
         method="bounded",
-        options={"xatol": refine_tol},
+        options={"xatol": 1e-12},
     )
     return float(result.x), float(result.fun)

@@ -21,7 +21,6 @@ measures the result against its dense target.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,7 +51,6 @@ class FockOperator:
 
     matrix: np.ndarray
     n: int
-    tag: str = ""
 
     def __post_init__(self):
         if self.n > jw.MAX_QUBITS:
@@ -69,18 +67,6 @@ class BlockEncodingReport:
     ancillas: int
     measured_error: float
     sector: str
-    budget: dict | None = None
-
-    def to_json(self):
-        doc = {
-            "format": REPORT_FORMAT,
-            "alpha": self.alpha,
-            "ancillas": self.ancillas,
-            "measured_error": self.measured_error,
-            "sector": self.sector,
-            "budget": self.budget,
-        }
-        return json.dumps(doc, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +106,7 @@ def dense_hamiltonian(ints, include_e_nn=True):
     mat = out.toarray()
     if include_e_nn:
         mat = mat + ints.e_nn * np.eye(dim)
-    return FockOperator(mat, n, tag="hamiltonian(integrals)")
+    return FockOperator(mat, n)
 
 
 def hamiltonian_from_pool(pool):
@@ -138,7 +124,7 @@ def hamiltonian_from_pool(pool):
     for lad in pool.channels:
         o_mu = channel_operator(lad.channel, n)
         out += lad.coefficient * (o_mu @ o_mu)
-    return FockOperator(out, n, tag="hamiltonian(pool)")
+    return FockOperator(out, n)
 
 
 @lru_cache(maxsize=None)
@@ -209,7 +195,7 @@ def generator_dense(pool, mask_indices=None):
     for lad in selected:
         lmat = dense_generator_ladder(lad, pool.n_occ, n)
         out += lad.coefficient * 1j * (lmat - lmat.conj().T)
-    return FockOperator(out, n, tag="generator(hermitian)")
+    return FockOperator(out, n)
 
 
 # ---------------------------------------------------------------------------
@@ -241,18 +227,26 @@ def restricted_block_error(w, target, ancilla_count, sector=None):
         raise ShapeError(
             f"unitary dimension {w.shape[0]} != 2**(t + n) with t={ancilla_count}"
         )
-    delta = extract_block(w, n) - target.matrix
+    return _sector_norm(extract_block(w, n) - target.matrix, sector)
+
+
+def _sector_norm(delta, sector=None):
+    """Spectral norm of ``delta`` restricted to the particle-number ``sector``.
+
+    With no sector, the norm of the whole block.  The ``sector x sector``
+    submatrix is normed, which equals the norm of ``P delta P``.
+    """
     if sector is not None:
-        diag = jw.sector_projector_diagonal(n, sector)
-        delta = delta * diag[:, None] * diag[None, :]
+        idx = jw.sector_indices(int(np.log2(delta.shape[0])), sector)
+        delta = delta[np.ix_(idx, idx)]
     return float(np.linalg.norm(delta, 2))
 
 
-def assert_sector_preserving(block, n, tol=1e-11):
-    """Check the block is block-diagonal over Hamming-weight sectors."""
+def assert_sector_preserving(block, n):
+    """Check the block is block-diagonal over Hamming-weight sectors (to 1e-11)."""
     weights = jw.hamming_weights(n)
     off = block[weights[:, None] != weights[None, :]]
-    return float(np.abs(off).max(initial=0.0)) <= tol
+    return float(np.abs(off).max(initial=0.0)) <= 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +525,7 @@ def channel_block_encoding(ch, n):
     skel = circuit_ir.one_pool_skeleton(pool, None)
     w = circuit_ir.execute_adaptor(skel, circuit_ir.dial(skel, pool, None, ()), "ham/0")
     o_mu = channel_operator(ch, n)
-    target = FockOperator(o_mu @ o_mu / ch.gamma**2, n, tag="channel squared")
+    target = FockOperator(o_mu @ o_mu / ch.gamma**2, n)
     ancillas = int(np.log2(w.shape[0])) - n
     err = restricted_block_error(w, target, ancillas)
     return w, BlockEncodingReport(
@@ -562,14 +556,12 @@ def hamiltonian_block_encoding(pool):
     skel = circuit_ir.one_pool_skeleton(pool, None)
     sheet = circuit_ir.dial(skel, pool, None, ())
     w = circuit_ir.execute_hamiltonian_encoding(skel, sheet)
-    target = FockOperator(
-        hamiltonian_from_pool(pool).matrix / pool.alpha, pool.n_so, tag="H/alpha"
-    )
+    target = FockOperator(hamiltonian_from_pool(pool).matrix / pool.alpha, pool.n_so)
     ancillas = circuit_ir.hamiltonian_ancillas(skel)
     return w, _measured(w, target, pool.alpha, ancillas, pool.n_elec)
 
 
-def generator_block_encoding(pool, mask_indices, alpha_bar=None):
+def generator_block_encoding(pool, mask_indices):
     """Masked generator encoding with the global-normalization null branch.
 
     The block equals ``sum_(s in mask) omega_s i(L_s - L_s^dag) / alpha_bar``
@@ -582,14 +574,11 @@ def generator_block_encoding(pool, mask_indices, alpha_bar=None):
     mask_indices = frozenset(mask_indices)
     if pool.ell == 0 and mask_indices:
         raise MaskError("nonzero mask over an empty generator pool")
-    alpha_bar = pool.alpha_bar if alpha_bar is None else float(alpha_bar)
     skel = circuit_ir.one_pool_skeleton(None, pool)
-    sheet = circuit_ir.dial(skel, None, pool, mask_indices, alpha_bar=alpha_bar)
+    sheet = circuit_ir.dial(skel, None, pool, mask_indices)
     w = circuit_ir.execute_generator_encoding(skel, sheet)
     target = FockOperator(
-        generator_dense(pool, mask_indices).matrix / alpha_bar,
-        pool.n_so,
-        tag="A/alpha_bar",
+        generator_dense(pool, mask_indices).matrix / pool.alpha_bar, pool.n_so
     )
     ancillas = circuit_ir.generator_ancillas(skel)
-    return w, _measured(w, target, alpha_bar, ancillas, pool.sector)
+    return w, _measured(w, target, pool.alpha_bar, ancillas, pool.sector)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import circuit_ir, jw, oracle
+from . import circuit_ir, oracle
 from .errors import SpectralBoundError, ValidationError
 
 _TAIL_EXTRA = 60
@@ -147,8 +147,8 @@ class ExpBlockReport:
     sector: str
 
 
-def _seeded_hermitian_direction(dim, seed=0):
-    rng = np.random.default_rng(seed)
+def _seeded_hermitian_direction(dim):
+    rng = np.random.default_rng(0)
     p = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     p = (p + p.conj().T) / 2.0
     return p / np.linalg.norm(p, 2)
@@ -160,8 +160,7 @@ def exact_exponential(herm):
     return (evecs * np.exp(-1j * evals)) @ evecs.conj().T
 
 
-def exp_encoded_block(block, exact, alpha_bar, eps_poly, sector, eps_prime=0.0,
-                      perturbation_seed=0):
+def exp_encoded_block(block, exact, alpha_bar, eps_poly, sector, eps_prime=0.0):
     """Chebyshev ``exp(-i alpha_bar x)`` of an encoded generator block.
 
     Optionally injects a Hermitian perturbation of spectral norm
@@ -170,33 +169,25 @@ def exp_encoded_block(block, exact, alpha_bar, eps_poly, sector, eps_prime=0.0,
     ``sector``.
     """
     if eps_prime:
-        block = block + eps_prime * _seeded_hermitian_direction(
-            block.shape[0], perturbation_seed
-        )
+        block = block + eps_prime * _seeded_hermitian_direction(block.shape[0])
         norm = np.linalg.norm(block, 2)
         if norm > 1.0:
             block = block / norm
     d = degree_for(alpha_bar, eps_poly)
     poly = jacobi_anger_coeffs(alpha_bar, d)
     approx = apply_matrix_poly(poly, block)
-
-    n = int(np.log2(block.shape[0]))
-    diag = jw.sector_projector_diagonal(n, sector)
-    delta = (approx - exact) * diag[:, None] * diag[None, :]
-    deviation = float(np.linalg.norm(delta, 2))
     report = ExpBlockReport(
         degree=d,
         alpha_bar=alpha_bar,
         eps_poly=poly.eps_poly,
         eps_prime=float(eps_prime),
-        measured_deviation=deviation,
+        measured_deviation=oracle._sector_norm(approx - exact, sector),
         sector=f"N={sector}",
     )
     return approx, report
 
 
-def exp_sigma_block(pool, mask_indices, eps_poly, eps_prime=0.0, alpha_bar=None,
-                    perturbation_seed=0):
+def exp_sigma_block(pool, mask_indices, eps_poly, eps_prime=0.0, alpha_bar=None):
     """Approximate ``exp(sigma)`` for the masked generator at the block level.
 
     Compiles and dials the masked generator encoding, runs it on its
@@ -209,6 +200,4 @@ def exp_sigma_block(pool, mask_indices, eps_poly, eps_prime=0.0, alpha_bar=None,
     sheet = circuit_ir.dial(skel, None, pool, mask_indices, alpha_bar=alpha_bar)
     block = circuit_ir.execute_generator_block(skel, sheet)
     exact = exact_exponential(oracle.generator_dense(pool, mask_indices).matrix)
-    return exp_encoded_block(
-        block, exact, alpha_bar, eps_poly, pool.sector, eps_prime, perturbation_seed
-    )
+    return exp_encoded_block(block, exact, alpha_bar, eps_poly, pool.sector, eps_prime)

@@ -125,7 +125,7 @@ def test_c03_adaptor_and_multiplex_verification():
         # every adaptor of both pools, executed from dial data, against its
         # own per-ladder target on the working sector
         plan = cir.pivots_from_pools(pool, gen)
-        skel = cir.compile_skeleton(len(plan.ham), len(plan.gen), n, plan)
+        skel = cir.compile_skeleton(n, plan)
         sheet = cir.dial(skel, pool, gen, [lad.address for lad in gen.ladders])
         targets = adaptor_targets(pool, gen)
         assert len(targets) == pool.ell + gen.ell
@@ -254,7 +254,7 @@ def test_c06_compile_once_invariance():
             nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0), n_so=n
         )
         plan = cir.pivots_from_pools(ham, gen)
-        skel = cir.compile_skeleton(ham.ell, gen.ell, n, plan, "full", qsp_degree=6)
+        skel = cir.compile_skeleton(n, plan, "full", qsp_degree=6)
 
         coefficient_sets = [_scaled(gen, f) for f in (1.0, 0.5, 1.25)]
         worst = max(p.alpha_bar for p in coefficient_sets)

@@ -27,7 +27,7 @@ def compiled(small_pools, mixed_gen_pool):
     ham, _ = small_pools
     gen = mixed_gen_pool
     plan = cir.pivots_from_pools(ham, gen)
-    skel = cir.compile_skeleton(ham.ell, gen.ell, 4, plan, "full", qsp_degree=8)
+    skel = cir.compile_skeleton(4, plan, "full", qsp_degree=8)
     return ham, gen, skel
 
 
@@ -39,14 +39,14 @@ def compiled_n6():
     gen = nested_svd_t2(mp2_amplitudes(ints), 1e-6, 1e-6)
     gen = mixed_generator_pool(gen, n_so=6)
     plan = cir.pivots_from_pools(ham, gen)
-    skel = cir.compile_skeleton(ham.ell, gen.ell, 6, plan, "full", qsp_degree=8)
+    skel = cir.compile_skeleton(6, plan, "full", qsp_degree=8)
     return ham, gen, skel
 
 
 def test_compile_deterministic(compiled):
     ham, gen, skel = compiled
     plan = cir.pivots_from_pools(ham, gen)
-    again = cir.compile_skeleton(ham.ell, gen.ell, 4, plan, "full", qsp_degree=8)
+    again = cir.compile_skeleton(4, plan, "full", qsp_degree=8)
     assert again.fingerprint == skel.fingerprint
 
 
@@ -56,9 +56,9 @@ def test_minimal_sizes_selector_width():
         ham=(cir.AdaptorDescriptor("one_body_mode", 0, pivot=(0,), rank=1),),
         gen=(cir.AdaptorDescriptor("bilinear_asym", 1, pivot=(0, 1), rank=2),),
     )
-    skel = cir.compile_skeleton(1, 1, 2, plan_min, "full", 2)
+    skel = cir.compile_skeleton(2, plan_min, "full", 2)
     assert skel.selector_width == 1  # ceil(log2 max(1, 2)) = 1
-    again = cir.compile_skeleton(1, 1, 2, plan_min, "full", 2)
+    again = cir.compile_skeleton(2, plan_min, "full", 2)
     assert again.fingerprint == skel.fingerprint
 
 
@@ -66,7 +66,7 @@ def test_selector_width_counts_null_branch(small_pools):
     ham, gen5 = small_pools
     gen5 = mixed_generator_pool(gen5, extra=4)  # ell_sigma = 5
     plan = cir.pivots_from_pools(ham, gen5)
-    skel = cir.compile_skeleton(ham.ell, 5, 4, plan, "full", 2)
+    skel = cir.compile_skeleton(4, plan, "full", 2)
     assert skel.selector_width == max(
         int(np.ceil(np.log2(max(ham.ell, 5 + 1)))), 1
     )
@@ -90,7 +90,7 @@ def test_pivot_change_changes_fingerprint(compiled):
         else:
             bumped.append(d)
     plan2 = cir.CompilePlan(ham=tuple(bumped), gen=plan.gen)
-    skel2 = cir.compile_skeleton(ham.ell, gen.ell, 4, plan2, "full", 8)
+    skel2 = cir.compile_skeleton(4, plan2, "full", 8)
     assert skel2.fingerprint != skel.fingerprint
 
 
@@ -103,7 +103,7 @@ def test_swapped_addresses_change_fingerprint(compiled):
         cir.AdaptorDescriptor(g[0].kind, g[1].address, g[0].pivot, g[0].rank),
     )
     plan2 = cir.CompilePlan(ham=plan.ham, gen=tuple(g))
-    skel2 = cir.compile_skeleton(ham.ell, gen.ell, 4, plan2, "full", 8)
+    skel2 = cir.compile_skeleton(4, plan2, "full", 8)
     assert skel2.fingerprint != skel.fingerprint
 
 
@@ -304,7 +304,7 @@ def test_every_adaptor_encodes_its_ladder(small_pools, mixed_gen_pool, data):
     ham, gen, mask = _random_prefix(small_pools[0], mixed_gen_pool, data)
     plan = cir.pivots_from_pools(ham, gen)
     n = ham.n_so
-    skel = cir.compile_skeleton(ham.ell, gen.ell, n, plan)
+    skel = cir.compile_skeleton(n, plan)
     sheet = cir.dial(skel, ham, gen, mask)
     targets = adaptor_targets(ham, gen)
     assert len(targets) == ham.ell + gen.ell
@@ -342,7 +342,7 @@ def test_branch_signs_follow_the_coefficients(small_pools, mixed_gen_pool, data)
     )
     gen = replace(gen, ladders=_flipped(gen.ladders, flips[ham.ell:]))
     n = ham.n_so
-    skel = cir.compile_skeleton(ham.ell, gen.ell, n, cir.pivots_from_pools(ham, gen))
+    skel = cir.compile_skeleton(n, cir.pivots_from_pools(ham, gen))
     sheet = cir.dial(skel, ham, gen, mask)
     block = cir.execute_generator_block(skel, sheet)
     assert _sector_max(block, generator_target(gen, mask), n, gen.sector) <= 1e-12
@@ -520,7 +520,7 @@ def test_one_pool_skeletons_dial_only_their_pool(compiled):
     with pytest.raises(MaskError):
         cir.dial(ham_skel, ham, None, [1])
     with pytest.raises(ValidationError):
-        cir.compile_skeleton(0, 0, 4, cir.CompilePlan(ham=(), gen=()))
+        cir.compile_skeleton(4, cir.CompilePlan(ham=(), gen=()))
 
 
 def test_execute_rejects_fingerprint_mismatch(compiled):

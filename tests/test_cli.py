@@ -267,6 +267,53 @@ def test_dial_wrongly_typed_pool_field_exits_two(pipeline, capsys, edit):
     assert "must be" in capsys.readouterr().err
 
 
+def _t2_with_text_n_occ(tmp_path):
+    from composer.factorization import T2Tensor
+
+    doc = json.loads(T2Tensor(np.zeros((6, 1)), 2, 4).to_json())
+    doc["n_occ"] = "2"
+    path = tmp_path / "t2.json"
+    path.write_text(json.dumps(doc))
+    return ["diagnose", "--t2-a", str(path), "--t2-b", str(path)], "n_occ"
+
+
+def _ints_with_text_n_so(tmp_path):
+    from composer.integrals import synth_instance
+
+    doc = json.loads(synth_instance(1, 2, 2).to_json())
+    doc["n_so"] = "4"
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps(doc))
+    return ["factorize", "--ints", str(path)], "n_so"
+
+
+@pytest.mark.parametrize(
+    "case", [_t2_with_text_n_occ, _ints_with_text_n_so], ids=["t2", "integrals"]
+)
+def test_wrongly_typed_t2_or_integrals_field_exits_two(tmp_path, capsys, case):
+    argv, field = case(tmp_path)
+    assert run(argv + ["--out", str(tmp_path / "out.json")]) == 2
+    assert f"{field} must be int, not str" in capsys.readouterr().err
+
+
+def test_estimate_prices_pairs_on_the_dialed_occupied_count(tmp_path):
+    """With ``--dial`` the pair adaptor is priced on the pool's n_occ, not n_so // 2."""
+    from composer import circuit_ir, resources
+
+    pool, skel, sheet, est = (
+        tmp_path / f for f in ("pool.json", "skel.json", "dial.json", "est.json")
+    )
+    assert run(["factorize", "--synth", "1:3:2", "--out", str(pool)]) == 0
+    assert run(["compile", "--pool", str(pool), "--out", str(skel)]) == 0
+    assert run(["dial", "--skel", str(skel), "--pool", str(pool),
+                "--mask", "1", "--out", str(sheet)]) == 0
+    assert run(["estimate", "--skel", str(skel), "--dial", str(sheet),
+                "--out", str(est)]) == 0
+    compiled = circuit_ir.CircuitSkeleton.from_json(skel.read_text())
+    expected = resources.estimate(compiled, n_occ=2, n_virt=4).parameters["D_II"]
+    assert json.loads(est.read_text())["parameters"]["D_II"] == expected == 80
+
+
 def test_pipeline_verify_n_so_8(tmp_path):
     """factorize -> compile -> dial -> verify end to end at n_so = 8 (full mask)."""
     pool, skel, sheet, report = (

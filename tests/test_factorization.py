@@ -290,3 +290,12 @@ def test_nested_svd_truncation_monotone():
         )
     assert all(a >= b - 1e-12 for a, b in zip(errors, errors[1:]))
     assert errors[-1] <= 1e-10
+
+
+def test_synth_beyond_eight_spatial_orbitals_factorizes():
+    """Factorization builds no dense operator, so n_so = 18 is in range."""
+    ints = synth_instance(1, 9, 8)
+    ham = build_hamiltonian_pool(ints, 1e-8, 0.0)
+    gen = nested_svd_t2(mp2_amplitudes(ints), 1e-6, 1e-6)
+    assert ham.n_so == gen.n_so == 18
+    assert ham.ell > 0 and gen.ell > 0 and gen.n_occ == 8

@@ -122,9 +122,9 @@ def test_sandwich_on_six_modes(medium_instance):
 def test_block_consumers_never_assemble(small_pools, mixed_gen_pool, monkeypatch):
     """The sandwich and exp(sigma) pass with every assembly path disabled.
 
-    The per-gate CSR builders are disabled too; the cached flag-copy and
-    null-flip leaves are rebuilt under the patch, so the check does not
-    depend on which test warmed them.
+    The CSR schedule and network unitaries are disabled too; the cached
+    flag-copy and null-flip leaves are rebuilt under the patch, so the
+    check does not depend on which test warmed them.
     """
 
     def forbidden(*args, **kwargs):
@@ -134,9 +134,8 @@ def test_block_consumers_never_assemble(small_pools, mixed_gen_pool, monkeypatch
     for module, name in (
         (cir, "execute_hamiltonian_encoding"),
         (cir, "execute_generator_encoding"),
-        (ladders, "givens_gate"),
-        (ladders, "pair_givens_gate"),
-        (jw, "pauli_x"),
+        (ladders, "schedule_unitary"),
+        (ladders, "network_unitary"),
     ):
         monkeypatch.setattr(module, name, forbidden)
     oracle._flag_copy.cache_clear()
@@ -183,7 +182,7 @@ def test_topology_invariant_blocks_differ(small_pools, mixed_gen_pool):
     ham, _ = small_pools
     gen = mixed_gen_pool
     plan = cir.pivots_from_pools(ham, gen)
-    skel = cir.compile_skeleton(ham.ell, gen.ell, 4, plan, "full", qsp_degree=6)
+    skel = cir.compile_skeleton(4, plan, "full", qsp_degree=6)
     sector = list(jw.sector_indices(4, 2))
     masks = [frozenset(), frozenset([1]), frozenset([2]), frozenset([1, 2, 3])]
     blocks = []

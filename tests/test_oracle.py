@@ -258,8 +258,13 @@ def test_cached_leaves_unchanged_by_verify_and_sandwich(
 def test_flag_identity_exact():
     # <0_f| X_f CNOT |0_f> equals the occupation operator as matrices
     n = 2
-    total = 1 + n
-    gadget = (jw.pauli_x(total, 0) @ jw.controlled_x(total, 1, 0)).toarray()
+    i2, x = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    # qubits (flag, mode 0, mode 1), most significant first
+    x_flag = np.kron(np.kron(x, i2), i2)
+    cnot = np.kron(np.kron(i2, p0), i2) + np.kron(np.kron(x, p1), i2)
+    gadget = x_flag @ cnot
+    assert np.array_equal(oracle._flag_copy(0, n).toarray(), gadget)
     block = gadget[: 2**n, : 2**n]
     cr, an = oracle.jw_ladder_ops(n)
     assert np.abs(block - (cr[0] @ an[0]).toarray()).max() == 0.0
