@@ -1,8 +1,9 @@
 """Closed-form resource accounting across connectivity models.
 
-The estimator prices the compiled fabric with exact integer conventions;
-the connectivity table sets the per-block cost of the four-mode pair
-rotations.
+The estimator prices the compiled fabric with exact integer conventions,
+from the skeleton alone (it records the occupied count the pair wedges
+are sized by); the connectivity table sets the per-block cost of the
+four-mode pair rotations.
 """
 
 from composer import circuit_ir as cir
@@ -24,9 +25,10 @@ ham = build_hamiltonian_pool(ints, 1e-8, 0.0)
 gen = nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0)
 plan = cir.pivots_from_pools(ham, gen)
 skel = cir.compile_skeleton(ints.n_so, plan, "full", qsp_degree=10)
+print(f"n_so = {skel.n_system}, n_occ = {skel.n_occ} (recorded at compile time)")
 
 for conn in ("full", "linear:2"):
-    est = estimate(skel, connectivity=conn, n_occ=2, n_virt=4)
+    est = estimate(skel, connectivity=conn)
     print(f"connectivity {conn}:")
     print(est.format_table())
     print(f"single-qubit rotations tallied separately: "

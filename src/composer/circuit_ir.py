@@ -1,19 +1,20 @@
 """Compile-once circuit IR: frozen two-qubit fabric plus re-dialable angles.
 
-The skeleton records the selector tree, the adaptor bank's gate layers
-with structural slot identifiers, and the signal-processing scaffold.
-Each layer is one canonical line ``gate|q0,q1,...|slot`` (empty slot
-field for a fixed gate); the lines are held in memory, stored in the
-JSON document and hashed by the fingerprint in that one form, and the
-slot fields are the skeleton's only list of parameter slots.  The
-fingerprint hashes the register widths, gate kinds, ordered qubit
-tuples, layer order, slot identifiers, and each adaptor's pivots and
-rank, never angle values.  A dial sheet binds every parameter slot for
-one instance (pools, mask, coefficient set) and is the only thing that
-changes between instances.
+The skeleton records the fixed pool's facts: the register widths, the
+occupied count ``n_occ`` the pair pivots are compiled on, the selector
+tree, the adaptor bank's gate layers with structural slot identifiers,
+and the signal-processing scaffold.  Each layer is one canonical line
+``gate|q0,q1,...|slot`` (empty slot field for a fixed gate), held,
+stored and hashed in that one form.  The slots are the lines' slot
+fields plus one PREP amplitude ``prep/<side>/<address>`` per adaptor.
+The fingerprint hashes the register widths, ``n_occ``, gate kinds,
+ordered qubit tuples, layer order, slot identifiers, and each adaptor's
+pivots and rank, never angle values.  A dial sheet binds every slot for
+one instance (pools, mask, coefficient set) in one ``bindings`` map and
+is the only thing that changes between instances.
 
 An adaptor's lines, in application order, are its whole branch
-(``composer-skel-v5``), and execution interprets them: each run of
+(``composer-skel-v6``), and execution interprets them: each run of
 system gates (``givens``, ``pgivens`` then its ``pgivens_phase``, ``rz``,
 ``cphase``, ``x``) becomes one dense ``2**n x 2**n`` leaf, the gates
 applied in order to the identity by the :mod:`ladders` kernel (a
@@ -47,11 +48,8 @@ from .errors import BindError, MaskError, ParseError, ValidationError
 from .errors import DICT, INT, LIST, NUMBER, STR, checked, checked_list
 from .factorization import bilinear_asym_spectrum, generator_branch_alpha
 
-SKEL_FORMAT = "composer-skel-v5"
-DIAL_FORMAT = "composer-dial-v1"
-
-# gates whose slot binds a phase; every other slot binds an angle or amplitude
-PHASE_GATES = frozenset({"rz", "cphase", "pgivens_phase", "gphase"})
+SKEL_FORMAT = "composer-skel-v6"
+DIAL_FORMAT = "composer-dial-v2"
 
 # gates on the system register, each with the number of modes it acts on
 SYSTEM_GATES = {"givens": 2, "pgivens": 4, "rz": 1, "cphase": 2, "x": 1}
@@ -81,16 +79,18 @@ class AdaptorDescriptor:
 
 @dataclass(frozen=True)
 class CompilePlan:
-    """Fixed pivot assignments covering every adaptor of both pools."""
+    """Fixed pivots of every adaptor of both pools, and the pairs' occupied count."""
 
     ham: tuple
     gen: tuple
+    n_occ: int
 
 
 def pivots_from_pools(ham_pool, gen_pool):
     """Canonical pivot plan: argmax amplitudes, frozen at compile time.
 
-    Either pool may be ``None``; the plan then covers the other alone.
+    Either pool may be ``None``; the plan then covers the other alone,
+    and without a generator pool ``n_occ`` is the Hamiltonian's ``n_elec``.
     """
     ham = []
     if ham_pool is not None:
@@ -132,7 +132,8 @@ def pivots_from_pools(ham_pool, gen_pool):
                         "bilinear_asym", lad.address, pivot=pivots, rank=len(w_vals)
                     )
                 )
-    return CompilePlan(ham=tuple(ham), gen=tuple(gen))
+    n_occ = ham_pool.n_elec if gen_pool is None else gen_pool.n_occ
+    return CompilePlan(ham=tuple(ham), gen=tuple(gen), n_occ=n_occ)
 
 
 @dataclass(frozen=True)
@@ -151,15 +152,24 @@ class CircuitSkeleton:
     """Frozen two-qubit fabric with addressed parameter slots."""
 
     n_system: int
+    n_occ: int
     selector_width: int
     workspace_width: int
     qsp_degree: int
     adaptors_ham: tuple
     adaptors_gen: tuple
-    prep_slots_ham: tuple
-    prep_slots_gen: tuple
     connectivity: str
     fingerprint: str
+
+    def __post_init__(self):
+        # each address is a selector label and names the PREP slot prep/<side>/<address>
+        for side, adaptors in self.sides():
+            addresses = sorted(ad.address for ad in adaptors)
+            fits = len(addresses) <= 2**self.selector_width
+            if not fits or addresses != list(range(len(addresses))):
+                raise ValidationError(
+                    f"{side} adaptor addresses must be 0, 1, ... within the selector"
+                )
 
     @property
     def ell_ham(self):
@@ -170,28 +180,25 @@ class CircuitSkeleton:
         # address 0 is the reserved null branch
         return len(self.adaptors_gen) - 1
 
-    def slot_kinds(self):
-        """``(angle slots, phase slots)``: each slot classed by its line's gate."""
-        angles, phases = list(self.prep_slots_ham + self.prep_slots_gen), []
-        for ad in self.adaptors_ham + self.adaptors_gen:
-            for line in ad.layers:
-                gate, _, slot = line.split("|")
-                if slot:
-                    (phases if gate in PHASE_GATES else angles).append(slot)
-        return frozenset(angles), frozenset(phases)
+    def sides(self):
+        """``(("ham", adaptors), ("gen", adaptors))``, the slot prefix of each side."""
+        return ("ham", self.adaptors_ham), ("gen", self.adaptors_gen)
+
+    def slots(self):
+        """Every parameter slot: each adaptor's PREP amplitude and its lines' slots."""
+        return frozenset(_slot_stream(self))
 
     def to_json(self):
         doc = {
             "format": SKEL_FORMAT,
             "n_system": self.n_system,
+            "n_occ": self.n_occ,
             "selector_width": self.selector_width,
             "workspace_width": self.workspace_width,
             "qsp_degree": self.qsp_degree,
             "connectivity": self.connectivity,
             "adaptors_ham": [_adaptor_doc(a) for a in self.adaptors_ham],
             "adaptors_gen": [_adaptor_doc(a) for a in self.adaptors_gen],
-            "prep_slots_ham": list(self.prep_slots_ham),
-            "prep_slots_gen": list(self.prep_slots_gen),
             "fingerprint": self.fingerprint,
         }
         return json.dumps(doc, sort_keys=True)
@@ -201,27 +208,33 @@ class CircuitSkeleton:
         doc = checked(json.loads(text), DICT, "skeleton")
         if doc.get("format") != SKEL_FORMAT:
             raise ParseError(f"expected format {SKEL_FORMAT!r}")
-        for key in ("n_system", "selector_width", "workspace_width", "qsp_degree"):
+        for key in ("n_system", "n_occ", "selector_width", "workspace_width",
+                    "qsp_degree"):
             checked(doc[key], INT, key)
         for key in ("adaptors_ham", "adaptors_gen"):
             checked_list(doc[key], DICT, key)
-        for key in ("prep_slots_ham", "prep_slots_gen"):
-            checked_list(doc[key], STR, key)
         skel = CircuitSkeleton(
             n_system=doc["n_system"],
+            n_occ=doc["n_occ"],
             selector_width=doc["selector_width"],
             workspace_width=doc["workspace_width"],
             qsp_degree=doc["qsp_degree"],
             adaptors_ham=tuple(_adaptor_load(a) for a in doc["adaptors_ham"]),
             adaptors_gen=tuple(_adaptor_load(a) for a in doc["adaptors_gen"]),
-            prep_slots_ham=tuple(doc["prep_slots_ham"]),
-            prep_slots_gen=tuple(doc["prep_slots_gen"]),
             connectivity=checked(doc.get("connectivity", "full"), STR, "connectivity"),
             fingerprint=checked(doc["fingerprint"], STR, "fingerprint"),
         )
         if fabric_fingerprint(skel) != skel.fingerprint:
             raise ValidationError("skeleton fingerprint does not match its layers")
         return skel
+
+
+def _slot_stream(skel):
+    """The slots in stream order: per adaptor, its PREP amplitude, then its lines'."""
+    for side, adaptors in skel.sides():
+        for ad in adaptors:
+            yield f"prep/{side}/{ad.address}"
+            yield from filter(None, [line.rpartition("|")[2] for line in ad.layers])
 
 
 def _adaptor_doc(ad):
@@ -274,8 +287,7 @@ class DialSheet:
     skeleton_fingerprint: str
     mask_id: str
     mask_indices: tuple
-    angle_bindings: dict
-    phase_bindings: dict
+    bindings: dict
     classical_coeffs: dict
 
     def to_json(self):
@@ -284,8 +296,7 @@ class DialSheet:
             "skeleton_fingerprint": self.skeleton_fingerprint,
             "mask_id": self.mask_id,
             "mask_indices": list(self.mask_indices),
-            "angle_bindings": self.angle_bindings,
-            "phase_bindings": self.phase_bindings,
+            "bindings": self.bindings,
             "classical_coeffs": self.classical_coeffs,
         }
         return json.dumps(doc, sort_keys=True)
@@ -298,22 +309,20 @@ class DialSheet:
         checked(doc["skeleton_fingerprint"], STR, "skeleton_fingerprint")
         checked(doc["mask_id"], STR, "mask_id")
         checked_list(doc["mask_indices"], INT, "mask_indices")
-        for key in ("angle_bindings", "phase_bindings"):
-            bindings = checked(doc[key], DICT, key)
-            checked_list(list(bindings.values()), NUMBER, key)
+        bindings = checked(doc["bindings"], DICT, "bindings")
+        checked_list(list(bindings.values()), NUMBER, "bindings")
         coeffs = checked(doc["classical_coeffs"], DICT, "classical_coeffs")
         for key in ("Omega", "omega"):
             if key in coeffs:
                 checked_list(coeffs[key], NUMBER, f"classical_coeffs {key}")
-        for key, kinds in (("alpha", NUMBER), ("alpha_bar", NUMBER), ("n_occ", INT)):
+        for key in ("alpha", "alpha_bar"):
             if key in coeffs:
-                checked(coeffs[key], kinds, f"classical_coeffs {key}")
+                checked(coeffs[key], NUMBER, f"classical_coeffs {key}")
         return DialSheet(
             skeleton_fingerprint=doc["skeleton_fingerprint"],
             mask_id=doc["mask_id"],
             mask_indices=tuple(doc["mask_indices"]),
-            angle_bindings=doc["angle_bindings"],
-            phase_bindings=doc["phase_bindings"],
+            bindings=bindings,
             classical_coeffs=doc["classical_coeffs"],
         )
 
@@ -323,10 +332,10 @@ class DialSheet:
 # ---------------------------------------------------------------------------
 
 
-def plan_workspace_width(plan):
-    """Widest workspace any branch of the plan touches (the null flip is one)."""
+def plan_workspace_width(ham, gen):
+    """Widest workspace any branch of the two lists touches (the null flip is one)."""
     widths = [1]
-    for ad in plan.ham:
+    for ad in ham:
         if ad.kind == "one_body_mode":
             widths.append(1 if ad.rank <= 1 else 2)
         elif ad.kind == "channel":
@@ -334,7 +343,7 @@ def plan_workspace_width(plan):
             widths.append(oracle.index_width(ad.rank) + 2)
         else:
             raise ValidationError(f"unknown hamiltonian adaptor kind {ad.kind!r}")
-    for ad in plan.gen:
+    for ad in gen:
         if ad.kind not in ("pair", "bilinear_asym"):
             raise ValidationError(f"unknown generator adaptor kind {ad.kind!r}")
         widths.append(2)  # sub-selector and flag
@@ -354,7 +363,7 @@ def compile_skeleton(n, pivots, connectivity="full", qsp_degree=0):
     if ell_ham + ell_gen == 0:
         raise ValidationError("pivot plan must hold at least one adaptor")
     width = max(int(np.ceil(np.log2(max(ell_ham, ell_gen + 1)))), 1)
-    t = plan_workspace_width(pivots)
+    t = plan_workspace_width(pivots.ham, pivots.gen)
     sys0 = width + t  # global index of system qubit 0
     ws0 = width
 
@@ -366,17 +375,14 @@ def compile_skeleton(n, pivots, connectivity="full", qsp_degree=0):
     adaptors_ham = [emit[ad.kind](ad, n, sysq, ws0, t) for ad in pivots.ham]
     adaptors_gen = [AdaptorSpec(0, "null", (), 0, (_layer("x", (ws0 + t - 1,)),))]
     adaptors_gen += [emit[ad.kind](ad, n, sysq, ws0, t) for ad in pivots.gen]
-    prep_ham = tuple(f"prep/ham/{s}" for s in range(ell_ham))
-    prep_gen = tuple(f"prep/gen/{s}" for s in range(ell_gen + 1))
     skel = CircuitSkeleton(
         n_system=n,
+        n_occ=int(pivots.n_occ),
         selector_width=width,
         workspace_width=t,
         qsp_degree=int(qsp_degree),
         adaptors_ham=tuple(adaptors_ham),
         adaptors_gen=tuple(adaptors_gen),
-        prep_slots_ham=prep_ham,
-        prep_slots_gen=prep_gen,
         connectivity=str(connectivity),
         fingerprint="",
     )
@@ -504,7 +510,7 @@ def _compile_bilinear_asym(ad, n, sysq, ws0, t):
 
 
 def fabric_fingerprint(skel):
-    """SHA-256 digest of the register widths and the canonical layer stream.
+    """SHA-256 digest of the register widths, ``n_occ`` and the canonical layer stream.
 
     Structure only: each adaptor's address, kind, pivots and rank, then
     its layer lines as stored, one per text line, so qubit tuples enter
@@ -515,12 +521,11 @@ def fabric_fingerprint(skel):
         f"registers|{skel.n_system}|{skel.selector_width}|{skel.workspace_width}\n"
         .encode()
     )
+    h.update(f"n_occ|{skel.n_occ}\n".encode())
     for ad in skel.adaptors_ham + skel.adaptors_gen:
         pivot = json.dumps(_pivot_doc(ad.pivot))
         h.update(f"adaptor:{ad.address}:{ad.kind}:{pivot}:{ad.rank}\n".encode())
         h.update("".join(line + "\n" for line in ad.layers).encode())
-    for slot in skel.prep_slots_ham + skel.prep_slots_gen:
-        h.update(f"prep|{slot}\n".encode())
     for k in range(skel.qsp_degree):
         h.update(f"qsp_rep|{k}\n".encode())
     return h.hexdigest()
@@ -531,12 +536,12 @@ def fabric_fingerprint(skel):
 # ---------------------------------------------------------------------------
 
 
-def _bind(angles, phases, sched, prefix):
+def _bind(bindings, sched, prefix):
     for k, theta in enumerate(sched.thetas):
-        angles[f"{prefix}/rot/{k}/theta"] = float(theta)
+        bindings[f"{prefix}/rot/{k}/theta"] = float(theta)
     for k, phi in enumerate(sched.phases):
-        phases[f"{prefix}/rot/{k}/phi"] = float(phi)
-    phases[f"{prefix}/pivot_phi"] = float(sched.pivot_phase)
+        bindings[f"{prefix}/rot/{k}/phi"] = float(phi)
+    bindings[f"{prefix}/pivot_phi"] = float(sched.pivot_phase)
 
 
 def dial(skel, ham_pool, gen_pool, mask, alpha_bar=None):
@@ -544,41 +549,43 @@ def dial(skel, ham_pool, gen_pool, mask, alpha_bar=None):
 
     Pools may be smaller than the compiled sizes; surplus amplitude routes
     to the null branch (generator) or zero-weight branches (Hamiltonian).
-    A pool is ``None`` exactly when the skeleton compiled no ladders for it.
+    A pool is ``None`` exactly when the skeleton compiled no ladders for it,
+    and a generator pool must have the occupied count the skeleton records.
     """
     if (ham_pool is None, gen_pool is None) != (skel.ell_ham == 0, skel.ell_gen == 0):
         raise BindError("pools must match the sides the skeleton compiled")
     if any(p is not None and p.n_so != skel.n_system for p in (ham_pool, gen_pool)):
         raise BindError("pool register size differs from the compiled system")
+    if gen_pool is not None and gen_pool.n_occ != skel.n_occ:
+        raise BindError(
+            f"generator pool n_occ {gen_pool.n_occ} differs from the compiled "
+            f"{skel.n_occ}"
+        )
     masked = frozenset(mask.indices if isinstance(mask, Mask) else mask)
     if gen_pool is None and masked:
         raise MaskError("nonzero mask over a skeleton without a generator pool")
-    angles, phases, coeffs = {}, {}, {}
+    # every slot starts at zero, where surplus compiled adaptors idle
+    bindings, coeffs = dict.fromkeys(_slot_stream(skel), 0.0), {}
+    n_slots = len(bindings)
     if ham_pool is not None:
-        coeffs.update(_bind_hamiltonian(skel, ham_pool, angles, phases))
+        coeffs.update(_bind_hamiltonian(skel, ham_pool, bindings))
     if gen_pool is not None:
-        coeffs.update(
-            _bind_generator(skel, gen_pool, masked, alpha_bar, angles, phases)
-        )
-    missing, unknown = _slot_mismatch(skel, angles, phases)
-    if unknown:
+        coeffs.update(_bind_generator(skel, gen_pool, masked, alpha_bar, bindings))
+    if len(bindings) > n_slots:
+        unknown = bindings.keys() - skel.slots()
         raise BindError("bindings address unknown slots", addresses=unknown)
-    for bindings, idle in zip((angles, phases), missing):
-        # surplus compiled adaptors idle at zero so every slot is bound
-        bindings.update(dict.fromkeys(idle, 0.0))
 
     label = mask.label if isinstance(mask, Mask) else "mask"
     return DialSheet(
         skeleton_fingerprint=skel.fingerprint,
         mask_id=label,
         mask_indices=tuple(sorted(masked)),
-        angle_bindings=angles,
-        phase_bindings=phases,
+        bindings=bindings,
         classical_coeffs=coeffs,
     )
 
 
-def _bind_hamiltonian(skel, ham_pool, angles, phases):
+def _bind_hamiltonian(skel, ham_pool, bindings):
     """Bind the Hamiltonian adaptors and PREP; returns the classical coefficients."""
     n = skel.n_system
     if ham_pool.ell > skel.ell_ham:
@@ -608,9 +615,9 @@ def _bind_hamiltonian(skel, ham_pool, angles, phases):
                 sched = ladders.one_electron_angles(
                     lad.vectors[:, j].astype(complex), pivot=ad.pivot[j], n=n
                 )
-                _bind(angles, phases, sched, f"ham/{addr}/mode{j}")
+                _bind(bindings, sched, f"ham/{addr}/mode{j}")
                 if lad.multiplicity > 1:
-                    angles[f"ham/{addr}/subprep/{j}"] = float(1 / np.sqrt(ad.rank))
+                    bindings[f"ham/{addr}/subprep/{j}"] = float(1 / np.sqrt(ad.rank))
             weight = abs(lad.coefficient) * lad.multiplicity
         else:
             ch = lad.channel
@@ -620,23 +627,23 @@ def _bind_hamiltonian(skel, ham_pool, angles, phases):
                 )
             net = ladders.rotation_network_from_matrix(ch.rotation_full)
             for k, (_, _, theta) in enumerate(net.rotations):
-                angles[f"ham/{addr}/net/{k}/theta"] = float(theta)
+                bindings[f"ham/{addr}/net/{k}/theta"] = float(theta)
             for p in range(n):
-                phases[f"ham/{addr}/net/phase/{p}"] = float(net.phases[p])
+                bindings[f"ham/{addr}/net/phase/{p}"] = float(net.phases[p])
             amps, signs, _ = oracle.signed_loading(ch.eigvals)
             for xi in range(ch.rank):  # surplus compiled eigenmodes idle at zero
-                angles[f"ham/{addr}/prep/{xi}"] = float(amps[xi])
-                phases[f"ham/{addr}/select/{xi}/sign_phi"] = (
+                bindings[f"ham/{addr}/prep/{xi}"] = float(amps[xi])
+                bindings[f"ham/{addr}/select/{xi}/sign_phi"] = (
                     np.pi if signs[xi] < 0 else 0.0
                 )
             weight = abs(lad.coefficient) * ch.gamma**2
         omega_list.append(lad.coefficient)
-        phases[f"ham/{addr}/sign_phi"] = np.pi if lad.coefficient < 0 else 0.0
-        angles[f"prep/ham/{addr}"] = float(np.sqrt(weight / alpha))
+        bindings[f"ham/{addr}/sign_phi"] = np.pi if lad.coefficient < 0 else 0.0
+        bindings[f"prep/ham/{addr}"] = float(np.sqrt(weight / alpha))
     return {"Omega": [float(x) for x in omega_list], "alpha": float(alpha)}
 
 
-def _bind_generator(skel, gen_pool, masked, alpha_bar, angles, phases):
+def _bind_generator(skel, gen_pool, masked, alpha_bar, bindings):
     """Bind the generator adaptors and the masked PREP; checks mask and budget."""
     n = skel.n_system
     if gen_pool.ell > skel.ell_gen:
@@ -669,35 +676,31 @@ def _bind_generator(skel, gen_pool, masked, alpha_bar, angles, phases):
             uv, vo = lad.embedded_pair_vectors(gen_pool.n_occ, n)
             su = ladders.two_electron_angles(uv, pivot_pair=ad.pivot[0], n=n)
             sv = ladders.two_electron_angles(vo, pivot_pair=ad.pivot[1], n=n)
-            _bind(angles, phases, su, f"gen/{addr}/u")
-            _bind(angles, phases, sv, f"gen/{addr}/v")
+            _bind(bindings, su, f"gen/{addr}/u")
+            _bind(bindings, sv, f"gen/{addr}/v")
         else:
             w_vals, w_vecs = bilinear_asym_spectrum(lad.u, lad.v)
             amps, signs, _ = oracle.signed_loading(w_vals)
             for j in range(len(w_vals)):  # a missing second mode idles at zero
                 pivot = _mode_pivot(ad, j)
                 sched = ladders.one_electron_angles(w_vecs[:, j], pivot=pivot, n=n)
-                _bind(angles, phases, sched, f"gen/{addr}/mode{j}")
-                angles[f"gen/{addr}/subprep/{j}"] = float(amps[j])
-                phases[f"gen/{addr}/submode/{j}/sign_phi"] = (
+                _bind(bindings, sched, f"gen/{addr}/mode{j}")
+                bindings[f"gen/{addr}/subprep/{j}"] = float(amps[j])
+                bindings[f"gen/{addr}/submode/{j}/sign_phi"] = (
                     np.pi if signs[j] < 0 else 0.0
                 )
         omega_gen.append(lad.coefficient)
-        phases[f"gen/{addr}/sign_phi"] = np.pi if lad.coefficient < 0 else 0.0
+        bindings[f"gen/{addr}/sign_phi"] = np.pi if lad.coefficient < 0 else 0.0
         weight = abs(lad.coefficient) * generator_branch_alpha(lad)
         if addr in masked:
-            angles[f"prep/gen/{addr}"] = float(np.sqrt(weight / alpha_bar))
+            bindings[f"prep/gen/{addr}"] = float(np.sqrt(weight / alpha_bar))
             used += weight
         else:
-            angles[f"prep/gen/{addr}"] = 0.0
+            bindings[f"prep/gen/{addr}"] = 0.0
     if used > alpha_bar * (1 + 1e-12):
         raise BindError("masked weight exceeds the global normalization")
-    angles["prep/gen/0"] = float(np.sqrt(max(1.0 - used / alpha_bar, 0.0)))
-    return {
-        "omega": [float(x) for x in omega_gen],
-        "alpha_bar": float(alpha_bar),
-        "n_occ": int(gen_pool.n_occ),
-    }
+    bindings["prep/gen/0"] = float(np.sqrt(max(1.0 - used / alpha_bar, 0.0)))
+    return {"omega": [float(x) for x in omega_gen], "alpha_bar": float(alpha_bar)}
 
 
 # ---------------------------------------------------------------------------
@@ -713,13 +716,10 @@ def schedule_from_bindings(sheet, prefix, sector, n, pivot):
         ordering = tuple(
             pq for pq in ladders.pair_indices(n) if pq != tuple(pivot)
         )
-    thetas = np.array(
-        [sheet.angle_bindings[f"{prefix}/rot/{k}/theta"] for k in range(len(ordering))]
-    )
-    phs = np.array(
-        [sheet.phase_bindings[f"{prefix}/rot/{k}/phi"] for k in range(len(ordering))]
-    )
-    pivot_phi = sheet.phase_bindings[f"{prefix}/pivot_phi"]
+    values = sheet.bindings
+    thetas = np.array([values[f"{prefix}/rot/{k}/theta"] for k in range(len(ordering))])
+    phs = np.array([values[f"{prefix}/rot/{k}/phi"] for k in range(len(ordering))])
+    pivot_phi = values[f"{prefix}/pivot_phi"]
     return ladders.LadderSchedule(
         sector, n, tuple(pivot), ordering, thetas, phs, pivot_phi
     )
@@ -736,7 +736,7 @@ class _Interpreter:
     def __init__(self, skel, sheet, lines):
         self.n = skel.n_system
         self.sys0 = skel.selector_width + skel.workspace_width
-        self.angles, self.phases = sheet.angle_bindings, sheet.phase_bindings
+        self.values = sheet.bindings
         self.lines = [line.split("|") for line in lines]
         self.pos = 0
         self.last = None  # the most recently closed block, as applied
@@ -757,7 +757,7 @@ class _Interpreter:
             if gate in ("end", "dagger", "case"):
                 return factors, phase, (gate, slot)
             if gate == "gphase":
-                phase *= np.exp(1j * self.phases[slot])
+                phase *= np.exp(1j * self.values[slot])
             elif gate in ("gphase+i", "gphase-i"):
                 phase *= 1j if gate == "gphase+i" else -1j
             elif gate == "begin":
@@ -795,16 +795,16 @@ class _Interpreter:
         arity = SYSTEM_GATES[gate]
         self._expect(len(qs) == arity, f"{gate} on {arity} modes")
         if gate == "givens":
-            return ("rot", qs, self.angles[slot], 0.0)
+            return ("rot", qs, self.values[slot], 0.0)
         if gate == "pgivens":
             phase_line = self.lines[self.pos] if self.pos < len(self.lines) else []
             self._expect(phase_line[:2] == ["pgivens_phase", qubits],
                          "pgivens, its phase")
             self.pos += 1
-            return ("rot", qs, self.angles[slot], self.phases[phase_line[2]])
+            return ("rot", qs, self.values[slot], self.values[phase_line[2]])
         if gate == "x":
             return ("x", qs)
-        return ("phase", qs, self.phases[slot])
+        return ("phase", qs, self.values[slot])
 
     def _leaf(self, run):
         """Dense product of a run of system gates, applied in order to the identity."""
@@ -842,7 +842,7 @@ class _Interpreter:
                      "the select register right above its cases")
         amps = np.zeros(2 ** len(register))
         amps[: len(ops)] = (
-            [self.angles[s] for s in slots] if all(slots) else 1 / np.sqrt(len(ops))
+            [self.values[s] for s in slots] if all(slots) else 1 / np.sqrt(len(ops))
         )
         if np.linalg.norm(amps) < 1e-12:
             amps[0] = 1.0
@@ -885,8 +885,8 @@ def generator_workspace_width(skel):
     execution lifts only to its own branch width (the idle ancillas do
     not affect the encoded block and would inflate the assembled register).
     """
-    branches = tuple(ad for ad in skel.adaptors_gen if ad.kind != "null")
-    return plan_workspace_width(CompilePlan(ham=(), gen=branches))
+    branches = [ad for ad in skel.adaptors_gen if ad.kind != "null"]
+    return plan_workspace_width((), branches)
 
 
 def hamiltonian_ancillas(skel):
@@ -932,7 +932,7 @@ def _select(skel, sheet, side):
     adaptors = skel.adaptors_gen if side == "gen" else skel.adaptors_ham
     amps = np.zeros(2**skel.selector_width)
     for ad in adaptors:
-        amps[ad.address] = sheet.angle_bindings[f"prep/{side}/{ad.address}"]
+        amps[ad.address] = sheet.bindings[f"prep/{side}/{ad.address}"]
     norm = np.linalg.norm(amps)
     if abs(norm - 1.0) > 1e-9:
         name = "generator" if side == "gen" else "hamiltonian"
@@ -954,15 +954,14 @@ def execute_adaptor(skel, sheet, address):
     normalized ladder term.
     """
     side = address.partition("/")[0]
-    adaptors = {"ham": skel.adaptors_ham, "gen": skel.adaptors_gen}.get(side, ())
+    adaptors = dict(skel.sides()).get(side, ())
     ad = next((a for a in adaptors if f"{side}/{a.address}" == address), None)
     if ad is None:
         raise BindError(f"no adaptor at {address!r} in the skeleton")
-    if side == "ham":
-        plan = CompilePlan(ham=(ad,), gen=())
-    else:  # the null flip is the one-qubit floor of plan_workspace_width
-        plan = CompilePlan(ham=(), gen=() if ad.kind == "null" else (ad,))
-    oracle.check_assembly_width(plan_workspace_width(plan) + skel.n_system)
+    # the null flip is the one-qubit floor of plan_workspace_width
+    own = () if ad.kind == "null" else (ad,)
+    lists = (own, ()) if side == "ham" else ((), own)
+    oracle.check_assembly_width(plan_workspace_width(*lists) + skel.n_system)
     _check_sheet(skel, sheet)
     return oracle._csr(_branch(skel, sheet, ad)[0])
 
@@ -971,19 +970,10 @@ def _check_sheet(skel, sheet):
     """The sheet is bound to this skeleton and binds exactly its slots."""
     if sheet.skeleton_fingerprint != skel.fingerprint:
         raise BindError("dial sheet bound to a different skeleton fingerprint")
-    missing, unknown = _slot_mismatch(skel, sheet.angle_bindings, sheet.phase_bindings)
-    if unknown or any(missing):
+    slots = skel.slots()
+    missing, unknown = slots.difference(sheet.bindings), sheet.bindings.keys() - slots
+    if missing or unknown:
         raise BindError(
             "dial sheet must bind exactly the skeleton's slots "
-            f"(missing: {sorted(set().union(*missing))}; unknown: {unknown})"
+            f"(missing: {sorted(missing)}; unknown: {sorted(unknown)})"
         )
-
-
-def _slot_mismatch(skel, angles, phases):
-    """Angle and phase slots left unbound, and the bound names no such slot has."""
-    missing, unknown = [], []
-    for kind, bindings in zip(skel.slot_kinds(), (angles, phases)):
-        missing.append(kind.difference(bindings))
-        if len(bindings) > len(kind) - len(missing[-1]):
-            unknown += bindings.keys() - kind
-    return missing, sorted(unknown)

@@ -88,7 +88,10 @@ def _load_integrals(args):
 
 
 def _write(path, text):
-    Path(path).write_text(text if text.endswith("\n") else text + "\n")
+    with open(path, "w") as out:  # the newline apart: no copy of a large text
+        out.write(text)
+        if not text.endswith("\n"):
+            out.write("\n")
 
 
 def cmd_factorize(args):
@@ -168,8 +171,8 @@ def cmd_dial(args):
     ham, gen = _load_pools(args.pool)
     if gen is None:
         raise ComposerError("pool file has no generator section to dial")
-    mask = _parse_mask(args, gen)
-    sheet = cir.dial(skel, ham, gen, mask)
+    sheet = cir.dial(skel, ham, gen, _parse_mask(args, gen))
+    del skel, ham, gen  # free the fabric and pools before the sheet is encoded
     _write(args.out, sheet.to_json())
     print(
         f"dial: mask={sheet.mask_id} |mask|={len(sheet.mask_indices)} "
@@ -237,7 +240,7 @@ def _generator_target_from_sheet(skel, sheet):
     for ad in skel.adaptors_gen:
         if ad.kind == "null":
             continue
-        amp = sheet.angle_bindings.get(f"prep/gen/{ad.address}", 0.0)
+        amp = sheet.bindings.get(f"prep/gen/{ad.address}", 0.0)
         if amp == 0.0:
             continue
         om = omegas[ad.address - 1] if ad.address - 1 < len(omegas) else 0.0
@@ -266,29 +269,26 @@ def _generator_target_from_sheet(skel, sheet):
                 )
                 aw = sum(w_vec[p] * cr[p] for p in range(n))
                 n_w = (aw @ aw.conj().T).toarray()
-                sub_amp = sheet.angle_bindings[f"gen/{ad.address}/subprep/{j}"]
+                sub_amp = sheet.bindings[f"gen/{ad.address}/subprep/{j}"]
                 sub_sign = np.exp(
-                    1j
-                    * sheet.phase_bindings[f"gen/{ad.address}/submode/{j}/sign_phi"]
+                    1j * sheet.bindings[f"gen/{ad.address}/submode/{j}/sign_phi"]
                 )
                 total += weight * (sub_amp**2) * sub_sign.real * n_w
     return total
 
 
 def cmd_estimate(args):
-    skel = _load_skeleton(args.skel)
-    mask = n_occ = None
-    if args.dial:
+    fingerprint = mask = None
+    if args.dial:  # keep its fingerprint and mask: one large artifact is held at a time
         sheet = cir.DialSheet.from_json(_read(args.dial))
-        if sheet.skeleton_fingerprint != skel.fingerprint:
-            print("estimate: topology violation (fingerprint mismatch)", file=sys.stderr)
-            return EXIT_TOPOLOGY
+        fingerprint = sheet.skeleton_fingerprint
         mask = cir.Mask.of(sheet.mask_id, sheet.mask_indices)
-        # the generator pool's occupied count, which the pair adaptors are priced on
-        n_occ = sheet.classical_coeffs.get("n_occ")
-    est = resources.estimate(
-        skel, mask=mask, connectivity=args.connectivity, n_occ=n_occ
-    )
+        del sheet
+    skel = _load_skeleton(args.skel)
+    if fingerprint not in (None, skel.fingerprint):
+        print("estimate: topology violation (fingerprint mismatch)", file=sys.stderr)
+        return EXIT_TOPOLOGY
+    est = resources.estimate(skel, mask=mask, connectivity=args.connectivity)
     _write(args.out, est.to_json())
     print(est.format_table())
     return EXIT_OK

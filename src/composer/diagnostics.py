@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jw, oracle
+from . import jw, oracle, qsp
 from .circuit_ir import Mask
 from .errors import MaskError, RankError, ValidationError, ZeroTensorError
 
@@ -45,12 +45,18 @@ class OverlapCurve:
         return buf.getvalue()
 
 
-def _dyad_frame(t2, r):
-    """Orthonormal dyad vectors ``vec(u_k v_k^dag)`` of the leading ranks."""
+def _leading_svd(t2, r):
+    """Thin SVD of the pair matrix; a RankError past its numerical rank."""
     u, s, vh = np.linalg.svd(t2.amplitudes, full_matrices=False)
     rank = int(np.sum(s > s[0] * 1e-13)) if s.size and s[0] > 0 else 0
     if r > rank:
         raise RankError(f"requested rank {r} exceeds numerical rank {rank}")
+    return u, s, vh
+
+
+def _dyad_frame(t2, r):
+    """Orthonormal dyad vectors ``vec(u_k v_k^dag)`` of the leading ranks."""
+    u, s, vh = _leading_svd(t2, r)
     cols = [np.kron(vh[k, :].conj(), u[:, k]) for k in range(r)]
     frame = np.stack(cols, axis=1)
     gram = frame.conj().T @ frame
@@ -61,11 +67,7 @@ def _dyad_frame(t2, r):
 
 def _left_frame(t2, r):
     """Orthonormal leading left-singular vectors (pair-virtual space)."""
-    u, s, _ = np.linalg.svd(t2.amplitudes, full_matrices=False)
-    rank = int(np.sum(s > s[0] * 1e-13)) if s.size and s[0] > 0 else 0
-    if r > rank:
-        raise RankError(f"requested rank {r} exceeds numerical rank {rank}")
-    return u[:, :r]
+    return _leading_svd(t2, r)[0][:, :r]
 
 
 def subspace_overlap(t_a, t_b, r, variant="dyad"):
@@ -182,8 +184,7 @@ def reduced_density_blocks(gen_pool, mask, reference_state, n):
         raise ValidationError("reference state must be nonzero")
     phi = phi / np.linalg.norm(phi)
     herm = oracle.generator_dense(gen_pool, getattr(mask, "indices", mask)).matrix
-    evals, evecs = np.linalg.eigh(herm)
-    psi = (evecs * np.exp(-1j * evals)) @ evecs.conj().T @ phi
+    psi = qsp.exact_exponential(herm) @ phi
     dmat = np.empty((n, n), dtype=complex)
     for p in range(n):
         for q in range(n):

@@ -1,6 +1,8 @@
 """Exception hierarchy shared across the package, and the exact-type checks
 the JSON artifact loaders run on every field they read."""
 
+import math
+
 
 class ComposerError(Exception):
     """Base class for all package-specific errors."""
@@ -74,7 +76,8 @@ class DegenerateBasisError(ComposerError):
     """All overlap-matrix eigenvalues fall below the regularization cut."""
 
 
-# exact JSON value types: a bool is not an int and an int is not a string
+# exact JSON value types: a bool is not an int and an int is not a string;
+# a float must be finite (``json`` reads NaN and Infinity, strict JSON has neither)
 INT = (int,)
 NUMBER = (int, float)
 STR = (str,)
@@ -87,16 +90,22 @@ def checked(value, kinds, what):
     if type(value) not in kinds:
         names = " or ".join(k.__name__ for k in kinds)
         raise ParseError(f"{what} must be {names}, not {type(value).__name__}")
+    if type(value) is float and not math.isfinite(value):
+        raise ParseError(f"{what} must be finite, not {value!r}")
     return value
 
 
 def checked_list(value, kinds, what):
     """A JSON list whose entries all have one of the exact types ``kinds``."""
     checked(value, LIST, what)
-    bad = set(map(type, value)).difference(kinds)
+    types = set(map(type, value))
+    bad = types.difference(kinds)
     if bad:
         names = " or ".join(k.__name__ for k in kinds)
         raise ParseError(
             f"{what} entries must be {names}, not {min(t.__name__ for t in bad)}"
         )
+    if float in types and not all(map(math.isfinite, value)):
+        worst = next(v for v in value if not math.isfinite(v))
+        raise ParseError(f"{what} entries must be finite, not {worst!r}")
     return value

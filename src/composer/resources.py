@@ -140,81 +140,48 @@ class ResourceEstimate:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class PoolShape:
-    """Sizes the estimator prices: counts, channel ranks, pair-space sizes."""
-
-    n: int
-    n_bilinear_ham: int
-    channel_ranks: tuple
-    ell_sigma: int
-    n_occ: int
-    n_virt: int
-    qsp_degree: int
-
-
-def shape_from_skeleton(skel, n_occ=None, n_virt=None):
-    """Extract the priced sizes from a compiled skeleton."""
-    ranks = tuple(
-        ad.rank for ad in skel.adaptors_ham if ad.kind == "channel"
-    )
-    n_bil = sum(1 for ad in skel.adaptors_ham if ad.kind == "one_body_mode")
-    n = skel.n_system
-    if n_occ is None:
-        n_occ = n // 2
-    if n_virt is None:
-        n_virt = n - n_occ
-    return PoolShape(
-        n=n,
-        n_bilinear_ham=n_bil,
-        channel_ranks=ranks,
-        ell_sigma=skel.ell_gen,
-        n_occ=n_occ,
-        n_virt=n_virt,
-        qsp_degree=skel.qsp_degree,
-    )
-
-
-def _pair_adaptor_depth(shape, conn):
+def _pair_adaptor_depth(n_occ, n, conn):
     _, cz = block_cost(conn)
+    n_virt = n - n_occ
     n_blocks = 0
-    if shape.n_virt >= 2:
-        n_blocks += shape.n_virt * (shape.n_virt - 1) // 2 - 1
-    if shape.n_occ >= 2:
-        n_blocks += shape.n_occ * (shape.n_occ - 1) // 2 - 1
+    if n_virt >= 2:
+        n_blocks += n_virt * (n_virt - 1) // 2 - 1
+    if n_occ >= 2:
+        n_blocks += n_occ * (n_occ - 1) // 2 - 1
     return cz * max(n_blocks, 1)
 
 
-def estimate(skel, mask=None, connectivity=None, n_occ=None, n_virt=None):
+def estimate(skel, mask=None, connectivity=None):
     """Concrete depth/ancilla counts for one masked sandwich oracle.
 
     All counts are exact integers under the documented conventions; the
-    stated asymptotics follow from them.  The mask never changes the
-    fabric cost (compile-once); its size is recorded for reference.
+    stated asymptotics follow from them.  Every size comes from the
+    skeleton (the pair wedges from its ``n_occ``).  The mask never changes
+    the fabric cost (compile-once); its size is recorded for reference.
     """
     conn = Connectivity.parse(connectivity or skel.connectivity)
-    shape = shape_from_skeleton(skel, n_occ=n_occ, n_virt=n_virt)
-    n = shape.n
-    d = shape.qsp_degree
+    n = skel.n_system
+    d = skel.qsp_degree
+    channel_ranks = [ad.rank for ad in skel.adaptors_ham if ad.kind == "channel"]
+    n_bilinear_ham = sum(ad.kind == "one_body_mode" for ad in skel.adaptors_ham)
+    ell_sigma = skel.ell_gen
 
     depth_bilinear = CONTROL_OVERHEAD * (n - 1)
-    depths_channel = [
-        CONTROL_OVERHEAD * ((n - 1) + r + 2) for r in shape.channel_ranks
-    ]
-    depth_pair = CONTROL_OVERHEAD * _pair_adaptor_depth(shape, conn)
+    depths_channel = [CONTROL_OVERHEAD * ((n - 1) + r + 2) for r in channel_ranks]
+    depth_pair = CONTROL_OVERHEAD * _pair_adaptor_depth(skel.n_occ, n, conn)
 
-    ham_select = shape.n_bilinear_ham * depth_bilinear + sum(depths_channel)
-    gen_select = shape.ell_sigma * depth_pair
-    ham_prep = shape.n_bilinear_ham + len(shape.channel_ranks)
-    gen_prep = shape.ell_sigma
+    ham_select = n_bilinear_ham * depth_bilinear + sum(depths_channel)
+    gen_select = ell_sigma * depth_pair
+    ham_prep = n_bilinear_ham + len(channel_ranks)
+    gen_prep = ell_sigma
     qsp_depth = d * gen_select
     total = qsp_depth + gen_prep + ham_select + ham_prep
 
-    a_sigma = max(int(np.ceil(np.log2(shape.ell_sigma + 1))), 1)
+    a_sigma = max(int(np.ceil(np.log2(ell_sigma + 1))), 1)
     a_ham = max(int(np.ceil(np.log2(max(ham_prep, 1)))), 1)
     width = max(a_sigma, a_ham) + skel.workspace_width
 
-    max_rank = max(shape.channel_ranks, default=0)
+    max_rank = max(channel_ranks, default=0)
     a_index = index_width(max_rank)
     rows = (
         ResourceRow("adaptor (bilinear dyad)", n, 1, depth_bilinear),
@@ -228,18 +195,18 @@ def estimate(skel, mask=None, connectivity=None, n_occ=None, n_virt=None):
         ResourceRow("qsp ladders", n, 1, qsp_depth),
     )
     single_qubit = (
-        shape.n_bilinear_ham * (2 * n - 1)
-        + sum(n + 2 * r for r in shape.channel_ranks)
-        + shape.ell_sigma * 2 * (n * (n - 1) // 2)
+        n_bilinear_ham * (2 * n - 1)
+        + sum(n + 2 * r for r in channel_ranks)
+        + ell_sigma * 2 * (n * (n - 1) // 2)
         + gen_prep
         + ham_prep
     )
     params = {
         "n": n,
         "ell_H": ham_prep,
-        "ell_sigma": shape.ell_sigma,
+        "ell_sigma": ell_sigma,
         "qsp_degree": d,
-        "channel_ranks": list(shape.channel_ranks),
+        "channel_ranks": channel_ranks,
         "mask_size": len(getattr(mask, "indices", mask or ())),
         "D_I": depth_bilinear,
         "D_II": depth_pair,

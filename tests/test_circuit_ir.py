@@ -55,6 +55,7 @@ def test_minimal_sizes_selector_width():
     plan_min = cir.CompilePlan(
         ham=(cir.AdaptorDescriptor("one_body_mode", 0, pivot=(0,), rank=1),),
         gen=(cir.AdaptorDescriptor("bilinear_asym", 1, pivot=(0, 1), rank=2),),
+        n_occ=1,
     )
     skel = cir.compile_skeleton(2, plan_min, "full", 2)
     assert skel.selector_width == 1  # ceil(log2 max(1, 2)) = 1
@@ -89,7 +90,7 @@ def test_pivot_change_changes_fingerprint(compiled):
             )
         else:
             bumped.append(d)
-    plan2 = cir.CompilePlan(ham=tuple(bumped), gen=plan.gen)
+    plan2 = replace(plan, ham=tuple(bumped))
     skel2 = cir.compile_skeleton(4, plan2, "full", 8)
     assert skel2.fingerprint != skel.fingerprint
 
@@ -102,7 +103,7 @@ def test_swapped_addresses_change_fingerprint(compiled):
         cir.AdaptorDescriptor(g[1].kind, g[0].address, g[1].pivot, g[1].rank),
         cir.AdaptorDescriptor(g[0].kind, g[1].address, g[0].pivot, g[0].rank),
     )
-    plan2 = cir.CompilePlan(ham=plan.ham, gen=tuple(g))
+    plan2 = replace(plan, gen=tuple(g))
     skel2 = cir.compile_skeleton(4, plan2, "full", 8)
     assert skel2.fingerprint != skel.fingerprint
 
@@ -115,9 +116,7 @@ def test_fingerprint_recompute_matches(compiled):
 def test_dial_binds_every_slot(compiled):
     ham, gen, skel = compiled
     sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", [1, 2]))
-    angle_slots, phase_slots = skel.slot_kinds()
-    assert angle_slots == set(sheet.angle_bindings)
-    assert phase_slots == set(sheet.phase_bindings)
+    assert skel.slots() == set(sheet.bindings)
     assert sheet.skeleton_fingerprint == skel.fingerprint
 
 
@@ -140,18 +139,8 @@ def test_mask_changes_only_prep_amplitudes(compiled):
     ham, gen, skel = compiled
     full = cir.dial(skel, ham, gen, cir.Mask.of("full", [1, 2, 3]))
     empty = cir.dial(skel, ham, gen, cir.Mask.of("empty", []))
-    angle_diff = {
-        k
-        for k in full.angle_bindings
-        if full.angle_bindings[k] != empty.angle_bindings[k]
-    }
-    phase_diff = {
-        k
-        for k in full.phase_bindings
-        if full.phase_bindings[k] != empty.phase_bindings[k]
-    }
-    assert phase_diff == set()
-    assert all(k.startswith("prep/gen/") for k in angle_diff)
+    diff = {k for k in full.bindings if full.bindings[k] != empty.bindings[k]}
+    assert all(k.startswith("prep/gen/") for k in diff)
 
 
 def test_coefficient_rescale_changes_only_amplitudes(compiled):
@@ -182,18 +171,10 @@ def test_coefficient_rescale_changes_only_amplitudes(compiled):
     mask = cir.Mask.of("m", [1, 2])
     base = cir.dial(skel, ham, gen, mask, alpha_bar=worst)
     scaled = cir.dial(skel, ham, doubled, mask, alpha_bar=worst)
-    angle_diff = {
-        k
-        for k in base.angle_bindings
-        if abs(base.angle_bindings[k] - scaled.angle_bindings[k]) > 1e-15
+    diff = {
+        k for k in base.bindings if abs(base.bindings[k] - scaled.bindings[k]) > 1e-15
     }
-    assert all(k.startswith("prep/gen/") for k in angle_diff)
-    phase_diff = {
-        k
-        for k in base.phase_bindings
-        if abs(base.phase_bindings[k] - scaled.phase_bindings[k]) > 1e-15
-    }
-    assert phase_diff == set()
+    assert all(k.startswith("prep/gen/") for k in diff)
 
 
 def test_dial_rejects_oversized_pool(compiled, small_pools):
@@ -207,6 +188,22 @@ def test_dial_rejects_foreign_mask(compiled):
     ham, gen, skel = compiled
     with pytest.raises(MaskError):
         cir.dial(skel, ham, gen, cir.Mask.of("m", [17]))
+
+
+def test_dial_rejects_another_occupied_count(compiled):
+    """Pairs are compiled on the skeleton's n_occ; another pool's is a BindError."""
+    ham, gen, skel = compiled
+    assert skel.n_occ == gen.n_occ == 2
+    other = replace(gen, n_occ=1, n_virt=3, n_elec=1)
+    with pytest.raises(BindError, match="n_occ 1 differs from the compiled 2"):
+        cir.dial(skel, ham, other, cir.Mask.of("m", [1]))
+
+
+def test_skeleton_records_the_occupied_count(small_pools, mixed_gen_pool):
+    """n_occ is the generator pool's, or the Hamiltonian's n_elec without one."""
+    ham, _ = small_pools
+    assert cir.one_pool_skeleton(None, mixed_gen_pool).n_occ == mixed_gen_pool.n_occ
+    assert cir.one_pool_skeleton(ham, None).n_occ == ham.n_elec
 
 
 def generator_target(gen, mask_indices):
@@ -362,7 +359,7 @@ def test_layer_stream_is_the_program(compiled):
     ad = next(a for a in skel.adaptors_ham if a.kind == "one_body_mode")
     k = max(
         (k for k, line in enumerate(ad.layers) if line.startswith("givens|")),
-        key=lambda k: abs(sheet.angle_bindings[ad.layers[k].split("|")[2]]),
+        key=lambda k: abs(sheet.bindings[ad.layers[k].split("|")[2]]),
     )
     _, qubits, slot = ad.layers[k].split("|")
     target_q, pivot = (int(q) for q in qubits.split(","))
@@ -459,7 +456,7 @@ def test_run_of_system_lines_is_the_product_of_its_gates(data):
     n = data.draw(st.integers(3, 6), label="modes")
     modes, pairs = st.integers(0, n - 1), st.sampled_from(ladders.pair_indices(n))
     angle = st.floats(-np.pi, np.pi)
-    lines, angles, phases, expected = [], {}, {}, np.eye(2**n)
+    lines, bound, expected = [], {}, np.eye(2**n)
     for k in range(data.draw(st.integers(1, 8), label="length")):
         gate = data.draw(st.sampled_from(["givens", "pgivens", "rz", "cphase", "x"]))
         if gate == "givens":
@@ -471,22 +468,22 @@ def test_run_of_system_lines_is_the_product_of_its_gates(data):
             qs = list(data.draw(pairs))
         else:
             qs = [data.draw(modes)]
-        values = [data.draw(angle), data.draw(angle)]
+        drawn = [data.draw(angle), data.draw(angle)]
         qubits = ",".join(map(str, qs))
         if gate in ("givens", "pgivens"):
-            angles[f"t{k}"] = values[0]
+            bound[f"t{k}"] = drawn[0]
             lines.append(f"{gate}|{qubits}|t{k}")
         elif gate != "x":
-            phases[f"f{k}"] = values[0]
+            bound[f"f{k}"] = drawn[0]
             lines.append(f"{gate}|{qubits}|f{k}")
         else:
             lines.append(f"x|{qubits}|")
         if gate == "pgivens":
-            phases[f"f{k}"] = values[1]
+            bound[f"f{k}"] = drawn[1]
             lines.append(f"pgivens_phase|{qubits}|f{k}")
-        expected = _expm_line(n, gate, qs, values) @ expected
+        expected = _expm_line(n, gate, qs, drawn) @ expected
     skel = SimpleNamespace(n_system=n, selector_width=0, workspace_width=0)
-    sheet = SimpleNamespace(angle_bindings=angles, phase_bindings=phases)
+    sheet = SimpleNamespace(bindings=bound)
     factors, _, closer = cir._Interpreter(skel, sheet, lines).frame()
     assert closer is None
     [(leaf, width, adjoint)] = factors
@@ -520,20 +517,13 @@ def test_one_pool_skeletons_dial_only_their_pool(compiled):
     with pytest.raises(MaskError):
         cir.dial(ham_skel, ham, None, [1])
     with pytest.raises(ValidationError):
-        cir.compile_skeleton(4, cir.CompilePlan(ham=(), gen=()))
+        cir.compile_skeleton(4, cir.CompilePlan(ham=(), gen=(), n_occ=2))
 
 
 def test_execute_rejects_fingerprint_mismatch(compiled):
     ham, gen, skel = compiled
     sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", [1]))
-    tampered = cir.DialSheet(
-        skeleton_fingerprint="0" * 64,
-        mask_id=sheet.mask_id,
-        mask_indices=sheet.mask_indices,
-        angle_bindings=sheet.angle_bindings,
-        phase_bindings=sheet.phase_bindings,
-        classical_coeffs=sheet.classical_coeffs,
-    )
+    tampered = replace(sheet, skeleton_fingerprint="0" * 64)
     with pytest.raises(BindError):
         cir.execute_generator_encoding(skel, tampered)
 
@@ -642,6 +632,7 @@ def _lower_channel_rank(doc):
         pytest.param(_widen("n_system"), ValidationError, id="n_system"),
         pytest.param(_widen("selector_width"), ValidationError, id="selector_width"),
         pytest.param(_widen("workspace_width"), ValidationError, id="workspace_width"),
+        pytest.param(_widen("n_occ"), ValidationError, id="n_occ"),
         pytest.param(
             _edit_first("case", _rename_slot), ValidationError, id="renamed-slot"
         ),
@@ -665,10 +656,24 @@ def test_skeleton_json_tamper_detected(compiled, tamper, error):
         cir.CircuitSkeleton.from_json(json.dumps(doc))
 
 
+def test_adaptor_addresses_must_label_the_selector(compiled):
+    """With no prep-slot list, an address outside the selector fails to load."""
+    _, _, skel = compiled
+    doc = json.loads(skel.to_json())
+    doc["adaptors_gen"][1]["address"] = 2**skel.selector_width
+    with pytest.raises(ValidationError, match="gen adaptor addresses"):
+        cir.CircuitSkeleton.from_json(json.dumps(doc))
+    moved = replace(skel.adaptors_gen[1], address=2**skel.selector_width)
+    with pytest.raises(ValidationError, match="gen adaptor addresses"):
+        replace(skel, adaptors_gen=(skel.adaptors_gen[0], moved,
+                                    *skel.adaptors_gen[2:]))
+
+
 @pytest.mark.parametrize(
     "fmt",
-    ["composer-skel-v1", "composer-skel-v2", "composer-skel-v3", "composer-skel-v4"],
-    ids=["v1", "v2", "v3", "v4"],
+    ["composer-skel-v1", "composer-skel-v2", "composer-skel-v3", "composer-skel-v4",
+     "composer-skel-v5"],
+    ids=["v1", "v2", "v3", "v4", "v5"],
 )
 def test_skeleton_v1_rejected(compiled, fmt):
     _, _, skel = compiled

@@ -109,13 +109,13 @@ def test_verify_tampered_fingerprint_exits_three(pipeline, tmp_path):
 
 
 def _add_binding(doc):
-    doc["angle_bindings"]["gen/1/bogus"] = 0.0
+    doc["bindings"]["gen/1/bogus"] = 0.0
     return "gen/1/bogus"
 
 
 def _drop_binding(doc):
-    slot = min(s for s in doc["angle_bindings"] if s.startswith("gen/1/"))
-    del doc["angle_bindings"][slot]
+    slot = min(s for s in doc["bindings"] if s.startswith("gen/1/"))
+    del doc["bindings"][slot]
     return slot
 
 
@@ -194,6 +194,57 @@ def test_verify_reports_the_ancillas_of_the_checked_encoding(tmp_path, synth):
     assert json.loads(report.read_text())["ancillas"] == np.log2(w.shape[0]) - n
 
 
+def test_older_formats_exit_two(pipeline, capsys):
+    """A ``composer-skel-v5`` skeleton or ``composer-dial-v1`` sheet: exit 2."""
+    tmp, _, skel, sheet = pipeline
+    for path, old in ((skel, "composer-skel-v5"), (sheet, "composer-dial-v1")):
+        doc = json.loads(path.read_text())
+        current, doc["format"] = doc["format"], old
+        path.write_text(json.dumps(doc))
+        argv = ["verify", "--skel", str(skel), "--dial", str(sheet)]
+        assert run(argv) == 2
+        assert f"expected format {current!r}" in capsys.readouterr().err
+        doc["format"] = current
+        path.write_text(json.dumps(doc))
+
+
+def _nan_coefficient(doc):
+    doc["generator"]["ladders"][0]["coefficient"] = float("nan")
+    return "generator ladder coefficient must be finite, not nan"
+
+
+def _infinite_vector(doc):
+    doc["generator"]["ladders"][0]["x"]["re"][0] = float("-inf")
+    return "entries must be finite, not -inf"
+
+
+@pytest.mark.parametrize("edit", [_nan_coefficient, _infinite_vector],
+                         ids=["nan-coefficient", "infinite-vector"])
+def test_dial_rejects_a_non_finite_pool_number(pipeline, capsys, edit):
+    """``json`` reads NaN and Infinity; the pool loader refuses them (exit 2)."""
+    tmp, pool, skel, _ = pipeline
+    doc = json.loads(pool.read_text())
+    message = edit(doc)
+    bad, out = tmp / "bad-pool.json", tmp / "d.json"
+    bad.write_text(json.dumps(doc))
+    argv = ["dial", "--skel", str(skel), "--pool", str(bad), "--mask", "1"]
+    assert run(argv + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_rejects_an_infinite_binding(pipeline, capsys):
+    """An ``Infinity`` binding is a load error (exit 2), not a failed SVD."""
+    tmp, _, skel, sheet = pipeline
+    doc = json.loads(sheet.read_text())
+    doc["bindings"][sorted(doc["bindings"])[0]] = float("inf")
+    bad = tmp / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert "Infinity" in bad.read_text()
+    assert run(["verify", "--skel", str(skel), "--dial", str(bad)]) == 2
+    assert "bindings entries must be finite, not inf" in capsys.readouterr().err
+
+
 def _set_pivot(doc):
     doc["adaptors_gen"][1]["pivot"] = 3
 
@@ -207,8 +258,8 @@ def _set_mask_indices(doc):
 
 
 def _set_binding(doc):
-    slot = sorted(doc["angle_bindings"])[0]
-    doc["angle_bindings"][slot] = str(doc["angle_bindings"][slot])
+    slot = sorted(doc["bindings"])[0]
+    doc["bindings"][slot] = str(doc["bindings"][slot])
 
 
 @pytest.mark.parametrize(
@@ -219,7 +270,7 @@ def _set_binding(doc):
         ("dial", _set_mask_indices),
         ("dial", _set_binding),
     ],
-    ids=["pivot", "n_system", "mask_indices", "angle_binding"],
+    ids=["pivot", "n_system", "mask_indices", "binding"],
 )
 def test_estimate_wrongly_typed_field_exits_two(pipeline, capsys, artifact, edit):
     tmp, _, skel, sheet = pipeline
@@ -310,8 +361,43 @@ def test_estimate_prices_pairs_on_the_dialed_occupied_count(tmp_path):
     assert run(["estimate", "--skel", str(skel), "--dial", str(sheet),
                 "--out", str(est)]) == 0
     compiled = circuit_ir.CircuitSkeleton.from_json(skel.read_text())
-    expected = resources.estimate(compiled, n_occ=2, n_virt=4).parameters["D_II"]
+    assert compiled.n_occ == 2
+    expected = resources.estimate(compiled).parameters["D_II"]
     assert json.loads(est.read_text())["parameters"]["D_II"] == expected == 80
+
+
+def test_estimate_of_the_skeleton_alone_equals_estimate_with_its_sheet(tmp_path):
+    """The skeleton records n_occ, so ``--dial`` adds only the mask size (5:3:2)."""
+    pool, skel, sheet, alone, dialed = (
+        tmp_path / f
+        for f in ("pool.json", "skel.json", "dial.json", "alone.json", "dialed.json")
+    )
+    assert run(["factorize", "--synth", "5:3:2", "--out", str(pool)]) == 0
+    assert run(["compile", "--pool", str(pool), "--out", str(skel)]) == 0
+    assert run(["dial", "--skel", str(skel), "--pool", str(pool),
+                "--mask", "1", "--out", str(sheet)]) == 0
+    assert run(["estimate", "--skel", str(skel), "--out", str(alone)]) == 0
+    assert run(["estimate", "--skel", str(skel), "--dial", str(sheet),
+                "--out", str(dialed)]) == 0
+    alone, dialed = (json.loads(p.read_text()) for p in (alone, dialed))
+    assert alone["parameters"]["D_II"] == dialed["parameters"]["D_II"] == 80
+    assert alone["parameters"].pop("mask_size") == 0
+    assert dialed["parameters"].pop("mask_size") == 1
+    assert alone == dialed
+
+
+def test_dial_with_another_occupied_count_exits_three(tmp_path, capsys):
+    """A generator pool with another n_occ than the compiled one: exit 3."""
+    pool_a, pool_b, skel, sheet = (
+        tmp_path / f for f in ("a.json", "b.json", "skel.json", "dial.json")
+    )
+    assert run(["factorize", "--synth", "5:3:2", "--out", str(pool_a)]) == 0
+    assert run(["factorize", "--synth", "5:3:4", "--out", str(pool_b)]) == 0
+    assert run(["compile", "--pool", str(pool_a), "--out", str(skel)]) == 0
+    argv = ["dial", "--skel", str(skel), "--pool", str(pool_b), "--mask", "1"]
+    assert run(argv + ["--out", str(sheet)]) == 3
+    assert "n_occ 4 differs from the compiled 2" in capsys.readouterr().err
+    assert not sheet.exists()
 
 
 def test_pipeline_verify_n_so_8(tmp_path):

@@ -3,12 +3,7 @@ import pytest
 
 from composer import circuit_ir as cir
 from composer.errors import ValidationError
-from composer.resources import (
-    block_cost,
-    estimate,
-    payoff_ledger,
-    shape_from_skeleton,
-)
+from composer.resources import block_cost, estimate, payoff_ledger
 
 
 def test_block_cost_all_to_all():
@@ -50,20 +45,23 @@ def skeleton(small_pools, mixed_gen_pool):
 
 def test_estimate_matches_hand_computation(skeleton):
     """Spread-sheet oracle mirroring the documented conventions."""
-    est = estimate(skeleton, connectivity="full", n_occ=2, n_virt=2)
+    assert skeleton.n_occ == 2
+    est = estimate(skeleton, connectivity="full")
     n = 4
     d = 8
-    shape = shape_from_skeleton(skeleton, n_occ=2, n_virt=2)
+    channel_ranks = [ad.rank for ad in skeleton.adaptors_ham if ad.kind == "channel"]
+    n_bilinear_ham = sum(ad.kind == "one_body_mode" for ad in skeleton.adaptors_ham)
+    ell_sigma = skeleton.ell_gen
     depth_bilinear = 2 * (n - 1)
-    depth_channels = [2 * ((n - 1) + r + 2) for r in shape.channel_ranks]
+    depth_channels = [2 * ((n - 1) + r + 2) for r in channel_ranks]
     cz = 8  # all-to-all per-block cost
     pair_blocks = (1 - 1) + (1 - 1)  # C(2,2)=1 pair on each side, minus pivots
     depth_pair = 2 * cz * max(pair_blocks, 1)
-    ham_select = shape.n_bilinear_ham * depth_bilinear + sum(depth_channels)
-    gen_select = shape.ell_sigma * depth_pair
+    ham_select = n_bilinear_ham * depth_bilinear + sum(depth_channels)
+    gen_select = ell_sigma * depth_pair
     expected_total = (
-        d * gen_select + shape.ell_sigma + ham_select + shape.n_bilinear_ham
-        + len(shape.channel_ranks)
+        d * gen_select + ell_sigma + ham_select + n_bilinear_ham
+        + len(channel_ranks)
     )
     assert est.total_depth == expected_total
     rows = {r.name: r for r in est.rows}
@@ -75,7 +73,7 @@ def test_hamiltonian_only_total(skeleton, small_pools):
     ham, gen = small_pools
     plan = cir.pivots_from_pools(ham, gen)
     skel = cir.compile_skeleton(4, plan, "full", qsp_degree=0)
-    est = estimate(skel, n_occ=2, n_virt=2)
+    est = estimate(skel)
     rows = {r.name: r for r in est.rows}
     assert rows["qsp ladders"].depth == 0
     # total reduces to hamiltonian select + preps (generator rows present
@@ -93,8 +91,8 @@ def test_doubling_degree_doubles_only_qsp(skeleton, small_pools, mixed_gen_pool)
     gen = mixed_gen_pool
     plan = cir.pivots_from_pools(ham, gen)
     skel2 = cir.compile_skeleton(4, plan, "full", qsp_degree=16)
-    est1 = estimate(skeleton, n_occ=2, n_virt=2)
-    est2 = estimate(skel2, n_occ=2, n_virt=2)
+    est1 = estimate(skeleton)
+    est2 = estimate(skel2)
     rows1 = {r.name: r.depth for r in est1.rows}
     rows2 = {r.name: r.depth for r in est2.rows}
     assert rows2["qsp ladders"] == 2 * rows1["qsp ladders"]
@@ -105,7 +103,7 @@ def test_doubling_degree_doubles_only_qsp(skeleton, small_pools, mixed_gen_pool)
 
 
 def test_ancilla_law(skeleton):
-    est = estimate(skeleton, n_occ=2, n_virt=2)
+    est = estimate(skeleton)
     ell_sigma = est.parameters["ell_sigma"]
     ell_h = est.parameters["ell_H"]
     a_sigma = max(int(np.ceil(np.log2(ell_sigma + 1))), 1)
@@ -113,8 +111,11 @@ def test_ancilla_law(skeleton):
     assert est.ancilla_width == max(a_sigma, a_ham) + skeleton.workspace_width
 
 
-def synthetic_skeleton(n, n_bilinear, channel_ranks, ell_sigma, degree=4):
-    """Symbolic compile at arbitrary n (no dense matrices involved)."""
+def synthetic_skeleton(n, n_bilinear, channel_ranks, ell_sigma, degree=4, n_occ=None):
+    """Symbolic compile at arbitrary n (no dense matrices involved).
+
+    The pair wedges are priced on ``n_occ``, half filling by default.
+    """
     ham = [
         cir.AdaptorDescriptor("one_body_mode", k, pivot=(0,))
         for k in range(n_bilinear)
@@ -129,7 +130,8 @@ def synthetic_skeleton(n, n_bilinear, channel_ranks, ell_sigma, degree=4):
         )
         for s in range(ell_sigma)
     ]
-    plan = cir.CompilePlan(ham=tuple(ham), gen=tuple(gen))
+    n_occ = n // 2 if n_occ is None else n_occ
+    plan = cir.CompilePlan(ham=tuple(ham), gen=tuple(gen), n_occ=n_occ)
     return cir.compile_skeleton(n, plan, "full", qsp_degree=degree)
 
 
@@ -144,9 +146,7 @@ def test_asymptotic_conformance():
     # bilinear adaptor depth: linear in n at fixed pool sizes and degree
     depths = {}
     for n in (n_lo, n_hi):
-        est = estimate(
-            synthetic_skeleton(n, 2, [2], 1), n_occ=n // 2, n_virt=n - n // 2
-        )
+        est = estimate(synthetic_skeleton(n, 2, [2], 1))
         rows = {r.name: r.depth for r in est.rows}
         depths[n] = rows["adaptor (bilinear dyad)"]
     slope_one = np.log(depths[n_hi] / depths[n_lo]) / np.log(n_hi / n_lo)
@@ -154,11 +154,7 @@ def test_asymptotic_conformance():
     # hamiltonian SELECT: quadratic once ell_H and R_mu grow with n
     totals = {}
     for n in (n_lo, n_hi):
-        est = estimate(
-            synthetic_skeleton(n, n, [n] * n, 1),
-            n_occ=n // 2,
-            n_virt=n - n // 2,
-        )
+        est = estimate(synthetic_skeleton(n, n, [n] * n, 1))
         rows = {r.name: r.depth for r in est.rows}
         totals[n] = rows["hamiltonian select"]
     slope_ham = np.log(totals[n_hi] / totals[n_lo]) / np.log(n_hi / n_lo)
@@ -167,8 +163,8 @@ def test_asymptotic_conformance():
 
 def test_estimate_stated_shape_hand_oracle():
     """n = 6, ell_sigma = 4, degree 8, all-to-all: exact hand computation."""
-    skel = synthetic_skeleton(6, 3, [4, 3], 4, degree=8)
-    est = estimate(skel, connectivity="full", n_occ=2, n_virt=4)
+    skel = synthetic_skeleton(6, 3, [4, 3], 4, degree=8, n_occ=2)
+    est = estimate(skel, connectivity="full")
     n = 6
     depth_bilinear = 2 * (n - 1)                      # 10
     depth_channels = [2 * ((n - 1) + 4 + 2), 2 * ((n - 1) + 3 + 2)]  # 22, 20
@@ -186,7 +182,7 @@ def test_estimate_stated_shape_hand_oracle():
 def test_estimate_json_roundtrip(skeleton):
     import json
 
-    est = estimate(skeleton, n_occ=2, n_virt=2)
+    est = estimate(skeleton)
     doc = json.loads(est.to_json())
     assert doc["total_depth"] == est.total_depth
     table = est.format_table()
