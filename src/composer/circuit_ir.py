@@ -1,20 +1,21 @@
 """Compile-once circuit IR: frozen two-qubit fabric plus re-dialable angles.
 
 The skeleton records the fixed pool's facts: the register widths, the
-occupied count ``n_occ`` the pair pivots are compiled on, the selector
-tree, the adaptor bank's gate layers with structural slot identifiers,
-and the signal-processing scaffold.  Each layer is one canonical line
-``gate|q0,q1,...|slot`` (empty slot field for a fixed gate), held,
-stored and hashed in that one form.  The slots are the lines' slot
-fields plus one PREP amplitude ``prep/<side>/<address>`` per adaptor.
-The fingerprint hashes the register widths, ``n_occ``, gate kinds,
-ordered qubit tuples, layer order, slot identifiers, and each adaptor's
-pivots and rank, never angle values.  A dial sheet binds every slot for
-one instance (pools, mask, coefficient set) in one ``bindings`` map and
-is the only thing that changes between instances.
+occupied count ``n_occ`` (a pair ladder's ``u`` side rotates over the
+virtual pairs, its ``v`` side over the occupied ones: :func:`wedge_pairs`),
+the selector tree, the adaptor bank's gate layers with structural slot
+identifiers, and the signal-processing scaffold.  Each layer is one
+canonical line ``gate|q0,q1,...|slot`` (empty slot field for a fixed
+gate), held, stored and hashed in that one form.  The slots are the
+lines' slot fields plus one PREP amplitude ``prep/<side>/<address>`` per
+adaptor.  The fingerprint hashes the register widths, ``n_occ``, gate
+kinds, ordered qubit tuples, layer order, slot identifiers, and each
+adaptor's pivots and rank, never angle values.  A dial sheet binds every
+slot for one instance (pools, mask, coefficient set) in one ``bindings``
+map and is the only thing that changes between instances.
 
 An adaptor's lines, in application order, are its whole branch
-(``composer-skel-v6``), and execution interprets them: each run of
+(``composer-skel-v7``), and execution interprets them: each run of
 system gates (``givens``, ``pgivens`` then its ``pgivens_phase``, ``rz``,
 ``cphase``, ``x``) becomes one dense ``2**n x 2**n`` leaf, the gates
 applied in order to the identity by the :mod:`ladders` kernel (a
@@ -48,7 +49,7 @@ from .errors import BindError, MaskError, ParseError, ValidationError
 from .errors import DICT, INT, LIST, NUMBER, STR, checked, checked_list
 from .factorization import bilinear_asym_spectrum, generator_branch_alpha
 
-SKEL_FORMAT = "composer-skel-v6"
+SKEL_FORMAT = "composer-skel-v7"
 DIAL_FORMAT = "composer-dial-v2"
 
 # gates on the system register, each with the number of modes it acts on
@@ -86,6 +87,15 @@ class CompilePlan:
     n_occ: int
 
 
+def wedge_pairs(n, n_occ, side):
+    """Pairs a pair ladder's ``u`` (virtual) or ``v`` (occupied) side rotates over.
+
+    Lexicographic ``p < q``, one per entry of the side's pair vector.
+    """
+    lo, hi = (n_occ, n) if side == "u" else (0, n_occ)
+    return tuple((lo + p, lo + q) for p, q in ladders.pair_indices(hi - lo))
+
+
 def pivots_from_pools(ham_pool, gen_pool):
     """Canonical pivot plan: argmax amplitudes, frozen at compile time.
 
@@ -116,10 +126,10 @@ def pivots_from_pools(ham_pool, gen_pool):
         n = gen_pool.n_so
         for lad in gen_pool.ladders:
             if lad.kind == "pair":
-                pairs = ladders.pair_indices(n)
+                vectors = lad.virtual_pair_vector(), lad.occupied_pair_vector()
                 pivot = tuple(
-                    pairs[int(np.argmax(np.abs(vec)))]
-                    for vec in lad.embedded_pair_vectors(gen_pool.n_occ, n)
+                    wedge_pairs(n, gen_pool.n_occ, side)[int(np.argmax(np.abs(vec)))]
+                    for side, vec in zip("uv", vectors)
                 )
                 gen.append(AdaptorDescriptor("pair", lad.address, pivot=pivot))
             else:
@@ -169,6 +179,13 @@ class CircuitSkeleton:
             if not fits or addresses != list(range(len(addresses))):
                 raise ValidationError(
                     f"{side} adaptor addresses must be 0, 1, ... within the selector"
+                )
+        wedges = [wedge_pairs(self.n_system, self.n_occ, side) for side in "uv"]
+        for ad in self.adaptors_gen:  # each pair side pivots inside its own wedge
+            ok = len(ad.pivot) == 2 and all(p in w for p, w in zip(ad.pivot, wedges))
+            if ad.kind == "pair" and not ok:
+                raise ValidationError(
+                    f"gen adaptor {ad.address}: pair pivots {ad.pivot} off their wedges"
                 )
 
     @property
@@ -371,7 +388,8 @@ def compile_skeleton(n, pivots, connectivity="full", qsp_degree=0):
         return sys0 + p
 
     emit = {"one_body_mode": _compile_one_body, "channel": _compile_channel,
-            "pair": _compile_pair, "bilinear_asym": _compile_bilinear_asym}
+            "pair": lambda *args: _compile_pair(*args, pivots.n_occ),
+            "bilinear_asym": _compile_bilinear_asym}
     adaptors_ham = [emit[ad.kind](ad, n, sysq, ws0, t) for ad in pivots.ham]
     adaptors_gen = [AdaptorSpec(0, "null", (), 0, (_layer("x", (ws0 + t - 1,)),))]
     adaptors_gen += [emit[ad.kind](ad, n, sysq, ws0, t) for ad in pivots.gen]
@@ -418,11 +436,11 @@ def _ladder_layers(prefix, n, pivot, sysq):
     return layers
 
 
-def _pair_ladder_layers(prefix, n, pivot_pair, sysq):
-    """Prep-form pair ladder: ``x`` on its own pivot pair, then the rotations."""
+def _pair_ladder_layers(prefix, wedge, pivot_pair, sysq):
+    """Prep-form pair ladder: ``x`` on its pivot pair, then its wedge's rotations."""
     r, s = pivot_pair
     layers = [_layer("x", (sysq(r),)), _layer("x", (sysq(s),))]
-    ordering = (pq for pq in ladders.pair_indices(n) if pq != (r, s))
+    ordering = (pq for pq in wedge if pq != (r, s))
     for k, (p, q) in enumerate(ordering):
         qubits = (sysq(p), sysq(q), sysq(r), sysq(s))
         layers.append(_layer("pgivens", qubits, f"{prefix}/rot/{k}/theta"))
@@ -479,10 +497,10 @@ def _compile_channel(ad, n, sysq, ws0, t):
     return AdaptorSpec(ad.address, ad.kind, ad.pivot, ad.rank, tuple(layers))
 
 
-def _compile_pair(ad, n, sysq, ws0, t):
+def _compile_pair(ad, n, sysq, ws0, t, n_occ):
     """``i(L - L^dag)``: the arm ``W_L = U_u R_vac U_v^dag``, then its mirror."""
     prefix, anc = f"gen/{ad.address}", ws0 + t - 1
-    u, v = (_pair_ladder_layers(f"{prefix}/{x}", n, p, sysq)
+    u, v = (_pair_ladder_layers(f"{prefix}/{x}", wedge_pairs(n, n_occ, x), p, sysq)
             for x, p in zip("uv", ad.pivot))
     vacuum = [_layer("h", (anc,)), _layer("mcz", tuple(map(sysq, range(n)))),
               _layer("h", (anc,))]
@@ -673,11 +691,11 @@ def _bind_generator(skel, gen_pool, masked, alpha_bar, bindings):
         if ad.kind != expected:
             raise BindError("adaptor kind mismatch", addresses=[addr])
         if lad.kind == "pair":
-            uv, vo = lad.embedded_pair_vectors(gen_pool.n_occ, n)
-            su = ladders.two_electron_angles(uv, pivot_pair=ad.pivot[0], n=n)
-            sv = ladders.two_electron_angles(vo, pivot_pair=ad.pivot[1], n=n)
-            _bind(bindings, su, f"gen/{addr}/u")
-            _bind(bindings, sv, f"gen/{addr}/v")
+            vectors = lad.virtual_pair_vector(), lad.occupied_pair_vector()
+            for side, vec, (r, s) in zip("uv", vectors, ad.pivot):
+                lo = wedge_pairs(n, skel.n_occ, side)[0][0]  # the side's lowest mode
+                sched = ladders.two_electron_angles(vec, pivot_pair=(r - lo, s - lo))
+                _bind(bindings, sched, f"gen/{addr}/{side}")
         else:
             w_vals, w_vecs = bilinear_asym_spectrum(lad.u, lad.v)
             amps, signs, _ = oracle.signed_loading(w_vals)
@@ -708,14 +726,10 @@ def _bind_generator(skel, gen_pool, masked, alpha_bar, bindings):
 # ---------------------------------------------------------------------------
 
 
-def schedule_from_bindings(sheet, prefix, sector, n, pivot):
-    """Ladder schedule read back from the slots :func:`_bind` filled."""
-    if sector == "one":
-        ordering = tuple(p for p in range(n) if p != pivot[0])
-    else:
-        ordering = tuple(
-            pq for pq in ladders.pair_indices(n) if pq != tuple(pivot)
-        )
+def schedule_from_bindings(sheet, prefix, n, pivot, targets):
+    """Schedule read back from :func:`_bind`'s slots; ``targets`` include the pivot."""
+    sector, skip = ("one", pivot[0]) if len(pivot) == 1 else ("two", tuple(pivot))
+    ordering = tuple(t for t in targets if t != skip)
     values = sheet.bindings
     thetas = np.array([values[f"{prefix}/rot/{k}/theta"] for k in range(len(ordering))])
     phs = np.array([values[f"{prefix}/rot/{k}/phi"] for k in range(len(ordering))])

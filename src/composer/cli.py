@@ -247,21 +247,20 @@ def _generator_target_from_sheet(skel, sheet):
         sign = 1.0 if om >= 0 else -1.0
         weight = amp**2 * sign
         if ad.kind == "pair":
-            su = cir.schedule_from_bindings(
-                sheet, f"gen/{ad.address}/u", "two", n, ad.pivot[0]
+            state_u, state_v = (
+                ladders.apply_ladder_dense(cir.schedule_from_bindings(
+                    sheet, f"gen/{ad.address}/{side}", n, pivot,
+                    cir.wedge_pairs(n, skel.n_occ, side),
+                ), vac)
+                for side, pivot in zip("uv", ad.pivot)
             )
-            sv = cir.schedule_from_bindings(
-                sheet, f"gen/{ad.address}/v", "two", n, ad.pivot[1]
-            )
-            state_u = ladders.apply_ladder_dense(su, vac)
-            state_v = ladders.apply_ladder_dense(sv, vac)
             dyad = np.outer(state_u, state_v.conj())
             total += weight * 0.5j * (dyad - dyad.conj().T)
         else:
             for j in range(2):
                 pivot = ad.pivot[j] if j < len(ad.pivot) else 0
                 sched = cir.schedule_from_bindings(
-                    sheet, f"gen/{ad.address}/mode{j}", "one", n, (pivot,)
+                    sheet, f"gen/{ad.address}/mode{j}", n, (pivot,), range(n)
                 )
                 state = ladders.apply_ladder_dense(sched, vac)
                 w_vec = np.array(

@@ -77,7 +77,8 @@ class DegenerateBasisError(ComposerError):
 
 
 # exact JSON value types: a bool is not an int and an int is not a string;
-# a float must be finite (``json`` reads NaN and Infinity, strict JSON has neither)
+# a number must be a finite float (``json`` reads NaN and Infinity, strict JSON
+# has neither, and an int may be too large for a float)
 INT = (int,)
 NUMBER = (int, float)
 STR = (str,)
@@ -90,8 +91,8 @@ def checked(value, kinds, what):
     if type(value) not in kinds:
         names = " or ".join(k.__name__ for k in kinds)
         raise ParseError(f"{what} must be {names}, not {type(value).__name__}")
-    if type(value) is float and not math.isfinite(value):
-        raise ParseError(f"{what} must be finite, not {value!r}")
+    if type(value) in NUMBER and float in kinds:
+        _check_finite([value], what)
     return value
 
 
@@ -105,7 +106,17 @@ def checked_list(value, kinds, what):
         raise ParseError(
             f"{what} entries must be {names}, not {min(t.__name__ for t in bad)}"
         )
-    if float in types and not all(map(math.isfinite, value)):
-        worst = next(v for v in value if not math.isfinite(v))
-        raise ParseError(f"{what} entries must be finite, not {worst!r}")
+    if float in kinds:
+        _check_finite(value, f"{what} entries")
     return value
+
+
+def _check_finite(numbers, what):
+    """A ParseError unless every JSON number is a finite float."""
+    try:
+        if all(map(math.isfinite, numbers)):
+            return
+        worst = repr(next(v for v in numbers if not math.isfinite(v)))
+    except OverflowError:
+        worst = "an int too large for a float"
+    raise ParseError(f"{what} must be finite, not {worst}")

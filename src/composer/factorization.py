@@ -146,22 +146,6 @@ class PairLadder:
     def occupied_pair_vector(self):
         return wedge_pair_vector(self.r, self.s)
 
-    def embedded_pair_vectors(self, n_occ, n):
-        """Virtual and occupied pair vectors over the full ``p < q`` index.
-
-        Virtual wedge indices are offset by the occupied count; the
-        occupied wedge sits on the lowest modes.
-        """
-        pos = ladder_mod.pair_position(n)
-        uv = np.zeros(len(pos), dtype=complex)
-        vo = np.zeros_like(uv)
-        virt = ladder_mod.pair_indices(len(self.x))
-        uv[[pos[(n_occ + a, n_occ + b)] for a, b in virt]] = self.virtual_pair_vector()
-        vo[[pos[ij] for ij in ladder_mod.pair_indices(len(self.r))]] = (
-            self.occupied_pair_vector()
-        )
-        return uv, vo
-
 
 @dataclass(frozen=True, eq=False)
 class ChannelLadder:
@@ -648,10 +632,12 @@ def _numbers(doc, key, where):
     return np.array(checked_list(doc[key], NUMBER, f"{where} {key}"), dtype=float)
 
 
-def _vec_load(doc, where):
+def _vec_load(doc, where, size):
     checked(doc, DICT, where)
     re = _numbers(doc, "re", where)
     im = _numbers(doc, "im", where)
+    if len(re) != size or len(im) != size:
+        raise ParseError(f"{where} must have {size} entries, not {len(re)}/{len(im)}")
     if np.abs(im).max(initial=0.0) == 0.0:
         return re
     return re + 1j * im
@@ -775,6 +761,7 @@ def pools_from_json(text):
     if "generator" in doc:
         gdoc = checked(doc["generator"], DICT, "generator")
         n_occ = checked(gdoc["n_occ"], INT, "generator n_occ")
+        n_virt = checked(gdoc["n_virt"], INT, "generator n_virt")
         lads = []
         for item in checked_list(gdoc["ladders"], DICT, "generator ladders"):
             fields = _ladder_fields(item, "generator ladder")
@@ -782,25 +769,25 @@ def pools_from_json(text):
             if checked(item["kind"], STR, f"{where} kind") == "pair":
                 lads.append(
                     PairLadder(
-                        x=_vec_load(item["x"], f"{where} x"),
-                        y=_vec_load(item["y"], f"{where} y"),
-                        r=_vec_load(item["r"], f"{where} r"),
-                        s=_vec_load(item["s"], f"{where} s"),
+                        x=_vec_load(item["x"], f"{where} x", n_virt),
+                        y=_vec_load(item["y"], f"{where} y", n_virt),
+                        r=_vec_load(item["r"], f"{where} r", n_occ),
+                        s=_vec_load(item["s"], f"{where} s", n_occ),
                         **fields,
                     )
                 )
             else:
                 lads.append(
                     BilinearLadder(
-                        u=_vec_load(item["u"], f"{where} u").astype(complex),
-                        v=_vec_load(item["v"], f"{where} v").astype(complex),
+                        u=_vec_load(item["u"], f"{where} u", n).astype(complex),
+                        v=_vec_load(item["v"], f"{where} v", n).astype(complex),
                         **fields,
                     )
                 )
         gen = GeneratorPool(
             ladders=tuple(lads),
             n_occ=n_occ,
-            n_virt=checked(gdoc["n_virt"], INT, "generator n_virt"),
+            n_virt=n_virt,
             n_elec=n_occ,
         )
     return ham, gen

@@ -34,12 +34,6 @@ def pair_indices(n):
     return tuple((p, q) for p in range(n) for q in range(p + 1, n))
 
 
-@lru_cache(maxsize=None)
-def pair_position(n):
-    """Inverse map of :func:`pair_indices`."""
-    return {pq: k for k, pq in enumerate(pair_indices(n))}
-
-
 @dataclass(frozen=True)
 class LadderSchedule:
     """Angles and phases of one deterministic ladder.
@@ -123,33 +117,31 @@ def one_electron_angles(u, pivot=None, n=None):
     return LadderSchedule("one", n, (pivot,), ordering, thetas, phases, gauge)
 
 
-def two_electron_angles(u_pairs, pivot_pair=None, n=None):
+def two_electron_angles(u_pairs, pivot_pair=None):
     """Schedule preparing a two-electron state from pair amplitudes.
 
-    ``u_pairs`` is indexed by the lexicographic ``p < q`` pair list.  The
-    phase of each amplitude rides inside the corresponding phased
-    pair-Givens rotation; the pivot-pair amplitude is gauged real.
+    ``u_pairs`` is indexed by the lexicographic ``p < q`` pair list, whose
+    length sets the mode count.  The phase of each amplitude rides inside
+    the corresponding phased pair-Givens rotation; the pivot-pair
+    amplitude is gauged real.
     """
     u_pairs = np.asarray(u_pairs, dtype=complex).reshape(-1)
-    if n is None:
-        # invert m = n(n-1)/2
-        n = int(round((1 + np.sqrt(1 + 8 * len(u_pairs))) / 2))
+    n = int(round((1 + np.sqrt(1 + 8 * len(u_pairs))) / 2))
     pairs = pair_indices(n)
     if len(u_pairs) != len(pairs):
         raise ShapeError("pair amplitude vector has wrong length")
     norm = np.linalg.norm(u_pairs)
     if abs(norm - 1.0) > _NORM_TOL:
         raise NormalizationError(f"||u|| = {norm!r}, expected 1")
-    pos = pair_position(n)
     if pivot_pair is None:
         pivot_pair = pairs[int(np.argmax(np.abs(u_pairs)))]
     pivot_pair = tuple(sorted(pivot_pair))
-    if pivot_pair not in pos:
+    if pivot_pair not in pairs:
         raise ShapeError(f"pivot pair {pivot_pair} invalid")
-    k0 = pos[pivot_pair]
+    k0 = pairs.index(pivot_pair)
     gauge = float(np.angle(u_pairs[k0])) if abs(u_pairs[k0]) > 0 else 0.0
-    ordering = tuple(pq for pq in pairs if pq != pivot_pair)
-    idx = [pos[pq] for pq in ordering]
+    ordering = pairs[:k0] + pairs[k0 + 1:]
+    idx = [k for k in range(len(pairs)) if k != k0]
     mags = np.abs(u_pairs[idx])
     thetas, _ = _tail_angles(mags, abs(u_pairs[k0]))
     phases = np.angle(u_pairs[idx])

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circuit_ir import wedge_pairs
 from .errors import ValidationError
 from .oracle import index_width
 
@@ -142,12 +143,7 @@ class ResourceEstimate:
 
 def _pair_adaptor_depth(n_occ, n, conn):
     _, cz = block_cost(conn)
-    n_virt = n - n_occ
-    n_blocks = 0
-    if n_virt >= 2:
-        n_blocks += n_virt * (n_virt - 1) // 2 - 1
-    if n_occ >= 2:
-        n_blocks += n_occ * (n_occ - 1) // 2 - 1
+    n_blocks = sum(max(len(wedge_pairs(n, n_occ, side)) - 1, 0) for side in "uv")
     return cz * max(n_blocks, 1)
 
 

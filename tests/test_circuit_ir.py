@@ -1,5 +1,7 @@
 import json
+import math
 from dataclasses import replace
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,6 +21,7 @@ from composer.factorization import (
     nested_svd_t2,
 )
 from composer.integrals import synth_instance
+from composer.resources import CONTROL_OVERHEAD, block_cost, estimate
 from conftest import adaptor_targets, assert_encodes, mixed_generator_pool
 
 
@@ -204,6 +207,85 @@ def test_skeleton_records_the_occupied_count(small_pools, mixed_gen_pool):
     ham, _ = small_pools
     assert cir.one_pool_skeleton(None, mixed_gen_pool).n_occ == mixed_gen_pool.n_occ
     assert cir.one_pool_skeleton(ham, None).n_occ == ham.n_elec
+
+
+@lru_cache(maxsize=None)
+def _synth_skeleton(synth):
+    """Skeleton of ``--synth seed:n_spatial:n_elec`` at the command-line thresholds."""
+    ints = synth_instance(*map(int, synth.split(":")))
+    ham = build_hamiltonian_pool(ints, 1e-8, 0.0)
+    gen = nested_svd_t2(mp2_amplitudes(ints), 1e-6, 1e-6)
+    return cir.compile_skeleton(ints.n_so, cir.pivots_from_pools(ham, gen))
+
+
+def _pair_adaptors(skel):
+    pairs = [ad for ad in skel.adaptors_gen if ad.kind == "pair"]
+    assert pairs
+    return pairs
+
+
+@pytest.mark.parametrize("synth", ["5:3:2", "1:4:4", "1:8:8"])
+def test_pair_ladders_rotate_over_their_own_wedge(synth):
+    """A ``/u/`` rotation acts on four virtual modes, a ``/v/`` one on four occupied."""
+    skel = _synth_skeleton(synth)
+    sys0 = skel.selector_width + skel.workspace_width
+    virtual = range(skel.n_occ, skel.n_system)
+    for ad in _pair_adaptors(skel):
+        rotations = [ln.split("|") for ln in ad.layers if ln.startswith("pgivens|")]
+        assert rotations
+        for _, qubits, slot in rotations:
+            modes = [int(q) - sys0 for q in qubits.split(",")]
+            side = slot.split("/")[2]
+            assert side in "uv" and len(modes) == 4
+            assert all((m in virtual) == (side == "u") for m in modes), (slot, modes)
+
+
+@pytest.mark.parametrize("synth", ["1:2:2", "5:3:2", "1:4:4", "1:8:8"])
+def test_pair_rotations_are_the_priced_blocks(synth):
+    """One rotation per non-pivot pair of each wedge, as ``estimate`` prices it."""
+    skel = _synth_skeleton(synth)
+    n_occ, n_virt = skel.n_occ, skel.n_system - skel.n_occ
+    blocks = (math.comb(n_virt, 2) - 1) + (math.comb(n_occ, 2) - 1)
+    _, cz = block_cost("full")
+    priced = estimate(skel, connectivity="full").parameters["D_II"]
+    for ad in _pair_adaptors(skel):
+        count = sum(line.startswith("pgivens|") for line in ad.layers)
+        assert count == blocks
+        if count >= 1:  # the priced depth floors at one block
+            assert priced == CONTROL_OVERHEAD * cz * count
+
+
+def test_a_pair_pivot_outside_its_wedge_is_rejected(compiled):
+    """Compile and load both refuse a pair pivot off its side's wedge."""
+    ham, gen, skel = compiled
+    plan = cir.pivots_from_pools(ham, gen)
+    ad = next(d for d in plan.gen if d.kind == "pair")
+    swapped = replace(ad, pivot=ad.pivot[::-1])  # u on occupied, v on virtual modes
+    plan = replace(plan, gen=tuple(swapped if d is ad else d for d in plan.gen))
+    match = f"gen adaptor {ad.address}: pair pivots"
+    with pytest.raises(ValidationError, match=match):
+        cir.compile_skeleton(skel.n_system, plan)
+    doc = json.loads(skel.to_json())
+    doc["adaptors_gen"][ad.address]["pivot"] = [[1, 2], list(ad.pivot[1])]
+    with pytest.raises(ValidationError, match=match):
+        cir.CircuitSkeleton.from_json(json.dumps(doc))
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_null_branch_amplitude_is_monotone_in_the_mask(mixed_gen_pool, data):
+    """A larger mask never raises ``prep/gen/0``; each sheet's PREP has unit norm."""
+    gen = mixed_gen_pool
+    skel = cir.one_pool_skeleton(None, gen)
+    big = data.draw(st.sets(st.sampled_from([lad.address for lad in gen.ladders])))
+    small = data.draw(st.sets(st.sampled_from(sorted(big))) if big else st.just(set()))
+    nulls = []
+    for mask in (small, big):
+        bindings = cir.dial(skel, None, gen, cir.Mask.of("m", mask)).bindings
+        nulls.append(bindings["prep/gen/0"])
+        masked = sum(bindings[f"prep/gen/{a}"] ** 2 for a in mask)
+        assert abs(nulls[-1] ** 2 + masked - 1) <= 1e-12
+    assert nulls[1] <= nulls[0]
 
 
 def generator_target(gen, mask_indices):
@@ -403,7 +485,7 @@ def test_malformed_pair_lines_are_rejected(edit):
     The edit is fingerprinted with the stream, so it loads and dials; the
     error names the line, where a stray phase line used to change nothing.
     """
-    ints = synth_instance(1, 2, 2)
+    ints = synth_instance(1, 3, 2)
     ham = build_hamiltonian_pool(ints, 1e-8, 0.0)
     gen = nested_svd_t2(mp2_amplitudes(ints), 1e-6, 1e-6)
     skel = cir.one_pool_skeleton(ham, gen)
@@ -672,8 +754,8 @@ def test_adaptor_addresses_must_label_the_selector(compiled):
 @pytest.mark.parametrize(
     "fmt",
     ["composer-skel-v1", "composer-skel-v2", "composer-skel-v3", "composer-skel-v4",
-     "composer-skel-v5"],
-    ids=["v1", "v2", "v3", "v4", "v5"],
+     "composer-skel-v5", "composer-skel-v6"],
+    ids=["v1", "v2", "v3", "v4", "v5", "v6"],
 )
 def test_skeleton_v1_rejected(compiled, fmt):
     _, _, skel = compiled

@@ -218,8 +218,15 @@ def _infinite_vector(doc):
     return "entries must be finite, not -inf"
 
 
-@pytest.mark.parametrize("edit", [_nan_coefficient, _infinite_vector],
-                         ids=["nan-coefficient", "infinite-vector"])
+def _huge_coefficient(doc):
+    doc["generator"]["ladders"][0]["coefficient"] = 10**400
+    return "coefficient must be finite, not an int too large for a float"
+
+
+@pytest.mark.parametrize(
+    "edit", [_nan_coefficient, _infinite_vector, _huge_coefficient],
+    ids=["nan-coefficient", "infinite-vector", "huge-coefficient"],
+)
 def test_dial_rejects_a_non_finite_pool_number(pipeline, capsys, edit):
     """``json`` reads NaN and Infinity; the pool loader refuses them (exit 2)."""
     tmp, pool, skel, _ = pipeline
@@ -243,6 +250,48 @@ def test_verify_rejects_an_infinite_binding(pipeline, capsys):
     assert "Infinity" in bad.read_text()
     assert run(["verify", "--skel", str(skel), "--dial", str(bad)]) == 2
     assert "bindings entries must be finite, not inf" in capsys.readouterr().err
+
+
+def test_verify_rejects_a_binding_too_large_for_a_float(pipeline, capsys):
+    """An integer binding past the float range is a load error (exit 2)."""
+    tmp, _, skel, sheet = pipeline
+    doc = json.loads(sheet.read_text())
+    doc["bindings"][sorted(doc["bindings"])[0]] = 10**400
+    bad = tmp / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["verify", "--skel", str(skel), "--dial", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "bindings entries must be finite, not an int too large for a float" in err
+
+
+def _pad_virtual(ladder):
+    for key in ("x", "y"):
+        ladder[key]["re"].append(0.0)
+        ladder[key]["im"].append(0.0)
+    return "generator ladder 1 x must have 4 entries, not 5/5"
+
+
+def _cut_occupied(ladder):
+    for key in ("r", "s"):
+        del ladder[key]["re"][1:], ladder[key]["im"][1:]
+    return "generator ladder 1 r must have 2 entries, not 1/1"
+
+
+@pytest.mark.parametrize("edit", [_pad_virtual, _cut_occupied],
+                         ids=["padded-x-y", "cut-r-s"])
+def test_dial_rejects_a_pair_vector_of_the_wrong_length(tmp_path, capsys, edit):
+    """Synth 5:3:2 (n_occ 2, n_virt 4): a wedge factor of the wrong length is exit 2."""
+    pool, skel, out = (tmp_path / name for name in ("pool.json", "skel.json", "d.json"))
+    assert run(["factorize", "--synth", "5:3:2", "--out", str(pool)]) == 0
+    assert run(["compile", "--pool", str(pool), "--out", str(skel)]) == 0
+    doc = json.loads(pool.read_text())
+    message = edit(doc["generator"]["ladders"][0])
+    pool.write_text(json.dumps(doc))
+    capsys.readouterr()
+    argv = ["dial", "--skel", str(skel), "--pool", str(pool), "--out", str(out)]
+    assert run(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _set_pivot(doc):

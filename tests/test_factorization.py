@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from composer import oracle
-from composer.errors import DegenerateGapError, NotPSDError
+from composer.errors import DegenerateGapError, NotPSDError, ParseError
 from composer.factorization import (
     T2Tensor,
     build_hamiltonian_pool,
@@ -277,6 +279,18 @@ def test_pool_serialization_roundtrip(small_pools):
         - oracle.hamiltonian_from_pool(ham).matrix
     ).max() <= 1e-13
     assert pools_to_json(ham2, gen2) == text
+
+
+def test_pool_loader_checks_bilinear_vector_lengths(small_pools, mixed_gen_pool):
+    """A bilinear ``u`` or ``v`` must have ``n_so`` entries."""
+    ham, _ = small_pools
+    doc = json.loads(pools_to_json(ham, mixed_gen_pool))
+    lad = next(lad for lad in doc["generator"]["ladders"] if lad["kind"] == "bilinear")
+    for part in ("re", "im"):
+        lad["v"][part].append(0.0)
+    message = f"ladder {lad['address']} v must have 4 entries"
+    with pytest.raises(ParseError, match=message):
+        pools_from_json(json.dumps(doc))
 
 
 def test_nested_svd_truncation_monotone():

@@ -124,13 +124,13 @@ def synthetic_skeleton(n, n_bilinear, channel_ranks, ell_sigma, degree=4, n_occ=
         cir.AdaptorDescriptor("channel", n_bilinear + j, rank=r)
         for j, r in enumerate(channel_ranks)
     ]
+    n_occ = n // 2 if n_occ is None else n_occ
     gen = [
         cir.AdaptorDescriptor(
-            "pair", s + 1, pivot=((n - 4, n - 3), (0, 1))
+            "pair", s + 1, pivot=((n_occ, n_occ + 1), (0, 1))
         )
         for s in range(ell_sigma)
     ]
-    n_occ = n // 2 if n_occ is None else n_occ
     plan = cir.CompilePlan(ham=tuple(ham), gen=tuple(gen), n_occ=n_occ)
     return cir.compile_skeleton(n, plan, "full", qsp_degree=degree)
 
