@@ -6,13 +6,17 @@ virtual pairs, its ``v`` side over the occupied ones: :func:`wedge_pairs`),
 the selector tree, the adaptor bank's gate layers with structural slot
 identifiers, and the signal-processing scaffold.  Each layer is one
 canonical line ``gate|q0,q1,...|slot`` (empty slot field for a fixed
-gate), held, stored and hashed in that one form.  The slots are the
-lines' slot fields plus one PREP amplitude ``prep/<side>/<address>`` per
-adaptor.  The fingerprint hashes the register widths, ``n_occ``, gate
+gate), held, stored and hashed in that one form.  The slot stream is,
+per adaptor (Hamiltonian side, then generator side, as stored), its PREP
+amplitude ``prep/<side>/<address>``, then its lines' slot fields in line
+order; a skeleton whose stream names a slot twice cannot be dialed or
+executed.  The fingerprint hashes the register widths, ``n_occ``, gate
 kinds, ordered qubit tuples, layer order, slot identifiers, and each
-adaptor's pivots and rank, never angle values.  A dial sheet binds every
-slot for one instance (pools, mask, coefficient set) in one ``bindings``
-map and is the only thing that changes between instances.
+adaptor's pivots and rank, never angle values, so it also fixes the
+stream's order.  A dial sheet (``composer-dial-v3``) holds one
+instance's (pools, mask, coefficient set) values as one array,
+``values[i]`` binding the stream's ``i``-th slot, and is the only thing
+that changes between instances.
 
 An adaptor's lines, in application order, are its whole branch
 (``composer-skel-v7``), and execution interprets them: each run of
@@ -29,8 +33,9 @@ applied, so a mirrored half is one line.  ``select|r|`` opens a
 sub-select over register ``r`` whose ``case`` lines (slot: the PREP
 amplitude; none: equal fixed amplitudes) each start a branch, up to
 ``end``.  ``square|s|`` makes everything before it ``W R0 W`` on signal
-``s``, whose block is the square.  Execution first checks the
-fingerprint and that the dial sheet binds exactly the skeleton's slots;
+``s``, whose block is the square.  Execution first pairs the sheet's
+values with the slot names (:func:`sheet_bindings`: the fingerprint must
+match and the value count equal the slot count);
 ``execute_*_encoding`` assemble the gadget tree (:mod:`oracle`) as a
 sparse unitary, ``execute_*_block`` run it on the ``2**n`` ancilla-zero
 columns.
@@ -40,7 +45,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +57,7 @@ from .errors import DICT, INT, LIST, NUMBER, STR, checked, checked_list
 from .factorization import bilinear_asym_spectrum, generator_branch_alpha
 
 SKEL_FORMAT = "composer-skel-v7"
-DIAL_FORMAT = "composer-dial-v2"
+DIAL_FORMAT = "composer-dial-v3"
 
 # gates on the system register, each with the number of modes it acts on
 SYSTEM_GATES = {"givens": 2, "pgivens": 4, "rz": 1, "cphase": 2, "x": 1}
@@ -201,9 +208,19 @@ class CircuitSkeleton:
         """``(("ham", adaptors), ("gen", adaptors))``, the slot prefix of each side."""
         return ("ham", self.adaptors_ham), ("gen", self.adaptors_gen)
 
-    def slots(self):
-        """Every parameter slot: each adaptor's PREP amplitude and its lines' slots."""
-        return frozenset(_slot_stream(self))
+    @cached_property
+    def slot_names(self):
+        """The slots in stream order, which a dial sheet's values follow.
+
+        Built on first use, by dial or execution (loading a skeleton and
+        ``estimate`` never build it); a name the stream holds twice is a
+        ValidationError.
+        """
+        names = tuple(_slot_stream(self))
+        if len(set(names)) != len(names):
+            twice = Counter(names).most_common(1)[0][0]
+            raise ValidationError(f"slot {twice!r} appears twice in the layer stream")
+        return names
 
     def to_json(self):
         doc = {
@@ -299,12 +316,16 @@ def _adaptor_load(doc):
 
 @dataclass(frozen=True)
 class DialSheet:
-    """Per-instance bindings for every skeleton parameter slot."""
+    """Per-instance values of every skeleton parameter slot.
+
+    ``values[i]`` binds the skeleton's ``slot_names[i]``; the fingerprint
+    fixes that order, and :func:`sheet_bindings` pairs the two.
+    """
 
     skeleton_fingerprint: str
     mask_id: str
     mask_indices: tuple
-    bindings: dict
+    values: tuple
     classical_coeffs: dict
 
     def to_json(self):
@@ -313,7 +334,7 @@ class DialSheet:
             "skeleton_fingerprint": self.skeleton_fingerprint,
             "mask_id": self.mask_id,
             "mask_indices": list(self.mask_indices),
-            "bindings": self.bindings,
+            "values": self.values,
             "classical_coeffs": self.classical_coeffs,
         }
         return json.dumps(doc, sort_keys=True)
@@ -326,8 +347,7 @@ class DialSheet:
         checked(doc["skeleton_fingerprint"], STR, "skeleton_fingerprint")
         checked(doc["mask_id"], STR, "mask_id")
         checked_list(doc["mask_indices"], INT, "mask_indices")
-        bindings = checked(doc["bindings"], DICT, "bindings")
-        checked_list(list(bindings.values()), NUMBER, "bindings")
+        values = checked_list(doc["values"], NUMBER, "values")
         coeffs = checked(doc["classical_coeffs"], DICT, "classical_coeffs")
         for key in ("Omega", "omega"):
             if key in coeffs:
@@ -339,7 +359,7 @@ class DialSheet:
             skeleton_fingerprint=doc["skeleton_fingerprint"],
             mask_id=doc["mask_id"],
             mask_indices=tuple(doc["mask_indices"]),
-            bindings=bindings,
+            values=tuple(values),
             classical_coeffs=doc["classical_coeffs"],
         )
 
@@ -554,12 +574,18 @@ def fabric_fingerprint(skel):
 # ---------------------------------------------------------------------------
 
 
-def _bind(bindings, sched, prefix):
-    for k, theta in enumerate(sched.thetas):
-        bindings[f"{prefix}/rot/{k}/theta"] = float(theta)
-    for k, phi in enumerate(sched.phases):
-        bindings[f"{prefix}/rot/{k}/phi"] = float(phi)
-    bindings[f"{prefix}/pivot_phi"] = float(sched.pivot_phase)
+def _bind(bindings, prefix, thetas, phases, pivot_phase):
+    """One ladder's slots, from lists of floats: its rotations, then ``pivot_phi``."""
+    for k, theta in enumerate(thetas):
+        bindings[f"{prefix}/rot/{k}/theta"] = theta
+    for k, phi in enumerate(phases):
+        bindings[f"{prefix}/rot/{k}/phi"] = phi
+    bindings[f"{prefix}/pivot_phi"] = float(pivot_phase)
+
+
+def _bind_schedule(bindings, sched, prefix):
+    _bind(bindings, prefix, sched.thetas.tolist(), sched.phases.tolist(),
+          sched.pivot_phase)
 
 
 def dial(skel, ham_pool, gen_pool, mask, alpha_bar=None):
@@ -583,14 +609,14 @@ def dial(skel, ham_pool, gen_pool, mask, alpha_bar=None):
     if gen_pool is None and masked:
         raise MaskError("nonzero mask over a skeleton without a generator pool")
     # every slot starts at zero, where surplus compiled adaptors idle
-    bindings, coeffs = dict.fromkeys(_slot_stream(skel), 0.0), {}
+    bindings, coeffs = dict.fromkeys(skel.slot_names, 0.0), {}
     n_slots = len(bindings)
     if ham_pool is not None:
         coeffs.update(_bind_hamiltonian(skel, ham_pool, bindings))
     if gen_pool is not None:
         coeffs.update(_bind_generator(skel, gen_pool, masked, alpha_bar, bindings))
     if len(bindings) > n_slots:
-        unknown = bindings.keys() - skel.slots()
+        unknown = bindings.keys() - set(skel.slot_names)
         raise BindError("bindings address unknown slots", addresses=unknown)
 
     label = mask.label if isinstance(mask, Mask) else "mask"
@@ -598,7 +624,7 @@ def dial(skel, ham_pool, gen_pool, mask, alpha_bar=None):
         skeleton_fingerprint=skel.fingerprint,
         mask_id=label,
         mask_indices=tuple(sorted(masked)),
-        bindings=bindings,
+        values=tuple(bindings.values()),
         classical_coeffs=coeffs,
     )
 
@@ -633,7 +659,7 @@ def _bind_hamiltonian(skel, ham_pool, bindings):
                 sched = ladders.one_electron_angles(
                     lad.vectors[:, j].astype(complex), pivot=ad.pivot[j], n=n
                 )
-                _bind(bindings, sched, f"ham/{addr}/mode{j}")
+                _bind_schedule(bindings, sched, f"ham/{addr}/mode{j}")
                 if lad.multiplicity > 1:
                     bindings[f"ham/{addr}/subprep/{j}"] = float(1 / np.sqrt(ad.rank))
             weight = abs(lad.coefficient) * lad.multiplicity
@@ -661,6 +687,17 @@ def _bind_hamiltonian(skel, ham_pool, bindings):
     return {"Omega": [float(x) for x in omega_list], "alpha": float(alpha)}
 
 
+def _bind_pairs(skel, pairs, bindings):
+    """Bind the ``(ladder, adaptor)`` pairs' wedge ladders, one array pass per side."""
+    for k, (side, factors) in enumerate((("u", "xy"), ("v", "rs"))):
+        wedge = wedge_pairs(skel.n_system, skel.n_occ, side)
+        pivots = [wedge.index(ad.pivot[k]) for _, ad in pairs]
+        x, y = (np.array([getattr(lad, f) for lad, _ in pairs]) for f in factors)
+        angles = ladders.pair_ladder_angles(ladders.wedge_vectors(x, y), pivots)
+        for (lad, _), *row in zip(pairs, *(a.tolist() for a in angles)):
+            _bind(bindings, f"gen/{lad.address}/{side}", *row)
+
+
 def _bind_generator(skel, gen_pool, masked, alpha_bar, bindings):
     """Bind the generator adaptors and the masked PREP; checks mask and budget."""
     n = skel.n_system
@@ -680,7 +717,7 @@ def _bind_generator(skel, gen_pool, masked, alpha_bar, bindings):
     alpha_bar = gen_pool.alpha_bar if alpha_bar is None else float(alpha_bar)
     adaptors_gen = {ad.address: ad for ad in skel.adaptors_gen}
     gen_by_addr = gen_pool.by_address()
-    omega_gen = []
+    omega_gen, pairs = [], []
     used = 0.0
     for addr in sorted(gen_by_addr):
         lad = gen_by_addr[addr]
@@ -691,18 +728,14 @@ def _bind_generator(skel, gen_pool, masked, alpha_bar, bindings):
         if ad.kind != expected:
             raise BindError("adaptor kind mismatch", addresses=[addr])
         if lad.kind == "pair":
-            vectors = lad.virtual_pair_vector(), lad.occupied_pair_vector()
-            for side, vec, (r, s) in zip("uv", vectors, ad.pivot):
-                lo = wedge_pairs(n, skel.n_occ, side)[0][0]  # the side's lowest mode
-                sched = ladders.two_electron_angles(vec, pivot_pair=(r - lo, s - lo))
-                _bind(bindings, sched, f"gen/{addr}/{side}")
+            pairs.append((lad, ad))
         else:
             w_vals, w_vecs = bilinear_asym_spectrum(lad.u, lad.v)
             amps, signs, _ = oracle.signed_loading(w_vals)
             for j in range(len(w_vals)):  # a missing second mode idles at zero
                 pivot = _mode_pivot(ad, j)
                 sched = ladders.one_electron_angles(w_vecs[:, j], pivot=pivot, n=n)
-                _bind(bindings, sched, f"gen/{addr}/mode{j}")
+                _bind_schedule(bindings, sched, f"gen/{addr}/mode{j}")
                 bindings[f"gen/{addr}/subprep/{j}"] = float(amps[j])
                 bindings[f"gen/{addr}/submode/{j}/sign_phi"] = (
                     np.pi if signs[j] < 0 else 0.0
@@ -715,6 +748,8 @@ def _bind_generator(skel, gen_pool, masked, alpha_bar, bindings):
             used += weight
         else:
             bindings[f"prep/gen/{addr}"] = 0.0
+    if pairs:
+        _bind_pairs(skel, pairs, bindings)
     if used > alpha_bar * (1 + 1e-12):
         raise BindError("masked weight exceeds the global normalization")
     bindings["prep/gen/0"] = float(np.sqrt(max(1.0 - used / alpha_bar, 0.0)))
@@ -726,11 +761,13 @@ def _bind_generator(skel, gen_pool, masked, alpha_bar, bindings):
 # ---------------------------------------------------------------------------
 
 
-def schedule_from_bindings(sheet, prefix, n, pivot, targets):
-    """Schedule read back from :func:`_bind`'s slots; ``targets`` include the pivot."""
+def schedule_from_bindings(values, prefix, n, pivot, targets):
+    """Schedule read back from :func:`_bind`'s slots; ``targets`` include the pivot.
+
+    ``values`` is the :func:`sheet_bindings` map.
+    """
     sector, skip = ("one", pivot[0]) if len(pivot) == 1 else ("two", tuple(pivot))
     ordering = tuple(t for t in targets if t != skip)
-    values = sheet.bindings
     thetas = np.array([values[f"{prefix}/rot/{k}/theta"] for k in range(len(ordering))])
     phs = np.array([values[f"{prefix}/rot/{k}/phi"] for k in range(len(ordering))])
     pivot_phi = values[f"{prefix}/pivot_phi"]
@@ -747,10 +784,10 @@ class _Interpreter:
     neighbour is local qubit ``-1``.
     """
 
-    def __init__(self, skel, sheet, lines):
+    def __init__(self, skel, values, lines):
         self.n = skel.n_system
         self.sys0 = skel.selector_width + skel.workspace_width
-        self.values = sheet.bindings
+        self.values = values  # slot name -> value
         self.lines = [line.split("|") for line in lines]
         self.pos = 0
         self.last = None  # the most recently closed block, as applied
@@ -884,9 +921,9 @@ def _combine(factors):
     return (ops[0] if len(ops) == 1 else oracle._Product(*ops)), width
 
 
-def _branch(skel, sheet, ad):
+def _branch(skel, values, ad):
     """Gadget node of one adaptor's lines, and its branch phase (the sign)."""
-    factors, phase, closer = _Interpreter(skel, sheet, ad.layers).frame()
+    factors, phase, closer = _Interpreter(skel, values, ad.layers).frame()
     if closer is not None:
         raise ValidationError(f"adaptor {ad.address}: unmatched {closer[0]!r}")
     return _combine(factors)[0], phase
@@ -942,17 +979,17 @@ def execute_hamiltonian_block(skel, sheet):
 
 def _select(skel, sheet, side):
     """PREP-SELECT-PREP node over one side's branches; checks the PREP norm."""
-    _check_sheet(skel, sheet)
+    values = sheet_bindings(skel, sheet)
     adaptors = skel.adaptors_gen if side == "gen" else skel.adaptors_ham
     amps = np.zeros(2**skel.selector_width)
     for ad in adaptors:
-        amps[ad.address] = sheet.bindings[f"prep/{side}/{ad.address}"]
+        amps[ad.address] = values[f"prep/{side}/{ad.address}"]
     norm = np.linalg.norm(amps)
     if abs(norm - 1.0) > 1e-9:
         name = "generator" if side == "gen" else "hamiltonian"
         raise BindError(f"{name} prep amplitudes have norm {norm!r}")
     ops, phases = zip(*(
-        _branch(skel, sheet, ad) for ad in sorted(adaptors, key=lambda a: a.address)
+        _branch(skel, values, ad) for ad in sorted(adaptors, key=lambda a: a.address)
     ))
     width = generator_workspace_width(skel) if side == "gen" else skel.workspace_width
     return oracle._prep_select_prep(amps, ops, phases, skel.n_system, width)
@@ -976,18 +1013,20 @@ def execute_adaptor(skel, sheet, address):
     own = () if ad.kind == "null" else (ad,)
     lists = (own, ()) if side == "ham" else ((), own)
     oracle.check_assembly_width(plan_workspace_width(*lists) + skel.n_system)
-    _check_sheet(skel, sheet)
-    return oracle._csr(_branch(skel, sheet, ad)[0])
+    return oracle._csr(_branch(skel, sheet_bindings(skel, sheet), ad)[0])
 
 
-def _check_sheet(skel, sheet):
-    """The sheet is bound to this skeleton and binds exactly its slots."""
+def sheet_bindings(skel, sheet):
+    """Slot name -> value map of a dial sheet, the one place names meet values.
+
+    The sheet must carry the skeleton's fingerprint and one value per slot;
+    ``values[i]`` binds ``skel.slot_names[i]``.
+    """
     if sheet.skeleton_fingerprint != skel.fingerprint:
         raise BindError("dial sheet bound to a different skeleton fingerprint")
-    slots = skel.slots()
-    missing, unknown = slots.difference(sheet.bindings), sheet.bindings.keys() - slots
-    if missing or unknown:
+    if len(sheet.values) != len(skel.slot_names):
         raise BindError(
-            "dial sheet must bind exactly the skeleton's slots "
-            f"(missing: {sorted(missing)}; unknown: {sorted(unknown)})"
+            f"dial sheet holds {len(sheet.values)} values for the skeleton's "
+            f"{len(skel.slot_names)} slots"
         )
+    return dict(zip(skel.slot_names, sheet.values))

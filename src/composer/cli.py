@@ -235,12 +235,13 @@ def _generator_target_from_sheet(skel, sheet):
     vac = np.zeros(dim, dtype=complex)
     vac[0] = 1.0
     omegas = sheet.classical_coeffs["omega"]
+    values = cir.sheet_bindings(skel, sheet)
     total = np.zeros((dim, dim), dtype=complex)
     cr, _ = oracle.jw_ladder_ops(n)
     for ad in skel.adaptors_gen:
         if ad.kind == "null":
             continue
-        amp = sheet.bindings.get(f"prep/gen/{ad.address}", 0.0)
+        amp = values[f"prep/gen/{ad.address}"]
         if amp == 0.0:
             continue
         om = omegas[ad.address - 1] if ad.address - 1 < len(omegas) else 0.0
@@ -249,7 +250,7 @@ def _generator_target_from_sheet(skel, sheet):
         if ad.kind == "pair":
             state_u, state_v = (
                 ladders.apply_ladder_dense(cir.schedule_from_bindings(
-                    sheet, f"gen/{ad.address}/{side}", n, pivot,
+                    values, f"gen/{ad.address}/{side}", n, pivot,
                     cir.wedge_pairs(n, skel.n_occ, side),
                 ), vac)
                 for side, pivot in zip("uv", ad.pivot)
@@ -260,7 +261,7 @@ def _generator_target_from_sheet(skel, sheet):
             for j in range(2):
                 pivot = ad.pivot[j] if j < len(ad.pivot) else 0
                 sched = cir.schedule_from_bindings(
-                    sheet, f"gen/{ad.address}/mode{j}", n, (pivot,), range(n)
+                    values, f"gen/{ad.address}/mode{j}", n, (pivot,), range(n)
                 )
                 state = ladders.apply_ladder_dense(sched, vac)
                 w_vec = np.array(
@@ -268,10 +269,8 @@ def _generator_target_from_sheet(skel, sheet):
                 )
                 aw = sum(w_vec[p] * cr[p] for p in range(n))
                 n_w = (aw @ aw.conj().T).toarray()
-                sub_amp = sheet.bindings[f"gen/{ad.address}/subprep/{j}"]
-                sub_sign = np.exp(
-                    1j * sheet.bindings[f"gen/{ad.address}/submode/{j}/sign_phi"]
-                )
+                sub_amp = values[f"gen/{ad.address}/subprep/{j}"]
+                sub_sign = np.exp(1j * values[f"gen/{ad.address}/submode/{j}/sign_phi"])
                 total += weight * (sub_amp**2) * sub_sign.real * n_w
     return total
 

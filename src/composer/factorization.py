@@ -141,10 +141,10 @@ class PairLadder:
     kind = "pair"
 
     def virtual_pair_vector(self):
-        return wedge_pair_vector(self.x, self.y)
+        return ladder_mod.wedge_vectors(self.x, self.y)
 
     def occupied_pair_vector(self):
-        return wedge_pair_vector(self.r, self.s)
+        return ladder_mod.wedge_vectors(self.r, self.s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,14 +307,6 @@ class T2Tensor:
         nop = n_occ * (n_occ - 1) // 2
         values = np.array(checked_list(doc["values"], NUMBER, "values"), dtype=float)
         return T2Tensor(values.reshape(nvp, nop), n_occ, n_virt, e_corr=e_corr)
-
-
-def wedge_pair_vector(x, y):
-    """Pair-space vector ``x_a y_b - x_b y_a`` over ``a < b``."""
-    n = len(x)
-    outer = np.outer(x, y) - np.outer(y, x)
-    idx = ladder_mod.pair_indices(n)
-    return np.array([outer[p, q] for p, q in idx])
 
 
 def unpack_skew(vec, n):

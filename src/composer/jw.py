@@ -66,11 +66,6 @@ def sector_indices(n, n_elec):
     return np.nonzero(hamming_weights(n) == n_elec)[0]
 
 
-def sector_projector_diagonal(n, n_elec):
-    """0/1 diagonal of the particle-number sector projector."""
-    return (hamming_weights(n) == n_elec).astype(float)
-
-
 def mode_bit(n, index, p):
     """Occupation of mode ``p`` in basis state ``index``."""
     return (index >> (n - 1 - p)) & 1

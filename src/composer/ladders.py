@@ -74,19 +74,22 @@ class LadderSchedule:
 
 
 def _tail_angles(mags, pivot_mag):
-    """Tail-norm recursion: ``theta_k = arctan(|u_k| / s_{k+1})``.
+    """Tail-norm recursion: ``theta_k = arctan(|u_k| / s_{k+1})``, along the last axis.
 
-    Degenerate tails use the arctan limits: ``theta = 0`` when both the
-    current amplitude and the tail vanish, ``pi/2`` when only the tail does.
+    ``s_k`` is the norm of ``mags[k:]`` and the pivot magnitude (one per
+    row), summed from the pivot backwards.  Degenerate tails use the
+    arctan limits: ``theta = 0`` when both the current amplitude and the
+    tail vanish, ``pi/2`` when only the tail does.
     """
-    m = len(mags)
-    tails = np.empty(m + 1)
-    tails[m] = pivot_mag
-    acc = pivot_mag**2
-    for k in range(m - 1, -1, -1):
-        acc += mags[k] ** 2
-        tails[k] = np.sqrt(acc)
-    thetas = np.arctan2(mags, tails[1:])
+    mags = np.ascontiguousarray(mags, dtype=float)
+    pivot_mag = np.asarray(pivot_mag, dtype=float)[..., None]
+    squares = mags[..., ::-1] ** 2
+    squares[..., :1] += pivot_mag**2
+    # a fresh contiguous array, so every row meets the same arctan2 loop
+    tails = np.concatenate(
+        [np.sqrt(np.cumsum(squares, axis=-1))[..., ::-1], pivot_mag], axis=-1
+    )
+    thetas = np.arctan2(mags, tails[..., 1:])
     return thetas, tails
 
 
@@ -117,36 +120,72 @@ def one_electron_angles(u, pivot=None, n=None):
     return LadderSchedule("one", n, (pivot,), ordering, thetas, phases, gauge)
 
 
+def wedge_vectors(x, y):
+    """Pair vectors ``x_p y_q - x_q y_p`` over lexicographic ``p < q``.
+
+    Along the last axis, so stacked factors give one pair vector per row.
+    """
+    p, q = _pair_arrays(np.shape(x)[-1])
+    return x[..., p] * y[..., q] - y[..., p] * x[..., q]
+
+
+@lru_cache(maxsize=None)
+def _pair_arrays(n):
+    """:func:`pair_indices` as two index arrays, ``p`` and ``q``."""
+    p, q = np.array(pair_indices(n), dtype=np.intp).reshape(-1, 2).T
+    p.setflags(write=False)
+    q.setflags(write=False)
+    return p, q
+
+
+def pair_ladder_angles(u_pairs, pivots):
+    """Angles of one pair ladder per row of ``u_pairs``, all rows at once.
+
+    Each row is indexed by the lexicographic ``p < q`` pair list and
+    ``pivots[i]`` is the index of row ``i``'s pivot pair.  Returns the
+    ``thetas`` and ``phases`` of the non-pivot pairs in order (one row
+    each) and the pivot ``gauges``, the phases the pivot amplitudes are
+    gauged real by.  The phase of each amplitude rides inside its phased
+    pair-Givens rotation.
+    """
+    u = np.asarray(u_pairs, dtype=complex)
+    norms = np.linalg.norm(u, axis=-1)
+    bad = np.abs(norms - 1.0) > _NORM_TOL
+    if bad.any():
+        raise NormalizationError(f"||u|| = {norms[bad][0]!r}, expected 1")
+    rows, pivots = np.arange(len(u)), np.asarray(pivots)
+    others = np.arange(u.shape[-1] - 1)
+    rest = u[rows[:, None], others + (others >= pivots[:, None])]
+    pivot_amps = u[rows, pivots]
+    mags, pivot_mags = np.abs(rest), np.abs(pivot_amps)
+    thetas, _ = _tail_angles(mags, pivot_mags)
+    phases = np.angle(rest)
+    phases[mags == 0.0] = 0.0
+    gauges = np.where(pivot_mags > 0, np.angle(pivot_amps), 0.0)
+    return thetas, phases, gauges
+
+
 def two_electron_angles(u_pairs, pivot_pair=None):
     """Schedule preparing a two-electron state from pair amplitudes.
 
     ``u_pairs`` is indexed by the lexicographic ``p < q`` pair list, whose
-    length sets the mode count.  The phase of each amplitude rides inside
-    the corresponding phased pair-Givens rotation; the pivot-pair
-    amplitude is gauged real.
+    length sets the mode count; the angles are :func:`pair_ladder_angles`
+    of this one row.  The pivot-pair amplitude is gauged real.
     """
     u_pairs = np.asarray(u_pairs, dtype=complex).reshape(-1)
     n = int(round((1 + np.sqrt(1 + 8 * len(u_pairs))) / 2))
     pairs = pair_indices(n)
     if len(u_pairs) != len(pairs):
         raise ShapeError("pair amplitude vector has wrong length")
-    norm = np.linalg.norm(u_pairs)
-    if abs(norm - 1.0) > _NORM_TOL:
-        raise NormalizationError(f"||u|| = {norm!r}, expected 1")
     if pivot_pair is None:
         pivot_pair = pairs[int(np.argmax(np.abs(u_pairs)))]
     pivot_pair = tuple(sorted(pivot_pair))
     if pivot_pair not in pairs:
         raise ShapeError(f"pivot pair {pivot_pair} invalid")
     k0 = pairs.index(pivot_pair)
-    gauge = float(np.angle(u_pairs[k0])) if abs(u_pairs[k0]) > 0 else 0.0
+    (thetas,), (phases,), (gauge,) = pair_ladder_angles(u_pairs[None], [k0])
     ordering = pairs[:k0] + pairs[k0 + 1:]
-    idx = [k for k in range(len(pairs)) if k != k0]
-    mags = np.abs(u_pairs[idx])
-    thetas, _ = _tail_angles(mags, abs(u_pairs[k0]))
-    phases = np.angle(u_pairs[idx])
-    phases[mags == 0.0] = 0.0
-    return LadderSchedule("two", n, pivot_pair, ordering, thetas, phases, gauge)
+    return LadderSchedule("two", n, pivot_pair, ordering, thetas, phases, float(gauge))
 
 
 @lru_cache(maxsize=None)

@@ -141,6 +141,15 @@ class ResourceEstimate:
         return "\n".join(lines)
 
 
+def _pair_adaptor_rotations(n_occ, n):
+    """Dialed single-qubit rotations of one pair adaptor.
+
+    Per wedge side: a ``pgivens`` angle and its ``pgivens_phase`` for each
+    non-pivot pair, and the pivot ``cphase``.
+    """
+    return sum(2 * (len(wedge_pairs(n, n_occ, side)) - 1) + 1 for side in "uv")
+
+
 def _pair_adaptor_depth(n_occ, n, conn):
     _, cz = block_cost(conn)
     n_blocks = sum(max(len(wedge_pairs(n, n_occ, side)) - 1, 0) for side in "uv")
@@ -193,7 +202,7 @@ def estimate(skel, mask=None, connectivity=None):
     single_qubit = (
         n_bilinear_ham * (2 * n - 1)
         + sum(n + 2 * r for r in channel_ranks)
-        + ell_sigma * 2 * (n * (n - 1) // 2)
+        + ell_sigma * _pair_adaptor_rotations(skel.n_occ, n)
         + gen_prep
         + ham_prep
     )

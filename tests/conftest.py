@@ -73,13 +73,18 @@ def mixed_gen_pool(small_pools):
     return mixed_generator_pool(gen)
 
 
+def sector_projector_diagonal(n, n_elec):
+    """0/1 diagonal of the particle-number sector projector."""
+    return (jw.hamming_weights(n) == n_elec).astype(float)
+
+
 def assert_encodes(w, target, n, sector):
     """Executed encoding ``w`` encodes ``target`` on the particle sector.
 
     Entrywise within 1e-10 on the sector block, and unitary to 1e-11 over
     every entry of the Gram product ``W^dag W - I``.
     """
-    diag = jw.sector_projector_diagonal(n, sector)
+    diag = sector_projector_diagonal(n, sector)
     delta = (oracle.extract_block(w, n) - target) * np.outer(diag, diag)
     assert np.abs(delta).max() <= 1e-10
     gram = w.conj().T @ w - sparse.identity(w.shape[0], format="csr")

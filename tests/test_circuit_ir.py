@@ -22,7 +22,12 @@ from composer.factorization import (
 )
 from composer.integrals import synth_instance
 from composer.resources import CONTROL_OVERHEAD, block_cost, estimate
-from conftest import adaptor_targets, assert_encodes, mixed_generator_pool
+from conftest import (
+    adaptor_targets,
+    assert_encodes,
+    mixed_generator_pool,
+    sector_projector_diagonal,
+)
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +124,7 @@ def test_fingerprint_recompute_matches(compiled):
 def test_dial_binds_every_slot(compiled):
     ham, gen, skel = compiled
     sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", [1, 2]))
-    assert skel.slots() == set(sheet.bindings)
+    assert list(cir.sheet_bindings(skel, sheet)) == list(cir._slot_stream(skel))
     assert sheet.skeleton_fingerprint == skel.fingerprint
 
 
@@ -140,9 +145,11 @@ def test_two_masks_one_skeleton(compiled):
 
 def test_mask_changes_only_prep_amplitudes(compiled):
     ham, gen, skel = compiled
-    full = cir.dial(skel, ham, gen, cir.Mask.of("full", [1, 2, 3]))
-    empty = cir.dial(skel, ham, gen, cir.Mask.of("empty", []))
-    diff = {k for k in full.bindings if full.bindings[k] != empty.bindings[k]}
+    full, empty = (
+        cir.sheet_bindings(skel, cir.dial(skel, ham, gen, cir.Mask.of(label, mask)))
+        for label, mask in (("full", [1, 2, 3]), ("empty", []))
+    )
+    diff = {k for k in full if full[k] != empty[k]}
     assert all(k.startswith("prep/gen/") for k in diff)
 
 
@@ -172,11 +179,11 @@ def test_coefficient_rescale_changes_only_amplitudes(compiled):
     )
     worst = doubled.alpha_bar
     mask = cir.Mask.of("m", [1, 2])
-    base = cir.dial(skel, ham, gen, mask, alpha_bar=worst)
-    scaled = cir.dial(skel, ham, doubled, mask, alpha_bar=worst)
-    diff = {
-        k for k in base.bindings if abs(base.bindings[k] - scaled.bindings[k]) > 1e-15
-    }
+    base, scaled = (
+        cir.sheet_bindings(skel, cir.dial(skel, ham, pool, mask, alpha_bar=worst))
+        for pool in (gen, doubled)
+    )
+    diff = {k for k in base if abs(base[k] - scaled[k]) > 1e-15}
     assert all(k.startswith("prep/gen/") for k in diff)
 
 
@@ -281,7 +288,8 @@ def test_null_branch_amplitude_is_monotone_in_the_mask(mixed_gen_pool, data):
     small = data.draw(st.sets(st.sampled_from(sorted(big))) if big else st.just(set()))
     nulls = []
     for mask in (small, big):
-        bindings = cir.dial(skel, None, gen, cir.Mask.of("m", mask)).bindings
+        sheet = cir.dial(skel, None, gen, cir.Mask.of("m", mask))
+        bindings = cir.sheet_bindings(skel, sheet)
         nulls.append(bindings["prep/gen/0"])
         masked = sum(bindings[f"prep/gen/{a}"] ** 2 for a in mask)
         assert abs(nulls[-1] ** 2 + masked - 1) <= 1e-12
@@ -394,7 +402,7 @@ def test_every_adaptor_encodes_its_ladder(small_pools, mixed_gen_pool, data):
 
 
 def _sector_max(block, target, n, sector):
-    diag = jw.sector_projector_diagonal(n, sector)
+    diag = sector_projector_diagonal(n, sector)
     return float(np.abs((block - target) * np.outer(diag, diag)).max())
 
 
@@ -433,6 +441,7 @@ def test_layer_stream_is_the_program(compiled):
     """A re-targeted givens line, re-fingerprinted, changes what executes."""
     ham, gen, skel = compiled
     sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", [1]))
+    bindings = cir.sheet_bindings(skel, sheet)
     n = skel.n_system
     target = hamiltonian_target(ham)
     block = cir.execute_hamiltonian_block(skel, sheet)
@@ -441,7 +450,7 @@ def test_layer_stream_is_the_program(compiled):
     ad = next(a for a in skel.adaptors_ham if a.kind == "one_body_mode")
     k = max(
         (k for k, line in enumerate(ad.layers) if line.startswith("givens|")),
-        key=lambda k: abs(sheet.bindings[ad.layers[k].split("|")[2]]),
+        key=lambda k: abs(bindings[ad.layers[k].split("|")[2]]),
     )
     _, qubits, slot = ad.layers[k].split("|")
     target_q, pivot = (int(q) for q in qubits.split(","))
@@ -462,10 +471,10 @@ def test_layer_stream_is_the_program(compiled):
 
 
 def _stray_phase(layers):
-    """Copy a ``pgivens_phase`` line to right after the ``cphase`` line."""
+    """Copy a ``pgivens_phase`` line, under a new slot, to right after ``cphase``."""
     k = next(k for k, line in enumerate(layers) if line.startswith("cphase|"))
     phase_line = next(line for line in layers if line.startswith("pgivens_phase|"))
-    layers.insert(k + 1, phase_line)
+    layers.insert(k + 1, f"{phase_line}/stray")  # a slot appears once in a stream
     return k + 2
 
 
@@ -565,8 +574,7 @@ def test_run_of_system_lines_is_the_product_of_its_gates(data):
             lines.append(f"pgivens_phase|{qubits}|f{k}")
         expected = _expm_line(n, gate, qs, drawn) @ expected
     skel = SimpleNamespace(n_system=n, selector_width=0, workspace_width=0)
-    sheet = SimpleNamespace(bindings=bound)
-    factors, _, closer = cir._Interpreter(skel, sheet, lines).frame()
+    factors, _, closer = cir._Interpreter(skel, bound, lines).frame()
     assert closer is None
     [(leaf, width, adjoint)] = factors
     assert (width, adjoint) == (0, False)
@@ -763,6 +771,48 @@ def test_skeleton_v1_rejected(compiled, fmt):
     doc["format"] = fmt
     with pytest.raises(ParseError):
         cir.CircuitSkeleton.from_json(json.dumps(doc))
+
+
+def test_skeleton_rejects_a_duplicated_slot(compiled):
+    """A slot named twice, re-fingerprinted, loads but cannot be dialed or run."""
+    ham, gen, skel = compiled
+    sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", [1]))
+    ad = next(a for a in skel.adaptors_ham if a.kind == "one_body_mode")
+    givens = [k for k, line in enumerate(ad.layers) if line.startswith("givens|")]
+    first, second = givens[:2]
+    slot = ad.layers[first].rpartition("|")[2]
+    layers = list(ad.layers)
+    layers[second] = f"{layers[second].rpartition('|')[0]}|{slot}"
+    edited = replace(ad, layers=tuple(layers))
+    twice = replace(
+        skel, adaptors_ham=tuple(edited if a is ad else a for a in skel.adaptors_ham)
+    )
+    twice = cir.CircuitSkeleton.from_json(
+        replace(twice, fingerprint=cir.fabric_fingerprint(twice)).to_json()
+    )
+    match = f"slot '{slot}' appears twice"
+    with pytest.raises(ValidationError, match=match):
+        cir.dial(twice, ham, gen, cir.Mask.of("m", [1]))
+    sheet = replace(sheet, skeleton_fingerprint=twice.fingerprint)
+    with pytest.raises(ValidationError, match=match):
+        cir.execute_hamiltonian_encoding(twice, sheet)
+
+
+def test_sheet_values_rekeyed_by_the_stream_equal_the_named_bindings():
+    """Synth 7:3:2: ``values[i]`` is what dial's binders bound to the i-th slot."""
+    ints = synth_instance(7, 3, 2)
+    ham = build_hamiltonian_pool(ints, 1e-10, 0.0)
+    gen = nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0)
+    skel = cir.compile_skeleton(ham.n_so, cir.pivots_from_pools(ham, gen))
+    mask = cir.Mask.of("m", [1])
+    sheet = cir.dial(skel, ham, gen, mask)
+    named = {}  # the binders write by name into a map with no prior order
+    cir._bind_hamiltonian(skel, ham, named)
+    cir._bind_generator(skel, gen, mask.indices, None, named)
+    rekeyed = dict(zip(cir._slot_stream(skel), sheet.values, strict=True))
+    assert named.keys() <= rekeyed.keys()
+    assert rekeyed == {**dict.fromkeys(rekeyed, 0.0), **named}
+    assert cir.sheet_bindings(skel, sheet) == rekeyed
 
 
 def test_dialsheet_json_roundtrip(compiled):

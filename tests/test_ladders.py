@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from composer import jw, ladders
 from composer.errors import NormalizationError, ShapeError, ValidationError
@@ -73,6 +75,38 @@ def test_recursion_identities():
     assert np.abs(np.cos(thetas) * tails[:-1] - tails[1:]).max() <= 1e-12
 
 
+def test_tail_angles_match_the_scalar_recursion():
+    """The array recursion agrees with the one-amplitude-at-a-time loop.
+
+    The loop squares numpy scalars (``pow``) where the array form
+    multiplies, so a theta may move by one rounding; tails stay within 2 ulp.
+    """
+    rng = np.random.default_rng(12)
+    mags = np.abs(rng.normal(size=(40, 9)))
+    mags[rng.random(mags.shape) < 0.2] = 0.0
+    pivot_mags = np.abs(rng.normal(size=40))
+    thetas, tails = ladders._tail_angles(mags, pivot_mags)
+    for row, pivot_mag, theta, tail in zip(mags, pivot_mags, thetas, tails):
+        ref, acc = [pivot_mag], pivot_mag**2
+        for mag in row[::-1]:
+            acc += mag**2
+            ref.append(np.sqrt(acc))
+        ref = np.array(ref[::-1])
+        assert np.abs(tail - ref).max() <= 2 * np.spacing(ref.max())
+        assert np.abs(theta - np.arctan2(row, ref[1:])).max() <= 4e-16
+
+
+def test_wedge_vectors_equal_the_outer_product_form():
+    """Stacked wedge vectors equal ``outer(x, y) - outer(y, x)`` read at ``p < q``."""
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+    y = rng.normal(size=(3, 5))
+    vectors = ladders.wedge_vectors(x, y)
+    for row, a, b in zip(vectors, x, y):
+        outer = np.outer(a, b) - np.outer(b, a)
+        assert np.array_equal(row, [outer[p, q] for p, q in ladders.pair_indices(5)])
+
+
 def test_pair_pivot_concentration():
     n = 4
     pairs = ladders.pair_indices(n)
@@ -93,6 +127,39 @@ def test_pair_two_amplitude_forced_values():
     k = sched.ordering.index(pairs[1])
     assert sched.thetas[k] == pytest.approx(np.pi / 4, abs=1e-14)
     assert sched.phases[k] == pytest.approx(np.pi / 3, abs=1e-14)
+
+
+@st.composite
+def pair_rows(draw):
+    """Unit pair vectors with exact zeros and zero tails, and a pivot per row."""
+    n = draw(st.integers(2, 6), label="modes")
+    size = n * (n - 1) // 2
+    part = st.one_of(st.just(0.0), st.floats(-1, 1, allow_subnormal=False))
+    rows, pivots = [], []
+    for _ in range(draw(st.integers(1, 4), label="rows")):
+        row = np.array([complex(draw(part), draw(part)) for _ in range(size)])
+        row[draw(st.integers(0, size), label="tail cut"):] = 0.0
+        pivot = draw(st.integers(0, size - 1), label="pivot")
+        norm = np.linalg.norm(row)
+        if norm < 1e-3:
+            row[:], norm = 0.0, 1.0
+            row[pivot] = 1.0
+        rows.append(row / norm)
+        pivots.append(pivot)
+    return n, np.array(rows), pivots
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=pair_rows())
+def test_batched_pair_angles_equal_the_one_row_schedule(case):
+    """Each row of the batched kernel is exactly ``two_electron_angles`` of it."""
+    n, rows, pivots = case
+    thetas, phases, gauges = ladders.pair_ladder_angles(rows, pivots)
+    for row, pivot, theta, phase, gauge in zip(rows, pivots, thetas, phases, gauges):
+        sched = ladders.two_electron_angles(row, ladders.pair_indices(n)[pivot])
+        assert np.array_equal(sched.thetas, theta)
+        assert np.array_equal(sched.phases, phase)
+        assert sched.pivot_phase == gauge
 
 
 def test_two_electron_prep_exact():

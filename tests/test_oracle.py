@@ -456,9 +456,9 @@ def test_restricted_block_error_perturbation_scaling():
     slot = "gen/1/mode0/rot/0/theta"
 
     def perturbed_error(delta):
-        bindings = dict(sheet.bindings)
-        bindings[slot] += delta
-        w = cir.execute_adaptor(skel, replace(sheet, bindings=bindings), "gen/1")
+        values = list(sheet.values)
+        values[skel.slot_names.index(slot)] += delta
+        w = cir.execute_adaptor(skel, replace(sheet, values=tuple(values)), "gen/1")
         return oracle.restricted_block_error(w, target, 2, sector=1)
 
     assert perturbed_error(0.0) <= 1e-14

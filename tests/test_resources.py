@@ -3,6 +3,8 @@ import pytest
 
 from composer import circuit_ir as cir
 from composer.errors import ValidationError
+from composer.factorization import mp2_amplitudes, nested_svd_t2
+from composer.integrals import synth_instance
 from composer.resources import block_cost, estimate, payoff_ledger
 
 
@@ -177,6 +179,22 @@ def test_estimate_stated_shape_hand_oracle():
     rows = {r.name: r.depth for r in est.rows}
     assert rows["generator select"] == gen_select
     assert rows["qsp ladders"] == 8 * gen_select
+
+
+@pytest.mark.parametrize("synth", [(5, 3, 2), (1, 4, 4), (1, 8, 8)],
+                         ids=["5:3:2", "1:4:4", "1:8:8"])
+def test_single_qubit_tally_prices_pairs_by_their_slot_lines(synth):
+    """The pair term counts the stream's ``pgivens``, ``pgivens_phase``, ``cphase``."""
+    gen = nested_svd_t2(mp2_amplitudes(synth_instance(*synth)), 0.0, 0.0)
+    skel = cir.one_pool_skeleton(None, gen)
+    assert {ad.kind for ad in skel.adaptors_gen} == {"null", "pair"}
+    lines = [
+        line for ad in skel.adaptors_gen for line in ad.layers
+        if line.split("|")[0] in ("pgivens", "pgivens_phase", "cphase")
+    ]
+    est = estimate(skel)
+    # a generator-only tally: the pair term plus one PREP rotation per adaptor
+    assert est.single_qubit_rotations - skel.ell_gen == len(lines)
 
 
 def test_estimate_json_roundtrip(skeleton):
