@@ -5,40 +5,39 @@ occupied count ``n_occ`` (a pair ladder's ``u`` side rotates over the
 virtual pairs, its ``v`` side over the occupied ones: :func:`wedge_pairs`),
 the selector tree, the adaptor bank's gate layers with structural slot
 identifiers, and the signal-processing scaffold.  Each layer is one
-canonical line ``gate|q0,q1,...|slot`` (empty slot field for a fixed
-gate), held, stored and hashed in that one form.  The slot stream is,
-per adaptor (Hamiltonian side, then generator side, as stored), its PREP
-amplitude ``prep/<side>/<address>``, then its lines' slot fields in line
-order; a skeleton whose stream names a slot twice cannot be dialed or
-executed.  The fingerprint hashes the register widths, ``n_occ``, gate
-kinds, ordered qubit tuples, layer order, slot identifiers, and each
-adaptor's pivots and rank, never angle values, so it also fixes the
-stream's order.  A dial sheet (``composer-dial-v3``) holds one
-instance's (pools, mask, coefficient set) values as one array,
-``values[i]`` binding the stream's ``i``-th slot, and is the only thing
-that changes between instances.
+canonical line ``gate|q0,q1,...|slots``, held, stored and hashed in that one
+form; its slot field lists its slots, comma-separated (none for a fixed
+gate, ``theta,phi`` for ``pgivens``, at most one on other lines).  The slot
+stream is, per adaptor (Hamiltonian side, then generator side, as stored),
+its PREP amplitude ``prep/<side>/<address>``, then its lines' slots in line
+order; a skeleton whose stream names a slot twice or holds a line with the
+wrong slot count cannot be dialed or executed.  The fingerprint hashes the
+register widths, ``n_occ``, gate kinds, ordered qubit tuples, layer order,
+slot identifiers, and each adaptor's pivots and rank, never angle values, so
+it also fixes the stream's order.  A dial sheet (``composer-dial-v3``) holds
+one instance's (pools, mask, coefficient set) values as one array,
+``values[i]`` binding the stream's ``i``-th slot, and is the only thing that
+changes between instances.
 
 An adaptor's lines, in application order, are its whole branch
-(``composer-skel-v7``), and execution interprets them: each run of
-system gates (``givens``, ``pgivens`` then its ``pgivens_phase``, ``rz``,
-``cphase``, ``x``) becomes one dense ``2**n x 2**n`` leaf, the gates
-applied in order to the identity by the :mod:`ladders` kernel (a
-``pgivens_phase`` anywhere else is an error); on the workspace, ``cx x``
-is the flag copy, ``h mcz h`` the vacuum reflection, a lone ``x`` the
-null flip.  ``gphase`` multiplies its branch or case by a dialed phase
+(``composer-skel-v8``), and execution interprets them: each run of system
+gates (:data:`SYSTEM_GATES`: ``givens``, ``pgivens``, ``rz``, ``cphase``,
+``x``) becomes one dense ``2**n x 2**n`` leaf, the gates applied in order to
+the identity by the :mod:`ladders` kernel; on the workspace, ``cx x`` is the
+flag copy, ``h mcz h`` the vacuum reflection, a lone ``x`` the null flip.
+``gphase`` multiplies its branch or case by a dialed phase
 (``.../sign_phi``: 0 or pi), ``gphase+i`` / ``gphase-i`` by a fixed one.
-``begin`` opens a block that ``end`` applies as listed or ``dagger`` as
-its adjoint; ``mirror`` applies the adjoint of the last closed block as
-applied, so a mirrored half is one line.  ``select|r|`` opens a
-sub-select over register ``r`` whose ``case`` lines (slot: the PREP
-amplitude; none: equal fixed amplitudes) each start a branch, up to
-``end``.  ``square|s|`` makes everything before it ``W R0 W`` on signal
-``s``, whose block is the square.  Execution first pairs the sheet's
-values with the slot names (:func:`sheet_bindings`: the fingerprint must
-match and the value count equal the slot count);
-``execute_*_encoding`` assemble the gadget tree (:mod:`oracle`) as a
-sparse unitary, ``execute_*_block`` run it on the ``2**n`` ancilla-zero
-columns.
+``begin`` opens a block that ``end`` applies as listed or ``dagger`` as its
+adjoint; ``mirror`` applies the adjoint of the last closed block as applied,
+so a mirrored half is one line.  ``select|r|`` opens a sub-select over
+register ``r`` whose ``case`` lines (slot: the PREP amplitude; none: equal
+fixed amplitudes) each start a branch, up to ``end``.  ``square|s|`` makes
+everything before it ``W R0 W`` on signal ``s``, whose block is the square.
+Execution first pairs the sheet's values with the slot names
+(:func:`sheet_bindings`: the fingerprint must match and the value count
+equal the slot count); ``execute_*_encoding`` assemble the gadget tree
+(:mod:`oracle`) as a sparse unitary, ``execute_*_block`` run it on the
+``2**n`` ancilla-zero columns.
 """
 
 from __future__ import annotations
@@ -56,11 +55,12 @@ from .errors import BindError, MaskError, ParseError, ValidationError
 from .errors import DICT, INT, LIST, NUMBER, STR, checked, checked_list
 from .factorization import bilinear_asym_spectrum, generator_branch_alpha
 
-SKEL_FORMAT = "composer-skel-v7"
+SKEL_FORMAT = "composer-skel-v8"
 DIAL_FORMAT = "composer-dial-v3"
 
-# gates on the system register, each with the number of modes it acts on
-SYSTEM_GATES = {"givens": 2, "pgivens": 4, "rz": 1, "cphase": 2, "x": 1}
+# gates on the system register: (modes it acts on, slots its line carries)
+SYSTEM_GATES = {"givens": (2, 1), "pgivens": (4, 2), "rz": (1, 1), "cphase": (2, 1),
+                "x": (1, 0)}
 
 
 @dataclass(frozen=True)
@@ -213,8 +213,8 @@ class CircuitSkeleton:
         """The slots in stream order, which a dial sheet's values follow.
 
         Built on first use, by dial or execution (loading a skeleton and
-        ``estimate`` never build it); a name the stream holds twice is a
-        ValidationError.
+        ``estimate`` never build it); a line with the wrong number of slots
+        or a name the stream holds twice is a ValidationError.
         """
         names = tuple(_slot_stream(self))
         if len(set(names)) != len(names):
@@ -265,10 +265,21 @@ class CircuitSkeleton:
 
 def _slot_stream(skel):
     """The slots in stream order: per adaptor, its PREP amplitude, then its lines'."""
+    names = []
     for side, adaptors in skel.sides():
         for ad in adaptors:
-            yield f"prep/{side}/{ad.address}"
-            yield from filter(None, [line.rpartition("|")[2] for line in ad.layers])
+            names.append(f"prep/{side}/{ad.address}")
+            for line in ad.layers:
+                gate, _, field = line.split("|")
+                slots = field.split(",") if field else []
+                want = SYSTEM_GATES[gate][1] if gate in SYSTEM_GATES else len(slots[:1])
+                if len(slots) != want:
+                    raise ValidationError(
+                        f"{side} adaptor {ad.address}: layer line {line!r} carries "
+                        f"{len(slots)} slots, not {want}"
+                    )
+                names += slots
+    return names
 
 
 def _adaptor_doc(ad):
@@ -434,12 +445,13 @@ def one_pool_skeleton(ham_pool, gen_pool):
     return compile_skeleton(n, plan)
 
 
-def _layer(gate, qubits, slot=None):
+def _layer(gate, qubits, *slots):
     """One layer as the canonical line the skeleton stores and hashes.
 
-    ``gate|q0,q1,...|slot``, with an empty slot field for a fixed gate.
+    ``gate|q0,q1,...|s0,s1,...``; a ``None`` slot is left out, and a fixed
+    gate's slot field is empty.
     """
-    return f"{gate}|{','.join(map(str, qubits))}|{slot or ''}"
+    return f"{gate}|{','.join(map(str, qubits))}|{','.join(filter(None, slots))}"
 
 
 def _ladder_layers(prefix, n, pivot, sysq):
@@ -462,9 +474,8 @@ def _pair_ladder_layers(prefix, wedge, pivot_pair, sysq):
     layers = [_layer("x", (sysq(r),)), _layer("x", (sysq(s),))]
     ordering = (pq for pq in wedge if pq != (r, s))
     for k, (p, q) in enumerate(ordering):
-        qubits = (sysq(p), sysq(q), sysq(r), sysq(s))
-        layers.append(_layer("pgivens", qubits, f"{prefix}/rot/{k}/theta"))
-        layers.append(_layer("pgivens_phase", qubits, f"{prefix}/rot/{k}/phi"))
+        layers.append(_layer("pgivens", map(sysq, (p, q, r, s)),
+                             f"{prefix}/rot/{k}/theta", f"{prefix}/rot/{k}/phi"))
     layers.append(_layer("cphase", (sysq(r), sysq(s)), f"{prefix}/pivot_phi"))
     return layers
 
@@ -800,7 +811,7 @@ class _Interpreter:
             self.pos += 1
             qs = [int(q) - self.sys0 for q in qubits.split(",")] if qubits else []
             if qs and min(qs) >= 0:
-                run.append(self._system_gate(gate, qubits, tuple(qs), slot))
+                run.append(self._system_gate(gate, tuple(qs), slot))
                 continue
             if run:
                 factors.append((self._leaf(run), 0, False))
@@ -834,28 +845,19 @@ class _Interpreter:
             factors.append((self._leaf(run), 0, False))
         return factors, phase, None
 
-    def _system_gate(self, gate, qubits, qs, slot):
-        """One system line as a :func:`ladders.apply_gates` gate.
-
-        ``pgivens`` reads its ``pgivens_phase`` line here, so a phase line
-        met anywhere else is stray.
-        """
-        self._expect(gate != "pgivens_phase", "pgivens before its phase")
+    def _system_gate(self, gate, qs, field):
+        """One system line as a :func:`ladders.apply_gates` gate."""
         if gate not in SYSTEM_GATES:
             raise ValidationError(f"unknown system gate {gate!r}")
-        arity = SYSTEM_GATES[gate]
-        self._expect(len(qs) == arity, f"{gate} on {arity} modes")
-        if gate == "givens":
-            return ("rot", qs, self.values[slot], 0.0)
-        if gate == "pgivens":
-            phase_line = self.lines[self.pos] if self.pos < len(self.lines) else []
-            self._expect(phase_line[:2] == ["pgivens_phase", qubits],
-                         "pgivens, its phase")
-            self.pos += 1
-            return ("rot", qs, self.values[slot], self.values[phase_line[2]])
+        modes, count = SYSTEM_GATES[gate]
+        angles = [self.values[slot] for slot in field.split(",")] if field else []
+        self._expect((len(qs), len(angles)) == (modes, count),
+                     f"{gate} on {modes} modes with {count} slots")
         if gate == "x":
             return ("x", qs)
-        return ("phase", qs, self.values[slot])
+        if gate in ("rz", "cphase"):
+            return ("phase", qs, *angles)
+        return ("rot", qs, angles[0], angles[1] if gate == "pgivens" else 0.0)
 
     def _leaf(self, run):
         """Dense product of a run of system gates, applied in order to the identity."""

@@ -18,7 +18,7 @@ from scipy import sparse
 
 from . import circuit_ir as cir
 from . import diagnostics as dg
-from . import oracle, qsp, resources
+from . import jw, ladders, oracle, qsp, resources
 from .errors import BindError, ComposerError
 from .factorization import (
     T2Tensor,
@@ -228,8 +228,6 @@ def _generator_target_from_sheet(skel, sheet):
     schedules and assembles the dyadic operators directly, independent of
     the gadget algebra that :func:`execute_generator_encoding` exercises.
     """
-    from . import jw, ladders
-
     n = skel.n_system
     dim = 2**n
     vac = np.zeros(dim, dtype=complex)
@@ -237,7 +235,7 @@ def _generator_target_from_sheet(skel, sheet):
     omegas = sheet.classical_coeffs["omega"]
     values = cir.sheet_bindings(skel, sheet)
     total = np.zeros((dim, dim), dtype=complex)
-    cr, _ = oracle.jw_ladder_ops(n)
+    cr, _ = jw.jw_ladder_ops(n)
     for ad in skel.adaptors_gen:
         if ad.kind == "null":
             continue

@@ -35,7 +35,6 @@ from .errors import (
     ValidationError,
 )
 from .factorization import ChannelLadder, HamiltonianPool
-from .jw import jw_ladder_ops, sector_indices  # re-exported oracle surface
 
 REPORT_FORMAT = "composer-report-v1"
 

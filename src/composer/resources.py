@@ -144,8 +144,8 @@ class ResourceEstimate:
 def _pair_adaptor_rotations(n_occ, n):
     """Dialed single-qubit rotations of one pair adaptor.
 
-    Per wedge side: a ``pgivens`` angle and its ``pgivens_phase`` for each
-    non-pivot pair, and the pivot ``cphase``.
+    Per wedge side: the two slots (angle and phase) of the ``pgivens`` line
+    of each non-pivot pair, and the pivot ``cphase``.
     """
     return sum(2 * (len(wedge_pairs(n, n_occ, side)) - 1) + 1 for side in "uv")
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 from functools import lru_cache
 from types import SimpleNamespace
@@ -231,6 +232,16 @@ def _pair_adaptors(skel):
     return pairs
 
 
+def _reloaded(skel, ad, layers):
+    """``skel`` with adaptor ``ad``'s lines replaced, re-fingerprinted and loaded."""
+    edited = replace(ad, layers=tuple(layers))
+    side = "adaptors_gen" if ad in skel.adaptors_gen else "adaptors_ham"
+    edits = {side: tuple(edited if a is ad else a for a in getattr(skel, side))}
+    tampered = replace(skel, **edits)
+    tampered = replace(tampered, fingerprint=cir.fabric_fingerprint(tampered))
+    return cir.CircuitSkeleton.from_json(tampered.to_json())
+
+
 @pytest.mark.parametrize("synth", ["5:3:2", "1:4:4", "1:8:8"])
 def test_pair_ladders_rotate_over_their_own_wedge(synth):
     """A ``/u/`` rotation acts on four virtual modes, a ``/v/`` one on four occupied."""
@@ -260,6 +271,34 @@ def test_pair_rotations_are_the_priced_blocks(synth):
         assert count == blocks
         if count >= 1:  # the priced depth floors at one block
             assert priced == CONTROL_OVERHEAD * cz * count
+
+
+@pytest.mark.parametrize("synth", ["5:3:2", "1:4:4"])
+def test_pair_adaptor_slots_keep_their_stream_order(synth):
+    """A pair adaptor's slots, which positional sheets follow, in pinned order.
+
+    PREP and sign, then the ``v`` side, then the ``u`` side; on each side
+    ``theta_k, phi_k`` of the ``pgivens`` line on the ``k``-th non-pivot
+    pair of its wedge, then ``pivot_phi``.
+    """
+    skel = _synth_skeleton(synth)
+    sys0 = skel.selector_width + skel.workspace_width
+    for ad in _pair_adaptors(skel):
+        prefix = f"gen/{ad.address}"
+        expected, rotated = [f"prep/gen/{ad.address}", f"{prefix}/sign_phi"], []
+        for side, pivot in (("v", ad.pivot[1]), ("u", ad.pivot[0])):
+            wedge = cir.wedge_pairs(skel.n_system, skel.n_occ, side)
+            for k, pq in enumerate(pq for pq in wedge if pq != pivot):
+                expected += [f"{prefix}/{side}/rot/{k}/{a}" for a in ("theta", "phi")]
+                rotated.append(pq)
+            expected.append(f"{prefix}/{side}/pivot_phi")
+        start = skel.slot_names.index(expected[0])
+        end = start + len(expected)
+        assert skel.slot_names[start:end] == tuple(expected)
+        assert skel.slot_names[end:end + 1] in ((), (f"prep/gen/{ad.address + 1}",))
+        lines = [ln.split("|") for ln in ad.layers if ln.startswith("pgivens|")]
+        modes = [tuple(int(q) - sys0 for q in qs.split(",")[:2]) for _, qs, _ in lines]
+        assert modes == rotated
 
 
 def test_a_pair_pivot_outside_its_wedge_is_rejected(compiled):
@@ -458,60 +497,70 @@ def test_layer_stream_is_the_program(compiled):
     other = next(q for q in range(sys0, sys0 + n) if q not in (target_q, pivot))
     layers = list(ad.layers)
     layers[k] = f"givens|{other},{pivot}|{slot}"
-    retargeted = replace(ad, layers=tuple(layers))
-    tampered = replace(
-        skel,
-        adaptors_ham=tuple(retargeted if a is ad else a for a in skel.adaptors_ham),
-    )
-    tampered = replace(tampered, fingerprint=cir.fabric_fingerprint(tampered))
-    tampered = cir.CircuitSkeleton.from_json(tampered.to_json())
+    tampered = _reloaded(skel, ad, layers)
     sheet = cir.dial(tampered, ham, gen, cir.Mask.of("m", [1]))
     block = cir.execute_hamiltonian_block(tampered, sheet)
     assert _sector_max(block, target, n, ham.n_elec) > 1e-3
 
 
-def _stray_phase(layers):
-    """Copy a ``pgivens_phase`` line, under a new slot, to right after ``cphase``."""
-    k = next(k for k, line in enumerate(layers) if line.startswith("cphase|"))
-    phase_line = next(line for line in layers if line.startswith("pgivens_phase|"))
-    layers.insert(k + 1, f"{phase_line}/stray")  # a slot appears once in a stream
-    return k + 2
-
-
-def _two_mode_pgivens(layers):
-    """Drop the pivot modes of the first ``pgivens`` and of its phase line."""
-    k = next(k for k, line in enumerate(layers) if line.startswith("pgivens|"))
-    for j in (k, k + 1):
-        gate, qubits, slot = layers[j].split("|")
-        layers[j] = f"{gate}|{','.join(qubits.split(',')[:2])}|{slot}"
-    return k + 1
-
-
-@pytest.mark.parametrize("edit", [_stray_phase, _two_mode_pgivens])
-def test_malformed_pair_lines_are_rejected(edit):
-    """A stray ``pgivens_phase`` or a two-mode ``pgivens`` fails execution.
-
-    The edit is fingerprinted with the stream, so it loads and dials; the
-    error names the line, where a stray phase line used to change nothing.
-    """
+@lru_cache(maxsize=None)
+def _pair_line_skeleton():
+    """Synth 1:3:2, both pools: its pair adaptors hold ``pgivens`` lines."""
     ints = synth_instance(1, 3, 2)
     ham = build_hamiltonian_pool(ints, 1e-8, 0.0)
     gen = nested_svd_t2(mp2_amplitudes(ints), 1e-6, 1e-6)
-    skel = cir.one_pool_skeleton(ham, gen)
+    return ham, gen, cir.one_pool_skeleton(ham, gen)
+
+
+def _two_mode_pgivens(layers):
+    """Drop the pivot modes of the first ``pgivens`` line."""
+    k = next(k for k, line in enumerate(layers) if line.startswith("pgivens|"))
+    gate, qubits, slots = layers[k].split("|")
+    layers[k] = f"{gate}|{','.join(qubits.split(',')[:2])}|{slots}"
+    return k + 1
+
+
+@pytest.mark.parametrize("edit", [_two_mode_pgivens])
+def test_malformed_pair_lines_are_rejected(edit):
+    """A two-mode ``pgivens`` fails execution.
+
+    The edit is fingerprinted with the stream, so it loads and dials; the
+    error names the line.
+    """
+    ham, gen, skel = _pair_line_skeleton()
     ad = next(a for a in skel.adaptors_gen if a.kind == "pair")
     layers = list(ad.layers)
     line = edit(layers)
-    edited = replace(ad, layers=tuple(layers))
-    tampered = replace(
-        skel, adaptors_gen=tuple(edited if a is ad else a for a in skel.adaptors_gen)
-    )
-    tampered = replace(tampered, fingerprint=cir.fabric_fingerprint(tampered))
-    tampered = cir.CircuitSkeleton.from_json(tampered.to_json())
+    tampered = _reloaded(skel, ad, layers)
     sheet = cir.dial(tampered, ham, gen, cir.Mask.of("m", [1]))
-    with pytest.raises(ValidationError, match=f"layer stream near line {line}:"):
+    match = f"layer stream near line {line}: expected pgivens on 4 modes"
+    with pytest.raises(ValidationError, match=match):
         cir.execute_generator_block(tampered, sheet)
-    with pytest.raises(ValidationError, match=f"layer stream near line {line}:"):
+    with pytest.raises(ValidationError, match=match):
         cir.execute_adaptor(tampered, sheet, f"gen/{ad.address}")
+
+
+@pytest.mark.parametrize(
+    ("gate", "count"),
+    [("pgivens", 1), ("pgivens", 3), ("givens", 2), ("gphase", 2), ("case", 2)],
+)
+def test_a_line_with_the_wrong_slot_count_is_rejected(gate, count):
+    """``pgivens`` carries two slots, any other line at most one.
+
+    Re-fingerprinted, the edited skeleton loads, and building its slot
+    stream (dial) is a ValidationError that names the line.
+    """
+    ham, gen, skel = _pair_line_skeleton()
+    ad, k = next(
+        (a, k) for _, adaptors in skel.sides() for a in adaptors
+        for k, line in enumerate(a.layers) if line.startswith(f"{gate}|")
+    )
+    layers = list(ad.layers)
+    head = layers[k].rpartition("|")[0]
+    layers[k] = f"{head}|{','.join(f'edited/{j}' for j in range(count))}"
+    tampered = _reloaded(skel, ad, layers)
+    with pytest.raises(ValidationError, match=re.escape(f"line {layers[k]!r}")):
+        cir.dial(tampered, ham, gen, cir.Mask.of("m", [1]))
 
 
 def _expm_line(n, gate, qs, values):
@@ -560,18 +609,9 @@ def test_run_of_system_lines_is_the_product_of_its_gates(data):
         else:
             qs = [data.draw(modes)]
         drawn = [data.draw(angle), data.draw(angle)]
-        qubits = ",".join(map(str, qs))
-        if gate in ("givens", "pgivens"):
-            bound[f"t{k}"] = drawn[0]
-            lines.append(f"{gate}|{qubits}|t{k}")
-        elif gate != "x":
-            bound[f"f{k}"] = drawn[0]
-            lines.append(f"{gate}|{qubits}|f{k}")
-        else:
-            lines.append(f"x|{qubits}|")
-        if gate == "pgivens":
-            bound[f"f{k}"] = drawn[1]
-            lines.append(f"pgivens_phase|{qubits}|f{k}")
+        slots = [f"t{k}", f"f{k}"][: {"pgivens": 2, "x": 0}.get(gate, 1)]
+        bound.update(zip(slots, drawn))
+        lines.append(f"{gate}|{','.join(map(str, qs))}|{','.join(slots)}")
         expected = _expm_line(n, gate, qs, drawn) @ expected
     skel = SimpleNamespace(n_system=n, selector_width=0, workspace_width=0)
     factors, _, closer = cir._Interpreter(skel, bound, lines).frame()
@@ -762,8 +802,8 @@ def test_adaptor_addresses_must_label_the_selector(compiled):
 @pytest.mark.parametrize(
     "fmt",
     ["composer-skel-v1", "composer-skel-v2", "composer-skel-v3", "composer-skel-v4",
-     "composer-skel-v5", "composer-skel-v6"],
-    ids=["v1", "v2", "v3", "v4", "v5", "v6"],
+     "composer-skel-v5", "composer-skel-v6", "composer-skel-v7"],
+    ids=["v1", "v2", "v3", "v4", "v5", "v6", "v7"],
 )
 def test_skeleton_v1_rejected(compiled, fmt):
     _, _, skel = compiled
@@ -783,13 +823,7 @@ def test_skeleton_rejects_a_duplicated_slot(compiled):
     slot = ad.layers[first].rpartition("|")[2]
     layers = list(ad.layers)
     layers[second] = f"{layers[second].rpartition('|')[0]}|{slot}"
-    edited = replace(ad, layers=tuple(layers))
-    twice = replace(
-        skel, adaptors_ham=tuple(edited if a is ad else a for a in skel.adaptors_ham)
-    )
-    twice = cir.CircuitSkeleton.from_json(
-        replace(twice, fingerprint=cir.fabric_fingerprint(twice)).to_json()
-    )
+    twice = _reloaded(skel, ad, layers)
     match = f"slot '{slot}' appears twice"
     with pytest.raises(ValidationError, match=match):
         cir.dial(twice, ham, gen, cir.Mask.of("m", [1]))

@@ -190,10 +190,10 @@ def test_verify_reports_the_ancillas_of_the_checked_encoding(tmp_path, synth):
 
 
 def test_older_formats_exit_two(pipeline, capsys):
-    """A ``composer-skel-v5`` skeleton or ``composer-dial-v1``/``-v2`` sheet: exit 2."""
+    """A ``composer-skel-v5``/``-v7`` skeleton or ``-dial-v1``/``-v2`` sheet: exit 2."""
     tmp, _, skel, sheet = pipeline
-    for path, old in ((skel, "composer-skel-v5"), (sheet, "composer-dial-v1"),
-                      (sheet, "composer-dial-v2")):
+    for path, old in ((skel, "composer-skel-v5"), (skel, "composer-skel-v7"),
+                      (sheet, "composer-dial-v1"), (sheet, "composer-dial-v2")):
         doc = json.loads(path.read_text())
         current, doc["format"] = doc["format"], old
         path.write_text(json.dumps(doc))

@@ -51,13 +51,13 @@ def generator_adaptor(lad, n_occ, n_virt):
 
 
 def test_single_mode_ladder_matrices():
-    cr, an = oracle.jw_ladder_ops(1)
+    cr, an = jw.jw_ladder_ops(1)
     assert np.array_equal(cr[0].toarray(), np.array([[0.0, 0.0], [1.0, 0.0]]))
 
 
 def test_anticommutation_relations():
     n = 3
-    cr, an = oracle.jw_ladder_ops(n)
+    cr, an = jw.jw_ladder_ops(n)
     eye = np.eye(2**n)
     for p in range(n):
         for q in range(n):
@@ -70,7 +70,7 @@ def test_anticommutation_relations():
 
 def test_number_operator_is_hamming_diagonal():
     n = 4
-    cr, an = oracle.jw_ladder_ops(n)
+    cr, an = jw.jw_ladder_ops(n)
     total = sum((cr[p] @ an[p]).toarray() for p in range(n))
     assert np.abs(np.diag(total) - jw.hamming_weights(n)).max() == 0.0
 
@@ -161,7 +161,7 @@ def test_channel_single_mode_is_occupation():
         CholeskyChannel(index=0, factor=np.diag([1.0, 0.0])), 1e-10
     )
     assert ch.rank == 1
-    cr, an = oracle.jw_ladder_ops(n)
+    cr, an = jw.jw_ladder_ops(n)
     target = (cr[0] @ an[0]).toarray()
     assert np.abs(_rotated_diagonal_block(ch, n) - target).max() <= 1e-12
 
@@ -174,7 +174,7 @@ def test_channel_two_branch_signs():
         CholeskyChannel(index=0, factor=np.diag([1.0, -1.0])), 0.0
     )
     assert ch.gamma == pytest.approx(2.0)
-    cr, an = oracle.jw_ladder_ops(n)
+    cr, an = jw.jw_ladder_ops(n)
     target = ((cr[0] @ an[0]) - (cr[1] @ an[1])).toarray() / 2.0
     assert np.abs(_rotated_diagonal_block(ch, n) - target).max() <= 1e-12
 
@@ -266,7 +266,7 @@ def test_flag_identity_exact():
     gadget = x_flag @ cnot
     assert np.array_equal(oracle._flag_copy(0, n).toarray(), gadget)
     block = gadget[: 2**n, : 2**n]
-    cr, an = oracle.jw_ladder_ops(n)
+    cr, an = jw.jw_ladder_ops(n)
     assert np.abs(block - (cr[0] @ an[0]).toarray()).max() == 0.0
 
 
@@ -292,7 +292,7 @@ def test_lcu_single_branch_reduces(small_pools):
 
 def test_lcu_two_diagonal_branches_with_signs():
     n = 2
-    cr, an = oracle.jw_ladder_ops(n)
+    cr, an = jw.jw_ladder_ops(n)
     pool = HamiltonianPool(
         (_mode([1.0, 0.0], 1.0, 0), _mode([0.0, 1.0], -1.0, 1)), (), n, 1
     )

@@ -184,17 +184,18 @@ def test_estimate_stated_shape_hand_oracle():
 @pytest.mark.parametrize("synth", [(5, 3, 2), (1, 4, 4), (1, 8, 8)],
                          ids=["5:3:2", "1:4:4", "1:8:8"])
 def test_single_qubit_tally_prices_pairs_by_their_slot_lines(synth):
-    """The pair term counts the stream's ``pgivens``, ``pgivens_phase``, ``cphase``."""
+    """The pair term counts the slots of the stream's ``pgivens`` and ``cphase`` lines."""
     gen = nested_svd_t2(mp2_amplitudes(synth_instance(*synth)), 0.0, 0.0)
     skel = cir.one_pool_skeleton(None, gen)
     assert {ad.kind for ad in skel.adaptors_gen} == {"null", "pair"}
-    lines = [
-        line for ad in skel.adaptors_gen for line in ad.layers
-        if line.split("|")[0] in ("pgivens", "pgivens_phase", "cphase")
+    slots = [
+        slot for ad in skel.adaptors_gen for line in ad.layers
+        if line.split("|")[0] in ("pgivens", "cphase")
+        for slot in line.split("|")[2].split(",")
     ]
     est = estimate(skel)
     # a generator-only tally: the pair term plus one PREP rotation per adaptor
-    assert est.single_qubit_rotations - skel.ell_gen == len(lines)
+    assert est.single_qubit_rotations - skel.ell_gen == len(slots)
 
 
 def test_estimate_json_roundtrip(skeleton):
