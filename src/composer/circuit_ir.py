@@ -3,48 +3,47 @@
 The skeleton records the fixed pool's facts: the register widths, the
 occupied count ``n_occ`` (a pair ladder's ``u`` side rotates over the
 virtual pairs, its ``v`` side over the occupied ones: :func:`wedge_pairs`),
-the selector tree, the adaptor bank's gate layers with structural slot
-identifiers, and the signal-processing scaffold.  Each layer is one
-canonical line ``gate|q0,q1,...|slots``, held, stored and hashed in that one
-form; its slot field lists its slots, comma-separated (none for a fixed
-gate, ``theta,phi`` for ``pgivens``, at most one on other lines).  The slot
-stream is, per adaptor (Hamiltonian side, then generator side, as stored),
-its PREP amplitude ``prep/<side>/<address>``, then its lines' slots in line
-order; a skeleton whose stream names a slot twice or holds a line with the
-wrong slot count cannot be dialed or executed.  The fingerprint hashes the
-register widths, ``n_occ``, gate kinds, ordered qubit tuples, layer order,
-slot identifiers, and each adaptor's pivots and rank, never angle values, so
-it also fixes the stream's order.  A dial sheet (``composer-dial-v3``) holds
-one instance's (pools, mask, coefficient set) values as one array,
-``values[i]`` binding the stream's ``i``-th slot, and is the only thing that
-changes between instances.
+the selector tree, the adaptor bank's gate layers, and the signal-processing
+scaffold.  Each layer is one canonical line ``gate|q0,q1,...``, held, stored
+and hashed in that one form.  A line's kind fixes how many dialed values it
+takes (:data:`LINE_VALUES`: ``pgivens`` two, its angle and phase;
+``givens``, ``rz``, ``cphase``, ``gphase`` and ``case`` one; every other
+kind none), so a slot has no name: it is a position in the value stream.
+The stream is, per adaptor (Hamiltonian side, then generator side, as
+stored), its PREP amplitude, then the values its lines take, in line order;
+:attr:`CircuitSkeleton.slot_spans` gives each adaptor's span of it.  The
+fingerprint hashes the register widths, ``n_occ``, gate kinds, ordered qubit
+tuples, layer order, and each adaptor's pivots and rank, never values, so it
+also fixes the stream's order.  A dial sheet (``composer-dial-v3``) holds one
+instance's (pools, mask, coefficient set) values as one array, ``values[i]``
+binding the stream's ``i``-th slot, and is the only thing that changes
+between instances.
 
 An adaptor's lines, in application order, are its whole branch
-(``composer-skel-v8``), and execution interprets them: each run of system
-gates (:data:`SYSTEM_GATES`: ``givens``, ``pgivens``, ``rz``, ``cphase``,
-``x``) becomes one dense ``2**n x 2**n`` leaf, the gates applied in order to
-the identity by the :mod:`ladders` kernel; on the workspace, ``cx x`` is the
+(``composer-skel-v9``), and execution interprets them, each line reading its
+values from a cursor over the adaptor's span: each run of system gates
+(:data:`SYSTEM_GATES`: ``givens``, ``pgivens``, ``rz``, ``cphase``, ``x``)
+becomes one dense ``2**n x 2**n`` leaf, the gates applied in order to the
+identity by the :mod:`ladders` kernel; on the workspace, ``cx x`` is the
 flag copy, ``h mcz h`` the vacuum reflection, a lone ``x`` the null flip.
-``gphase`` multiplies its branch or case by a dialed phase
-(``.../sign_phi``: 0 or pi), ``gphase+i`` / ``gphase-i`` by a fixed one.
-``begin`` opens a block that ``end`` applies as listed or ``dagger`` as its
-adjoint; ``mirror`` applies the adjoint of the last closed block as applied,
-so a mirrored half is one line.  ``select|r|`` opens a sub-select over
-register ``r`` whose ``case`` lines (slot: the PREP amplitude; none: equal
-fixed amplitudes) each start a branch, up to ``end``.  ``square|s|`` makes
+``gphase`` multiplies its branch or case by a dialed phase (0 or pi),
+``gphase+i`` / ``gphase-i`` by a fixed one.  ``begin`` opens a block that
+``end`` applies as listed or ``dagger`` as its adjoint; ``mirror`` applies
+the adjoint of the last closed block as applied, so a mirrored half is one
+line.  ``select|r`` opens a sub-select over register ``r`` whose ``case``
+lines (a dialed PREP amplitude each) or ``fcase`` lines (equal fixed
+amplitudes) each start a branch, up to ``end``.  ``square|s`` makes
 everything before it ``W R0 W`` on signal ``s``, whose block is the square.
-Execution first pairs the sheet's values with the slot names
-(:func:`sheet_bindings`: the fingerprint must match and the value count
-equal the slot count); ``execute_*_encoding`` assemble the gadget tree
-(:mod:`oracle`) as a sparse unitary, ``execute_*_block`` run it on the
-``2**n`` ancilla-zero columns.
+Execution first checks the sheet against the skeleton (:func:`sheet_values`:
+the fingerprint must match and the value count equal the stream's length);
+``execute_*_encoding`` assemble the gadget tree (:mod:`oracle`) as a sparse
+unitary, ``execute_*_block`` run it on the ``2**n`` ancilla-zero columns.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -55,12 +54,13 @@ from .errors import BindError, MaskError, ParseError, ValidationError
 from .errors import DICT, INT, LIST, NUMBER, STR, checked, checked_list
 from .factorization import bilinear_asym_spectrum, generator_branch_alpha
 
-SKEL_FORMAT = "composer-skel-v8"
+SKEL_FORMAT = "composer-skel-v9"
 DIAL_FORMAT = "composer-dial-v3"
 
-# gates on the system register: (modes it acts on, slots its line carries)
-SYSTEM_GATES = {"givens": (2, 1), "pgivens": (4, 2), "rz": (1, 1), "cphase": (2, 1),
-                "x": (1, 0)}
+# dialed values each line kind takes from the stream; every other kind takes none
+LINE_VALUES = {"givens": 1, "pgivens": 2, "rz": 1, "cphase": 1, "gphase": 1, "case": 1}
+# gates on the system register: the modes each acts on
+SYSTEM_GATES = {"givens": 2, "pgivens": 4, "rz": 1, "cphase": 2, "x": 1}
 
 
 @dataclass(frozen=True)
@@ -161,12 +161,12 @@ class AdaptorSpec:
     kind: str
     pivot: tuple
     rank: int
-    layers: tuple  # ("gate|q0,q1,...|slot", ...), see _layer
+    layers: tuple  # ("gate|q0,q1,...", ...), see _layer
 
 
 @dataclass(frozen=True)
 class CircuitSkeleton:
-    """Frozen two-qubit fabric with addressed parameter slots."""
+    """Frozen two-qubit fabric whose lines fix the order of its parameter slots."""
 
     n_system: int
     n_occ: int
@@ -179,7 +179,7 @@ class CircuitSkeleton:
     fingerprint: str
 
     def __post_init__(self):
-        # each address is a selector label and names the PREP slot prep/<side>/<address>
+        # each address is a selector label; its PREP amplitude opens its span
         for side, adaptors in self.sides():
             addresses = sorted(ad.address for ad in adaptors)
             fits = len(addresses) <= 2**self.selector_width
@@ -205,22 +205,30 @@ class CircuitSkeleton:
         return len(self.adaptors_gen) - 1
 
     def sides(self):
-        """``(("ham", adaptors), ("gen", adaptors))``, the slot prefix of each side."""
+        """``(("ham", adaptors), ("gen", adaptors))``, in stream order."""
         return ("ham", self.adaptors_ham), ("gen", self.adaptors_gen)
 
     @cached_property
-    def slot_names(self):
-        """The slots in stream order, which a dial sheet's values follow.
+    def slot_spans(self):
+        """``(side, address) -> (start, stop)``: each adaptor's span of the stream.
 
-        Built on first use, by dial or execution (loading a skeleton and
-        ``estimate`` never build it); a line with the wrong number of slots
-        or a name the stream holds twice is a ValidationError.
+        A span holds the adaptor's PREP amplitude, then the values its lines
+        take (:data:`LINE_VALUES`).  Built on first use, by dial or
+        execution; loading a skeleton and ``estimate`` never build it.
         """
-        names = tuple(_slot_stream(self))
-        if len(set(names)) != len(names):
-            twice = Counter(names).most_common(1)[0][0]
-            raise ValidationError(f"slot {twice!r} appears twice in the layer stream")
-        return names
+        spans, start = {}, 0
+        for side, adaptors in self.sides():
+            for ad in adaptors:
+                gates = (line.partition("|")[0] for line in ad.layers)
+                stop = start + 1 + sum(LINE_VALUES.get(g, 0) for g in gates)
+                spans[side, ad.address] = start, stop
+                start = stop
+        return spans
+
+    @property
+    def n_slots(self):
+        """Length of the value stream, the stop of its last span."""
+        return next(reversed(self.slot_spans.values()))[1]
 
     def to_json(self):
         doc = {
@@ -263,25 +271,6 @@ class CircuitSkeleton:
         return skel
 
 
-def _slot_stream(skel):
-    """The slots in stream order: per adaptor, its PREP amplitude, then its lines'."""
-    names = []
-    for side, adaptors in skel.sides():
-        for ad in adaptors:
-            names.append(f"prep/{side}/{ad.address}")
-            for line in ad.layers:
-                gate, _, field = line.split("|")
-                slots = field.split(",") if field else []
-                want = SYSTEM_GATES[gate][1] if gate in SYSTEM_GATES else len(slots[:1])
-                if len(slots) != want:
-                    raise ValidationError(
-                        f"{side} adaptor {ad.address}: layer line {line!r} carries "
-                        f"{len(slots)} slots, not {want}"
-                    )
-                names += slots
-    return names
-
-
 def _adaptor_doc(ad):
     return {
         "address": ad.address,
@@ -314,7 +303,7 @@ def _adaptor_load(doc):
         raise ParseError(f"{where}: layers must be a list of lines")
     for line in layers:
         # one line per layer keeps the hashed text unambiguous
-        if type(line) is not str or "\n" in line or line.count("|") != 2:
+        if type(line) is not str or "\n" in line or line.count("|") != 1:
             raise ParseError(f"{where}: malformed layer line {line!r}")
     return AdaptorSpec(
         address=doc["address"],
@@ -329,8 +318,8 @@ def _adaptor_load(doc):
 class DialSheet:
     """Per-instance values of every skeleton parameter slot.
 
-    ``values[i]`` binds the skeleton's ``slot_names[i]``; the fingerprint
-    fixes that order, and :func:`sheet_bindings` pairs the two.
+    ``values[i]`` binds the ``i``-th slot of the skeleton's value stream,
+    a position its fingerprinted lines fix (:attr:`CircuitSkeleton.slot_spans`).
     """
 
     skeleton_fingerprint: str
@@ -402,10 +391,10 @@ def compile_skeleton(n, pivots, connectivity="full", qsp_degree=0):
     """Emit the reusable fabric for the pivot plan; its adaptors set the pool sizes.
 
     Selector width covers ``max(ell_H, ell_sigma + 1)`` (the +1 is the
-    reserved null branch at address 0); every rotation receives a unique
-    structural slot identifier; the fingerprint digests the canonical
-    layer stream.  One pool may have no ladders, for a skeleton that
-    encodes the other alone.
+    reserved null branch at address 0); each line's kind fixes the values
+    it takes, so the fingerprint, which digests the canonical layer stream,
+    fixes every slot's position.  One pool may have no ladders, for a
+    skeleton that encodes the other alone.
     """
     ell_ham, ell_gen = len(pivots.ham), len(pivots.gen)
     if ell_ham + ell_gen == 0:
@@ -445,99 +434,74 @@ def one_pool_skeleton(ham_pool, gen_pool):
     return compile_skeleton(n, plan)
 
 
-def _layer(gate, qubits, *slots):
-    """One layer as the canonical line the skeleton stores and hashes.
-
-    ``gate|q0,q1,...|s0,s1,...``; a ``None`` slot is left out, and a fixed
-    gate's slot field is empty.
-    """
-    return f"{gate}|{','.join(map(str, qubits))}|{','.join(filter(None, slots))}"
+def _layer(gate, qubits=()):
+    """One layer as the canonical line the skeleton stores and hashes."""
+    return f"{gate}|{','.join(map(str, qubits))}"
 
 
-def _ladder_layers(prefix, n, pivot, sysq):
+def _ladder_layers(n, pivot, sysq):
     ordering = tuple(p for p in range(n) if p != pivot)
-    layers = [
-        _layer("givens", (sysq(p), sysq(pivot)), f"{prefix}/rot/{k}/theta")
-        for k, p in enumerate(ordering)
-    ]
-    layers += [
-        _layer("rz", (sysq(p),), f"{prefix}/rot/{k}/phi")
-        for k, p in enumerate(ordering)
-    ]
-    layers.append(_layer("rz", (sysq(pivot),), f"{prefix}/pivot_phi"))
+    layers = [_layer("givens", (sysq(p), sysq(pivot))) for p in ordering]
+    layers += [_layer("rz", (sysq(p),)) for p in ordering]
+    layers.append(_layer("rz", (sysq(pivot),)))
     return layers
 
 
-def _pair_ladder_layers(prefix, wedge, pivot_pair, sysq):
+def _pair_ladder_layers(wedge, pivot_pair, sysq):
     """Prep-form pair ladder: ``x`` on its pivot pair, then its wedge's rotations."""
     r, s = pivot_pair
     layers = [_layer("x", (sysq(r),)), _layer("x", (sysq(s),))]
-    ordering = (pq for pq in wedge if pq != (r, s))
-    for k, (p, q) in enumerate(ordering):
-        layers.append(_layer("pgivens", map(sysq, (p, q, r, s)),
-                             f"{prefix}/rot/{k}/theta", f"{prefix}/rot/{k}/phi"))
-    layers.append(_layer("cphase", (sysq(r), sysq(s)), f"{prefix}/pivot_phi"))
+    layers += [_layer("pgivens", map(sysq, (p, q, r, s)))
+               for p, q in wedge if (p, q) != (r, s)]
+    layers.append(_layer("cphase", (sysq(r), sysq(s))))
     return layers
 
 
-def _occupation_layers(prefix, n, pivot, sysq, flag):
+def _occupation_layers(n, pivot, sysq, flag):
     """Flagged occupation ``U C U^dag``: ``U^dag``, the flag copy ``C``, ``U``."""
-    return ["begin||", *_ladder_layers(prefix, n, pivot, sysq), "dagger||",
-            _layer("cx", (sysq(pivot), flag)), _layer("x", (flag,)), "mirror||"]
+    return ["begin|", *_ladder_layers(n, pivot, sysq), "dagger|",
+            _layer("cx", (sysq(pivot), flag)), _layer("x", (flag,)), "mirror|"]
 
 
-def _select_layers(register, cases):
-    """Sub-select over ``register``: (amplitude slot or ``None``, body) per case."""
-    cases = [line for slot, body in cases for line in (_layer("case", (), slot), *body)]
-    return [_layer("select", register), *cases, "end||"]
-
-
-def _sign(prefix):
-    return _layer("gphase", (), f"{prefix}/sign_phi")
+def _select_layers(register, cases, case="case"):
+    """Sub-select over ``register``: a ``case`` (or ``fcase``) line opens each body."""
+    cases = [line for body in cases for line in (f"{case}|", *body)]
+    return [_layer("select", register), *cases, "end|"]
 
 
 def _compile_one_body(ad, n, sysq, ws0, t):
     """Mode-group adaptor: one flagged ladder per grouped eigenvector."""
-    prefix, flag, m = f"ham/{ad.address}", ws0 + t - 1, max(ad.rank, 1)
-    modes = [
-        (f"{prefix}/subprep/{j}",
-         _occupation_layers(f"{prefix}/mode{j}", n, ad.pivot[j], sysq, flag))
-        for j in range(m)
-    ]
-    body = modes[0][1] if m == 1 else _select_layers((flag - 1,), modes)
-    return AdaptorSpec(ad.address, ad.kind, ad.pivot, m, (_sign(prefix), *body))
+    flag, m = ws0 + t - 1, max(ad.rank, 1)
+    modes = [_occupation_layers(n, ad.pivot[j], sysq, flag) for j in range(m)]
+    body = modes[0] if m == 1 else _select_layers((flag - 1,), modes)
+    return AdaptorSpec(ad.address, ad.kind, ad.pivot, m, ("gphase|", *body))
 
 
 def _compile_channel(ad, n, sysq, ws0, t):
     """Squared channel: ``N S N^dag`` over a signed flag-copy select."""
-    prefix, flag = f"ham/{ad.address}", ws0 + t - 1
+    flag = ws0 + t - 1
     a_i = oracle.index_width(ad.rank)
-    network = [_layer("rz", (sysq(p),), f"{prefix}/net/phase/{p}") for p in range(n)]
-    network += [
-        _layer("givens", (sysq(p), sysq(q)), f"{prefix}/net/{k}/theta")
-        for k, (p, q) in enumerate(ladders.network_pair_sequence(n))
-    ]
-    cases = [
-        (f"{prefix}/prep/{xi}", [_layer("cx", (sysq(xi), flag)), _layer("x", (flag,)),
-                                 _sign(f"{prefix}/select/{xi}")])
-        for xi in range(ad.rank)
-    ]
-    layers = [_sign(prefix), "begin||", *network, "dagger||",
+    network = [_layer("rz", (sysq(p),)) for p in range(n)]
+    network += [_layer("givens", (sysq(p), sysq(q)))
+                for p, q in ladders.network_pair_sequence(n)]
+    cases = [[_layer("cx", (sysq(xi), flag)), _layer("x", (flag,)), "gphase|"]
+             for xi in range(ad.rank)]
+    layers = ["gphase|", "begin|", *network, "dagger|",
               *_select_layers(tuple(range(flag - a_i, flag)), cases),
-              "mirror||", _layer("square", (flag - a_i - 1,))]
+              "mirror|", _layer("square", (flag - a_i - 1,))]
     return AdaptorSpec(ad.address, ad.kind, ad.pivot, ad.rank, tuple(layers))
 
 
 def _compile_pair(ad, n, sysq, ws0, t, n_occ):
     """``i(L - L^dag)``: the arm ``W_L = U_u R_vac U_v^dag``, then its mirror."""
-    prefix, anc = f"gen/{ad.address}", ws0 + t - 1
-    u, v = (_pair_ladder_layers(f"{prefix}/{x}", wedge_pairs(n, n_occ, x), p, sysq)
+    anc = ws0 + t - 1
+    u, v = (_pair_ladder_layers(wedge_pairs(n, n_occ, x), p, sysq)
             for x, p in zip("uv", ad.pivot))
     vacuum = [_layer("h", (anc,)), _layer("mcz", tuple(map(sysq, range(n)))),
               _layer("h", (anc,))]
-    arm = ["gphase+i||", "begin||", "begin||", *v, "dagger||", *vacuum, *u, "end||"]
-    cases = [(None, arm), (None, ["gphase-i||", "mirror||"])]
-    layers = (_sign(prefix), *_select_layers((anc - 1,), cases))
+    arm = ["gphase+i|", "begin|", "begin|", *v, "dagger|", *vacuum, *u, "end|"]
+    cases = [arm, ["gphase-i|", "mirror|"]]
+    layers = ("gphase|", *_select_layers((anc - 1,), cases, "fcase"))
     return AdaptorSpec(ad.address, ad.kind, ad.pivot, 0, layers)
 
 
@@ -547,14 +511,10 @@ def _mode_pivot(ad, j):
 
 
 def _compile_bilinear_asym(ad, n, sysq, ws0, t):
-    prefix, flag = f"gen/{ad.address}", ws0 + t - 1
-    cases = [
-        (f"{prefix}/subprep/{j}",
-         [*_occupation_layers(f"{prefix}/mode{j}", n, _mode_pivot(ad, j), sysq, flag),
-          _sign(f"{prefix}/submode/{j}")])
-        for j in range(2)
-    ]
-    layers = (_sign(prefix), *_select_layers((flag - 1,), cases))
+    flag = ws0 + t - 1
+    cases = [[*_occupation_layers(n, _mode_pivot(ad, j), sysq, flag), "gphase|"]
+             for j in range(2)]
+    layers = ("gphase|", *_select_layers((flag - 1,), cases))
     return AdaptorSpec(ad.address, ad.kind, ad.pivot, 2, layers)
 
 
@@ -563,7 +523,8 @@ def fabric_fingerprint(skel):
 
     Structure only: each adaptor's address, kind, pivots and rank, then
     its layer lines as stored, one per text line, so qubit tuples enter
-    in gate order (control before target); angle values never do.
+    in gate order (control before target) and the gate kinds fix every
+    slot's stream position; angle values never enter.
     """
     h = hashlib.sha256()
     h.update(
@@ -585,18 +546,13 @@ def fabric_fingerprint(skel):
 # ---------------------------------------------------------------------------
 
 
-def _bind(bindings, prefix, thetas, phases, pivot_phase):
-    """One ladder's slots, from lists of floats: its rotations, then ``pivot_phi``."""
-    for k, theta in enumerate(thetas):
-        bindings[f"{prefix}/rot/{k}/theta"] = theta
-    for k, phi in enumerate(phases):
-        bindings[f"{prefix}/rot/{k}/phi"] = phi
-    bindings[f"{prefix}/pivot_phi"] = float(pivot_phase)
+def _ladder_row(sched):
+    """A givens ladder's values in line order: angles, phases, then ``pivot_phi``."""
+    return [*sched.thetas.tolist(), *sched.phases.tolist(), float(sched.pivot_phase)]
 
 
-def _bind_schedule(bindings, sched, prefix):
-    _bind(bindings, prefix, sched.thetas.tolist(), sched.phases.tolist(),
-          sched.pivot_phase)
+def _sign_phi(x):
+    return np.pi if x < 0 else 0.0
 
 
 def dial(skel, ham_pool, gen_pool, mask, alpha_bar=None):
@@ -606,6 +562,8 @@ def dial(skel, ham_pool, gen_pool, mask, alpha_bar=None):
     to the null branch (generator) or zero-weight branches (Hamiltonian).
     A pool is ``None`` exactly when the skeleton compiled no ladders for it,
     and a generator pool must have the occupied count the skeleton records.
+    Each adaptor's binder returns its row in line order, written into the
+    adaptor's span of the value stream.
     """
     if (ham_pool is None, gen_pool is None) != (skel.ell_ham == 0, skel.ell_gen == 0):
         raise BindError("pools must match the sides the skeleton compiled")
@@ -619,29 +577,34 @@ def dial(skel, ham_pool, gen_pool, mask, alpha_bar=None):
     masked = frozenset(mask.indices if isinstance(mask, Mask) else mask)
     if gen_pool is None and masked:
         raise MaskError("nonzero mask over a skeleton without a generator pool")
-    # every slot starts at zero, where surplus compiled adaptors idle
-    bindings, coeffs = dict.fromkeys(skel.slot_names, 0.0), {}
-    n_slots = len(bindings)
+    rows, coeffs = [], {}
     if ham_pool is not None:
-        coeffs.update(_bind_hamiltonian(skel, ham_pool, bindings))
+        coeffs.update(_bind_hamiltonian(skel, ham_pool, rows))
     if gen_pool is not None:
-        coeffs.update(_bind_generator(skel, gen_pool, masked, alpha_bar, bindings))
-    if len(bindings) > n_slots:
-        unknown = bindings.keys() - set(skel.slot_names)
-        raise BindError("bindings address unknown slots", addresses=unknown)
+        coeffs.update(_bind_generator(skel, gen_pool, masked, alpha_bar, rows))
+    # every slot starts at zero, where surplus compiled modes and adaptors idle
+    values = np.zeros(skel.n_slots)
+    for (side, address), row in rows:
+        start, stop = skel.slot_spans[side, address]
+        if len(row) != stop - start:
+            raise BindError(
+                f"{side} adaptor {address}: {len(row)} values for its "
+                f"{stop - start} slots"
+            )
+        values[start:stop] = row
 
     label = mask.label if isinstance(mask, Mask) else "mask"
     return DialSheet(
         skeleton_fingerprint=skel.fingerprint,
         mask_id=label,
         mask_indices=tuple(sorted(masked)),
-        values=tuple(bindings.values()),
+        values=tuple(values.tolist()),
         classical_coeffs=coeffs,
     )
 
 
-def _bind_hamiltonian(skel, ham_pool, bindings):
-    """Bind the Hamiltonian adaptors and PREP; returns the classical coefficients."""
+def _bind_hamiltonian(skel, ham_pool, rows):
+    """Append the Hamiltonian adaptors' rows; returns the classical coefficients."""
     n = skel.n_system
     if ham_pool.ell > skel.ell_ham:
         raise BindError(
@@ -661,6 +624,7 @@ def _bind_hamiltonian(skel, ham_pool, bindings):
             raise BindError("address missing from skeleton", addresses=[addr])
         if (lad.kind == "one_body_mode") != (ad.kind == "one_body_mode"):
             raise BindError("adaptor kind mismatch", addresses=[addr])
+        body = []
         if lad.kind == "one_body_mode":
             if lad.multiplicity != ad.rank:
                 raise BindError(
@@ -670,9 +634,9 @@ def _bind_hamiltonian(skel, ham_pool, bindings):
                 sched = ladders.one_electron_angles(
                     lad.vectors[:, j].astype(complex), pivot=ad.pivot[j], n=n
                 )
-                _bind_schedule(bindings, sched, f"ham/{addr}/mode{j}")
-                if lad.multiplicity > 1:
-                    bindings[f"ham/{addr}/subprep/{j}"] = float(1 / np.sqrt(ad.rank))
+                if lad.multiplicity > 1:  # the mode's case amplitude
+                    body.append(float(1 / np.sqrt(ad.rank)))
+                body += _ladder_row(sched)
             weight = abs(lad.coefficient) * lad.multiplicity
         else:
             ch = lad.channel
@@ -681,36 +645,41 @@ def _bind_hamiltonian(skel, ham_pool, bindings):
                     "channel rank exceeds compiled rank", addresses=[addr]
                 )
             net = ladders.rotation_network_from_matrix(ch.rotation_full)
-            for k, (_, _, theta) in enumerate(net.rotations):
-                bindings[f"ham/{addr}/net/{k}/theta"] = float(theta)
-            for p in range(n):
-                bindings[f"ham/{addr}/net/phase/{p}"] = float(net.phases[p])
+            body += [float(net.phases[p]) for p in range(n)]
+            body += [float(theta) for _, _, theta in net.rotations]
             amps, signs, _ = oracle.signed_loading(ch.eigvals)
-            for xi in range(ch.rank):  # surplus compiled eigenmodes idle at zero
-                bindings[f"ham/{addr}/prep/{xi}"] = float(amps[xi])
-                bindings[f"ham/{addr}/select/{xi}/sign_phi"] = (
-                    np.pi if signs[xi] < 0 else 0.0
-                )
+            for xi in range(ch.rank):  # each case: amplitude, then sign
+                body += [float(amps[xi]), _sign_phi(signs[xi])]
+            body += [0.0] * (2 * (ad.rank - ch.rank))  # surplus eigenmodes idle
             weight = abs(lad.coefficient) * ch.gamma**2
         omega_list.append(lad.coefficient)
-        bindings[f"ham/{addr}/sign_phi"] = np.pi if lad.coefficient < 0 else 0.0
-        bindings[f"prep/ham/{addr}"] = float(np.sqrt(weight / alpha))
+        prep = float(np.sqrt(weight / alpha))
+        rows.append((("ham", addr), [prep, _sign_phi(lad.coefficient), *body]))
     return {"Omega": [float(x) for x in omega_list], "alpha": float(alpha)}
 
 
-def _bind_pairs(skel, pairs, bindings):
-    """Bind the ``(ladder, adaptor)`` pairs' wedge ladders, one array pass per side."""
+def _pair_rows(skel, pairs):
+    """``(key, row)`` per ``(ladder, adaptor, prep)``, wedge ladders in one array pass.
+
+    A row is PREP and sign, then the ``v`` and ``u`` ladders' lines' values.
+    """
+    sides = {}
     for k, (side, factors) in enumerate((("u", "xy"), ("v", "rs"))):
         wedge = wedge_pairs(skel.n_system, skel.n_occ, side)
-        pivots = [wedge.index(ad.pivot[k]) for _, ad in pairs]
-        x, y = (np.array([getattr(lad, f) for lad, _ in pairs]) for f in factors)
-        angles = ladders.pair_ladder_angles(ladders.wedge_vectors(x, y), pivots)
-        for (lad, _), *row in zip(pairs, *(a.tolist() for a in angles)):
-            _bind(bindings, f"gen/{lad.address}/{side}", *row)
+        pivots = [wedge.index(ad.pivot[k]) for _, ad, _ in pairs]
+        x, y = (np.array([getattr(lad, f) for lad, _, _ in pairs]) for f in factors)
+        thetas, phases, gauges = ladders.pair_ladder_angles(
+            ladders.wedge_vectors(x, y), pivots
+        )
+        per_line = np.stack([thetas, phases], axis=-1).reshape(len(pairs), -1)
+        sides[side] = np.column_stack([per_line, gauges])
+    heads = [[prep, _sign_phi(lad.coefficient)] for lad, _, prep in pairs]
+    table = np.hstack([heads, sides["v"], sides["u"]])
+    return [(("gen", lad.address), row) for (lad, _, _), row in zip(pairs, table)]
 
 
-def _bind_generator(skel, gen_pool, masked, alpha_bar, bindings):
-    """Bind the generator adaptors and the masked PREP; checks mask and budget."""
+def _bind_generator(skel, gen_pool, masked, alpha_bar, rows):
+    """Append the generator adaptors' rows; checks mask and budget."""
     n = skel.n_system
     if gen_pool.ell > skel.ell_gen:
         raise BindError(
@@ -738,32 +707,29 @@ def _bind_generator(skel, gen_pool, masked, alpha_bar, bindings):
         expected = "pair" if lad.kind == "pair" else "bilinear_asym"
         if ad.kind != expected:
             raise BindError("adaptor kind mismatch", addresses=[addr])
-        if lad.kind == "pair":
-            pairs.append((lad, ad))
-        else:
-            w_vals, w_vecs = bilinear_asym_spectrum(lad.u, lad.v)
-            amps, signs, _ = oracle.signed_loading(w_vals)
-            for j in range(len(w_vals)):  # a missing second mode idles at zero
-                pivot = _mode_pivot(ad, j)
-                sched = ladders.one_electron_angles(w_vecs[:, j], pivot=pivot, n=n)
-                _bind_schedule(bindings, sched, f"gen/{addr}/mode{j}")
-                bindings[f"gen/{addr}/subprep/{j}"] = float(amps[j])
-                bindings[f"gen/{addr}/submode/{j}/sign_phi"] = (
-                    np.pi if signs[j] < 0 else 0.0
-                )
         omega_gen.append(lad.coefficient)
-        bindings[f"gen/{addr}/sign_phi"] = np.pi if lad.coefficient < 0 else 0.0
         weight = abs(lad.coefficient) * generator_branch_alpha(lad)
+        prep = 0.0
         if addr in masked:
-            bindings[f"prep/gen/{addr}"] = float(np.sqrt(weight / alpha_bar))
+            prep = float(np.sqrt(weight / alpha_bar))
             used += weight
-        else:
-            bindings[f"prep/gen/{addr}"] = 0.0
+        if lad.kind == "pair":
+            pairs.append((lad, ad, prep))
+            continue
+        w_vals, w_vecs = bilinear_asym_spectrum(lad.u, lad.v)
+        amps, signs, _ = oracle.signed_loading(w_vals)
+        row = [prep, _sign_phi(lad.coefficient)]
+        for j in range(len(w_vals)):  # each case: amplitude, ladder, sign
+            pivot = _mode_pivot(ad, j)
+            sched = ladders.one_electron_angles(w_vecs[:, j], pivot=pivot, n=n)
+            row += [float(amps[j]), *_ladder_row(sched), _sign_phi(signs[j])]
+        row += [0.0] * ((2 * n + 1) * (2 - len(w_vals)))  # a missing mode idles
+        rows.append((("gen", addr), row))
     if pairs:
-        _bind_pairs(skel, pairs, bindings)
+        rows += _pair_rows(skel, pairs)
     if used > alpha_bar * (1 + 1e-12):
         raise BindError("masked weight exceeds the global normalization")
-    bindings["prep/gen/0"] = float(np.sqrt(max(1.0 - used / alpha_bar, 0.0)))
+    rows.append((("gen", 0), [float(np.sqrt(max(1.0 - used / alpha_bar, 0.0)))]))
     return {"omega": [float(x) for x in omega_gen], "alpha_bar": float(alpha_bar)}
 
 
@@ -772,18 +738,21 @@ def _bind_generator(skel, gen_pool, masked, alpha_bar, bindings):
 # ---------------------------------------------------------------------------
 
 
-def schedule_from_bindings(values, prefix, n, pivot, targets):
-    """Schedule read back from :func:`_bind`'s slots; ``targets`` include the pivot.
+def schedule_from_values(values, n, pivot, targets):
+    """Schedule read back from one ladder's values; ``targets`` include the pivot.
 
-    ``values`` is the :func:`sheet_bindings` map.
+    Takes the ladder's ``2k + 1`` values from the iterator ``values`` in line
+    order: a givens ladder's angles, then phases; a pair ladder's angle and
+    phase per ``pgivens`` line; then ``pivot_phi``.
     """
     sector, skip = ("one", pivot[0]) if len(pivot) == 1 else ("two", tuple(pivot))
     ordering = tuple(t for t in targets if t != skip)
-    thetas = np.array([values[f"{prefix}/rot/{k}/theta"] for k in range(len(ordering))])
-    phs = np.array([values[f"{prefix}/rot/{k}/phi"] for k in range(len(ordering))])
-    pivot_phi = values[f"{prefix}/pivot_phi"]
+    k = len(ordering)
+    taken = np.fromiter(values, float, 2 * k + 1)
+    rot = taken[:2 * k]
+    thetas, phs = rot.reshape(2, k) if sector == "one" else rot.reshape(k, 2).T
     return ladders.LadderSchedule(
-        sector, n, tuple(pivot), ordering, thetas, phs, pivot_phi
+        sector, n, tuple(pivot), ordering, thetas, phs, taken[2 * k]
     )
 
 
@@ -792,13 +761,15 @@ class _Interpreter:
 
     A frame's factors are ``(node, width, adjoint)`` in application order;
     ``width`` counts workspace qubits up from the system register, whose
-    neighbour is local qubit ``-1``.
+    neighbour is local qubit ``-1``.  ``values`` are the adaptor's after
+    its PREP amplitude, each line taking its own from a cursor.
     """
 
     def __init__(self, skel, values, lines):
         self.n = skel.n_system
         self.sys0 = skel.selector_width + skel.workspace_width
-        self.values = values  # slot name -> value
+        self.values = values
+        self.cursor = 0
         self.lines = [line.split("|") for line in lines]
         self.pos = 0
         self.last = None  # the most recently closed block, as applied
@@ -807,24 +778,27 @@ class _Interpreter:
         """Factors and phase of the lines up to the next closer, and that closer."""
         factors, run, phase = [], [], 1.0
         while self.pos < len(self.lines):
-            gate, qubits, slot = self.lines[self.pos]
+            gate, qubits = self.lines[self.pos]
             self.pos += 1
+            taken = self.cursor + LINE_VALUES.get(gate, 0)
+            angles, self.cursor = self.values[self.cursor:taken], taken
             qs = [int(q) - self.sys0 for q in qubits.split(",")] if qubits else []
             if qs and min(qs) >= 0:
-                run.append(self._system_gate(gate, tuple(qs), slot))
+                run.append(self._system_gate(gate, tuple(qs), angles))
                 continue
             if run:
                 factors.append((self._leaf(run), 0, False))
                 run = []
-            if gate in ("end", "dagger", "case"):
-                return factors, phase, (gate, slot)
+            if gate in ("end", "dagger", "case", "fcase"):
+                return factors, phase, (gate, *angles)
             if gate == "gphase":
-                phase *= np.exp(1j * self.values[slot])
+                phase *= np.exp(1j * angles[0])
             elif gate in ("gphase+i", "gphase-i"):
                 phase *= 1j if gate == "gphase+i" else -1j
             elif gate == "begin":
                 body, body_phase, closer = self.frame()
-                self._expect(closer and closer[0] != "case" and body_phase == 1.0,
+                closed = closer and closer[0] in ("end", "dagger")
+                self._expect(closed and body_phase == 1.0,
                              "a phase-free block closed by end or dagger")
                 self.last = (*_combine(body), closer[0] == "dagger")
                 factors.append(self.last)
@@ -845,14 +819,12 @@ class _Interpreter:
             factors.append((self._leaf(run), 0, False))
         return factors, phase, None
 
-    def _system_gate(self, gate, qs, field):
+    def _system_gate(self, gate, qs, angles):
         """One system line as a :func:`ladders.apply_gates` gate."""
         if gate not in SYSTEM_GATES:
             raise ValidationError(f"unknown system gate {gate!r}")
-        modes, count = SYSTEM_GATES[gate]
-        angles = [self.values[slot] for slot in field.split(",")] if field else []
-        self._expect((len(qs), len(angles)) == (modes, count),
-                     f"{gate} on {modes} modes with {count} slots")
+        modes = SYSTEM_GATES[gate]
+        self._expect(len(qs) == modes, f"{gate} on {modes} modes")
         if gate == "x":
             return ("x", qs)
         if gate in ("rz", "cphase"):
@@ -865,7 +837,7 @@ class _Interpreter:
 
     def _idiom(self, gate, qs):
         """Flag copy ``cx x``, vacuum reflection ``h mcz h``, or the null flip ``x``."""
-        n, flag = self.n, [str(self.sys0 - 1), ""]
+        n, flag = self.n, [str(self.sys0 - 1)]
         rest = self.lines[self.pos:self.pos + 2]
         system = ",".join(str(self.sys0 + p) for p in range(n))
         if gate == "x" and qs == [-1]:
@@ -874,29 +846,28 @@ class _Interpreter:
             self._expect(rest[:1] == [["x", *flag]], "cx, then x on its flag")
             self.pos += 1
             return oracle._flag_copy(qs[0], n)
-        if gate == "h" and qs == [-1] and rest == [["mcz", system, ""], ["h", *flag]]:
+        if gate == "h" and qs == [-1] and rest == [["mcz", system], ["h", *flag]]:
             self.pos += 2
             return oracle.vacuum_reflection_gadget(n)
         raise ValidationError(f"no gadget for {gate!r} on local qubits {qs}")
 
     def _sub_select(self, register):
         """PREP-SELECT-PREP over ``register``; an idle all-zero PREP loads case 0."""
+        opens = ("case", "fcase")
         body, _, closer = self.frame()
-        self._expect(not body and closer and closer[0] == "case", "select opens a case")
+        self._expect(not body and closer and closer[0] in opens, "select opens a case")
         cases = []
-        while closer and closer[0] == "case":
-            slot = closer[1]
+        while closer and closer[0] in opens:
+            amp = closer[1:]  # the dialed amplitude; none on an fcase line
             body, phase, closer = self.frame()
-            cases.append((slot, *_combine(body), phase))
-        slots, ops, widths, phases = zip(*cases)
+            cases.append((amp, *_combine(body), phase))
+        dialed, ops, widths, phases = zip(*cases)
         width = max(widths)
         self._expect(closer and closer[0] == "end", "select closed by end")
         self._expect(register == list(range(-width - len(register), -width)),
                      "the select register right above its cases")
         amps = np.zeros(2 ** len(register))
-        amps[: len(ops)] = (
-            [self.values[s] for s in slots] if all(slots) else 1 / np.sqrt(len(ops))
-        )
+        amps[: len(ops)] = sum(dialed, ()) if all(dialed) else 1 / np.sqrt(len(ops))
         if np.linalg.norm(amps) < 1e-12:
             amps[0] = 1.0
         node = oracle._prep_select_prep(amps, ops, phases, self.n, width)
@@ -923,9 +894,11 @@ def _combine(factors):
     return (ops[0] if len(ops) == 1 else oracle._Product(*ops)), width
 
 
-def _branch(skel, values, ad):
-    """Gadget node of one adaptor's lines, and its branch phase (the sign)."""
-    factors, phase, closer = _Interpreter(skel, values, ad.layers).frame()
+def _branch(skel, values, side, ad):
+    """Gadget node of one adaptor's lines, read over its span, and its branch phase."""
+    start, stop = skel.slot_spans[side, ad.address]
+    lines = _Interpreter(skel, values[start + 1:stop], ad.layers)
+    factors, phase, closer = lines.frame()
     if closer is not None:
         raise ValidationError(f"adaptor {ad.address}: unmatched {closer[0]!r}")
     return _combine(factors)[0], phase
@@ -980,18 +953,15 @@ def execute_hamiltonian_block(skel, sheet):
 
 
 def _select(skel, sheet, side):
-    """PREP-SELECT-PREP node over one side's branches; checks the PREP norm."""
-    values = sheet_bindings(skel, sheet)
-    adaptors = skel.adaptors_gen if side == "gen" else skel.adaptors_ham
+    """PREP-SELECT-PREP node over one side's branches (oracle checks the PREP norm)."""
+    values = sheet_values(skel, sheet)
+    adaptors = dict(skel.sides())[side]
     amps = np.zeros(2**skel.selector_width)
     for ad in adaptors:
-        amps[ad.address] = values[f"prep/{side}/{ad.address}"]
-    norm = np.linalg.norm(amps)
-    if abs(norm - 1.0) > 1e-9:
-        name = "generator" if side == "gen" else "hamiltonian"
-        raise BindError(f"{name} prep amplitudes have norm {norm!r}")
+        amps[ad.address] = values[skel.slot_spans[side, ad.address][0]]
     ops, phases = zip(*(
-        _branch(skel, values, ad) for ad in sorted(adaptors, key=lambda a: a.address)
+        _branch(skel, values, side, ad)
+        for ad in sorted(adaptors, key=lambda a: a.address)
     ))
     width = generator_workspace_width(skel) if side == "gen" else skel.workspace_width
     return oracle._prep_select_prep(amps, ops, phases, skel.n_system, width)
@@ -1000,7 +970,7 @@ def _select(skel, sheet, side):
 def execute_adaptor(skel, sheet, address):
     """Sparse (CSR) branch unitary of one adaptor, run from its layer lines.
 
-    ``address`` is the adaptor's slot prefix, ``"ham/<a>"`` or
+    ``address`` is the adaptor's side and address, ``"ham/<a>"`` or
     ``"gen/<a>"``.  The branch is the one the multiplexed encoding selects
     (the same lines), on its own workspace plus the system register and
     without its sign line's phase, so its block is the adaptor's
@@ -1015,20 +985,20 @@ def execute_adaptor(skel, sheet, address):
     own = () if ad.kind == "null" else (ad,)
     lists = (own, ()) if side == "ham" else ((), own)
     oracle.check_assembly_width(plan_workspace_width(*lists) + skel.n_system)
-    return oracle._csr(_branch(skel, sheet_bindings(skel, sheet), ad)[0])
+    return oracle._csr(_branch(skel, sheet_values(skel, sheet), side, ad)[0])
 
 
-def sheet_bindings(skel, sheet):
-    """Slot name -> value map of a dial sheet, the one place names meet values.
+def sheet_values(skel, sheet):
+    """A dial sheet's value stream, checked against the skeleton.
 
     The sheet must carry the skeleton's fingerprint and one value per slot;
-    ``values[i]`` binds ``skel.slot_names[i]``.
+    ``values[i]`` binds the stream's ``i``-th slot.
     """
     if sheet.skeleton_fingerprint != skel.fingerprint:
         raise BindError("dial sheet bound to a different skeleton fingerprint")
-    if len(sheet.values) != len(skel.slot_names):
+    if len(sheet.values) != skel.n_slots:
         raise BindError(
             f"dial sheet holds {len(sheet.values)} values for the skeleton's "
-            f"{len(skel.slot_names)} slots"
+            f"{skel.n_slots} slots"
         )
-    return dict(zip(skel.slot_names, sheet.values))
+    return sheet.values

@@ -41,12 +41,11 @@ _STRICTLY_POSITIVE = ("tau_chol", "eps_poly", "eta")
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Thresholds, seeds, and paths of one pipeline invocation."""
+    """Thresholds and paths of one pipeline invocation."""
 
     command: str
     inputs: dict
     thresholds: dict
-    seed: int | None
     out: str
 
     def validate(self):
@@ -104,7 +103,6 @@ def cmd_factorize(args):
             "tau_svd": args.tau_svd,
             "tau_wedge": args.tau_wedge,
         },
-        args.seed,
         args.out,
     ).validate()
     ints = _load_integrals(args)
@@ -141,7 +139,6 @@ def cmd_compile(args):
         "compile",
         {"pool": args.pool},
         {"eps_poly": args.eps_poly},
-        args.seed,
         args.out,
     ).validate().as_dict()
     _write(args.out, json.dumps(doc, sort_keys=True))
@@ -227,48 +224,50 @@ def _generator_target_from_sheet(skel, sheet):
     Reconstructs each ladder's prepared state vectors from the bound
     schedules and assembles the dyadic operators directly, independent of
     the gadget algebra that :func:`execute_generator_encoding` exercises.
+    Each adaptor's values are read by position from its span: PREP
+    amplitude and sign, then a pair's ``v`` and ``u`` ladders, or per
+    bilinear mode its sub-amplitude, ladder and sign.
     """
     n = skel.n_system
     dim = 2**n
     vac = np.zeros(dim, dtype=complex)
     vac[0] = 1.0
     omegas = sheet.classical_coeffs["omega"]
-    values = cir.sheet_bindings(skel, sheet)
+    values = cir.sheet_values(skel, sheet)
     total = np.zeros((dim, dim), dtype=complex)
     cr, _ = jw.jw_ladder_ops(n)
     for ad in skel.adaptors_gen:
         if ad.kind == "null":
             continue
-        amp = values[f"prep/gen/{ad.address}"]
+        start, stop = skel.slot_spans["gen", ad.address]
+        amp = values[start]
         if amp == 0.0:
             continue
+        row = iter(values[start + 2:stop])  # past the PREP amplitude and sign
         om = omegas[ad.address - 1] if ad.address - 1 < len(omegas) else 0.0
         sign = 1.0 if om >= 0 else -1.0
         weight = amp**2 * sign
         if ad.kind == "pair":
-            state_u, state_v = (
-                ladders.apply_ladder_dense(cir.schedule_from_bindings(
-                    values, f"gen/{ad.address}/{side}", n, pivot,
-                    cir.wedge_pairs(n, skel.n_occ, side),
+            state_v, state_u = (
+                ladders.apply_ladder_dense(cir.schedule_from_values(
+                    row, n, pivot, cir.wedge_pairs(n, skel.n_occ, side)
                 ), vac)
-                for side, pivot in zip("uv", ad.pivot)
+                for side, pivot in (("v", ad.pivot[1]), ("u", ad.pivot[0]))
             )
             dyad = np.outer(state_u, state_v.conj())
             total += weight * 0.5j * (dyad - dyad.conj().T)
         else:
             for j in range(2):
                 pivot = ad.pivot[j] if j < len(ad.pivot) else 0
-                sched = cir.schedule_from_bindings(
-                    values, f"gen/{ad.address}/mode{j}", n, (pivot,), range(n)
-                )
+                sub_amp = next(row)
+                sched = cir.schedule_from_values(row, n, (pivot,), range(n))
+                sub_sign = np.exp(1j * next(row))
                 state = ladders.apply_ladder_dense(sched, vac)
                 w_vec = np.array(
                     [state[jw.basis_state(n, [p])] for p in range(n)]
                 )
                 aw = sum(w_vec[p] * cr[p] for p in range(n))
                 n_w = (aw @ aw.conj().T).toarray()
-                sub_amp = values[f"gen/{ad.address}/subprep/{j}"]
-                sub_sign = np.exp(1j * values[f"gen/{ad.address}/submode/{j}/sign_phi"])
                 total += weight * (sub_amp**2) * sub_sign.real * n_w
     return total
 
@@ -334,7 +333,6 @@ def build_parser():
     p.add_argument("--tau-svd", type=float, default=1e-6, dest="tau_svd")
     p.add_argument("--tau-wedge", type=float, default=1e-6, dest="tau_wedge")
     p.add_argument("--no-generator", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_factorize)
 
@@ -342,7 +340,6 @@ def build_parser():
     p.add_argument("--pool", required=True)
     p.add_argument("--eps-poly", type=float, default=1e-8, dest="eps_poly")
     p.add_argument("--connectivity", default="full")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compile)
 

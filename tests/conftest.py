@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from composer import circuit_ir as cir
 from composer import jw, oracle
 from composer.factorization import (
     BilinearLadder,
@@ -91,8 +92,19 @@ def assert_encodes(w, target, n, sector):
     assert abs(gram).max() <= 1e-11
 
 
+def line_value_index(skel, side, ad, k):
+    """Stream position of the first value that line ``k`` of adaptor ``ad`` takes.
+
+    Past the adaptor's PREP amplitude, each earlier line takes its
+    :data:`circuit_ir.LINE_VALUES`.
+    """
+    start, _ = skel.slot_spans[side, ad.address]
+    gates = (line.partition("|")[0] for line in ad.layers[:k])
+    return start + 1 + sum(cir.LINE_VALUES.get(gate, 0) for gate in gates)
+
+
 def adaptor_targets(ham, gen):
-    """Dense per-ladder target of every adaptor, keyed by its slot prefix.
+    """Dense per-ladder target of every adaptor, keyed by side and address.
 
     Built from the pools, independently of the gadgets: a one-body mode
     encodes ``sum_j n(w_j) / m``, a channel ``O^2 / Gamma^2``, and a pair

@@ -1,6 +1,5 @@
 import json
 import math
-import re
 from dataclasses import replace
 from functools import lru_cache
 from types import SimpleNamespace
@@ -18,6 +17,7 @@ from composer.factorization import (
     GeneratorPool,
     HamiltonianPool,
     build_hamiltonian_pool,
+    generator_branch_alpha,
     mp2_amplitudes,
     nested_svd_t2,
 )
@@ -26,6 +26,7 @@ from composer.resources import CONTROL_OVERHEAD, block_cost, estimate
 from conftest import (
     adaptor_targets,
     assert_encodes,
+    line_value_index,
     mixed_generator_pool,
     sector_projector_diagonal,
 )
@@ -123,10 +124,24 @@ def test_fingerprint_recompute_matches(compiled):
 
 
 def test_dial_binds_every_slot(compiled):
+    """The spans tile the stream in adaptor order, and the sheet fills it."""
     ham, gen, skel = compiled
     sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", [1, 2]))
-    assert list(cir.sheet_bindings(skel, sheet)) == list(cir._slot_stream(skel))
+    order = [(side, ad.address) for side, adaptors in skel.sides() for ad in adaptors]
+    assert list(skel.slot_spans) == order
+    spans = list(skel.slot_spans.values())
+    assert [start for start, _ in spans] == [0, *(stop for _, stop in spans[:-1])]
+    assert len(sheet.values) == skel.n_slots == spans[-1][1]
     assert sheet.skeleton_fingerprint == skel.fingerprint
+
+
+def _prep_starts(skel, side, addresses):
+    """Stream positions of the PREP amplitudes of ``side``'s ``addresses``."""
+    return {skel.slot_spans[side, a][0] for a in addresses}
+
+
+def _changed(a, b, tol=0.0):
+    return set(np.flatnonzero(np.abs(np.subtract(a.values, b.values)) > tol).tolist())
 
 
 def test_dial_never_mutates_skeleton(compiled):
@@ -145,13 +160,13 @@ def test_two_masks_one_skeleton(compiled):
 
 
 def test_mask_changes_only_prep_amplitudes(compiled):
+    """Only the generator PREP amplitudes, each its span's first value, change."""
     ham, gen, skel = compiled
     full, empty = (
-        cir.sheet_bindings(skel, cir.dial(skel, ham, gen, cir.Mask.of(label, mask)))
+        cir.dial(skel, ham, gen, cir.Mask.of(label, mask))
         for label, mask in (("full", [1, 2, 3]), ("empty", []))
     )
-    diff = {k for k in full if full[k] != empty[k]}
-    assert all(k.startswith("prep/gen/") for k in diff)
+    assert _changed(full, empty) == _prep_starts(skel, "gen", [0, 1, 2, 3])
 
 
 def test_coefficient_rescale_changes_only_amplitudes(compiled):
@@ -181,11 +196,10 @@ def test_coefficient_rescale_changes_only_amplitudes(compiled):
     worst = doubled.alpha_bar
     mask = cir.Mask.of("m", [1, 2])
     base, scaled = (
-        cir.sheet_bindings(skel, cir.dial(skel, ham, pool, mask, alpha_bar=worst))
-        for pool in (gen, doubled)
+        cir.dial(skel, ham, pool, mask, alpha_bar=worst) for pool in (gen, doubled)
     )
-    diff = {k for k in base if abs(base[k] - scaled[k]) > 1e-15}
-    assert all(k.startswith("prep/gen/") for k in diff)
+    # the masked branches and the null branch take up the rescaled weight
+    assert _changed(base, scaled, 1e-15) == _prep_starts(skel, "gen", [0, 1, 2])
 
 
 def test_dial_rejects_oversized_pool(compiled, small_pools):
@@ -218,12 +232,16 @@ def test_skeleton_records_the_occupied_count(small_pools, mixed_gen_pool):
 
 
 @lru_cache(maxsize=None)
-def _synth_skeleton(synth):
-    """Skeleton of ``--synth seed:n_spatial:n_elec`` at the command-line thresholds."""
+def _synth_compiled(synth):
+    """Pools and skeleton of ``--synth seed:n_spatial:n_elec`` at the CLI thresholds."""
     ints = synth_instance(*map(int, synth.split(":")))
     ham = build_hamiltonian_pool(ints, 1e-8, 0.0)
     gen = nested_svd_t2(mp2_amplitudes(ints), 1e-6, 1e-6)
-    return cir.compile_skeleton(ints.n_so, cir.pivots_from_pools(ham, gen))
+    return ham, gen, cir.compile_skeleton(ints.n_so, cir.pivots_from_pools(ham, gen))
+
+
+def _synth_skeleton(synth):
+    return _synth_compiled(synth)[2]
 
 
 def _pair_adaptors(skel):
@@ -244,18 +262,23 @@ def _reloaded(skel, ad, layers):
 
 @pytest.mark.parametrize("synth", ["5:3:2", "1:4:4", "1:8:8"])
 def test_pair_ladders_rotate_over_their_own_wedge(synth):
-    """A ``/u/`` rotation acts on four virtual modes, a ``/v/`` one on four occupied."""
+    """A ``u`` rotation acts on four virtual modes, a ``v`` one on four occupied.
+
+    The ``v`` ladder is the one inside ``begin ... dagger``, the ``u``
+    ladder the one after it.
+    """
     skel = _synth_skeleton(synth)
     sys0 = skel.selector_width + skel.workspace_width
     virtual = range(skel.n_occ, skel.n_system)
     for ad in _pair_adaptors(skel):
-        rotations = [ln.split("|") for ln in ad.layers if ln.startswith("pgivens|")]
+        dagger = ad.layers.index("dagger|")
+        rotations = [(k > dagger, ln.split("|")[1]) for k, ln in enumerate(ad.layers)
+                     if ln.startswith("pgivens|")]
         assert rotations
-        for _, qubits, slot in rotations:
+        for u, qubits in rotations:
             modes = [int(q) - sys0 for q in qubits.split(",")]
-            side = slot.split("/")[2]
-            assert side in "uv" and len(modes) == 4
-            assert all((m in virtual) == (side == "u") for m in modes), (slot, modes)
+            assert len(modes) == 4
+            assert all((m in virtual) == u for m in modes), (u, modes)
 
 
 @pytest.mark.parametrize("synth", ["1:2:2", "5:3:2", "1:4:4", "1:8:8"])
@@ -275,29 +298,36 @@ def test_pair_rotations_are_the_priced_blocks(synth):
 
 @pytest.mark.parametrize("synth", ["5:3:2", "1:4:4"])
 def test_pair_adaptor_slots_keep_their_stream_order(synth):
-    """A pair adaptor's slots, which positional sheets follow, in pinned order.
+    """A pair adaptor's span, which positional sheets follow, in pinned order.
 
-    PREP and sign, then the ``v`` side, then the ``u`` side; on each side
-    ``theta_k, phi_k`` of the ``pgivens`` line on the ``k``-th non-pivot
-    pair of its wedge, then ``pivot_phi``.
+    PREP amplitude and sign, then the ``v`` ladder, then the ``u`` ladder;
+    a ladder is ``theta_k, phi_k`` of the ``pgivens`` line on the ``k``-th
+    non-pivot pair of its wedge, then ``pivot_phi``.
     """
-    skel = _synth_skeleton(synth)
+    ham, gen, skel = _synth_compiled(synth)
+    sheet = cir.dial(skel, ham, gen, cir.Mask.of("full", gen.by_address()))
     sys0 = skel.selector_width + skel.workspace_width
     for ad in _pair_adaptors(skel):
-        prefix = f"gen/{ad.address}"
-        expected, rotated = [f"prep/gen/{ad.address}", f"{prefix}/sign_phi"], []
+        lad = gen.by_address()[ad.address]
+        weight = abs(lad.coefficient) * generator_branch_alpha(lad)
+        expected = [np.sqrt(weight / gen.alpha_bar), np.pi * (lad.coefficient < 0)]
+        rotated = []
         for side, pivot in (("v", ad.pivot[1]), ("u", ad.pivot[0])):
             wedge = cir.wedge_pairs(skel.n_system, skel.n_occ, side)
-            for k, pq in enumerate(pq for pq in wedge if pq != pivot):
-                expected += [f"{prefix}/{side}/rot/{k}/{a}" for a in ("theta", "phi")]
-                rotated.append(pq)
-            expected.append(f"{prefix}/{side}/pivot_phi")
-        start = skel.slot_names.index(expected[0])
-        end = start + len(expected)
-        assert skel.slot_names[start:end] == tuple(expected)
-        assert skel.slot_names[end:end + 1] in ((), (f"prep/gen/{ad.address + 1}",))
+            vector = (lad.occupied_pair_vector() if side == "v"
+                      else lad.virtual_pair_vector())
+            (thetas,), (phases,), (gauge,) = ladders.pair_ladder_angles(
+                [vector], [wedge.index(pivot)]
+            )
+            for theta, phi in zip(thetas, phases):
+                expected += [theta, phi]
+            expected.append(gauge)
+            rotated += [pq for pq in wedge if pq != pivot]
+        start, stop = skel.slot_spans["gen", ad.address]
+        assert stop - start == len(expected)
+        assert np.abs(np.subtract(sheet.values[start:stop], expected)).max() <= 1e-14
         lines = [ln.split("|") for ln in ad.layers if ln.startswith("pgivens|")]
-        modes = [tuple(int(q) - sys0 for q in qs.split(",")[:2]) for _, qs, _ in lines]
+        modes = [tuple(int(q) - sys0 for q in qs.split(",")[:2]) for _, qs in lines]
         assert modes == rotated
 
 
@@ -320,7 +350,7 @@ def test_a_pair_pivot_outside_its_wedge_is_rejected(compiled):
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_null_branch_amplitude_is_monotone_in_the_mask(mixed_gen_pool, data):
-    """A larger mask never raises ``prep/gen/0``; each sheet's PREP has unit norm."""
+    """A larger mask never raises the null amplitude; each PREP has unit norm."""
     gen = mixed_gen_pool
     skel = cir.one_pool_skeleton(None, gen)
     big = data.draw(st.sets(st.sampled_from([lad.address for lad in gen.ladders])))
@@ -328,9 +358,10 @@ def test_null_branch_amplitude_is_monotone_in_the_mask(mixed_gen_pool, data):
     nulls = []
     for mask in (small, big):
         sheet = cir.dial(skel, None, gen, cir.Mask.of("m", mask))
-        bindings = cir.sheet_bindings(skel, sheet)
-        nulls.append(bindings["prep/gen/0"])
-        masked = sum(bindings[f"prep/gen/{a}"] ** 2 for a in mask)
+        values = cir.sheet_values(skel, sheet)
+        prep = {a: values[start] for (_, a), (start, _) in skel.slot_spans.items()}
+        nulls.append(prep[0])
+        masked = sum(prep[a] ** 2 for a in mask)
         assert abs(nulls[-1] ** 2 + masked - 1) <= 1e-12
     assert nulls[1] <= nulls[0]
 
@@ -480,7 +511,6 @@ def test_layer_stream_is_the_program(compiled):
     """A re-targeted givens line, re-fingerprinted, changes what executes."""
     ham, gen, skel = compiled
     sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", [1]))
-    bindings = cir.sheet_bindings(skel, sheet)
     n = skel.n_system
     target = hamiltonian_target(ham)
     block = cir.execute_hamiltonian_block(skel, sheet)
@@ -489,14 +519,14 @@ def test_layer_stream_is_the_program(compiled):
     ad = next(a for a in skel.adaptors_ham if a.kind == "one_body_mode")
     k = max(
         (k for k, line in enumerate(ad.layers) if line.startswith("givens|")),
-        key=lambda k: abs(bindings[ad.layers[k].split("|")[2]]),
+        key=lambda k: abs(sheet.values[line_value_index(skel, "ham", ad, k)]),
     )
-    _, qubits, slot = ad.layers[k].split("|")
+    _, qubits = ad.layers[k].split("|")
     target_q, pivot = (int(q) for q in qubits.split(","))
     sys0 = skel.selector_width + skel.workspace_width
     other = next(q for q in range(sys0, sys0 + n) if q not in (target_q, pivot))
     layers = list(ad.layers)
-    layers[k] = f"givens|{other},{pivot}|{slot}"
+    layers[k] = f"givens|{other},{pivot}"
     tampered = _reloaded(skel, ad, layers)
     sheet = cir.dial(tampered, ham, gen, cir.Mask.of("m", [1]))
     block = cir.execute_hamiltonian_block(tampered, sheet)
@@ -515,8 +545,8 @@ def _pair_line_skeleton():
 def _two_mode_pgivens(layers):
     """Drop the pivot modes of the first ``pgivens`` line."""
     k = next(k for k, line in enumerate(layers) if line.startswith("pgivens|"))
-    gate, qubits, slots = layers[k].split("|")
-    layers[k] = f"{gate}|{','.join(qubits.split(',')[:2])}|{slots}"
+    gate, qubits = layers[k].split("|")
+    layers[k] = f"{gate}|{','.join(qubits.split(',')[:2])}"
     return k + 1
 
 
@@ -540,26 +570,30 @@ def test_malformed_pair_lines_are_rejected(edit):
         cir.execute_adaptor(tampered, sheet, f"gen/{ad.address}")
 
 
-@pytest.mark.parametrize(
-    ("gate", "count"),
-    [("pgivens", 1), ("pgivens", 3), ("givens", 2), ("gphase", 2), ("case", 2)],
-)
-def test_a_line_with_the_wrong_slot_count_is_rejected(gate, count):
-    """``pgivens`` carries two slots, any other line at most one.
-
-    Re-fingerprinted, the edited skeleton loads, and building its slot
-    stream (dial) is a ValidationError that names the line.
-    """
-    ham, gen, skel = _pair_line_skeleton()
+@pytest.mark.parametrize("gate", ["pgivens", "givens", "gphase", "case", "fcase"])
+def test_a_line_with_a_third_field_is_rejected(gate):
+    """A v8-style slot field after the qubits is a ParseError, even re-fingerprinted."""
+    _, _, skel = _pair_line_skeleton()
     ad, k = next(
         (a, k) for _, adaptors in skel.sides() for a in adaptors
         for k, line in enumerate(a.layers) if line.startswith(f"{gate}|")
     )
     layers = list(ad.layers)
-    head = layers[k].rpartition("|")[0]
-    layers[k] = f"{head}|{','.join(f'edited/{j}' for j in range(count))}"
-    tampered = _reloaded(skel, ad, layers)
-    with pytest.raises(ValidationError, match=re.escape(f"line {layers[k]!r}")):
+    layers[k] += "|edited/0"
+    with pytest.raises(ParseError, match="malformed layer line"):
+        _reloaded(skel, ad, layers)
+
+
+def test_a_row_that_misfits_its_span_is_a_bind_error():
+    """A dropped ``givens`` line, re-fingerprinted, loads; dial names the adaptor."""
+    ham, gen, skel = _pair_line_skeleton()
+    ad = next(a for a in skel.adaptors_ham if a.kind == "one_body_mode")
+    k = next(k for k, line in enumerate(ad.layers) if line.startswith("givens|"))
+    tampered = _reloaded(skel, ad, ad.layers[:k] + ad.layers[k + 1:])
+    start, stop = skel.slot_spans["ham", ad.address]
+    row = stop - start
+    match = f"ham adaptor {ad.address}: {row} values for its {row - 1} slots"
+    with pytest.raises(BindError, match=match):
         cir.dial(tampered, ham, gen, cir.Mask.of("m", [1]))
 
 
@@ -596,8 +630,8 @@ def test_run_of_system_lines_is_the_product_of_its_gates(data):
     n = data.draw(st.integers(3, 6), label="modes")
     modes, pairs = st.integers(0, n - 1), st.sampled_from(ladders.pair_indices(n))
     angle = st.floats(-np.pi, np.pi)
-    lines, bound, expected = [], {}, np.eye(2**n)
-    for k in range(data.draw(st.integers(1, 8), label="length")):
+    lines, values, expected = [], [], np.eye(2**n)
+    for _ in range(data.draw(st.integers(1, 8), label="length")):
         gate = data.draw(st.sampled_from(["givens", "pgivens", "rz", "cphase", "x"]))
         if gate == "givens":
             qs = data.draw(st.lists(modes, min_size=2, max_size=2, unique=True))
@@ -609,12 +643,11 @@ def test_run_of_system_lines_is_the_product_of_its_gates(data):
         else:
             qs = [data.draw(modes)]
         drawn = [data.draw(angle), data.draw(angle)]
-        slots = [f"t{k}", f"f{k}"][: {"pgivens": 2, "x": 0}.get(gate, 1)]
-        bound.update(zip(slots, drawn))
-        lines.append(f"{gate}|{','.join(map(str, qs))}|{','.join(slots)}")
+        values += drawn[: cir.LINE_VALUES.get(gate, 0)]
+        lines.append(f"{gate}|{','.join(map(str, qs))}")
         expected = _expm_line(n, gate, qs, drawn) @ expected
     skel = SimpleNamespace(n_system=n, selector_width=0, workspace_width=0)
-    factors, _, closer = cir._Interpreter(skel, bound, lines).frame()
+    factors, _, closer = cir._Interpreter(skel, tuple(values), lines).frame()
     assert closer is None
     [(leaf, width, adjoint)] = factors
     assert (width, adjoint) == (0, False)
@@ -691,10 +724,6 @@ def _reverse_first(gate):
     return _edit_first(gate, reverse)
 
 
-def _rename_slot(fields):
-    fields[2] += "_renamed"
-
-
 def _widen(field):
     def tamper(doc):
         doc[field] += 3
@@ -703,8 +732,8 @@ def _widen(field):
 
 
 def _retarget(doc):
-    gate, _, slot = doc["adaptors_gen"][1]["layers"][0].split("|")
-    doc["adaptors_gen"][1]["layers"][0] = f"{gate}|0|{slot}"
+    gate, _ = doc["adaptors_gen"][1]["layers"][0].split("|")
+    doc["adaptors_gen"][1]["layers"][0] = f"{gate}|0"
 
 
 def _embed_newline(doc):
@@ -714,11 +743,10 @@ def _embed_newline(doc):
 
 
 def _list_layer(doc):
-    """A v2-style ``[gate, qubits, slot]`` list in place of a line."""
-    gate, qubits, slot = doc["adaptors_gen"][1]["layers"][0].split("|")
-    doc["adaptors_gen"][1]["layers"][0] = [
-        gate, [int(q) for q in qubits.split(",") if q], slot or None
-    ]
+    """A v2-style ``[gate, qubits]`` list in place of a line."""
+    gate, qubits = doc["adaptors_gen"][1]["layers"][0].split("|")
+    qubits = [int(q) for q in qubits.split(",") if q]
+    doc["adaptors_gen"][1]["layers"][0] = [gate, qubits]
 
 
 def _drop_first(gate):
@@ -763,9 +791,6 @@ def _lower_channel_rank(doc):
         pytest.param(_widen("selector_width"), ValidationError, id="selector_width"),
         pytest.param(_widen("workspace_width"), ValidationError, id="workspace_width"),
         pytest.param(_widen("n_occ"), ValidationError, id="n_occ"),
-        pytest.param(
-            _edit_first("case", _rename_slot), ValidationError, id="renamed-slot"
-        ),
         pytest.param(_drop_first("gphase"), ValidationError, id="dropped-sign-line"),
         pytest.param(_drop_first("mirror"), ValidationError, id="dropped-mirror"),
         pytest.param(
@@ -802,8 +827,8 @@ def test_adaptor_addresses_must_label_the_selector(compiled):
 @pytest.mark.parametrize(
     "fmt",
     ["composer-skel-v1", "composer-skel-v2", "composer-skel-v3", "composer-skel-v4",
-     "composer-skel-v5", "composer-skel-v6", "composer-skel-v7"],
-    ids=["v1", "v2", "v3", "v4", "v5", "v6", "v7"],
+     "composer-skel-v5", "composer-skel-v6", "composer-skel-v7", "composer-skel-v8"],
+    ids=["v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8"],
 )
 def test_skeleton_v1_rejected(compiled, fmt):
     _, _, skel = compiled
@@ -811,42 +836,6 @@ def test_skeleton_v1_rejected(compiled, fmt):
     doc["format"] = fmt
     with pytest.raises(ParseError):
         cir.CircuitSkeleton.from_json(json.dumps(doc))
-
-
-def test_skeleton_rejects_a_duplicated_slot(compiled):
-    """A slot named twice, re-fingerprinted, loads but cannot be dialed or run."""
-    ham, gen, skel = compiled
-    sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", [1]))
-    ad = next(a for a in skel.adaptors_ham if a.kind == "one_body_mode")
-    givens = [k for k, line in enumerate(ad.layers) if line.startswith("givens|")]
-    first, second = givens[:2]
-    slot = ad.layers[first].rpartition("|")[2]
-    layers = list(ad.layers)
-    layers[second] = f"{layers[second].rpartition('|')[0]}|{slot}"
-    twice = _reloaded(skel, ad, layers)
-    match = f"slot '{slot}' appears twice"
-    with pytest.raises(ValidationError, match=match):
-        cir.dial(twice, ham, gen, cir.Mask.of("m", [1]))
-    sheet = replace(sheet, skeleton_fingerprint=twice.fingerprint)
-    with pytest.raises(ValidationError, match=match):
-        cir.execute_hamiltonian_encoding(twice, sheet)
-
-
-def test_sheet_values_rekeyed_by_the_stream_equal_the_named_bindings():
-    """Synth 7:3:2: ``values[i]`` is what dial's binders bound to the i-th slot."""
-    ints = synth_instance(7, 3, 2)
-    ham = build_hamiltonian_pool(ints, 1e-10, 0.0)
-    gen = nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0)
-    skel = cir.compile_skeleton(ham.n_so, cir.pivots_from_pools(ham, gen))
-    mask = cir.Mask.of("m", [1])
-    sheet = cir.dial(skel, ham, gen, mask)
-    named = {}  # the binders write by name into a map with no prior order
-    cir._bind_hamiltonian(skel, ham, named)
-    cir._bind_generator(skel, gen, mask.indices, None, named)
-    rekeyed = dict(zip(cir._slot_stream(skel), sheet.values, strict=True))
-    assert named.keys() <= rekeyed.keys()
-    assert rekeyed == {**dict.fromkeys(rekeyed, 0.0), **named}
-    assert cir.sheet_bindings(skel, sheet) == rekeyed
 
 
 def test_dialsheet_json_roundtrip(compiled):

@@ -5,7 +5,14 @@ import pytest
 from scipy import sparse
 
 from composer import cli
-from conftest import H2_LIKE_FCIDUMP
+from composer.factorization import (
+    build_hamiltonian_pool,
+    mp2_amplitudes,
+    nested_svd_t2,
+    pools_to_json,
+)
+from composer.integrals import synth_instance
+from conftest import H2_LIKE_FCIDUMP, mixed_generator_pool
 
 
 def run(argv):
@@ -190,9 +197,13 @@ def test_verify_reports_the_ancillas_of_the_checked_encoding(tmp_path, synth):
 
 
 def test_older_formats_exit_two(pipeline, capsys):
-    """A ``composer-skel-v5``/``-v7`` skeleton or ``-dial-v1``/``-v2`` sheet: exit 2."""
+    """A ``composer-skel-v5``/``-v7``/``-v8`` skeleton or ``-dial-v1``/``-v2`` sheet.
+
+    Each exits 2.
+    """
     tmp, _, skel, sheet = pipeline
     for path, old in ((skel, "composer-skel-v5"), (skel, "composer-skel-v7"),
+                      (skel, "composer-skel-v8"),
                       (sheet, "composer-dial-v1"), (sheet, "composer-dial-v2")):
         doc = json.loads(path.read_text())
         current, doc["format"] = doc["format"], old
@@ -458,6 +469,53 @@ def test_pipeline_verify_n_so_8(tmp_path):
     doc = json.loads(report.read_text())
     assert doc["measured_error"] <= 1e-9
     assert doc["unitarity"] <= 1e-11
+
+
+@pytest.fixture(scope="module")
+def mixed_pipeline(tmp_path_factory):
+    """Synth 7:2:2 with a pair ladder and two bilinear ladders, compiled by the CLI."""
+    tmp = tmp_path_factory.mktemp("mixed")
+    ints = synth_instance(7, 2, 2)
+    ham = build_hamiltonian_pool(ints, 1e-10, 0.0)
+    gen = mixed_generator_pool(nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0))
+    assert [lad.kind for lad in gen.ladders] == ["pair", "bilinear", "bilinear"]
+    pool, skel = tmp / "pool.json", tmp / "skel.json"
+    pool.write_text(pools_to_json(ham, gen))
+    assert run(["compile", "--pool", str(pool), "--out", str(skel)]) == 0
+    return tmp, pool, skel
+
+
+@pytest.mark.parametrize("mask", ["", "1", "2", "3", "1,2,3"],
+                         ids=["none", "m1", "m2", "m3", "m123"])
+def test_verify_reads_back_pair_and_bilinear_ladders(mixed_pipeline, mask):
+    """verify's sheet-only target matches the executed encoding on a mixed pool."""
+    tmp, pool, skel = mixed_pipeline
+    sheet, report = tmp / f"dial-{mask}.json", tmp / f"rep-{mask}.json"
+    assert run(["dial", "--skel", str(skel), "--pool", str(pool), "--mask", mask,
+                "--out", str(sheet)]) == 0
+    assert run(["verify", "--skel", str(skel), "--dial", str(sheet),
+                "--out", str(report)]) == 0
+    assert json.loads(report.read_text())["measured_error"] <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1 + 5e-10, 1 + 5e-9])
+def test_a_prep_off_unit_norm_exits_two(tmp_path, capsys, scale):
+    """Generator PREP amplitudes scaled off unit norm fail one check, at any size."""
+    pool, skel, sheet = (tmp_path / f for f in ("pool.json", "skel.json", "dial.json"))
+    assert run(["factorize", "--synth", "5:3:2", "--out", str(pool)]) == 0
+    assert run(["compile", "--pool", str(pool), "--out", str(skel)]) == 0
+    assert run(["dial", "--skel", str(skel), "--pool", str(pool), "--mask", "1,2",
+                "--out", str(sheet)]) == 0
+    spans = cli.cir.CircuitSkeleton.from_json(skel.read_text()).slot_spans
+    doc = json.loads(sheet.read_text())
+    for (side, _), (start, _) in spans.items():
+        if side == "gen":
+            doc["values"][start] *= scale
+    sheet.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", "--skel", str(skel), "--dial", str(sheet)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: prep amplitude norm ") and err.endswith(" != 1\n")
 
 
 def test_missing_input_exits_two(tmp_path):

@@ -16,7 +16,7 @@ from composer.factorization import (
     build_hamiltonian_pool,
 )
 from composer.integrals import synth_instance
-from conftest import adaptor_targets
+from conftest import adaptor_targets, line_value_index
 
 
 def unit(rng, n):
@@ -453,11 +453,13 @@ def test_restricted_block_error_perturbation_scaling():
     )
     skel, sheet = dialed(None, gen)
     target = oracle.FockOperator(adaptor_targets(None, gen)["gen/1"], n)
-    slot = "gen/1/mode0/rot/0/theta"
+    ad = skel.adaptors_gen[1]
+    first_givens = next(k for k, ln in enumerate(ad.layers) if ln.startswith("givens|"))
+    slot = line_value_index(skel, "gen", ad, first_givens)  # mode 0's first angle
 
     def perturbed_error(delta):
         values = list(sheet.values)
-        values[skel.slot_names.index(slot)] += delta
+        values[slot] += delta
         w = cir.execute_adaptor(skel, replace(sheet, values=tuple(values)), "gen/1")
         return oracle.restricted_block_error(w, target, 2, sector=1)
 
