@@ -434,7 +434,7 @@ def one_pool_skeleton(ham_pool, gen_pool):
     return compile_skeleton(n, plan)
 
 
-def _layer(gate, qubits=()):
+def _layer(gate, qubits):
     """One layer as the canonical line the skeleton stores and hashes."""
     return f"{gate}|{','.join(map(str, qubits))}"
 
@@ -463,9 +463,9 @@ def _occupation_layers(n, pivot, sysq, flag):
             _layer("cx", (sysq(pivot), flag)), _layer("x", (flag,)), "mirror|"]
 
 
-def _select_layers(register, cases, case="case"):
-    """Sub-select over ``register``: a ``case`` (or ``fcase``) line opens each body."""
-    cases = [line for body in cases for line in (f"{case}|", *body)]
+def _select_layers(register, cases):
+    """Sub-select over ``register``: a dialed ``case`` line opens each body."""
+    cases = [line for body in cases for line in ("case|", *body)]
     return [_layer("select", register), *cases, "end|"]
 
 
@@ -500,8 +500,9 @@ def _compile_pair(ad, n, sysq, ws0, t, n_occ):
     vacuum = [_layer("h", (anc,)), _layer("mcz", tuple(map(sysq, range(n)))),
               _layer("h", (anc,))]
     arm = ["gphase+i|", "begin|", "begin|", *v, "dagger|", *vacuum, *u, "end|"]
-    cases = [arm, ["gphase-i|", "mirror|"]]
-    layers = ("gphase|", *_select_layers((anc - 1,), cases, "fcase"))
+    # equal fixed amplitudes select the arm and its mirror
+    layers = ("gphase|", _layer("select", (anc - 1,)), "fcase|", *arm,
+              "fcase|", "gphase-i|", "mirror|", "end|")
     return AdaptorSpec(ad.address, ad.kind, ad.pivot, 0, layers)
 
 
