@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 from functools import lru_cache
 from types import SimpleNamespace
@@ -570,17 +571,26 @@ def test_malformed_pair_lines_are_rejected(edit):
         cir.execute_adaptor(tampered, sheet, f"gen/{ad.address}")
 
 
-@pytest.mark.parametrize("gate", ["pgivens", "givens", "gphase", "case", "fcase"])
-def test_a_line_with_a_third_field_is_rejected(gate):
-    """A v8-style slot field after the qubits is a ParseError, even re-fingerprinted."""
+@pytest.mark.parametrize(
+    ("gate", "count"),
+    [("pgivens", 1), ("pgivens", 3), ("givens", 2), ("gphase", 2), ("case", 2),
+     ("fcase", 1)],
+)
+def test_a_line_with_the_wrong_slot_count_is_rejected(gate, count):
+    """A line kind fixes its value count, so any v8-style slot field is wrong.
+
+    Re-fingerprinted, a line with ``count`` slot names after its qubits is a
+    ParseError at load that names the line.
+    """
     _, _, skel = _pair_line_skeleton()
     ad, k = next(
         (a, k) for _, adaptors in skel.sides() for a in adaptors
         for k, line in enumerate(a.layers) if line.startswith(f"{gate}|")
     )
     layers = list(ad.layers)
-    layers[k] += "|edited/0"
-    with pytest.raises(ParseError, match="malformed layer line"):
+    layers[k] += "|" + ",".join(f"edited/{j}" for j in range(count))
+    match = re.escape(f"malformed layer line {layers[k]!r}")
+    with pytest.raises(ParseError, match=match):
         _reloaded(skel, ad, layers)
 
 
