@@ -14,10 +14,11 @@ stored), its PREP amplitude, then the values its lines take, in line order;
 :attr:`CircuitSkeleton.slot_spans` gives each adaptor's span of it.  The
 fingerprint hashes the register widths, ``n_occ``, gate kinds, ordered qubit
 tuples, layer order, and each adaptor's pivots and rank, never values, so it
-also fixes the stream's order.  A dial sheet (``composer-dial-v3``) holds one
+also fixes the stream's order.  A dial sheet (``composer-dial-v4``) holds one
 instance's (pools, mask, coefficient set) values as one array, ``values[i]``
 binding the stream's ``i``-th slot, and is the only thing that changes
-between instances.
+between instances; its JSON stores the array as one base64 string of
+little-endian float64 bytes.
 
 An adaptor's lines, in application order, are its whole branch
 (``composer-skel-v9``), and execution interprets them, each line reading its
@@ -42,6 +43,7 @@ unitary, ``execute_*_block`` run it on the ``2**n`` ancilla-zero columns.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 from dataclasses import dataclass, replace
@@ -52,10 +54,11 @@ import numpy as np
 from . import ladders, oracle
 from .errors import BindError, MaskError, ParseError, ValidationError
 from .errors import DICT, INT, LIST, NUMBER, STR, checked, checked_list
+from .errors import checked_packed, fields_of
 from .factorization import bilinear_asym_spectrum, generator_branch_alpha
 
 SKEL_FORMAT = "composer-skel-v9"
-DIAL_FORMAT = "composer-dial-v3"
+DIAL_FORMAT = "composer-dial-v4"
 
 # dialed values each line kind takes from the stream; every other kind takes none
 LINE_VALUES = {"givens": 1, "pgivens": 2, "rz": 1, "cphase": 1, "gphase": 1, "case": 1}
@@ -246,6 +249,7 @@ class CircuitSkeleton:
         return json.dumps(doc, sort_keys=True)
 
     @staticmethod
+    @fields_of("skeleton")
     def from_json(text):
         doc = checked(json.loads(text), DICT, "skeleton")
         if doc.get("format") != SKEL_FORMAT:
@@ -320,6 +324,9 @@ class DialSheet:
 
     ``values[i]`` binds the ``i``-th slot of the skeleton's value stream,
     a position its fingerprinted lines fix (:attr:`CircuitSkeleton.slot_spans`).
+    In memory ``values`` is a tuple of floats; the JSON field is the standard
+    base64 of the stream as little-endian float64, 8 bytes per value, so
+    every value reads back bit for bit.
     """
 
     skeleton_fingerprint: str
@@ -329,17 +336,19 @@ class DialSheet:
     classical_coeffs: dict
 
     def to_json(self):
+        packed = base64.b64encode(np.asarray(self.values, "<f8").tobytes())
         doc = {
             "format": DIAL_FORMAT,
             "skeleton_fingerprint": self.skeleton_fingerprint,
             "mask_id": self.mask_id,
             "mask_indices": list(self.mask_indices),
-            "values": self.values,
+            "values": packed.decode(),
             "classical_coeffs": self.classical_coeffs,
         }
         return json.dumps(doc, sort_keys=True)
 
     @staticmethod
+    @fields_of("dial sheet")
     def from_json(text):
         doc = checked(json.loads(text), DICT, "dial sheet")
         if doc.get("format") != DIAL_FORMAT:
@@ -347,7 +356,7 @@ class DialSheet:
         checked(doc["skeleton_fingerprint"], STR, "skeleton_fingerprint")
         checked(doc["mask_id"], STR, "mask_id")
         checked_list(doc["mask_indices"], INT, "mask_indices")
-        values = checked_list(doc["values"], NUMBER, "values")
+        values = checked_packed(doc["values"], "values")
         coeffs = checked(doc["classical_coeffs"], DICT, "classical_coeffs")
         for key in ("Omega", "omega"):
             if key in coeffs:
@@ -359,7 +368,7 @@ class DialSheet:
             skeleton_fingerprint=doc["skeleton_fingerprint"],
             mask_id=doc["mask_id"],
             mask_indices=tuple(doc["mask_indices"]),
-            values=tuple(values),
+            values=tuple(values.tolist()),
             classical_coeffs=doc["classical_coeffs"],
         )
 

@@ -19,7 +19,7 @@ from scipy import sparse
 from . import circuit_ir as cir
 from . import diagnostics as dg
 from . import jw, ladders, oracle, qsp, resources
-from .errors import BindError, ComposerError
+from .errors import BindError, ComposerError, fields_of
 from .factorization import (
     T2Tensor,
     build_hamiltonian_pool,
@@ -186,18 +186,21 @@ def cmd_verify(args):
         return EXIT_TOPOLOGY
     if args.eps_budget is None or args.eps_budget < 0:
         raise ComposerError("--eps-budget must be nonnegative")
+    with fields_of("dial sheet"):
+        alpha = sheet.classical_coeffs["alpha_bar"]
+        omegas = sheet.classical_coeffs["omega"]
     n = skel.n_system
     w = cir.execute_generator_encoding(skel, sheet)
     # every entry of W^dag W - I, as a sparse Gram product
     gram = w.conj().T @ w - sparse.identity(w.shape[0], format="csr")
     unitarity = float(abs(gram).max())
-    target = _generator_target_from_sheet(skel, sheet)
+    target = _generator_target_from_sheet(skel, sheet, omegas)
     block = oracle.extract_block(w, n)
     err = float(np.linalg.norm(block - target, 2))
     sector_ok = oracle.assert_sector_preserving(block, n)
     report = {
         "format": oracle.REPORT_FORMAT,
-        "alpha": sheet.classical_coeffs["alpha_bar"],
+        "alpha": alpha,
         "ancillas": cir.generator_ancillas(skel),
         "measured_error": err,
         "unitarity": unitarity,
@@ -218,8 +221,8 @@ def cmd_verify(args):
     return EXIT_OK if report["passed"] else EXIT_VERIFY
 
 
-def _generator_target_from_sheet(skel, sheet):
-    """Masked generator block implied by the dial data alone.
+def _generator_target_from_sheet(skel, sheet, omegas):
+    """Masked generator block implied by the dial data and its ``omega`` alone.
 
     Reconstructs each ladder's prepared state vectors from the bound
     schedules and assembles the dyadic operators directly, independent of
@@ -232,7 +235,6 @@ def _generator_target_from_sheet(skel, sheet):
     dim = 2**n
     vac = np.zeros(dim, dtype=complex)
     vac[0] = 1.0
-    omegas = sheet.classical_coeffs["omega"]
     values = cir.sheet_values(skel, sheet)
     total = np.zeros((dim, dim), dtype=complex)
     cr, _ = jw.jw_ladder_ops(n)

@@ -1,7 +1,12 @@
 """Exception hierarchy shared across the package, and the exact-type checks
-the JSON artifact loaders run on every field they read."""
+the JSON artifact loaders run on every field they read (a missing field, a
+wrongly typed one and a malformed packed value stream are ParseErrors)."""
 
+import base64
 import math
+from contextlib import contextmanager
+
+import numpy as np
 
 
 class ComposerError(Exception):
@@ -109,6 +114,34 @@ def checked_list(value, kinds, what):
     if float in kinds:
         _check_finite(value, f"{what} entries")
     return value
+
+
+def checked_packed(value, what):
+    """A float64 array from its standard base64 of little-endian bytes.
+
+    A ParseError unless ``value`` is a string of strict base64 that decodes
+    to whole 8-byte values, every one finite.
+    """
+    checked(value, STR, what)
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ParseError(f"{what} must be strict base64: {exc}") from None
+    if len(raw) % 8:
+        raise ParseError(f"{what} holds {len(raw)} bytes, not whole float64 values")
+    values = np.frombuffer(raw, "<f8")
+    if not np.isfinite(values).all():
+        _check_finite(values.tolist(), f"{what} entries")
+    return values
+
+
+@contextmanager
+def fields_of(artifact):
+    """Loader scope in which a field the document lacks is a ParseError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ParseError(f"{artifact} has no field {exc.args[0]!r}") from None
 
 
 def _check_finite(numbers, what):

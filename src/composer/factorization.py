@@ -23,7 +23,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .errors import DICT, INT, NUMBER, STR, checked, checked_list
+from .errors import DICT, INT, NUMBER, STR, checked, checked_list, fields_of
 from .integrals import mean_field_shift, with_orbital_energies
 
 POOL_FORMAT = "composer-pool-v1"
@@ -711,10 +711,12 @@ def _gen_ladder_doc(lad):
     raise ValidationError(f"unsupported generator ladder kind {lad.kind!r}")
 
 
+@fields_of("pool")
 def pools_from_json(text):
     """Inverse of :func:`pools_to_json`; returns ``(ham, gen_or_None)``.
 
-    Every field read is type-checked; a wrongly typed one is a ParseError.
+    Every field read is type-checked; a wrongly typed or missing one is a
+    ParseError.
     """
     doc = checked(json.loads(text), DICT, "pool")
     if doc.get("format") != POOL_FORMAT:

@@ -1,3 +1,5 @@
+import base64
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -101,6 +103,19 @@ def line_value_index(skel, side, ad, k):
     start, _ = skel.slot_spans[side, ad.address]
     gates = (line.partition("|")[0] for line in ad.layers[:k])
     return start + 1 + sum(cir.LINE_VALUES.get(gate, 0) for gate in gates)
+
+
+def edit_sheet_values(doc, edit):
+    """Apply ``edit`` to a dial sheet document's value stream, then repack it.
+
+    The packed ``values`` field is unpacked to a list of floats, ``edit``
+    changes that list in place, and the list is packed back; returns what
+    ``edit`` returns.
+    """
+    values = np.frombuffer(base64.b64decode(doc["values"]), "<f8").tolist()
+    result = edit(values)
+    doc["values"] = base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
+    return result
 
 
 def adaptor_targets(ham, gen):

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -12,7 +13,7 @@ from composer.factorization import (
     pools_to_json,
 )
 from composer.integrals import synth_instance
-from conftest import H2_LIKE_FCIDUMP, mixed_generator_pool
+from conftest import H2_LIKE_FCIDUMP, edit_sheet_values, mixed_generator_pool
 
 
 def run(argv):
@@ -115,14 +116,14 @@ def test_verify_tampered_fingerprint_exits_three(pipeline, tmp_path):
     assert run(["verify", "--skel", str(skel), "--dial", str(bad)]) == 3
 
 
-def _add_value(doc):
-    doc["values"].append(0.0)
-    return 1
+def _add_value(values):
+    values.append(0.0)
+    return len(values) - 1, len(values)
 
 
-def _drop_value(doc):
-    doc["values"].pop()
-    return -1
+def _drop_value(values):
+    values.pop()
+    return len(values) + 1, len(values)
 
 
 @pytest.mark.parametrize("edit", [_add_value, _drop_value],
@@ -131,8 +132,7 @@ def test_verify_sheet_must_bind_exactly_the_skeleton_slots(pipeline, capsys, edi
     """One value too many or too few is a topology violation that gives both counts."""
     tmp, _, skel, sheet = pipeline
     doc = json.loads(sheet.read_text())
-    slots = len(doc["values"])
-    held = slots + edit(doc)
+    slots, held = edit_sheet_values(doc, edit)
     bad = tmp / "bad.json"
     bad.write_text(json.dumps(doc))
     assert run(["verify", "--skel", str(skel), "--dial", str(bad)]) == 3
@@ -197,14 +197,15 @@ def test_verify_reports_the_ancillas_of_the_checked_encoding(tmp_path, synth):
 
 
 def test_older_formats_exit_two(pipeline, capsys):
-    """A ``composer-skel-v5``/``-v7``/``-v8`` skeleton or ``-dial-v1``/``-v2`` sheet.
+    """A ``composer-skel-v5``/``-v7``/``-v8`` skeleton or a ``composer-dial-v1``/
+    ``-v2``/``-v3`` sheet.
 
     Each exits 2.
     """
     tmp, _, skel, sheet = pipeline
     for path, old in ((skel, "composer-skel-v5"), (skel, "composer-skel-v7"),
-                      (skel, "composer-skel-v8"),
-                      (sheet, "composer-dial-v1"), (sheet, "composer-dial-v2")):
+                      (skel, "composer-skel-v8"), (sheet, "composer-dial-v1"),
+                      (sheet, "composer-dial-v2"), (sheet, "composer-dial-v3")):
         doc = json.loads(path.read_text())
         current, doc["format"] = doc["format"], old
         path.write_text(json.dumps(doc))
@@ -247,28 +248,105 @@ def test_dial_rejects_a_non_finite_pool_number(pipeline, capsys, edit):
     assert not out.exists()
 
 
+def _set_first(value):
+    def edit(values):
+        values[0] = value
+    return edit
+
+
 def test_verify_rejects_an_infinite_binding(pipeline, capsys):
-    """An ``Infinity`` binding is a load error (exit 2), not a failed SVD."""
+    """An infinite packed binding is a load error (exit 2), not a failed SVD."""
     tmp, _, skel, sheet = pipeline
     doc = json.loads(sheet.read_text())
-    doc["values"][0] = float("inf")
+    edit_sheet_values(doc, _set_first(float("inf")))
     bad = tmp / "bad.json"
     bad.write_text(json.dumps(doc))
-    assert "Infinity" in bad.read_text()
     assert run(["verify", "--skel", str(skel), "--dial", str(bad)]) == 2
     assert "values entries must be finite, not inf" in capsys.readouterr().err
 
 
-def test_verify_rejects_a_binding_too_large_for_a_float(pipeline, capsys):
-    """An integer binding past the float range is a load error (exit 2)."""
+def _unpacked_list(doc):
+    # a composer-dial-v3 body under the current header
+    doc["values"] = np.frombuffer(base64.b64decode(doc["values"]), "<f8").tolist()
+    return "values must be str, not list"
+
+
+# both decode without error unless base64 is read strictly
+def _non_base64_character(doc):
+    doc["values"] = doc["values"][:4] + "!" + doc["values"][4:]
+    return "values must be strict base64: "
+
+
+def _bad_padding(doc):
+    doc["values"] = doc["values"][:4] + "==" + doc["values"][4:]
+    return "values must be strict base64: "
+
+
+def _three_spare_bytes(doc):
+    raw = base64.b64decode(doc["values"]) + bytes(3)
+    doc["values"] = base64.b64encode(raw).decode()
+    return f"values holds {len(raw)} bytes, not whole float64 values"
+
+
+def _packed_nan(doc):
+    edit_sheet_values(doc, _set_first(float("nan")))
+    return "values entries must be finite, not nan"
+
+
+def _packed_minus_inf(doc):
+    edit_sheet_values(doc, _set_first(float("-inf")))
+    return "values entries must be finite, not -inf"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_unpacked_list, _non_base64_character, _bad_padding, _three_spare_bytes,
+     _packed_nan, _packed_minus_inf],
+    ids=["list", "non-base64", "bad-padding", "8k+3-bytes", "nan", "minus-inf"],
+)
+def test_verify_rejects_a_malformed_packed_stream(pipeline, capsys, edit):
+    """A ``values`` field that is not strict base64 of finite float64s: exit 2."""
     tmp, _, skel, sheet = pipeline
     doc = json.loads(sheet.read_text())
-    doc["values"][0] = 10**400
+    message = edit(doc)
     bad = tmp / "bad.json"
     bad.write_text(json.dumps(doc))
     assert run(["verify", "--skel", str(skel), "--dial", str(bad)]) == 2
-    err = capsys.readouterr().err
-    assert "values entries must be finite, not an int too large for a float" in err
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "artifact, parent, field, command, message",
+    [
+        ("pool", None, "n_elec", "dial", "pool has no field 'n_elec'"),
+        ("skel", None, "qsp_degree", "estimate", "skeleton has no field 'qsp_degree'"),
+        ("dial", None, "mask_id", "estimate", "dial sheet has no field 'mask_id'"),
+        ("dial", "classical_coeffs", "omega", "verify",
+         "dial sheet has no field 'omega'"),
+    ],
+    ids=["pool", "skeleton", "sheet", "sheet-coefficient"],
+)
+def test_a_missing_field_names_its_artifact(
+    pipeline, capsys, artifact, parent, field, command, message
+):
+    """A field the document lacks is exit 2, naming the artifact and the field."""
+    tmp, pool, skel, sheet = pipeline
+    path = {"pool": pool, "skel": skel, "dial": sheet}[artifact]
+    doc = json.loads(path.read_text())
+    del (doc[parent] if parent else doc)[field]
+    path.write_text(json.dumps(doc))
+    out = tmp / "out.json"
+    argv = {
+        "dial": ["dial", "--skel", str(skel), "--pool", str(pool), "--mask", "1",
+                 "--out", str(out)],
+        "estimate": ["estimate", "--skel", str(skel), "--dial", str(sheet),
+                     "--out", str(out)],
+        "verify": ["verify", "--skel", str(skel), "--dial", str(sheet)],
+    }[command]
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def _pad_virtual(ladder):
@@ -313,17 +391,13 @@ def _set_mask_indices(doc):
     doc["mask_indices"] = 5
 
 
-def _set_binding(doc):
-    doc["values"][0] = str(doc["values"][0])
-
-
 @pytest.mark.parametrize(
     "artifact, edit",
     [
         ("skel", _set_pivot),
         ("skel", _set_n_system),
         ("dial", _set_mask_indices),
-        ("dial", _set_binding),
+        ("dial", _unpacked_list),
     ],
     ids=["pivot", "n_system", "mask_indices", "binding"],
 )
@@ -508,9 +582,13 @@ def test_a_prep_off_unit_norm_exits_two(tmp_path, capsys, scale):
                 "--out", str(sheet)]) == 0
     spans = cli.cir.CircuitSkeleton.from_json(skel.read_text()).slot_spans
     doc = json.loads(sheet.read_text())
-    for (side, _), (start, _) in spans.items():
-        if side == "gen":
-            doc["values"][start] *= scale
+
+    def scale_gen_preps(values):
+        for (side, _), (start, _) in spans.items():
+            if side == "gen":
+                values[start] *= scale
+
+    edit_sheet_values(doc, scale_gen_preps)
     sheet.write_text(json.dumps(doc))
     capsys.readouterr()
     assert run(["verify", "--skel", str(skel), "--dial", str(sheet)]) == 2

@@ -1,6 +1,7 @@
 """Every JSON artifact writes back the text it was read from."""
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from composer import circuit_ir as cir
@@ -45,3 +46,17 @@ def test_every_artifact_round_trips(seed, shape, data):
     skel_cls = cir.CircuitSkeleton
     _same_text(skel.to_json(), skel_cls.from_json, skel_cls.to_json)
     _same_text(sheet.to_json(), cir.DialSheet.from_json, cir.DialSheet.to_json)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False)))
+@example([-0.0])
+@example([5e-324, -2.225073858507201e-308, 1e-310])
+@example([1.7976931348623157e308, -1.7976931348623157e308])
+def test_packed_values_read_back_bit_for_bit(values):
+    """A dial sheet's packed stream decodes to the very float64 bits it held."""
+    sheet = cir.DialSheet("f" * 64, "m", (), tuple(values), {})
+    back = cir.DialSheet.from_json(sheet.to_json()).values
+    assert all(type(v) is float for v in back)
+    bits = (np.array(v, dtype="<f8").view(np.uint64) for v in (values, back))
+    assert np.array_equal(*bits)
