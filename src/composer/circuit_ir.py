@@ -46,6 +46,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -64,6 +65,8 @@ DIAL_FORMAT = "composer-dial-v4"
 LINE_VALUES = {"givens": 1, "pgivens": 2, "rz": 1, "cphase": 1, "gphase": 1, "case": 1}
 # gates on the system register: the modes each acts on
 SYSTEM_GATES = {"givens": 2, "pgivens": 4, "rz": 1, "cphase": 2, "x": 1}
+# a text line holding two ``|``
+_TWO_BARS = re.compile(r"\|[^\n]*\|")
 
 
 @dataclass(frozen=True)
@@ -166,6 +169,11 @@ class AdaptorSpec:
     rank: int
     layers: tuple  # ("gate|q0,q1,...", ...), see _layer
 
+    @cached_property
+    def text(self):
+        """The layer lines, each ended by a newline: the text the fingerprint hashes."""
+        return "\n".join([*self.layers, ""])
+
 
 @dataclass(frozen=True)
 class CircuitSkeleton:
@@ -216,14 +224,18 @@ class CircuitSkeleton:
         """``(side, address) -> (start, stop)``: each adaptor's span of the stream.
 
         A span holds the adaptor's PREP amplitude, then the values its lines
-        take (:data:`LINE_VALUES`).  Built on first use, by dial or
-        execution; loading a skeleton and ``estimate`` never build it.
+        take (:data:`LINE_VALUES`), counted as the ``\\n<gate>|`` line starts
+        of each kind in the adaptor's :attr:`AdaptorSpec.text`.  Built on
+        first use, by dial or execution; loading a skeleton and ``estimate``
+        never build it.
         """
         spans, start = {}, 0
         for side, adaptors in self.sides():
             for ad in adaptors:
-                gates = (line.partition("|")[0] for line in ad.layers)
-                stop = start + 1 + sum(LINE_VALUES.get(g, 0) for g in gates)
+                text = "\n" + ad.text
+                stop = start + 1 + sum(
+                    n * text.count(f"\n{gate}|") for gate, n in LINE_VALUES.items()
+                )
                 spans[side, ad.address] = start, stop
                 start = stop
         return spans
@@ -305,16 +317,38 @@ def _adaptor_load(doc):
     layers = doc["layers"]
     if type(layers) is not list:
         raise ParseError(f"{where}: layers must be a list of lines")
-    for line in layers:
-        # one line per layer keeps the hashed text unambiguous
-        if type(line) is not str or "\n" in line or line.count("|") != 1:
-            raise ParseError(f"{where}: malformed layer line {line!r}")
-    return AdaptorSpec(
+    spec = AdaptorSpec(
         address=doc["address"],
         kind=doc["kind"],
         pivot=_pivot_load(doc["pivot"], where),
         rank=doc["rank"],
         layers=tuple(layers),
+    )
+    if not _all_layer_lines(spec):
+        bad = next(line for line in layers if not _is_layer_line(line))
+        raise ParseError(f"{where}: malformed layer line {bad!r}")
+    return spec
+
+
+def _is_layer_line(line):
+    # one line per layer keeps the hashed text unambiguous
+    return type(line) is str and "\n" not in line and line.count("|") == 1
+
+
+def _all_layer_lines(spec):
+    """:func:`_is_layer_line` for every line of ``spec`` at once, on its text.
+
+    With every line a string, the text holds one newline per line exactly
+    when no line holds one; then one ``|`` per line and no line with two
+    means every line holds exactly one.
+    """
+    if not set(map(type, spec.layers)) <= {str}:
+        return False
+    text, count = spec.text, len(spec.layers)
+    return (
+        text.count("\n") == count
+        and text.count("|") == count
+        and _TWO_BARS.search(text) is None
     )
 
 
@@ -542,10 +576,13 @@ def fabric_fingerprint(skel):
         .encode()
     )
     h.update(f"n_occ|{skel.n_occ}\n".encode())
+    pivots = {}  # each distinct pivot's JSON text: the pair pivots repeat
     for ad in skel.adaptors_ham + skel.adaptors_gen:
-        pivot = json.dumps(_pivot_doc(ad.pivot))
+        if ad.pivot not in pivots:
+            pivots[ad.pivot] = json.dumps(_pivot_doc(ad.pivot))
+        pivot = pivots[ad.pivot]
         h.update(f"adaptor:{ad.address}:{ad.kind}:{pivot}:{ad.rank}\n".encode())
-        h.update("".join(line + "\n" for line in ad.layers).encode())
+        h.update(ad.text.encode())
     for k in range(skel.qsp_degree):
         h.update(f"qsp_rep|{k}\n".encode())
     return h.hexdigest()

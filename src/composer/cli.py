@@ -134,7 +134,14 @@ def cmd_compile(args):
     skel = cir.compile_skeleton(
         ham.n_so, plan, connectivity=args.connectivity, qsp_degree=degree
     )
-    doc = json.loads(skel.to_json())
+    summary = (
+        f"compile: selector={skel.selector_width} workspace={skel.workspace_width} "
+        f"degree={skel.qsp_degree} fingerprint={skel.fingerprint[:16]}"
+    )
+    text = skel.to_json()
+    del ham, gen, skel  # free the pools and the fabric before the document is built
+    doc = json.loads(text)
+    del text
     doc["manifest"] = RunManifest(
         "compile",
         {"pool": args.pool},
@@ -142,10 +149,7 @@ def cmd_compile(args):
         args.out,
     ).validate().as_dict()
     _write(args.out, json.dumps(doc, sort_keys=True))
-    print(
-        f"compile: selector={skel.selector_width} workspace={skel.workspace_width} "
-        f"degree={skel.qsp_degree} fingerprint={skel.fingerprint[:16]}"
-    )
+    print(summary)
     return EXIT_OK
 
 

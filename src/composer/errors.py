@@ -1,10 +1,12 @@
 """Exception hierarchy shared across the package, and the exact-type checks
 the JSON artifact loaders run on every field they read (a missing field, a
-wrongly typed one and a malformed packed value stream are ParseErrors)."""
+wrongly typed one and a malformed packed float array are ParseErrors)."""
 
 import base64
+import binascii
 import math
 from contextlib import contextmanager
+from itertools import accumulate
 
 import numpy as np
 
@@ -119,20 +121,55 @@ def checked_list(value, kinds, what):
 def checked_packed(value, what):
     """A float64 array from its standard base64 of little-endian bytes.
 
-    A ParseError unless ``value`` is a string of strict base64 that decodes
-    to whole 8-byte values, every one finite.
+    A ParseError unless ``value`` is a string of canonical base64 that
+    decodes to whole 8-byte values, every one finite.
+    """
+    values, _ = checked_packed_batch([(value, what)])
+    return values
+
+
+def checked_packed_batch(fields):
+    """``(values, bounds)``: every ``(value, what)`` field decoded as one array.
+
+    Each field is checked as :func:`checked_packed` checks one; field ``k``
+    is ``values[bounds[k]:bounds[k + 1]]``.  The bytes are joined and read
+    with one ``frombuffer`` and checked with one finiteness test, so the
+    slices are views of one read-only buffer.
+    """
+    raws = [_packed_bytes(value, what) for value, what in fields]
+    values = np.frombuffer(b"".join(raws), "<f8")
+    bounds = [0, *accumulate(len(raw) // 8 for raw in raws)]
+    if not np.isfinite(values).all():
+        for (_, what), start, stop in zip(fields, bounds, bounds[1:]):
+            _check_finite(values[start:stop].tolist(), f"{what} entries")
+    return values, bounds
+
+
+def _packed_bytes(value, what):
+    """The bytes of one packed field: canonical base64 of whole float64 values.
+
+    Canonical: re-encoding the bytes gives ``value`` back, which refuses
+    what a lenient decoder skips, such as a stray ``=`` after a full quad
+    or nonzero bits after the last byte.  A refused value is decoded again
+    strictly, only to say what is wrong with it.
     """
     checked(value, STR, what)
     try:
-        raw = base64.b64decode(value, validate=True)
-    except ValueError as exc:  # binascii.Error, or a non-ASCII character
-        raise ParseError(f"{what} must be strict base64: {exc}") from None
+        raw = binascii.a2b_base64(value)
+        canonical = binascii.b2a_base64(raw, newline=False) == value.encode()
+    except ValueError:  # binascii.Error, or a non-ASCII character
+        canonical = False
+    if not canonical:
+        try:
+            base64.b64decode(value, validate=True)
+        except ValueError as exc:
+            raise ParseError(f"{what} must be strict base64: {exc}") from None
+        raise ParseError(
+            f"{what} must be strict base64: not the canonical encoding of its bytes"
+        )
     if len(raw) % 8:
         raise ParseError(f"{what} holds {len(raw)} bytes, not whole float64 values")
-    values = np.frombuffer(raw, "<f8")
-    if not np.isfinite(values).all():
-        _check_finite(values.tolist(), f"{what} entries")
-    return values
+    return raw
 
 
 @contextmanager

@@ -10,6 +10,7 @@ is a pool of rank-one operator ladders with real coefficients.
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, replace
 
@@ -24,9 +25,10 @@ from .errors import (
     ValidationError,
 )
 from .errors import DICT, INT, NUMBER, STR, checked, checked_list, fields_of
+from .errors import checked_packed_batch
 from .integrals import mean_field_shift, with_orbital_energies
 
-POOL_FORMAT = "composer-pool-v1"
+POOL_FORMAT = "composer-pool-v2"
 T2_FORMAT = "composer-t2-v1"
 
 
@@ -614,25 +616,20 @@ def rebuild_t2(pool, n_virt=None, n_occ=None):
 # ---------------------------------------------------------------------------
 
 
-def _vec_doc(vec):
-    vec = np.asarray(vec)
-    return {"re": vec.real.tolist(), "im": vec.imag.tolist()}
+# packed arrays of a serialized channel, in document order
+CHANNEL_ARRAYS = ("factor", "eigvals", "rotation", "rotation_full")
+# complex vectors of a serialized generator ladder, per kind
+GENERATOR_VECTORS = {"pair": ("x", "y", "r", "s"), "bilinear": ("u", "v")}
 
 
-def _numbers(doc, key, where):
-    """A JSON list of numbers as a float array."""
-    return np.array(checked_list(doc[key], NUMBER, f"{where} {key}"), dtype=float)
+def _packed(arr):
+    """Standard base64 of ``arr``'s little-endian float64 bytes, row-major."""
+    return base64.b64encode(np.asarray(arr, "<f8").tobytes()).decode()
 
 
-def _vec_load(doc, where, size):
-    checked(doc, DICT, where)
-    re = _numbers(doc, "re", where)
-    im = _numbers(doc, "im", where)
-    if len(re) != size or len(im) != size:
-        raise ParseError(f"{where} must have {size} entries, not {len(re)}/{len(im)}")
-    if np.abs(im).max(initial=0.0) == 0.0:
-        return re
-    return re + 1j * im
+def _packed_complex(vec):
+    """A complex vector packed as interleaved real and imaginary parts."""
+    return _packed(np.column_stack([vec.real, vec.imag]))
 
 
 def _ladder_fields(item, where):
@@ -659,7 +656,7 @@ def pools_to_json(ham, gen=None):
                     "address": lad.address,
                     "coefficient": lad.coefficient,
                     "multiplicity": lad.multiplicity,
-                    "vectors": lad.vectors.reshape(-1).tolist(),
+                    "vectors": _packed(lad.vectors),
                 }
                 for lad in ham.one_body
             ],
@@ -667,10 +664,8 @@ def pools_to_json(ham, gen=None):
                 {
                     "address": lad.address,
                     "coefficient": lad.coefficient,
-                    "factor": lad.channel.factor.reshape(-1).tolist(),
-                    "eigvals": lad.channel.eigvals.tolist(),
-                    "rotation": lad.channel.rotation.reshape(-1).tolist(),
-                    "rotation_full": lad.channel.rotation_full.reshape(-1).tolist(),
+                    **{key: _packed(getattr(lad.channel, key))
+                       for key in CHANNEL_ARRAYS},
                 }
                 for lad in ham.channels
             ],
@@ -690,25 +685,32 @@ def pools_to_json(ham, gen=None):
 
 
 def _gen_ladder_doc(lad):
-    if lad.kind == "pair":
-        return {
-            "kind": "pair",
-            "address": lad.address,
-            "coefficient": lad.coefficient,
-            "x": _vec_doc(lad.x),
-            "y": _vec_doc(lad.y),
-            "r": _vec_doc(lad.r),
-            "s": _vec_doc(lad.s),
-        }
-    if lad.kind == "bilinear":
-        return {
-            "kind": "bilinear",
-            "address": lad.address,
-            "coefficient": lad.coefficient,
-            "u": _vec_doc(lad.u),
-            "v": _vec_doc(lad.v),
-        }
-    raise ValidationError(f"unsupported generator ladder kind {lad.kind!r}")
+    if lad.kind not in GENERATOR_VECTORS:
+        raise ValidationError(f"unsupported generator ladder kind {lad.kind!r}")
+    return {
+        "kind": lad.kind,
+        "address": lad.address,
+        "coefficient": lad.coefficient,
+        **{key: _packed_complex(getattr(lad, key))
+           for key in GENERATOR_VECTORS[lad.kind]},
+    }
+
+
+def _complex_vectors(values, bounds):
+    """Interleaved complex vectors ``values[bounds[k]:bounds[k + 1]]``.
+
+    A vector whose imaginary parts are all zero is real: a slice of one
+    contiguous copy of every real part.
+    """
+    z = values[bounds[0]:bounds[-1]].view(complex)
+    real = z.real.copy()
+    half = (np.asarray(bounds) - bounds[0]) // 2
+    imag_seen = np.concatenate(([0], np.cumsum(z.imag != 0)))[half]
+    has_imag = np.diff(imag_seen) > 0
+    return [
+        z[a:b] if imag else real[a:b]
+        for a, b, imag in zip(half.tolist(), half[1:].tolist(), has_imag.tolist())
+    ]
 
 
 @fields_of("pool")
@@ -716,72 +718,103 @@ def pools_from_json(text):
     """Inverse of :func:`pools_to_json`; returns ``(ham, gen_or_None)``.
 
     Every field read is type-checked; a wrongly typed or missing one is a
-    ParseError.
+    ParseError.  Every packed array of the pool is decoded in one batch
+    (:func:`errors.checked_packed_batch`), each array a view of it, and
+    checked for the length its ladder needs.
     """
     doc = checked(json.loads(text), DICT, "pool")
     if doc.get("format") != POOL_FORMAT:
         raise ParseError(f"expected format {POOL_FORMAT!r}")
     n = checked(doc["n_so"], INT, "n_so")
     hdoc = checked(doc["hamiltonian"], DICT, "hamiltonian")
-    one_body = tuple(
-        OneBodyModeLadder(
-            vectors=_numbers(item, "vectors", "one_body ladder").reshape(
-                n, checked(item["multiplicity"], INT, "one_body ladder multiplicity")
-            ),
-            **_ladder_fields(item, "one_body ladder"),
-        )
-        for item in checked_list(hdoc["one_body"], DICT, "one_body")
+    modes = checked_list(hdoc["one_body"], DICT, "one_body")
+    chans = checked_list(hdoc["channels"], DICT, "channels")
+    gdoc, lads = None, []
+    if "generator" in doc:
+        gdoc = checked(doc["generator"], DICT, "generator")
+        lads = checked_list(gdoc["ladders"], DICT, "generator ladders")
+    heads = [_generator_head(item) for item in lads]
+
+    # every packed array, in document order: one batch
+    packed = [(item["vectors"], "one_body ladder vectors") for item in modes]
+    packed += [
+        (item[key], f"channel {key}") for item in chans for key in CHANNEL_ARRAYS
+    ]
+    n_ham = len(packed)
+    packed += [
+        (item[key], f"{where} {key}")
+        for item, (kind, where, _) in zip(lads, heads)
+        for key in GENERATOR_VECTORS[kind]
+    ]
+    values, bounds = checked_packed_batch(packed)
+    arrays = iter(
+        (values[start:stop], what)
+        for (_, what), start, stop in zip(packed, bounds, bounds[1:])
     )
+
+    def take(size=None):
+        """The next packed array, checked to hold ``size`` values if given."""
+        arr, what = next(arrays)
+        if size is not None and len(arr) != size:
+            raise ParseError(f"{what} must hold {size} float64 values, not {len(arr)}")
+        return arr
+
+    one_body = []
+    for item in modes:
+        m = checked(item["multiplicity"], INT, "one_body ladder multiplicity")
+        one_body.append(OneBodyModeLadder(
+            vectors=take(n * m).reshape(n, m), **_ladder_fields(item, "one_body ladder")
+        ))
     channels = []
-    for item in checked_list(hdoc["channels"], DICT, "channels"):
-        eig = _numbers(item, "eigvals", "channel")
-        r = len(eig)
+    for item in chans:
+        factor = take(n * n).reshape(n, n)
+        eig = take()
         ch = CholeskyChannel(
             index=len(channels),
-            factor=_numbers(item, "factor", "channel").reshape(n, n),
+            factor=factor,
             eigvals=eig,
-            rotation=_numbers(item, "rotation", "channel").reshape(n, r),
-            rotation_full=_numbers(item, "rotation_full", "channel").reshape(n, -1),
+            rotation=take(n * len(eig)).reshape(n, len(eig)),
+            rotation_full=take(n * n).reshape(n, n),
         )
         channels.append(ChannelLadder(channel=ch, **_ladder_fields(item, "channel")))
     ham = HamiltonianPool(
-        one_body=one_body,
+        one_body=tuple(one_body),
         channels=tuple(channels),
         n_so=n,
         n_elec=checked(doc["n_elec"], INT, "n_elec"),
         e_nn=float(checked(doc.get("e_nn", 0.0), NUMBER, "e_nn")),
     )
-    gen = None
-    if "generator" in doc:
-        gdoc = checked(doc["generator"], DICT, "generator")
-        n_occ = checked(gdoc["n_occ"], INT, "generator n_occ")
-        n_virt = checked(gdoc["n_virt"], INT, "generator n_virt")
-        lads = []
-        for item in checked_list(gdoc["ladders"], DICT, "generator ladders"):
-            fields = _ladder_fields(item, "generator ladder")
-            where = f"generator ladder {fields['address']}"
-            if checked(item["kind"], STR, f"{where} kind") == "pair":
-                lads.append(
-                    PairLadder(
-                        x=_vec_load(item["x"], f"{where} x", n_virt),
-                        y=_vec_load(item["y"], f"{where} y", n_virt),
-                        r=_vec_load(item["r"], f"{where} r", n_occ),
-                        s=_vec_load(item["s"], f"{where} s", n_occ),
-                        **fields,
-                    )
-                )
-            else:
-                lads.append(
-                    BilinearLadder(
-                        u=_vec_load(item["u"], f"{where} u", n).astype(complex),
-                        v=_vec_load(item["v"], f"{where} v", n).astype(complex),
-                        **fields,
-                    )
-                )
-        gen = GeneratorPool(
-            ladders=tuple(lads),
-            n_occ=n_occ,
-            n_virt=n_virt,
-            n_elec=n_occ,
-        )
+    if gdoc is None:
+        return ham, None
+    n_occ = checked(gdoc["n_occ"], INT, "generator n_occ")
+    n_virt = checked(gdoc["n_virt"], INT, "generator n_virt")
+    sizes = {"x": n_virt, "y": n_virt, "r": n_occ, "s": n_occ, "u": n, "v": n}
+    for kind, _, _ in heads:
+        for key in GENERATOR_VECTORS[kind]:
+            take(2 * sizes[key])  # interleaved real and imaginary parts
+    vectors = iter(_complex_vectors(values, bounds[n_ham:]))
+    gen_ladders = []
+    for kind, _, fields in heads:
+        vecs = {key: next(vectors) for key in GENERATOR_VECTORS[kind]}
+        if kind == "pair":
+            gen_ladders.append(PairLadder(**vecs, **fields))
+        else:
+            vecs = {key: vec.astype(complex) for key, vec in vecs.items()}
+            gen_ladders.append(BilinearLadder(**vecs, **fields))
+    gen = GeneratorPool(
+        ladders=tuple(gen_ladders),
+        n_occ=n_occ,
+        n_virt=n_virt,
+        n_elec=n_occ,
+    )
     return ham, gen
+
+
+def _generator_head(item):
+    """``(kind, where, fields)`` of one serialized generator ladder."""
+    fields = _ladder_fields(item, "generator ladder")
+    where = f"generator ladder {fields['address']}"
+    kind = checked(item["kind"], STR, f"{where} kind")
+    if kind not in GENERATOR_VECTORS:
+        raise ParseError(f"{where} kind must be 'pair' or 'bilinear', not {kind!r}")
+    return kind, where, fields

@@ -364,8 +364,7 @@ def rotation_network_from_matrix(v):
             top, bot = a[i - 1, j], a[i, j]
             theta = float(np.arctan2(bot, top))
             c, s = np.cos(theta), np.sin(theta)
-            rows = np.array([[c, s], [-s, c]]) @ a[[i - 1, i], :]
-            a[[i - 1, i], :] = rows
+            a[i - 1:i + 1] = np.array([[c, s], [-s, c]]) @ a[i - 1:i + 1]
             a[i, j] = 0.0
             elim.append((i - 1, i, theta))
     signs = np.sign(np.diag(a))

@@ -105,16 +105,16 @@ def line_value_index(skel, side, ad, k):
     return start + 1 + sum(cir.LINE_VALUES.get(gate, 0) for gate in gates)
 
 
-def edit_sheet_values(doc, edit):
-    """Apply ``edit`` to a dial sheet document's value stream, then repack it.
+def edit_packed(holder, key, edit):
+    """Apply ``edit`` to the packed float64 array ``holder[key]``, then repack it.
 
-    The packed ``values`` field is unpacked to a list of floats, ``edit``
+    The standard base64 field is unpacked to a list of floats, ``edit``
     changes that list in place, and the list is packed back; returns what
     ``edit`` returns.
     """
-    values = np.frombuffer(base64.b64decode(doc["values"]), "<f8").tolist()
+    values = np.frombuffer(base64.b64decode(holder[key]), "<f8").tolist()
     result = edit(values)
-    doc["values"] = base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
+    holder[key] = base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
     return result
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -7,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -122,6 +123,58 @@ def test_swapped_addresses_change_fingerprint(compiled):
 def test_fingerprint_recompute_matches(compiled):
     _, _, skel = compiled
     assert cir.fabric_fingerprint(skel) == skel.fingerprint
+
+
+def _spans_per_line(skel):
+    """Reference :attr:`CircuitSkeleton.slot_spans`: each line's gate looked up."""
+    spans, start = {}, 0
+    for side, adaptors in skel.sides():
+        for ad in adaptors:
+            gates = (line.partition("|")[0] for line in ad.layers)
+            stop = start + 1 + sum(cir.LINE_VALUES.get(g, 0) for g in gates)
+            spans[side, ad.address] = start, stop
+            start = stop
+    return spans
+
+
+def _fingerprint_per_line(skel):
+    """Reference :func:`circuit_ir.fabric_fingerprint`: the text built line by line."""
+    h = hashlib.sha256()
+    h.update(
+        f"registers|{skel.n_system}|{skel.selector_width}|{skel.workspace_width}\n"
+        .encode()
+    )
+    h.update(f"n_occ|{skel.n_occ}\n".encode())
+    for ad in skel.adaptors_ham + skel.adaptors_gen:
+        pivot = json.dumps([list(p) if isinstance(p, tuple) else p for p in ad.pivot])
+        h.update(f"adaptor:{ad.address}:{ad.kind}:{pivot}:{ad.rank}\n".encode())
+        h.update("".join(line + "\n" for line in ad.layers).encode())
+    for k in range(skel.qsp_degree):
+        h.update(f"qsp_rep|{k}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "synth", ["7:2:2", "1:3:2", "7:3:2", "5:3:2", "1:4:4", "1:8:8"]
+)
+def test_spans_and_fingerprint_match_the_per_line_formulas(
+    synth, compiled, compiled_n6
+):
+    """Spans counted on the joined text, and the fingerprint hashed from it,
+    equal the per-line formulas, compiled and loaded alike.
+    """
+    ints = synth_instance(*map(int, synth.split(":")))
+    ham = build_hamiltonian_pool(ints, 1e-10, 0.0)
+    gen = nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0)
+    skeletons = [cir.one_pool_skeleton(ham, gen), cir.one_pool_skeleton(ham, None)]
+    if synth == "7:2:2":  # and the module's fixtures, once
+        skeletons += [compiled[2], compiled_n6[2]]
+    for skel in skeletons:
+        loaded = cir.CircuitSkeleton.from_json(skel.to_json())
+        for s in (skel, loaded):
+            assert s.slot_spans == _spans_per_line(s)
+            assert s.fingerprint == cir.fabric_fingerprint(s)
+            assert s.fingerprint == _fingerprint_per_line(s)
 
 
 def test_dial_binds_every_slot(compiled):
@@ -592,6 +645,45 @@ def test_a_line_with_the_wrong_slot_count_is_rejected(gate, count):
     match = re.escape(f"malformed layer line {layers[k]!r}")
     with pytest.raises(ParseError, match=match):
         _reloaded(skel, ad, layers)
+
+
+def _is_layer_line(line):
+    """Reference line rule: a string, one line, one ``|``."""
+    return type(line) is str and "\n" not in line and line.count("|") == 1
+
+
+# lines from fragments that may add a newline or a ``|``; lists of lines
+# alone, and lists mixing in non-string entries
+_FRAGMENTS = st.sampled_from(["rz", "0,1", "|", "||", "\n", ""])
+_LINE = st.lists(_FRAGMENTS, max_size=4).map("".join)
+_ENTRY = st.one_of(
+    _LINE, st.integers(), st.none(), st.booleans(), st.lists(_LINE, max_size=2)
+)
+_LAYERS = st.one_of(st.lists(_LINE, max_size=6), st.lists(_ENTRY, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(layers=_LAYERS)
+@example(layers=[])
+@example(layers=["rz|0", 7])
+@example(layers=["rz|0\nrz"])
+@example(layers=["rz", "rz||0"])
+def test_the_one_pass_line_check_matches_the_per_line_rule(layers):
+    """The joined-text line check accepts exactly the lists whose every entry
+    passes the per-line rule, and otherwise names the first entry that fails.
+    """
+    doc = json.loads(_pair_line_skeleton()[2].to_json())
+    ad = doc["adaptors_gen"][1]
+    ad["layers"] = layers
+    text = json.dumps(doc)
+    bad = [line for line in layers if not _is_layer_line(line)]
+    if bad:
+        match = re.escape(f"adaptor {ad['address']}: malformed layer line {bad[0]!r}")
+        with pytest.raises(ParseError, match=f"^{match}$"):
+            cir.CircuitSkeleton.from_json(text)
+    else:  # the lines load; only the fingerprint, over other lines, can object
+        with pytest.raises(ValidationError, match="fingerprint does not match"):
+            cir.CircuitSkeleton.from_json(text)
 
 
 def test_a_row_that_misfits_its_span_is_a_bind_error():

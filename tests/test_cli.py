@@ -13,7 +13,7 @@ from composer.factorization import (
     pools_to_json,
 )
 from composer.integrals import synth_instance
-from conftest import H2_LIKE_FCIDUMP, edit_sheet_values, mixed_generator_pool
+from conftest import H2_LIKE_FCIDUMP, edit_packed, mixed_generator_pool
 
 
 def run(argv):
@@ -132,7 +132,7 @@ def test_verify_sheet_must_bind_exactly_the_skeleton_slots(pipeline, capsys, edi
     """One value too many or too few is a topology violation that gives both counts."""
     tmp, _, skel, sheet = pipeline
     doc = json.loads(sheet.read_text())
-    slots, held = edit_sheet_values(doc, edit)
+    slots, held = edit_packed(doc, "values", edit)
     bad = tmp / "bad.json"
     bad.write_text(json.dumps(doc))
     assert run(["verify", "--skel", str(skel), "--dial", str(bad)]) == 3
@@ -216,14 +216,67 @@ def test_older_formats_exit_two(pipeline, capsys):
         path.write_text(json.dumps(doc))
 
 
+def test_a_v1_pool_exits_two(pipeline, capsys):
+    """A ``composer-pool-v1`` pool, which held its arrays as JSON lists, is exit 2."""
+    tmp, pool, skel, _ = pipeline
+    doc = json.loads(pool.read_text())
+    doc["format"] = "composer-pool-v1"
+    pool.write_text(json.dumps(doc))
+    out = tmp / "d.json"
+    argv = ["dial", "--skel", str(skel), "--pool", str(pool), "--mask", "1"]
+    assert run(argv + ["--out", str(out)]) == 2
+    assert "expected format 'composer-pool-v2'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+B64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def _noncanonical(holder, key, defect):
+    """Give the packed field ``holder[key]`` a ``defect`` a lenient decoder skips.
+
+    ``"stray-padding"`` puts an ``=`` after the last full quad and
+    ``"trailing-bits"`` sets a bit after the last byte.  Zeros are first
+    appended to the array, as needed, so its bytes end on a full quad (the
+    first defect) or a partial one (the second).  Either way
+    ``base64.b64decode(..., validate=True)`` still reads the field.
+    """
+    partial = defect == "trailing-bits"
+    while holder[key].endswith("=") != partial:
+        edit_packed(holder, key, lambda values: values.append(0.0))
+    text = holder[key]
+    if defect == "stray-padding":
+        holder[key] = text + "="
+    else:
+        k = len(text.rstrip("=")) - 1  # its low bits pad the last byte
+        bumped = B64_ALPHABET[B64_ALPHABET.index(text[k]) + 1]
+        holder[key] = text[:k] + bumped + text[k + 1:]
+    base64.b64decode(holder[key], validate=True)
+    return f"{key} must be strict base64: not the canonical encoding of its bytes"
+
+
+@pytest.mark.parametrize("defect", ["stray-padding", "trailing-bits"])
+def test_dial_rejects_a_noncanonical_pool_array(pipeline, capsys, defect):
+    """A packed pool array must be canonical base64 (exit 2)."""
+    tmp, pool, skel, _ = pipeline
+    doc = json.loads(pool.read_text())
+    message = _noncanonical(doc["generator"]["ladders"][0], "x", defect)
+    pool.write_text(json.dumps(doc))
+    out = tmp / "d.json"
+    argv = ["dial", "--skel", str(skel), "--pool", str(pool), "--mask", "1"]
+    assert run(argv + ["--out", str(out)]) == 2
+    assert f"generator ladder 1 {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _nan_coefficient(doc):
     doc["generator"]["ladders"][0]["coefficient"] = float("nan")
     return "generator ladder coefficient must be finite, not nan"
 
 
 def _infinite_vector(doc):
-    doc["generator"]["ladders"][0]["x"]["re"][0] = float("-inf")
-    return "entries must be finite, not -inf"
+    edit_packed(doc["generator"]["ladders"][0], "x", _set_first(float("-inf")))
+    return "generator ladder 1 x entries must be finite, not -inf"
 
 
 def _huge_coefficient(doc):
@@ -258,7 +311,7 @@ def test_verify_rejects_an_infinite_binding(pipeline, capsys):
     """An infinite packed binding is a load error (exit 2), not a failed SVD."""
     tmp, _, skel, sheet = pipeline
     doc = json.loads(sheet.read_text())
-    edit_sheet_values(doc, _set_first(float("inf")))
+    edit_packed(doc, "values", _set_first(float("inf")))
     bad = tmp / "bad.json"
     bad.write_text(json.dumps(doc))
     assert run(["verify", "--skel", str(skel), "--dial", str(bad)]) == 2
@@ -289,23 +342,32 @@ def _three_spare_bytes(doc):
 
 
 def _packed_nan(doc):
-    edit_sheet_values(doc, _set_first(float("nan")))
+    edit_packed(doc, "values", _set_first(float("nan")))
     return "values entries must be finite, not nan"
 
 
+def _stray_padding(doc):
+    return _noncanonical(doc, "values", "stray-padding")
+
+
+def _trailing_bits(doc):
+    return _noncanonical(doc, "values", "trailing-bits")
+
+
 def _packed_minus_inf(doc):
-    edit_sheet_values(doc, _set_first(float("-inf")))
+    edit_packed(doc, "values", _set_first(float("-inf")))
     return "values entries must be finite, not -inf"
 
 
 @pytest.mark.parametrize(
     "edit",
     [_unpacked_list, _non_base64_character, _bad_padding, _three_spare_bytes,
-     _packed_nan, _packed_minus_inf],
-    ids=["list", "non-base64", "bad-padding", "8k+3-bytes", "nan", "minus-inf"],
+     _stray_padding, _trailing_bits, _packed_nan, _packed_minus_inf],
+    ids=["list", "non-base64", "bad-padding", "8k+3-bytes", "stray-padding",
+         "trailing-bits", "nan", "minus-inf"],
 )
 def test_verify_rejects_a_malformed_packed_stream(pipeline, capsys, edit):
-    """A ``values`` field that is not strict base64 of finite float64s: exit 2."""
+    """A ``values`` field that is not canonical base64 of finite float64s: exit 2."""
     tmp, _, skel, sheet = pipeline
     doc = json.loads(sheet.read_text())
     message = edit(doc)
@@ -350,16 +412,15 @@ def test_a_missing_field_names_its_artifact(
 
 
 def _pad_virtual(ladder):
-    for key in ("x", "y"):
-        ladder[key]["re"].append(0.0)
-        ladder[key]["im"].append(0.0)
-    return "generator ladder 1 x must have 4 entries, not 5/5"
+    for key in ("x", "y"):  # one more complex entry: its real and imaginary parts
+        edit_packed(ladder, key, lambda values: values.extend([0.0, 0.0]))
+    return "generator ladder 1 x must hold 8 float64 values, not 10"
 
 
 def _cut_occupied(ladder):
-    for key in ("r", "s"):
-        del ladder[key]["re"][1:], ladder[key]["im"][1:]
-    return "generator ladder 1 r must have 2 entries, not 1/1"
+    for key in ("r", "s"):  # only the first complex entry left
+        edit_packed(ladder, key, lambda values: values.__delitem__(slice(2, None)))
+    return "generator ladder 1 r must hold 4 float64 values, not 2"
 
 
 @pytest.mark.parametrize("edit", [_pad_virtual, _cut_occupied],
@@ -375,6 +436,33 @@ def test_dial_rejects_a_pair_vector_of_the_wrong_length(tmp_path, capsys, edit):
     capsys.readouterr()
     argv = ["dial", "--skel", str(skel), "--pool", str(pool), "--out", str(out)]
     assert run(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _cut_mode_vectors(doc):
+    edit_packed(doc["hamiltonian"]["one_body"][0], "vectors", list.pop)
+    return "one_body ladder vectors must hold 8 float64 values, not 7"
+
+
+def _cut_rotation_full(doc):
+    # one column short: v1's reshape(n, -1) read this as a 4 x 3 completion
+    edit_packed(doc["hamiltonian"]["channels"][0], "rotation_full",
+                lambda values: values.__delitem__(slice(12, None)))
+    return "channel rotation_full must hold 16 float64 values, not 12"
+
+
+@pytest.mark.parametrize("edit", [_cut_mode_vectors, _cut_rotation_full],
+                         ids=["mode-vectors", "rotation-full"])
+def test_dial_rejects_a_hamiltonian_array_of_the_wrong_length(pipeline, capsys, edit):
+    """Synth 7:2:2 (n_so 4): a packed Hamiltonian array must fit its ladder (exit 2)."""
+    tmp, pool, skel, _ = pipeline
+    doc = json.loads(pool.read_text())
+    message = edit(doc)
+    pool.write_text(json.dumps(doc))
+    out = tmp / "d.json"
+    argv = ["dial", "--skel", str(skel), "--pool", str(pool), "--mask", "1"]
+    assert run(argv + ["--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -427,8 +515,10 @@ def _set_coefficient(doc):
 
 
 def _set_eigval(doc):
-    eigvals = doc["hamiltonian"]["channels"][0]["eigvals"]
-    eigvals[0] = str(eigvals[0])
+    # a JSON list of numbers, as composer-pool-v1 held it, not a packed string
+    channel = doc["hamiltonian"]["channels"][0]
+    eigvals = np.frombuffer(base64.b64decode(channel["eigvals"]), "<f8")
+    channel["eigvals"] = eigvals.tolist()
 
 
 @pytest.mark.parametrize(
@@ -588,7 +678,7 @@ def test_a_prep_off_unit_norm_exits_two(tmp_path, capsys, scale):
             if side == "gen":
                 values[start] *= scale
 
-    edit_sheet_values(doc, scale_gen_preps)
+    edit_packed(doc, "values", scale_gen_preps)
     sheet.write_text(json.dumps(doc))
     capsys.readouterr()
     assert run(["verify", "--skel", str(skel), "--dial", str(sheet)]) == 2

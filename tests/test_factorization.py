@@ -19,6 +19,7 @@ from composer.factorization import (
     unpack_skew,
 )
 from composer.integrals import IntegralSet, synth_instance, with_orbital_energies
+from conftest import edit_packed
 
 
 def zero_eri_instance(n_spatial=2):
@@ -286,9 +287,9 @@ def test_pool_loader_checks_bilinear_vector_lengths(small_pools, mixed_gen_pool)
     ham, _ = small_pools
     doc = json.loads(pools_to_json(ham, mixed_gen_pool))
     lad = next(lad for lad in doc["generator"]["ladders"] if lad["kind"] == "bilinear")
-    for part in ("re", "im"):
-        lad["v"][part].append(0.0)
-    message = f"ladder {lad['address']} v must have 4 entries"
+    # one more complex entry: its real and imaginary parts
+    edit_packed(lad, "v", lambda values: values.extend([0.0, 0.0]))
+    message = f"ladder {lad['address']} v must hold 8 float64 values, not 10"
     with pytest.raises(ParseError, match=message):
         pools_from_json(json.dumps(doc))
 
