@@ -30,8 +30,8 @@ pool = build_hamiltonian_pool(ints, tau, tau_eig=0.0)
 print(f"pool: R1 = {len(pool.one_body)} one-body modes, ell_H = {pool.ell}, "
       f"alpha = {pool.alpha:.4f}")
 
-dense = oracle.dense_hamiltonian(ints, include_e_nn=False).matrix
-rebuilt = oracle.hamiltonian_from_pool(pool).matrix
+dense = oracle.dense_hamiltonian(ints, include_e_nn=False)
+rebuilt = oracle.hamiltonian_from_pool(pool)
 err = np.linalg.norm(dense - rebuilt, 2)
 print(f"operator-norm rebuild error: {err:.2e} "
       f"(bound {10 * tau * ints.n_so**2:.2e})")

@@ -2,12 +2,12 @@
 
 Every adaptor comes from the dialed fabric: one skeleton is compiled for
 a Hamiltonian pool and a generator pool, dialed once, and each adaptor's
-branch is executed from the dial sheet alone (``execute_adaptor``).  Its
-block is checked against the dense operator it encodes, restricted to the
-working particle-number sector.
+branch is executed from the dial sheet alone, at its address
+(``execute_encoding(skel, sheet, "gen/<a>")``, assembled so its unitarity
+shows too).  Its block is checked against the dense operator it encodes,
+restricted to the working particle-number sector.
 """
 
-import numpy as np
 from scipy import sparse
 
 from composer import circuit_ir as cir
@@ -29,11 +29,10 @@ skel = cir.compile_skeleton(n, plan)
 sheet = cir.dial(skel, pool, gen, [lad.address for lad in gen.ladders])
 
 
-def report(label, w, target, sector):
-    ancillas = int(np.log2(w.shape[0])) - n
-    err = oracle.restricted_block_error(
-        w, oracle.FockOperator(target, n), ancillas, sector=sector
-    )
+def report(label, address, target, sector):
+    w = cir.execute_encoding(skel, sheet, address)
+    ancillas = cir.ancillas(skel, address)
+    err = oracle.restricted_block_error(w, target, ancillas, sector=sector)
     gram = w.conj().T @ w - sparse.identity(w.shape[0])
     print(f"{label}: ancillas = {ancillas}, restricted error = {err:.2e}, "
           f"unitarity = {abs(gram).max():.2e}")
@@ -44,21 +43,22 @@ def report(label, w, target, sector):
 lad = gen.ladders[0]
 ell = oracle.dense_generator_ladder(lad, gen.n_occ, n)
 report(f"dyad (pair) adaptor gen/{lad.address}",
-       cir.execute_adaptor(skel, sheet, f"gen/{lad.address}"),
+       f"gen/{lad.address}",
        1j * (ell - ell.conj().T) / generator_branch_alpha(lad), gen.sector)
 
 # 2. squared diagonalized channel adaptor: O^2 / Gamma^2
 lad = pool.channels[0]
 o_mu = oracle.channel_operator(lad.channel, n)
 report(f"channel adaptor ham/{lad.address} (Gamma^2 = {lad.channel.gamma**2:.4f})",
-       cir.execute_adaptor(skel, sheet, f"ham/{lad.address}"),
+       f"ham/{lad.address}",
        o_mu @ o_mu / lad.channel.gamma**2, pool.n_elec)
 
-# 3. the binary-multiplexed Hamiltonian: block = H / alpha on the sector
-wh, reph = oracle.hamiltonian_block_encoding(pool)
+# 3. the binary-multiplexed Hamiltonian: block = H / alpha on the sector,
+#    from the pool encoder (run on its ancilla-zero columns), then assembled
+#    from the shared sheet
+block, reph = oracle.hamiltonian_block_encoding(pool)
 print(f"multiplexed Hamiltonian: alpha = {reph.alpha:.4f}, "
       f"ancillas = {reph.ancillas}, restricted error = {reph.measured_error:.2e}")
-block = oracle.extract_block(wh, n)
-gram = wh.conj().T @ wh - sparse.identity(wh.shape[0])
-print(f"  unitarity: {abs(gram).max():.2e}")
 print(f"  sector preserving: {oracle.assert_sector_preserving(block, n)}")
+report("  assembled from the shared sheet", "ham",
+       oracle.hamiltonian_from_pool(pool) / pool.alpha, pool.n_elec)

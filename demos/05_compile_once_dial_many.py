@@ -54,15 +54,10 @@ print(f"{len(sheets)} dials -> {len(fingerprints)} fingerprint(s), "
 
 worst_dev = 0.0
 for pool, mask, sheet in sheets:
-    w = cir.execute_generator_encoding(skel, sheet)
-    target = oracle.FockOperator(
-        oracle.generator_dense(pool, mask.indices).matrix / worst, ints.n_so
-    )
+    block = cir.execute_block(skel, sheet, "gen")
+    target = oracle.generator_dense(pool, mask.indices) / worst
     worst_dev = max(
-        worst_dev,
-        oracle.restricted_block_error(
-            w, target, cir.generator_ancillas(skel), sector=pool.sector
-        ),
+        worst_dev, oracle.restricted_block_error(block, target, 0, sector=pool.sector)
     )
 print(f"worst executed-vs-dense-target deviation: {worst_dev:.2e}")
 

@@ -35,10 +35,15 @@ line.  ``select|r`` opens a sub-select over register ``r`` whose ``case``
 lines (a dialed PREP amplitude each) or ``fcase`` lines (equal fixed
 amplitudes) each start a branch, up to ``end``.  ``square|s`` makes
 everything before it ``W R0 W`` on signal ``s``, whose block is the square.
-Execution first checks the sheet against the skeleton (:func:`sheet_values`:
-the fingerprint must match and the value count equal the stream's length);
-``execute_*_encoding`` assemble the gadget tree (:mod:`oracle`) as a sparse
-unitary, ``execute_*_block`` run it on the ``2**n`` ancilla-zero columns.
+Execution is keyed by an address: a side, ``"ham"`` or ``"gen"`` (its
+multiplexed encoding), or one adaptor's branch, ``"ham/<a>"`` or
+``"gen/<a>"``.  :func:`ancillas` gives the register it runs on;
+:func:`execute_block` runs the gadget tree (:mod:`oracle`) on the ``2**n``
+ancilla-zero columns, and :func:`execute_encoding` assembles it as a sparse
+unitary, which only ``composer verify`` needs.  Each checks its one size
+limit before anything is built, then the sheet against the skeleton
+(:func:`sheet_values`: the fingerprint must match and the value count equal
+the stream's length).
 """
 
 from __future__ import annotations
@@ -226,8 +231,8 @@ class CircuitSkeleton:
         A span holds the adaptor's PREP amplitude, then the values its lines
         take (:data:`LINE_VALUES`), counted as the ``\\n<gate>|`` line starts
         of each kind in the adaptor's :attr:`AdaptorSpec.text`.  Built on
-        first use, by dial or execution; loading a skeleton and ``estimate``
-        never build it.
+        first use, by dial, execution or ``estimate``; loading a skeleton
+        never builds it.
         """
         spans, start = {}, 0
         for side, adaptors in self.sides():
@@ -352,25 +357,25 @@ def _all_layer_lines(spec):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DialSheet:
     """Per-instance values of every skeleton parameter slot.
 
     ``values[i]`` binds the ``i``-th slot of the skeleton's value stream,
     a position its fingerprinted lines fix (:attr:`CircuitSkeleton.slot_spans`).
-    In memory ``values`` is a tuple of floats; the JSON field is the standard
-    base64 of the stream as little-endian float64, 8 bytes per value, so
-    every value reads back bit for bit.
+    In memory ``values`` is a read-only little-endian float64 array; the
+    JSON field is the standard base64 of its bytes, 8 per value, so every
+    value reads back bit for bit.
     """
 
     skeleton_fingerprint: str
     mask_id: str
     mask_indices: tuple
-    values: tuple
+    values: np.ndarray
     classical_coeffs: dict
 
     def to_json(self):
-        packed = base64.b64encode(np.asarray(self.values, "<f8").tobytes())
+        packed = base64.b64encode(self.values.tobytes())
         doc = {
             "format": DIAL_FORMAT,
             "skeleton_fingerprint": self.skeleton_fingerprint,
@@ -402,7 +407,7 @@ class DialSheet:
             skeleton_fingerprint=doc["skeleton_fingerprint"],
             mask_id=doc["mask_id"],
             mask_indices=tuple(doc["mask_indices"]),
-            values=tuple(values.tolist()),
+            values=values,
             classical_coeffs=doc["classical_coeffs"],
         )
 
@@ -630,7 +635,7 @@ def dial(skel, ham_pool, gen_pool, mask, alpha_bar=None):
     if gen_pool is not None:
         coeffs.update(_bind_generator(skel, gen_pool, masked, alpha_bar, rows))
     # every slot starts at zero, where surplus compiled modes and adaptors idle
-    values = np.zeros(skel.n_slots)
+    values = np.zeros(skel.n_slots, "<f8")
     for (side, address), row in rows:
         start, stop = skel.slot_spans[side, address]
         if len(row) != stop - start:
@@ -639,13 +644,14 @@ def dial(skel, ham_pool, gen_pool, mask, alpha_bar=None):
                 f"{stop - start} slots"
             )
         values[start:stop] = row
+    values.setflags(write=False)
 
     label = mask.label if isinstance(mask, Mask) else "mask"
     return DialSheet(
         skeleton_fingerprint=skel.fingerprint,
         mask_id=label,
         mask_indices=tuple(sorted(masked)),
-        values=tuple(values.tolist()),
+        values=values,
         classical_coeffs=coeffs,
     )
 
@@ -944,65 +950,61 @@ def _combine(factors):
 def _branch(skel, values, side, ad):
     """Gadget node of one adaptor's lines, read over its span, and its branch phase."""
     start, stop = skel.slot_spans[side, ad.address]
-    lines = _Interpreter(skel, values[start + 1:stop], ad.layers)
+    lines = _Interpreter(skel, values[start + 1:stop].tolist(), ad.layers)
     factors, phase, closer = lines.frame()
     if closer is not None:
         raise ValidationError(f"adaptor {ad.address}: unmatched {closer[0]!r}")
     return _combine(factors)[0], phase
 
 
-def generator_workspace_width(skel):
-    """Widest workspace any generator branch actually touches.
+# how the size-limit messages name each side
+_SIDE_NAMES = {"ham": "Hamiltonian", "gen": "generator"}
 
-    The shared register is sized by the Hamiltonian channels; generator
-    execution lifts only to its own branch width (the idle ancillas do
-    not affect the encoded block and would inflate the assembled register).
+
+def _addressed(skel, address):
+    """``(side, adaptors)``: all of a side's adaptors, or the one ``address`` names.
+
+    ``address`` is a side, ``"ham"`` or ``"gen"``, or one adaptor on it,
+    ``"ham/<a>"`` or ``"gen/<a>"``.
     """
-    branches = [ad for ad in skel.adaptors_gen if ad.kind != "null"]
-    return plan_workspace_width((), branches)
+    side, slash, label = address.partition("/")
+    adaptors = dict(skel.sides()).get(side, ())
+    if slash:
+        adaptors = tuple(ad for ad in adaptors if str(ad.address) == label)
+    if not adaptors:
+        raise BindError(f"no adaptor at {address!r} in the skeleton")
+    return side, adaptors
 
 
-def hamiltonian_ancillas(skel):
-    """Selector plus workspace qubits the Hamiltonian encoding is assembled on."""
-    return skel.selector_width + skel.workspace_width
+def ancillas(skel, address):
+    """Qubits above the system register that the encoding at ``address`` runs on.
 
-
-def generator_ancillas(skel):
-    """Selector plus workspace qubits the generator encoding is assembled on."""
-    return skel.selector_width + generator_workspace_width(skel)
-
-
-def execute_generator_encoding(skel, sheet):
-    """Sparse (CSR) masked generator encoding, run from the skeleton's lines.
-
-    The result certifies the fabric and the dial data, not the pools.
+    One adaptor runs on its own workspace.  A side runs on the selector
+    plus a workspace: the Hamiltonian on the shared one, the generator on
+    the widest any of its branches touches (the idle shared ancillas would
+    not affect its block).
     """
-    oracle.check_assembly_width(generator_ancillas(skel) + skel.n_system)
-    return _select(skel, sheet, "gen").tocsr()
+    side, adaptors = _addressed(skel, address)
+    if address == "ham":
+        return skel.selector_width + skel.workspace_width
+    # the null flip is the one-qubit floor of plan_workspace_width
+    branches = [ad for ad in adaptors if ad.kind != "null"]
+    width = plan_workspace_width(*((branches, ()) if side == "ham" else ((), branches)))
+    return width if "/" in address else skel.selector_width + width
 
 
-def execute_generator_block(skel, sheet):
-    """Dense block of :func:`execute_generator_encoding`, run on columns."""
-    oracle.check_column_batch(generator_ancillas(skel), skel.n_system, "generator")
-    return oracle.column_block(_select(skel, sheet, "gen"), skel.n_system)
+def _encoding(skel, sheet, address):
+    """Gadget node of the encoding at ``address``, read from the sheet's values.
 
-
-def execute_hamiltonian_encoding(skel, sheet):
-    """Sparse (CSR) Hamiltonian encoding, run from the skeleton's lines."""
-    oracle.check_assembly_width(hamiltonian_ancillas(skel) + skel.n_system)
-    return _select(skel, sheet, "ham").tocsr()
-
-
-def execute_hamiltonian_block(skel, sheet):
-    """Dense block of :func:`execute_hamiltonian_encoding`, run on columns."""
-    oracle.check_column_batch(hamiltonian_ancillas(skel), skel.n_system, "Hamiltonian")
-    return oracle.column_block(_select(skel, sheet, "ham"), skel.n_system)
-
-
-def _select(skel, sheet, side):
-    """PREP-SELECT-PREP node over one side's branches (oracle checks the PREP norm)."""
+    A side is PREP-SELECT-PREP over its branches (oracle checks the PREP
+    norm).  One adaptor is the branch that multiplexer selects (the same
+    lines) without its sign line's phase, so its block is the adaptor's
+    normalized ladder term.
+    """
     values = sheet_values(skel, sheet)
-    adaptors = dict(skel.sides())[side]
+    side, adaptors = _addressed(skel, address)
+    if "/" in address:
+        return _branch(skel, values, side, adaptors[0])[0]
     amps = np.zeros(2**skel.selector_width)
     for ad in adaptors:
         amps[ad.address] = values[skel.slot_spans[side, ad.address][0]]
@@ -1010,29 +1012,38 @@ def _select(skel, sheet, side):
         _branch(skel, values, side, ad)
         for ad in sorted(adaptors, key=lambda a: a.address)
     ))
-    width = generator_workspace_width(skel) if side == "gen" else skel.workspace_width
+    width = ancillas(skel, side) - skel.selector_width
     return oracle._prep_select_prep(amps, ops, phases, skel.n_system, width)
 
 
-def execute_adaptor(skel, sheet, address):
-    """Sparse (CSR) branch unitary of one adaptor, run from its layer lines.
+def execute_encoding(skel, sheet, address):
+    """Sparse (CSR) unitary of the encoding at ``address``, run from its lines.
 
-    ``address`` is the adaptor's side and address, ``"ham/<a>"`` or
-    ``"gen/<a>"``.  The branch is the one the multiplexed encoding selects
-    (the same lines), on its own workspace plus the system register and
-    without its sign line's phase, so its block is the adaptor's
-    normalized ladder term.
+    ``address`` names a side's multiplexed encoding, ``"ham"`` or
+    ``"gen"``, or one adaptor's branch, ``"ham/<a>"`` or ``"gen/<a>"``.
+    Its :func:`ancillas` plus the system register are checked against the
+    assembly cap before anything is built.  The result certifies the
+    fabric and the dial data, not the pools.
     """
-    side = address.partition("/")[0]
-    adaptors = dict(skel.sides()).get(side, ())
-    ad = next((a for a in adaptors if f"{side}/{a.address}" == address), None)
-    if ad is None:
-        raise BindError(f"no adaptor at {address!r} in the skeleton")
-    # the null flip is the one-qubit floor of plan_workspace_width
-    own = () if ad.kind == "null" else (ad,)
-    lists = (own, ()) if side == "ham" else ((), own)
-    oracle.check_assembly_width(plan_workspace_width(*lists) + skel.n_system)
-    return oracle._csr(_branch(skel, sheet_values(skel, sheet), side, ad)[0])
+    oracle.check_assembly_width(ancillas(skel, address) + skel.n_system)
+    return oracle._csr(_encoding(skel, sheet, address))
+
+
+def execute_block(skel, sheet, address):
+    """Dense ancilla-zero block of :func:`execute_encoding`, run on ``2**n`` columns.
+
+    The column batch is checked before anything is built.
+    """
+    width = ancillas(skel, address)
+    side, _, label = address.partition("/")
+    name = _SIDE_NAMES[side] + (f" adaptor {label}" if label else "")
+    oracle.check_column_batch(width, skel.n_system, name)
+    return oracle.column_block(_encoding(skel, sheet, address), skel.n_system)
+
+
+def execute_generator_encoding(skel, sheet):
+    """The generator side's :func:`execute_encoding`, the unitary ``verify`` checks."""
+    return execute_encoding(skel, sheet, "gen")
 
 
 def sheet_values(skel, sheet):

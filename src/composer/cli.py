@@ -205,7 +205,7 @@ def cmd_verify(args):
     report = {
         "format": oracle.REPORT_FORMAT,
         "alpha": alpha,
-        "ancillas": cir.generator_ancillas(skel),
+        "ancillas": cir.ancillas(skel, "gen"),
         "measured_error": err,
         "unitarity": unitarity,
         "sector_preserving": bool(sector_ok),

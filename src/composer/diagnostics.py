@@ -183,7 +183,7 @@ def reduced_density_blocks(gen_pool, mask, reference_state, n):
     if np.linalg.norm(phi) < 1e-14:
         raise ValidationError("reference state must be nonzero")
     phi = phi / np.linalg.norm(phi)
-    herm = oracle.generator_dense(gen_pool, getattr(mask, "indices", mask)).matrix
+    herm = oracle.generator_dense(gen_pool, getattr(mask, "indices", mask))
     psi = qsp.exact_exponential(herm) @ phi
     dmat = np.empty((n, n), dtype=complex)
     for p in range(n):

@@ -20,7 +20,8 @@ _ID2 = sparse.identity(2, format="csr")
 _CR = sparse.csr_matrix(np.array([[0.0, 0.0], [1.0, 0.0]]))
 
 
-def _check_n(n):
+def check_n(n):
+    """Reject a mode count outside ``1..MAX_QUBITS``, the dense operators' range."""
     if not 1 <= n <= MAX_QUBITS:
         raise ShapeError(f"mode count {n} outside supported range 1..{MAX_QUBITS}")
 
@@ -32,7 +33,7 @@ def jw_ladder_ops(n):
     Returns ``(creations, annihilations)``, tuples of sparse CSR matrices of
     dimension ``2**n`` satisfying ``{a_p, a_q^dag} = delta_pq I``.
     """
-    _check_n(n)
+    check_n(n)
     creations = []
     for p in range(n):
         op = sparse.identity(1, format="csr")
@@ -52,7 +53,7 @@ def jw_ladder_ops(n):
 @lru_cache(maxsize=None)
 def hamming_weights(n):
     """Occupation count of every computational-basis index."""
-    _check_n(n)
+    check_n(n)
     return np.array([bin(i).count("1") for i in range(2**n)], dtype=np.int64)
 
 

@@ -100,21 +100,18 @@ def similarity_sandwich(ham_pool, gen_pool, mask, model_space, eps_poly):
     # checked before either is dialed or run
     ham_skel = circuit_ir.one_pool_skeleton(ham_pool, None)
     gen_skel = circuit_ir.one_pool_skeleton(None, gen_pool)
-    ham_anc = circuit_ir.hamiltonian_ancillas(ham_skel)
-    oracle.check_column_batch(ham_anc, n, "Hamiltonian")
-    oracle.check_column_batch(circuit_ir.generator_ancillas(gen_skel), n, "generator")
+    oracle.check_column_batch(circuit_ir.ancillas(ham_skel, "ham"), n, "Hamiltonian")
+    oracle.check_column_batch(circuit_ir.ancillas(gen_skel, "gen"), n, "generator")
 
     sheet = circuit_ir.dial(ham_skel, ham_pool, None, ())
-    b_block = circuit_ir.execute_hamiltonian_block(ham_skel, sheet)
-    h_exact = oracle.hamiltonian_from_pool(ham_pool).matrix / ham_pool.alpha
+    b_block = circuit_ir.execute_block(ham_skel, sheet, "ham")
+    h_exact = oracle.hamiltonian_from_pool(ham_pool) / ham_pool.alpha
     eps_ham = oracle._sector_norm(b_block - h_exact, n_elec)
 
     sheet = circuit_ir.dial(gen_skel, None, gen_pool, mask_indices)
-    exp_exact = qsp.exact_exponential(
-        oracle.generator_dense(gen_pool, mask_indices).matrix
-    )
+    exp_exact = qsp.exact_exponential(oracle.generator_dense(gen_pool, mask_indices))
     e_block, exp_rep = qsp.exp_encoded_block(
-        circuit_ir.execute_generator_block(gen_skel, sheet),
+        circuit_ir.execute_block(gen_skel, sheet, "gen"),
         exp_exact, gen_pool.alpha_bar, eps_poly, gen_pool.sector,
     )
     eps_exp = exp_rep.measured_deviation
@@ -239,7 +236,7 @@ def toy_two_generator_instance():
 
     h, eri = expand_spin(h_sp, chem)
     ints = IntegralSet(2, 4, 2, 0.0, h, eri).validate()
-    hmat = oracle.dense_hamiltonian(ints).matrix
+    hmat = oracle.dense_hamiltonian(ints)
     cr, an = jw.jw_ladder_ops(n)
     ref = np.zeros(2**n, dtype=complex)
     ref[jw.basis_state(n, [0, 1])] = 1.0

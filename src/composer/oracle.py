@@ -5,9 +5,10 @@ runs (built by the :mod:`circuit_ir` interpreter with the :mod:`ladders`
 kernel) and cached sparse workspace gadgets.  It has two evaluations:
 ``apply`` runs it on dense state columns, so block consumers read the
 ``2**n x 2**n`` ancilla-zero block from the ``2**n`` columns
-``|0_anc>|x>``; ``tocsr`` assembles the sparse (CSR) unitary for
-unitarity checks.  The block is checked against the dense operator it is
-supposed to encode, built independently from Jordan-Wigner ladder
+``|0_anc>|x>``; ``tocsr`` assembles the sparse (CSR) unitary, which only
+``composer verify`` needs, for its unitarity check.  The block is checked
+against the dense operator it is supposed to encode, a plain
+``2**n x 2**n`` array built independently from Jordan-Wigner ladder
 operators and restricted to the working sector.
 
 The trees are built only by the :mod:`circuit_ir` interpreter, from a
@@ -15,8 +16,9 @@ skeleton's layer lines and a dial sheet; this module holds their nodes
 and the cached angle-free leaves the lines map onto (flag copy, vacuum
 reflection, null flip, squaring, PREP-SELECT-PREP).  Each pool encoder
 (and :func:`channel_block_encoding`, for one channel) compiles a
-skeleton for its one pool, dials it and executes the dial sheet, then
-measures the result against its dense target.
+skeleton for its one pool, dials it, runs the dial sheet on the
+ancilla-zero columns (:func:`circuit_ir.execute_block`) and returns that
+block with its error against the dense target.
 """
 
 from __future__ import annotations
@@ -44,20 +46,6 @@ MAX_ASSEMBLY_QUBITS = 13
 _H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
-@dataclass(frozen=True, eq=False)
-class FockOperator:
-    """Dense operator on the full 2**n Jordan-Wigner space."""
-
-    matrix: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        if self.n > jw.MAX_QUBITS:
-            raise ShapeError(f"{self.n} qubits exceeds the dense oracle limit")
-        if self.matrix.shape != (2**self.n, 2**self.n):
-            raise ShapeError("matrix dimension inconsistent with qubit count")
-
-
 @dataclass(frozen=True)
 class BlockEncodingReport:
     """Normalization, ancilla count, and measured restricted-block error."""
@@ -74,9 +62,9 @@ class BlockEncodingReport:
 
 
 def dense_hamiltonian(ints, include_e_nn=True):
-    """Second-quantized Hamiltonian built directly from the integrals."""
+    """Dense second-quantized Hamiltonian built directly from the integrals."""
     n = ints.n_so
-    cr, an = jw.jw_ladder_ops(n)
+    cr, an = jw.jw_ladder_ops(n)  # checks n against jw.MAX_QUBITS
     dim = 2**n
     out = sparse.csr_matrix((dim, dim), dtype=complex)
     for p in range(n):
@@ -105,7 +93,7 @@ def dense_hamiltonian(ints, include_e_nn=True):
     mat = out.toarray()
     if include_e_nn:
         mat = mat + ints.e_nn * np.eye(dim)
-    return FockOperator(mat, n)
+    return mat
 
 
 def hamiltonian_from_pool(pool):
@@ -115,15 +103,15 @@ def hamiltonian_from_pool(pool):
     ``dense_hamiltonian(..., include_e_nn=False)``.
     """
     n = pool.n_so
-    dim = 2**n
-    out = np.zeros((dim, dim), dtype=complex)
+    jw.check_n(n)
+    out = np.zeros((2**n, 2**n), dtype=complex)
     for lad in pool.one_body:
         w = lad.vectors
         out += lad.coefficient * _bilinear_sum(w @ w.conj().T, n)
     for lad in pool.channels:
         o_mu = channel_operator(lad.channel, n)
         out += lad.coefficient * (o_mu @ o_mu)
-    return FockOperator(out, n)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -184,8 +172,8 @@ def generator_dense(pool, mask_indices=None):
     matrix.
     """
     n = pool.n_so
-    dim = 2**n
-    out = np.zeros((dim, dim), dtype=complex)
+    jw.check_n(n)
+    out = np.zeros((2**n, 2**n), dtype=complex)
     selected = (
         pool.ladders
         if mask_indices is None
@@ -194,7 +182,7 @@ def generator_dense(pool, mask_indices=None):
     for lad in selected:
         lmat = dense_generator_ladder(lad, pool.n_occ, n)
         out += lad.coefficient * 1j * (lmat - lmat.conj().T)
-    return FockOperator(out, n)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +205,19 @@ def extract_block(w, n):
 def restricted_block_error(w, target, ancilla_count, sector=None):
     """Spectral norm of the encoded-block deviation on the working subspace.
 
-    Extracts the all-ancilla-zero block, subtracts the (already scaled)
-    target, sandwiches with the particle-number-sector projector (when a
-    sector is given) and returns the 2-norm.
+    Extracts the all-ancilla-zero block of ``w`` (a block itself when
+    ``ancilla_count`` is 0), subtracts the (already scaled) ``2**n x 2**n``
+    target array, sandwiches with the particle-number-sector projector
+    (when a sector is given) and returns the 2-norm.
     """
-    n = target.n
+    n = int(np.log2(max(len(target), 1)))
+    if target.shape != (2**n, 2**n):
+        raise ShapeError(f"target shape {target.shape} is not 2**n x 2**n")
     if w.shape[0] != 2 ** (ancilla_count + n):
         raise ShapeError(
             f"unitary dimension {w.shape[0]} != 2**(t + n) with t={ancilla_count}"
         )
-    return _sector_norm(extract_block(w, n) - target.matrix, sector)
+    return _sector_norm(extract_block(w, n) - target, sector)
 
 
 def _sector_norm(delta, sector=None):
@@ -364,14 +355,14 @@ class _PrepSelectPrep(_Node):
 
 
 def column_block(op, n):
-    """Dense ``<0_anc| W |0_anc>`` of a node, run on the columns ``|0_anc>|x>``."""
+    """Dense ``<0_anc| W |0_anc>`` of a leaf or node, run on columns ``|0_anc>|x>``."""
     cols = np.zeros((op.shape[0], 2**n), dtype=complex)
     cols[: 2**n] = np.eye(2**n)
-    return op.apply(cols)[: 2**n]
+    return _apply(op, cols)[: 2**n]
 
 
 def check_column_batch(ancillas, n, name):
-    """Reject ``2**(t + n) x 2**n`` columns larger than the largest FockOperator."""
+    """Reject ``2**(t + n) x 2**n`` columns larger than the largest dense operator."""
     needed, allowed = 2 ** (ancillas + 2 * n), 4**jw.MAX_QUBITS
     if needed > allowed:
         raise ShapeError(
@@ -510,10 +501,11 @@ def squared_block_gadget(w, t, n):
 
 
 def channel_block_encoding(ch, n):
-    """Squared channel adaptor, executed on the fabric of a one-channel pool.
+    """Squared channel adaptor, run on the fabric of a one-channel pool.
 
-    Compiles, dials and executes ``ham/0`` of that pool and measures the
-    block against ``O_mu^2 / Gamma_mu^2`` on every particle sector.
+    Compiles and dials that pool, runs ``ham/0`` on its ancilla-zero
+    columns and returns the block with its error against
+    ``O_mu^2 / Gamma_mu^2`` on every particle sector.
     """
     if ch.eigvals is None:
         raise ValidationError("channel must be eigendecomposed first")
@@ -522,14 +514,11 @@ def channel_block_encoding(ch, n):
     # the channel block is exact on every sector, so n_elec is never read
     pool = HamiltonianPool((), (ChannelLadder(ch, 1.0, 0),), n_so=n, n_elec=0)
     skel = circuit_ir.one_pool_skeleton(pool, None)
-    w = circuit_ir.execute_adaptor(skel, circuit_ir.dial(skel, pool, None, ()), "ham/0")
+    sheet = circuit_ir.dial(skel, pool, None, ())
+    block = circuit_ir.execute_block(skel, sheet, "ham/0")
     o_mu = channel_operator(ch, n)
-    target = FockOperator(o_mu @ o_mu / ch.gamma**2, n)
-    ancillas = int(np.log2(w.shape[0])) - n
-    err = restricted_block_error(w, target, ancillas)
-    return w, BlockEncodingReport(
-        alpha=ch.gamma**2, ancillas=ancillas, measured_error=err, sector="all"
-    )
+    target = o_mu @ o_mu / ch.gamma**2
+    return block, _report(skel, "ham/0", block, target, ch.gamma**2, None)
 
 
 def channel_operator(ch, n):
@@ -538,46 +527,46 @@ def channel_operator(ch, n):
     return _bilinear_sum((w * ch.eigvals) @ w.conj().T, n)
 
 
-def _measured(w, target, alpha, ancillas, sector):
-    """Report of an executed encoding measured against its dense target."""
-    err = restricted_block_error(w, target, ancillas, sector=sector)
+def _report(skel, address, block, target, alpha, sector):
+    """Report of the block run at ``address``, measured against its dense target."""
     return BlockEncodingReport(
-        alpha=alpha, ancillas=ancillas, measured_error=err, sector=f"N={sector}"
+        alpha=alpha,
+        ancillas=circuit_ir.ancillas(skel, address),
+        measured_error=restricted_block_error(block, target, 0, sector=sector),
+        sector="all" if sector is None else f"N={sector}",
     )
 
 
 def hamiltonian_block_encoding(pool):
-    """Full multiplexed encoding of the pool Hamiltonian (no constant shift).
+    """Block of the pool Hamiltonian's multiplexed encoding (no constant shift).
 
-    Compiles a Hamiltonian-only skeleton, dials and executes it, and
-    measures the block against the dense pool rebuild on the working sector.
+    Compiles a Hamiltonian-only skeleton, dials it, runs it on its
+    ancilla-zero columns and measures the block against the dense pool
+    rebuild on the working sector; returns ``(block, report)``.
     """
     skel = circuit_ir.one_pool_skeleton(pool, None)
     sheet = circuit_ir.dial(skel, pool, None, ())
-    w = circuit_ir.execute_hamiltonian_encoding(skel, sheet)
-    target = FockOperator(hamiltonian_from_pool(pool).matrix / pool.alpha, pool.n_so)
-    ancillas = circuit_ir.hamiltonian_ancillas(skel)
-    return w, _measured(w, target, pool.alpha, ancillas, pool.n_elec)
+    block = circuit_ir.execute_block(skel, sheet, "ham")
+    target = hamiltonian_from_pool(pool) / pool.alpha
+    return block, _report(skel, "ham", block, target, pool.alpha, pool.n_elec)
 
 
 def generator_block_encoding(pool, mask_indices):
-    """Masked generator encoding with the global-normalization null branch.
+    """Block of the masked generator encoding with the global-normalization null branch.
 
     The block equals ``sum_(s in mask) omega_s i(L_s - L_s^dag) / alpha_bar``
     with ``alpha_bar`` fixed by the full compiled pool (never by the mask);
     surplus PREP amplitude is routed to the reserved address-0 null branch,
     whose workspace flip keeps it invisible to the ancilla-vacuum block.
     A generator-only skeleton is compiled, dialed (which checks the mask
-    and the masked-weight budget) and executed.
+    and the masked-weight budget) and run on its ancilla-zero columns;
+    returns ``(block, report)``.
     """
     mask_indices = frozenset(mask_indices)
     if pool.ell == 0 and mask_indices:
         raise MaskError("nonzero mask over an empty generator pool")
     skel = circuit_ir.one_pool_skeleton(None, pool)
     sheet = circuit_ir.dial(skel, None, pool, mask_indices)
-    w = circuit_ir.execute_generator_encoding(skel, sheet)
-    target = FockOperator(
-        generator_dense(pool, mask_indices).matrix / pool.alpha_bar, pool.n_so
-    )
-    ancillas = circuit_ir.generator_ancillas(skel)
-    return w, _measured(w, target, pool.alpha_bar, ancillas, pool.sector)
+    block = circuit_ir.execute_block(skel, sheet, "gen")
+    target = generator_dense(pool, mask_indices) / pool.alpha_bar
+    return block, _report(skel, "gen", block, target, pool.alpha_bar, pool.sector)

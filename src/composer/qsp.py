@@ -6,8 +6,8 @@ the polynomial is applied to the encoded block through the three-term
 matrix recurrence, which realizes the same map a phased signal-processing
 sequence would produce without synthesizing phase lists.  The generator
 block comes from running its encoding on the ancilla-zero columns
-(:func:`circuit_ir.execute_generator_block`); the unitary is never
-assembled.
+(``circuit_ir.execute_block(skel, sheet, "gen")``); the unitary is never
+assembled.  Every matrix here is a plain dense array.
 """
 
 from __future__ import annotations
@@ -118,8 +118,7 @@ def jacobi_anger_coeffs(alpha, d):
 
 def apply_matrix_poly(poly, a_norm):
     """Evaluate the polynomial on a matrix via the Chebyshev recurrence."""
-    mat = a_norm.matrix if isinstance(a_norm, oracle.FockOperator) else a_norm
-    mat = np.asarray(mat)
+    mat = np.asarray(a_norm)
     norm = float(np.linalg.norm(mat, 2))
     if norm > 1.0 + 1e-9:
         raise SpectralBoundError(f"matrix norm {norm} exceeds 1")
@@ -198,6 +197,6 @@ def exp_sigma_block(pool, mask_indices, eps_poly, eps_prime=0.0, alpha_bar=None)
     alpha_bar = pool.alpha_bar if alpha_bar is None else float(alpha_bar)
     skel = circuit_ir.one_pool_skeleton(None, pool)
     sheet = circuit_ir.dial(skel, None, pool, mask_indices, alpha_bar=alpha_bar)
-    block = circuit_ir.execute_generator_block(skel, sheet)
-    exact = exact_exponential(oracle.generator_dense(pool, mask_indices).matrix)
+    block = circuit_ir.execute_block(skel, sheet, "gen")
+    exact = exact_exponential(oracle.generator_dense(pool, mask_indices))
     return exp_encoded_block(block, exact, alpha_bar, eps_poly, pool.sector, eps_prime)

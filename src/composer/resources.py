@@ -1,7 +1,9 @@
 """Closed-form resource accounting for the compiled fabric.
 
-Depth counts two-qubit layers; single-qubit rotations are tallied
-separately.  Conventions (documented, exact integers):
+Depth counts two-qubit layers; single-qubit rotations are counted
+separately, from the value stream: one per dialed value (the skeleton's
+``n_slots``: every PREP amplitude and every value a line takes).
+Depth conventions (documented, exact integers):
 
 * bilinear adaptor: ``n - 1`` ladder layers, selector-control overhead 2x;
 * channel adaptor: ``(n - 1) + R_mu + 2`` layers (rotation mesh depth,
@@ -141,15 +143,6 @@ class ResourceEstimate:
         return "\n".join(lines)
 
 
-def _pair_adaptor_rotations(n_occ, n):
-    """Dialed single-qubit rotations of one pair adaptor.
-
-    Per wedge side: the two slots (angle and phase) of the ``pgivens`` line
-    of each non-pivot pair, and the pivot ``cphase``.
-    """
-    return sum(2 * (len(wedge_pairs(n, n_occ, side)) - 1) + 1 for side in "uv")
-
-
 def _pair_adaptor_depth(n_occ, n, conn):
     _, cz = block_cost(conn)
     n_blocks = sum(max(len(wedge_pairs(n, n_occ, side)) - 1, 0) for side in "uv")
@@ -199,13 +192,6 @@ def estimate(skel, mask=None, connectivity=None):
         ResourceRow("prep amplitude ladder", 0, max(a_sigma, a_ham), gen_prep),
         ResourceRow("qsp ladders", n, 1, qsp_depth),
     )
-    single_qubit = (
-        n_bilinear_ham * (2 * n - 1)
-        + sum(n + 2 * r for r in channel_ranks)
-        + ell_sigma * _pair_adaptor_rotations(skel.n_occ, n)
-        + gen_prep
-        + ham_prep
-    )
     params = {
         "n": n,
         "ell_H": ham_prep,
@@ -222,7 +208,7 @@ def estimate(skel, mask=None, connectivity=None):
         rows=rows,
         total_depth=total,
         ancilla_width=width,
-        single_qubit_rotations=single_qubit,
+        single_qubit_rotations=skel.n_slots,
         connectivity=str(conn),
         parameters=params,
     )

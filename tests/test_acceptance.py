@@ -47,8 +47,8 @@ def test_c01_factorization_fidelity():
         rec = reconstruct_eri(channels, ints.n_so)
         assert np.abs(rec - ints.eri).max() <= tau
         pool = build_hamiltonian_pool(ints, tau, 0.0)
-        dense = oracle.dense_hamiltonian(ints, include_e_nn=False).matrix
-        rebuilt = oracle.hamiltonian_from_pool(pool).matrix
+        dense = oracle.dense_hamiltonian(ints, include_e_nn=False)
+        rebuilt = oracle.hamiltonian_from_pool(pool)
         assert np.linalg.norm(dense - rebuilt, 2) <= 10 * tau * ints.n_so**2
     _stamp("1 factorization fidelity", t0, 10.0)
 
@@ -130,22 +130,20 @@ def test_c03_adaptor_and_multiplex_verification():
         targets = adaptor_targets(pool, gen)
         assert len(targets) == pool.ell + gen.ell
         for address, target in targets.items():
-            w = cir.execute_adaptor(skel, sheet, address)
+            w = cir.execute_encoding(skel, sheet, address)
             assert_encodes(w, target, n, pool.n_elec)
 
         # multiplexed Hamiltonian within the additive error formula under
         # injected one-body errors, dialed into the clean pool's fabric
         skel = cir.one_pool_skeleton(pool, None)
-        h_target = oracle.FockOperator(
-            oracle.hamiltonian_from_pool(pool).matrix / pool.alpha, n
-        )
+        h_target = oracle.hamiltonian_from_pool(pool) / pool.alpha
 
         def multiplexed_error(sheet):
             if assembled:
-                w = cir.execute_hamiltonian_encoding(skel, sheet)
-                ancillas = cir.hamiltonian_ancillas(skel)
+                w = cir.execute_encoding(skel, sheet, "ham")
+                ancillas = cir.ancillas(skel, "ham")
             else:
-                w, ancillas = cir.execute_hamiltonian_block(skel, sheet), 0
+                w, ancillas = cir.execute_block(skel, sheet, "ham"), 0
             return oracle.restricted_block_error(
                 w, h_target, ancillas, sector=pool.n_elec
             )
@@ -161,12 +159,9 @@ def test_c03_adaptor_and_multiplex_verification():
         eps_terms = []
         for lad in pool.ladders:
             address = f"ham/{lad.address}"
-            w = cir.execute_adaptor(skel, sheet, address)
+            w = cir.execute_encoding(skel, sheet, address)
             eps_s = oracle.restricted_block_error(
-                w,
-                oracle.FockOperator(targets[address], n),
-                int(np.log2(w.shape[0])) - n,
-                sector=pool.n_elec,
+                w, targets[address], cir.ancillas(skel, address), sector=pool.n_elec
             )
             if lad.kind == "one_body_mode":
                 alpha_s = lad.multiplicity
@@ -177,8 +172,10 @@ def test_c03_adaptor_and_multiplex_verification():
         bound = sum(eps_terms) / pool.alpha
         assert bound > 0.0
         assert multiplexed_error(sheet) <= bound * (1 + 1e-6) + 1e-14
-        # and the unperturbed encoding is numerically exact
+        # and the unperturbed encoding is numerically exact, as the pool
+        # encoder measures it too
         assert multiplexed_error(cir.dial(skel, pool, None, ())) <= 1e-9
+        assert oracle.hamiltonian_block_encoding(pool)[1].measured_error <= 1e-9
     _stamp("3 adaptor/multiplex verification", t0, 120.0)
 
 
@@ -275,8 +272,8 @@ def test_c06_compile_once_invariance():
         distinct = {sheet.to_json() for _, _, sheet in sheets}
         assert len(distinct) == 12
         for pool, mask, sheet in sheets:
-            w = cir.execute_generator_encoding(skel, sheet)
-            target = oracle.generator_dense(pool, mask.indices).matrix / worst
+            w = cir.execute_encoding(skel, sheet, "gen")
+            target = oracle.generator_dense(pool, mask.indices) / worst
             assert_encodes(w, target, skel.n_system, pool.sector)
     _stamp("6 compile-once invariance", t0, 60.0)
 

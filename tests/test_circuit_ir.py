@@ -421,11 +421,11 @@ def test_null_branch_amplitude_is_monotone_in_the_mask(mixed_gen_pool, data):
 
 
 def generator_target(gen, mask_indices):
-    return oracle.generator_dense(gen, mask_indices).matrix / gen.alpha_bar
+    return oracle.generator_dense(gen, mask_indices) / gen.alpha_bar
 
 
 def hamiltonian_target(ham):
-    return oracle.hamiltonian_from_pool(ham).matrix / ham.alpha
+    return oracle.hamiltonian_from_pool(ham) / ham.alpha
 
 
 @pytest.mark.parametrize("instance", ["compiled", "compiled_n6"])
@@ -433,7 +433,7 @@ def test_roundtrip_generator_execution(instance, request):
     ham, gen, skel = request.getfixturevalue(instance)
     for mask_indices in ([1], [1, 2], [2, 3], []):
         sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", mask_indices))
-        w = cir.execute_generator_encoding(skel, sheet)
+        w = cir.execute_encoding(skel, sheet, "gen")
         target = generator_target(gen, mask_indices)
         assert_encodes(w, target, skel.n_system, gen.sector)
 
@@ -441,7 +441,7 @@ def test_roundtrip_generator_execution(instance, request):
 def test_roundtrip_hamiltonian_execution(compiled):
     ham, gen, skel = compiled
     sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", [1]))
-    w = cir.execute_hamiltonian_encoding(skel, sheet)
+    w = cir.execute_encoding(skel, sheet, "ham")
     assert_encodes(w, hamiltonian_target(ham), skel.n_system, ham.n_elec)
 
 
@@ -473,45 +473,49 @@ def _dial_random_prefix(ham, gen, skel, data):
     return cir.dial(skel, ham, gen, cir.Mask.of("m", mask))
 
 
-def _assert_block_matches_assembly(block, w, n):
-    assert np.abs(block - oracle.extract_block(w, n)).max() <= 1e-13
+def every_address(skel):
+    """Both sides of the skeleton, then each adaptor on each side."""
+    sides = skel.sides()
+    return [side for side, _ in sides] + [
+        f"{side}/{ad.address}" for side, adaptors in sides for ad in adaptors
+    ]
+
+
+def _assert_blocks_match_assembly(skel, sheet, addresses):
+    """At each address the column block is the assembled unitary's top-left block."""
+    n = skel.n_system
+    for address in addresses:
+        block = cir.execute_block(skel, sheet, address)
+        w = cir.execute_encoding(skel, sheet, address)
+        assert np.abs(block - oracle.extract_block(w, n)).max() <= 1e-13, address
 
 
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_column_blocks_match_assembly(compiled, data):
-    """n_so = 4: both encodings, run on columns, equal the assembled blocks."""
+    """n_so = 4: at every address, run on columns, equals the assembled block."""
     ham, gen, skel = compiled
     sheet = _dial_random_prefix(ham, gen, skel, data)
-    n = skel.n_system
-    _assert_block_matches_assembly(
-        cir.execute_generator_block(skel, sheet),
-        cir.execute_generator_encoding(skel, sheet),
-        n,
-    )
-    _assert_block_matches_assembly(
-        cir.execute_hamiltonian_block(skel, sheet),
-        cir.execute_hamiltonian_encoding(skel, sheet),
-        n,
-    )
+    _assert_blocks_match_assembly(skel, sheet, every_address(skel))
 
 
 @settings(max_examples=6, deadline=None)
 @given(data=st.data())
 def test_generator_column_block_matches_assembly_n6(compiled_n6, data):
+    """n_so = 6: every address but the 14-qubit Hamiltonian side, past the cap."""
     ham, gen, skel = compiled_n6
     sheet = _dial_random_prefix(ham, gen, skel, data)
-    _assert_block_matches_assembly(
-        cir.execute_generator_block(skel, sheet),
-        cir.execute_generator_encoding(skel, sheet),
-        skel.n_system,
-    )
+    n = skel.n_system
+    fits = [a for a in every_address(skel)
+            if cir.ancillas(skel, a) + n <= oracle.MAX_ASSEMBLY_QUBITS]
+    assert set(every_address(skel)) - set(fits) == {"ham"}
+    _assert_blocks_match_assembly(skel, sheet, fits)
 
 
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_every_adaptor_encodes_its_ladder(small_pools, mixed_gen_pool, data):
-    """Compile -> dial -> execute_adaptor: each branch encodes its own ladder."""
+    """Compile -> dial -> execute one adaptor: each branch encodes its own ladder."""
     ham, gen, mask = _random_prefix(small_pools[0], mixed_gen_pool, data)
     plan = cir.pivots_from_pools(ham, gen)
     n = ham.n_so
@@ -520,8 +524,9 @@ def test_every_adaptor_encodes_its_ladder(small_pools, mixed_gen_pool, data):
     targets = adaptor_targets(ham, gen)
     assert len(targets) == ham.ell + gen.ell
     for address, target in targets.items():
-        assert_encodes(cir.execute_adaptor(skel, sheet, address), target, n, ham.n_elec)
-    null = cir.execute_adaptor(skel, sheet, "gen/0")
+        w = cir.execute_encoding(skel, sheet, address)
+        assert_encodes(w, target, n, ham.n_elec)
+    null = cir.execute_encoding(skel, sheet, "gen/0")
     assert_encodes(null, np.zeros((2**n, 2**n)), n, ham.n_elec)
 
 
@@ -555,9 +560,9 @@ def test_branch_signs_follow_the_coefficients(small_pools, mixed_gen_pool, data)
     n = ham.n_so
     skel = cir.compile_skeleton(n, cir.pivots_from_pools(ham, gen))
     sheet = cir.dial(skel, ham, gen, mask)
-    block = cir.execute_generator_block(skel, sheet)
+    block = cir.execute_block(skel, sheet, "gen")
     assert _sector_max(block, generator_target(gen, mask), n, gen.sector) <= 1e-12
-    block = cir.execute_hamiltonian_block(skel, sheet)
+    block = cir.execute_block(skel, sheet, "ham")
     assert _sector_max(block, hamiltonian_target(ham), n, ham.n_elec) <= 1e-12
 
 
@@ -567,7 +572,7 @@ def test_layer_stream_is_the_program(compiled):
     sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", [1]))
     n = skel.n_system
     target = hamiltonian_target(ham)
-    block = cir.execute_hamiltonian_block(skel, sheet)
+    block = cir.execute_block(skel, sheet, "ham")
     assert _sector_max(block, target, n, ham.n_elec) <= 1e-10
     # the givens line of the first one-body adaptor with the largest angle
     ad = next(a for a in skel.adaptors_ham if a.kind == "one_body_mode")
@@ -583,7 +588,7 @@ def test_layer_stream_is_the_program(compiled):
     layers[k] = f"givens|{other},{pivot}"
     tampered = _reloaded(skel, ad, layers)
     sheet = cir.dial(tampered, ham, gen, cir.Mask.of("m", [1]))
-    block = cir.execute_hamiltonian_block(tampered, sheet)
+    block = cir.execute_block(tampered, sheet, "ham")
     assert _sector_max(block, target, n, ham.n_elec) > 1e-3
 
 
@@ -619,9 +624,9 @@ def test_malformed_pair_lines_are_rejected(edit):
     sheet = cir.dial(tampered, ham, gen, cir.Mask.of("m", [1]))
     match = f"layer stream near line {line}: expected pgivens on 4 modes"
     with pytest.raises(ValidationError, match=match):
-        cir.execute_generator_block(tampered, sheet)
+        cir.execute_block(tampered, sheet, "gen")
     with pytest.raises(ValidationError, match=match):
-        cir.execute_adaptor(tampered, sheet, f"gen/{ad.address}")
+        cir.execute_encoding(tampered, sheet, f"gen/{ad.address}")
 
 
 @pytest.mark.parametrize(
@@ -758,15 +763,25 @@ def test_run_of_system_lines_is_the_product_of_its_gates(data):
     assert np.abs(adjoint - expected.conj().T).max() <= 1e-13
 
 
-def test_execute_adaptor_rejects_unknown_address_and_foreign_sheet(compiled):
+def test_execute_rejects_an_unknown_address_and_a_foreign_sheet(compiled):
+    """Every execution entry refuses an address the skeleton lacks.
+
+    ``"ham"`` and ``"gen"`` name the two sides, so they are not on the list.
+    """
     ham, gen, skel = compiled
     sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", [1]))
-    for address in ("ham/99", "gen/99", "qsp/0", "ham"):
+    for address in ("ham/99", "gen/99", "qsp/0", "qsp", "ham/", "gen/x"):
         with pytest.raises(BindError, match="no adaptor"):
-            cir.execute_adaptor(skel, sheet, address)
+            cir.ancillas(skel, address)
+        for execute in (cir.execute_encoding, cir.execute_block):
+            with pytest.raises(BindError, match="no adaptor"):
+                execute(skel, sheet, address)
+    with pytest.raises(BindError, match="no adaptor"):
+        cir.execute_block(cir.one_pool_skeleton(None, gen), sheet, "ham")
     other = cir.one_pool_skeleton(ham, None)
-    with pytest.raises(BindError, match="fingerprint"):
-        cir.execute_adaptor(other, sheet, "ham/0")
+    for execute in (cir.execute_encoding, cir.execute_block):
+        with pytest.raises(BindError, match="fingerprint"):
+            execute(other, sheet, "ham/0")
 
 
 def test_one_pool_skeletons_dial_only_their_pool(compiled):
@@ -789,8 +804,9 @@ def test_execute_rejects_fingerprint_mismatch(compiled):
     ham, gen, skel = compiled
     sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", [1]))
     tampered = replace(sheet, skeleton_fingerprint="0" * 64)
-    with pytest.raises(BindError):
-        cir.execute_generator_encoding(skel, tampered)
+    for execute in (cir.execute_encoding, cir.execute_block):
+        with pytest.raises(BindError):
+            execute(skel, tampered, "gen")
 
 
 def test_skeleton_json_roundtrip(compiled):
@@ -945,8 +961,8 @@ def test_dialsheet_json_roundtrip(compiled):
     sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", [1, 3]))
     back = cir.DialSheet.from_json(sheet.to_json())
     assert back.to_json() == sheet.to_json()
-    w1 = cir.execute_generator_encoding(skel, back)
-    w2 = cir.execute_generator_encoding(skel, sheet)
+    w1 = cir.execute_encoding(skel, back, "gen")
+    w2 = cir.execute_encoding(skel, sheet, "gen")
     assert np.abs(w1 - w2).max() == 0.0
 
 
@@ -954,7 +970,7 @@ def test_smaller_pool_than_compiled_routes_to_null(compiled, small_pools):
     ham, gen, skel = compiled
     _, gen_small = small_pools  # one ladder versus the compiled three
     sheet = cir.dial(skel, ham, gen_small, cir.Mask.of("m", [1]))
-    w = cir.execute_generator_encoding(skel, sheet)
+    w = cir.execute_encoding(skel, sheet, "gen")
     target = generator_target(gen_small, [1])
     assert_encodes(w, target, skel.n_system, gen_small.sector)
 
@@ -967,5 +983,5 @@ def test_smaller_hamiltonian_pool_than_compiled(compiled, small_pools):
     )
     assert loose.ell < skel.ell_ham
     sheet = cir.dial(skel, loose, gen, cir.Mask.of("m", [1]))
-    w = cir.execute_hamiltonian_encoding(skel, sheet)
+    w = cir.execute_encoding(skel, sheet, "ham")
     assert_encodes(w, hamiltonian_target(loose), skel.n_system, loose.n_elec)

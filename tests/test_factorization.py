@@ -141,8 +141,8 @@ def test_pool_rebuild_matches_dense_hamiltonian():
     ints = synth_instance(5, 3, 2)
     tau = 1e-9
     pool = build_hamiltonian_pool(ints, tau, 0.0)
-    dense = oracle.dense_hamiltonian(ints, include_e_nn=False).matrix
-    rebuilt = oracle.hamiltonian_from_pool(pool).matrix
+    dense = oracle.dense_hamiltonian(ints, include_e_nn=False)
+    rebuilt = oracle.hamiltonian_from_pool(pool)
     bound = 10 * tau * ints.n_so**2
     assert np.linalg.norm(dense - rebuilt, 2) <= bound
 
@@ -187,7 +187,7 @@ def rs_pt2_energy(ints):
 
     n = ints.n_so
     eps = ints.orb_energies
-    h = oracle.dense_hamiltonian(ints, include_e_nn=False).matrix
+    h = oracle.dense_hamiltonian(ints, include_e_nn=False)
     sector = jw.sector_indices(n, ints.n_elec)
     occ0 = frozenset(range(ints.n_elec))
     ref = jw.basis_state(n, sorted(occ0))
@@ -276,8 +276,8 @@ def test_pool_serialization_roundtrip(small_pools):
     assert ham2.alpha == pytest.approx(ham.alpha, abs=1e-15)
     assert gen2.alpha_bar == pytest.approx(gen.alpha_bar, abs=1e-15)
     assert np.abs(
-        oracle.hamiltonian_from_pool(ham2).matrix
-        - oracle.hamiltonian_from_pool(ham).matrix
+        oracle.hamiltonian_from_pool(ham2)
+        - oracle.hamiltonian_from_pool(ham)
     ).max() <= 1e-13
     assert pools_to_json(ham2, gen2) == text
 

@@ -24,7 +24,7 @@ def test_parse_minimal_h2_like():
     assert ints.e_nn == pytest.approx(0.7137)
     # determinant energy from brute-force diagonalization equals the
     # closed-form 2 h11 + (11|11) + E_nn
-    h = oracle.dense_hamiltonian(ints).matrix
+    h = oracle.dense_hamiltonian(ints)
     evals = np.linalg.eigvalsh(h[np.ix_([3], [3])])
     assert evals[0] == pytest.approx(2 * (-1.2528) + 0.7137 + 0.7137, abs=1e-12)
 

@@ -55,8 +55,8 @@ def test_every_artifact_round_trips(seed, shape, data):
 @example([1.7976931348623157e308, -1.7976931348623157e308])
 def test_packed_values_read_back_bit_for_bit(values):
     """A dial sheet's packed stream decodes to the very float64 bits it held."""
-    sheet = cir.DialSheet("f" * 64, "m", (), tuple(values), {})
+    sheet = cir.DialSheet("f" * 64, "m", (), np.array(values, "<f8"), {})
     back = cir.DialSheet.from_json(sheet.to_json()).values
-    assert all(type(v) is float for v in back)
+    assert back.dtype == np.dtype("<f8") and not back.flags.writeable
     bits = (np.array(v, dtype="<f8").view(np.uint64) for v in (values, back))
     assert np.array_equal(*bits)

@@ -31,7 +31,7 @@ def test_sandwich_empty_mask_is_hamiltonian_only(small_pools, mixed_gen_pool):
     rep, block = me.similarity_sandwich(
         ham, mixed_gen_pool, frozenset(), sector, 1e-10
     )
-    h_exact = oracle.hamiltonian_from_pool(ham).matrix / ham.alpha
+    h_exact = oracle.hamiltonian_from_pool(ham) / ham.alpha
     proj = me.model_space_projector(sector, 4, 2)
     dev = np.linalg.norm(proj @ (block - h_exact) @ proj, 2)
     assert dev <= 2 * rep.eps_exp + rep.eps_ham + 1e-12
@@ -60,12 +60,11 @@ def test_sandwich_inherits_hamiltonian_normalization(small_pools, mixed_gen_pool
 FORBIDDEN_BEFORE_SIZE_CHECK = (
     (oracle, "hamiltonian_block_encoding"),
     (oracle, "generator_block_encoding"),
-    (cir, "execute_hamiltonian_encoding"),
+    (cir, "execute_encoding"),
     (cir, "execute_generator_encoding"),
-    (cir, "execute_hamiltonian_block"),
-    (cir, "execute_generator_block"),
+    (cir, "execute_block"),
 )
-COLUMN_LIMIT = 4**jw.MAX_QUBITS  # amplitudes in the largest FockOperator
+COLUMN_LIMIT = 4**jw.MAX_QUBITS  # amplitudes in the largest dense operator
 
 
 def test_sandwich_rejects_oversized_register_before_building(monkeypatch):
@@ -111,7 +110,7 @@ def test_sandwich_on_six_modes(medium_instance):
     """n_so = 6: a 14-qubit Hamiltonian encoding, run on its 64 columns."""
     ham = build_hamiltonian_pool(medium_instance, 1e-8, 0.0)
     gen = nested_svd_t2(mp2_amplitudes(medium_instance), 1e-6, 1e-6)
-    assert cir.hamiltonian_ancillas(cir.one_pool_skeleton(ham, None)) + 6 == 14
+    assert cir.ancillas(cir.one_pool_skeleton(ham, None), "ham") + 6 == 14
     sector = list(jw.sector_indices(6, 2))
     for mask in (frozenset(), frozenset([1])):
         rep, block = me.similarity_sandwich(ham, gen, mask, sector, 1e-8)
@@ -120,7 +119,7 @@ def test_sandwich_on_six_modes(medium_instance):
 
 
 def test_block_consumers_never_assemble(small_pools, mixed_gen_pool, monkeypatch):
-    """The sandwich and exp(sigma) pass with every assembly path disabled.
+    """The sandwich, exp(sigma) and the pool encoders pass with assembly disabled.
 
     The CSR schedule and network unitaries are disabled too; the cached
     flag-copy and null-flip leaves are rebuilt under the patch, so the
@@ -132,7 +131,7 @@ def test_block_consumers_never_assemble(small_pools, mixed_gen_pool, monkeypatch
 
     monkeypatch.setattr(oracle._Node, "tocsr", forbidden)
     for module, name in (
-        (cir, "execute_hamiltonian_encoding"),
+        (cir, "execute_encoding"),
         (cir, "execute_generator_encoding"),
         (ladders, "schedule_unitary"),
         (ladders, "network_unitary"),
@@ -147,6 +146,14 @@ def test_block_consumers_never_assemble(small_pools, mixed_gen_pool, monkeypatch
     assert rep.within_budget
     _, exp_rep = qsp.exp_sigma_block(mixed_gen_pool, mask, 1e-10)
     assert exp_rep.measured_deviation <= exp_rep.eps_poly + 1e-12
+    for encoded in (
+        oracle.hamiltonian_block_encoding(ham),
+        oracle.generator_block_encoding(mixed_gen_pool, mask),
+        oracle.channel_block_encoding(ham.channels[0].channel, ham.n_so),
+    ):
+        block, rep = encoded
+        assert block.shape == (2**ham.n_so,) * 2
+        assert rep.measured_error <= 1e-10
 
 
 def test_sandwich_builds_each_dense_target_once(small_pools, mixed_gen_pool,
@@ -234,7 +241,7 @@ def test_matrix_elements_basis_states_index_block():
 
 
 def test_gcim_complete_basis_reaches_exact_ground(small_instance):
-    h = oracle.dense_hamiltonian(small_instance).matrix
+    h = oracle.dense_hamiltonian(small_instance)
     idx = jw.sector_indices(4, 2)
     energies, _ = me.gcim_subspace_solve(h, sector_basis(4, 2))
     exact = np.linalg.eigvalsh(h[np.ix_(idx, idx)])[0]
@@ -242,7 +249,7 @@ def test_gcim_complete_basis_reaches_exact_ground(small_instance):
 
 
 def test_gcim_single_state_is_expectation(small_instance):
-    h = oracle.dense_hamiltonian(small_instance).matrix
+    h = oracle.dense_hamiltonian(small_instance)
     state = sector_basis(4, 2)[0]
     energies, _ = me.gcim_subspace_solve(h, [state])
     assert energies[0] == pytest.approx(np.vdot(state, h @ state).real)
@@ -262,7 +269,7 @@ def test_gcim_degenerate_basis_error():
 
 def test_gcim_monotone_refinement(small_instance):
     rng = np.random.default_rng(5)
-    h = oracle.dense_hamiltonian(small_instance).matrix
+    h = oracle.dense_hamiltonian(small_instance)
     basis = sector_basis(4, 2)
     rng.shuffle(basis)
     prev = np.inf

@@ -47,7 +47,7 @@ def generator_adaptor(lad, n_occ, n_virt):
     gen = GeneratorPool((lad,), n_occ=n_occ, n_virt=n_virt)
     skel, sheet = dialed(None, gen)
     target = adaptor_targets(None, gen)["gen/1"]
-    return cir.execute_adaptor(skel, sheet, "gen/1"), target
+    return cir.execute_encoding(skel, sheet, "gen/1"), target
 
 
 def test_single_mode_ladder_matrices():
@@ -97,7 +97,7 @@ def test_dyad_random_orthogonal_pair():
     u, v = orthonormal_pair(rng, n)
     lad = BilinearLadder(u=u, v=v, coefficient=0.8, address=1)
     w, target = generator_adaptor(lad, 2, 2)
-    err = oracle.restricted_block_error(w, oracle.FockOperator(target, n), 2)
+    err = oracle.restricted_block_error(w, target, 2)
     assert err <= 1e-10
     assert np.abs(oracle.extract_block(w, n) - target).max() <= 1e-12
 
@@ -110,7 +110,7 @@ def test_pair_dyad_random_pair():
     lad = PairLadder(x, y, r, s, coefficient=0.7, address=1)
     w, target = generator_adaptor(lad, n_occ, n_virt)
     n = n_occ + n_virt
-    err = oracle.restricted_block_error(w, oracle.FockOperator(target, n), 2, sector=2)
+    err = oracle.restricted_block_error(w, target, 2, sector=2)
     assert err <= 1e-12
     assert w.shape[0] == 2 ** (2 + n)
     assert_unitary(w.toarray())
@@ -128,12 +128,12 @@ def test_zero_coefficient_ladder_loads_no_weight():
     gen = GeneratorPool(tuple(ladders_), n_occ=1, n_virt=2)
     skel = cir.one_pool_skeleton(None, gen)
     sheet = cir.dial(skel, None, gen, [2])
-    zero = oracle.FockOperator(np.zeros((2**n, 2**n), dtype=complex), n)
-    w = cir.execute_adaptor(skel, sheet, "gen/2")
+    zero = np.zeros((2**n, 2**n), dtype=complex)
+    w = cir.execute_encoding(skel, sheet, "gen/2")
     # the branch alone encodes i(L - L^dag)/2 for orthonormal u, v: norm 1/2
     err = oracle.restricted_block_error(w, zero, 2)
     assert err == pytest.approx(0.5, abs=1e-10)
-    block = oracle.extract_block(cir.execute_generator_encoding(skel, sheet), n)
+    block = oracle.extract_block(cir.execute_encoding(skel, sheet, "gen"), n)
     assert np.abs(block).max() == 0.0
 
 
@@ -150,7 +150,7 @@ def _rotated_diagonal_block(ch, n):
     skel = replace(skel, adaptors_ham=(replace(ad, layers=ad.layers[:-1]),))
     skel = replace(skel, fingerprint=cir.fabric_fingerprint(skel))
     sheet = cir.dial(skel, pool, None, ())
-    return oracle.extract_block(cir.execute_adaptor(skel, sheet, "ham/0"), n)
+    return cir.execute_block(skel, sheet, "ham/0")
 
 
 def test_channel_single_mode_is_occupation():
@@ -184,11 +184,17 @@ def test_channel_square_matches_dense_square():
     pool = build_hamiltonian_pool(ints, 1e-10, 0.0)
     ch = pool.channels[0].channel
     n = ints.n_so
-    w, rep = oracle.channel_block_encoding(ch, n)
+    block, rep = oracle.channel_block_encoding(ch, n)
     o_mu = oracle.channel_operator(ch, n)
     target = o_mu @ o_mu / ch.gamma**2
-    assert np.abs(oracle.extract_block(w, n) - target).max() <= 1e-10
+    assert np.abs(block - target).max() <= 1e-10
     assert rep.ancillas == max(int(np.ceil(np.log2(ch.rank))), 0) + 2
+    # the encoder's skeleton and sheet, assembled: the unitary behind the block
+    pool = HamiltonianPool((), (ChannelLadder(ch, 1.0, 0),), n_so=n, n_elec=0)
+    skel, sheet = dialed(pool, None)
+    w = cir.execute_encoding(skel, sheet, "ham/0")
+    assert w.shape[0] == 2 ** (rep.ancillas + n)
+    assert np.abs(oracle.extract_block(w, n) - block).max() <= 1e-13
     assert_unitary(w)
 
 
@@ -284,8 +290,8 @@ def test_lcu_single_branch_reduces(small_pools):
     )
     skel, sheet = dialed(one, None)
     assert one.alpha == pytest.approx(0.7 * lad.multiplicity)
-    branch = cir.execute_adaptor(skel, sheet, "ham/0")
-    w = cir.execute_hamiltonian_encoding(skel, sheet)
+    branch = cir.execute_encoding(skel, sheet, "ham/0")
+    w = cir.execute_encoding(skel, sheet, "ham")
     dim = branch.shape[0]
     assert np.abs((w[:dim, :dim] + branch).toarray()).max() <= 1e-14
 
@@ -297,7 +303,7 @@ def test_lcu_two_diagonal_branches_with_signs():
         (_mode([1.0, 0.0], 1.0, 0), _mode([0.0, 1.0], -1.0, 1)), (), n, 1
     )
     skel, sheet = dialed(pool, None)
-    w = cir.execute_hamiltonian_encoding(skel, sheet)
+    w = cir.execute_encoding(skel, sheet, "ham")
     target = ((cr[0] @ an[0]) - (cr[1] @ an[1])).toarray() / 2.0
     assert np.abs(oracle.extract_block(w, n) - target).max() <= 1e-12
 
@@ -311,23 +317,18 @@ def test_lcu_capacity_error():
 
 def test_full_hamiltonian_block_encoding(small_instance, small_pools):
     ham, _ = small_pools
-    w, rep = oracle.hamiltonian_block_encoding(ham)
+    block, rep = oracle.hamiltonian_block_encoding(ham)
     assert rep.measured_error <= 1e-9
-    assert_unitary(w)
-    block = oracle.extract_block(w, ham.n_so)
+    assert_unitary(cir.execute_encoding(*dialed(ham, None), "ham"))
     assert oracle.assert_sector_preserving(block, ham.n_so)
     # against the Hamiltonian built directly from the integrals: the
     # deviation picks up only the factorization truncation on top of the
     # numerically exact multiplexing
     tau = 1e-10
-    target = oracle.FockOperator(
-        oracle.dense_hamiltonian(small_instance, include_e_nn=False).matrix
-        / ham.alpha,
-        ham.n_so,
+    target = (
+        oracle.dense_hamiltonian(small_instance, include_e_nn=False) / ham.alpha
     )
-    err = oracle.restricted_block_error(
-        w, target, rep.ancillas, sector=ham.n_elec
-    )
+    err = oracle.restricted_block_error(block, target, 0, sector=ham.n_elec)
     assert err <= 1e-9 + 10 * tau * ham.n_so**2 / ham.alpha
 
 
@@ -353,24 +354,19 @@ def test_theorem_error_formula_with_injected_errors(small_pools):
     eps_terms = []
     for lad in ham.ladders:
         address = f"ham/{lad.address}"
-        wb = cir.execute_adaptor(skel, sheet, address)
+        wb = cir.execute_encoding(skel, sheet, address)
         eps_s = oracle.restricted_block_error(
-            wb,
-            oracle.FockOperator(targets[address], n),
-            int(np.log2(wb.shape[0])) - n,
-            sector=ham.n_elec,
+            wb, targets[address], cir.ancillas(skel, address), sector=ham.n_elec
         )
         if lad.kind == "one_body_mode":
             alpha_s = lad.multiplicity
         else:
             alpha_s = lad.channel.gamma**2
         eps_terms.append(abs(lad.coefficient) * alpha_s * eps_s)
-    target = oracle.FockOperator(
-        oracle.hamiltonian_from_pool(ham).matrix / ham.alpha, n
-    )
-    w = cir.execute_hamiltonian_encoding(skel, sheet)
+    target = oracle.hamiltonian_from_pool(ham) / ham.alpha
+    w = cir.execute_encoding(skel, sheet, "ham")
     err = oracle.restricted_block_error(
-        w, target, cir.hamiltonian_ancillas(skel), sector=ham.n_elec
+        w, target, cir.ancillas(skel, "ham"), sector=ham.n_elec
     )
     bound = sum(eps_terms) / ham.alpha
     assert bound > 0.0
@@ -392,8 +388,9 @@ GADGET_BUILDERS = (
 def test_hamiltonian_encoding_rejects_oversized_register_before_building(
     medium_instance, monkeypatch
 ):
-    """n_so = 6: 14 qubits exceed the cap, and no gadget is built first."""
+    """n_so = 6: 14 qubits exceed the assembly cap, and no gadget is built first."""
     ham = build_hamiltonian_pool(medium_instance, 1e-8, 0.0)
+    skel, sheet = dialed(ham, None)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("gadget built before the size check")
@@ -402,21 +399,23 @@ def test_hamiltonian_encoding_rejects_oversized_register_before_building(
         monkeypatch.setattr(module, name, forbidden)
     message = "assembly needs 14 qubits; the oracle caps at 13"
     with pytest.raises(ShapeError, match=message):
-        oracle.hamiltonian_block_encoding(ham)
+        cir.execute_encoding(skel, sheet, "ham")
 
 
 def test_generator_empty_mask_is_null(small_pools):
     _, gen = small_pools
-    w, rep = oracle.generator_block_encoding(gen, frozenset())
-    block = oracle.extract_block(w, gen.n_so)
+    block, rep = oracle.generator_block_encoding(gen, frozenset())
+    assert block.shape == (2**gen.n_so,) * 2
     assert np.abs(block).max() == 0.0
 
 
 def test_generator_single_ladder(mixed_gen_pool):
     gen = mixed_gen_pool
-    w, rep = oracle.generator_block_encoding(gen, frozenset([1]))
+    _, rep = oracle.generator_block_encoding(gen, frozenset([1]))
     assert rep.measured_error <= 1e-10
-    assert_unitary(w)
+    skel = cir.one_pool_skeleton(None, gen)
+    sheet = cir.dial(skel, None, gen, frozenset([1]))
+    assert_unitary(cir.execute_encoding(skel, sheet, "gen"))
 
 
 def test_generator_masks_share_global_normalization(mixed_gen_pool):
@@ -439,8 +438,10 @@ def test_generator_mask_validation(small_pools):
 
 def test_restricted_block_error_identity():
     n = 2
-    target = oracle.FockOperator(np.eye(4, dtype=complex), n)
+    target = np.eye(2**n, dtype=complex)
     assert oracle.restricted_block_error(np.eye(4), target, 0) == 0.0
+    with pytest.raises(ShapeError, match="not 2"):
+        oracle.restricted_block_error(np.eye(3), np.eye(3), 0)
 
 
 def test_restricted_block_error_perturbation_scaling():
@@ -452,15 +453,15 @@ def test_restricted_block_error_perturbation_scaling():
         (BilinearLadder(u=u, v=v, coefficient=0.8, address=1),), n_occ=1, n_virt=2
     )
     skel, sheet = dialed(None, gen)
-    target = oracle.FockOperator(adaptor_targets(None, gen)["gen/1"], n)
+    target = adaptor_targets(None, gen)["gen/1"]
     ad = skel.adaptors_gen[1]
     first_givens = next(k for k, ln in enumerate(ad.layers) if ln.startswith("givens|"))
     slot = line_value_index(skel, "gen", ad, first_givens)  # mode 0's first angle
 
     def perturbed_error(delta):
-        values = list(sheet.values)
+        values = sheet.values.copy()
         values[slot] += delta
-        w = cir.execute_adaptor(skel, replace(sheet, values=tuple(values)), "gen/1")
+        w = cir.execute_encoding(skel, replace(sheet, values=values), "gen/1")
         return oracle.restricted_block_error(w, target, 2, sector=1)
 
     assert perturbed_error(0.0) <= 1e-14
@@ -471,9 +472,12 @@ def test_restricted_block_error_perturbation_scaling():
 
 
 def test_every_constructed_unitary_is_unitary(small_pools, mixed_gen_pool):
+    """The unitaries behind both pool encoders' blocks: same skeletons and sheets."""
     ham, _ = small_pools
-    w1, _ = oracle.hamiltonian_block_encoding(ham)
-    w2, _ = oracle.generator_block_encoding(mixed_gen_pool, frozenset([1, 2]))
+    skel, sheet = dialed(ham, None)
+    w1 = cir.execute_encoding(skel, sheet, "ham")
+    skel = cir.one_pool_skeleton(None, mixed_gen_pool)
+    w2 = cir.execute_encoding(skel, cir.dial(skel, None, mixed_gen_pool, [1, 2]), "gen")
     for w in (w1, w2):
         assert_unitary(w)
 
@@ -481,7 +485,7 @@ def test_every_constructed_unitary_is_unitary(small_pools, mixed_gen_pool):
 def test_blocks_preserve_hamming_sectors(small_pools, mixed_gen_pool):
     ham, _ = small_pools
     n = ham.n_so
-    w1, _ = oracle.hamiltonian_block_encoding(ham)
-    assert oracle.assert_sector_preserving(oracle.extract_block(w1, n), n)
-    w2, _ = oracle.generator_block_encoding(mixed_gen_pool, frozenset([1, 2, 3]))
-    assert oracle.assert_sector_preserving(oracle.extract_block(w2, n), n)
+    block, _ = oracle.hamiltonian_block_encoding(ham)
+    assert oracle.assert_sector_preserving(block, n)
+    block, _ = oracle.generator_block_encoding(mixed_gen_pool, frozenset([1, 2, 3]))
+    assert oracle.assert_sector_preserving(block, n)

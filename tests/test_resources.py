@@ -3,7 +3,7 @@ import pytest
 
 from composer import circuit_ir as cir
 from composer.errors import ValidationError
-from composer.factorization import mp2_amplitudes, nested_svd_t2
+from composer.factorization import build_hamiltonian_pool, mp2_amplitudes, nested_svd_t2
 from composer.integrals import synth_instance
 from composer.resources import block_cost, estimate, payoff_ledger
 
@@ -184,15 +184,23 @@ def test_estimate_stated_shape_hand_oracle():
 @pytest.mark.parametrize("synth", [(5, 3, 2), (1, 4, 4), (1, 8, 8)],
                          ids=["5:3:2", "1:4:4", "1:8:8"])
 def test_single_qubit_tally_prices_pairs_by_their_slot_lines(synth):
-    """The pair term counts the values the ``pgivens`` and ``cphase`` lines take."""
-    gen = nested_svd_t2(mp2_amplitudes(synth_instance(*synth)), 0.0, 0.0)
-    skel = cir.one_pool_skeleton(None, gen)
+    """One rotation per dialed value: each adaptor's PREP and its lines' values.
+
+    Counted here from the lines of every adaptor on both sides, so the
+    pairs' ``pgivens`` and ``cphase`` lines, the spin-paired ladders and the
+    channel networks are all priced, and equal to the dialed stream.
+    """
+    ints = synth_instance(*synth)
+    ham = build_hamiltonian_pool(ints, 1e-8, 0.0)
+    gen = nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0)
+    skel = cir.one_pool_skeleton(ham, gen)
     assert {ad.kind for ad in skel.adaptors_gen} == {"null", "pair"}
-    gates = [line.partition("|")[0] for ad in skel.adaptors_gen for line in ad.layers]
-    slots = sum(cir.LINE_VALUES[g] for g in gates if g in ("pgivens", "cphase"))
+    adaptors = skel.adaptors_ham + skel.adaptors_gen
+    gates = [line.partition("|")[0] for ad in adaptors for line in ad.layers]
+    slots = len(adaptors) + sum(cir.LINE_VALUES.get(g, 0) for g in gates)
     est = estimate(skel)
-    # a generator-only tally: the pair term plus one PREP rotation per adaptor
-    assert est.single_qubit_rotations - skel.ell_gen == slots
+    assert est.single_qubit_rotations == slots
+    assert len(cir.dial(skel, ham, gen, ()).values) == slots
 
 
 def test_estimate_json_roundtrip(skeleton):
