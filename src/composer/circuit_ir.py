@@ -57,8 +57,8 @@ from functools import cached_property
 
 import numpy as np
 
-from . import ladders, oracle
-from .errors import BindError, MaskError, ParseError, ValidationError
+from . import jw, ladders, oracle
+from .errors import BindError, MaskError, ParseError, ShapeError, ValidationError
 from .errors import DICT, INT, LIST, NUMBER, STR, checked, checked_list
 from .errors import checked_packed, fields_of
 from .factorization import bilinear_asym_spectrum, generator_branch_alpha
@@ -1029,15 +1029,29 @@ def execute_encoding(skel, sheet, address):
     return oracle._csr(_encoding(skel, sheet, address))
 
 
+def check_column_batch(skel, address):
+    """Reject the columns the encoding at ``address`` runs on, before anything is built.
+
+    The ``2**(t + n) x 2**n`` batch (``t`` its :func:`ancillas`) may hold
+    no more amplitudes than the largest dense operator.
+    """
+    t, n = ancillas(skel, address), skel.n_system
+    needed, allowed = 2 ** (t + 2 * n), 4**jw.MAX_QUBITS
+    if needed > allowed:
+        side, _, label = address.partition("/")
+        name = _SIDE_NAMES[side] + (f" adaptor {label}" if label else "")
+        raise ShapeError(
+            f"the {name} column batch needs {needed} amplitudes "
+            f"(2**{t + n} rows x 2**{n} columns); the oracle allows {allowed}"
+        )
+
+
 def execute_block(skel, sheet, address):
     """Dense ancilla-zero block of :func:`execute_encoding`, run on ``2**n`` columns.
 
     The column batch is checked before anything is built.
     """
-    width = ancillas(skel, address)
-    side, _, label = address.partition("/")
-    name = _SIDE_NAMES[side] + (f" adaptor {label}" if label else "")
-    oracle.check_column_batch(width, skel.n_system, name)
+    check_column_batch(skel, address)
     return oracle.column_block(_encoding(skel, sheet, address), skel.n_system)
 
 

@@ -100,8 +100,8 @@ def similarity_sandwich(ham_pool, gen_pool, mask, model_space, eps_poly):
     # checked before either is dialed or run
     ham_skel = circuit_ir.one_pool_skeleton(ham_pool, None)
     gen_skel = circuit_ir.one_pool_skeleton(None, gen_pool)
-    oracle.check_column_batch(circuit_ir.ancillas(ham_skel, "ham"), n, "Hamiltonian")
-    oracle.check_column_batch(circuit_ir.ancillas(gen_skel, "gen"), n, "generator")
+    circuit_ir.check_column_batch(ham_skel, "ham")
+    circuit_ir.check_column_batch(gen_skel, "gen")
 
     sheet = circuit_ir.dial(ham_skel, ham_pool, None, ())
     b_block = circuit_ir.execute_block(ham_skel, sheet, "ham")

@@ -6,7 +6,11 @@ kernel) and cached sparse workspace gadgets.  It has two evaluations:
 ``apply`` runs it on dense state columns, so block consumers read the
 ``2**n x 2**n`` ancilla-zero block from the ``2**n`` columns
 ``|0_anc>|x>``; ``tocsr`` assembles the sparse (CSR) unitary, which only
-``composer verify`` needs, for its unitarity check.  The block is checked
+``composer verify`` needs, for its unitarity check.  Assembly builds each
+node's CSR arrays by index arithmetic: a lift repeats its operand's
+arrays along the diagonal, SELECT joins its branches' arrays, and each
+PREP ``P (x) I`` is spread from the nonzeros of the small ``P``; only
+the products between them are sparse matrix products.  The block is checked
 against the dense operator it is supposed to encode, a plain
 ``2**n x 2**n`` array built independently from Jordan-Wigner ladder
 operators and restricted to the working sector.
@@ -259,10 +263,15 @@ def _apply(op, cols, adjoint=False):
 
 
 def _csr(op):
-    """CSR matrix of a dense or sparse leaf or a node."""
+    """CSR matrix of a dense or sparse leaf or a node; a dense leaf drops its zeros."""
     if isinstance(op, _Node):
         return op.tocsr()
-    return op if sparse.issparse(op) else sparse.csr_matrix(op)
+    if sparse.issparse(op):
+        return op
+    kept = op != 0
+    indptr = np.append(np.int32(0), np.cumsum(kept.sum(axis=1), dtype=np.int32))
+    cols = np.nonzero(kept)[1].astype(np.int32)
+    return sparse.csr_matrix((op[kept], cols, indptr), shape=op.shape)
 
 
 class _Node:
@@ -277,15 +286,17 @@ class _Node:
 
 
 class _Lift(_Node):
-    """``phase * (I (x) op)``, ``extra`` idle most-significant ancillas: a reshape."""
+    """``phase * (I (x) op)``, ``extra`` idle most-significant ancillas.
+
+    Applied, a reshape; assembled, ``2**extra`` copies of ``op``'s arrays.
+    """
 
     def __init__(self, op, extra, phase=None):
         self.op, self.extra, self.phase = op, extra, phase
         self.shape = (2**extra * op.shape[0],) * 2
 
     def _assemble(self):
-        lifted = _lift(_csr(self.op), self.extra)
-        return lifted if self.phase is None else self.phase * lifted
+        return _lift(_csr(self.op), self.extra, self.phase)
 
     def apply(self, cols, adjoint=False):
         dim, k = self.op.shape[0], cols.shape[1]
@@ -321,7 +332,7 @@ class _Adjoint(_Node):
         self.op, self.shape = op, op.shape
 
     def _assemble(self):
-        return _csr(self.op).conj().T
+        return _csr(self.op).conj().T.tocsr()
 
     def apply(self, cols, adjoint=False):
         return _apply(self.op, cols, not adjoint)
@@ -336,14 +347,10 @@ class _PrepSelectPrep(_Node):
 
     def _assemble(self):
         check_assembly_width(self.qubits)
-        eye = sparse.identity(self.shape[0] // len(self.prep), format="csr")
-        blocks = [eye if b is None else b.tocsr() for b in self.branches]
-        select = sparse.block_diag(blocks, format="csr")
-        return (
-            sparse.kron(self.prep.T, eye, format="csr")
-            @ select
-            @ sparse.kron(self.prep, eye, format="csr")
-        )
+        dim = self.shape[0] // len(self.prep)
+        eye = sparse.identity(dim, format="csr")
+        select = _direct_sum([eye if b is None else b.tocsr() for b in self.branches])
+        return _kron_eye(self.prep.T, dim) @ select @ _kron_eye(self.prep, dim)
 
     def apply(self, cols, adjoint=False):
         n_states, k = len(self.prep), cols.shape[1]
@@ -361,16 +368,6 @@ def column_block(op, n):
     return _apply(op, cols)[: 2**n]
 
 
-def check_column_batch(ancillas, n, name):
-    """Reject ``2**(t + n) x 2**n`` columns larger than the largest dense operator."""
-    needed, allowed = 2 ** (ancillas + 2 * n), 4**jw.MAX_QUBITS
-    if needed > allowed:
-        raise ShapeError(
-            f"the {name} column batch needs {needed} amplitudes "
-            f"(2**{ancillas + n} rows x 2**{n} columns); the oracle allows {allowed}"
-        )
-
-
 @lru_cache(maxsize=None)
 def vacuum_reflection_gadget(n):
     """Single-ancilla deterministic encoding of the vacuum projector.
@@ -383,15 +380,62 @@ def vacuum_reflection_gadget(n):
     r0 = np.ones(dim)
     r0[0] = -1.0
     mid = np.concatenate([np.ones(dim), -r0])
-    had = sparse.kron(_H2, sparse.identity(dim), format="csr")
+    had = _kron_eye(_H2, dim)
     return _frozen(had @ sparse.diags(mid) @ had)
 
 
-def _lift(op, extra):
-    """Pad ``extra`` trivially-acting ancillas as most-significant qubits."""
-    if extra == 0:
-        return sparse.csr_matrix(op)
-    return sparse.kron(sparse.identity(2**extra), op, format="csr")
+def _sorted_rows(op):
+    """CSR ``op`` with each row's indices ascending (a sorted copy if needed)."""
+    op = op.tocsr()
+    return op if op.has_sorted_indices else op.sorted_indices()
+
+
+def _lift(op, extra, phase):
+    """CSR ``phase * (I (x) op)``, ``extra`` idle most-significant ancillas.
+
+    The ``2**extra`` diagonal blocks are copies of ``op``'s arrays, rows
+    sorted and stored zeros kept (as ``sparse.kron`` leaves them), with
+    their row and column offsets added; the phase scales ``op``'s values
+    once, before they are copied.
+    """
+    op = _sorted_rows(op)
+    copies, dim, nnz = 2**extra, op.shape[0], op.nnz
+    block = np.arange(copies, dtype=op.indices.dtype)[:, None]
+    data = op.data if phase is None else op.data * phase
+    indptr = np.append(op.indptr[:1], op.indptr[1:] + block * nnz)
+    indices = (op.indices + block * dim).ravel()
+    shape = (copies * dim,) * 2
+    return sparse.csr_matrix((np.tile(data, copies), indices, indptr), shape=shape)
+
+
+def _direct_sum(blocks):
+    """CSR ``block_diag`` of square CSR blocks: their sorted arrays, offset, joined."""
+    blocks = [_sorted_rows(b) for b in blocks]
+    indptr, indices, dim, nnz = [blocks[0].indptr[:1]], [], 0, 0
+    for b in blocks:
+        indptr.append(b.indptr[1:] + nnz)
+        indices.append(b.indices + dim)
+        dim, nnz = dim + b.shape[0], nnz + b.nnz
+    data = np.concatenate([b.data for b in blocks])
+    indices, indptr = np.concatenate(indices), np.concatenate(indptr)
+    return sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
+
+
+def _kron_eye(p, dim):
+    """CSR ``p (x) I_dim`` of a small dense ``p``, zeros dropped (as ``sparse.kron``).
+
+    Row ``(r, d)`` holds each nonzero ``p[r, c]`` at column ``(c, d)``, in
+    ascending ``c``: row ``r`` of ``p``, spread over ``dim`` rows.
+    """
+    kept = p != 0
+    counts = kept.sum(axis=1, dtype=np.int32)
+    d = np.arange(dim, dtype=np.int32)
+    cols = np.arange(0, dim * p.shape[1], dim, dtype=np.int32)
+    indices = np.concatenate([(cols[row] + d[:, None]).ravel() for row in kept])
+    data = np.concatenate([np.tile(vals[row], dim) for vals, row in zip(p, kept)])
+    starts = dim * (np.cumsum(counts, dtype=np.int32) - counts)
+    indptr = np.append(np.int32(0), starts[:, None] + counts[:, None] * (d + 1))
+    return sparse.csr_matrix((data, indices, indptr), shape=(len(p) * dim,) * 2)
 
 
 def _householder_prep(amplitudes):

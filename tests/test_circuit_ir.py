@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.linalg import expm
 
 from composer import circuit_ir as cir
@@ -510,6 +511,42 @@ def test_generator_column_block_matches_assembly_n6(compiled_n6, data):
             if cir.ancillas(skel, a) + n <= oracle.MAX_ASSEMBLY_QUBITS]
     assert set(every_address(skel)) - set(fits) == {"ham"}
     _assert_blocks_match_assembly(skel, sheet, fits)
+
+
+def test_generator_encoding_assembles_without_kron_or_block_diag(
+    compiled_n6, monkeypatch
+):
+    """n_so = 6, mask {1, 2}: verify's 11-qubit unitary is assembled with
+    ``sparse.kron`` and ``sparse.block_diag`` disabled, and equals its
+    gadget tree run on every column.
+
+    A first column batch runs before the patch, so the cached gate maps
+    (read off the Jordan-Wigner ladder matrices, which ``sparse.kron``
+    builds) are warm.
+    """
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("assembled through a scipy constructor")
+
+    ham, gen, skel = compiled_n6
+    sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", [1, 2]))
+    node = cir._encoding(skel, sheet, "gen")
+    dim, batch = node.shape[0], 256
+    assert dim == 2**11
+
+    def run_columns(start):
+        cols = np.zeros((dim, batch), dtype=complex)
+        cols[start + np.arange(batch), np.arange(batch)] = 1.0
+        return oracle._apply(node, cols)
+
+    first = run_columns(0)
+    for name in ("kron", "block_diag"):
+        monkeypatch.setattr(sparse, name, forbidden)
+    oracle.vacuum_reflection_gadget.cache_clear()
+    w = cir.execute_generator_encoding(skel, sheet).tocsc()
+    for start in range(0, dim, batch):
+        ref = first if start == 0 else run_columns(start)
+        assert np.abs(w[:, start:start + batch].toarray() - ref).max() <= 1e-14
 
 
 @settings(max_examples=10, deadline=None)

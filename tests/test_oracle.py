@@ -2,6 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from composer import circuit_ir as cir
 from composer import jw, ladders, oracle
@@ -489,3 +492,145 @@ def test_blocks_preserve_hamming_sectors(small_pools, mixed_gen_pool):
     assert oracle.assert_sector_preserving(block, n)
     block, _ = oracle.generator_block_encoding(mixed_gen_pool, frozenset([1, 2, 3]))
     assert oracle.assert_sector_preserving(block, n)
+
+
+# ---------------------------------------------------------------------------
+# assembly by index arithmetic against scipy's kron and block_diag
+# ---------------------------------------------------------------------------
+
+PHASES = (None, 1.0, -1.0, 1j, -1j, np.exp(0.3j))
+
+
+def random_op(seed, qubits, density, stored_zeros, dense):
+    """Random complex ``2**qubits`` square op, dense or CSR.
+
+    The CSR form keeps ``stored_zeros`` of its entries as explicit zeros
+    and stores each row's indices in a shuffled order.
+    """
+    rng = np.random.default_rng(seed)
+    dim = 2**qubits
+    mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    mat[rng.random((dim, dim)) >= density] = 0.0
+    if dense:
+        return mat
+    rows, cols = np.nonzero(mat)
+    data = mat[rows, cols]
+    data[rng.permutation(len(data))[:stored_zeros]] = 0.0
+    order = np.lexsort((rng.random(len(rows)), rows))
+    indptr = np.searchsorted(rows[order], np.arange(dim + 1)).astype(np.int32)
+    return sparse.csr_matrix(
+        (data[order], cols[order].astype(np.int32), indptr), shape=(dim, dim)
+    )
+
+
+def assert_same_matrix(got, ref):
+    """CSR with equal values, equal stored entries and sorted rows."""
+    assert got.format == "csr" and got.indices.dtype == np.int32
+    assert got.has_sorted_indices
+    assert got.nnz == ref.nnz
+    assert np.array_equal(got.toarray(), ref.toarray())
+
+
+ops = st.builds(
+    random_op,
+    seed=st.integers(0, 2**32 - 1),
+    qubits=st.integers(0, 3),
+    density=st.sampled_from([0.0, 0.3, 1.0]),
+    stored_zeros=st.integers(0, 3),
+    dense=st.booleans(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(op=ops, extra=st.integers(0, 3), phase=st.sampled_from(PHASES))
+def test_lift_matches_kron(op, extra, phase):
+    """``phase * (I (x) op)``: the block copies equal ``sparse.kron`` with ``I``."""
+    got = oracle._Lift(op, extra, phase).tocsr()
+    ref = sparse.kron(sparse.identity(2**extra), op, format="csr")
+    if phase is not None:
+        ref = phase * ref
+    assert_same_matrix(got, ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(blocks=st.lists(ops, min_size=1, max_size=4))
+def test_direct_sum_matches_block_diag(blocks):
+    """The joined block arrays equal ``sparse.block_diag``, entry order included."""
+    blocks = [sparse.csr_matrix(b) for b in blocks]
+    got = oracle._direct_sum(blocks)
+    ref = sparse.block_diag(blocks, format="csr")
+    assert_same_matrix(got, ref)
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+
+
+def sparse_amplitudes(weights):
+    """Normalized nonnegative amplitudes from weights, some of them zero."""
+    amps = np.sqrt(np.asarray(weights, dtype=float))
+    return amps / np.linalg.norm(amps)
+
+
+amplitudes = st.integers(0, 4).flatmap(
+    lambda k: st.lists(
+        st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.0]), min_size=2**k, max_size=2**k
+    ).filter(any).map(sparse_amplitudes)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(amps=amplitudes, qubits=st.integers(0, 4))
+def test_prep_kron_matches_kron(amps, qubits):
+    """``P (x) I`` and ``P^T (x) I`` of a Householder prep with zero amplitudes."""
+    prep = oracle._householder_prep(amps)
+    for p in (prep, prep.T):
+        got = oracle._kron_eye(p, 2**qubits)
+        ref = sparse.kron(p, sparse.identity(2**qubits), format="csr")
+        assert_same_matrix(got, ref)
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.data, ref.data)
+
+
+def old_prep_select_prep(prep, branches, phases, workspace, n):
+    """The scipy-constructor assembly: kron lifts, block_diag SELECT, kron PREPs."""
+    eye = sparse.identity(2 ** (workspace + n), format="csr")
+    blocks = [eye] * len(prep)
+    for s, (op, phase) in enumerate(zip(branches, phases)):
+        extra = workspace + n - int(np.log2(op.shape[0]))
+        blocks[s] = sparse.kron(sparse.identity(2**extra), op, format="csr") * phase
+    select = sparse.block_diag(blocks, format="csr")
+    return (
+        sparse.kron(prep.T, eye, format="csr")
+        @ select
+        @ sparse.kron(prep, eye, format="csr")
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    data=st.data(),
+    amps=amplitudes.filter(lambda a: len(a) > 1),
+    workspace=st.integers(0, 2),
+)
+def test_prep_select_prep_matches_scipy_assembly(data, amps, workspace):
+    """Same left-to-right products over the same operands: equal to the last bit."""
+    n = 2
+    count = data.draw(st.integers(1, len(amps)), label="branches")
+    branches = [
+        data.draw(
+            st.builds(random_op, seed=st.integers(0, 2**32 - 1),
+                      qubits=st.integers(n, n + workspace), density=st.just(0.4),
+                      stored_zeros=st.integers(0, 2), dense=st.booleans()),
+            label=f"branch {s}",
+        )
+        for s in range(count)
+    ]
+    phases = data.draw(
+        st.lists(st.sampled_from(PHASES[1:]), min_size=count, max_size=count),
+        label="phases",
+    )
+    got = oracle._prep_select_prep(amps, branches, phases, n, workspace).tocsr()
+    prep = oracle._householder_prep(amps)
+    ref = old_prep_select_prep(prep, branches, phases, workspace, n)
+    assert got.nnz == ref.nnz
+    assert got.toarray().tobytes() == ref.toarray().tobytes()
