@@ -200,7 +200,7 @@ def cmd_verify(args):
     unitarity = float(abs(gram).max())
     target = _generator_target_from_sheet(skel, sheet, omegas)
     block = oracle.extract_block(w, n)
-    err = float(np.linalg.norm(block - target, 2))
+    err = oracle.sector_norm(block - target)
     sector_ok = oracle.assert_sector_preserving(block, n)
     report = {
         "format": oracle.REPORT_FORMAT,
@@ -241,7 +241,6 @@ def _generator_target_from_sheet(skel, sheet, omegas):
     vac[0] = 1.0
     values = cir.sheet_values(skel, sheet)
     total = np.zeros((dim, dim), dtype=complex)
-    cr, _ = jw.jw_ladder_ops(n)
     for ad in skel.adaptors_gen:
         if ad.kind == "null":
             continue
@@ -269,11 +268,8 @@ def _generator_target_from_sheet(skel, sheet, omegas):
                 sched = cir.schedule_from_values(row, n, (pivot,), range(n))
                 sub_sign = np.exp(1j * next(row))
                 state = ladders.apply_ladder_dense(sched, vac)
-                w_vec = np.array(
-                    [state[jw.basis_state(n, [p])] for p in range(n)]
-                )
-                aw = sum(w_vec[p] * cr[p] for p in range(n))
-                n_w = (aw @ aw.conj().T).toarray()
+                w_vec = state[[jw.basis_state(n, [p]) for p in range(n)]]
+                n_w = oracle.dense_bilinear(w_vec, w_vec, n)
                 total += weight * (sub_amp**2) * sub_sign.real * n_w
     return total
 

@@ -45,56 +45,38 @@ class OverlapCurve:
         return buf.getvalue()
 
 
-def _leading_svd(t2, r):
-    """Thin SVD of the pair matrix; a RankError past its numerical rank."""
+def _dyad_frame(t2, r):
+    """Orthonormal dyad vectors ``vec(u_k v_k^dag)`` of the leading ranks.
+
+    A rank past the pair matrix's numerical rank is a RankError.
+    """
     u, s, vh = np.linalg.svd(t2.amplitudes, full_matrices=False)
     rank = int(np.sum(s > s[0] * 1e-13)) if s.size and s[0] > 0 else 0
     if r > rank:
         raise RankError(f"requested rank {r} exceeds numerical rank {rank}")
-    return u, s, vh
-
-
-def _dyad_frame(t2, r):
-    """Orthonormal dyad vectors ``vec(u_k v_k^dag)`` of the leading ranks."""
-    u, s, vh = _leading_svd(t2, r)
     cols = [np.kron(vh[k, :].conj(), u[:, k]) for k in range(r)]
     frame = np.stack(cols, axis=1)
     gram = frame.conj().T @ frame
     if np.abs(gram - np.eye(r)).max() > 1e-10:
         raise ValidationError("dyad frame lost orthonormality")
-    return frame, s
+    return frame
 
 
-def _left_frame(t2, r):
-    """Orthonormal leading left-singular vectors (pair-virtual space)."""
-    return _leading_svd(t2, r)[0][:, :r]
-
-
-def subspace_overlap(t_a, t_b, r, variant="dyad"):
+def subspace_overlap(t_a, t_b, r):
     """Mean squared cosine of principal angles between leading subspaces.
 
-    The primary ``dyad`` variant compares the vectorized rank-one factor
-    spans, ``ov(r) = ||B_r^dag B~_r||_F^2 / r``; the ``projector`` variant
-    compares only the left-singular (pair-virtual) spans, equivalently
-    ``||P_r P~_r||_F^2 / r`` over the corresponding projectors.
+    Compares the vectorized rank-one factor spans,
+    ``ov(r) = ||B_r^dag B~_r||_F^2 / r``.
     """
     if t_a.amplitudes.shape != t_b.amplitudes.shape:
         raise ValidationError("tensors must share pair-space shapes")
     if r < 1:
         raise ValidationError("rank must be positive")
-    if variant == "dyad":
-        fa, _ = _dyad_frame(t_a, r)
-        fb, _ = _dyad_frame(t_b, r)
-    elif variant == "projector":
-        fa = _left_frame(t_a, r)
-        fb = _left_frame(t_b, r)
-    else:
-        raise ValidationError(f"unknown overlap variant {variant!r}")
-    cross = fa.conj().T @ fb
+    cross = _dyad_frame(t_a, r).conj().T @ _dyad_frame(t_b, r)
     return float(np.linalg.norm(cross, "fro") ** 2 / r)
 
 
-def wauc(t_a, t_b, eps_s=0.0, variant="dyad"):
+def wauc(t_a, t_b, eps_s=0.0):
     """Singular-value-weighted average overlap up to the screened rank.
 
     The reference tensor (first argument) supplies both the retained rank
@@ -112,9 +94,7 @@ def wauc(t_a, t_b, eps_s=0.0, variant="dyad"):
     if r_eps == 0:
         raise ZeroTensorError("no ranks survive the screening")
     ranks = np.arange(1, r_eps + 1)
-    ovs = np.array(
-        [subspace_overlap(t_a, t_b, r, variant=variant) for r in ranks]
-    )
+    ovs = np.array([subspace_overlap(t_a, t_b, r) for r in ranks])
     weights = s[:r_eps] ** 2 / np.sum(s[:r_eps] ** 2)
     return OverlapCurve(
         ranks=ranks,
@@ -178,17 +158,14 @@ def reduced_density_blocks(gen_pool, mask, reference_state, n):
     ``D_pq = <phi| exp(-sigma) a_q^dag a_p exp(sigma) |phi>`` evaluated
     densely, split at the occupied/virtual boundary.
     """
-    cr, an = jw.jw_ladder_ops(n)  # checks n against jw.MAX_QUBITS
+    jw.check_n(n)  # before any dense work
     phi = np.asarray(reference_state, dtype=complex)
     if np.linalg.norm(phi) < 1e-14:
         raise ValidationError("reference state must be nonzero")
     phi = phi / np.linalg.norm(phi)
     herm = oracle.generator_dense(gen_pool, getattr(mask, "indices", mask))
     psi = qsp.exact_exponential(herm) @ phi
-    dmat = np.empty((n, n), dtype=complex)
-    for p in range(n):
-        for q in range(n):
-            dmat[p, q] = np.vdot(psi, (cr[q] @ an[p]) @ psi)
+    dmat = oracle.one_body_expectations(psi, n).T
     n_occ = gen_pool.n_occ
     return dmat[:n_occ, :n_occ], dmat[n_occ:, n_occ:]
 

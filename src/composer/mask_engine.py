@@ -106,7 +106,7 @@ def similarity_sandwich(ham_pool, gen_pool, mask, model_space, eps_poly):
     sheet = circuit_ir.dial(ham_skel, ham_pool, None, ())
     b_block = circuit_ir.execute_block(ham_skel, sheet, "ham")
     h_exact = oracle.hamiltonian_from_pool(ham_pool) / ham_pool.alpha
-    eps_ham = oracle._sector_norm(b_block - h_exact, n_elec)
+    eps_ham = oracle.sector_norm(b_block - h_exact, n_elec)
 
     sheet = circuit_ir.dial(gen_skel, None, gen_pool, mask_indices)
     exp_exact = qsp.exact_exponential(oracle.generator_dense(gen_pool, mask_indices))
@@ -120,8 +120,7 @@ def similarity_sandwich(ham_pool, gen_pool, mask, model_space, eps_poly):
     exact = exp_exact.conj().T @ h_exact @ exp_exact
 
     proj = model_space_projector(model_space, n, n_elec)
-    delta = proj @ (sandwich - exact) @ proj
-    measured = float(np.linalg.norm(delta, 2))
+    measured = oracle.sector_norm(proj @ (sandwich - exact) @ proj)
     budget = 2.0 * eps_exp + eps_ham
     within = measured <= budget * (1.0 + BUDGET_SLACK) + 1e-13
     report = EffectiveHamiltonianReport(
@@ -223,7 +222,7 @@ def toy_two_generator_instance():
     element, so the non-orthogonal three-state basis beats the reference
     determinant and the continuous coordinate sweep beats both.
     """
-    from .integrals import IntegralSet
+    from .integrals import IntegralSet, expand_spin
 
     n = 4
     h_sp = np.array([[-1.1, -0.18], [-0.18, -0.2]])
@@ -232,17 +231,15 @@ def toy_two_generator_instance():
     chem[1, 1, 1, 1] = 0.62
     chem[0, 0, 1, 1] = chem[1, 1, 0, 0] = 0.45
     chem[0, 1, 0, 1] = chem[1, 0, 0, 1] = chem[0, 1, 1, 0] = chem[1, 0, 1, 0] = 0.55
-    from .integrals import expand_spin
-
     h, eri = expand_spin(h_sp, chem)
     ints = IntegralSet(2, 4, 2, 0.0, h, eri).validate()
     hmat = oracle.dense_hamiltonian(ints)
-    cr, an = jw.jw_ladder_ops(n)
     ref = np.zeros(2**n, dtype=complex)
     ref[jw.basis_state(n, [0, 1])] = 1.0
-    g1 = (cr[2] @ an[0] - cr[0] @ an[2]).toarray() * 0.45
-    g2 = (cr[3] @ an[1] - cr[1] @ an[3]).toarray() * 0.65
-    return ToyInstance(hmat, ref, g1, g2)
+    gens = np.zeros((2, n, n))  # Givens generators on the mode pairs (0, 2), (1, 3)
+    gens[0, 2, 0], gens[1, 3, 1] = 0.45, 0.65
+    gens -= gens.transpose(0, 2, 1)
+    return ToyInstance(hmat, ref, *(oracle.one_body_operator(g, n) for g in gens))
 
 
 def _expm_antihermitian(g):

@@ -12,8 +12,12 @@ arrays along the diagonal, SELECT joins its branches' arrays, and each
 PREP ``P (x) I`` is spread from the nonzeros of the small ``P``; only
 the products between them are sparse matrix products.  The block is checked
 against the dense operator it is supposed to encode, a plain
-``2**n x 2**n`` array built independently from Jordan-Wigner ladder
-operators and restricted to the working sector.
+``2**n x 2**n`` array restricted to the working sector.  Every such
+reference is scattered by one of two cached, read-only maps: the one-body
+map (``a_p^dag a_q``) and the two-body map over pairs (``a_p^dag a_q^dag
+a_s a_r``, ``p < q``, ``r < s``).  Both are built from
+:func:`jw.jw_ladder_ops` products, never from the :mod:`ladders` gate
+maps, so the references stay independent of the execution they check.
 
 The trees are built only by the :mod:`circuit_ir` interpreter, from a
 skeleton's layer lines and a dial sheet; this module holds their nodes
@@ -65,39 +69,63 @@ class BlockEncodingReport:
 # ---------------------------------------------------------------------------
 
 
+def _scatter_map(ops, n):
+    """Read-only CSC ``4**n x len(ops)`` map: column ``k`` is ``ops[k]`` flattened."""
+    ops = [op.tocoo() for op in ops]
+    rows = np.concatenate([op.row * 2**n + op.col for op in ops])
+    cols = np.repeat(np.arange(len(ops)), [op.nnz for op in ops])
+    data = np.concatenate([op.data for op in ops])
+    return _frozen(sparse.csc_matrix((data, (rows, cols)), shape=(4**n, len(ops))))
+
+
+@lru_cache(maxsize=None)
+def _one_body_map(n):
+    """One-body scatter map: column ``p * n + q`` is ``a_p^dag a_q``, flattened."""
+    cr, an = jw.jw_ladder_ops(n)
+    return _scatter_map([cr[p] @ an[q] for p in range(n) for q in range(n)], n)
+
+
+@lru_cache(maxsize=None)
+def _two_body_map(n):
+    """Two-body scatter map: column ``k * P + l`` is ``a_p^dag a_q^dag a_s a_r``.
+
+    ``(p < q)`` and ``(r < s)`` are the ``k``-th and ``l``-th of the ``P``
+    lexicographic pairs of :func:`ladders.pair_indices`.
+    """
+    cr, an = jw.jw_ladder_ops(n)
+    pairs = ladders.pair_indices(n)
+    left = [cr[p] @ cr[q] for p, q in pairs]
+    right = [an[s] @ an[r] for r, s in pairs]
+    return _scatter_map([a @ b for a in left for b in right], n)
+
+
+def one_body_operator(h, n):
+    """Dense ``sum_pq h[p, q] a_p^dag a_q``."""
+    return (_one_body_map(n) @ np.ravel(h)).reshape(2**n, 2**n)
+
+
+def two_body_operator(g, n):
+    """Dense ``sum_kl g[k, l] a_p^dag a_q^dag a_s a_r`` over the pair columns."""
+    return (_two_body_map(n) @ np.ravel(g)).reshape(2**n, 2**n)
+
+
+def one_body_expectations(psi, n):
+    """``<psi| a_p^dag a_q |psi>`` for every ``p, q``: the one-body map, contracted."""
+    return (_one_body_map(n).T @ np.kron(psi.conj(), psi)).reshape(n, n)
+
+
 def dense_hamiltonian(ints, include_e_nn=True):
     """Dense second-quantized Hamiltonian built directly from the integrals."""
     n = ints.n_so
-    cr, an = jw.jw_ladder_ops(n)  # checks n against jw.MAX_QUBITS
-    dim = 2**n
-    out = sparse.csr_matrix((dim, dim), dtype=complex)
-    for p in range(n):
-        for q in range(n):
-            if ints.h[p, q] != 0.0:
-                out = out + ints.h[p, q] * (cr[p] @ an[q])
-    pair_cr = {}
-    pair_an = {}
-    for p in range(n):
-        for q in range(n):
-            if p != q:
-                pair_cr[(p, q)] = (cr[p] @ cr[q]).tocsr()
-                pair_an[(q, p)] = (an[q] @ an[p]).tocsr()
-    for p in range(n):
-        for q in range(n):
-            if p == q:
-                continue
-            left = pair_cr[(p, q)]
-            for r in range(n):
-                for s in range(n):
-                    if r == s:
-                        continue
-                    val = ints.eri[p, q, r, s]
-                    if val != 0.0:
-                        out = out + (0.5 * val) * (left @ pair_an[(s, r)])
-    mat = out.toarray()
+    # the sum over all p, q, r, s, gathered onto the pairs p < q, r < s
+    anti = ints.eri - ints.eri.transpose(1, 0, 2, 3)
+    anti = anti - anti.transpose(0, 1, 3, 2)
+    p, q = np.triu_indices(n, 1)  # the pairs of ladders.pair_indices, in order
+    g = 0.5 * anti[p[:, None], q[:, None], p, q]
+    mat = one_body_operator(ints.h, n) + two_body_operator(g, n)
     if include_e_nn:
-        mat = mat + ints.e_nn * np.eye(dim)
-    return mat
+        mat = mat + ints.e_nn * np.eye(2**n)
+    return mat.astype(complex)
 
 
 def hamiltonian_from_pool(pool):
@@ -111,33 +139,16 @@ def hamiltonian_from_pool(pool):
     out = np.zeros((2**n, 2**n), dtype=complex)
     for lad in pool.one_body:
         w = lad.vectors
-        out += lad.coefficient * _bilinear_sum(w @ w.conj().T, n)
+        out += lad.coefficient * one_body_operator(w @ w.conj().T, n)
     for lad in pool.channels:
         o_mu = channel_operator(lad.channel, n)
         out += lad.coefficient * (o_mu @ o_mu)
     return out
 
 
-@lru_cache(maxsize=None)
-def _bilinear_pattern(n):
-    """Sparse ``4**n x n**2`` map: column ``p * n + q`` is ``a_p^dag a_q`` flattened.
-
-    Built from :func:`jw.jw_ladder_ops`, never from the gate maps of
-    :mod:`ladders`, so the reference stays independent of what it checks.
-    """
-    cr, an = jw.jw_ladder_ops(n)
-    ops = [(cr[p] @ an[q]).reshape(4**n, 1) for p in range(n) for q in range(n)]
-    return _frozen(sparse.hstack(ops, format="csr"))
-
-
-def _bilinear_sum(coef, n):
-    """Dense ``sum_pq coef[p, q] a_p^dag a_q``, scattered by the cached map."""
-    return (_bilinear_pattern(n) @ np.ravel(coef)).reshape(2**n, 2**n)
-
-
 def dense_bilinear(u, v, n):
     """Dense ``a^dag(u) a(v) = sum_pq u_p conj(v_q) a_p^dag a_q``."""
-    return _bilinear_sum(np.outer(u, np.conj(v)), n)
+    return one_body_operator(np.outer(u, np.conj(v)), n)
 
 
 def dense_pair_ladder(lad, n_occ, n):
@@ -146,18 +157,13 @@ def dense_pair_ladder(lad, n_occ, n):
     Virtual wedge indices offset by the occupied count; the occupied wedge
     sits on the lowest modes.
     """
-    cr, _ = jw.jw_ladder_ops(n)
-    uv = lad.virtual_pair_vector()
-    vo = lad.occupied_pair_vector()
-    bu = sparse.csr_matrix((2**n, 2**n), dtype=complex)
-    for k, (a, b) in enumerate(ladders.pair_indices(len(lad.x))):
-        if uv[k] != 0.0:
-            bu = bu + uv[k] * (cr[n_occ + a] @ cr[n_occ + b])
-    bv = sparse.csr_matrix((2**n, 2**n), dtype=complex)
-    for k, (i, j) in enumerate(ladders.pair_indices(len(lad.r))):
-        if vo[k] != 0.0:
-            bv = bv + vo[k] * (cr[i] @ cr[j])
-    return (bu @ bv.conj().T).toarray()
+    column = {pair: k for k, pair in enumerate(ladders.pair_indices(n))}
+    rows = [column[n_occ + a, n_occ + b] for a, b in ladders.pair_indices(len(lad.x))]
+    cols = [column[pair] for pair in ladders.pair_indices(len(lad.r))]
+    g = np.zeros((len(column),) * 2, dtype=complex)
+    uv, vo = lad.virtual_pair_vector(), lad.occupied_pair_vector()
+    g[np.ix_(rows, cols)] = np.outer(uv, vo.conj())
+    return two_body_operator(g, n)
 
 
 def dense_generator_ladder(lad, n_occ, n):
@@ -178,14 +184,10 @@ def generator_dense(pool, mask_indices=None):
     n = pool.n_so
     jw.check_n(n)
     out = np.zeros((2**n, 2**n), dtype=complex)
-    selected = (
-        pool.ladders
-        if mask_indices is None
-        else [lad for lad in pool.ladders if lad.address in set(mask_indices)]
-    )
-    for lad in selected:
-        lmat = dense_generator_ladder(lad, pool.n_occ, n)
-        out += lad.coefficient * 1j * (lmat - lmat.conj().T)
+    for lad in pool.ladders:
+        if mask_indices is None or lad.address in mask_indices:
+            lmat = dense_generator_ladder(lad, pool.n_occ, n)
+            out += lad.coefficient * 1j * (lmat - lmat.conj().T)
     return out
 
 
@@ -221,10 +223,10 @@ def restricted_block_error(w, target, ancilla_count, sector=None):
         raise ShapeError(
             f"unitary dimension {w.shape[0]} != 2**(t + n) with t={ancilla_count}"
         )
-    return _sector_norm(extract_block(w, n) - target, sector)
+    return sector_norm(extract_block(w, n) - target, sector)
 
 
-def _sector_norm(delta, sector=None):
+def sector_norm(delta, sector=None):
     """Spectral norm of ``delta`` restricted to the particle-number ``sector``.
 
     With no sector, the norm of the whole block.  The ``sector x sector``
@@ -568,7 +570,7 @@ def channel_block_encoding(ch, n):
 def channel_operator(ch, n):
     """Dense ``O_mu = sum_xi lambda_xi n_(mu xi)``, scattered once."""
     w = ch.rotation
-    return _bilinear_sum((w * ch.eigvals) @ w.conj().T, n)
+    return one_body_operator((w * ch.eigvals) @ w.conj().T, n)
 
 
 def _report(skel, address, block, target, alpha, sector):
@@ -576,7 +578,7 @@ def _report(skel, address, block, target, alpha, sector):
     return BlockEncodingReport(
         alpha=alpha,
         ancillas=circuit_ir.ancillas(skel, address),
-        measured_error=restricted_block_error(block, target, 0, sector=sector),
+        measured_error=sector_norm(block - target, sector),
         sector="all" if sector is None else f"N={sector}",
     )
 

@@ -180,7 +180,7 @@ def exp_encoded_block(block, exact, alpha_bar, eps_poly, sector, eps_prime=0.0):
         alpha_bar=alpha_bar,
         eps_poly=poly.eps_poly,
         eps_prime=float(eps_prime),
-        measured_deviation=oracle._sector_norm(approx - exact, sector),
+        measured_deviation=oracle.sector_norm(approx - exact, sector),
         sector=f"N={sector}",
     )
     return approx, report

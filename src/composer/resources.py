@@ -177,7 +177,6 @@ def estimate(skel, mask=None, connectivity=None):
 
     a_sigma = max(int(np.ceil(np.log2(ell_sigma + 1))), 1)
     a_ham = max(int(np.ceil(np.log2(max(ham_prep, 1)))), 1)
-    width = max(a_sigma, a_ham) + skel.workspace_width
 
     max_rank = max(channel_ranks, default=0)
     a_index = index_width(max_rank)
@@ -189,7 +188,7 @@ def estimate(skel, mask=None, connectivity=None):
         ),
         ResourceRow("hamiltonian select", n, a_ham, ham_select),
         ResourceRow("generator select", n, a_sigma, gen_select),
-        ResourceRow("prep amplitude ladder", 0, max(a_sigma, a_ham), gen_prep),
+        ResourceRow("prep amplitude ladder", 0, skel.selector_width, gen_prep),
         ResourceRow("qsp ladders", n, 1, qsp_depth),
     )
     params = {
@@ -207,7 +206,7 @@ def estimate(skel, mask=None, connectivity=None):
     return ResourceEstimate(
         rows=rows,
         total_depth=total,
-        ancilla_width=width,
+        ancilla_width=skel.selector_width + skel.workspace_width,
         single_qubit_rotations=skel.n_slots,
         connectivity=str(conn),
         parameters=params,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from composer import diagnostics as dg
-from composer import jw
+from composer import jw, oracle, qsp
 from composer.errors import MaskError, RankError, ValidationError, ZeroTensorError
 from composer.factorization import BilinearLadder, GeneratorPool, T2Tensor
 
@@ -35,33 +35,11 @@ def test_overlap_matches_principal_angle_oracle():
     rng = np.random.default_rng(3)
     ta, tb = random_t2(rng), random_t2(rng)
     r = 4
-    fa, _ = dg._dyad_frame(ta, r)
-    fb, _ = dg._dyad_frame(tb, r)
+    fa = dg._dyad_frame(ta, r)
+    fb = dg._dyad_frame(tb, r)
     cosines = np.linalg.svd(fa.conj().T @ fb, compute_uv=False)
     expected = float(np.sum(cosines**2) / r)
     assert dg.subspace_overlap(ta, tb, r) == pytest.approx(expected, abs=1e-10)
-
-
-def test_projector_variant_tracks_left_spans():
-    """Independent oracle: principal angles of explicit projectors."""
-    rng = np.random.default_rng(8)
-    ta, tb = random_t2(rng), random_t2(rng)
-    r = 3
-    ua, _, _ = np.linalg.svd(ta.amplitudes, full_matrices=False)
-    ub, _, _ = np.linalg.svd(tb.amplitudes, full_matrices=False)
-    pa = ua[:, :r] @ ua[:, :r].T
-    pb = ub[:, :r] @ ub[:, :r].T
-    expected = float(np.linalg.norm(pa @ pb, "fro") ** 2 / r)
-    got = dg.subspace_overlap(ta, tb, r, variant="projector")
-    assert got == pytest.approx(expected, abs=1e-12)
-    assert dg.subspace_overlap(ta, ta, r, variant="projector") == pytest.approx(
-        1.0, abs=1e-12
-    )
-    # the two variants genuinely disagree off the diagonal
-    assert abs(got - dg.subspace_overlap(ta, tb, r)) > 1e-6
-    assert dg.wauc(ta, tb, variant="projector").wauc != pytest.approx(
-        dg.wauc(ta, tb).wauc, abs=1e-6
-    )
 
 
 def test_rank_error_beyond_numerical_rank():
@@ -264,3 +242,19 @@ def test_curve_csv_export():
     lines = text.strip().splitlines()
     assert lines[0] == "r,ov,w"
     assert len(lines) >= 2
+
+
+@pytest.mark.parametrize("mask", [frozenset(), frozenset([1, 3])])
+def test_density_blocks_match_vdot_loop(mixed_gen_pool, mask):
+    """The map contraction equals ``<psi| a_q^dag a_p |psi>``, one ``vdot`` each."""
+    n = 4
+    cr, an = jw.jw_ladder_ops(n)
+    ref = np.zeros(2**n, dtype=complex)
+    ref[jw.basis_state(n, [0, 1])] = 1.0
+    herm = oracle.generator_dense(mixed_gen_pool, mask)
+    psi = qsp.exact_exponential(herm) @ ref
+    dmat = np.array([[np.vdot(psi, cr[q] @ (an[p] @ psi)) for q in range(n)]
+                     for p in range(n)])
+    occ, vir = dg.reduced_density_blocks(mixed_gen_pool, mask, ref, n)
+    assert np.abs(occ - dmat[:2, :2]).max() <= 1e-14
+    assert np.abs(vir - dmat[2:, 2:]).max() <= 1e-14

@@ -1,4 +1,7 @@
+import ast
+import itertools
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +20,10 @@ from composer.factorization import (
     OneBodyModeLadder,
     PairLadder,
     build_hamiltonian_pool,
+    mp2_amplitudes,
+    nested_svd_t2,
 )
-from composer.integrals import synth_instance
+from composer.integrals import IntegralSet, synth_instance
 from conftest import adaptor_targets, line_value_index
 
 
@@ -228,6 +233,122 @@ def test_dense_references_match_plain_sums(n):
         assert np.abs(oracle.channel_operator(ch, n) - plain).max() <= 1e-14
 
 
+def _loop_dense_hamiltonian(ints):
+    """The sparse-loop Hamiltonian the scatter maps replaced: one term at a time."""
+    n = ints.n_so
+    cr, an = jw.jw_ladder_ops(n)
+    out = sparse.csr_matrix((2**n, 2**n), dtype=complex)
+    for p in range(n):
+        for q in range(n):
+            if ints.h[p, q] != 0.0:
+                out = out + ints.h[p, q] * (cr[p] @ an[q])
+    for p, q, r, s in np.ndindex(*(n,) * 4):
+        if p != q and r != s and ints.eri[p, q, r, s] != 0.0:
+            left, right = cr[p] @ cr[q], an[s] @ an[r]
+            out = out + (0.5 * ints.eri[p, q, r, s]) * (left @ right)
+    return out.toarray() + ints.e_nn * np.eye(2**n)
+
+
+def _loop_pair_ladder(lad, n_occ, n):
+    """The sparse-loop ``B^dag[U] B[V]`` the two-body map replaced."""
+    cr, _ = jw.jw_ladder_ops(n)
+    uv, vo = lad.virtual_pair_vector(), lad.occupied_pair_vector()
+    bu = sum(uv[k] * (cr[n_occ + a] @ cr[n_occ + b])
+             for k, (a, b) in enumerate(ladders.pair_indices(len(lad.x))))
+    bv = sum(vo[k] * (cr[i] @ cr[j])
+             for k, (i, j) in enumerate(ladders.pair_indices(len(lad.r))))
+    return (bu @ bv.conj().T).toarray()
+
+
+def sparse_coefficients(seed, shape, zeros):
+    """Random complex array with about a ``zeros`` fraction of exact zeros."""
+    rng = np.random.default_rng(seed)
+    coef = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    coef[rng.random(shape) < zeros] = 0.0
+    return coef
+
+
+coefficient_draws = dict(
+    n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+    zeros=st.sampled_from([0.0, 0.5, 1.0]),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**coefficient_draws)
+def test_one_body_operator_matches_ladder_products(n, seed, zeros):
+    """``sum h_pq a_p^dag a_q`` from the map equals the explicit product sum."""
+    cr, an = jw.jw_ladder_ops(n)
+    h = sparse_coefficients(seed, (n, n), zeros)
+    plain = sum(h[p, q] * (cr[p] @ an[q]).toarray() for p, q in np.ndindex(n, n))
+    assert np.abs(oracle.one_body_operator(h, n) - plain).max() <= 1e-13
+
+
+@settings(max_examples=30, deadline=None)
+@given(**coefficient_draws)
+def test_two_body_operator_matches_ladder_products(n, seed, zeros):
+    """``sum g a_p^dag a_q^dag a_s a_r`` over pair columns equals the product sum."""
+    cr, an = jw.jw_ladder_ops(n)
+    pairs = ladders.pair_indices(n)
+    g = sparse_coefficients(seed, (len(pairs),) * 2, zeros)
+    plain = np.zeros((2**n, 2**n), dtype=complex)
+    for (k, (p, q)), (m, (r, s)) in itertools.product(enumerate(pairs), repeat=2):
+        plain += g[k, m] * (cr[p] @ cr[q] @ an[s] @ an[r]).toarray()
+    assert np.abs(oracle.two_body_operator(g, n) - plain).max() <= 1e-13
+
+
+@settings(max_examples=20, deadline=None)
+@given(**coefficient_draws, flips=st.integers(0, 7))
+def test_dense_hamiltonian_gathers_every_ordered_quadruple(n, seed, zeros, flips):
+    """Repeated modes, zeros and (anti)symmetric duplicates all land on the pairs.
+
+    Each set bit of ``flips`` adds a copy of the tensor on one swapped
+    ordering, signed ``(-1)**bit``, so the pair gathering meets duplicates
+    that add up or cancel.
+    """
+    eri = sparse_coefficients(seed, (n,) * 4, zeros)
+    for bit, axes in enumerate([(1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2)]):
+        if flips >> bit & 1:
+            eri = eri + (-1) ** bit * eri.transpose(axes)
+    h = sparse_coefficients(seed + 1, (n, n), zeros)
+    ints = IntegralSet(n // 2, n, 0, 0.25, h, eri)
+    got = oracle.dense_hamiltonian(ints)
+    assert got.dtype == complex
+    assert np.abs(got - _loop_dense_hamiltonian(ints)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("spec", ["7:2:2", "3:3:2", "7:4:2"])
+def test_references_match_the_sparse_loops(spec):
+    """The Hamiltonian and each pair ladder equal the old sparse-loop builders."""
+    ints = synth_instance(*(int(x) for x in spec.split(":")))
+    n = ints.n_so
+    ham = oracle.dense_hamiltonian(ints)
+    assert np.abs(ham - _loop_dense_hamiltonian(ints)).max() <= 1e-13
+    gen = nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0)
+    for lad in gen.ladders:
+        dense = oracle.dense_pair_ladder(lad, gen.n_occ, n)
+        assert np.abs(dense - _loop_pair_ladder(lad, gen.n_occ, n)).max() <= 1e-13
+
+
+def test_only_the_maps_and_gate_map_read_ladder_operators():
+    """In ``src/``, ``jw_ladder_ops`` is called only by the two scatter maps and
+    ``ladders.gate_map``, so every dense reference goes through one kernel."""
+    allowed = {("oracle", "_one_body_map"), ("oracle", "_two_body_map"),
+               ("ladders", "gate_map")}
+    callers = set()
+    for path in Path(oracle.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                callee = getattr(node, "func", None)
+                name = getattr(callee, "attr", getattr(callee, "id", None))
+                if isinstance(node, ast.Call) and name == "jw_ladder_ops":
+                    callers.add((path.stem, func.name))
+    assert callers == allowed
+
+
 def test_cached_leaves_unchanged_by_verify_and_sandwich(
     small_pools, mixed_gen_pool, tmp_path
 ):
@@ -238,6 +359,8 @@ def test_cached_leaves_unchanged_by_verify_and_sandwich(
         "flag_copy": (oracle._flag_copy, (0, 4)),
         "vacuum_reflection": (oracle.vacuum_reflection_gadget, (4,)),
         "null_branch": (oracle.null_branch, (4,)),
+        "one_body_map": (oracle._one_body_map, (4,)),
+        "two_body_map": (oracle._two_body_map, (4,)),
     }
     cached = {name: build(*args) for name, (build, args) in leaves.items()}
     before = {
