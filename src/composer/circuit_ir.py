@@ -20,9 +20,11 @@ binding the stream's ``i``-th slot, and is the only thing that changes
 between instances; its JSON stores the array as one base64 string of
 little-endian float64 bytes.
 
-An adaptor's lines, in application order, are its whole branch
-(``composer-skel-v9``), and execution interprets them, each line reading its
-values from a cursor over the adaptor's span: each run of system gates
+An adaptor's lines, in application order, are its whole branch, held as
+one text, each line ended by a newline.  The document (``composer-skel-v10``)
+stores each distinct text once, in a ``bodies`` list in first-use order, and
+each adaptor its ``body`` index.  Execution interprets the lines, each
+reading its values from a cursor over the adaptor's span: each run of system gates
 (:data:`SYSTEM_GATES`: ``givens``, ``pgivens``, ``rz``, ``cphase``, ``x``)
 becomes one dense ``2**n x 2**n`` leaf, the gates applied in order to the
 identity by the :mod:`ladders` kernel; on the workspace, ``cx x`` is the
@@ -63,7 +65,7 @@ from .errors import DICT, INT, LIST, NUMBER, STR, checked, checked_list
 from .errors import checked_packed, fields_of
 from .factorization import bilinear_asym_spectrum, generator_branch_alpha
 
-SKEL_FORMAT = "composer-skel-v9"
+SKEL_FORMAT = "composer-skel-v10"
 DIAL_FORMAT = "composer-dial-v4"
 
 # dialed values each line kind takes from the stream; every other kind takes none
@@ -166,18 +168,18 @@ def pivots_from_pools(ham_pool, gen_pool):
 
 @dataclass(frozen=True)
 class AdaptorSpec:
-    """One compiled adaptor: address, kind, pivot data, canonical layer lines."""
+    """One compiled adaptor: address, kind, pivot data, canonical layer text."""
 
     address: int
     kind: str
     pivot: tuple
     rank: int
-    layers: tuple  # ("gate|q0,q1,...", ...), see _layer
+    text: str  # its lines "gate|q0,q1,...", each ended by a newline: see _layer
 
     @cached_property
-    def text(self):
-        """The layer lines, each ended by a newline: the text the fingerprint hashes."""
-        return "\n".join([*self.layers, ""])
+    def layers(self):
+        """The layer lines, in application order."""
+        return tuple(self.text.split("\n")[:-1])
 
 
 @dataclass(frozen=True)
@@ -230,17 +232,19 @@ class CircuitSkeleton:
 
         A span holds the adaptor's PREP amplitude, then the values its lines
         take (:data:`LINE_VALUES`), counted as the ``\\n<gate>|`` line starts
-        of each kind in the adaptor's :attr:`AdaptorSpec.text`.  Built on
-        first use, by dial, execution or ``estimate``; loading a skeleton
-        never builds it.
+        of each kind in the adaptor's :attr:`AdaptorSpec.text`, once per
+        distinct text.  Built on first use, by dial, execution or
+        ``estimate``; loading a skeleton never builds it.
         """
-        spans, start = {}, 0
+        spans, start, sizes = {}, 0, {}
         for side, adaptors in self.sides():
             for ad in adaptors:
-                text = "\n" + ad.text
-                stop = start + 1 + sum(
-                    n * text.count(f"\n{gate}|") for gate, n in LINE_VALUES.items()
-                )
+                if ad.text not in sizes:
+                    text = "\n" + ad.text
+                    sizes[ad.text] = 1 + sum(
+                        n * text.count(f"\n{gate}|") for gate, n in LINE_VALUES.items()
+                    )
+                stop = start + sizes[ad.text]
                 spans[side, ad.address] = start, stop
                 start = stop
         return spans
@@ -251,6 +255,8 @@ class CircuitSkeleton:
         return next(reversed(self.slot_spans.values()))[1]
 
     def to_json(self):
+        texts = dict.fromkeys(ad.text for ad in self.adaptors_ham + self.adaptors_gen)
+        bodies = {text: k for k, text in enumerate(texts)}  # in first-use order
         doc = {
             "format": SKEL_FORMAT,
             "n_system": self.n_system,
@@ -259,8 +265,9 @@ class CircuitSkeleton:
             "workspace_width": self.workspace_width,
             "qsp_degree": self.qsp_degree,
             "connectivity": self.connectivity,
-            "adaptors_ham": [_adaptor_doc(a) for a in self.adaptors_ham],
-            "adaptors_gen": [_adaptor_doc(a) for a in self.adaptors_gen],
+            "bodies": list(bodies),
+            "adaptors_ham": [_adaptor_doc(a, bodies) for a in self.adaptors_ham],
+            "adaptors_gen": [_adaptor_doc(a, bodies) for a in self.adaptors_gen],
             "fingerprint": self.fingerprint,
         }
         return json.dumps(doc, sort_keys=True)
@@ -274,16 +281,24 @@ class CircuitSkeleton:
         for key in ("n_system", "n_occ", "selector_width", "workspace_width",
                     "qsp_degree"):
             checked(doc[key], INT, key)
+        bodies = checked(doc["bodies"], LIST, "bodies")
+        for k, body in enumerate(bodies):
+            _check_body(body, f"body {k}")
         for key in ("adaptors_ham", "adaptors_gen"):
             checked_list(doc[key], DICT, key)
+        adaptors = {key: tuple(_adaptor_load(a, bodies) for a in doc[key])
+                    for key in ("adaptors_ham", "adaptors_gen")}
+        # every body used, in first-use order: the stored bytes stay canonical
+        uses = [a["body"] for a in doc["adaptors_ham"] + doc["adaptors_gen"]]
+        if list(dict.fromkeys(uses)) != list(range(len(bodies))):
+            raise ParseError("bodies must each be used, listed in first-use order")
         skel = CircuitSkeleton(
             n_system=doc["n_system"],
             n_occ=doc["n_occ"],
             selector_width=doc["selector_width"],
             workspace_width=doc["workspace_width"],
             qsp_degree=doc["qsp_degree"],
-            adaptors_ham=tuple(_adaptor_load(a) for a in doc["adaptors_ham"]),
-            adaptors_gen=tuple(_adaptor_load(a) for a in doc["adaptors_gen"]),
+            **adaptors,
             connectivity=checked(doc.get("connectivity", "full"), STR, "connectivity"),
             fingerprint=checked(doc["fingerprint"], STR, "fingerprint"),
         )
@@ -292,13 +307,13 @@ class CircuitSkeleton:
         return skel
 
 
-def _adaptor_doc(ad):
+def _adaptor_doc(ad, bodies):
     return {
         "address": ad.address,
         "kind": ad.kind,
         "pivot": _pivot_doc(ad.pivot),
         "rank": ad.rank,
-        "layers": list(ad.layers),
+        "body": bodies[ad.text],
     }
 
 
@@ -315,46 +330,35 @@ def _pivot_load(doc, where):
     return tuple(tuple(p) if isinstance(p, list) else p for p in doc)
 
 
-def _adaptor_load(doc):
+def _adaptor_load(doc, bodies):
     where = f"adaptor {checked(doc['address'], INT, 'adaptor address')}"
     checked(doc["kind"], STR, f"{where}: kind")
     checked(doc["rank"], INT, f"{where}: rank")
-    layers = doc["layers"]
-    if type(layers) is not list:
-        raise ParseError(f"{where}: layers must be a list of lines")
-    spec = AdaptorSpec(
+    k = checked(doc["body"], INT, f"{where}: body")
+    if not 0 <= k < len(bodies):
+        raise ParseError(f"{where}: body {k} out of range of {len(bodies)} bodies")
+    return AdaptorSpec(
         address=doc["address"],
         kind=doc["kind"],
         pivot=_pivot_load(doc["pivot"], where),
         rank=doc["rank"],
-        layers=tuple(layers),
+        text=bodies[k],
     )
-    if not _all_layer_lines(spec):
-        bad = next(line for line in layers if not _is_layer_line(line))
-        raise ParseError(f"{where}: malformed layer line {bad!r}")
-    return spec
 
 
-def _is_layer_line(line):
-    # one line per layer keeps the hashed text unambiguous
-    return type(line) is str and "\n" not in line and line.count("|") == 1
+def _check_body(text, where):
+    """A ParseError naming the first bad line unless ``text`` is layer lines.
 
-
-def _all_layer_lines(spec):
-    """:func:`_is_layer_line` for every line of ``spec`` at once, on its text.
-
-    With every line a string, the text holds one newline per line exactly
-    when no line holds one; then one ``|`` per line and no line with two
-    means every line holds exactly one.
+    Each line holds one ``|`` (so the hashed text is unambiguous) and is
+    ended by a newline.  With no line holding two, a text with as many
+    ``|`` as newlines that ends in a newline holds one on every line.
     """
-    if not set(map(type, spec.layers)) <= {str}:
-        return False
-    text, count = spec.text, len(spec.layers)
-    return (
-        text.count("\n") == count
-        and text.count("|") == count
-        and _TWO_BARS.search(text) is None
-    )
+    checked(text, STR, where)
+    if (text.count("|") != text.count("\n") or text[-1:] not in ("", "\n")
+            or _TWO_BARS.search(text)):
+        *lines, rest = text.split("\n")
+        bad = next((line for line in lines if line.count("|") != 1), rest)
+        raise ParseError(f"{where}: malformed layer line {bad!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,7 +463,7 @@ def compile_skeleton(n, pivots, connectivity="full", qsp_degree=0):
             "pair": lambda *args: _compile_pair(*args, pivots.n_occ),
             "bilinear_asym": _compile_bilinear_asym}
     adaptors_ham = [emit[ad.kind](ad, n, sysq, ws0, t) for ad in pivots.ham]
-    adaptors_gen = [AdaptorSpec(0, "null", (), 0, (_layer("x", (ws0 + t - 1,)),))]
+    adaptors_gen = [AdaptorSpec(0, "null", (), 0, _layer("x", (ws0 + t - 1,)) + "\n")]
     adaptors_gen += [emit[ad.kind](ad, n, sysq, ws0, t) for ad in pivots.gen]
     skel = CircuitSkeleton(
         n_system=n,
@@ -485,6 +489,11 @@ def one_pool_skeleton(ham_pool, gen_pool):
 def _layer(gate, qubits):
     """One layer as the canonical line the skeleton stores and hashes."""
     return f"{gate}|{','.join(map(str, qubits))}"
+
+
+def _text(lines):
+    """An adaptor's text: its lines, each ended by a newline."""
+    return "\n".join([*lines, ""])
 
 
 def _ladder_layers(n, pivot, sysq):
@@ -522,7 +531,7 @@ def _compile_one_body(ad, n, sysq, ws0, t):
     flag, m = ws0 + t - 1, max(ad.rank, 1)
     modes = [_occupation_layers(n, ad.pivot[j], sysq, flag) for j in range(m)]
     body = modes[0] if m == 1 else _select_layers((flag - 1,), modes)
-    return AdaptorSpec(ad.address, ad.kind, ad.pivot, m, ("gphase|", *body))
+    return AdaptorSpec(ad.address, ad.kind, ad.pivot, m, _text(["gphase|", *body]))
 
 
 def _compile_channel(ad, n, sysq, ws0, t):
@@ -537,7 +546,7 @@ def _compile_channel(ad, n, sysq, ws0, t):
     layers = ["gphase|", "begin|", *network, "dagger|",
               *_select_layers(tuple(range(flag - a_i, flag)), cases),
               "mirror|", _layer("square", (flag - a_i - 1,))]
-    return AdaptorSpec(ad.address, ad.kind, ad.pivot, ad.rank, tuple(layers))
+    return AdaptorSpec(ad.address, ad.kind, ad.pivot, ad.rank, _text(layers))
 
 
 def _compile_pair(ad, n, sysq, ws0, t, n_occ):
@@ -551,7 +560,7 @@ def _compile_pair(ad, n, sysq, ws0, t, n_occ):
     # equal fixed amplitudes select the arm and its mirror
     layers = ("gphase|", _layer("select", (anc - 1,)), "fcase|", *arm,
               "fcase|", "gphase-i|", "mirror|", "end|")
-    return AdaptorSpec(ad.address, ad.kind, ad.pivot, 0, layers)
+    return AdaptorSpec(ad.address, ad.kind, ad.pivot, 0, _text(layers))
 
 
 def _mode_pivot(ad, j):
@@ -564,7 +573,7 @@ def _compile_bilinear_asym(ad, n, sysq, ws0, t):
     cases = [[*_occupation_layers(n, _mode_pivot(ad, j), sysq, flag), "gphase|"]
              for j in range(2)]
     layers = ("gphase|", *_select_layers((flag - 1,), cases))
-    return AdaptorSpec(ad.address, ad.kind, ad.pivot, 2, layers)
+    return AdaptorSpec(ad.address, ad.kind, ad.pivot, 2, _text(layers))
 
 
 def fabric_fingerprint(skel):

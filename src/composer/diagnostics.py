@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jw, oracle, qsp
+from . import jw, ladders, oracle, qsp
 from .circuit_ir import Mask
 from .errors import MaskError, RankError, ValidationError, ZeroTensorError
 
@@ -108,18 +108,31 @@ def wauc(t_a, t_b, eps_s=0.0):
 def ladder_weights(pool):
     """Ranking weights ``|omega|^2 ||U||_F^2 ||V||_F^2`` per generator ladder.
 
-    With unit-normalized wedge factors this reduces to ``|omega|^2``.
+    With unit-normalized wedge factors this reduces to ``|omega|^2``.  The
+    pair ladders' wedge vectors are formed in one batch per side and group
+    of equal factor dtypes and shapes; each row's norm is still taken alone,
+    so every weight keeps the bits of the per-ladder sum.
     """
-    out = {}
+    groups = {}
     for lad in pool.ladders:
-        w = abs(lad.coefficient) ** 2
         if lad.kind == "pair":
-            w *= (
-                np.linalg.norm(lad.virtual_pair_vector()) ** 2
-                * np.linalg.norm(lad.occupied_pair_vector()) ** 2
+            key = tuple((f.dtype, f.shape) for f in (lad.x, lad.y, lad.r, lad.s))
+            groups.setdefault(key, []).append(lad)
+    pair_norms = {}
+    for group in groups.values():
+        u, v = (
+            ladders.wedge_vectors(*(np.stack([getattr(lad, f) for lad in group])
+                                    for f in side))
+            for side in ("xy", "rs")
+        )
+        for lad, u_row, v_row in zip(group, u, v):
+            pair_norms[lad.address] = (
+                np.linalg.norm(u_row) ** 2 * np.linalg.norm(v_row) ** 2
             )
-        out[lad.address] = float(w)
-    return out
+    return {
+        lad.address: float(abs(lad.coefficient) ** 2 * pair_norms.get(lad.address, 1))
+        for lad in pool.ladders
+    }
 
 
 def one_shot_mask(pool, eta, label=None):

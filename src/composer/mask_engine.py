@@ -129,7 +129,7 @@ def similarity_sandwich(ham_pool, gen_pool, mask, model_space, eps_poly):
         measured_error=measured,
         eps_exp=float(eps_exp),
         eps_ham=float(eps_ham),
-        model_space=tuple(sorted(model_space)),
+        model_space=tuple(sorted(int(i) for i in model_space)),
         within_budget=bool(within),
     )
     return report, sandwich
@@ -270,7 +270,10 @@ def swept_coordinate_minimum(toy):
     """Minimize the swept-coordinate energy over ``r`` in [-3, 3].
 
     A 241-point grid brackets the minimum, then a bounded (golden) polish
-    refines it to 1e-12 in ``r``.
+    refines it.  Its ``xatol=1e-12`` only sets how far the optimizer
+    narrows its bracket: the energy is flat to rounding over about 1e-7 in
+    ``r``, so the returned ``r`` is the minimizer to about that, and an
+    input that moves the energy by rounding alone can move it as far.
     """
     from scipy import optimize
 

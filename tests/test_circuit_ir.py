@@ -307,7 +307,7 @@ def _pair_adaptors(skel):
 
 def _reloaded(skel, ad, layers):
     """``skel`` with adaptor ``ad``'s lines replaced, re-fingerprinted and loaded."""
-    edited = replace(ad, layers=tuple(layers))
+    edited = replace(ad, text=cir._text(layers))
     side = "adaptors_gen" if ad in skel.adaptors_gen else "adaptors_ham"
     edits = {side: tuple(edited if a is ad else a for a in getattr(skel, side))}
     tampered = replace(skel, **edits)
@@ -689,38 +689,44 @@ def test_a_line_with_the_wrong_slot_count_is_rejected(gate, count):
         _reloaded(skel, ad, layers)
 
 
-def _is_layer_line(line):
-    """Reference line rule: a string, one line, one ``|``."""
-    return type(line) is str and "\n" not in line and line.count("|") == 1
+def _bad_lines(body):
+    """Reference line rule: the lines of ``body`` that are not one ``|`` each,
+    then its unterminated remainder, if any.
+    """
+    *lines, rest = body.split("\n")
+    return [line for line in lines if line.count("|") != 1] + ([rest] if rest else [])
 
 
-# lines from fragments that may add a newline or a ``|``; lists of lines
-# alone, and lists mixing in non-string entries
-_FRAGMENTS = st.sampled_from(["rz", "0,1", "|", "||", "\n", ""])
-_LINE = st.lists(_FRAGMENTS, max_size=4).map("".join)
+# bodies from fragments that may add a newline or a ``|``; non-string bodies
+_FRAGMENTS = st.sampled_from(["rz", "0,1", "|", "||", "\n", "rz|0\n", ""])
+_BODY = st.lists(_FRAGMENTS, max_size=8).map("".join)
 _ENTRY = st.one_of(
-    _LINE, st.integers(), st.none(), st.booleans(), st.lists(_LINE, max_size=2)
+    _BODY, st.integers(), st.none(), st.booleans(), st.lists(_BODY, max_size=2)
 )
-_LAYERS = st.one_of(st.lists(_LINE, max_size=6), st.lists(_ENTRY, max_size=6))
 
 
 @settings(max_examples=300, deadline=None)
-@given(layers=_LAYERS)
-@example(layers=[])
-@example(layers=["rz|0", 7])
-@example(layers=["rz|0\nrz"])
-@example(layers=["rz", "rz||0"])
-def test_the_one_pass_line_check_matches_the_per_line_rule(layers):
-    """The joined-text line check accepts exactly the lists whose every entry
-    passes the per-line rule, and otherwise names the first entry that fails.
+@given(body=_ENTRY)
+@example(body="")
+@example(body=7)
+@example(body=["rz|0"])
+@example(body="rz|0")
+@example(body="rz|0\nrz\n")
+@example(body="rz\nrz||0\n")
+def test_the_one_pass_line_check_matches_the_per_line_rule(body):
+    """The one-pass text check accepts exactly the bodies whose every line
+    passes the per-line rule, and otherwise names the body and the first
+    line that fails; a body that is not a string is refused by name.
     """
     doc = json.loads(_pair_line_skeleton()[2].to_json())
-    ad = doc["adaptors_gen"][1]
-    ad["layers"] = layers
+    k = doc["adaptors_gen"][1]["body"]
+    doc["bodies"][k] = body
     text = json.dumps(doc)
-    bad = [line for line in layers if not _is_layer_line(line)]
-    if bad:
-        match = re.escape(f"adaptor {ad['address']}: malformed layer line {bad[0]!r}")
+    if type(body) is not str:
+        with pytest.raises(ParseError, match=f"^body {k} must be str"):
+            cir.CircuitSkeleton.from_json(text)
+    elif _bad_lines(body):
+        match = re.escape(f"body {k}: malformed layer line {_bad_lines(body)[0]!r}")
         with pytest.raises(ParseError, match=f"^{match}$"):
             cir.CircuitSkeleton.from_json(text)
     else:  # the lines load; only the fingerprint, over other lines, can object
@@ -853,19 +859,35 @@ def test_skeleton_json_roundtrip(compiled):
     assert back.to_json() == skel.to_json()
 
 
+def _edit_lines(doc, k, edit):
+    """Apply ``edit`` to the list of body ``k``'s lines, and store them back."""
+    lines = doc["bodies"][k].split("\n")[:-1]
+    edit(lines)
+    doc["bodies"][k] = cir._text(lines)
+
+
+def _first(doc, gate):
+    """``(body, line)`` of the first ``gate`` line; bodies are in first-use order."""
+    return next(
+        (k, j)
+        for k, body in enumerate(doc["bodies"])
+        for j, line in enumerate(body.split("\n"))
+        if line.split("|")[0] == gate
+    )
+
+
 def _edit_first(gate, edit):
     """Apply ``edit`` to the fields of the first ``gate`` line in the skeleton."""
 
     def tamper(doc):
-        ad, k = next(
-            (ad, k)
-            for ad in doc["adaptors_ham"] + doc["adaptors_gen"]
-            for k, line in enumerate(ad["layers"])
-            if line.split("|")[0] == gate
-        )
-        fields = ad["layers"][k].split("|")
-        edit(fields)
-        ad["layers"][k] = "|".join(fields)
+        k, j = _first(doc, gate)
+
+        def edit_line(lines):
+            fields = lines[j].split("|")
+            edit(fields)
+            lines[j] = "|".join(fields)
+
+        _edit_lines(doc, k, edit_line)
 
     return tamper
 
@@ -886,33 +908,40 @@ def _widen(field):
     return tamper
 
 
+def _gen1_body(doc):
+    return doc["adaptors_gen"][1]["body"]
+
+
 def _retarget(doc):
-    gate, _ = doc["adaptors_gen"][1]["layers"][0].split("|")
-    doc["adaptors_gen"][1]["layers"][0] = f"{gate}|0"
+    def edit(lines):
+        gate, _ = lines[0].split("|")
+        lines[0] = f"{gate}|0"
+
+    _edit_lines(doc, _gen1_body(doc), edit)
 
 
 def _embed_newline(doc):
-    """Merge the first two lines into one text with the same hashed bytes."""
-    layers = doc["adaptors_gen"][1]["layers"]
-    layers[0:2] = [layers[0] + "\n" + layers[1]]
+    """A newline inside a line: the part before it has no ``|``."""
+
+    def edit(lines):
+        gate, qubits = lines[0].split("|")
+        lines[0] = f"{gate}\n|{qubits}"
+
+    _edit_lines(doc, _gen1_body(doc), edit)
 
 
-def _list_layer(doc):
-    """A v2-style ``[gate, qubits]`` list in place of a line."""
-    gate, qubits = doc["adaptors_gen"][1]["layers"][0].split("|")
-    qubits = [int(q) for q in qubits.split(",") if q]
-    doc["adaptors_gen"][1]["layers"][0] = [gate, qubits]
+def _list_body(doc):
+    """A v9-style list of lines in place of a body's text."""
+    k = _gen1_body(doc)
+    doc["bodies"][k] = doc["bodies"][k].split("\n")[:-1]
 
 
 def _drop_first(gate):
     """Delete the first ``gate`` line in the skeleton."""
 
     def tamper(doc):
-        for ad in doc["adaptors_ham"] + doc["adaptors_gen"]:
-            for k, line in enumerate(ad["layers"]):
-                if line.split("|")[0] == gate:
-                    del ad["layers"][k]
-                    return
+        k, j = _first(doc, gate)
+        _edit_lines(doc, k, lambda lines: lines.pop(j))
 
     return tamper
 
@@ -921,8 +950,12 @@ def _move_select(fields):
     fields[1] = str(int(fields[1]) - 1)
 
 
-def _scalar_layers(doc):
-    doc["adaptors_gen"][1]["layers"] = 5
+def _scalar_body(doc):
+    doc["bodies"][_gen1_body(doc)] = 5
+
+
+def _scalar_bodies(doc):
+    doc["bodies"] = 5
 
 
 def _move_pair_pivot(doc):
@@ -952,8 +985,9 @@ def _lower_channel_rank(doc):
             _edit_first("select", _move_select), ValidationError, id="moved-select"
         ),
         pytest.param(_embed_newline, ParseError, id="embedded-newline"),
-        pytest.param(_list_layer, ParseError, id="non-string-layer"),
-        pytest.param(_scalar_layers, ParseError, id="non-list-layers"),
+        pytest.param(_list_body, ParseError, id="non-string-body"),
+        pytest.param(_scalar_body, ParseError, id="scalar-body"),
+        pytest.param(_scalar_bodies, ParseError, id="non-list-bodies"),
         pytest.param(_move_pair_pivot, ValidationError, id="pivot"),
         pytest.param(_lower_channel_rank, ValidationError, id="rank"),
     ],
@@ -982,8 +1016,9 @@ def test_adaptor_addresses_must_label_the_selector(compiled):
 @pytest.mark.parametrize(
     "fmt",
     ["composer-skel-v1", "composer-skel-v2", "composer-skel-v3", "composer-skel-v4",
-     "composer-skel-v5", "composer-skel-v6", "composer-skel-v7", "composer-skel-v8"],
-    ids=["v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8"],
+     "composer-skel-v5", "composer-skel-v6", "composer-skel-v7", "composer-skel-v8",
+     "composer-skel-v9"],
+    ids=["v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8", "v9"],
 )
 def test_skeleton_v1_rejected(compiled, fmt):
     _, _, skel = compiled
@@ -991,6 +1026,112 @@ def test_skeleton_v1_rejected(compiled, fmt):
     doc["format"] = fmt
     with pytest.raises(ParseError):
         cir.CircuitSkeleton.from_json(json.dumps(doc))
+
+
+# the v9 skeletons' fingerprints: a v10 body is exactly the text v9 hashed
+_V9_FINGERPRINTS = {
+    "1:8:8": "c200aaf6c6d2a1d8f623de27e19dae7b67fffde3af47332e604cecae20fabc9d",
+    "3:3:2": "255cbb040ce87a46079b3e79170d4988b22d50427b24b1d81828c930f9d77b47",
+}
+
+
+@pytest.mark.parametrize("synth", sorted(_V9_FINGERPRINTS))
+def test_the_body_format_changes_no_fingerprint(synth):
+    """Compiled and loaded, the fingerprint is v9's, and the text round-trips.
+
+    Each distinct adaptor text is stored once: synth ``1:8:8``'s 465
+    adaptors hold 106 bodies, which keeps its skeleton under 200 KB.
+    """
+    skel = _synth_skeleton(synth)
+    text = skel.to_json()
+    loaded = cir.CircuitSkeleton.from_json(text)
+    assert skel.fingerprint == loaded.fingerprint == _V9_FINGERPRINTS[synth]
+    assert loaded.to_json() == text
+    if synth == "1:8:8":
+        assert len(json.loads(text)["bodies"]) == 106
+        assert len(text) <= 200_000
+
+
+def _shared_skeleton_doc():
+    """Synth ``1:4:4``'s skeleton document: several adaptors share each pair body."""
+    return json.loads(_synth_skeleton("1:4:4").to_json())
+
+
+def _adaptor_docs(doc):
+    return doc["adaptors_ham"] + doc["adaptors_gen"]
+
+
+def test_a_tampered_shared_body_fails_the_fingerprint():
+    """One edit to a shared body changes every adaptor that uses it; the
+    fingerprint, recomputed per adaptor, objects.
+    """
+    doc = _shared_skeleton_doc()
+    uses = [ad["body"] for ad in _adaptor_docs(doc)]
+    k = next(k for k in range(len(doc["bodies"])) if uses.count(k) > 1)
+    j = next(j for j, line in enumerate(doc["bodies"][k].split("\n")) if "," in line)
+
+    def reverse(lines):
+        gate, qubits = lines[j].split("|")
+        lines[j] = f"{gate}|{','.join(qubits.split(',')[::-1])}"
+
+    _edit_lines(doc, k, reverse)
+    with pytest.raises(ValidationError, match="fingerprint does not match"):
+        cir.CircuitSkeleton.from_json(json.dumps(doc))
+
+
+def test_swapped_body_indices_fail_the_fingerprint():
+    """Two adaptors swap bodies that were both first used before either: the
+    first-use order still holds, and the fingerprint objects.
+    """
+    doc = _shared_skeleton_doc()
+    adaptors = _adaptor_docs(doc)
+    first = {}
+    for i, ad in enumerate(adaptors):
+        first.setdefault(ad["body"], i)
+    a, b = next(
+        (a, b) for i, a in enumerate(adaptors) for b in adaptors[i + 1:]
+        if a["body"] != b["body"] and max(first[a["body"]], first[b["body"]]) < i
+    )
+    a["body"], b["body"] = b["body"], a["body"]
+    with pytest.raises(ValidationError, match="fingerprint does not match"):
+        cir.CircuitSkeleton.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "index, match",
+    [
+        (lambda n: n, r"body \d+ out of range of \d+ bodies"),
+        (lambda n: -1, "body -1 out of range"),
+        (lambda n: "0", "body must be int, not str"),
+        (lambda n: True, "body must be int, not bool"),
+        (lambda n: 0.0, "body must be int, not float"),
+        (lambda n: None, "body must be int, not NoneType"),
+    ],
+    ids=["past-the-end", "negative", "string", "bool", "float", "null"],
+)
+def test_a_bad_body_index_is_a_parse_error(compiled, index, match):
+    doc = json.loads(compiled[2].to_json())
+    ad = doc["adaptors_gen"][1]
+    ad["body"] = index(len(doc["bodies"]))
+    with pytest.raises(ParseError, match=f"^adaptor {ad['address']}: {match}"):
+        cir.CircuitSkeleton.from_json(json.dumps(doc))
+
+
+def test_bodies_are_each_used_and_in_first_use_order():
+    """An unused body, and bodies listed out of first-use order, are refused,
+    although neither changes any adaptor's text or the fingerprint.
+    """
+    doc = _shared_skeleton_doc()
+    unused = json.loads(json.dumps(doc))
+    unused["bodies"].append("x|0\n")
+    reordered = json.loads(json.dumps(doc))
+    last = len(doc["bodies"]) - 1
+    reordered["bodies"].reverse()
+    for ad in _adaptor_docs(reordered):
+        ad["body"] = last - ad["body"]
+    for edited in (unused, reordered):
+        with pytest.raises(ParseError, match="each be used, listed in first-use order"):
+            cir.CircuitSkeleton.from_json(json.dumps(edited))
 
 
 def test_dialsheet_json_roundtrip(compiled):

@@ -197,15 +197,16 @@ def test_verify_reports_the_ancillas_of_the_checked_encoding(tmp_path, synth):
 
 
 def test_older_formats_exit_two(pipeline, capsys):
-    """A ``composer-skel-v5``/``-v7``/``-v8`` skeleton or a ``composer-dial-v1``/
-    ``-v2``/``-v3`` sheet.
+    """A ``composer-skel-v5``/``-v7``/``-v8``/``-v9`` skeleton or a
+    ``composer-dial-v1``/``-v2``/``-v3`` sheet.
 
     Each exits 2.
     """
     tmp, _, skel, sheet = pipeline
     for path, old in ((skel, "composer-skel-v5"), (skel, "composer-skel-v7"),
-                      (skel, "composer-skel-v8"), (sheet, "composer-dial-v1"),
-                      (sheet, "composer-dial-v2"), (sheet, "composer-dial-v3")):
+                      (skel, "composer-skel-v8"), (skel, "composer-skel-v9"),
+                      (sheet, "composer-dial-v1"), (sheet, "composer-dial-v2"),
+                      (sheet, "composer-dial-v3")):
         doc = json.loads(path.read_text())
         current, doc["format"] = doc["format"], old
         path.write_text(json.dumps(doc))

@@ -4,7 +4,17 @@ import pytest
 from composer import diagnostics as dg
 from composer import jw, oracle, qsp
 from composer.errors import MaskError, RankError, ValidationError, ZeroTensorError
-from composer.factorization import BilinearLadder, GeneratorPool, T2Tensor
+from composer.factorization import (
+    BilinearLadder,
+    GeneratorPool,
+    T2Tensor,
+    build_hamiltonian_pool,
+    mp2_amplitudes,
+    nested_svd_t2,
+    pools_from_json,
+    pools_to_json,
+)
+from composer.integrals import synth_instance
 
 
 def random_t2(rng, n_virt=4, n_occ=4):
@@ -143,6 +153,40 @@ def test_one_shot_mask_minimality_exhaustive():
         smallest = min(mask.indices, key=lambda a: w[a])
         reduced = (coverage * total - w[smallest]) / total
         assert reduced < eta
+
+
+def _per_ladder_weights(pool):
+    """Reference :func:`diagnostics.ladder_weights`: one ladder at a time."""
+    out = {}
+    for lad in pool.ladders:
+        w = abs(lad.coefficient) ** 2
+        if lad.kind == "pair":
+            w *= (
+                np.linalg.norm(lad.virtual_pair_vector()) ** 2
+                * np.linalg.norm(lad.occupied_pair_vector()) ** 2
+            )
+        out[lad.address] = float(w)
+    return out
+
+
+@pytest.mark.parametrize("synth", ["1:8:8", "81:8:8", "5:6:4"])
+def test_batched_ladder_weights_keep_the_per_ladder_bits(synth, monkeypatch):
+    """Every ladder kept, in memory and as ``dial`` loads it: the batched
+    weights equal the per-ladder ones bit for bit, so every ``--eta`` mask
+    is the same.
+    """
+    ints = synth_instance(*map(int, synth.split(":")))
+    ham = build_hamiltonian_pool(ints, 1e-10, 0.0)
+    gen = nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0)
+    _, loaded = pools_from_json(pools_to_json(ham, gen))
+    etas = (0.5, 0.9, 0.99, 1.0)
+    for pool in (gen, loaded):
+        weights = dg.ladder_weights(pool)
+        assert weights == _per_ladder_weights(pool)
+        masks = [dg.one_shot_mask(pool, eta).indices for eta in etas]
+        with monkeypatch.context() as patched:
+            patched.setattr(dg, "ladder_weights", _per_ladder_weights)
+            assert masks == [dg.one_shot_mask(pool, eta).indices for eta in etas]
 
 
 def test_one_shot_mask_validation():

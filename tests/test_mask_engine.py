@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,15 @@ def test_sandwich_inherits_hamiltonian_normalization(small_pools, mixed_gen_pool
     sector = list(jw.sector_indices(4, 2))
     rep, _ = me.similarity_sandwich(ham, mixed_gen_pool, frozenset([1]), sector, 1e-9)
     assert rep.alpha == pytest.approx(ham.alpha)
+
+
+def test_sandwich_report_of_numpy_model_space_serializes(small_pools, mixed_gen_pool):
+    """``jw.sector_indices`` yields NumPy integers; the report holds Python ints."""
+    ham, _ = small_pools
+    sector = jw.sector_indices(4, 2)
+    rep, _ = me.similarity_sandwich(ham, mixed_gen_pool, frozenset([1]), sector, 1e-9)
+    assert all(type(i) is int for i in rep.model_space)
+    assert json.loads(rep.to_json())["model_space"] == sorted(sector.tolist())
 
 
 FORBIDDEN_BEFORE_SIZE_CHECK = (

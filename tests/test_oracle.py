@@ -155,7 +155,7 @@ def _rotated_diagonal_block(ch, n):
     skel = cir.one_pool_skeleton(pool, None)
     (ad,) = skel.adaptors_ham
     assert ad.layers[-1].startswith("square|")
-    skel = replace(skel, adaptors_ham=(replace(ad, layers=ad.layers[:-1]),))
+    skel = replace(skel, adaptors_ham=(replace(ad, text=cir._text(ad.layers[:-1])),))
     skel = replace(skel, fingerprint=cir.fabric_fingerprint(skel))
     sheet = cir.dial(skel, pool, None, ())
     return cir.execute_block(skel, sheet, "ham/0")
