@@ -22,7 +22,7 @@ ham = build_hamiltonian_pool(ints, 1e-10, 0.0)
 gen = nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0)
 
 plan = cir.pivots_from_pools(ham, gen)
-skel = cir.compile_skeleton(ints.n_so, plan, "full", qsp_degree=6)
+skel = cir.compile_skeleton(ints.n_so, plan, qsp_degree=6)
 print(f"compiled once: selector width {skel.selector_width}, workspace "
       f"{skel.workspace_width}, fingerprint {skel.fingerprint[:16]}...")
 

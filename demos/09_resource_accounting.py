@@ -2,8 +2,9 @@
 
 The estimator prices the compiled fabric with exact integer conventions,
 from the skeleton alone (it records the occupied count the pair wedges
-are sized by); the connectivity table sets the per-block cost of the
-four-mode pair rotations.
+are sized by, and no hardware model); the connectivity passed to
+``estimate`` sets, through its table, the per-block cost of the four-mode
+pair rotations.
 """
 
 from composer import circuit_ir as cir
@@ -24,7 +25,7 @@ ints = synth_instance(7, 3, 2)
 ham = build_hamiltonian_pool(ints, 1e-8, 0.0)
 gen = nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0)
 plan = cir.pivots_from_pools(ham, gen)
-skel = cir.compile_skeleton(ints.n_so, plan, "full", qsp_degree=10)
+skel = cir.compile_skeleton(ints.n_so, plan, qsp_degree=10)
 print(f"n_so = {skel.n_system}, n_occ = {skel.n_occ} (recorded at compile time)")
 
 for conn in ("full", "linear:2"):

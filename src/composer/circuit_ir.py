@@ -21,9 +21,11 @@ between instances; its JSON stores the array as one base64 string of
 little-endian float64 bytes.
 
 An adaptor's lines, in application order, are its whole branch, held as
-one text, each line ended by a newline.  The document (``composer-skel-v10``)
-stores each distinct text once, in a ``bodies`` list in first-use order, and
-each adaptor its ``body`` index.  Execution interprets the lines, each
+one text, each line ended by a newline.  The document (``composer-skel-v11``)
+holds only fingerprinted facts, each once: an ``adaptors`` list of each
+distinct ``{kind, pivot, rank, text}`` in first-use order, and per side the
+indices into it, an adaptor's address being its position on its side.
+Execution interprets the lines, each
 reading its values from a cursor over the adaptor's span: each run of system gates
 (:data:`SYSTEM_GATES`: ``givens``, ``pgivens``, ``rz``, ``cphase``, ``x``)
 becomes one dense ``2**n x 2**n`` leaf, the gates applied in order to the
@@ -65,7 +67,7 @@ from .errors import DICT, INT, LIST, NUMBER, STR, checked, checked_list
 from .errors import checked_packed, fields_of
 from .factorization import bilinear_asym_spectrum, generator_branch_alpha
 
-SKEL_FORMAT = "composer-skel-v10"
+SKEL_FORMAT = "composer-skel-v11"
 DIAL_FORMAT = "composer-dial-v4"
 
 # dialed values each line kind takes from the stream; every other kind takes none
@@ -193,17 +195,16 @@ class CircuitSkeleton:
     qsp_degree: int
     adaptors_ham: tuple
     adaptors_gen: tuple
-    connectivity: str
     fingerprint: str
 
     def __post_init__(self):
-        # each address is a selector label; its PREP amplitude opens its span
+        # each address is a selector label and its position on its side
         for side, adaptors in self.sides():
-            addresses = sorted(ad.address for ad in adaptors)
+            addresses = [ad.address for ad in adaptors]
             fits = len(addresses) <= 2**self.selector_width
             if not fits or addresses != list(range(len(addresses))):
                 raise ValidationError(
-                    f"{side} adaptor addresses must be 0, 1, ... within the selector"
+                    f"{side} adaptor addresses must read 0, 1, ... within the selector"
                 )
         wedges = [wedge_pairs(self.n_system, self.n_occ, side) for side in "uv"]
         for ad in self.adaptors_gen:  # each pair side pivots inside its own wedge
@@ -255,8 +256,14 @@ class CircuitSkeleton:
         return next(reversed(self.slot_spans.values()))[1]
 
     def to_json(self):
-        texts = dict.fromkeys(ad.text for ad in self.adaptors_ham + self.adaptors_gen)
-        bodies = {text: k for k, text in enumerate(texts)}  # in first-use order
+        stored = {}  # each distinct (kind, pivot, rank, text): its index, by first use
+        sides = {
+            f"adaptors_{side}": [
+                stored.setdefault((ad.kind, ad.pivot, ad.rank, ad.text), len(stored))
+                for ad in adaptors
+            ]
+            for side, adaptors in self.sides()
+        }
         doc = {
             "format": SKEL_FORMAT,
             "n_system": self.n_system,
@@ -264,10 +271,11 @@ class CircuitSkeleton:
             "selector_width": self.selector_width,
             "workspace_width": self.workspace_width,
             "qsp_degree": self.qsp_degree,
-            "connectivity": self.connectivity,
-            "bodies": list(bodies),
-            "adaptors_ham": [_adaptor_doc(a, bodies) for a in self.adaptors_ham],
-            "adaptors_gen": [_adaptor_doc(a, bodies) for a in self.adaptors_gen],
+            "adaptors": [
+                {"kind": kind, "pivot": _pivot_doc(pivot), "rank": rank, "text": text}
+                for kind, pivot, rank, text in stored
+            ],
+            **sides,
             "fingerprint": self.fingerprint,
         }
         return json.dumps(doc, sort_keys=True)
@@ -281,25 +289,30 @@ class CircuitSkeleton:
         for key in ("n_system", "n_occ", "selector_width", "workspace_width",
                     "qsp_degree"):
             checked(doc[key], INT, key)
-        bodies = checked(doc["bodies"], LIST, "bodies")
-        for k, body in enumerate(bodies):
-            _check_body(body, f"body {k}")
-        for key in ("adaptors_ham", "adaptors_gen"):
-            checked_list(doc[key], DICT, key)
-        adaptors = {key: tuple(_adaptor_load(a, bodies) for a in doc[key])
-                    for key in ("adaptors_ham", "adaptors_gen")}
-        # every body used, in first-use order: the stored bytes stay canonical
-        uses = [a["body"] for a in doc["adaptors_ham"] + doc["adaptors_gen"]]
-        if list(dict.fromkeys(uses)) != list(range(len(bodies))):
-            raise ParseError("bodies must each be used, listed in first-use order")
+        stored = []  # (kind, pivot, rank, text) of each stored adaptor
+        for k, ad in enumerate(checked_list(doc["adaptors"], DICT, "adaptors")):
+            where = f"stored adaptor {k}"
+            checked(ad["kind"], STR, f"{where} kind")
+            checked(ad["rank"], INT, f"{where} rank")
+            _check_body(ad["text"], f"{where} text")
+            pivot = _pivot_load(ad["pivot"], where)
+            stored.append((ad["kind"], pivot, ad["rank"], ad["text"]))
+        if len(set(stored)) != len(stored):
+            raise ParseError("stored adaptors must be pairwise distinct")
+        sides = {key: checked_list(doc[key], INT, key)
+                 for key in ("adaptors_ham", "adaptors_gen")}
+        # one check for range, use and order: the bytes stay canonical
+        uses = sides["adaptors_ham"] + sides["adaptors_gen"]
+        if list(dict.fromkeys(uses)) != list(range(len(stored))):
+            raise ParseError("sides must use each stored adaptor, in first-use order")
         skel = CircuitSkeleton(
             n_system=doc["n_system"],
             n_occ=doc["n_occ"],
             selector_width=doc["selector_width"],
             workspace_width=doc["workspace_width"],
             qsp_degree=doc["qsp_degree"],
-            **adaptors,
-            connectivity=checked(doc.get("connectivity", "full"), STR, "connectivity"),
+            **{key: tuple(AdaptorSpec(a, *stored[k]) for a, k in enumerate(indices))
+               for key, indices in sides.items()},
             fingerprint=checked(doc["fingerprint"], STR, "fingerprint"),
         )
         if fabric_fingerprint(skel) != skel.fingerprint:
@@ -307,43 +320,17 @@ class CircuitSkeleton:
         return skel
 
 
-def _adaptor_doc(ad, bodies):
-    return {
-        "address": ad.address,
-        "kind": ad.kind,
-        "pivot": _pivot_doc(ad.pivot),
-        "rank": ad.rank,
-        "body": bodies[ad.text],
-    }
-
-
 def _pivot_doc(pivot):
     return [list(p) if isinstance(p, tuple) else p for p in pivot]
 
 
 def _pivot_load(doc, where):
-    for p in checked(doc, LIST, f"{where}: pivot"):
+    for p in checked(doc, LIST, f"{where} pivot"):
         if type(p) is list:
-            checked_list(p, INT, f"{where}: pivot pair")
+            checked_list(p, INT, f"{where} pivot pair")
         else:
-            checked(p, INT, f"{where}: pivot")
+            checked(p, INT, f"{where} pivot")
     return tuple(tuple(p) if isinstance(p, list) else p for p in doc)
-
-
-def _adaptor_load(doc, bodies):
-    where = f"adaptor {checked(doc['address'], INT, 'adaptor address')}"
-    checked(doc["kind"], STR, f"{where}: kind")
-    checked(doc["rank"], INT, f"{where}: rank")
-    k = checked(doc["body"], INT, f"{where}: body")
-    if not 0 <= k < len(bodies):
-        raise ParseError(f"{where}: body {k} out of range of {len(bodies)} bodies")
-    return AdaptorSpec(
-        address=doc["address"],
-        kind=doc["kind"],
-        pivot=_pivot_load(doc["pivot"], where),
-        rank=doc["rank"],
-        text=bodies[k],
-    )
 
 
 def _check_body(text, where):
@@ -439,14 +426,15 @@ def plan_workspace_width(ham, gen):
     return max(widths)
 
 
-def compile_skeleton(n, pivots, connectivity="full", qsp_degree=0):
+def compile_skeleton(n, pivots, qsp_degree=0):
     """Emit the reusable fabric for the pivot plan; its adaptors set the pool sizes.
 
     Selector width covers ``max(ell_H, ell_sigma + 1)`` (the +1 is the
     reserved null branch at address 0); each line's kind fixes the values
     it takes, so the fingerprint, which digests the canonical layer stream,
-    fixes every slot's position.  One pool may have no ladders, for a
-    skeleton that encodes the other alone.
+    fixes every slot's position.  Each side is emitted in address order.
+    One pool may have no ladders, for a skeleton that encodes the other
+    alone.
     """
     ell_ham, ell_gen = len(pivots.ham), len(pivots.gen)
     if ell_ham + ell_gen == 0:
@@ -462,9 +450,11 @@ def compile_skeleton(n, pivots, connectivity="full", qsp_degree=0):
     emit = {"one_body_mode": _compile_one_body, "channel": _compile_channel,
             "pair": lambda *args: _compile_pair(*args, pivots.n_occ),
             "bilinear_asym": _compile_bilinear_asym}
-    adaptors_ham = [emit[ad.kind](ad, n, sysq, ws0, t) for ad in pivots.ham]
+    ham, gen = (sorted(side, key=lambda ad: ad.address)
+                for side in (pivots.ham, pivots.gen))
+    adaptors_ham = [emit[ad.kind](ad, n, sysq, ws0, t) for ad in ham]
     adaptors_gen = [AdaptorSpec(0, "null", (), 0, _layer("x", (ws0 + t - 1,)) + "\n")]
-    adaptors_gen += [emit[ad.kind](ad, n, sysq, ws0, t) for ad in pivots.gen]
+    adaptors_gen += [emit[ad.kind](ad, n, sysq, ws0, t) for ad in gen]
     skel = CircuitSkeleton(
         n_system=n,
         n_occ=int(pivots.n_occ),
@@ -473,7 +463,6 @@ def compile_skeleton(n, pivots, connectivity="full", qsp_degree=0):
         qsp_degree=int(qsp_degree),
         adaptors_ham=tuple(adaptors_ham),
         adaptors_gen=tuple(adaptors_gen),
-        connectivity=str(connectivity),
         fingerprint="",
     )
     return replace(skel, fingerprint=fabric_fingerprint(skel))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -52,6 +53,8 @@ class RunManifest:
         for name, value in self.thresholds.items():
             if value is None:
                 continue
+            if not math.isfinite(value):
+                raise ComposerError(f"threshold {name} must be finite, not {value}")
             if name in _STRICTLY_POSITIVE and value <= 0:
                 raise ComposerError(f"threshold {name} must be positive")
             if value < 0:
@@ -131,9 +134,7 @@ def cmd_compile(args):
         raise ComposerError("pool file has no generator section to compile")
     plan = cir.pivots_from_pools(ham, gen)
     degree = qsp.degree_for(gen.alpha_bar, args.eps_poly)
-    skel = cir.compile_skeleton(
-        ham.n_so, plan, connectivity=args.connectivity, qsp_degree=degree
-    )
+    skel = cir.compile_skeleton(ham.n_so, plan, qsp_degree=degree)
     summary = (
         f"compile: selector={skel.selector_width} workspace={skel.workspace_width} "
         f"degree={skel.qsp_degree} fingerprint={skel.fingerprint[:16]}"
@@ -188,8 +189,8 @@ def cmd_verify(args):
     if sheet.skeleton_fingerprint != skel.fingerprint:
         print("verify: topology violation (fingerprint mismatch)", file=sys.stderr)
         return EXIT_TOPOLOGY
-    if args.eps_budget is None or args.eps_budget < 0:
-        raise ComposerError("--eps-budget must be nonnegative")
+    if args.eps_budget is None or not 0 <= args.eps_budget < math.inf:
+        raise ComposerError("--eps-budget must be finite and nonnegative")
     with fields_of("dial sheet"):
         alpha = sheet.classical_coeffs["alpha_bar"]
         omegas = sheet.classical_coeffs["omega"]
@@ -341,7 +342,6 @@ def build_parser():
     p = sub.add_parser("compile", help="pools -> frozen circuit skeleton")
     p.add_argument("--pool", required=True)
     p.add_argument("--eps-poly", type=float, default=1e-8, dest="eps_poly")
-    p.add_argument("--connectivity", default="full")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compile)
 
@@ -364,7 +364,7 @@ def build_parser():
     p = sub.add_parser("estimate", help="skeleton -> resource table")
     p.add_argument("--skel", required=True)
     p.add_argument("--dial")
-    p.add_argument("--connectivity", default=None)
+    p.add_argument("--connectivity", default="full")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_estimate)
 

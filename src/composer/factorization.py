@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -334,8 +335,10 @@ def pivoted_cholesky(ints, tau_chol):
     ``<pq|rs> ~= sum_mu L^mu[p,r] L^mu[q,s]`` with max-entry error at most
     ``tau_chol``.
     """
-    if tau_chol < 0:
-        raise ValidationError("tau_chol must be nonnegative")
+    if not 0 <= tau_chol < math.inf:  # a NaN cut never stops the pivoting
+        raise ValidationError(
+            f"tau_chol must be finite and nonnegative, not {tau_chol}"
+        )
     n = ints.n_so
     m = ints.supermatrix()
     m = (m + m.T) / 2.0

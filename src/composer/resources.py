@@ -149,15 +149,17 @@ def _pair_adaptor_depth(n_occ, n, conn):
     return cz * max(n_blocks, 1)
 
 
-def estimate(skel, mask=None, connectivity=None):
+def estimate(skel, mask=None, connectivity="full"):
     """Concrete depth/ancilla counts for one masked sandwich oracle.
 
     All counts are exact integers under the documented conventions; the
     stated asymptotics follow from them.  Every size comes from the
-    skeleton (the pair wedges from its ``n_occ``).  The mask never changes
-    the fabric cost (compile-once); its size is recorded for reference.
+    skeleton (the pair wedges from its ``n_occ``); the hardware model is
+    ``connectivity`` alone, since the skeleton records none.  The mask
+    never changes the fabric cost (compile-once); its size is recorded
+    for reference.
     """
-    conn = Connectivity.parse(connectivity or skel.connectivity)
+    conn = Connectivity.parse(connectivity)
     n = skel.n_system
     d = skel.qsp_degree
     channel_ranks = [ad.rank for ad in skel.adaptors_ham if ad.kind == "channel"]

@@ -251,7 +251,7 @@ def test_c06_compile_once_invariance():
             nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0), n_so=n
         )
         plan = cir.pivots_from_pools(ham, gen)
-        skel = cir.compile_skeleton(n, plan, "full", qsp_degree=6)
+        skel = cir.compile_skeleton(n, plan, qsp_degree=6)
 
         coefficient_sets = [_scaled(gen, f) for f in (1.0, 0.5, 1.25)]
         worst = max(p.alpha_bar for p in coefficient_sets)

@@ -40,7 +40,7 @@ def compiled(small_pools, mixed_gen_pool):
     ham, _ = small_pools
     gen = mixed_gen_pool
     plan = cir.pivots_from_pools(ham, gen)
-    skel = cir.compile_skeleton(4, plan, "full", qsp_degree=8)
+    skel = cir.compile_skeleton(4, plan, qsp_degree=8)
     return ham, gen, skel
 
 
@@ -52,14 +52,14 @@ def compiled_n6():
     gen = nested_svd_t2(mp2_amplitudes(ints), 1e-6, 1e-6)
     gen = mixed_generator_pool(gen, n_so=6)
     plan = cir.pivots_from_pools(ham, gen)
-    skel = cir.compile_skeleton(6, plan, "full", qsp_degree=8)
+    skel = cir.compile_skeleton(6, plan, qsp_degree=8)
     return ham, gen, skel
 
 
 def test_compile_deterministic(compiled):
     ham, gen, skel = compiled
     plan = cir.pivots_from_pools(ham, gen)
-    again = cir.compile_skeleton(4, plan, "full", qsp_degree=8)
+    again = cir.compile_skeleton(4, plan, qsp_degree=8)
     assert again.fingerprint == skel.fingerprint
 
 
@@ -70,9 +70,9 @@ def test_minimal_sizes_selector_width():
         gen=(cir.AdaptorDescriptor("bilinear_asym", 1, pivot=(0, 1), rank=2),),
         n_occ=1,
     )
-    skel = cir.compile_skeleton(2, plan_min, "full", 2)
+    skel = cir.compile_skeleton(2, plan_min, qsp_degree=2)
     assert skel.selector_width == 1  # ceil(log2 max(1, 2)) = 1
-    again = cir.compile_skeleton(2, plan_min, "full", 2)
+    again = cir.compile_skeleton(2, plan_min, qsp_degree=2)
     assert again.fingerprint == skel.fingerprint
 
 
@@ -80,7 +80,7 @@ def test_selector_width_counts_null_branch(small_pools):
     ham, gen5 = small_pools
     gen5 = mixed_generator_pool(gen5, extra=4)  # ell_sigma = 5
     plan = cir.pivots_from_pools(ham, gen5)
-    skel = cir.compile_skeleton(4, plan, "full", 2)
+    skel = cir.compile_skeleton(4, plan, qsp_degree=2)
     assert skel.selector_width == max(
         int(np.ceil(np.log2(max(ham.ell, 5 + 1)))), 1
     )
@@ -104,7 +104,7 @@ def test_pivot_change_changes_fingerprint(compiled):
         else:
             bumped.append(d)
     plan2 = replace(plan, ham=tuple(bumped))
-    skel2 = cir.compile_skeleton(4, plan2, "full", 8)
+    skel2 = cir.compile_skeleton(4, plan2, qsp_degree=8)
     assert skel2.fingerprint != skel.fingerprint
 
 
@@ -117,7 +117,7 @@ def test_swapped_addresses_change_fingerprint(compiled):
         cir.AdaptorDescriptor(g[0].kind, g[1].address, g[0].pivot, g[0].rank),
     )
     plan2 = replace(plan, gen=tuple(g))
-    skel2 = cir.compile_skeleton(4, plan2, "full", 8)
+    skel2 = cir.compile_skeleton(4, plan2, qsp_degree=8)
     assert skel2.fingerprint != skel.fingerprint
 
 
@@ -397,7 +397,8 @@ def test_a_pair_pivot_outside_its_wedge_is_rejected(compiled):
     with pytest.raises(ValidationError, match=match):
         cir.compile_skeleton(skel.n_system, plan)
     doc = json.loads(skel.to_json())
-    doc["adaptors_gen"][ad.address]["pivot"] = [[1, 2], list(ad.pivot[1])]
+    stored = doc["adaptors"][doc["adaptors_gen"][ad.address]]
+    stored["pivot"] = [[1, 2], list(ad.pivot[1])]
     with pytest.raises(ValidationError, match=match):
         cir.CircuitSkeleton.from_json(json.dumps(doc))
 
@@ -716,17 +717,19 @@ _ENTRY = st.one_of(
 def test_the_one_pass_line_check_matches_the_per_line_rule(body):
     """The one-pass text check accepts exactly the bodies whose every line
     passes the per-line rule, and otherwise names the body and the first
-    line that fails; a body that is not a string is refused by name.
+    line that fails; a body that is not a string is refused by name.  The
+    body is a stored adaptor's ``text``.
     """
     doc = json.loads(_pair_line_skeleton()[2].to_json())
-    k = doc["adaptors_gen"][1]["body"]
-    doc["bodies"][k] = body
+    k = doc["adaptors_gen"][1]
+    doc["adaptors"][k]["text"] = body
     text = json.dumps(doc)
     if type(body) is not str:
-        with pytest.raises(ParseError, match=f"^body {k} must be str"):
+        with pytest.raises(ParseError, match=f"^stored adaptor {k} text must be str"):
             cir.CircuitSkeleton.from_json(text)
     elif _bad_lines(body):
-        match = re.escape(f"body {k}: malformed layer line {_bad_lines(body)[0]!r}")
+        bad = _bad_lines(body)[0]
+        match = re.escape(f"stored adaptor {k} text: malformed layer line {bad!r}")
         with pytest.raises(ParseError, match=f"^{match}$"):
             cir.CircuitSkeleton.from_json(text)
     else:  # the lines load; only the fingerprint, over other lines, can object
@@ -860,18 +863,18 @@ def test_skeleton_json_roundtrip(compiled):
 
 
 def _edit_lines(doc, k, edit):
-    """Apply ``edit`` to the list of body ``k``'s lines, and store them back."""
-    lines = doc["bodies"][k].split("\n")[:-1]
+    """Apply ``edit`` to stored adaptor ``k``'s list of lines, and store them back."""
+    lines = doc["adaptors"][k]["text"].split("\n")[:-1]
     edit(lines)
-    doc["bodies"][k] = cir._text(lines)
+    doc["adaptors"][k]["text"] = cir._text(lines)
 
 
 def _first(doc, gate):
-    """``(body, line)`` of the first ``gate`` line; bodies are in first-use order."""
+    """``(stored adaptor, line)`` of the first ``gate`` line, in first-use order."""
     return next(
         (k, j)
-        for k, body in enumerate(doc["bodies"])
-        for j, line in enumerate(body.split("\n"))
+        for k, ad in enumerate(doc["adaptors"])
+        for j, line in enumerate(ad["text"].split("\n"))
         if line.split("|")[0] == gate
     )
 
@@ -909,7 +912,8 @@ def _widen(field):
 
 
 def _gen1_body(doc):
-    return doc["adaptors_gen"][1]["body"]
+    """Index of the stored adaptor at address ``gen/1``."""
+    return doc["adaptors_gen"][1]
 
 
 def _retarget(doc):
@@ -931,9 +935,9 @@ def _embed_newline(doc):
 
 
 def _list_body(doc):
-    """A v9-style list of lines in place of a body's text."""
-    k = _gen1_body(doc)
-    doc["bodies"][k] = doc["bodies"][k].split("\n")[:-1]
+    """A v9-style list of lines in place of a stored adaptor's text."""
+    ad = doc["adaptors"][_gen1_body(doc)]
+    ad["text"] = ad["text"].split("\n")[:-1]
 
 
 def _drop_first(gate):
@@ -951,21 +955,21 @@ def _move_select(fields):
 
 
 def _scalar_body(doc):
-    doc["bodies"][_gen1_body(doc)] = 5
+    doc["adaptors"][_gen1_body(doc)]["text"] = 5
 
 
 def _scalar_bodies(doc):
-    doc["bodies"] = 5
+    doc["adaptors"] = 5
 
 
 def _move_pair_pivot(doc):
     """Another u-pivot pair for the first pair adaptor; its layers unchanged."""
-    ad = next(ad for ad in doc["adaptors_gen"] if ad["kind"] == "pair")
+    ad = next(ad for ad in doc["adaptors"] if ad["kind"] == "pair")
     ad["pivot"][0] = [0, 1] if ad["pivot"][0] != [0, 1] else [2, 3]
 
 
 def _lower_channel_rank(doc):
-    ad = next(ad for ad in doc["adaptors_ham"] if ad["kind"] == "channel")
+    ad = next(ad for ad in doc["adaptors"] if ad["kind"] == "channel")
     ad["rank"] -= 1
 
 
@@ -979,6 +983,7 @@ def _lower_channel_rank(doc):
         pytest.param(_widen("selector_width"), ValidationError, id="selector_width"),
         pytest.param(_widen("workspace_width"), ValidationError, id="workspace_width"),
         pytest.param(_widen("n_occ"), ValidationError, id="n_occ"),
+        pytest.param(_widen("qsp_degree"), ValidationError, id="qsp_degree"),
         pytest.param(_drop_first("gphase"), ValidationError, id="dropped-sign-line"),
         pytest.param(_drop_first("mirror"), ValidationError, id="dropped-mirror"),
         pytest.param(
@@ -1001,24 +1006,31 @@ def test_skeleton_json_tamper_detected(compiled, tamper, error):
 
 
 def test_adaptor_addresses_must_label_the_selector(compiled):
-    """With no prep-slot list, an address outside the selector fails to load."""
+    """An address is its position on its side, so a side that lists more
+    adaptors than the selector holds fails to load, and an in-memory side
+    whose addresses do not read 0, 1, ... is refused.
+    """
     _, _, skel = compiled
     doc = json.loads(skel.to_json())
-    doc["adaptors_gen"][1]["address"] = 2**skel.selector_width
+    extra = 2**skel.selector_width - len(doc["adaptors_gen"]) + 1
+    doc["adaptors_gen"] += doc["adaptors_gen"][-1:] * extra
     with pytest.raises(ValidationError, match="gen adaptor addresses"):
         cir.CircuitSkeleton.from_json(json.dumps(doc))
     moved = replace(skel.adaptors_gen[1], address=2**skel.selector_width)
     with pytest.raises(ValidationError, match="gen adaptor addresses"):
         replace(skel, adaptors_gen=(skel.adaptors_gen[0], moved,
                                     *skel.adaptors_gen[2:]))
+    g = skel.adaptors_gen
+    with pytest.raises(ValidationError, match="gen adaptor addresses"):
+        replace(skel, adaptors_gen=(g[0], g[2], g[1], *g[3:]))
 
 
 @pytest.mark.parametrize(
     "fmt",
     ["composer-skel-v1", "composer-skel-v2", "composer-skel-v3", "composer-skel-v4",
      "composer-skel-v5", "composer-skel-v6", "composer-skel-v7", "composer-skel-v8",
-     "composer-skel-v9"],
-    ids=["v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8", "v9"],
+     "composer-skel-v9", "composer-skel-v10"],
+    ids=["v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8", "v9", "v10"],
 )
 def test_skeleton_v1_rejected(compiled, fmt):
     _, _, skel = compiled
@@ -1028,7 +1040,7 @@ def test_skeleton_v1_rejected(compiled, fmt):
         cir.CircuitSkeleton.from_json(json.dumps(doc))
 
 
-# the v9 skeletons' fingerprints: a v10 body is exactly the text v9 hashed
+# the v9 skeletons' fingerprints: a stored text is exactly the text v9 hashed
 _V9_FINGERPRINTS = {
     "1:8:8": "c200aaf6c6d2a1d8f623de27e19dae7b67fffde3af47332e604cecae20fabc9d",
     "3:3:2": "255cbb040ce87a46079b3e79170d4988b22d50427b24b1d81828c930f9d77b47",
@@ -1039,8 +1051,9 @@ _V9_FINGERPRINTS = {
 def test_the_body_format_changes_no_fingerprint(synth):
     """Compiled and loaded, the fingerprint is v9's, and the text round-trips.
 
-    Each distinct adaptor text is stored once: synth ``1:8:8``'s 465
-    adaptors hold 106 bodies, which keeps its skeleton under 200 KB.
+    Each distinct adaptor (kind, pivots, rank and text) is stored once:
+    synth ``1:8:8``'s 465 adaptors hold 106, which keeps its skeleton
+    under 160 KB.
     """
     skel = _synth_skeleton(synth)
     text = skel.to_json()
@@ -1048,27 +1061,93 @@ def test_the_body_format_changes_no_fingerprint(synth):
     assert skel.fingerprint == loaded.fingerprint == _V9_FINGERPRINTS[synth]
     assert loaded.to_json() == text
     if synth == "1:8:8":
-        assert len(json.loads(text)["bodies"]) == 106
-        assert len(text) <= 200_000
+        assert len(skel.adaptors_ham) + len(skel.adaptors_gen) == 465
+        assert len(json.loads(text)["adaptors"]) == 106
+        assert len(text) <= 160_000
+
+
+_V11_KEYS = {"format", "n_system", "n_occ", "selector_width", "workspace_width",
+             "qsp_degree", "adaptors", "adaptors_ham", "adaptors_gen", "fingerprint"}
+
+
+def test_the_document_holds_only_fingerprinted_fields(compiled):
+    """The key set is exactly v11's; each stored adaptor holds its kind,
+    pivots, rank and text, and each side plain indices into them.
+    """
+    for skel in (compiled[2], _synth_skeleton("1:4:4")):
+        doc = json.loads(skel.to_json())
+        assert set(doc) == _V11_KEYS
+        for ad in doc["adaptors"]:
+            assert set(ad) == {"kind", "pivot", "rank", "text"}
+        for side, adaptors in skel.sides():
+            indices = doc[f"adaptors_{side}"]
+            assert len(indices) == len(adaptors)
+            assert all(type(k) is int for k in indices)
+
+
+def _bump(field):
+    """Another value of the same JSON type for a stored adaptor's ``field``."""
+    return {
+        "kind": lambda ad: ad["kind"] + "2",
+        "pivot": lambda ad: ad["pivot"] + [0],
+        "rank": lambda ad: ad["rank"] + 1,
+        "text": lambda ad: ad["text"] + "x|0\n",
+    }[field]
+
+
+@pytest.mark.parametrize("field", ["kind", "pivot", "rank", "text"])
+def test_every_stored_adaptor_field_is_bound(compiled, field):
+    """Changing one field of any stored adaptor, keeping its type, fails the load."""
+    _, _, skel = compiled
+    doc = json.loads(skel.to_json())
+    for k, ad in enumerate(doc["adaptors"]):
+        edited = json.loads(json.dumps(doc))
+        edited["adaptors"][k][field] = _bump(field)(ad)
+        with pytest.raises(ValidationError):
+            cir.CircuitSkeleton.from_json(json.dumps(edited))
+
+
+def test_a_pool_listed_out_of_address_order_compiles_in_address_order(
+    small_pools, mixed_gen_pool
+):
+    """Ladders listed in reverse still give address-ordered sides, the same
+    skeleton as the pool in order, and a document that round-trips.
+    """
+    ham, _ = small_pools
+    gen = mixed_gen_pool
+    shuffled_ham = replace(
+        ham, one_body=ham.one_body[::-1], channels=ham.channels[::-1]
+    )
+    shuffled_gen = replace(gen, ladders=gen.ladders[::-1])
+    plan = cir.pivots_from_pools(shuffled_ham, shuffled_gen)
+    assert [d.address for d in plan.gen] != sorted(d.address for d in plan.gen)
+    skel = cir.compile_skeleton(ham.n_so, plan)
+    for _, adaptors in skel.sides():
+        assert [ad.address for ad in adaptors] == list(range(len(adaptors)))
+    in_order = cir.compile_skeleton(ham.n_so, cir.pivots_from_pools(ham, gen))
+    assert skel.to_json() == in_order.to_json()
+    loaded = cir.CircuitSkeleton.from_json(skel.to_json())
+    assert loaded == skel
+    assert loaded.to_json() == skel.to_json()
 
 
 def _shared_skeleton_doc():
-    """Synth ``1:4:4``'s skeleton document: several adaptors share each pair body."""
+    """Synth ``1:4:4``'s skeleton document: addresses share each pair adaptor."""
     return json.loads(_synth_skeleton("1:4:4").to_json())
 
 
-def _adaptor_docs(doc):
-    return doc["adaptors_ham"] + doc["adaptors_gen"]
+_SIDES = ("adaptors_ham", "adaptors_gen")
 
 
 def test_a_tampered_shared_body_fails_the_fingerprint():
-    """One edit to a shared body changes every adaptor that uses it; the
-    fingerprint, recomputed per adaptor, objects.
+    """One edit to a shared stored adaptor changes every address that uses it;
+    the fingerprint, recomputed per address, objects.
     """
     doc = _shared_skeleton_doc()
-    uses = [ad["body"] for ad in _adaptor_docs(doc)]
-    k = next(k for k in range(len(doc["bodies"])) if uses.count(k) > 1)
-    j = next(j for j, line in enumerate(doc["bodies"][k].split("\n")) if "," in line)
+    uses = doc["adaptors_ham"] + doc["adaptors_gen"]
+    k = next(k for k in range(len(doc["adaptors"])) if uses.count(k) > 1)
+    text = doc["adaptors"][k]["text"]
+    j = next(j for j, line in enumerate(text.split("\n")) if "," in line)
 
     def reverse(lines):
         gate, qubits = lines[j].split("|")
@@ -1080,58 +1159,76 @@ def test_a_tampered_shared_body_fails_the_fingerprint():
 
 
 def test_swapped_body_indices_fail_the_fingerprint():
-    """Two adaptors swap bodies that were both first used before either: the
-    first-use order still holds, and the fingerprint objects.
+    """Two side entries swap stored adaptors that were both first used before
+    either: the first-use order still holds, and the fingerprint objects.
     """
     doc = _shared_skeleton_doc()
-    adaptors = _adaptor_docs(doc)
+    entries = [(key, i, k) for key in _SIDES for i, k in enumerate(doc[key])]
     first = {}
-    for i, ad in enumerate(adaptors):
-        first.setdefault(ad["body"], i)
-    a, b = next(
-        (a, b) for i, a in enumerate(adaptors) for b in adaptors[i + 1:]
-        if a["body"] != b["body"] and max(first[a["body"]], first[b["body"]]) < i
+    for n, (_, _, k) in enumerate(entries):
+        first.setdefault(k, n)
+    (side_a, i, a), (side_b, j, b) = next(
+        (x, y) for n, x in enumerate(entries) for y in entries[n + 1:]
+        if x[2] != y[2] and max(first[x[2]], first[y[2]]) < n
     )
-    a["body"], b["body"] = b["body"], a["body"]
+    doc[side_a][i], doc[side_b][j] = b, a
     with pytest.raises(ValidationError, match="fingerprint does not match"):
         cir.CircuitSkeleton.from_json(json.dumps(doc))
+
+
+_ORDER = "sides must use each stored adaptor, in first-use order"
 
 
 @pytest.mark.parametrize(
     "index, match",
     [
-        (lambda n: n, r"body \d+ out of range of \d+ bodies"),
-        (lambda n: -1, "body -1 out of range"),
-        (lambda n: "0", "body must be int, not str"),
-        (lambda n: True, "body must be int, not bool"),
-        (lambda n: 0.0, "body must be int, not float"),
-        (lambda n: None, "body must be int, not NoneType"),
+        (lambda n: n, _ORDER),
+        (lambda n: -1, _ORDER),
+        (lambda n: "0", "adaptors_gen entries must be int, not str"),
+        (lambda n: True, "adaptors_gen entries must be int, not bool"),
+        (lambda n: 0.0, "adaptors_gen entries must be int, not float"),
+        (lambda n: None, "adaptors_gen entries must be int, not NoneType"),
     ],
     ids=["past-the-end", "negative", "string", "bool", "float", "null"],
 )
 def test_a_bad_body_index_is_a_parse_error(compiled, index, match):
+    """A side entry that is no index of a stored adaptor."""
     doc = json.loads(compiled[2].to_json())
-    ad = doc["adaptors_gen"][1]
-    ad["body"] = index(len(doc["bodies"]))
-    with pytest.raises(ParseError, match=f"^adaptor {ad['address']}: {match}"):
+    doc["adaptors_gen"][1] = index(len(doc["adaptors"]))
+    with pytest.raises(ParseError, match=match):
         cir.CircuitSkeleton.from_json(json.dumps(doc))
 
 
 def test_bodies_are_each_used_and_in_first_use_order():
-    """An unused body, and bodies listed out of first-use order, are refused,
-    although neither changes any adaptor's text or the fingerprint.
+    """An unused stored adaptor, and stored adaptors listed out of first-use
+    order, are refused, although neither changes any address's adaptor or
+    the fingerprint.
     """
     doc = _shared_skeleton_doc()
     unused = json.loads(json.dumps(doc))
-    unused["bodies"].append("x|0\n")
+    extra = {"kind": "null", "pivot": [], "rank": 0, "text": "x|99\n"}
+    unused["adaptors"].append(extra)
     reordered = json.loads(json.dumps(doc))
-    last = len(doc["bodies"]) - 1
-    reordered["bodies"].reverse()
-    for ad in _adaptor_docs(reordered):
-        ad["body"] = last - ad["body"]
+    last = len(doc["adaptors"]) - 1
+    reordered["adaptors"].reverse()
+    for key in _SIDES:
+        reordered[key] = [last - k for k in reordered[key]]
     for edited in (unused, reordered):
-        with pytest.raises(ParseError, match="each be used, listed in first-use order"):
+        with pytest.raises(ParseError, match=_ORDER):
             cir.CircuitSkeleton.from_json(json.dumps(edited))
+
+
+def test_a_repeated_stored_adaptor_is_a_parse_error():
+    """A copy of a stored adaptor, used in first-use order, would load as the
+    same skeleton, whose ``to_json`` writes other bytes; it is refused.
+    """
+    doc = _shared_skeleton_doc()
+    gen, n = doc["adaptors_gen"], len(doc["adaptors"])
+    assert gen[-1] in doc["adaptors_ham"] + gen[:-1]  # used before: its copy is new
+    doc["adaptors"].append(dict(doc["adaptors"][gen[-1]]))
+    gen[-1] = n
+    with pytest.raises(ParseError, match="^stored adaptors must be pairwise distinct$"):
+        cir.CircuitSkeleton.from_json(json.dumps(doc))
 
 
 def test_dialsheet_json_roundtrip(compiled):

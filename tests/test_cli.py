@@ -1,5 +1,9 @@
 import base64
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +20,22 @@ from composer.integrals import synth_instance
 from conftest import H2_LIKE_FCIDUMP, edit_packed, mixed_generator_pool
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run(argv):
     return cli.main(argv)
+
+
+def run_in_subprocess(argv, cwd):
+    """``composer argv`` in a fresh interpreter, killed after 60 s, so a
+    command that never returns fails its test instead of hanging the suite.
+    """
+    path = os.pathsep.join(filter(None, [str(SRC), os.getenv("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "composer.cli", *argv], cwd=cwd, capture_output=True,
+        text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 @pytest.fixture()
@@ -197,7 +215,7 @@ def test_verify_reports_the_ancillas_of_the_checked_encoding(tmp_path, synth):
 
 
 def test_older_formats_exit_two(pipeline, capsys):
-    """A ``composer-skel-v5``/``-v7``/``-v8``/``-v9`` skeleton or a
+    """A ``composer-skel-v5``/``-v7``/``-v8``/``-v9``/``-v10`` skeleton or a
     ``composer-dial-v1``/``-v2``/``-v3`` sheet.
 
     Each exits 2.
@@ -205,6 +223,7 @@ def test_older_formats_exit_two(pipeline, capsys):
     tmp, _, skel, sheet = pipeline
     for path, old in ((skel, "composer-skel-v5"), (skel, "composer-skel-v7"),
                       (skel, "composer-skel-v8"), (skel, "composer-skel-v9"),
+                      (skel, "composer-skel-v10"),
                       (sheet, "composer-dial-v1"), (sheet, "composer-dial-v2"),
                       (sheet, "composer-dial-v3")):
         doc = json.loads(path.read_text())
@@ -469,7 +488,7 @@ def test_dial_rejects_a_hamiltonian_array_of_the_wrong_length(pipeline, capsys, 
 
 
 def _set_pivot(doc):
-    doc["adaptors_gen"][1]["pivot"] = 3
+    doc["adaptors"][doc["adaptors_gen"][1]]["pivot"] = 3
 
 
 def _set_n_system(doc):
@@ -708,6 +727,41 @@ def test_nonpositive_tau_exits_two(tmp_path):
         )
         == 2
     )
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--tau-chol", "nan"), ("--tau-chol", "inf"), ("--tau-chol", "-inf"),
+     ("--tau-eig", "nan"), ("--tau-svd", "nan"), ("--tau-wedge", "inf")],
+)
+def test_a_non_finite_factorize_threshold_exits_two(tmp_path, flag, value):
+    """A NaN ``--tau-chol`` once never returned, and a NaN ``--tau-svd`` exited 0."""
+    out = tmp_path / "x.json"
+    argv = ["factorize", "--synth", "1:2:2", f"{flag}={value}", "--out", str(out)]
+    proc = run_in_subprocess(argv, tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "must be finite" in proc.stderr
+    assert not out.exists()
+
+
+def test_a_non_finite_polynomial_budget_exits_two(pipeline):
+    tmp, pool, _, _ = pipeline
+    out = tmp / "s.json"
+    argv = ["compile", "--pool", str(pool), "--eps-poly=nan", "--out", str(out)]
+    proc = run_in_subprocess(argv, tmp)
+    assert proc.returncode == 2, proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_a_non_finite_verify_budget_exits_two(pipeline, value):
+    """A NaN budget once failed every check and exited 1."""
+    tmp, _, skel, sheet = pipeline
+    argv = ["verify", "--skel", str(skel), "--dial", str(sheet),
+            f"--eps-budget={value}"]
+    proc = run_in_subprocess(argv, tmp)
+    assert proc.returncode == 2, proc.stderr
+    assert "--eps-budget must be finite and nonnegative" in proc.stderr
 
 
 def test_fcidump_input_path(tmp_path):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,35 @@ def zero_eri_instance(n_spatial=2):
 
 def test_cholesky_zero_tensor():
     assert pivoted_cholesky(zero_eri_instance(), 1e-8) == []
+
+
+def test_cholesky_refuses_a_non_finite_cut():
+    """NaN, an infinity or a negative ``tau_chol`` is a ValidationError.
+
+    Run in a fresh interpreter killed after 60 s: a NaN cut once never
+    stopped the pivoting, and a regression must fail, not hang.
+    """
+    script = (
+        "from composer.errors import ValidationError\n"
+        "from composer.factorization import pivoted_cholesky\n"
+        "from composer.integrals import synth_instance\n"
+        "for tau in (float('nan'), float('inf'), float('-inf'), -1e-8):\n"
+        "    try:\n"
+        "        pivoted_cholesky(synth_instance(1, 2, 2), tau)\n"
+        "    except ValidationError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.getenv("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"tau_chol must be finite and nonnegative, not {tau}"
+        for tau in ("nan", "inf", "-inf", "-1e-08")
+    ]
 
 
 def test_cholesky_exact_rank_one():

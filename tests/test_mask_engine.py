@@ -200,7 +200,7 @@ def test_topology_invariant_blocks_differ(small_pools, mixed_gen_pool):
     ham, _ = small_pools
     gen = mixed_gen_pool
     plan = cir.pivots_from_pools(ham, gen)
-    skel = cir.compile_skeleton(4, plan, "full", qsp_degree=6)
+    skel = cir.compile_skeleton(4, plan, qsp_degree=6)
     sector = list(jw.sector_indices(4, 2))
     masks = [frozenset(), frozenset([1]), frozenset([2]), frozenset([1, 2, 3])]
     blocks = []

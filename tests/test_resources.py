@@ -42,7 +42,7 @@ def skeleton(small_pools, mixed_gen_pool):
     ham, _ = small_pools
     gen = mixed_gen_pool
     plan = cir.pivots_from_pools(ham, gen)
-    return cir.compile_skeleton(4, plan, "full", qsp_degree=8)
+    return cir.compile_skeleton(4, plan, qsp_degree=8)
 
 
 def test_estimate_matches_hand_computation(skeleton):
@@ -74,7 +74,7 @@ def test_estimate_matches_hand_computation(skeleton):
 def test_hamiltonian_only_total(skeleton, small_pools):
     ham, gen = small_pools
     plan = cir.pivots_from_pools(ham, gen)
-    skel = cir.compile_skeleton(4, plan, "full", qsp_degree=0)
+    skel = cir.compile_skeleton(4, plan, qsp_degree=0)
     est = estimate(skel)
     rows = {r.name: r for r in est.rows}
     assert rows["qsp ladders"].depth == 0
@@ -92,7 +92,7 @@ def test_doubling_degree_doubles_only_qsp(skeleton, small_pools, mixed_gen_pool)
     ham, _ = small_pools
     gen = mixed_gen_pool
     plan = cir.pivots_from_pools(ham, gen)
-    skel2 = cir.compile_skeleton(4, plan, "full", qsp_degree=16)
+    skel2 = cir.compile_skeleton(4, plan, qsp_degree=16)
     est1 = estimate(skeleton)
     est2 = estimate(skel2)
     rows1 = {r.name: r.depth for r in est1.rows}
@@ -134,7 +134,7 @@ def synthetic_skeleton(n, n_bilinear, channel_ranks, ell_sigma, degree=4, n_occ=
         for s in range(ell_sigma)
     ]
     plan = cir.CompilePlan(ham=tuple(ham), gen=tuple(gen), n_occ=n_occ)
-    return cir.compile_skeleton(n, plan, "full", qsp_degree=degree)
+    return cir.compile_skeleton(n, plan, qsp_degree=degree)
 
 
 def test_asymptotic_conformance():
