@@ -1,11 +1,14 @@
 """Compile-once circuit IR: frozen two-qubit fabric plus re-dialable angles.
 
-The skeleton records the fixed pool's facts: the register widths, the
+The skeleton records the fixed pool's facts: the system width, the
 occupied count ``n_occ`` (a pair ladder's ``u`` side rotates over the
 virtual pairs, its ``v`` side over the occupied ones: :func:`wedge_pairs`),
-the selector tree, the adaptor bank's gate layers, and the signal-processing
-scaffold.  Each layer is one canonical line ``gate|q0,q1,...``, held, stored
-and hashed in that one form.  A line's kind fixes how many dialed values it
+the adaptor bank's gate layers, and the signal-processing scaffold.  An
+adaptor's address is its position on its side; the register widths are
+derived from the adaptors (:func:`plan_selector_width`,
+:func:`plan_workspace_width`, as compile derives them).  Each layer is one
+canonical line ``gate|q0,q1,...``, held, stored and hashed in that one form.
+A line's kind fixes how many dialed values it
 takes (:data:`LINE_VALUES`: ``pgivens`` two, its angle and phase;
 ``givens``, ``rz``, ``cphase``, ``gphase`` and ``case`` one; every other
 kind none), so a slot has no name: it is a position in the value stream.
@@ -21,11 +24,11 @@ between instances; its JSON stores the array as one base64 string of
 little-endian float64 bytes.
 
 An adaptor's lines, in application order, are its whole branch, held as
-one text, each line ended by a newline.  The document (``composer-skel-v11``)
-holds only fingerprinted facts, each once: an ``adaptors`` list of each
-distinct ``{kind, pivot, rank, text}`` in first-use order, and per side the
-indices into it, an adaptor's address being its position on its side.
-Execution interprets the lines, each
+one text, each line ended by a newline.  The document (``composer-skel-v12``)
+holds exactly the fingerprinted facts, each once (any other key is refused):
+an ``adaptors`` list of each distinct ``{kind, pivot, rank, text}`` in
+first-use order, loaded as one :class:`AdaptorSpec` each, and per side the
+indices into it.  Execution interprets the lines, each
 reading its values from a cursor over the adaptor's span: each run of system gates
 (:data:`SYSTEM_GATES`: ``givens``, ``pgivens``, ``rz``, ``cphase``, ``x``)
 becomes one dense ``2**n x 2**n`` leaf, the gates applied in order to the
@@ -58,16 +61,17 @@ import json
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
 from . import jw, ladders, oracle
 from .errors import BindError, MaskError, ParseError, ShapeError, ValidationError
 from .errors import DICT, INT, LIST, NUMBER, STR, checked, checked_list
-from .errors import checked_packed, fields_of
+from .errors import checked_keys, checked_packed, fields_of
 from .factorization import bilinear_asym_spectrum, generator_branch_alpha
 
-SKEL_FORMAT = "composer-skel-v11"
+SKEL_FORMAT = "composer-skel-v12"
 DIAL_FORMAT = "composer-dial-v4"
 
 # dialed values each line kind takes from the stream; every other kind takes none
@@ -76,6 +80,10 @@ LINE_VALUES = {"givens": 1, "pgivens": 2, "rz": 1, "cphase": 1, "gphase": 1, "ca
 SYSTEM_GATES = {"givens": 2, "pgivens": 4, "rz": 1, "cphase": 2, "x": 1}
 # a text line holding two ``|``
 _TWO_BARS = re.compile(r"\|[^\n]*\|")
+# the skeleton's keys and a stored adaptor's: exactly the fingerprinted facts
+_SKEL_KEYS = frozenset({"format", "n_system", "n_occ", "qsp_degree", "adaptors",
+                        "adaptors_ham", "adaptors_gen", "fingerprint"})
+_STORED_KEYS = frozenset({"kind", "pivot", "rank", "text"})
 
 
 @dataclass(frozen=True)
@@ -95,7 +103,6 @@ class AdaptorDescriptor:
     """Compile-time shape of one adaptor: kind, pivots, and channel rank."""
 
     kind: str  # one_body_mode | channel | pair | bilinear_asym
-    address: int
     pivot: tuple = ()
     rank: int = 0
 
@@ -121,58 +128,46 @@ def wedge_pairs(n, n_occ, side):
 def pivots_from_pools(ham_pool, gen_pool):
     """Canonical pivot plan: argmax amplitudes, frozen at compile time.
 
-    Either pool may be ``None``; the plan then covers the other alone,
-    and without a generator pool ``n_occ`` is the Hamiltonian's ``n_elec``.
+    Each side lists its pool's ladders in address order.  Either pool may
+    be ``None``; the plan then covers the other alone, and without a
+    generator pool ``n_occ`` is the Hamiltonian's ``n_elec``.
     """
     ham = []
     if ham_pool is not None:
-        for lad in ham_pool.one_body:
-            pivots = tuple(
-                int(np.argmax(np.abs(lad.vectors[:, j])))
-                for j in range(lad.multiplicity)
-            )
-            ham.append(
-                AdaptorDescriptor(
-                    "one_body_mode",
-                    lad.address,
-                    pivot=pivots,
-                    rank=lad.multiplicity,
+        for lad in sorted(ham_pool.ladders, key=attrgetter("address")):
+            if lad.kind == "one_body_mode":
+                pivots = tuple(
+                    int(np.argmax(np.abs(lad.vectors[:, j])))
+                    for j in range(lad.multiplicity)
                 )
-            )
-        for lad in ham_pool.channels:
-            ham.append(
-                AdaptorDescriptor("channel", lad.address, rank=lad.channel.rank)
-            )
+                ham.append(AdaptorDescriptor("one_body_mode", pivots, lad.multiplicity))
+            else:
+                ham.append(AdaptorDescriptor("channel", rank=lad.channel.rank))
     gen = []
     if gen_pool is not None:
         n = gen_pool.n_so
-        for lad in gen_pool.ladders:
+        for lad in sorted(gen_pool.ladders, key=attrgetter("address")):
             if lad.kind == "pair":
                 vectors = lad.virtual_pair_vector(), lad.occupied_pair_vector()
                 pivot = tuple(
                     wedge_pairs(n, gen_pool.n_occ, side)[int(np.argmax(np.abs(vec)))]
                     for side, vec in zip("uv", vectors)
                 )
-                gen.append(AdaptorDescriptor("pair", lad.address, pivot=pivot))
+                gen.append(AdaptorDescriptor("pair", pivot))
             else:
                 w_vals, w_vecs = bilinear_asym_spectrum(lad.u, lad.v)
                 pivots = tuple(
                     int(np.argmax(np.abs(w_vecs[:, j]))) for j in range(len(w_vals))
                 )
-                gen.append(
-                    AdaptorDescriptor(
-                        "bilinear_asym", lad.address, pivot=pivots, rank=len(w_vals)
-                    )
-                )
+                gen.append(AdaptorDescriptor("bilinear_asym", pivots, len(w_vals)))
     n_occ = ham_pool.n_elec if gen_pool is None else gen_pool.n_occ
     return CompilePlan(ham=tuple(ham), gen=tuple(gen), n_occ=n_occ)
 
 
 @dataclass(frozen=True)
 class AdaptorSpec:
-    """One compiled adaptor: address, kind, pivot data, canonical layer text."""
+    """One compiled adaptor: kind, pivot data, canonical layer text (no address)."""
 
-    address: int
     kind: str
     pivot: tuple
     rank: int
@@ -190,28 +185,18 @@ class CircuitSkeleton:
 
     n_system: int
     n_occ: int
-    selector_width: int
-    workspace_width: int
     qsp_degree: int
     adaptors_ham: tuple
     adaptors_gen: tuple
     fingerprint: str
 
     def __post_init__(self):
-        # each address is a selector label and its position on its side
-        for side, adaptors in self.sides():
-            addresses = [ad.address for ad in adaptors]
-            fits = len(addresses) <= 2**self.selector_width
-            if not fits or addresses != list(range(len(addresses))):
-                raise ValidationError(
-                    f"{side} adaptor addresses must read 0, 1, ... within the selector"
-                )
         wedges = [wedge_pairs(self.n_system, self.n_occ, side) for side in "uv"]
-        for ad in self.adaptors_gen:  # each pair side pivots inside its own wedge
+        for a, ad in enumerate(self.adaptors_gen):  # pair sides pivot in their wedges
             ok = len(ad.pivot) == 2 and all(p in w for p, w in zip(ad.pivot, wedges))
             if ad.kind == "pair" and not ok:
                 raise ValidationError(
-                    f"gen adaptor {ad.address}: pair pivots {ad.pivot} off their wedges"
+                    f"gen adaptor {a}: pair pivots {ad.pivot} off their wedges"
                 )
 
     @property
@@ -223,13 +208,24 @@ class CircuitSkeleton:
         # address 0 is the reserved null branch
         return len(self.adaptors_gen) - 1
 
+    @cached_property
+    def selector_width(self):
+        """Selector qubits labelling every branch of either side."""
+        return plan_selector_width(self.ell_ham, len(self.adaptors_gen))
+
+    @cached_property
+    def workspace_width(self):
+        """Workspace qubits of the widest branch, the null flip's one at least."""
+        branches = [ad for ad in self.adaptors_gen if ad.kind != "null"]
+        return plan_workspace_width(self.adaptors_ham, branches)
+
     def sides(self):
         """``(("ham", adaptors), ("gen", adaptors))``, in stream order."""
         return ("ham", self.adaptors_ham), ("gen", self.adaptors_gen)
 
     @cached_property
     def slot_spans(self):
-        """``(side, address) -> (start, stop)``: each adaptor's span of the stream.
+        """``(side, position) -> (start, stop)``: each adaptor's span of the stream.
 
         A span holds the adaptor's PREP amplitude, then the values its lines
         take (:data:`LINE_VALUES`), counted as the ``\\n<gate>|`` line starts
@@ -239,14 +235,14 @@ class CircuitSkeleton:
         """
         spans, start, sizes = {}, 0, {}
         for side, adaptors in self.sides():
-            for ad in adaptors:
+            for a, ad in enumerate(adaptors):
                 if ad.text not in sizes:
                     text = "\n" + ad.text
                     sizes[ad.text] = 1 + sum(
                         n * text.count(f"\n{gate}|") for gate, n in LINE_VALUES.items()
                     )
                 stop = start + sizes[ad.text]
-                spans[side, ad.address] = start, stop
+                spans[side, a] = start, stop
                 start = stop
         return spans
 
@@ -268,8 +264,6 @@ class CircuitSkeleton:
             "format": SKEL_FORMAT,
             "n_system": self.n_system,
             "n_occ": self.n_occ,
-            "selector_width": self.selector_width,
-            "workspace_width": self.workspace_width,
             "qsp_degree": self.qsp_degree,
             "adaptors": [
                 {"kind": kind, "pivot": _pivot_doc(pivot), "rank": rank, "text": text}
@@ -286,17 +280,18 @@ class CircuitSkeleton:
         doc = checked(json.loads(text), DICT, "skeleton")
         if doc.get("format") != SKEL_FORMAT:
             raise ParseError(f"expected format {SKEL_FORMAT!r}")
-        for key in ("n_system", "n_occ", "selector_width", "workspace_width",
-                    "qsp_degree"):
+        checked_keys(doc, _SKEL_KEYS, "skeleton")
+        for key in ("n_system", "n_occ", "qsp_degree"):
             checked(doc[key], INT, key)
-        stored = []  # (kind, pivot, rank, text) of each stored adaptor
+        stored = []  # one AdaptorSpec per stored adaptor, shared by its addresses
         for k, ad in enumerate(checked_list(doc["adaptors"], DICT, "adaptors")):
             where = f"stored adaptor {k}"
+            checked_keys(ad, _STORED_KEYS, where)
             checked(ad["kind"], STR, f"{where} kind")
             checked(ad["rank"], INT, f"{where} rank")
             _check_body(ad["text"], f"{where} text")
             pivot = _pivot_load(ad["pivot"], where)
-            stored.append((ad["kind"], pivot, ad["rank"], ad["text"]))
+            stored.append(AdaptorSpec(ad["kind"], pivot, ad["rank"], ad["text"]))
         if len(set(stored)) != len(stored):
             raise ParseError("stored adaptors must be pairwise distinct")
         sides = {key: checked_list(doc[key], INT, key)
@@ -308,10 +303,8 @@ class CircuitSkeleton:
         skel = CircuitSkeleton(
             n_system=doc["n_system"],
             n_occ=doc["n_occ"],
-            selector_width=doc["selector_width"],
-            workspace_width=doc["workspace_width"],
             qsp_degree=doc["qsp_degree"],
-            **{key: tuple(AdaptorSpec(a, *stored[k]) for a, k in enumerate(indices))
+            **{key: tuple(map(stored.__getitem__, indices))
                for key, indices in sides.items()},
             fingerprint=checked(doc["fingerprint"], STR, "fingerprint"),
         )
@@ -408,6 +401,11 @@ class DialSheet:
 # ---------------------------------------------------------------------------
 
 
+def plan_selector_width(ham_branches, gen_branches):
+    """``ceil(log2)`` of the larger side's branch count (the null one counted), >= 1."""
+    return max((max(ham_branches, gen_branches) - 1).bit_length(), 1)
+
+
 def plan_workspace_width(ham, gen):
     """Widest workspace any branch of the two lists touches (the null flip is one)."""
     widths = [1]
@@ -432,14 +430,14 @@ def compile_skeleton(n, pivots, qsp_degree=0):
     Selector width covers ``max(ell_H, ell_sigma + 1)`` (the +1 is the
     reserved null branch at address 0); each line's kind fixes the values
     it takes, so the fingerprint, which digests the canonical layer stream,
-    fixes every slot's position.  Each side is emitted in address order.
-    One pool may have no ladders, for a skeleton that encodes the other
-    alone.
+    fixes every slot's position.  An adaptor's position in the plan is its
+    address.  One pool may have no ladders, for a skeleton that encodes the
+    other alone.
     """
     ell_ham, ell_gen = len(pivots.ham), len(pivots.gen)
     if ell_ham + ell_gen == 0:
         raise ValidationError("pivot plan must hold at least one adaptor")
-    width = max(int(np.ceil(np.log2(max(ell_ham, ell_gen + 1)))), 1)
+    width = plan_selector_width(ell_ham, ell_gen + 1)
     t = plan_workspace_width(pivots.ham, pivots.gen)
     sys0 = width + t  # global index of system qubit 0
     ws0 = width
@@ -450,16 +448,12 @@ def compile_skeleton(n, pivots, qsp_degree=0):
     emit = {"one_body_mode": _compile_one_body, "channel": _compile_channel,
             "pair": lambda *args: _compile_pair(*args, pivots.n_occ),
             "bilinear_asym": _compile_bilinear_asym}
-    ham, gen = (sorted(side, key=lambda ad: ad.address)
-                for side in (pivots.ham, pivots.gen))
-    adaptors_ham = [emit[ad.kind](ad, n, sysq, ws0, t) for ad in ham]
-    adaptors_gen = [AdaptorSpec(0, "null", (), 0, _layer("x", (ws0 + t - 1,)) + "\n")]
-    adaptors_gen += [emit[ad.kind](ad, n, sysq, ws0, t) for ad in gen]
+    adaptors_ham = [emit[ad.kind](ad, n, sysq, ws0, t) for ad in pivots.ham]
+    adaptors_gen = [AdaptorSpec("null", (), 0, _layer("x", (ws0 + t - 1,)) + "\n")]
+    adaptors_gen += [emit[ad.kind](ad, n, sysq, ws0, t) for ad in pivots.gen]
     skel = CircuitSkeleton(
         n_system=n,
         n_occ=int(pivots.n_occ),
-        selector_width=width,
-        workspace_width=t,
         qsp_degree=int(qsp_degree),
         adaptors_ham=tuple(adaptors_ham),
         adaptors_gen=tuple(adaptors_gen),
@@ -520,7 +514,7 @@ def _compile_one_body(ad, n, sysq, ws0, t):
     flag, m = ws0 + t - 1, max(ad.rank, 1)
     modes = [_occupation_layers(n, ad.pivot[j], sysq, flag) for j in range(m)]
     body = modes[0] if m == 1 else _select_layers((flag - 1,), modes)
-    return AdaptorSpec(ad.address, ad.kind, ad.pivot, m, _text(["gphase|", *body]))
+    return AdaptorSpec(ad.kind, ad.pivot, m, _text(["gphase|", *body]))
 
 
 def _compile_channel(ad, n, sysq, ws0, t):
@@ -535,7 +529,7 @@ def _compile_channel(ad, n, sysq, ws0, t):
     layers = ["gphase|", "begin|", *network, "dagger|",
               *_select_layers(tuple(range(flag - a_i, flag)), cases),
               "mirror|", _layer("square", (flag - a_i - 1,))]
-    return AdaptorSpec(ad.address, ad.kind, ad.pivot, ad.rank, _text(layers))
+    return AdaptorSpec(ad.kind, ad.pivot, ad.rank, _text(layers))
 
 
 def _compile_pair(ad, n, sysq, ws0, t, n_occ):
@@ -549,7 +543,7 @@ def _compile_pair(ad, n, sysq, ws0, t, n_occ):
     # equal fixed amplitudes select the arm and its mirror
     layers = ("gphase|", _layer("select", (anc - 1,)), "fcase|", *arm,
               "fcase|", "gphase-i|", "mirror|", "end|")
-    return AdaptorSpec(ad.address, ad.kind, ad.pivot, 0, _text(layers))
+    return AdaptorSpec(ad.kind, ad.pivot, 0, _text(layers))
 
 
 def _mode_pivot(ad, j):
@@ -562,16 +556,17 @@ def _compile_bilinear_asym(ad, n, sysq, ws0, t):
     cases = [[*_occupation_layers(n, _mode_pivot(ad, j), sysq, flag), "gphase|"]
              for j in range(2)]
     layers = ("gphase|", *_select_layers((flag - 1,), cases))
-    return AdaptorSpec(ad.address, ad.kind, ad.pivot, 2, _text(layers))
+    return AdaptorSpec(ad.kind, ad.pivot, 2, _text(layers))
 
 
 def fabric_fingerprint(skel):
     """SHA-256 digest of the register widths, ``n_occ`` and the canonical layer stream.
 
-    Structure only: each adaptor's address, kind, pivots and rank, then
-    its layer lines as stored, one per text line, so qubit tuples enter
-    in gate order (control before target) and the gate kinds fix every
-    slot's stream position; angle values never enter.
+    Structure only: each adaptor's address (its position on its side),
+    kind, pivots and rank, then its layer lines as stored, one per text
+    line, so qubit tuples enter in gate order (control before target) and
+    the gate kinds fix every slot's stream position; angle values never
+    enter.  The widths are the derived ones.
     """
     h = hashlib.sha256()
     h.update(
@@ -580,12 +575,13 @@ def fabric_fingerprint(skel):
     )
     h.update(f"n_occ|{skel.n_occ}\n".encode())
     pivots = {}  # each distinct pivot's JSON text: the pair pivots repeat
-    for ad in skel.adaptors_ham + skel.adaptors_gen:
-        if ad.pivot not in pivots:
-            pivots[ad.pivot] = json.dumps(_pivot_doc(ad.pivot))
-        pivot = pivots[ad.pivot]
-        h.update(f"adaptor:{ad.address}:{ad.kind}:{pivot}:{ad.rank}\n".encode())
-        h.update(ad.text.encode())
+    for _, adaptors in skel.sides():
+        for a, ad in enumerate(adaptors):
+            if ad.pivot not in pivots:
+                pivots[ad.pivot] = json.dumps(_pivot_doc(ad.pivot))
+            pivot = pivots[ad.pivot]
+            h.update(f"adaptor:{a}:{ad.kind}:{pivot}:{ad.rank}\n".encode())
+            h.update(ad.text.encode())
     for k in range(skel.qsp_degree):
         h.update(f"qsp_rep|{k}\n".encode())
     return h.hexdigest()
@@ -657,22 +653,18 @@ def dial(skel, ham_pool, gen_pool, mask, alpha_bar=None):
 def _bind_hamiltonian(skel, ham_pool, rows):
     """Append the Hamiltonian adaptors' rows; returns the classical coefficients."""
     n = skel.n_system
+    ham = sorted(ham_pool.ladders, key=attrgetter("address"))
     if ham_pool.ell > skel.ell_ham:
         raise BindError(
             "hamiltonian pool exceeds compiled size",
-            addresses=[lad.address for lad in ham_pool.ladders[skel.ell_ham:]],
+            addresses=[lad.address for lad in ham[skel.ell_ham:]],
         )
-    if sorted(lad.address for lad in ham_pool.ladders) != list(range(ham_pool.ell)):
+    if [lad.address for lad in ham] != list(range(ham_pool.ell)):
         raise BindError("hamiltonian addresses must be contiguous from 0")
     alpha = ham_pool.alpha
-    ham_by_addr = {lad.address: lad for lad in ham_pool.ladders}
-    adaptors_ham = {ad.address: ad for ad in skel.adaptors_ham}
     omega_list = []
-    for addr in sorted(ham_by_addr):
-        lad = ham_by_addr[addr]
-        ad = adaptors_ham.get(addr)
-        if ad is None:
-            raise BindError("address missing from skeleton", addresses=[addr])
+    for addr, lad in enumerate(ham):
+        ad = skel.adaptors_ham[addr]
         if (lad.kind == "one_body_mode") != (ad.kind == "one_body_mode"):
             raise BindError("adaptor kind mismatch", addresses=[addr])
         body = []
@@ -732,29 +724,25 @@ def _pair_rows(skel, pairs):
 def _bind_generator(skel, gen_pool, masked, alpha_bar, rows):
     """Append the generator adaptors' rows; checks mask and budget."""
     n = skel.n_system
+    gen = sorted(gen_pool.ladders, key=attrgetter("address"))
     if gen_pool.ell > skel.ell_gen:
         raise BindError(
             "generator pool exceeds compiled size",
-            addresses=[lad.address for lad in gen_pool.ladders[skel.ell_gen:]],
+            addresses=[lad.address for lad in gen[skel.ell_gen:]],
         )
-    addresses = {lad.address for lad in gen_pool.ladders}
-    if sorted(addresses) != list(range(1, gen_pool.ell + 1)):
+    addresses = [lad.address for lad in gen]
+    if addresses != list(range(1, gen_pool.ell + 1)):
         raise BindError("generator addresses must be contiguous from 1")
-    if not masked <= addresses:
+    if not masked <= set(addresses):
         raise MaskError(
             "mask addresses missing from generator pool "
-            f"(addresses: {sorted(masked - addresses)})"
+            f"(addresses: {sorted(masked.difference(addresses))})"
         )
     alpha_bar = gen_pool.alpha_bar if alpha_bar is None else float(alpha_bar)
-    adaptors_gen = {ad.address: ad for ad in skel.adaptors_gen}
-    gen_by_addr = gen_pool.by_address()
     omega_gen, pairs = [], []
     used = 0.0
-    for addr in sorted(gen_by_addr):
-        lad = gen_by_addr[addr]
-        ad = adaptors_gen.get(addr)
-        if ad is None:
-            raise BindError("address missing from skeleton", addresses=[addr])
+    for addr, lad in enumerate(gen, start=1):
+        ad = skel.adaptors_gen[addr]
         expected = "pair" if lad.kind == "pair" else "bilinear_asym"
         if ad.kind != expected:
             raise BindError("adaptor kind mismatch", addresses=[addr])
@@ -945,13 +933,13 @@ def _combine(factors):
     return (ops[0] if len(ops) == 1 else oracle._Product(*ops)), width
 
 
-def _branch(skel, values, side, ad):
-    """Gadget node of one adaptor's lines, read over its span, and its branch phase."""
-    start, stop = skel.slot_spans[side, ad.address]
+def _branch(skel, values, side, a, ad):
+    """Gadget node of adaptor ``a``'s lines, read over its span, and its phase."""
+    start, stop = skel.slot_spans[side, a]
     lines = _Interpreter(skel, values[start + 1:stop].tolist(), ad.layers)
     factors, phase, closer = lines.frame()
     if closer is not None:
-        raise ValidationError(f"adaptor {ad.address}: unmatched {closer[0]!r}")
+        raise ValidationError(f"adaptor {a}: unmatched {closer[0]!r}")
     return _combine(factors)[0], phase
 
 
@@ -960,18 +948,20 @@ _SIDE_NAMES = {"ham": "Hamiltonian", "gen": "generator"}
 
 
 def _addressed(skel, address):
-    """``(side, adaptors)``: all of a side's adaptors, or the one ``address`` names.
+    """``(side, entries)``: ``(position, adaptor)`` of each adaptor on a side,
+    or of the one ``address`` names.
 
     ``address`` is a side, ``"ham"`` or ``"gen"``, or one adaptor on it,
-    ``"ham/<a>"`` or ``"gen/<a>"``.
+    ``"ham/<a>"`` or ``"gen/<a>"``, its position ``a`` written as ``str``
+    writes it.
     """
     side, slash, label = address.partition("/")
-    adaptors = dict(skel.sides()).get(side, ())
+    entries = list(enumerate(dict(skel.sides()).get(side, ())))
     if slash:
-        adaptors = tuple(ad for ad in adaptors if str(ad.address) == label)
-    if not adaptors:
+        entries = [(a, ad) for a, ad in entries if str(a) == label]
+    if not entries:
         raise BindError(f"no adaptor at {address!r} in the skeleton")
-    return side, adaptors
+    return side, entries
 
 
 def ancillas(skel, address):
@@ -982,11 +972,11 @@ def ancillas(skel, address):
     the widest any of its branches touches (the idle shared ancillas would
     not affect its block).
     """
-    side, adaptors = _addressed(skel, address)
+    side, entries = _addressed(skel, address)
     if address == "ham":
         return skel.selector_width + skel.workspace_width
     # the null flip is the one-qubit floor of plan_workspace_width
-    branches = [ad for ad in adaptors if ad.kind != "null"]
+    branches = [ad for _, ad in entries if ad.kind != "null"]
     width = plan_workspace_width(*((branches, ()) if side == "ham" else ((), branches)))
     return width if "/" in address else skel.selector_width + width
 
@@ -1000,16 +990,13 @@ def _encoding(skel, sheet, address):
     normalized ladder term.
     """
     values = sheet_values(skel, sheet)
-    side, adaptors = _addressed(skel, address)
+    side, entries = _addressed(skel, address)
+    branches = [_branch(skel, values, side, a, ad) for a, ad in entries]
     if "/" in address:
-        return _branch(skel, values, side, adaptors[0])[0]
+        return branches[0][0]
     amps = np.zeros(2**skel.selector_width)
-    for ad in adaptors:
-        amps[ad.address] = values[skel.slot_spans[side, ad.address][0]]
-    ops, phases = zip(*(
-        _branch(skel, values, side, ad)
-        for ad in sorted(adaptors, key=lambda a: a.address)
-    ))
+    amps[:len(entries)] = [values[skel.slot_spans[side, a][0]] for a, _ in entries]
+    ops, phases = zip(*branches)
     width = ancillas(skel, side) - skel.selector_width
     return oracle._prep_select_prep(amps, ops, phases, skel.n_system, width)
 

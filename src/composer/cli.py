@@ -129,28 +129,19 @@ def _load_pools(path):
 
 
 def cmd_compile(args):
+    RunManifest("compile", {"pool": args.pool}, {"eps_poly": args.eps_poly},
+                args.out).validate()
     ham, gen = _load_pools(args.pool)
     if gen is None:
         raise ComposerError("pool file has no generator section to compile")
     plan = cir.pivots_from_pools(ham, gen)
     degree = qsp.degree_for(gen.alpha_bar, args.eps_poly)
     skel = cir.compile_skeleton(ham.n_so, plan, qsp_degree=degree)
-    summary = (
+    _write(args.out, skel.to_json())  # the fingerprinted facts alone: no manifest
+    print(
         f"compile: selector={skel.selector_width} workspace={skel.workspace_width} "
         f"degree={skel.qsp_degree} fingerprint={skel.fingerprint[:16]}"
     )
-    text = skel.to_json()
-    del ham, gen, skel  # free the pools and the fabric before the document is built
-    doc = json.loads(text)
-    del text
-    doc["manifest"] = RunManifest(
-        "compile",
-        {"pool": args.pool},
-        {"eps_poly": args.eps_poly},
-        args.out,
-    ).validate().as_dict()
-    _write(args.out, json.dumps(doc, sort_keys=True))
-    print(summary)
     return EXIT_OK
 
 
@@ -242,15 +233,15 @@ def _generator_target_from_sheet(skel, sheet, omegas):
     vac[0] = 1.0
     values = cir.sheet_values(skel, sheet)
     total = np.zeros((dim, dim), dtype=complex)
-    for ad in skel.adaptors_gen:
+    for a, ad in enumerate(skel.adaptors_gen):
         if ad.kind == "null":
             continue
-        start, stop = skel.slot_spans["gen", ad.address]
+        start, stop = skel.slot_spans["gen", a]
         amp = values[start]
         if amp == 0.0:
             continue
         row = iter(values[start + 2:stop])  # past the PREP amplitude and sign
-        om = omegas[ad.address - 1] if ad.address - 1 < len(omegas) else 0.0
+        om = omegas[a - 1] if a - 1 < len(omegas) else 0.0
         sign = 1.0 if om >= 0 else -1.0
         weight = amp**2 * sign
         if ad.kind == "pair":

@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package, and the exact-type checks
-the JSON artifact loaders run on every field they read (a missing field, a
-wrongly typed one and a malformed packed float array are ParseErrors)."""
+the JSON artifact loaders run on every field they read (a missing field, an
+unknown one, a wrongly typed one and a malformed packed float array are
+ParseErrors)."""
 
 import base64
 import binascii
@@ -116,6 +117,12 @@ def checked_list(value, kinds, what):
     if float in kinds:
         _check_finite(value, f"{what} entries")
     return value
+
+
+def checked_keys(doc, keys, what):
+    """A ParseError naming a key of ``doc`` outside ``keys``, if it holds one."""
+    if not doc.keys() <= keys:
+        raise ParseError(f"{what} has unknown field {min(doc.keys() - keys)!r}")
 
 
 def checked_packed(value, what):

@@ -262,9 +262,6 @@ class GeneratorPool:
     def weights(self):
         return np.array([lad.coefficient for lad in self.ladders])
 
-    def by_address(self):
-        return {lad.address: lad for lad in self.ladders}
-
 
 @dataclass(frozen=True, eq=False)
 class T2Tensor:
@@ -326,6 +323,12 @@ def unpack_skew(vec, n):
 # ---------------------------------------------------------------------------
 
 
+def _check_threshold(name, tau):
+    """A ValidationError naming ``tau`` unless ``0 <= tau < inf`` (NaN fails)."""
+    if not 0 <= tau < math.inf:
+        raise ValidationError(f"{name} must be finite and nonnegative, not {tau}")
+
+
 def pivoted_cholesky(ints, tau_chol):
     """Pivoted Cholesky factorization of the two-electron supermatrix.
 
@@ -335,10 +338,7 @@ def pivoted_cholesky(ints, tau_chol):
     ``<pq|rs> ~= sum_mu L^mu[p,r] L^mu[q,s]`` with max-entry error at most
     ``tau_chol``.
     """
-    if not 0 <= tau_chol < math.inf:  # a NaN cut never stops the pivoting
-        raise ValidationError(
-            f"tau_chol must be finite and nonnegative, not {tau_chol}"
-        )
+    _check_threshold("tau_chol", tau_chol)  # a NaN cut never stops the pivoting
     n = ints.n_so
     m = ints.supermatrix()
     m = (m + m.T) / 2.0
@@ -379,6 +379,7 @@ def reconstruct_eri(channels, n):
 
 def channel_eigendecomp(ch, tau_eig):
     """Populate channel eigenmodes, dropping relative magnitudes below cut."""
+    _check_threshold("tau_eig", tau_eig)
     w, v = np.linalg.eigh(ch.factor)
     order = np.argsort(-np.abs(w), kind="stable")
     w = w[order]
@@ -445,6 +446,7 @@ def build_hamiltonian_pool(ints, tau_chol, tau_eig):
     a spin-free input sharing an address); the Cholesky channels enter
     with the 1/2 two-body prefactor folded into their coefficients.
     """
+    _check_threshold("tau_eig", tau_eig)  # checked even when no channel is kept
     htilde = mean_field_shift(ints)
     if np.abs(htilde.imag).max() > 1e-13:
         raise ValidationError("complex one-body matrices are not supported")
@@ -554,6 +556,8 @@ def nested_svd_t2(t2, tau_svd=1e-6, tau_wedge=1e-6):
     value and the two wedge weights supplies the real ladder coefficient
     ``omega``; with zero thresholds the decomposition is exact.
     """
+    _check_threshold("tau_svd", tau_svd)
+    _check_threshold("tau_wedge", tau_wedge)
     amp = t2.amplitudes
     if np.abs(amp).max() == 0.0:
         return GeneratorPool(

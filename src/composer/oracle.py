@@ -493,7 +493,7 @@ def _prep_select_prep(amplitudes, branch_ops, branch_phases, n, workspace):
 
 def index_width(r):
     """Qubits of a binary index register over ``r`` branches."""
-    return int(np.ceil(np.log2(r))) if r > 1 else 0
+    return (r - 1).bit_length() if r > 1 else 0  # ceil(log2 r), exact for any int
 
 
 @lru_cache(maxsize=None)

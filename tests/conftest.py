@@ -94,15 +94,22 @@ def assert_encodes(w, target, n, sector):
     assert abs(gram).max() <= 1e-11
 
 
-def line_value_index(skel, side, ad, k):
-    """Stream position of the first value that line ``k`` of adaptor ``ad`` takes.
+def line_value_index(skel, side, a, k):
+    """Stream position of the first value that line ``k`` of adaptor ``a`` takes.
 
-    Past the adaptor's PREP amplitude, each earlier line takes its
-    :data:`circuit_ir.LINE_VALUES`.
+    ``a`` is the adaptor's position on ``side``.  Past its PREP amplitude,
+    each earlier line takes its :data:`circuit_ir.LINE_VALUES`.
     """
-    start, _ = skel.slot_spans[side, ad.address]
+    start, _ = skel.slot_spans[side, a]
+    ad = dict(skel.sides())[side][a]
     gates = (line.partition("|")[0] for line in ad.layers[:k])
     return start + 1 + sum(cir.LINE_VALUES.get(gate, 0) for gate in gates)
+
+
+def older_formats(current):
+    """Every format name before ``current``: ``composer-<kind>-v1`` ... ``v(N-1)``."""
+    stem, _, version = current.rpartition("-v")
+    return [f"{stem}-v{k}" for k in range(1, int(version))]
 
 
 def edit_packed(holder, key, edit):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -31,6 +32,7 @@ from conftest import (
     assert_encodes,
     line_value_index,
     mixed_generator_pool,
+    older_formats,
     sector_projector_diagonal,
 )
 
@@ -66,8 +68,8 @@ def test_compile_deterministic(compiled):
 def test_minimal_sizes_selector_width():
     # single branch on each side at n = 2: width covers the null branch
     plan_min = cir.CompilePlan(
-        ham=(cir.AdaptorDescriptor("one_body_mode", 0, pivot=(0,), rank=1),),
-        gen=(cir.AdaptorDescriptor("bilinear_asym", 1, pivot=(0, 1), rank=2),),
+        ham=(cir.AdaptorDescriptor("one_body_mode", pivot=(0,), rank=1),),
+        gen=(cir.AdaptorDescriptor("bilinear_asym", pivot=(0, 1), rank=2),),
         n_occ=1,
     )
     skel = cir.compile_skeleton(2, plan_min, qsp_degree=2)
@@ -93,14 +95,7 @@ def test_pivot_change_changes_fingerprint(compiled):
     bumped = []
     for d in plan.ham:
         if d.kind == "one_body_mode":
-            bumped.append(
-                cir.AdaptorDescriptor(
-                    d.kind,
-                    d.address,
-                    pivot=tuple((p + 1) % 4 for p in d.pivot),
-                    rank=d.rank,
-                )
-            )
+            bumped.append(replace(d, pivot=tuple((p + 1) % 4 for p in d.pivot)))
         else:
             bumped.append(d)
     plan2 = replace(plan, ham=tuple(bumped))
@@ -109,13 +104,12 @@ def test_pivot_change_changes_fingerprint(compiled):
 
 
 def test_swapped_addresses_change_fingerprint(compiled):
+    """Two generator adaptors trade positions, so each takes the other's address."""
     ham, gen, skel = compiled
     plan = cir.pivots_from_pools(ham, gen)
     g = list(plan.gen)
-    g[0], g[1] = (
-        cir.AdaptorDescriptor(g[1].kind, g[0].address, g[1].pivot, g[1].rank),
-        cir.AdaptorDescriptor(g[0].kind, g[1].address, g[0].pivot, g[0].rank),
-    )
+    assert g[0] != g[1]
+    g[0], g[1] = g[1], g[0]
     plan2 = replace(plan, gen=tuple(g))
     skel2 = cir.compile_skeleton(4, plan2, qsp_degree=8)
     assert skel2.fingerprint != skel.fingerprint
@@ -130,10 +124,10 @@ def _spans_per_line(skel):
     """Reference :attr:`CircuitSkeleton.slot_spans`: each line's gate looked up."""
     spans, start = {}, 0
     for side, adaptors in skel.sides():
-        for ad in adaptors:
+        for a, ad in enumerate(adaptors):
             gates = (line.partition("|")[0] for line in ad.layers)
             stop = start + 1 + sum(cir.LINE_VALUES.get(g, 0) for g in gates)
-            spans[side, ad.address] = start, stop
+            spans[side, a] = start, stop
             start = stop
     return spans
 
@@ -146,10 +140,11 @@ def _fingerprint_per_line(skel):
         .encode()
     )
     h.update(f"n_occ|{skel.n_occ}\n".encode())
-    for ad in skel.adaptors_ham + skel.adaptors_gen:
-        pivot = json.dumps([list(p) if isinstance(p, tuple) else p for p in ad.pivot])
-        h.update(f"adaptor:{ad.address}:{ad.kind}:{pivot}:{ad.rank}\n".encode())
-        h.update("".join(line + "\n" for line in ad.layers).encode())
+    for _, adaptors in skel.sides():
+        for a, ad in enumerate(adaptors):
+            pivot = json.dumps([list(p) if type(p) is tuple else p for p in ad.pivot])
+            h.update(f"adaptor:{a}:{ad.kind}:{pivot}:{ad.rank}\n".encode())
+            h.update("".join(line + "\n" for line in ad.layers).encode())
     for k in range(skel.qsp_degree):
         h.update(f"qsp_rep|{k}\n".encode())
     return h.hexdigest()
@@ -182,7 +177,7 @@ def test_dial_binds_every_slot(compiled):
     """The spans tile the stream in adaptor order, and the sheet fills it."""
     ham, gen, skel = compiled
     sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", [1, 2]))
-    order = [(side, ad.address) for side, adaptors in skel.sides() for ad in adaptors]
+    order = [(side, a) for side, adaptors in skel.sides() for a in range(len(adaptors))]
     assert list(skel.slot_spans) == order
     spans = list(skel.slot_spans.values())
     assert [start for start, _ in spans] == [0, *(stop for _, stop in spans[:-1])]
@@ -258,10 +253,23 @@ def test_coefficient_rescale_changes_only_amplitudes(compiled):
 
 
 def test_dial_rejects_oversized_pool(compiled, small_pools):
+    """The error names the surplus addresses, past the compiled ones, however
+    the pool lists its ladders.
+    """
     ham, gen, skel = compiled
     too_big = mixed_generator_pool(gen, seed=13, extra=20)
-    with pytest.raises(BindError):
-        cir.dial(skel, ham, too_big, cir.Mask.of("m", [1]))
+    surplus = list(range(skel.ell_gen + 1, too_big.ell + 1))
+    for pool in (too_big, replace(too_big, ladders=too_big.ladders[::-1])):
+        with pytest.raises(BindError, match=re.escape(f"(addresses: {surplus})")):
+            cir.dial(skel, ham, pool, cir.Mask.of("m", [1]))
+    small, _ = small_pools
+    plan = cir.pivots_from_pools(replace(small, channels=small.channels[:-1]), gen)
+    fewer = cir.compile_skeleton(small.n_so, plan)
+    last = [small.ell - 1]
+    for pool in (small, replace(small, one_body=small.one_body[::-1],
+                                channels=small.channels[::-1])):
+        with pytest.raises(BindError, match=re.escape(f"(addresses: {last})")):
+            cir.dial(fewer, pool, gen, cir.Mask.of("m", [1]))
 
 
 def test_dial_rejects_foreign_mask(compiled):
@@ -300,7 +308,8 @@ def _synth_skeleton(synth):
 
 
 def _pair_adaptors(skel):
-    pairs = [ad for ad in skel.adaptors_gen if ad.kind == "pair"]
+    """``(address, adaptor)`` of each pair adaptor."""
+    pairs = [(a, ad) for a, ad in enumerate(skel.adaptors_gen) if ad.kind == "pair"]
     assert pairs
     return pairs
 
@@ -325,7 +334,7 @@ def test_pair_ladders_rotate_over_their_own_wedge(synth):
     skel = _synth_skeleton(synth)
     sys0 = skel.selector_width + skel.workspace_width
     virtual = range(skel.n_occ, skel.n_system)
-    for ad in _pair_adaptors(skel):
+    for _, ad in _pair_adaptors(skel):
         dagger = ad.layers.index("dagger|")
         rotations = [(k > dagger, ln.split("|")[1]) for k, ln in enumerate(ad.layers)
                      if ln.startswith("pgivens|")]
@@ -344,7 +353,7 @@ def test_pair_rotations_are_the_priced_blocks(synth):
     blocks = (math.comb(n_virt, 2) - 1) + (math.comb(n_occ, 2) - 1)
     _, cz = block_cost("full")
     priced = estimate(skel, connectivity="full").parameters["D_II"]
-    for ad in _pair_adaptors(skel):
+    for _, ad in _pair_adaptors(skel):
         count = sum(line.startswith("pgivens|") for line in ad.layers)
         assert count == blocks
         if count >= 1:  # the priced depth floors at one block
@@ -360,10 +369,11 @@ def test_pair_adaptor_slots_keep_their_stream_order(synth):
     non-pivot pair of its wedge, then ``pivot_phi``.
     """
     ham, gen, skel = _synth_compiled(synth)
-    sheet = cir.dial(skel, ham, gen, cir.Mask.of("full", gen.by_address()))
+    sheet = cir.dial(skel, ham, gen, cir.Mask.of("full", range(1, gen.ell + 1)))
     sys0 = skel.selector_width + skel.workspace_width
-    for ad in _pair_adaptors(skel):
-        lad = gen.by_address()[ad.address]
+    for a, ad in _pair_adaptors(skel):
+        lad = gen.ladders[a - 1]
+        assert lad.address == a
         weight = abs(lad.coefficient) * generator_branch_alpha(lad)
         expected = [np.sqrt(weight / gen.alpha_bar), np.pi * (lad.coefficient < 0)]
         rotated = []
@@ -378,7 +388,7 @@ def test_pair_adaptor_slots_keep_their_stream_order(synth):
                 expected += [theta, phi]
             expected.append(gauge)
             rotated += [pq for pq in wedge if pq != pivot]
-        start, stop = skel.slot_spans["gen", ad.address]
+        start, stop = skel.slot_spans["gen", a]
         assert stop - start == len(expected)
         assert np.abs(np.subtract(sheet.values[start:stop], expected)).max() <= 1e-14
         lines = [ln.split("|") for ln in ad.layers if ln.startswith("pgivens|")]
@@ -390,14 +400,14 @@ def test_a_pair_pivot_outside_its_wedge_is_rejected(compiled):
     """Compile and load both refuse a pair pivot off its side's wedge."""
     ham, gen, skel = compiled
     plan = cir.pivots_from_pools(ham, gen)
-    ad = next(d for d in plan.gen if d.kind == "pair")
+    k, ad = next((k, d) for k, d in enumerate(plan.gen) if d.kind == "pair")
     swapped = replace(ad, pivot=ad.pivot[::-1])  # u on occupied, v on virtual modes
     plan = replace(plan, gen=tuple(swapped if d is ad else d for d in plan.gen))
-    match = f"gen adaptor {ad.address}: pair pivots"
+    match = f"gen adaptor {k + 1}: pair pivots"  # past the null branch
     with pytest.raises(ValidationError, match=match):
         cir.compile_skeleton(skel.n_system, plan)
     doc = json.loads(skel.to_json())
-    stored = doc["adaptors"][doc["adaptors_gen"][ad.address]]
+    stored = doc["adaptors"][doc["adaptors_gen"][k + 1]]
     stored["pivot"] = [[1, 2], list(ad.pivot[1])]
     with pytest.raises(ValidationError, match=match):
         cir.CircuitSkeleton.from_json(json.dumps(doc))
@@ -479,7 +489,7 @@ def every_address(skel):
     """Both sides of the skeleton, then each adaptor on each side."""
     sides = skel.sides()
     return [side for side, _ in sides] + [
-        f"{side}/{ad.address}" for side, adaptors in sides for ad in adaptors
+        f"{side}/{a}" for side, adaptors in sides for a in range(len(adaptors))
     ]
 
 
@@ -613,10 +623,11 @@ def test_layer_stream_is_the_program(compiled):
     block = cir.execute_block(skel, sheet, "ham")
     assert _sector_max(block, target, n, ham.n_elec) <= 1e-10
     # the givens line of the first one-body adaptor with the largest angle
-    ad = next(a for a in skel.adaptors_ham if a.kind == "one_body_mode")
+    a, ad = next((a, ad) for a, ad in enumerate(skel.adaptors_ham)
+                 if ad.kind == "one_body_mode")
     k = max(
         (k for k, line in enumerate(ad.layers) if line.startswith("givens|")),
-        key=lambda k: abs(sheet.values[line_value_index(skel, "ham", ad, k)]),
+        key=lambda k: abs(sheet.values[line_value_index(skel, "ham", a, k)]),
     )
     _, qubits = ad.layers[k].split("|")
     target_q, pivot = (int(q) for q in qubits.split(","))
@@ -655,7 +666,7 @@ def test_malformed_pair_lines_are_rejected(edit):
     error names the line.
     """
     ham, gen, skel = _pair_line_skeleton()
-    ad = next(a for a in skel.adaptors_gen if a.kind == "pair")
+    a, ad = _pair_adaptors(skel)[0]
     layers = list(ad.layers)
     line = edit(layers)
     tampered = _reloaded(skel, ad, layers)
@@ -664,7 +675,7 @@ def test_malformed_pair_lines_are_rejected(edit):
     with pytest.raises(ValidationError, match=match):
         cir.execute_block(tampered, sheet, "gen")
     with pytest.raises(ValidationError, match=match):
-        cir.execute_encoding(tampered, sheet, f"gen/{ad.address}")
+        cir.execute_encoding(tampered, sheet, f"gen/{a}")
 
 
 @pytest.mark.parametrize(
@@ -740,12 +751,13 @@ def test_the_one_pass_line_check_matches_the_per_line_rule(body):
 def test_a_row_that_misfits_its_span_is_a_bind_error():
     """A dropped ``givens`` line, re-fingerprinted, loads; dial names the adaptor."""
     ham, gen, skel = _pair_line_skeleton()
-    ad = next(a for a in skel.adaptors_ham if a.kind == "one_body_mode")
+    a, ad = next((a, ad) for a, ad in enumerate(skel.adaptors_ham)
+                 if ad.kind == "one_body_mode")
     k = next(k for k, line in enumerate(ad.layers) if line.startswith("givens|"))
     tampered = _reloaded(skel, ad, ad.layers[:k] + ad.layers[k + 1:])
-    start, stop = skel.slot_spans["ham", ad.address]
+    start, stop = skel.slot_spans["ham", a]
     row = stop - start
-    match = f"ham adaptor {ad.address}: {row} values for its {row - 1} slots"
+    match = f"ham adaptor {a}: {row} values for its {row - 1} slots"
     with pytest.raises(BindError, match=match):
         cir.dial(tampered, ham, gen, cir.Mask.of("m", [1]))
 
@@ -813,12 +825,20 @@ def test_execute_rejects_an_unknown_address_and_a_foreign_sheet(compiled):
     """Every execution entry refuses an address the skeleton lacks.
 
     ``"ham"`` and ``"gen"`` name the two sides, so they are not on the list.
+    A position is written only as ``str`` writes it: a leading zero, a sign,
+    a space, an underscore or a non-ASCII digit names no adaptor, although
+    ``int`` would read each as one that exists, and a label too long for
+    ``int`` is refused like any other.
     """
     ham, gen, skel = compiled
     sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", [1]))
-    for address in ("ham/99", "gen/99", "qsp/0", "qsp", "ham/", "gen/x"):
+    for address in ("ham/99", "gen/99", "qsp/0", "qsp", "ham/", "gen/x",
+                    "ham/01", "gen/+1", "gen/ 1", "gen/1_0", "gen/\u0661", "gen/-0",
+                    "gen/" + "1" * 5000):
         with pytest.raises(BindError, match="no adaptor"):
             cir.ancillas(skel, address)
+        with pytest.raises(BindError, match="no adaptor"):
+            cir.check_column_batch(skel, address)
         for execute in (cir.execute_encoding, cir.execute_block):
             with pytest.raises(BindError, match="no adaptor"):
                 execute(skel, sheet, address)
@@ -911,6 +931,15 @@ def _widen(field):
     return tamper
 
 
+def _v11_width(field):
+    """A v11 width key, at the value the document's skeleton derives."""
+
+    def tamper(doc):
+        doc[field] = getattr(cir.CircuitSkeleton.from_json(json.dumps(doc)), field)
+
+    return tamper
+
+
 def _gen1_body(doc):
     """Index of the stored adaptor at address ``gen/1``."""
     return doc["adaptors_gen"][1]
@@ -973,6 +1002,12 @@ def _lower_channel_rank(doc):
     ad["rank"] -= 1
 
 
+def _huge_channel_rank(doc):
+    """A rank past any float: the workspace width derived from it stays exact."""
+    ad = next(ad for ad in doc["adaptors"] if ad["kind"] == "channel")
+    ad["rank"] = 10**400
+
+
 @pytest.mark.parametrize(
     "tamper, error",
     [
@@ -980,8 +1015,8 @@ def _lower_channel_rank(doc):
         pytest.param(_reverse_first("cx"), ValidationError, id="reversed-cx"),
         pytest.param(_reverse_first("givens"), ValidationError, id="reversed-givens"),
         pytest.param(_widen("n_system"), ValidationError, id="n_system"),
-        pytest.param(_widen("selector_width"), ValidationError, id="selector_width"),
-        pytest.param(_widen("workspace_width"), ValidationError, id="workspace_width"),
+        pytest.param(_v11_width("selector_width"), ParseError, id="selector_width"),
+        pytest.param(_v11_width("workspace_width"), ParseError, id="workspace_width"),
         pytest.param(_widen("n_occ"), ValidationError, id="n_occ"),
         pytest.param(_widen("qsp_degree"), ValidationError, id="qsp_degree"),
         pytest.param(_drop_first("gphase"), ValidationError, id="dropped-sign-line"),
@@ -995,6 +1030,7 @@ def _lower_channel_rank(doc):
         pytest.param(_scalar_bodies, ParseError, id="non-list-bodies"),
         pytest.param(_move_pair_pivot, ValidationError, id="pivot"),
         pytest.param(_lower_channel_rank, ValidationError, id="rank"),
+        pytest.param(_huge_channel_rank, ValidationError, id="huge-rank"),
     ],
 )
 def test_skeleton_json_tamper_detected(compiled, tamper, error):
@@ -1005,32 +1041,10 @@ def test_skeleton_json_tamper_detected(compiled, tamper, error):
         cir.CircuitSkeleton.from_json(json.dumps(doc))
 
 
-def test_adaptor_addresses_must_label_the_selector(compiled):
-    """An address is its position on its side, so a side that lists more
-    adaptors than the selector holds fails to load, and an in-memory side
-    whose addresses do not read 0, 1, ... is refused.
-    """
-    _, _, skel = compiled
-    doc = json.loads(skel.to_json())
-    extra = 2**skel.selector_width - len(doc["adaptors_gen"]) + 1
-    doc["adaptors_gen"] += doc["adaptors_gen"][-1:] * extra
-    with pytest.raises(ValidationError, match="gen adaptor addresses"):
-        cir.CircuitSkeleton.from_json(json.dumps(doc))
-    moved = replace(skel.adaptors_gen[1], address=2**skel.selector_width)
-    with pytest.raises(ValidationError, match="gen adaptor addresses"):
-        replace(skel, adaptors_gen=(skel.adaptors_gen[0], moved,
-                                    *skel.adaptors_gen[2:]))
-    g = skel.adaptors_gen
-    with pytest.raises(ValidationError, match="gen adaptor addresses"):
-        replace(skel, adaptors_gen=(g[0], g[2], g[1], *g[3:]))
-
-
 @pytest.mark.parametrize(
     "fmt",
-    ["composer-skel-v1", "composer-skel-v2", "composer-skel-v3", "composer-skel-v4",
-     "composer-skel-v5", "composer-skel-v6", "composer-skel-v7", "composer-skel-v8",
-     "composer-skel-v9", "composer-skel-v10"],
-    ids=["v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8", "v9", "v10"],
+    older_formats(cir.SKEL_FORMAT),
+    ids=lambda fmt: fmt.rpartition("-")[2],
 )
 def test_skeleton_v1_rejected(compiled, fmt):
     _, _, skel = compiled
@@ -1066,23 +1080,87 @@ def test_the_body_format_changes_no_fingerprint(synth):
         assert len(text) <= 160_000
 
 
-_V11_KEYS = {"format", "n_system", "n_occ", "selector_width", "workspace_width",
-             "qsp_degree", "adaptors", "adaptors_ham", "adaptors_gen", "fingerprint"}
+_V12_KEYS = {"format", "n_system", "n_occ", "qsp_degree", "adaptors", "adaptors_ham",
+             "adaptors_gen", "fingerprint"}
 
 
 def test_the_document_holds_only_fingerprinted_fields(compiled):
-    """The key set is exactly v11's; each stored adaptor holds its kind,
+    """The key set is exactly v12's; each stored adaptor holds its kind,
     pivots, rank and text, and each side plain indices into them.
     """
     for skel in (compiled[2], _synth_skeleton("1:4:4")):
         doc = json.loads(skel.to_json())
-        assert set(doc) == _V11_KEYS
+        assert set(doc) == _V12_KEYS
         for ad in doc["adaptors"]:
             assert set(ad) == {"kind", "pivot", "rank", "text"}
         for side, adaptors in skel.sides():
             indices = doc[f"adaptors_{side}"]
             assert len(indices) == len(adaptors)
             assert all(type(k) is int for k in indices)
+
+
+def test_the_skeleton_in_memory_holds_only_fingerprinted_facts():
+    """No field states an address or a width: a load shares one AdaptorSpec
+    per stored adaptor among the addresses that use it.
+    """
+    assert {f.name for f in dataclasses.fields(cir.CircuitSkeleton)} == {
+        "n_system", "n_occ", "qsp_degree", "adaptors_ham", "adaptors_gen",
+        "fingerprint"}
+    assert {f.name for f in dataclasses.fields(cir.AdaptorSpec)} == {
+        "kind", "pivot", "rank", "text"}
+    loaded = cir.CircuitSkeleton.from_json(_synth_skeleton("1:8:8").to_json())
+    addresses = loaded.adaptors_ham + loaded.adaptors_gen
+    assert len(addresses) == 465
+    assert len({id(ad) for ad in addresses}) == 106
+
+
+def _channel_skeleton(rank):
+    """n_so = 4, one channel of ``rank`` alone: its index register sets the width."""
+    plan = cir.CompilePlan(ham=(cir.AdaptorDescriptor("channel", rank=rank),), gen=(),
+                           n_occ=2)
+    return cir.compile_skeleton(4, plan)
+
+
+# (selector, workspace) widths the v11 documents stored
+@pytest.mark.parametrize(
+    "build, widths",
+    [
+        (lambda: _synth_skeleton("1:8:8"), (9, 6)),
+        (lambda: _synth_skeleton("3:3:2"), (3, 5)),
+        (lambda: cir.one_pool_skeleton(_synth_compiled("3:3:2")[0], None), (3, 5)),
+        (lambda: cir.one_pool_skeleton(None, _synth_compiled("3:3:2")[1]), (2, 2)),
+        (lambda: cir.one_pool_skeleton(None, _synth_compiled("1:8:8")[1]), (9, 2)),
+        (lambda: _channel_skeleton(3), (1, 4)),
+        (lambda: _channel_skeleton(5), (1, 5)),
+        (lambda: _channel_skeleton(9), (1, 6)),
+    ],
+    ids=["1:8:8", "3:3:2", "3:3:2-ham", "3:3:2-gen", "1:8:8-gen", "rank-3", "rank-5",
+         "rank-9"],
+)
+def test_the_derived_widths_are_the_stored_ones(build, widths):
+    """Compiled and loaded, the widths derived from the adaptors are v11's."""
+    skel = build()
+    loaded = cir.CircuitSkeleton.from_json(skel.to_json())
+    for s in (skel, loaded):
+        assert (s.selector_width, s.workspace_width) == widths
+
+
+@pytest.mark.parametrize(
+    "where, key",
+    [("skeleton", "manifest"), ("skeleton", "connectivity"),
+     ("skeleton", "selector_width"), ("stored adaptor 1", "address"),
+     ("stored adaptor 1", "body")],
+)
+def test_an_unknown_key_is_a_parse_error_naming_it(compiled, where, key):
+    """A key outside the fingerprinted ones, at the top level or in a stored
+    adaptor, is refused by name, whatever its value.
+    """
+    doc = json.loads(compiled[2].to_json())
+    holder = doc if where == "skeleton" else doc["adaptors"][1]
+    holder[key] = 1
+    match = f"^{where} has unknown field {key!r}$"
+    with pytest.raises(ParseError, match=match):
+        cir.CircuitSkeleton.from_json(json.dumps(doc))
 
 
 def _bump(field):
@@ -1110,8 +1188,8 @@ def test_every_stored_adaptor_field_is_bound(compiled, field):
 def test_a_pool_listed_out_of_address_order_compiles_in_address_order(
     small_pools, mixed_gen_pool
 ):
-    """Ladders listed in reverse still give address-ordered sides, the same
-    skeleton as the pool in order, and a document that round-trips.
+    """Ladders listed in reverse give the plan of the pool in order, so
+    the same skeleton, and a document that round-trips.
     """
     ham, _ = small_pools
     gen = mixed_gen_pool
@@ -1120,10 +1198,10 @@ def test_a_pool_listed_out_of_address_order_compiles_in_address_order(
     )
     shuffled_gen = replace(gen, ladders=gen.ladders[::-1])
     plan = cir.pivots_from_pools(shuffled_ham, shuffled_gen)
-    assert [d.address for d in plan.gen] != sorted(d.address for d in plan.gen)
+    listed = [lad.address for lad in shuffled_gen.ladders]
+    assert listed != sorted(listed)
+    assert plan == cir.pivots_from_pools(ham, gen)
     skel = cir.compile_skeleton(ham.n_so, plan)
-    for _, adaptors in skel.sides():
-        assert [ad.address for ad in adaptors] == list(range(len(adaptors)))
     in_order = cir.compile_skeleton(ham.n_so, cir.pivots_from_pools(ham, gen))
     assert skel.to_json() == in_order.to_json()
     loaded = cir.CircuitSkeleton.from_json(skel.to_json())

@@ -17,7 +17,7 @@ from composer.factorization import (
     pools_to_json,
 )
 from composer.integrals import synth_instance
-from conftest import H2_LIKE_FCIDUMP, edit_packed, mixed_generator_pool
+from conftest import H2_LIKE_FCIDUMP, edit_packed, mixed_generator_pool, older_formats
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -215,17 +215,11 @@ def test_verify_reports_the_ancillas_of_the_checked_encoding(tmp_path, synth):
 
 
 def test_older_formats_exit_two(pipeline, capsys):
-    """A ``composer-skel-v5``/``-v7``/``-v8``/``-v9``/``-v10`` skeleton or a
-    ``composer-dial-v1``/``-v2``/``-v3`` sheet.
-
-    Each exits 2.
-    """
+    """A skeleton or a sheet of any format before the current one exits 2."""
     tmp, _, skel, sheet = pipeline
-    for path, old in ((skel, "composer-skel-v5"), (skel, "composer-skel-v7"),
-                      (skel, "composer-skel-v8"), (skel, "composer-skel-v9"),
-                      (skel, "composer-skel-v10"),
-                      (sheet, "composer-dial-v1"), (sheet, "composer-dial-v2"),
-                      (sheet, "composer-dial-v3")):
+    olds = [(skel, old) for old in older_formats(cli.cir.SKEL_FORMAT)]
+    olds += [(sheet, old) for old in older_formats(cli.cir.DIAL_FORMAT)]
+    for path, old in olds:
         doc = json.loads(path.read_text())
         current, doc["format"] = doc["format"], old
         path.write_text(json.dumps(doc))
@@ -234,6 +228,18 @@ def test_older_formats_exit_two(pipeline, capsys):
         assert f"expected format {current!r}" in capsys.readouterr().err
         doc["format"] = current
         path.write_text(json.dumps(doc))
+
+
+def test_a_skeleton_key_outside_the_fingerprinted_ones_exits_two(pipeline, capsys):
+    """``compile`` writes the fingerprinted keys alone; an added one exits 2."""
+    tmp, _, skel, sheet = pipeline
+    doc = json.loads(skel.read_text())
+    assert set(doc) == {"format", "n_system", "n_occ", "qsp_degree", "adaptors",
+                        "adaptors_ham", "adaptors_gen", "fingerprint"}
+    doc["manifest"] = {"command": "compile"}
+    skel.write_text(json.dumps(doc))
+    assert run(["verify", "--skel", str(skel), "--dial", str(sheet)]) == 2
+    assert "skeleton has unknown field 'manifest'" in capsys.readouterr().err
 
 
 def test_a_v1_pool_exits_two(pipeline, capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from composer import oracle
-from composer.errors import DegenerateGapError, NotPSDError, ParseError
+from composer.errors import DegenerateGapError, NotPSDError, ParseError, ValidationError
 from composer.factorization import (
     T2Tensor,
     build_hamiltonian_pool,
@@ -338,6 +338,33 @@ def test_nested_svd_truncation_monotone():
         )
     assert all(a >= b - 1e-12 for a, b in zip(errors, errors[1:]))
     assert errors[-1] <= 1e-10
+
+
+_INSTANCE = synth_instance(1, 2, 2)
+# each threshold past tau_chol, set through the library call that takes it
+_CUTS = {
+    "tau_eig": lambda tau: build_hamiltonian_pool(_INSTANCE, 1e-8, tau),
+    "tau_eig-no-channel":
+        lambda tau: build_hamiltonian_pool(zero_eri_instance(), 0.0, tau),
+    "tau_eig-one-channel": lambda tau: channel_eigendecomp(
+        pivoted_cholesky(_INSTANCE, 1e-8)[0], tau),
+    "tau_svd": lambda tau: nested_svd_t2(mp2_amplitudes(_INSTANCE), tau, 0.0),
+    "tau_wedge": lambda tau: nested_svd_t2(mp2_amplitudes(_INSTANCE), 0.0, tau),
+}
+
+
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), float("-inf"), -1e-8])
+@pytest.mark.parametrize("name", sorted(_CUTS))
+def test_library_thresholds_refuse_a_non_finite_or_negative_cut(name, tau):
+    """A NaN cut once kept one ladder and an infinite one none, silently.
+
+    ``tau_eig`` is refused by the pool builder even where no Cholesky
+    channel is kept, and by the eigendecomposition of one channel.
+    """
+    with pytest.raises(ValidationError) as caught:
+        _CUTS[name](tau)
+    threshold = name.partition("-")[0]
+    assert str(caught.value) == f"{threshold} must be finite and nonnegative, not {tau}"
 
 
 def test_synth_beyond_eight_spatial_orbitals_factorizes():

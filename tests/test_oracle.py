@@ -582,7 +582,7 @@ def test_restricted_block_error_perturbation_scaling():
     target = adaptor_targets(None, gen)["gen/1"]
     ad = skel.adaptors_gen[1]
     first_givens = next(k for k, ln in enumerate(ad.layers) if ln.startswith("givens|"))
-    slot = line_value_index(skel, "gen", ad, first_givens)  # mode 0's first angle
+    slot = line_value_index(skel, "gen", 1, first_givens)  # mode 0's first angle
 
     def perturbed_error(delta):
         values = sheet.values.copy()

@@ -118,21 +118,11 @@ def synthetic_skeleton(n, n_bilinear, channel_ranks, ell_sigma, degree=4, n_occ=
 
     The pair wedges are priced on ``n_occ``, half filling by default.
     """
-    ham = [
-        cir.AdaptorDescriptor("one_body_mode", k, pivot=(0,))
-        for k in range(n_bilinear)
-    ]
-    ham += [
-        cir.AdaptorDescriptor("channel", n_bilinear + j, rank=r)
-        for j, r in enumerate(channel_ranks)
-    ]
+    ham = [cir.AdaptorDescriptor("one_body_mode", pivot=(0,))] * n_bilinear
+    ham += [cir.AdaptorDescriptor("channel", rank=r) for r in channel_ranks]
     n_occ = n // 2 if n_occ is None else n_occ
-    gen = [
-        cir.AdaptorDescriptor(
-            "pair", s + 1, pivot=((n_occ, n_occ + 1), (0, 1))
-        )
-        for s in range(ell_sigma)
-    ]
+    pair_pivot = ((n_occ, n_occ + 1), (0, 1))
+    gen = [cir.AdaptorDescriptor("pair", pivot=pair_pivot)] * ell_sigma
     plan = cir.CompilePlan(ham=tuple(ham), gen=tuple(gen), n_occ=n_occ)
     return cir.compile_skeleton(n, plan, qsp_degree=degree)
 
