@@ -2,9 +2,10 @@
 
 The effective-Hamiltonian block exp(-sigma) H exp(sigma) / alpha is
 composed from the blocks of the generator exponential and the Hamiltonian
-encoding, each run on its ancilla-zero columns; the
-measured model-space deviation stays inside twice the exponential error
-plus the multiplexing error.
+encoding, each run one adaptor at a time on the ancilla-zero columns of
+the two-electron sector; the measured model-space deviation stays inside
+twice the exponential error plus the multiplexing error.  The block is
+the sector's, indexed by position in ``jw.sector_indices(4, 2)``.
 """
 
 import numpy as np
@@ -44,9 +45,10 @@ for mask in (frozenset(), frozenset([1]), frozenset([1, 2, 3])):
           f"<= budget 2*{rep.eps_exp:.2e} + {rep.eps_ham:.2e} "
           f"-> within: {rep.within_budget}")
 
-# matrix elements of the dressed block in a two-determinant model space
+# matrix elements of the dressed block in a two-determinant model space,
+# the sector's first two determinants
 rep, block = me.similarity_sandwich(ham, gen, frozenset([1]), sector, 1e-9)
-bras = [np.eye(16, dtype=complex)[:, i] for i in sector[:2]]
+bras = [np.eye(len(sector), dtype=complex)[:, k] for k in range(2)]
 table = me.matrix_elements(block, bras, bras)
 print("model-space matrix elements (times alpha):")
 print(np.round(rep.alpha * table.real, 6))

@@ -45,8 +45,10 @@ everything before it ``W R0 W`` on signal ``s``, whose block is the square.
 Execution is keyed by an address: a side, ``"ham"`` or ``"gen"`` (its
 multiplexed encoding), or one adaptor's branch, ``"ham/<a>"`` or
 ``"gen/<a>"``.  :func:`ancillas` gives the register it runs on;
-:func:`execute_block` runs the gadget tree (:mod:`oracle`) on the ``2**n``
-ancilla-zero columns, and :func:`execute_encoding` assembles it as a sparse
+:func:`execute_block` runs each adaptor's gadget tree (:mod:`oracle`) on
+its own ancilla-zero columns, those of a particle-number sector or all
+``2**n``, and sums a side's blocks with their PREP weights, and
+:func:`execute_encoding` assembles the multiplexed encoding as a sparse
 unitary, which only ``composer verify`` needs.  Each checks its one size
 limit before anything is built, then the sheet against the skeleton
 (:func:`sheet_values`: the fingerprint must match and the value count equal
@@ -58,15 +60,17 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
 from . import jw, ladders, oracle
-from .errors import BindError, MaskError, ParseError, ShapeError, ValidationError
+from .errors import BindError, MaskError, ParseError, SectorError, ShapeError
+from .errors import ValidationError
 from .errors import DICT, INT, LIST, NUMBER, STR, checked, checked_list
 from .errors import checked_keys, checked_packed, fields_of
 from .factorization import bilinear_asym_spectrum, generator_branch_alpha
@@ -80,6 +84,10 @@ LINE_VALUES = {"givens": 1, "pgivens": 2, "rz": 1, "cphase": 1, "gphase": 1, "ca
 SYSTEM_GATES = {"givens": 2, "pgivens": 4, "rz": 1, "cphase": 2, "x": 1}
 # a text line holding two ``|``
 _TWO_BARS = re.compile(r"\|[^\n]*\|")
+# slabs of its widest adaptor's columns that a column run is allowed at once:
+# a channel's squared gadget holds four (its input, its PREP slabs, and its
+# output or two half-slab pairs inside W), the fifth covers the dense leaves
+RUN_COPIES = 5
 # the skeleton's keys and a stored adaptor's: exactly the fingerprinted facts
 _SKEL_KEYS = frozenset({"format", "n_system", "n_occ", "qsp_degree", "adaptors",
                         "adaptors_ham", "adaptors_gen", "fingerprint"})
@@ -964,6 +972,12 @@ def _addressed(skel, address):
     return side, entries
 
 
+def _own_workspace(side, ad):
+    """Workspace qubits of adaptor ``ad``'s branch alone (the null flip's is one)."""
+    ads = () if ad.kind == "null" else (ad,)
+    return plan_workspace_width(*((ads, ()) if side == "ham" else ((), ads)))
+
+
 def ancillas(skel, address):
     """Qubits above the system register that the encoding at ``address`` runs on.
 
@@ -975,9 +989,7 @@ def ancillas(skel, address):
     side, entries = _addressed(skel, address)
     if address == "ham":
         return skel.selector_width + skel.workspace_width
-    # the null flip is the one-qubit floor of plan_workspace_width
-    branches = [ad for _, ad in entries if ad.kind != "null"]
-    width = plan_workspace_width(*((branches, ()) if side == "ham" else ((), branches)))
+    width = max(_own_workspace(side, ad) for _, ad in entries)
     return width if "/" in address else skel.selector_width + width
 
 
@@ -1014,30 +1026,94 @@ def execute_encoding(skel, sheet, address):
     return oracle._csr(_encoding(skel, sheet, address))
 
 
-def check_column_batch(skel, address):
-    """Reject the columns the encoding at ``address`` runs on, before anything is built.
+def check_column_batch(skel, address, sector=None):
+    """Reject the column run at ``address`` before anything is built; return its size.
 
-    The ``2**(t + n) x 2**n`` batch (``t`` its :func:`ancillas`) may hold
-    no more amplitudes than the largest dense operator.
+    :func:`execute_block` runs one adaptor at a time, so a run holds
+    :data:`RUN_COPIES` slabs of its widest adaptor's ``2**(w + n) x C``
+    columns (``w`` that adaptor's own workspace, ``C`` the ``C(n, N)``
+    sector columns, or all ``2**n`` when ``sector`` is ``None``) and the
+    ``2**n x C`` sum.  That many amplitudes may be no more than the
+    largest dense operator holds.
     """
-    t, n = ancillas(skel, address), skel.n_system
-    needed, allowed = 2 ** (t + 2 * n), 4**jw.MAX_QUBITS
+    side, entries = _addressed(skel, address)
+    n = skel.n_system
+    if sector is not None and not 0 <= sector <= n:
+        raise SectorError(f"sector N={sector} outside 0..{n}")
+    columns = 2**n if sector is None else math.comb(n, sector)
+    a, width = max(((a, _own_workspace(side, ad)) for a, ad in entries),
+                   key=itemgetter(1))
+    needed = (RUN_COPIES * 2 ** (width + n) + 2**n) * columns
+    allowed = 4**jw.MAX_QUBITS
     if needed > allowed:
-        side, _, label = address.partition("/")
-        name = _SIDE_NAMES[side] + (f" adaptor {label}" if label else "")
         raise ShapeError(
-            f"the {name} column batch needs {needed} amplitudes "
-            f"(2**{t + n} rows x 2**{n} columns); the oracle allows {allowed}"
+            f"the {_SIDE_NAMES[side]} adaptor {a} column run needs {needed} "
+            f"amplitudes ({RUN_COPIES} x 2**{width + n} + 2**{n} rows x {columns} "
+            f"columns); the oracle allows {allowed}"
         )
+    return needed
 
 
-def execute_block(skel, sheet, address):
-    """Dense ancilla-zero block of :func:`execute_encoding`, run on ``2**n`` columns.
+def execute_block(skel, sheet, address, sector=None):
+    """Ancilla-zero block of the encoding at ``address``, run one adaptor at a time.
 
-    The column batch is checked before anything is built.
+    The PREP is real orthogonal with the amplitudes ``p_s`` as its first
+    column, so a side's block is ``sum_s p_s**2 phase_s B_s``, where
+    ``B_s`` is adaptor ``s``'s own block on its own workspace; one
+    adaptor's block is its ``B_s`` alone, without its sign line's phase
+    (as :func:`_encoding` selects it).  Each ``B_s`` runs on the columns
+    ``|0_anc>|x>`` (``oracle.column_block``): ``x`` in
+    ``jw.sector_indices(n, sector)``, or all ``2**n`` when ``sector`` is
+    ``None``.  With a sector the result is the ``C(n, N)``-square sector
+    block, and each ``B_s`` may hold at most ``oracle.SECTOR_TOL`` in the
+    rows outside the sector (a :class:`SectorError` naming the adaptor);
+    without one, the ``2**n x 2**n`` block.  An adaptor of zero weight is
+    built (its lines are checked) but not run.
+
+    The run is checked before anything is built (:func:`check_column_batch`),
+    then the sheet (:func:`sheet_values`), then a side's PREP and SELECT as
+    ``oracle._prep_select_prep`` checks them: amplitudes nonnegative with
+    unit norm, no more branches than the selector holds, and no branch
+    wider than the side's shared workspace.
     """
-    check_column_batch(skel, address)
-    return oracle.column_block(_encoding(skel, sheet, address), skel.n_system)
+    check_column_batch(skel, address, sector)
+    values = sheet_values(skel, sheet)
+    side, entries = _addressed(skel, address)
+    n = skel.n_system
+    single = "/" in address
+    if single:
+        weights = [1.0]
+    else:
+        oracle.check_capacity(len(entries), 2**skel.selector_width)
+        amps = [values[skel.slot_spans[side, a][0]] for a, _ in entries]
+        weights = oracle.check_prep(amps) ** 2
+        workspace = ancillas(skel, side) - skel.selector_width
+    columns = np.arange(2**n) if sector is None else jw.sector_indices(n, sector)
+    block = np.zeros((2**n, len(columns)), dtype=complex)
+    for (a, ad), weight in zip(entries, weights):
+        node, phase = _branch(skel, values, side, a, ad)
+        if single:
+            phase = 1.0
+        else:
+            oracle.branch_width(node, n, workspace)
+        if weight == 0.0:
+            continue
+        part = oracle.column_block(node, n, columns)
+        if sector is not None:
+            _check_leak(part, n, sector, f"{_SIDE_NAMES[side]} adaptor {a}")
+        block += (weight * phase) * part
+        del node, part  # so the next adaptor is built without this one's leaves
+    return block if sector is None else block[columns]
+
+
+def _check_leak(part, n, sector, name):
+    """Reject sector columns holding more than ``oracle.SECTOR_TOL`` off the sector."""
+    leak = float(np.abs(part[jw.hamming_weights(n) != sector]).max(initial=0.0))
+    if leak > oracle.SECTOR_TOL:
+        raise SectorError(
+            f"{name} leaks {leak:.3e} out of the N={sector} sector "
+            f"(tolerance {oracle.SECTOR_TOL:g})"
+        )
 
 
 def execute_generator_encoding(skel, sheet):

@@ -15,9 +15,8 @@ schedule and network unitaries are that kernel applied to the identity.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -193,22 +192,33 @@ def gate_map(n, modes):
     """Signed index map ``(rows, partners, signs)`` of a rotation generator's ``A``.
 
     ``modes`` is ``(p, r)`` for ``A = a_p^dag a_r`` or ``(p, q, r, s)`` for
-    ``A = a_p^dag a_q^dag a_s a_r``, read off :func:`jw.jw_ladder_ops`;
-    ``A`` is zero except ``A[rows[k], partners[k]] = signs[k]``.  The map
-    is checked once, when cached: ``A`` is a nonzero partial signed
-    permutation and its rows and partners are disjoint, i.e. ``A^2 = 0``,
-    so the generator ``K = e A - conj(e) A^dag`` (``|e| = 1``) has
-    ``K^3 = -K``.  A repeated mode (``A = n_p`` or ``A = 0``) fails.
+    ``A = a_p^dag a_q^dag a_s a_r``; ``A`` is zero except
+    ``A[rows[k], partners[k]] = signs[k]``, rows ascending.  The map is
+    computed on the basis indices: each ladder operator, applied right to
+    left, needs its mode empty (creation) or occupied (annihilation),
+    flips its bit and takes the Jordan-Wigner sign of the occupied modes
+    before it.  It is checked once, when cached: ``A`` is a nonzero
+    partial signed permutation and its rows and partners are disjoint,
+    i.e. ``A^2 = 0``, so the generator ``K = e A - conj(e) A^dag``
+    (``|e| = 1``) has ``K^3 = -K``.  A repeated mode (``A = n_p`` or
+    ``A = 0``) fails.
     """
-    cr, an = jw.jw_ladder_ops(n)
+    jw.check_n(n)
     half = len(modes) // 2
-    ops = [cr[m] for m in modes[:half]] + [an[m] for m in reversed(modes[half:])]
-    a_op = reduce(operator.matmul, ops).tocoo()
-    a_op.eliminate_zeros()
-    rows, partners, signs = a_op.row, a_op.col, a_op.data.real
+    ops = [(m, False) for m in modes[:half]]  # (mode, annihilates), left to right
+    ops += [(m, True) for m in reversed(modes[half:])]
+    state, parity = np.arange(2**n), np.zeros(2**n, dtype=np.int64)
+    kept = state.copy()  # the columns no ladder operator has annihilated yet
+    for m, annihilates in reversed(ops):  # applied right to left
+        bit = 1 << (n - 1 - m)
+        kept = kept[(state[kept] & bit) == (bit if annihilates else 0)]
+        parity[kept] += jw.hamming_weights(n)[state[kept] >> (n - m)]
+        state[kept] ^= bit
+    partners = kept[np.argsort(state[kept], kind="stable")]
+    rows = state[partners]
+    signs = np.where(parity[partners] % 2, -1.0, 1.0)
     if not (
         len(rows)
-        and np.all(np.abs(a_op.data) == 1.0)
         and len(np.unique(rows)) == len(np.unique(partners)) == len(rows)
         and not np.intersect1d(rows, partners).size
     ):

@@ -3,9 +3,11 @@
 The sandwich composes the three block encodings on disjoint ancilla
 groups, so its all-ancilla-zero block is exactly the product of the three
 encoded blocks; it therefore works with the encoded blocks directly and
-never forms the joint-register matrix.  Each block is computed by running
-its encoding on the ``2**n`` ancilla-zero columns, so no encoding is
-assembled either.
+never forms the joint-register matrix.  Every encoding preserves the
+particle number, so each block is computed on the working sector alone:
+its encoding runs one adaptor at a time on the ``C(n, N)`` sector
+columns ``|0_anc>|x>``, so no encoding is assembled either, and the
+sandwich and its exact reference are ``C(n, N) x C(n, N)`` arrays.
 """
 
 from __future__ import annotations
@@ -68,10 +70,15 @@ class EffectiveHamiltonianReport:
 
 
 def model_space_projector(indices, n, n_elec):
-    """Dense projector onto the listed determinants of the fixed sector."""
+    """Projector onto the listed determinants, over the positions of the sector.
+
+    The result is ``C(n, N) x C(n, N)``, indexed like ``jw.sector_indices(n,
+    n_elec)``; each index must be a basis state of the ``N = n_elec`` sector.
+    """
     dim = 2**n
-    proj = np.zeros((dim, dim))
     weights = jw.hamming_weights(n)
+    position = {int(idx): k for k, idx in enumerate(jw.sector_indices(n, n_elec))}
+    proj = np.zeros((len(position),) * 2)
     for idx in indices:
         if not 0 <= idx < dim:
             raise ShapeError(f"determinant index {idx} out of range")
@@ -79,40 +86,52 @@ def model_space_projector(indices, n, n_elec):
             raise SectorError(
                 f"determinant {idx:0{n}b} lies outside the N={n_elec} sector"
             )
-        proj[idx, idx] = 1.0
+        proj[position[int(idx)], position[int(idx)]] = 1.0
     return proj
 
 
 def similarity_sandwich(ham_pool, gen_pool, mask, model_space, eps_poly):
-    """Compute and verify one masked effective-Hamiltonian block.
+    """Compute and verify one masked effective-Hamiltonian block on the sector.
 
     Returns ``(report, block)`` where ``block`` approximates
-    ``exp(-sigma) H exp(sigma) / alpha`` on the system register and the
-    report compares the model-space restriction against the
+    ``exp(-sigma) H exp(sigma) / alpha`` on the ``N = n_elec`` sector: a
+    ``C(n, N) x C(n, N)`` array indexed like ``jw.sector_indices(n, N)``.
+    The report compares the model-space restriction against the
     eigendecomposition-exact sandwich, checking the additive budget
     ``2 eps_exp + eps_ham`` at the slack :data:`BUDGET_SLACK`.  The
-    generator is normalized by the full pool's ``alpha_bar``.
+    generator is normalized by the full pool's ``alpha_bar``.  Every
+    block, exact or encoded, is computed on the sector alone: the
+    encodings run one adaptor at a time on the sector columns
+    (``circuit_ir.execute_block``), and the exact exponential is taken of
+    the sector block of the generator.  Both pools must share the sector.
     """
     n = ham_pool.n_so
     n_elec = ham_pool.n_elec
+    if gen_pool.sector != n_elec:
+        raise SectorError(
+            f"generator sector N={gen_pool.sector} differs from the "
+            f"Hamiltonian's N={n_elec}"
+        )
     mask_indices = frozenset(getattr(mask, "indices", mask))
-    # both encodings run on one-pool skeletons; both column batches are
+    # both encodings run on one-pool skeletons; both column runs are
     # checked before either is dialed or run
     ham_skel = circuit_ir.one_pool_skeleton(ham_pool, None)
     gen_skel = circuit_ir.one_pool_skeleton(None, gen_pool)
-    circuit_ir.check_column_batch(ham_skel, "ham")
-    circuit_ir.check_column_batch(gen_skel, "gen")
+    circuit_ir.check_column_batch(ham_skel, "ham", n_elec)
+    circuit_ir.check_column_batch(gen_skel, "gen", n_elec)
+    on_sector = np.ix_(*(jw.sector_indices(n, n_elec),) * 2)
 
     sheet = circuit_ir.dial(ham_skel, ham_pool, None, ())
-    b_block = circuit_ir.execute_block(ham_skel, sheet, "ham")
-    h_exact = oracle.hamiltonian_from_pool(ham_pool) / ham_pool.alpha
-    eps_ham = oracle.sector_norm(b_block - h_exact, n_elec)
+    b_block = circuit_ir.execute_block(ham_skel, sheet, "ham", n_elec)
+    h_exact = (oracle.hamiltonian_from_pool(ham_pool) / ham_pool.alpha)[on_sector]
+    eps_ham = oracle.sector_norm(b_block - h_exact)
 
     sheet = circuit_ir.dial(gen_skel, None, gen_pool, mask_indices)
-    exp_exact = qsp.exact_exponential(oracle.generator_dense(gen_pool, mask_indices))
+    generator = oracle.generator_dense(gen_pool, mask_indices)[on_sector]
+    exp_exact = qsp.exact_exponential(generator)
     e_block, exp_rep = qsp.exp_encoded_block(
-        circuit_ir.execute_block(gen_skel, sheet, "gen"),
-        exp_exact, gen_pool.alpha_bar, eps_poly, gen_pool.sector,
+        circuit_ir.execute_block(gen_skel, sheet, "gen", n_elec),
+        exp_exact, gen_pool.alpha_bar, eps_poly, None,
     )
     eps_exp = exp_rep.measured_deviation
 

@@ -4,13 +4,13 @@ Every gadget is an operator tree whose leaves are dense system-gate
 runs (built by the :mod:`circuit_ir` interpreter with the :mod:`ladders`
 kernel) and cached sparse workspace gadgets.  It has two evaluations:
 ``apply`` runs it on dense state columns, so block consumers read the
-``2**n x 2**n`` ancilla-zero block from the ``2**n`` columns
-``|0_anc>|x>``; ``tocsr`` assembles the sparse (CSR) unitary, which only
-``composer verify`` needs, for its unitarity check.  Assembly builds each
-node's CSR arrays by index arithmetic: a lift repeats its operand's
-arrays along the diagonal, SELECT joins its branches' arrays, and each
-PREP ``P (x) I`` is spread from the nonzeros of the small ``P``; only
-the products between them are sparse matrix products.  The block is checked
+ancilla-zero block from the columns ``|0_anc>|x>`` (all ``2**n``, or a
+particle-number sector's); ``tocsr`` assembles the sparse (CSR) unitary,
+which only ``composer verify`` needs, for its unitarity check.  Assembly
+builds each node's CSR arrays by index arithmetic: a lift repeats its
+operand's arrays along the diagonal, SELECT joins its branches' arrays,
+and each PREP ``P (x) I`` is spread from the nonzeros of the small
+``P``; only the products between them are sparse matrix products.  The block is checked
 against the dense operator it is supposed to encode, a plain
 ``2**n x 2**n`` array restricted to the working sector.  Every such
 reference is scattered by one of two cached, read-only maps: the one-body
@@ -24,9 +24,9 @@ skeleton's layer lines and a dial sheet; this module holds their nodes
 and the cached angle-free leaves the lines map onto (flag copy, vacuum
 reflection, null flip, squaring, PREP-SELECT-PREP).  Each pool encoder
 (and :func:`channel_block_encoding`, for one channel) compiles a
-skeleton for its one pool, dials it, runs the dial sheet on the
-ancilla-zero columns (:func:`circuit_ir.execute_block`) and returns that
-block with its error against the dense target.
+skeleton for its one pool, dials it, runs the dial sheet one adaptor at
+a time on the ``2**n`` ancilla-zero columns (:func:`circuit_ir.execute_block`)
+and returns that block with its error against the dense target.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ REPORT_FORMAT = "composer-report-v1"
 
 # widest register (selector + workspace + system) an encoding is assembled on
 MAX_ASSEMBLY_QUBITS = 13
+# largest amplitude a block may hold between different particle-number sectors
+SECTOR_TOL = 1e-11
 
 _H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
@@ -239,10 +241,10 @@ def sector_norm(delta, sector=None):
 
 
 def assert_sector_preserving(block, n):
-    """Check the block is block-diagonal over Hamming-weight sectors (to 1e-11)."""
+    """Check the block is block-diagonal over Hamming-weight sectors (to SECTOR_TOL)."""
     weights = jw.hamming_weights(n)
     off = block[weights[:, None] != weights[None, :]]
-    return float(np.abs(off).max(initial=0.0)) <= 1e-11
+    return float(np.abs(off).max(initial=0.0)) <= SECTOR_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +292,10 @@ class _Node:
 class _Lift(_Node):
     """``phase * (I (x) op)``, ``extra`` idle most-significant ancillas.
 
-    Applied, a reshape; assembled, ``2**extra`` copies of ``op``'s arrays.
+    Applied, a dense leaf multiplies the ``2**extra`` slabs as one stack
+    (no transposed copy, so a column run holds fewer slabs); any other
+    operand runs on them side by side, through a transposed copy.
+    Assembled, ``2**extra`` copies of ``op``'s arrays.
     """
 
     def __init__(self, op, extra, phase=None):
@@ -302,11 +307,14 @@ class _Lift(_Node):
 
     def apply(self, cols, adjoint=False):
         dim, k = self.op.shape[0], cols.shape[1]
-        slabs = cols.reshape(-1, dim, k).transpose(1, 0, 2).reshape(dim, -1)
-        out = _apply(self.op, slabs, adjoint).reshape(dim, -1, k)
+        if isinstance(self.op, np.ndarray):
+            out = _apply(self.op, cols.reshape(-1, dim, k), adjoint)
+        else:
+            slabs = cols.reshape(-1, dim, k).transpose(1, 0, 2).reshape(dim, -1)
+            out = _apply(self.op, slabs, adjoint).reshape(dim, -1, k).transpose(1, 0, 2)
         if self.phase is not None:
             out = out * (np.conj(self.phase) if adjoint else self.phase)
-        return out.transpose(1, 0, 2).reshape(-1, k)
+        return out.reshape(-1, k)
 
 
 class _Product(_Node):
@@ -363,11 +371,17 @@ class _PrepSelectPrep(_Node):
         return (self.prep.T @ slabs.reshape(n_states, -1)).reshape(-1, k)
 
 
-def column_block(op, n):
-    """Dense ``<0_anc| W |0_anc>`` of a leaf or node, run on columns ``|0_anc>|x>``."""
-    cols = np.zeros((op.shape[0], 2**n), dtype=complex)
-    cols[: 2**n] = np.eye(2**n)
-    return _apply(op, cols)[: 2**n]
+def column_block(op, n, columns=None):
+    """Ancilla-zero rows of a leaf or node, run on the columns ``|0_anc>|x>``.
+
+    ``x`` runs over ``columns`` (system basis indices), all ``2**n`` of
+    them by default, so the result is ``2**n x len(columns)``: the
+    listed columns of the dense block ``<0_anc| W |0_anc>``.
+    """
+    columns = np.arange(2**n) if columns is None else columns
+    cols = np.zeros((op.shape[0], len(columns)), dtype=complex)
+    cols[columns, np.arange(len(columns))] = 1.0
+    return _apply(op, cols)[: 2**n].copy()  # a copy, so the rows above are freed
 
 
 @lru_cache(maxsize=None)
@@ -440,14 +454,20 @@ def _kron_eye(p, dim):
     return sparse.csr_matrix((data, indices, indptr), shape=(len(p) * dim,) * 2)
 
 
-def _householder_prep(amplitudes):
-    """Real orthogonal involution with the amplitude vector as first column."""
+def check_prep(amplitudes):
+    """The PREP amplitudes as floats, checked nonnegative with unit norm."""
     amp = np.asarray(amplitudes, dtype=float)
     if np.any(amp < -1e-14):
         raise ValidationError("prep amplitudes must be nonnegative")
     norm = np.linalg.norm(amp)
     if abs(norm - 1.0) > 1e-10:
         raise ValidationError(f"prep amplitude norm {norm!r} != 1")
+    return amp
+
+
+def _householder_prep(amplitudes):
+    """Real orthogonal involution with the amplitude vector as first column."""
+    amp = check_prep(amplitudes)
     e0 = np.zeros_like(amp)
     e0[0] = 1.0
     v = amp - e0
@@ -477,18 +497,29 @@ def _prep_select_prep(amplitudes, branch_ops, branch_phases, n, workspace):
     n_states = len(amplitudes)
     if n_states & (n_states - 1):
         raise ShapeError("amplitude vector length must be a power of two")
-    if len(branch_ops) > n_states:
-        raise CapacityError(
-            f"{len(branch_ops)} branches exceed selector capacity {n_states}"
-        )
+    check_capacity(len(branch_ops), n_states)
     branches = [None] * n_states
     for s, (op, phase) in enumerate(zip(branch_ops, branch_phases)):
-        width = int(np.log2(op.shape[0] >> n))
-        if width > workspace:
-            raise ShapeError("branch workspace exceeds the shared width")
-        branches[s] = _Lift(op, workspace - width, phase)
+        extra = workspace - branch_width(op, n, workspace)
+        branches[s] = _Lift(op, extra, phase)
     prep = _householder_prep(amplitudes)
     return _PrepSelectPrep(prep, branches, int(np.log2(n_states)) + workspace + n)
+
+
+def check_capacity(n_branches, n_states):
+    """Reject more branches than a selector of ``n_states`` values labels."""
+    if n_branches > n_states:
+        raise CapacityError(
+            f"{n_branches} branches exceed selector capacity {n_states}"
+        )
+
+
+def branch_width(op, n, workspace):
+    """Workspace qubits of a branch on ``n`` system qubits, at most ``workspace``."""
+    width = int(np.log2(op.shape[0] >> n))
+    if width > workspace:
+        raise ShapeError("branch workspace exceeds the shared width")
+    return width
 
 
 def index_width(r):
@@ -533,6 +564,12 @@ def reflect_about_ancilla_vacuum(t, n):
     return diag
 
 
+@lru_cache(maxsize=None)
+def _vacuum_reflection(t, n):
+    """:func:`reflect_about_ancilla_vacuum` as a sparse leaf (cached, read-only)."""
+    return _frozen(sparse.diags(reflect_about_ancilla_vacuum(t, n), format="csr"))
+
+
 def squared_block_gadget(w, t, n):
     """Signal-qubit gadget whose block is the square of ``<0_t|W|0_t>``.
 
@@ -542,7 +579,7 @@ def squared_block_gadget(w, t, n):
     exactly.  A two-state PREP-SELECT-PREP with ``PREP = H`` over the
     branches ``[W R0 W, I]``; ``w`` is a sparse matrix or a gadget node.
     """
-    double = _Product(w, sparse.diags(reflect_about_ancilla_vacuum(t, n)), w)
+    double = _Product(w, _vacuum_reflection(t, n), w)
     return _PrepSelectPrep(_H2, [double, None], t + 1 + n)
 
 

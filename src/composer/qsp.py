@@ -165,7 +165,7 @@ def exp_encoded_block(block, exact, alpha_bar, eps_poly, sector, eps_prime=0.0):
     Optionally injects a Hermitian perturbation of spectral norm
     ``eps_prime`` (a stand-in for branch synthesis error) first; the
     report records the deviation from ``exact`` on the particle-number
-    ``sector``.
+    ``sector``, or on the whole block when ``sector`` is ``None``.
     """
     if eps_prime:
         block = block + eps_prime * _seeded_hermitian_direction(block.shape[0])
@@ -181,7 +181,7 @@ def exp_encoded_block(block, exact, alpha_bar, eps_poly, sector, eps_prime=0.0):
         eps_poly=poly.eps_poly,
         eps_prime=float(eps_prime),
         measured_deviation=oracle.sector_norm(approx - exact, sector),
-        sector=f"N={sector}",
+        sector="all" if sector is None else f"N={sector}",
     )
     return approx, report
 

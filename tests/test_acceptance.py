@@ -213,8 +213,8 @@ def test_c04_qsp_budget():
 
 def test_c05_similarity_sandwich():
     t0 = time.monotonic()
-    # n_so = 4 at two seeds, and n_so = 6 (synth 7:3:2)
-    for synth in ((7, 2, 2), (13, 2, 2), (7, 3, 2)):
+    # n_so = 4 at two seeds, n_so = 6 (synth 7:3:2) and n_so = 8 (synth 7:4:2)
+    for synth in ((7, 2, 2), (13, 2, 2), (7, 3, 2), (7, 4, 2)):
         ints = synth_instance(*synth)
         sector = list(jw.sector_indices(ints.n_so, ints.n_elec))
         ham = build_hamiltonian_pool(ints, 1e-10, 0.0)

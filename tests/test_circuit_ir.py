@@ -16,7 +16,8 @@ from scipy.linalg import expm
 
 from composer import circuit_ir as cir
 from composer import jw, ladders, oracle
-from composer.errors import BindError, MaskError, ParseError, ValidationError
+from composer.errors import BindError, MaskError, ParseError, SectorError
+from composer.errors import ValidationError
 from composer.factorization import (
     GeneratorPool,
     HamiltonianPool,
@@ -531,9 +532,9 @@ def test_generator_encoding_assembles_without_kron_or_block_diag(
     ``sparse.kron`` and ``sparse.block_diag`` disabled, and equals its
     gadget tree run on every column.
 
-    A first column batch runs before the patch, so the cached gate maps
-    (read off the Jordan-Wigner ladder matrices, which ``sparse.kron``
-    builds) are warm.
+    The cached gate maps and vacuum reflection are rebuilt under the
+    patch: the maps are bit arithmetic on basis indices, with no
+    Jordan-Wigner ladder matrix (which ``sparse.kron`` builds).
     """
 
     def forbidden(*args, **kwargs):
@@ -554,6 +555,7 @@ def test_generator_encoding_assembles_without_kron_or_block_diag(
     for name in ("kron", "block_diag"):
         monkeypatch.setattr(sparse, name, forbidden)
     oracle.vacuum_reflection_gadget.cache_clear()
+    ladders.gate_map.cache_clear()
     w = cir.execute_generator_encoding(skel, sheet).tocsc()
     for start in range(0, dim, batch):
         ref = first if start == 0 else run_columns(start)
@@ -639,6 +641,74 @@ def test_layer_stream_is_the_program(compiled):
     sheet = cir.dial(tampered, ham, gen, cir.Mask.of("m", [1]))
     block = cir.execute_block(tampered, sheet, "ham")
     assert _sector_max(block, target, n, ham.n_elec) > 1e-3
+
+
+@pytest.mark.parametrize("synth", [(7, 2, 2), (7, 3, 2), (7, 4, 2)])
+def test_the_multiplexed_run_equals_the_per_adaptor_sum(synth):
+    """n_so = 4, 6 and 8: each side's multiplexed encoding, one
+    PREP-SELECT-PREP node run on all ``2**n`` columns, has the block that
+    ``execute_block`` sums adaptor by adaptor, to 1e-14, so the SELECT
+    wiring (case order, lifts and branch signs) stays covered; on the
+    sector columns ``execute_block`` returns that block's sector block.
+
+    The mask keeps every other generator ladder, so zero-weight branches
+    are skipped.  At n_so = 8 the Hamiltonian pool keeps its first mode
+    group and its first channel (addresses 0 and 1): its multiplexed
+    register is then 14 qubits, where the whole pool's 16-qubit
+    all-column run alone peaks near 0.8 GB.
+    """
+    ints = synth_instance(*synth)
+    n, n_elec = ints.n_so, ints.n_elec
+    ham = build_hamiltonian_pool(ints, 1e-10, 0.0)
+    if n == 8:
+        channel = replace(ham.channels[0], address=1)
+        ham = replace(ham, one_body=ham.one_body[:1], channels=(channel,))
+    base = nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0)
+    gen = mixed_generator_pool(base, n_so=n, seed=synth[0])
+    mask = cir.Mask.of("m", range(1, gen.ell + 1, 2))
+    sector = np.ix_(*(jw.sector_indices(n, n_elec),) * 2)
+    for skel, pools, side in ((cir.one_pool_skeleton(ham, None), (ham, None), "ham"),
+                              (cir.one_pool_skeleton(None, gen), (None, gen), "gen")):
+        sheet = cir.dial(skel, *pools, mask if side == "gen" else ())
+        summed = cir.execute_block(skel, sheet, side)
+        multiplexed = oracle.column_block(cir._encoding(skel, sheet, side), n)
+        assert np.abs(multiplexed - summed).max() <= 1e-14, side
+        on_sector = cir.execute_block(skel, sheet, side, n_elec)
+        assert np.abs(on_sector - summed[sector]).max() <= 1e-14, side
+
+
+def test_a_system_flip_spliced_into_an_adaptor_leaks_out_of_the_sector(compiled):
+    """An ``x`` system line spliced into the first Hamiltonian adaptor,
+    re-fingerprinted, moves its sector columns out of the sector.
+
+    On the sector columns ``execute_block`` raises a ``SectorError`` that
+    names the adaptor and the leak; on all columns nothing is compared.
+    """
+    ham, gen, skel = compiled
+    ad = skel.adaptors_ham[0]
+    sys0 = skel.selector_width + skel.workspace_width
+    tampered = _reloaded(skel, ad, [ad.layers[0], f"x|{sys0}", *ad.layers[1:]])
+    sheet = cir.dial(tampered, ham, gen, cir.Mask.of("m", [1]))
+    leak = r"Hamiltonian adaptor 0 leaks \d\.\d{3}e[-+]\d\d out of the N=2 sector"
+    with pytest.raises(SectorError, match=leak):
+        cir.execute_block(tampered, sheet, "ham", ham.n_elec)
+    with pytest.raises(SectorError, match="Hamiltonian adaptor 0 leaks"):
+        cir.execute_block(tampered, sheet, "ham/0", ham.n_elec)
+    assert cir.execute_block(tampered, sheet, "ham").shape == (16, 16)
+    cir.execute_block(skel, cir.dial(skel, ham, gen, cir.Mask.of("m", [1])), "ham", 2)
+
+
+def test_a_sector_outside_the_register_is_refused(compiled):
+    """``sector`` must count electrons on the register's modes: 0..n."""
+    ham, gen, skel = compiled
+    sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", [1]))
+    for sector in (-1, 5):
+        with pytest.raises(SectorError, match=f"sector N={sector} outside 0..4"):
+            cir.check_column_batch(skel, "gen", sector)
+        with pytest.raises(SectorError, match=f"sector N={sector} outside 0..4"):
+            cir.execute_block(skel, sheet, "ham", sector)
+    assert cir.execute_block(skel, sheet, "ham", 0).shape == (1, 1)
+    assert cir.execute_block(skel, sheet, "ham", 4).shape == (1, 1)
 
 
 @lru_cache(maxsize=None)

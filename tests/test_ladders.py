@@ -1,6 +1,10 @@
+import itertools
+import operator
+from functools import reduce
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from composer import jw, ladders
@@ -280,6 +284,55 @@ def test_pair_maps_pass_the_rotation_check():
     for modes in [(0, 1, 0, 1), (0, 0, 1, 2), (1, 1)]:
         with pytest.raises(ValidationError, match="not a rotation"):
             ladders.gate_map(n, modes)
+
+
+def sparse_gate_map(n, modes):
+    """Reference map: ``A`` read off a product of Jordan-Wigner ladder matrices.
+
+    Returns ``(rows, partners, signs)`` as ``ladders.gate_map`` does, or
+    ``None`` where ``A`` fails its rotation check.
+    """
+    cr, an = jw.jw_ladder_ops(n)
+    half = len(modes) // 2
+    ops = [cr[m] for m in modes[:half]] + [an[m] for m in reversed(modes[half:])]
+    a_op = reduce(operator.matmul, ops).tocoo()
+    a_op.eliminate_zeros()
+    rows, partners = a_op.row, a_op.col
+    if not (
+        len(rows)
+        and np.all(np.abs(a_op.data) == 1.0)
+        and len(np.unique(rows)) == len(np.unique(partners)) == len(rows)
+        and not np.intersect1d(rows, partners).size
+    ):
+        return None
+    return rows, partners, a_op.data.real.reshape(-1, 1)
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(1, 6))
+@example(n=1)
+@example(n=2)
+@example(n=3)
+@example(n=4)
+@example(n=5)
+@example(n=6)
+def test_gate_map_equals_the_sparse_product(n):
+    """Every Givens ``(p, r)`` and pair ``(p, q, r, s)`` tuple at n <= 6, repeated
+    modes included: the bit-arithmetic map equals the map read off the sparse
+    ladder product, entry for entry and in order, and fails the rotation check
+    exactly where that one does.
+    """
+    tuples = itertools.chain(itertools.product(range(n), repeat=2),
+                             itertools.product(range(n), repeat=4))
+    for modes in tuples:
+        expected = sparse_gate_map(n, modes)
+        if expected is None:
+            with pytest.raises(ValidationError, match="not a rotation"):
+                ladders.gate_map.__wrapped__(n, modes)
+            continue
+        for got, want in zip(ladders.gate_map.__wrapped__(n, modes), expected):
+            assert got.dtype.kind == want.dtype.kind, modes
+            assert np.array_equal(got, want), modes
 
 
 def test_dimension_mismatch_raises():

@@ -1,4 +1,6 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +13,16 @@ from composer.errors import (
     ShapeError,
     ValidationError,
 )
-from composer.factorization import build_hamiltonian_pool, mp2_amplitudes, nested_svd_t2
+from composer.factorization import (
+    BilinearLadder,
+    GeneratorPool,
+    HamiltonianPool,
+    OneBodyModeLadder,
+    build_hamiltonian_pool,
+    mp2_amplitudes,
+    nested_svd_t2,
+)
 from composer.integrals import synth_instance
-from conftest import mixed_generator_pool
 
 
 def sector_basis(n, n_elec):
@@ -27,13 +36,25 @@ def test_model_space_projector_rejects_wrong_sector():
         me.model_space_projector([1], 4, 2)  # weight-1 determinant
 
 
+def test_model_space_projector_indexes_the_sector():
+    """The projector is over the sector's positions: determinant 5 is position 1."""
+    assert jw.sector_indices(4, 2)[1] == 5
+    proj = me.model_space_projector([5, 12], 4, 2)
+    assert proj.shape == (6, 6)
+    assert np.array_equal(np.diag(proj), [0, 1, 0, 0, 0, 1])
+    with pytest.raises(ShapeError):
+        me.model_space_projector([16], 4, 2)
+
+
 def test_sandwich_empty_mask_is_hamiltonian_only(small_pools, mixed_gen_pool):
     ham, _ = small_pools
     sector = list(jw.sector_indices(4, 2))
     rep, block = me.similarity_sandwich(
         ham, mixed_gen_pool, frozenset(), sector, 1e-10
     )
-    h_exact = oracle.hamiltonian_from_pool(ham) / ham.alpha
+    assert block.shape == (6, 6)
+    on_sector = np.ix_(sector, sector)
+    h_exact = (oracle.hamiltonian_from_pool(ham) / ham.alpha)[on_sector]
     proj = me.model_space_projector(sector, 4, 2)
     dev = np.linalg.norm(proj @ (block - h_exact) @ proj, 2)
     assert dev <= 2 * rep.eps_exp + rep.eps_ham + 1e-12
@@ -71,6 +92,9 @@ def test_sandwich_report_of_numpy_model_space_serializes(small_pools, mixed_gen_
 FORBIDDEN_BEFORE_SIZE_CHECK = (
     (oracle, "hamiltonian_block_encoding"),
     (oracle, "generator_block_encoding"),
+    (oracle, "hamiltonian_from_pool"),
+    (oracle, "generator_dense"),
+    (oracle, "column_block"),
     (cir, "execute_encoding"),
     (cir, "execute_generator_encoding"),
     (cir, "execute_block"),
@@ -78,43 +102,91 @@ FORBIDDEN_BEFORE_SIZE_CHECK = (
 COLUMN_LIMIT = 4**jw.MAX_QUBITS  # amplitudes in the largest dense operator
 
 
-def test_sandwich_rejects_oversized_register_before_building(monkeypatch):
-    """n_so = 10: the Hamiltonian batch needs 2**30 amplitudes; nothing is built."""
-    instance = synth_instance(3, 5, 2)
-    ham = build_hamiltonian_pool(instance, 1e-8, 0.0)
-    gen = nested_svd_t2(mp2_amplitudes(instance), 1e-6, 1e-6)
-
+def _forbid_building(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("encoding built before the size check")
 
     for module, name in FORBIDDEN_BEFORE_SIZE_CHECK:
         monkeypatch.setattr(module, name, forbidden)
-    sector = list(jw.sector_indices(10, 2))
-    message = f"Hamiltonian column batch needs {2**30} .*allows {COLUMN_LIMIT}"
+
+
+def test_sandwich_rejects_oversized_register_before_building(monkeypatch):
+    """n_so = 10, N = 4: a channel's run needs 5 slabs of 2**16 rows x C(10, 4)
+    sector columns, beyond the limit; nothing is built.
+
+    Adaptors 0-4 are mode groups on two workspace qubits, 5-9 channels on
+    six; the first of the widest is named.  At N = 2 (45 columns) the same
+    run fits.
+    """
+    instance = synth_instance(3, 5, 4)
+    ham = build_hamiltonian_pool(instance, 1e-8, 0.0)
+    gen = nested_svd_t2(mp2_amplitudes(instance), 1e-6, 1e-6)
+    _forbid_building(monkeypatch)
+    needed = (cir.RUN_COPIES * 2**16 + 2**10) * math.comb(10, 4)
+    sector = list(jw.sector_indices(10, 4))
+    message = f"Hamiltonian adaptor 5 column run needs {needed} .*allows {COLUMN_LIMIT}"
     with pytest.raises(ShapeError, match=message):
         me.similarity_sandwich(ham, gen, frozenset([1]), sector, 1e-8)
+    skel = cir.one_pool_skeleton(ham, None)
+    assert cir.check_column_batch(skel, "ham", 2) <= COLUMN_LIMIT
 
 
 def test_sandwich_rejects_oversized_generator_register_before_building(monkeypatch):
-    """n_so = 8, 64 generator ladders: 2**(7 + 2 + 8) rows x 2**8 columns.
-
-    The Hamiltonian batch (2**16 rows x 2**8 columns) fits exactly.
+    """n_so = 12, N = 3 (220 sector columns): the Hamiltonian, one rank-1 mode
+    group on one workspace qubit, fits; the generator's bilinear adaptor, on
+    two, does not.  Nothing is built.
     """
-    instance = synth_instance(7, 4, 2)
-    ham = build_hamiltonian_pool(instance, 1e-8, 0.0)
-    gen = nested_svd_t2(mp2_amplitudes(instance), 1e-6, 1e-6)
-    gen = mixed_generator_pool(gen, n_so=8, extra=64 - gen.ell)
-    assert gen.ell == 64
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("encoding built before the size check")
-
-    for module, name in FORBIDDEN_BEFORE_SIZE_CHECK:
-        monkeypatch.setattr(module, name, forbidden)
-    sector = list(jw.sector_indices(8, 2))
-    message = f"generator column batch needs {2**25} .*allows {COLUMN_LIMIT}"
+    n, n_elec = 12, 3
+    modes = np.eye(n, dtype=complex)
+    ham = HamiltonianPool(
+        (OneBodyModeLadder(vectors=modes[:, :1], coefficient=0.5, address=0),),
+        (), n, n_elec,
+    )
+    gen = GeneratorPool(
+        (BilinearLadder(u=modes[:, 3], v=modes[:, 0], coefficient=0.1, address=1),),
+        n_occ=n_elec, n_virt=n - n_elec,
+    )
+    _forbid_building(monkeypatch)
+    sector = list(jw.sector_indices(n, n_elec))
+    fits = (cir.RUN_COPIES * 2**13 + 2**12) * 220
+    needed = (cir.RUN_COPIES * 2**14 + 2**12) * 220
+    assert fits <= COLUMN_LIMIT < needed
+    message = f"generator adaptor 1 column run needs {needed} .*allows {COLUMN_LIMIT}"
     with pytest.raises(ShapeError, match=message):
         me.similarity_sandwich(ham, gen, frozenset([1]), sector, 1e-9)
+
+
+def test_sandwich_rejects_pools_of_different_sectors(small_pools, mixed_gen_pool):
+    ham, _ = small_pools
+    other = GeneratorPool(mixed_gen_pool.ladders, mixed_gen_pool.n_occ,
+                          mixed_gen_pool.n_virt, n_elec=3)
+    with pytest.raises(SectorError, match="generator sector N=3 differs"):
+        me.similarity_sandwich(ham, other, frozenset([1]), [3], 1e-9)
+
+
+def test_the_n8_sandwich_holds_no_more_than_its_column_runs_allow():
+    """n_so = 8 (synth 7:4:2): the traced peak of one sandwich, caches cold or
+    warm, stays under the bytes ``check_column_batch`` computes for its
+    wider side's run, 16 to a complex amplitude.  The all-column
+    multiplexed run peaked near 590 MB here.
+    """
+    ints = synth_instance(7, 4, 2)
+    ham = build_hamiltonian_pool(ints, 1e-10, 0.0)
+    gen = nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0)
+    sector = list(jw.sector_indices(8, 2))
+    allowed = 16 * max(
+        cir.check_column_batch(cir.one_pool_skeleton(ham, None), "ham", 2),
+        cir.check_column_batch(cir.one_pool_skeleton(None, gen), "gen", 2),
+    )
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            rep, block = me.similarity_sandwich(ham, gen, frozenset([1]), sector, 1e-9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.within_budget and block.shape == (28, 28)
+        assert peak <= allowed, f"{peak} bytes traced, {allowed} allowed"
 
 
 def test_sandwich_on_six_modes(medium_instance):
@@ -169,9 +241,10 @@ def test_block_consumers_never_assemble(small_pools, mixed_gen_pool, monkeypatch
 
 def test_sandwich_builds_each_dense_target_once(small_pools, mixed_gen_pool,
                                                 monkeypatch):
-    """One call: one Hamiltonian rebuild, one generator rebuild, one ``eigh``."""
+    """One call: one Hamiltonian rebuild, one generator rebuild, one ``eigh``,
+    of the six-determinant sector block."""
     ham, _ = small_pools
-    dim = 2**ham.n_so
+    dim = math.comb(ham.n_so, ham.n_elec)
     calls = {"hamiltonian_from_pool": 0, "generator_dense": 0, "eigh": 0}
 
     def counted(name, fn, dense_only=False):
