@@ -63,7 +63,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import attrgetter, itemgetter
 
 import numpy as np
@@ -74,6 +74,7 @@ from .errors import ValidationError
 from .errors import DICT, INT, LIST, NUMBER, STR, checked, checked_list
 from .errors import checked_keys, checked_packed, fields_of
 from .factorization import bilinear_asym_spectrum, generator_branch_alpha
+from .factorization import pair_vector_batches
 
 SKEL_FORMAT = "composer-skel-v12"
 DIAL_FORMAT = "composer-dial-v4"
@@ -124,10 +125,12 @@ class CompilePlan:
     n_occ: int
 
 
+@lru_cache(maxsize=None)
 def wedge_pairs(n, n_occ, side):
     """Pairs a pair ladder's ``u`` (virtual) or ``v`` (occupied) side rotates over.
 
-    Lexicographic ``p < q``, one per entry of the side's pair vector.
+    Lexicographic ``p < q``, one per entry of the side's pair vector; an
+    immutable tuple, cached, so its repeat callers share it.
     """
     lo, hi = (n_occ, n) if side == "u" else (0, n_occ)
     return tuple((lo + p, lo + q) for p, q in ladders.pair_indices(hi - lo))
@@ -138,7 +141,10 @@ def pivots_from_pools(ham_pool, gen_pool):
 
     Each side lists its pool's ladders in address order.  Either pool may
     be ``None``; the plan then covers the other alone, and without a
-    generator pool ``n_occ`` is the Hamiltonian's ``n_elec``.
+    generator pool ``n_occ`` is the Hamiltonian's ``n_elec``.  The pair
+    ladders' pivots are the row argmaxes of their pair vectors' moduli,
+    formed in batches (:func:`factorization.pair_vector_batches`), so each
+    is the one its ladder's own vectors give.
     """
     ham = []
     if ham_pool is not None:
@@ -153,15 +159,14 @@ def pivots_from_pools(ham_pool, gen_pool):
                 ham.append(AdaptorDescriptor("channel", rank=lad.channel.rank))
     gen = []
     if gen_pool is not None:
-        n = gen_pool.n_so
-        for lad in sorted(gen_pool.ladders, key=attrgetter("address")):
+        ladders_gen = sorted(gen_pool.ladders, key=attrgetter("address"))
+        pair_pivots = _pair_pivots(
+            [lad for lad in ladders_gen if lad.kind == "pair"],
+            gen_pool.n_so, gen_pool.n_occ,
+        )
+        for lad in ladders_gen:
             if lad.kind == "pair":
-                vectors = lad.virtual_pair_vector(), lad.occupied_pair_vector()
-                pivot = tuple(
-                    wedge_pairs(n, gen_pool.n_occ, side)[int(np.argmax(np.abs(vec)))]
-                    for side, vec in zip("uv", vectors)
-                )
-                gen.append(AdaptorDescriptor("pair", pivot))
+                gen.append(AdaptorDescriptor("pair", pair_pivots[id(lad)]))
             else:
                 w_vals, w_vecs = bilinear_asym_spectrum(lad.u, lad.v)
                 pivots = tuple(
@@ -170,6 +175,19 @@ def pivots_from_pools(ham_pool, gen_pool):
                 gen.append(AdaptorDescriptor("bilinear_asym", pivots, len(w_vals)))
     n_occ = ham_pool.n_elec if gen_pool is None else gen_pool.n_occ
     return CompilePlan(ham=tuple(ham), gen=tuple(gen), n_occ=n_occ)
+
+
+def _pair_pivots(pairs, n, n_occ):
+    """``id(ladder) -> (u, v)`` pivot pairs: each side's largest-modulus wedge pair."""
+    pivots = {}
+    for group, *vectors in pair_vector_batches(pairs):
+        u, v = (
+            [wedge_pairs(n, n_occ, side)[k]
+             for k in np.abs(vecs).argmax(axis=-1).tolist()]
+            for side, vecs in zip("uv", vectors)
+        )
+        pivots.update((id(lad), pivot) for lad, pivot in zip(group, zip(u, v)))
+    return pivots
 
 
 @dataclass(frozen=True)
@@ -441,6 +459,12 @@ def compile_skeleton(n, pivots, qsp_degree=0):
     fixes every slot's position.  An adaptor's position in the plan is its
     address.  One pool may have no ladders, for a skeleton that encodes the
     other alone.
+
+    Each distinct :class:`AdaptorDescriptor` (kind, pivots, rank) is emitted
+    once, and the addresses that share it share one :class:`AdaptorSpec`,
+    as :meth:`CircuitSkeleton.from_json` shares them; each pair side's
+    ladder lines are built once per ``(side, pivot pair)``.  Both memos
+    live for this one call.
     """
     ell_ham, ell_gen = len(pivots.ham), len(pivots.gen)
     if ell_ham + ell_gen == 0:
@@ -453,12 +477,20 @@ def compile_skeleton(n, pivots, qsp_degree=0):
     def sysq(p):
         return sys0 + p
 
+    pair_sides = {}  # (side, pivot pair) -> that pair ladder's lines
     emit = {"one_body_mode": _compile_one_body, "channel": _compile_channel,
-            "pair": lambda *args: _compile_pair(*args, pivots.n_occ),
+            "pair": lambda *args: _compile_pair(*args, pivots.n_occ, pair_sides),
             "bilinear_asym": _compile_bilinear_asym}
-    adaptors_ham = [emit[ad.kind](ad, n, sysq, ws0, t) for ad in pivots.ham]
+    emitted = {}  # each distinct descriptor's AdaptorSpec
+
+    def spec(ad):
+        if ad not in emitted:
+            emitted[ad] = emit[ad.kind](ad, n, sysq, ws0, t)
+        return emitted[ad]
+
+    adaptors_ham = [spec(ad) for ad in pivots.ham]
     adaptors_gen = [AdaptorSpec("null", (), 0, _layer("x", (ws0 + t - 1,)) + "\n")]
-    adaptors_gen += [emit[ad.kind](ad, n, sysq, ws0, t) for ad in pivots.gen]
+    adaptors_gen += [spec(ad) for ad in pivots.gen]
     skel = CircuitSkeleton(
         n_system=n,
         n_occ=int(pivots.n_occ),
@@ -540,11 +572,17 @@ def _compile_channel(ad, n, sysq, ws0, t):
     return AdaptorSpec(ad.kind, ad.pivot, ad.rank, _text(layers))
 
 
-def _compile_pair(ad, n, sysq, ws0, t, n_occ):
-    """``i(L - L^dag)``: the arm ``W_L = U_u R_vac U_v^dag``, then its mirror."""
+def _compile_pair(ad, n, sysq, ws0, t, n_occ, sides):
+    """``i(L - L^dag)``: the arm ``W_L = U_u R_vac U_v^dag``, then its mirror.
+
+    ``sides`` holds each ``(side, pivot pair)``'s ladder lines, built on
+    first use.
+    """
     anc = ws0 + t - 1
-    u, v = (_pair_ladder_layers(wedge_pairs(n, n_occ, x), p, sysq)
-            for x, p in zip("uv", ad.pivot))
+    for x, p in zip("uv", ad.pivot):
+        if (x, p) not in sides:
+            sides[x, p] = _pair_ladder_layers(wedge_pairs(n, n_occ, x), p, sysq)
+    u, v = (sides[x, p] for x, p in zip("uv", ad.pivot))
     vacuum = [_layer("h", (anc,)), _layer("mcz", tuple(map(sysq, range(n)))),
               _layer("h", (anc,))]
     arm = ["gphase+i|", "begin|", "begin|", *v, "dagger|", *vacuum, *u, "end|"]

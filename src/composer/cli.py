@@ -114,9 +114,7 @@ def cmd_factorize(args):
     if not args.no_generator:
         t2 = mp2_amplitudes(ints)
         gen = nested_svd_t2(t2, args.tau_svd, args.tau_wedge)
-    doc = json.loads(pools_to_json(ham, gen))
-    doc["manifest"] = manifest.as_dict()
-    _write(args.out, json.dumps(doc, sort_keys=True))
+    _write(args.out, pools_to_json(ham, gen, manifest=manifest.as_dict()))
     print(
         f"factorize: ell_H={ham.ell} (R1={len(ham.one_body)}, K={len(ham.channels)})"
         + (f", ell_sigma={gen.ell}" if gen is not None else "")

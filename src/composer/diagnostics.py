@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jw, ladders, oracle, qsp
+from . import jw, oracle, qsp
 from .circuit_ir import Mask
 from .errors import MaskError, RankError, ValidationError, ZeroTensorError
+from .factorization import pair_vector_batches
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,18 +114,9 @@ def ladder_weights(pool):
     of equal factor dtypes and shapes; each row's norm is still taken alone,
     so every weight keeps the bits of the per-ladder sum.
     """
-    groups = {}
-    for lad in pool.ladders:
-        if lad.kind == "pair":
-            key = tuple((f.dtype, f.shape) for f in (lad.x, lad.y, lad.r, lad.s))
-            groups.setdefault(key, []).append(lad)
+    pairs = [lad for lad in pool.ladders if lad.kind == "pair"]
     pair_norms = {}
-    for group in groups.values():
-        u, v = (
-            ladders.wedge_vectors(*(np.stack([getattr(lad, f) for lad in group])
-                                    for f in side))
-            for side in ("xy", "rs")
-        )
+    for group, u, v in pair_vector_batches(pairs):
         for lad, u_row, v_row in zip(group, u, v):
             pair_norms[lad.address] = (
                 np.linalg.norm(u_row) ** 2 * np.linalg.norm(v_row) ** 2

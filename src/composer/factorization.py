@@ -150,6 +150,28 @@ class PairLadder:
         return ladder_mod.wedge_vectors(self.r, self.s)
 
 
+def pair_vector_batches(pairs):
+    """``(group, u, v)`` per group of pair ladders with equal factor dtypes and shapes.
+
+    ``u`` and ``v`` hold the group's virtual and occupied pair vectors, one
+    row per ladder in input order, each side formed in one batch.  The
+    operations are elementwise, so every row keeps the bits of the
+    ladder's own :meth:`PairLadder.virtual_pair_vector` and
+    :meth:`PairLadder.occupied_pair_vector`.
+    """
+    groups = {}
+    for lad in pairs:
+        key = tuple((f.dtype, f.shape) for f in (lad.x, lad.y, lad.r, lad.s))
+        groups.setdefault(key, []).append(lad)
+    for group in groups.values():
+        u, v = (
+            ladder_mod.wedge_vectors(*(np.stack([getattr(lad, f) for lad in group])
+                                       for f in side))
+            for side in ("xy", "rs")
+        )
+        yield group, u, v
+
+
 @dataclass(frozen=True, eq=False)
 class ChannelLadder:
     """Projected-quadratic ladder: one squared diagonalized channel."""
@@ -635,8 +657,12 @@ def _packed(arr):
 
 
 def _packed_complex(vec):
-    """A complex vector packed as interleaved real and imaginary parts."""
-    return _packed(np.column_stack([vec.real, vec.imag]))
+    """A complex vector packed as interleaved real and imaginary parts.
+
+    A contiguous little-endian complex128 copy already holds them in that
+    order, so its float64 view is packed as it stands.
+    """
+    return _packed(np.ascontiguousarray(vec, "<c16").view("<f8"))
 
 
 def _ladder_fields(item, where):
@@ -648,8 +674,13 @@ def _ladder_fields(item, where):
     }
 
 
-def pools_to_json(ham, gen=None):
-    """Serialize the compile-stage pool contract."""
+def pools_to_json(ham, gen=None, manifest=None):
+    """Serialize the compile-stage pool contract, encoded once.
+
+    ``manifest``, a JSON-ready dict, is stored under the ``manifest`` key
+    when given (``composer factorize`` writes its run manifest there); the
+    library callers pass none, and the key is then absent.
+    """
     doc = {
         "format": POOL_FORMAT,
         "n_so": ham.n_so,
@@ -688,6 +719,8 @@ def pools_to_json(ham, gen=None):
                 _gen_ladder_doc(lad) for lad in gen.ladders
             ],
         }
+    if manifest is not None:
+        doc["manifest"] = manifest
     return json.dumps(doc, sort_keys=True)
 
 

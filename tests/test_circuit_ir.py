@@ -316,7 +316,11 @@ def _pair_adaptors(skel):
 
 
 def _reloaded(skel, ad, layers):
-    """``skel`` with adaptor ``ad``'s lines replaced, re-fingerprinted and loaded."""
+    """``skel`` with adaptor ``ad``'s lines replaced, re-fingerprinted and loaded.
+
+    Compile shares one ``AdaptorSpec`` among the addresses of one
+    descriptor, so every address holding ``ad`` takes the edit.
+    """
     edited = replace(ad, text=cir._text(layers))
     side = "adaptors_gen" if ad in skel.adaptors_gen else "adaptors_ham"
     edits = {side: tuple(edited if a is ad else a for a in getattr(skel, side))}
@@ -1148,6 +1152,117 @@ def test_the_body_format_changes_no_fingerprint(synth):
         assert len(skel.adaptors_ham) + len(skel.adaptors_gen) == 465
         assert len(json.loads(text)["adaptors"]) == 106
         assert len(text) <= 160_000
+
+
+# synth 1:12:12 (n_so = 24) at the test thresholds, computed before compile
+# emitted each distinct adaptor once
+_N24_FINGERPRINT = "5eab67d7caf5c8d0e711a91e8034e99e4dc7feb01493a2cecaf5cb5f192561c7"
+
+
+def test_the_n24_skeleton_keeps_its_fingerprint_and_bytes():
+    """n_so = 24: 2,401 addresses share 484 adaptors, one object each, and
+    ``compile -> to_json -> from_json -> to_json`` gives the same bytes.
+    """
+    skel = _synth_skeleton("1:12:12")
+    text = skel.to_json()
+    loaded = cir.CircuitSkeleton.from_json(text)
+    assert skel.fingerprint == loaded.fingerprint == _N24_FINGERPRINT
+    assert loaded.to_json() == text
+    for s in (skel, loaded):
+        addresses = s.adaptors_ham + s.adaptors_gen
+        assert len(addresses) == 2401
+        assert len({id(ad) for ad in addresses}) == 484
+    assert len(json.loads(text)["adaptors"]) == 484
+
+
+def _descriptor(ad):
+    return ad.kind, ad.pivot, ad.rank
+
+
+@pytest.mark.parametrize("synth", ["3:3:2", "1:8:8"])
+def test_compile_emits_each_distinct_descriptor_once(synth, monkeypatch):
+    """Each emitter runs once per distinct descriptor, and a pair side's
+    ladder lines are built once per ``(side, pivot pair)``; the skeleton is
+    the same.
+    """
+    ham, gen, skel = _synth_compiled(synth)
+    plan = cir.pivots_from_pools(ham, gen)
+    emitted, sides = [], []
+    for name in ("_compile_one_body", "_compile_channel", "_compile_pair",
+                 "_compile_bilinear_asym"):
+        def spy(ad, *args, _emit=getattr(cir, name)):
+            emitted.append(ad)
+            return _emit(ad, *args)
+        monkeypatch.setattr(cir, name, spy)
+
+    def pair_spy(wedge, pivot_pair, sysq, _build=cir._pair_ladder_layers):
+        sides.append((wedge, pivot_pair))
+        return _build(wedge, pivot_pair, sysq)
+
+    monkeypatch.setattr(cir, "_pair_ladder_layers", pair_spy)
+    again = cir.compile_skeleton(skel.n_system, plan)
+    assert again.to_json() == skel.to_json()
+    assert sorted(emitted, key=repr) == sorted(set(plan.ham + plan.gen), key=repr)
+    pair_sides = {(cir.wedge_pairs(skel.n_system, skel.n_occ, side), pivot)
+                  for ad in plan.gen if ad.kind == "pair"
+                  for side, pivot in zip("uv", ad.pivot)}
+    assert sorted(sides) == sorted(pair_sides)
+    n_virt = skel.n_system - skel.n_occ
+    assert len(sides) <= math.comb(n_virt, 2) + math.comb(skel.n_occ, 2)
+
+
+@pytest.mark.parametrize("synth", ["3:3:2", "1:8:8"])
+def test_addresses_with_equal_descriptors_share_one_spec(synth):
+    """Compiled as loaded: two addresses share one ``AdaptorSpec`` exactly
+    when their kind, pivots and rank are equal.
+    """
+    skel = _synth_skeleton(synth)
+    loaded = cir.CircuitSkeleton.from_json(skel.to_json())
+    for s in (skel, loaded):
+        addresses = s.adaptors_ham + s.adaptors_gen
+        by_descriptor = {}
+        for ad in addresses:
+            assert by_descriptor.setdefault(_descriptor(ad), ad) is ad
+        assert len({id(ad) for ad in addresses}) == len(by_descriptor)
+
+
+def _reference_pair_pivots(gen):
+    """Per ladder, in address order: ``(u, v)`` argmax pivots of a pair, else None."""
+    pivots = []
+    for lad in sorted(gen.ladders, key=lambda lad: lad.address):
+        if lad.kind != "pair":
+            pivots.append(None)
+            continue
+        vectors = lad.virtual_pair_vector(), lad.occupied_pair_vector()
+        pivots.append(tuple(
+            cir.wedge_pairs(gen.n_so, gen.n_occ, side)[int(np.argmax(np.abs(vec)))]
+            for side, vec in zip("uv", vectors)
+        ))
+    return pivots
+
+
+def _phased(lad, phase):
+    """A pair ladder with complex factors: ``x`` and ``s`` times unit phases."""
+    return replace(lad, x=lad.x * np.exp(1j * phase), s=lad.s * np.exp(-2j * phase))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("pool", ["mixed", "1:8:8"])
+def test_batched_pivots_equal_the_per_ladder_argmax(pool, seed, mixed_gen_pool):
+    """Pair pivots formed in batches per factor dtype and shape are each
+    ladder's own argmax, whatever the order of the pool's ladders; some
+    factors are made complex so the batches split.
+    """
+    gen = mixed_gen_pool if pool == "mixed" else _synth_compiled(pool)[1]
+    rng = np.random.default_rng(seed)
+    lads = [_phased(lad, rng.uniform(0, 2 * np.pi))
+            if lad.kind == "pair" and seed and rng.uniform() < 0.5 else lad
+            for lad in gen.ladders]
+    shuffled = replace(gen, ladders=tuple(lads[k] for k in rng.permutation(len(lads))))
+    plan = cir.pivots_from_pools(None, shuffled)
+    batched = [ad.pivot if ad.kind == "pair" else None for ad in plan.gen]
+    assert batched == _reference_pair_pivots(shuffled)
+    assert any(batched)
 
 
 _V12_KEYS = {"format", "n_system", "n_occ", "qsp_degree", "adaptors", "adaptors_ham",

@@ -194,6 +194,37 @@ def test_verify_sees_a_perturbed_product(pipeline, monkeypatch, perturb):
     assert report["passed"] is False
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--synth", "7:3:2", "--tau-chol", "1e-10"],
+     ["--synth", "1:4:4", "--tau-svd", "0", "--tau-wedge", "0"],
+     ["--synth", "5:3:2", "--no-generator"]],
+    ids=["7:3:2", "1:4:4", "no-generator"],
+)
+def test_factorize_writes_the_pool_bytes_of_the_round_trip(tmp_path, argv):
+    """One encode with the manifest writes the bytes the pool took before:
+    the library's pool text decoded, given the manifest and encoded again.
+    """
+    out = tmp_path / "pool.json"
+    assert run(["factorize", *argv, "--out", str(out)]) == 0
+    args = cli.build_parser().parse_args(["factorize", *argv, "--out", str(out)])
+    ints = synth_instance(*map(int, args.synth.split(":")))
+    ham = build_hamiltonian_pool(ints, args.tau_chol, args.tau_eig)
+    gen = None
+    if not args.no_generator:
+        gen = nested_svd_t2(mp2_amplitudes(ints), args.tau_svd, args.tau_wedge)
+    doc = json.loads(pools_to_json(ham, gen))
+    assert "manifest" not in doc  # the library writes none
+    doc["manifest"] = {
+        "command": "factorize",
+        "inputs": {"ints": None, "synth": args.synth},
+        "out": str(out),
+        "thresholds": {key: getattr(args, key)
+                       for key in ("tau_chol", "tau_eig", "tau_svd", "tau_wedge")},
+    }
+    assert out.read_text() == json.dumps(doc, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("synth", ["7:2:2", "5:3:2"])
 def test_verify_reports_the_ancillas_of_the_checked_encoding(tmp_path, synth):
     """``ancillas`` is the width of the ``W`` that verify checks, not the skeleton's."""

@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import subprocess
@@ -6,11 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from composer import oracle
 from composer.errors import DegenerateGapError, NotPSDError, ParseError, ValidationError
 from composer.factorization import (
     T2Tensor,
+    _packed_complex,
     build_hamiltonian_pool,
     channel_eigendecomp,
     mp2_amplitudes,
@@ -313,6 +317,47 @@ def test_pool_serialization_roundtrip(small_pools):
         - oracle.hamiltonian_from_pool(ham)
     ).max() <= 1e-13
     assert pools_to_json(ham2, gen2) == text
+
+
+def _column_stack_packed(vec):
+    """Reference packing: the real and imaginary parts stacked as two columns."""
+    pairs = np.column_stack([vec.real, vec.imag])
+    return base64.b64encode(np.asarray(pairs, "<f8").tobytes()).decode()
+
+
+_Z = np.array([0.3 + 0j, -1.5 + 2.0j, complex(-0.0, -0.0), complex(4.0, -0.0)])
+
+
+@pytest.mark.parametrize(
+    "vec",
+    [
+        np.array([0.5, -0.0, 1e-300, -2.0]),  # real, packed with +0.0 imaginary parts
+        np.array([1, -2, 3]),  # integer
+        _Z,  # complex, with -0.0 real and imaginary parts
+        _Z[::2],  # non-contiguous complex
+        np.array([0.5, -0.0, 3.0, 4.0, -1.0])[::2],  # non-contiguous real
+        _Z.astype(">c16"),  # big-endian
+        _Z.astype(np.complex64),
+        np.zeros(0, complex),
+    ],
+    ids=["real", "int", "complex", "strided", "strided-real", "big-endian", "c8",
+         "empty"],
+)
+def test_view_packing_equals_the_column_stack_reference(vec):
+    assert _packed_complex(vec) == _column_stack_packed(vec)
+
+
+_FLOATS = st.floats(allow_nan=False, width=64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=st.lists(st.tuples(_FLOATS, _FLOATS), max_size=12),
+       step=st.integers(1, 3), real=st.booleans())
+def test_view_packing_equals_the_reference_on_any_vector(parts, step, real):
+    """Signed zeros, infinities and subnormals included, contiguous or not."""
+    vec = np.array([complex(a, b) for a, b in parts], dtype=complex)
+    vec = (vec.real if real else vec)[::step]
+    assert _packed_complex(vec) == _column_stack_packed(vec)
 
 
 def test_pool_loader_checks_bilinear_vector_lengths(small_pools, mixed_gen_pool):
