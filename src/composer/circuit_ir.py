@@ -47,10 +47,15 @@ multiplexed encoding), or one adaptor's branch, ``"ham/<a>"`` or
 ``"gen/<a>"``.  :func:`ancillas` gives the register it runs on;
 :func:`execute_block` runs each adaptor's gadget tree (:mod:`oracle`) on
 its own ancilla-zero columns, those of a particle-number sector or all
-``2**n``, and sums a side's blocks with their PREP weights, and
+``2**n``, and sums a side's blocks with their PREP weights.  It keeps each
+checked run of the fabric last run on a side, one per adaptor position,
+keyed by the sector and the adaptor's values after its PREP amplitude, so
+a re-dial that changes only PREP amplitudes (a mask) re-weights kept
+blocks instead of running branches again; :func:`one_pool_skeleton` keeps
+its last fabric per side, so a scan of equal pivot plans runs on one.
 :func:`execute_encoding` assembles the multiplexed encoding as a sparse
-unitary, which only ``composer verify`` needs.  Each checks its one size
-limit before anything is built, then the sheet against the skeleton
+unitary, which only ``composer verify`` needs.  Each of the two checks its
+one size limit before anything is built, then the sheet against the skeleton
 (:func:`sheet_values`: the fingerprint must match and the value count equal
 the stream's length).
 """
@@ -64,6 +69,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 from operator import attrgetter, itemgetter
 
 import numpy as np
@@ -93,6 +99,11 @@ RUN_COPIES = 5
 _SKEL_KEYS = frozenset({"format", "n_system", "n_occ", "qsp_degree", "adaptors",
                         "adaptors_ham", "adaptors_gen", "fingerprint"})
 _STORED_KEYS = frozenset({"kind", "pivot", "rank", "text"})
+# per side (which pools are given), one_pool_skeleton's last (n, plan, fabric)
+_FABRICS = {}
+# per side, ``(fabric, runs)``: the fabric execute_block last ran there and,
+# per adaptor position, that adaptor's last checked run (a _Kept)
+_KEPT = {}
 
 
 @dataclass(frozen=True)
@@ -503,10 +514,21 @@ def compile_skeleton(n, pivots, qsp_degree=0):
 
 
 def one_pool_skeleton(ham_pool, gen_pool):
-    """Skeleton compiled for one pool alone; the other is passed as ``None``."""
+    """Skeleton compiled for one pool alone; the other is passed as ``None``.
+
+    The last fabric compiled for each side (which pools are given) is kept
+    and returned again while ``n`` and the pivot plan are equal
+    (:class:`CompilePlan` compares by value), so a geometry or mask scan
+    compiles once and :func:`execute_block` finds its kept runs on that
+    one fabric.  A different ``n`` or plan compiles anew and drops it.
+    """
     plan = pivots_from_pools(ham_pool, gen_pool)
     n = (gen_pool if ham_pool is None else ham_pool).n_so
-    return compile_skeleton(n, plan)
+    side = (ham_pool is None, gen_pool is None)
+    kept = _FABRICS.get(side)
+    if kept is None or kept[:2] != (n, plan):
+        kept = _FABRICS[side] = n, plan, compile_skeleton(n, plan)
+    return kept[2]
 
 
 def _layer(gate, qubits):
@@ -1092,6 +1114,24 @@ def check_column_batch(skel, address, sector=None):
     return needed
 
 
+class _Kept(NamedTuple):
+    """One adaptor's checked run, re-weighted while its key stays equal."""
+
+    key: tuple  # (sector, its values after its PREP amplitude, as bytes)
+    block: np.ndarray  # its B_s on the sector rows (all 2**n rows without one)
+    phase: complex  # its sign line's phase
+    shape: tuple  # its gadget node's, for the width check on a hit
+
+
+def _kept_runs(skel, side):
+    """The side's kept runs, emptied unless ``skel`` is the fabric last run there."""
+    fabric, runs = _KEPT.get(side, (None, None))
+    if fabric is not skel:
+        runs = {}
+        _KEPT[side] = skel, runs
+    return runs
+
+
 def execute_block(skel, sheet, address, sector=None):
     """Ancilla-zero block of the encoding at ``address``, run one adaptor at a time.
 
@@ -1106,13 +1146,27 @@ def execute_block(skel, sheet, address, sector=None):
     block, and each ``B_s`` may hold at most ``oracle.SECTOR_TOL`` in the
     rows outside the sector (a :class:`SectorError` naming the adaptor);
     without one, the ``2**n x 2**n`` block.  An adaptor of zero weight is
-    built (its lines are checked) but not run.
+    built (its lines are checked) but not run, unless a kept run covers it.
+
+    Each run that passed its checks is kept, one per adaptor position of
+    the fabric last run on the side: ``B_s`` on the sector rows (all
+    ``2**n`` rows without a sector), its sign line's phase and its node's
+    shape, keyed by ``sector`` and the bytes of the adaptor's values
+    after its PREP amplitude.  A later run of the same fabric (the same
+    object, as :func:`one_pool_skeleton` returns it) with an equal key
+    re-weights the kept ``B_s`` by the new ``p_s**2 phase_s`` instead of
+    building and running the adaptor again, so a mask re-dial, which
+    changes only PREP amplitudes, runs only the branches it weights for
+    the first time.  An entry is replaced by the next run of its position
+    under another key, and all of a side's are dropped when another fabric
+    runs there; a branch that fails a check is never kept.
 
     The run is checked before anything is built (:func:`check_column_batch`),
     then the sheet (:func:`sheet_values`), then a side's PREP and SELECT as
     ``oracle._prep_select_prep`` checks them: amplitudes nonnegative with
     unit norm, no more branches than the selector holds, and no branch
-    wider than the side's shared workspace.
+    wider than the side's shared workspace (a kept run's shape is checked
+    again on every hit).
     """
     check_column_batch(skel, address, sector)
     values = sheet_values(skel, sheet)
@@ -1127,21 +1181,29 @@ def execute_block(skel, sheet, address, sector=None):
         weights = oracle.check_prep(amps) ** 2
         workspace = ancillas(skel, side) - skel.selector_width
     columns = np.arange(2**n) if sector is None else jw.sector_indices(n, sector)
-    block = np.zeros((2**n, len(columns)), dtype=complex)
+    runs = _kept_runs(skel, side)
+    block = np.zeros((len(columns),) * 2, dtype=complex)
     for (a, ad), weight in zip(entries, weights):
-        node, phase = _branch(skel, values, side, a, ad)
-        if single:
-            phase = 1.0
-        else:
-            oracle.branch_width(node, n, workspace)
+        start, stop = skel.slot_spans[side, a]
+        key = (sector, values[start + 1:stop].tobytes())
+        run = runs.get(a)
+        if run is None or run.key != key:
+            run = None
+            node, phase = _branch(skel, values, side, a, ad)
+        if not single:
+            oracle.branch_width(node if run is None else run, n, workspace)
         if weight == 0.0:
             continue
-        part = oracle.column_block(node, n, columns)
-        if sector is not None:
-            _check_leak(part, n, sector, f"{_SIDE_NAMES[side]} adaptor {a}")
-        block += (weight * phase) * part
-        del node, part  # so the next adaptor is built without this one's leaves
-    return block if sector is None else block[columns]
+        if run is None:
+            part = oracle.column_block(node, n, columns)
+            if sector is not None:
+                _check_leak(part, n, sector, f"{_SIDE_NAMES[side]} adaptor {a}")
+                part = part[columns]
+            part.setflags(write=False)
+            run = runs[a] = _Kept(key, part, phase, node.shape)
+            del node, part  # so the next adaptor is built without this one's leaves
+        block += (weight * (1.0 if single else run.phase)) * run.block
+    return block
 
 
 def _check_leak(part, n, sector, name):

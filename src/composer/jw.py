@@ -67,11 +67,6 @@ def sector_indices(n, n_elec):
     return np.nonzero(hamming_weights(n) == n_elec)[0]
 
 
-def mode_bit(n, index, p):
-    """Occupation of mode ``p`` in basis state ``index``."""
-    return (index >> (n - 1 - p)) & 1
-
-
 def basis_state(n, occupied):
     """Index of the determinant with the given modes occupied."""
     idx = 0

@@ -8,12 +8,18 @@ particle number, so each block is computed on the working sector alone:
 its encoding runs one adaptor at a time on the ``C(n, N)`` sector
 columns ``|0_anc>|x>``, so no encoding is assembled either, and the
 sandwich and its exact reference are ``C(n, N) x C(n, N)`` arrays.
+
+A mask changes only the generator's PREP amplitudes.  Both one-pool
+fabrics are kept while their pivot plans hold
+(``circuit_ir.one_pool_skeleton``), and ``circuit_ir.execute_block`` keeps
+each adaptor's sector block under its sector and its values after its PREP
+amplitude, so a mask sweep on one geometry runs every Hamiltonian branch
+once and each generator branch the first time a mask weights it; a new
+geometry re-runs the adaptors whose values changed.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 
@@ -104,6 +110,10 @@ def similarity_sandwich(ham_pool, gen_pool, mask, model_space, eps_poly):
     encodings run one adaptor at a time on the sector columns
     (``circuit_ir.execute_block``), and the exact exponential is taken of
     the sector block of the generator.  Both pools must share the sector.
+    An adaptor whose fabric and values after its PREP amplitude equal
+    those of its last checked run on that sector is not run again: its
+    kept sector block is re-weighted (``circuit_ir.execute_block``), so a
+    call that changes only the mask runs no Hamiltonian branch.
     """
     n = ham_pool.n_so
     n_elec = ham_pool.n_elec
@@ -166,17 +176,6 @@ def matrix_elements(block, bras, kets):
         for j, ket in enumerate(kets):
             out[i, j] = np.vdot(bra, block @ ket)
     return out
-
-
-def matrix_table_csv(table):
-    """CSV export of a complex matrix-element table."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["row", "col", "re", "im"])
-    for i in range(table.shape[0]):
-        for j in range(table.shape[1]):
-            writer.writerow([i, j, repr(table[i, j].real), repr(table[i, j].imag)])
-    return buf.getvalue()
 
 
 def gcim_subspace_solve(h, basis_states, s_threshold=1e-10):

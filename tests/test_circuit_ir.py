@@ -16,11 +16,12 @@ from scipy.linalg import expm
 
 from composer import circuit_ir as cir
 from composer import jw, ladders, oracle
-from composer.errors import BindError, MaskError, ParseError, SectorError
+from composer.errors import BindError, MaskError, ParseError, SectorError, ShapeError
 from composer.errors import ValidationError
 from composer.factorization import (
     GeneratorPool,
     HamiltonianPool,
+    OneBodyModeLadder,
     build_hamiltonian_pool,
     generator_branch_alpha,
     mp2_amplitudes,
@@ -713,6 +714,140 @@ def test_a_sector_outside_the_register_is_refused(compiled):
             cir.execute_block(skel, sheet, "ham", sector)
     assert cir.execute_block(skel, sheet, "ham", 0).shape == (1, 1)
     assert cir.execute_block(skel, sheet, "ham", 4).shape == (1, 1)
+
+
+def _built(monkeypatch):
+    """Positions of the branches ``execute_block`` builds from here on, in order."""
+    built = []
+
+    def spy(skel, values, side, a, ad, _branch=cir._branch):
+        built.append((side, a))
+        return _branch(skel, values, side, a, ad)
+
+    monkeypatch.setattr(cir, "_branch", spy)
+    return built
+
+
+def _cold(skel, sheet, address, sector=None):
+    """``execute_block`` on an emptied store: every branch built and run."""
+    cir._KEPT.clear()
+    return cir.execute_block(skel, sheet, address, sector)
+
+
+def _nudged(sheet, index):
+    """``sheet`` with ``values[index]`` moved up by one ulp."""
+    values = sheet.values.copy()
+    values[index] = np.nextafter(values[index], np.inf)
+    values.setflags(write=False)
+    return replace(sheet, values=values)
+
+
+@pytest.mark.parametrize("sector", [None, 2])
+def test_a_value_nudged_by_one_ulp_reruns_exactly_its_adaptor(compiled, sector,
+                                                              monkeypatch):
+    """A second run of one fabric with equal values builds only its
+    zero-weight branches, which are checked but never run, so never kept;
+    one value moved by one ulp rebuilds its adaptor besides, and every
+    block is bit-identical to a run on an emptied store."""
+    ham, gen, skel = compiled
+    sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", [1, 2]))
+    for side, adaptors in skel.sides():
+        idle = [(side, a) for a in range(len(adaptors))
+                if sheet.values[skel.slot_spans[side, a][0]] == 0.0]
+        assert len(idle) < len(adaptors)
+        first = _cold(skel, sheet, side, sector)
+        built = _built(monkeypatch)
+        again = cir.execute_block(skel, sheet, side, sector)
+        assert built == idle and again.tobytes() == first.tobytes()
+        a = 1 if side == "gen" else 0
+        start, stop = skel.slot_spans[side, a]
+        assert stop - start > 1 and (side, a) not in idle
+        nudged = _nudged(sheet, start + 1)
+        built.clear()
+        kept = cir.execute_block(skel, nudged, side, sector)
+        assert sorted(built) == sorted([(side, a), *idle])
+        assert kept.tobytes() == _cold(skel, nudged, side, sector).tobytes()
+        monkeypatch.undo()
+
+
+def test_a_second_geometry_reruns_every_adaptor_whose_values_changed(monkeypatch):
+    """Synth 7:3:2 and 10:3:2 share one Hamiltonian pivot plan, so
+    ``one_pool_skeleton`` hands back the one fabric; the second geometry
+    rebuilds every adaptor whose values after its PREP amplitude changed,
+    and its block is bit-identical to a run on an emptied store."""
+    pools = [build_hamiltonian_pool(synth_instance(seed, 3, 2), 1e-10, 0.0)
+             for seed in (7, 10)]
+    skel = cir.one_pool_skeleton(pools[0], None)
+    assert cir.one_pool_skeleton(pools[1], None) is skel
+    first, second = (cir.dial(skel, ham, None, ()) for ham in pools)
+    cir.execute_block(skel, first, "ham", 2)
+    built = _built(monkeypatch)
+    block = cir.execute_block(skel, second, "ham", 2)
+    def after_prep(sheet, a):
+        start, stop = skel.slot_spans["ham", a]
+        return sheet.values[start + 1:stop].tobytes()
+
+    changed = [("ham", a) for a in range(skel.ell_ham)
+               if after_prep(first, a) != after_prep(second, a)]
+    assert changed and built == changed
+    assert block.tobytes() == _cold(skel, second, "ham", 2).tobytes()
+
+
+def test_a_failed_branch_is_never_kept(compiled, monkeypatch):
+    """A branch that leaks out of the sector (``SectorError``) or is wider
+    than its side's workspace (``ShapeError``) is not kept, so a second
+    identical call raises again; a branch kept from a one-adaptor run, which
+    has no shared workspace, still fails the width check on a hit."""
+    ham, gen, skel = compiled
+    ad = skel.adaptors_ham[0]
+    sys0 = skel.selector_width + skel.workspace_width
+    leaky = _reloaded(skel, ad, [ad.layers[0], f"x|{sys0}", *ad.layers[1:]])
+    sheet = cir.dial(leaky, ham, gen, cir.Mask.of("m", [1]))
+    for _ in range(2):
+        with pytest.raises(SectorError, match="Hamiltonian adaptor 0 leaks"):
+            cir.execute_block(leaky, sheet, "ham", 2)
+        assert 0 not in cir._KEPT["ham"][1]
+
+    # one rank-1 mode group on one workspace qubit, its body wrapped in a
+    # one-case select: a two-qubit branch on a one-qubit shared workspace
+    modes = np.eye(4, dtype=complex)
+    pool = HamiltonianPool(
+        (OneBodyModeLadder(vectors=modes[:, :1], coefficient=0.5, address=0),),
+        (), 4, 2,
+    )
+    skel = cir.compile_skeleton(4, cir.pivots_from_pools(pool, None))
+    ad = skel.adaptors_ham[0]
+    assert (skel.selector_width, skel.workspace_width) == (1, 1)
+    wide = _reloaded(skel, ad, [ad.layers[0], "select|0", "fcase|",
+                                *ad.layers[1:], "end|"])
+    sheet = cir.dial(wide, pool, None, ())
+    for _ in range(2):
+        with pytest.raises(ShapeError, match="exceeds the shared width"):
+            cir.execute_block(wide, sheet, "ham", 2)
+        assert 0 not in cir._KEPT["ham"][1]
+    cir.execute_block(wide, sheet, "ham/0", 2)
+    assert 0 in cir._KEPT["ham"][1]
+    built = _built(monkeypatch)
+    with pytest.raises(ShapeError, match="exceeds the shared width"):
+        cir.execute_block(wide, sheet, "ham", 2)
+    assert built == []
+
+
+def test_kept_runs_are_bounded_by_one_fabric_per_side(compiled):
+    """Each side keeps the fabric it last ran and one run per adaptor
+    position; running another fabric there drops the old runs."""
+    ham, gen, skel = compiled
+    sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", [1, 2, 3]))
+    for sector in (None, 2, 1):
+        for side, adaptors in skel.sides():
+            cir.execute_block(skel, sheet, side, sector)
+            fabric, runs = cir._KEPT[side]
+            assert fabric is skel and set(runs) <= set(range(len(adaptors)))
+            assert {run.key[0] for run in runs.values()} == {sector}
+    other = cir.one_pool_skeleton(ham, None)
+    cir.execute_block(other, cir.dial(other, ham, None, ()), "ham", 2)
+    assert cir._KEPT["ham"][0] is other
+    assert cir._KEPT["gen"][0] is skel
 
 
 @lru_cache(maxsize=None)

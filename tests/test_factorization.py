@@ -214,6 +214,11 @@ def test_mp2_single_term_formula():
     assert t2.e_corr == pytest.approx(-0.02, abs=1e-14)
 
 
+def mode_bit(n, index, p):
+    """Occupation of mode ``p`` in basis state ``index``."""
+    return (index >> (n - 1 - p)) & 1
+
+
 def rs_pt2_energy(ints):
     """Dense Rayleigh-Schrodinger second-order oracle (<= 6 qubits).
 
@@ -232,7 +237,7 @@ def rs_pt2_energy(ints):
     for idx in sector:
         if idx == ref:
             continue
-        occ = frozenset(p for p in range(n) if jw.mode_bit(n, idx, p))
+        occ = frozenset(p for p in range(n) if mode_bit(n, idx, p))
         e0_k = sum(eps[p] for p in occ)
         e0_0 = sum(eps[p] for p in occ0)
         v = h[idx, ref]

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import tracemalloc
@@ -168,7 +170,9 @@ def test_the_n8_sandwich_holds_no_more_than_its_column_runs_allow():
     """n_so = 8 (synth 7:4:2): the traced peak of one sandwich, caches cold or
     warm, stays under the bytes ``check_column_batch`` computes for its
     wider side's run, 16 to a complex amplitude.  The all-column
-    multiplexed run peaked near 590 MB here.
+    multiplexed run peaked near 590 MB here.  Each traced run starts from
+    an emptied store of kept runs, so every branch is built and run; the
+    kept runs then hold one ``C x C`` sector block per adaptor at most.
     """
     ints = synth_instance(7, 4, 2)
     ham = build_hamiltonian_pool(ints, 1e-10, 0.0)
@@ -179,6 +183,7 @@ def test_the_n8_sandwich_holds_no_more_than_its_column_runs_allow():
         cir.check_column_batch(cir.one_pool_skeleton(None, gen), "gen", 2),
     )
     for _ in range(2):
+        cir._KEPT.clear()
         tracemalloc.start()
         try:
             rep, block = me.similarity_sandwich(ham, gen, frozenset([1]), sector, 1e-9)
@@ -187,6 +192,9 @@ def test_the_n8_sandwich_holds_no_more_than_its_column_runs_allow():
             tracemalloc.stop()
         assert rep.within_budget and block.shape == (28, 28)
         assert peak <= allowed, f"{peak} bytes traced, {allowed} allowed"
+        kept = sum(run.block.size for _, runs in cir._KEPT.values()
+                   for run in runs.values())
+        assert 0 < kept <= (ham.ell + gen.ell + 1) * 28**2
 
 
 def test_sandwich_on_six_modes(medium_instance):
@@ -268,6 +276,53 @@ def test_sandwich_builds_each_dense_target_once(small_pools, mixed_gen_pool,
     assert calls == {"hamiltonian_from_pool": 1, "generator_dense": 1, "eigh": 1}
 
 
+def _mask_sweep(ham, gen):
+    """Masks {}, {1}, {2}, {1, 2} and full, then back: every re-dial kind."""
+    full = frozenset(range(1, gen.ell + 1))
+    masks = [frozenset(), frozenset([1]), frozenset([2]), frozenset([1, 2]), full]
+    return masks + masks[::-1]
+
+
+@pytest.mark.parametrize("synth", [(7, 3, 2), (7, 4, 2)])
+def test_a_mask_sweep_reuses_kept_runs_bit_for_bit(synth):
+    """n_so = 6 and 8: every block and report of a mask sweep, run on the
+    runs kept from the calls before it, has the bytes of the same call on
+    an emptied store."""
+    ints = synth_instance(*synth)
+    ham = build_hamiltonian_pool(ints, 1e-10, 0.0)
+    gen = nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0)
+    sector = list(jw.sector_indices(ints.n_so, ints.n_elec))
+    masks = _mask_sweep(ham, gen)
+    warm = [me.similarity_sandwich(ham, gen, mask, sector, 1e-9) for mask in masks]
+    for mask, (rep, block) in zip(masks, warm):
+        cir._KEPT.clear()
+        cold_rep, cold_block = me.similarity_sandwich(ham, gen, mask, sector, 1e-9)
+        assert rep.to_json() == cold_rep.to_json()
+        assert block.tobytes() == cold_block.tobytes()
+
+
+def test_a_mask_change_runs_no_hamiltonian_branch(monkeypatch):
+    """n_so = 6 (synth 7:3:2): after the first call, a re-dialed mask runs
+    only the generator adaptors it weights for the first time."""
+    ints = synth_instance(7, 3, 2)
+    ham = build_hamiltonian_pool(ints, 1e-10, 0.0)
+    gen = nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0)
+    sector = list(jw.sector_indices(6, 2))
+    assert ham.ell > 1 and gen.ell > 1
+    me.similarity_sandwich(ham, gen, frozenset(), sector, 1e-9)
+    runs = []
+
+    def spy(*args, _run=oracle.column_block):
+        runs.append(args)
+        return _run(*args)
+
+    monkeypatch.setattr(oracle, "column_block", spy)
+    for mask, new in (([1], 1), ([1], 0), ([2], 1), ([1, 2], 0), ([], 0)):
+        runs.clear()
+        rep, _ = me.similarity_sandwich(ham, gen, frozenset(mask), sector, 1e-9)
+        assert rep.within_budget and len(runs) == new, mask
+
+
 def test_topology_invariant_blocks_differ(small_pools, mixed_gen_pool):
     """One fabric digest across four masks, yet four distinct blocks."""
     ham, _ = small_pools
@@ -289,10 +344,21 @@ def test_topology_invariant_blocks_differ(small_pools, mixed_gen_pool):
             assert np.abs(blocks[i] - blocks[j]).max() > 1e-6
 
 
+def matrix_table_csv(table):
+    """CSV export of a complex matrix-element table."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["row", "col", "re", "im"])
+    for i in range(table.shape[0]):
+        for j in range(table.shape[1]):
+            writer.writerow([i, j, repr(table[i, j].real), repr(table[i, j].imag)])
+    return buf.getvalue()
+
+
 def test_matrix_table_csv_export():
     rng = np.random.default_rng(7)
     table = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    text = me.matrix_table_csv(table)
+    text = matrix_table_csv(table)
     lines = text.strip().splitlines()
     assert lines[0] == "row,col,re,im"
     assert len(lines) == 5
