@@ -8,8 +8,6 @@ shows too).  Its block is checked against the dense operator it encodes,
 restricted to the working particle-number sector.
 """
 
-from scipy import sparse
-
 from composer import circuit_ir as cir
 from composer import oracle
 from composer.factorization import (
@@ -33,9 +31,8 @@ def report(label, address, target, sector):
     w = cir.execute_encoding(skel, sheet, address)
     ancillas = cir.ancillas(skel, address)
     err = oracle.restricted_block_error(w, target, ancillas, sector=sector)
-    gram = w.conj().T @ w - sparse.identity(w.shape[0])
     print(f"{label}: ancillas = {ancillas}, restricted error = {err:.2e}, "
-          f"unitarity = {abs(gram).max():.2e}")
+          f"unitarity = {oracle.unitarity_residual(w):.2e}")
 
 
 # 1. pair adaptor: the dyad |U><V| of two prepared two-electron states

@@ -719,7 +719,12 @@ def dial(skel, ham_pool, gen_pool, mask, alpha_bar=None):
 
 
 def _bind_hamiltonian(skel, ham_pool, rows):
-    """Append the Hamiltonian adaptors' rows; returns the classical coefficients."""
+    """Append the Hamiltonian adaptors' rows; returns the classical coefficients.
+
+    Every channel's rotation network is decomposed in one stack, after
+    the adaptors' own checks, and its values are put in after the row's
+    PREP amplitude and sign.
+    """
     n = skel.n_system
     ham = sorted(ham_pool.ladders, key=attrgetter("address"))
     if ham_pool.ell > skel.ell_ham:
@@ -730,7 +735,7 @@ def _bind_hamiltonian(skel, ham_pool, rows):
     if [lad.address for lad in ham] != list(range(ham_pool.ell)):
         raise BindError("hamiltonian addresses must be contiguous from 0")
     alpha = ham_pool.alpha
-    omega_list = []
+    omega_list, channel_rows = [], []
     for addr, lad in enumerate(ham):
         ad = skel.adaptors_ham[addr]
         if (lad.kind == "one_body_mode") != (ad.kind == "one_body_mode"):
@@ -755,9 +760,6 @@ def _bind_hamiltonian(skel, ham_pool, rows):
                 raise BindError(
                     "channel rank exceeds compiled rank", addresses=[addr]
                 )
-            net = ladders.rotation_network_from_matrix(ch.rotation_full)
-            body += [float(net.phases[p]) for p in range(n)]
-            body += [float(theta) for _, _, theta in net.rotations]
             amps, signs, _ = oracle.signed_loading(ch.eigvals)
             for xi in range(ch.rank):  # each case: amplitude, then sign
                 body += [float(amps[xi]), _sign_phi(signs[xi])]
@@ -765,7 +767,14 @@ def _bind_hamiltonian(skel, ham_pool, rows):
             weight = abs(lad.coefficient) * ch.gamma**2
         omega_list.append(lad.coefficient)
         prep = float(np.sqrt(weight / alpha))
-        rows.append((("ham", addr), [prep, _sign_phi(lad.coefficient), *body]))
+        row = [prep, _sign_phi(lad.coefficient), *body]
+        rows.append((("ham", addr), row))
+        if lad.kind != "one_body_mode":
+            channel_rows.append((lad.channel.rotation_full, row))
+    if channel_rows:
+        nets = ladders.rotation_networks([rot for rot, _ in channel_rows])
+        for (_, row), net in zip(channel_rows, nets):
+            row[2:2] = [*net.phases.tolist(), *(theta for _, _, theta in net.rotations)]
     return {"Omega": [float(x) for x in omega_list], "alpha": float(alpha)}
 
 

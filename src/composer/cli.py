@@ -12,10 +12,10 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from . import circuit_ir as cir
 from . import diagnostics as dg
@@ -185,9 +185,7 @@ def cmd_verify(args):
         omegas = sheet.classical_coeffs["omega"]
     n = skel.n_system
     w = cir.execute_generator_encoding(skel, sheet)
-    # every entry of W^dag W - I, as a sparse Gram product
-    gram = w.conj().T @ w - sparse.identity(w.shape[0], format="csr")
-    unitarity = float(abs(gram).max())
+    unitarity = oracle.unitarity_residual(w)  # every entry of W^dag W - I
     target = _generator_target_from_sheet(skel, sheet, omegas)
     block = oracle.extract_block(w, n)
     err = oracle.sector_norm(block - target)
@@ -369,9 +367,16 @@ def build_parser():
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser():
+    """The one parser of this process, built on first use (``parse_args``
+    keeps no state between calls: each returns a fresh namespace).
+    """
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except BindError as exc:

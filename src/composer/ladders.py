@@ -340,7 +340,7 @@ def network_pair_sequence(n):
     """Deterministic adjacent-pair order used by every rotation network.
 
     Matches the rotation order emitted by
-    :func:`rotation_network_from_matrix`, so skeleton slots, dial-stage
+    :func:`rotation_networks`, so skeleton slots, dial-stage
     angle extraction, and the executor all agree on which rotation a slot
     addresses.
     """
@@ -351,39 +351,47 @@ def network_pair_sequence(n):
     return tuple(reversed(elim))
 
 
-def rotation_network_from_matrix(v):
-    """Decompose a real orthogonal matrix into a deterministic network.
+def rotation_networks(matrices):
+    """Decompose a stack of equal-size real orthogonal matrices into networks.
 
-    Adjacent-row Givens QR brings ``v`` to a diagonal of signs; negative
-    signs become pi phases.  Zero-angle rotations are kept so the network
-    shape depends only on the mode count (fixed topology).
+    One adjacent-row Givens QR runs on the whole stack: each elimination
+    takes every matrix's angle at once and rotates each matrix's two rows
+    by its own ``2 x 2`` product, so each network has the bits of its
+    matrix decomposed alone (one matrix is a stack of one).  The QR brings
+    each matrix to a diagonal of signs; negative signs become pi phases.
+    Zero-angle rotations are kept so the network shape depends only on
+    the mode count (fixed topology).  Returns one network per matrix.
     """
-    v = np.asarray(v)
-    if np.iscomplexobj(v) and np.abs(v.imag).max() > 1e-13:
+    v = np.asarray(matrices)
+    if np.iscomplexobj(v) and np.abs(v.imag).max(initial=0.0) > 1e-13:
         raise ShapeError("rotation networks support real orthogonal matrices")
     v = v.real.astype(float)
-    n = v.shape[0]
-    if v.shape != (n, n):
-        raise ShapeError("rotation matrix must be square")
-    if np.abs(v.T @ v - np.eye(n)).max() > 1e-10:
+    if v.ndim != 3 or v.shape[1] != v.shape[2]:
+        raise ShapeError("rotation matrices must be a stack of equal squares")
+    k, n, _ = v.shape
+    if np.abs(np.swapaxes(v, 1, 2) @ v - np.eye(n)).max(initial=0.0) > 1e-10:
         raise ShapeError("rotation matrix must be orthogonal")
     a = v.copy()
-    elim = []
+    rot = np.empty((k, 2, 2))
+    thetas = []
     for j in range(n - 1):
         for i in range(n - 1, j, -1):
-            top, bot = a[i - 1, j], a[i, j]
-            theta = float(np.arctan2(bot, top))
+            theta = np.arctan2(a[:, i, j], a[:, i - 1, j])
             c, s = np.cos(theta), np.sin(theta)
-            a[i - 1:i + 1] = np.array([[c, s], [-s, c]]) @ a[i - 1:i + 1]
-            a[i, j] = 0.0
-            elim.append((i - 1, i, theta))
-    signs = np.sign(np.diag(a))
-    signs[signs == 0] = 1.0
-    phases = np.where(signs < 0, np.pi, 0.0)
+            rot[:, 0, 0] = rot[:, 1, 1] = c
+            rot[:, 0, 1], rot[:, 1, 0] = s, -s
+            a[:, i - 1:i + 1] = rot @ a[:, i - 1:i + 1]
+            a[:, i, j] = 0.0
+            thetas.append(theta)
+    phases = np.where(np.diagonal(a, axis1=1, axis2=2) < 0, np.pi, 0.0)
     # v = G_1^T ... G_M^T D: phases first, then transposed rotations in
     # reverse elimination order
-    rotations = tuple((p, q, -theta) for (p, q, theta) in reversed(elim))
-    return RotationNetwork(n, rotations, phases)
+    pairs = network_pair_sequence(n)
+    angles = -np.array(thetas[::-1]).reshape(len(thetas), k).T
+    return tuple(
+        RotationNetwork(n, tuple((p, q, t) for (p, q), t in zip(pairs, row)), ph)
+        for row, ph in zip(angles.tolist(), phases)
+    )
 
 
 def network_single_particle(net):

@@ -15,7 +15,10 @@ fabrics are kept while their pivot plans hold
 each adaptor's sector block under its sector and its values after its PREP
 amplitude, so a mask sweep on one geometry runs every Hamiltonian branch
 once and each generator branch the first time a mask weights it; a new
-geometry re-runs the adaptors whose values changed.
+geometry re-runs the adaptors whose values changed.  The Hamiltonian half
+of the last call (its encoded and exact sector blocks and their error) is
+kept for that Hamiltonian pool object, so a call that changes only the
+mask neither dials nor runs the Hamiltonian.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from .errors import (
 
 # relative slack on the sandwich's additive budget 2 eps_exp + eps_ham
 BUDGET_SLACK = 0.10
+# the last sandwich's Hamiltonian half, at key "last": (pool, block, exact, eps_ham)
+_HAMILTONIAN = {}
 
 
 @dataclass(frozen=True)
@@ -112,8 +117,10 @@ def similarity_sandwich(ham_pool, gen_pool, mask, model_space, eps_poly):
     the sector block of the generator.  Both pools must share the sector.
     An adaptor whose fabric and values after its PREP amplitude equal
     those of its last checked run on that sector is not run again: its
-    kept sector block is re-weighted (``circuit_ir.execute_block``), so a
-    call that changes only the mask runs no Hamiltonian branch.
+    kept sector block is re-weighted (``circuit_ir.execute_block``).  The
+    Hamiltonian half is kept for the last ``ham_pool`` object
+    (:func:`_hamiltonian_half`), so a call that changes only the mask
+    neither dials nor runs the Hamiltonian.
     """
     n = ham_pool.n_so
     n_elec = ham_pool.n_elec
@@ -125,16 +132,10 @@ def similarity_sandwich(ham_pool, gen_pool, mask, model_space, eps_poly):
     mask_indices = frozenset(getattr(mask, "indices", mask))
     # both encodings run on one-pool skeletons; both column runs are
     # checked before either is dialed or run
-    ham_skel = circuit_ir.one_pool_skeleton(ham_pool, None)
     gen_skel = circuit_ir.one_pool_skeleton(None, gen_pool)
-    circuit_ir.check_column_batch(ham_skel, "ham", n_elec)
     circuit_ir.check_column_batch(gen_skel, "gen", n_elec)
+    b_block, h_exact, eps_ham = _hamiltonian_half(ham_pool)
     on_sector = np.ix_(*(jw.sector_indices(n, n_elec),) * 2)
-
-    sheet = circuit_ir.dial(ham_skel, ham_pool, None, ())
-    b_block = circuit_ir.execute_block(ham_skel, sheet, "ham", n_elec)
-    h_exact = (oracle.hamiltonian_from_pool(ham_pool) / ham_pool.alpha)[on_sector]
-    eps_ham = oracle.sector_norm(b_block - h_exact)
 
     sheet = circuit_ir.dial(gen_skel, None, gen_pool, mask_indices)
     generator = oracle.generator_dense(gen_pool, mask_indices)[on_sector]
@@ -162,6 +163,32 @@ def similarity_sandwich(ham_pool, gen_pool, mask, model_space, eps_poly):
         within_budget=bool(within),
     )
     return report, sandwich
+
+
+def _hamiltonian_half(ham_pool):
+    """``(block, exact, eps_ham)``: the pool's encoded and exact blocks on its
+    ``N = n_elec`` sector, and the norm of their difference.
+
+    The column run is checked before the pool is dialed and run.  The
+    result of the last pool is kept, read-only, and returned again for
+    the same pool object (``is``: pools are frozen with read-only arrays,
+    and the kept entry holds its pool, so no other pool can take its id);
+    another pool replaces it, so at most one is kept.
+    """
+    kept = _HAMILTONIAN.get("last")
+    if kept is not None and kept[0] is ham_pool:
+        return kept[1:]
+    n, n_elec = ham_pool.n_so, ham_pool.n_elec
+    skel = circuit_ir.one_pool_skeleton(ham_pool, None)
+    circuit_ir.check_column_batch(skel, "ham", n_elec)
+    sheet = circuit_ir.dial(skel, ham_pool, None, ())
+    block = circuit_ir.execute_block(skel, sheet, "ham", n_elec)
+    on_sector = np.ix_(*(jw.sector_indices(n, n_elec),) * 2)
+    exact = (oracle.hamiltonian_from_pool(ham_pool) / ham_pool.alpha)[on_sector]
+    for arr in (block, exact):
+        arr.setflags(write=False)
+    kept = _HAMILTONIAN["last"] = ham_pool, block, exact, oracle.sector_norm(block - exact)
+    return kept[1:]
 
 
 def matrix_elements(block, bras, kets):

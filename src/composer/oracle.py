@@ -52,6 +52,8 @@ REPORT_FORMAT = "composer-report-v1"
 MAX_ASSEMBLY_QUBITS = 13
 # largest amplitude a block may hold between different particle-number sectors
 SECTOR_TOL = 1e-11
+# rows of the Gram product W^dag W that unitarity_residual holds at a time
+_GRAM_ROWS = 1024
 
 _H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
@@ -240,6 +242,41 @@ def sector_norm(delta, sector=None):
     return float(np.linalg.norm(delta, 2))
 
 
+def unitarity_residual(w):
+    """``max |W^dag W - I|`` over every entry, read from the Gram product's rows.
+
+    ``W^dag`` is formed as CSR once (each row's indices ascending) and
+    multiplied by ``W`` :data:`_GRAM_ROWS` rows at a time, so the whole
+    product is never held.  A product row holds no duplicate entry, so
+    each block's off-diagonal entries count as they are, its diagonal
+    entries against 1, and a row without its diagonal entry counts 1.
+    Row ``j`` of the product depends only on row ``j`` of ``W^dag``, so
+    for a ``W`` without duplicate entries every entry is summed in the
+    order, and has the bits, of ``W.conj().T @ W``.  A NaN entry makes
+    the residual NaN.
+    """
+    w = w.tocsr()
+    w_dag = _adjoint_csr(w)
+    dim = w_dag.shape[0]
+    worst = 0.0
+    for start in range(0, dim, _GRAM_ROWS):
+        stop = min(start + _GRAM_ROWS, dim)
+        lo, hi = w_dag.indptr[start], w_dag.indptr[stop]
+        rows = sparse.csr_matrix(  # views of W^dag's rows start..stop
+            (w_dag.data[lo:hi], w_dag.indices[lo:hi], w_dag.indptr[start:stop + 1] - lo),
+            shape=(stop - start, w_dag.shape[1]),
+        )
+        gram = rows @ w
+        row_of = np.repeat(np.arange(start, stop), np.diff(gram.indptr))
+        diagonal = gram.indices == row_of
+        dev = np.abs(gram.data)
+        dev[diagonal] = np.abs(gram.data[diagonal] - 1.0)
+        if np.count_nonzero(diagonal) < gram.shape[0]:
+            dev = np.append(dev, 1.0)  # a missing diagonal entry: |0 - 1|
+        worst = np.maximum(worst, dev.max(initial=0.0))
+    return float(worst)
+
+
 def assert_sector_preserving(block, n):
     """Check the block is block-diagonal over Hamming-weight sectors (to SECTOR_TOL)."""
     weights = jw.hamming_weights(n)
@@ -272,10 +309,26 @@ def _csr(op):
         return op.tocsr()
     if sparse.issparse(op):
         return op
-    kept = op != 0
-    indptr = np.append(np.int32(0), np.cumsum(kept.sum(axis=1), dtype=np.int32))
-    cols = np.nonzero(kept)[1].astype(np.int32)
-    return sparse.csr_matrix((op[kept], cols, indptr), shape=op.shape)
+    return sparse.csr_matrix(_rows(op), shape=op.shape)
+
+
+def _rows(op):
+    """``(data, indices, indptr)`` of ``op``'s CSR form, each row's indices ascending.
+
+    A dense leaf's are read from its nonzeros (zeros dropped), and a
+    node's are its own (:meth:`_Node.rows`); a sparse leaf's are a sorted
+    copy of its arrays if they are not sorted already.
+    """
+    if isinstance(op, _Node):
+        return op.rows()
+    if isinstance(op, np.ndarray):
+        kept = op != 0
+        indptr = np.append(np.int32(0), np.cumsum(kept.sum(axis=1), dtype=np.int32))
+        return op[kept], np.nonzero(kept)[1].astype(np.int32), indptr
+    op = op.tocsr()
+    if not op.has_sorted_indices:
+        op = op.sorted_indices()
+    return op.data, op.indices, op.indptr
 
 
 class _Node:
@@ -288,6 +341,10 @@ class _Node:
             self._assembled = self._assemble()
         return self._assembled
 
+    def rows(self):
+        """Row-sorted CSR arrays (:func:`_rows`) of the assembled matrix."""
+        return _rows(self.tocsr())
+
 
 class _Lift(_Node):
     """``phase * (I (x) op)``, ``extra`` idle most-significant ancillas.
@@ -295,15 +352,19 @@ class _Lift(_Node):
     Applied, a dense leaf multiplies the ``2**extra`` slabs as one stack
     (no transposed copy, so a column run holds fewer slabs); any other
     operand runs on them side by side, through a transposed copy.
-    Assembled, ``2**extra`` copies of ``op``'s arrays.
+    Assembled, ``2**extra`` copies of ``op``'s arrays; a SELECT joins
+    those arrays without building the lifted matrix.
     """
 
     def __init__(self, op, extra, phase=None):
         self.op, self.extra, self.phase = op, extra, phase
         self.shape = (2**extra * op.shape[0],) * 2
 
+    def rows(self):
+        return _lift(_rows(self.op), self.op.shape[0], self.extra, self.phase)
+
     def _assemble(self):
-        return _lift(_csr(self.op), self.extra, self.phase)
+        return sparse.csr_matrix(self.rows(), shape=self.shape)
 
     def apply(self, cols, adjoint=False):
         dim, k = self.op.shape[0], cols.shape[1]
@@ -342,7 +403,7 @@ class _Adjoint(_Node):
         self.op, self.shape = op, op.shape
 
     def _assemble(self):
-        return _csr(self.op).conj().T.tocsr()
+        return _adjoint_csr(_csr(self.op))
 
     def apply(self, cols, adjoint=False):
         return _apply(self.op, cols, not adjoint)
@@ -358,8 +419,7 @@ class _PrepSelectPrep(_Node):
     def _assemble(self):
         check_assembly_width(self.qubits)
         dim = self.shape[0] // len(self.prep)
-        eye = sparse.identity(dim, format="csr")
-        select = _direct_sum([eye if b is None else b.tocsr() for b in self.branches])
+        select = _direct_sum([_identity(dim) if b is None else b for b in self.branches])
         return _kron_eye(self.prep.T, dim) @ select @ _kron_eye(self.prep, dim)
 
     def apply(self, cols, adjoint=False):
@@ -400,39 +460,46 @@ def vacuum_reflection_gadget(n):
     return _frozen(had @ sparse.diags(mid) @ had)
 
 
-def _sorted_rows(op):
-    """CSR ``op`` with each row's indices ascending (a sorted copy if needed)."""
-    op = op.tocsr()
-    return op if op.has_sorted_indices else op.sorted_indices()
+def _adjoint_csr(op):
+    """CSR ``op^dag``: fresh arrays of the transpose, conjugated in place."""
+    out = op.T.tocsr(copy=True)
+    np.conjugate(out.data, out=out.data)
+    return out
 
 
-def _lift(op, extra, phase):
-    """CSR ``phase * (I (x) op)``, ``extra`` idle most-significant ancillas.
+def _lift(rows, dim, extra, phase):
+    """Row-sorted CSR arrays of ``phase * (I (x) op)`` from ``op``'s :func:`_rows`.
 
-    The ``2**extra`` diagonal blocks are copies of ``op``'s arrays, rows
-    sorted and stored zeros kept (as ``sparse.kron`` leaves them), with
-    their row and column offsets added; the phase scales ``op``'s values
-    once, before they are copied.
+    ``op`` is ``dim``-square, under ``extra`` idle most-significant
+    ancillas.  The ``2**extra`` diagonal blocks are copies of ``op``'s
+    arrays, stored zeros kept (as ``sparse.kron`` leaves them), with their
+    row and column offsets added; the phase scales ``op``'s values once,
+    before they are copied.
     """
-    op = _sorted_rows(op)
-    copies, dim, nnz = 2**extra, op.shape[0], op.nnz
-    block = np.arange(copies, dtype=op.indices.dtype)[:, None]
-    data = op.data if phase is None else op.data * phase
-    indptr = np.append(op.indptr[:1], op.indptr[1:] + block * nnz)
-    indices = (op.indices + block * dim).ravel()
-    shape = (copies * dim,) * 2
-    return sparse.csr_matrix((np.tile(data, copies), indices, indptr), shape=shape)
+    data, indices, indptr = rows
+    copies, nnz = 2**extra, len(data)
+    block = np.arange(copies, dtype=indices.dtype)[:, None]
+    if phase is not None:
+        data = data * phase
+    indptr = np.append(indptr[:1], indptr[1:] + block * nnz)
+    return np.tile(data, copies), (indices + block * dim).ravel(), indptr
+
+
+@lru_cache(maxsize=None)
+def _identity(dim):
+    """CSR ``I_dim`` (cached, read-only): the idle branch of a SELECT."""
+    return _frozen(sparse.identity(dim, format="csr"))
 
 
 def _direct_sum(blocks):
-    """CSR ``block_diag`` of square CSR blocks: their sorted arrays, offset, joined."""
-    blocks = [_sorted_rows(b) for b in blocks]
-    indptr, indices, dim, nnz = [blocks[0].indptr[:1]], [], 0, 0
-    for b in blocks:
-        indptr.append(b.indptr[1:] + nnz)
-        indices.append(b.indices + dim)
-        dim, nnz = dim + b.shape[0], nnz + b.nnz
-    data = np.concatenate([b.data for b in blocks])
+    """CSR ``block_diag`` of square blocks: their :func:`_rows`, offset, joined."""
+    parts = [_rows(b) for b in blocks]
+    indptr, indices, dim, nnz = [parts[0][2][:1]], [], 0, 0
+    for b, (data, idx, ptr) in zip(blocks, parts):
+        indptr.append(ptr[1:] + nnz)
+        indices.append(idx + dim)
+        dim, nnz = dim + b.shape[0], nnz + len(data)
+    data = np.concatenate([data for data, _, _ in parts])
     indices, indptr = np.concatenate(indices), np.concatenate(indptr)
     return sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
 

@@ -94,6 +94,51 @@ def pipeline(tmp_path):
     return tmp_path, pool, skel, sheet
 
 
+def test_the_shared_parser_carries_nothing_between_calls(pipeline, capsys):
+    """In-process calls share one parser: alternating dials (mask, eta,
+    neither), verifies with and without ``--out``, and an estimate give, file
+    for file and line for line, the bytes of each command run in a fresh
+    process; every namespace equals a new parser's for the same argv."""
+    tmp, pool, skel, _ = pipeline
+    inside, fresh = tmp / "inside", tmp / "fresh"
+    inside.mkdir()
+    fresh.mkdir()
+    common = {"dial": ["--skel", str(skel), "--pool", str(pool)],
+              "verify": ["--skel", str(skel)], "estimate": ["--skel", str(skel)]}
+    calls = [
+        ["dial", "--mask", "1", "--mask-id", "one", "--out", "a.json"],
+        ["dial", "--eta", "0.9", "--out", "b.json"],
+        ["dial", "--out", "c.json"],
+        ["verify", "--dial", "a.json", "--eps-budget", "1e-3", "--out", "ra.json"],
+        ["verify", "--dial", "b.json"],
+        ["verify", "--dial", "c.json", "--out", "rc.json"],
+        ["estimate", "--dial", "b.json", "--connectivity", "linear:2", "--out", "eb.json"],
+        ["estimate", "--out", "e.json"],
+        ["dial", "--mask", "", "--out", "d.json"],
+    ]
+
+    def argv(call, where):
+        cmd, *rest = call
+        files = {"--out", "--dial"}
+        rest = [str(where / a) if prev in files else a for prev, a in zip([""] + rest, rest)]
+        return [cmd, *common[cmd], *rest]
+
+    printed = []
+    for call in calls:
+        args = argv(call, inside)
+        assert vars(cli._parser().parse_args(args)) == vars(cli.build_parser().parse_args(args))
+        capsys.readouterr()
+        assert run(args) == 0
+        printed.append(capsys.readouterr().out)
+    for call, out in zip(calls, printed):
+        proc = run_in_subprocess(argv(call, fresh), tmp)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == out, call
+    assert sorted(p.name for p in inside.iterdir()) == sorted(p.name for p in fresh.iterdir())
+    for path in inside.iterdir():
+        assert path.read_bytes() == (fresh / path.name).read_bytes(), path.name
+
+
 def test_pipeline_verify_exits_zero(pipeline):
     tmp, pool, skel, sheet = pipeline
     assert (

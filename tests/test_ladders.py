@@ -406,7 +406,7 @@ def test_rotation_network_roundtrip():
     rng = np.random.default_rng(4)
     for n in (2, 3, 5):
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        net = ladders.rotation_network_from_matrix(q)
+        (net,) = ladders.rotation_networks([q])
         assert np.abs(ladders.network_single_particle(net) - q).max() <= 1e-12
         assert len(net.rotations) == n * (n - 1) // 2
         assert tuple((p, qq) for p, qq, _ in net.rotations) == (
@@ -418,10 +418,87 @@ def test_rotation_network_fock_action():
     rng = np.random.default_rng(6)
     n = 4
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    net = ladders.rotation_network_from_matrix(q)
+    (net,) = ladders.rotation_networks([q])
     u = ladders.network_unitary(net)
     cr, _ = jw.jw_ladder_ops(n)
     for xi in (0, 2):
         lhs = u @ cr[xi].toarray() @ u.conj().T
         rhs = sum(q[p, xi] * cr[p].toarray() for p in range(n))
         assert np.abs(lhs - rhs).max() <= 1e-12
+
+
+def rotation_network_loop(v):
+    """Reference: one matrix's adjacent-row Givens QR, one elimination at a time."""
+    a = np.asarray(v, dtype=float).copy()
+    n = a.shape[0]
+    elim = []
+    for j in range(n - 1):
+        for i in range(n - 1, j, -1):
+            top, bot = a[i - 1, j], a[i, j]
+            theta = float(np.arctan2(bot, top))
+            c, s = np.cos(theta), np.sin(theta)
+            a[i - 1:i + 1] = np.array([[c, s], [-s, c]]) @ a[i - 1:i + 1]
+            a[i, j] = 0.0
+            elim.append((i - 1, i, theta))
+    signs = np.sign(np.diag(a))
+    signs[signs == 0] = 1.0
+    phases = np.where(signs < 0, np.pi, 0.0)
+    rotations = tuple((p, q, -theta) for (p, q, theta) in reversed(elim))
+    return rotations, phases
+
+
+def signed_permutation(rng, n):
+    """A random permutation matrix with random signs: many exact-zero angles."""
+    return np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], size=n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    cases=st.lists(
+        st.tuples(st.integers(0, 2**32 - 1), st.sampled_from(["qr", "flip", "perm", "block"])),
+        min_size=1, max_size=6,
+    ),
+)
+def test_stacked_rotation_networks_equal_the_loop(n, cases):
+    """Each network of a stack has the bits of its matrix decomposed alone.
+
+    Random orthogonal matrices, with rows sign-flipped, signed
+    permutations (exact zeros everywhere) and block-diagonal ones (exact
+    zeros off the blocks); angles are compared by their bits, so a
+    ``-0.0`` cannot pass for ``0.0``.
+    """
+    mats = []
+    for seed, kind in cases:
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        if kind == "flip":
+            q = q * rng.choice([-1.0, 1.0], size=n)[:, None]
+        elif kind == "perm":
+            q = signed_permutation(rng, n)
+        elif kind == "block":
+            k = n // 2
+            q = np.zeros((n, n))
+            q[k:, k:] = signed_permutation(rng, n - k)
+            if k:
+                q[:k, :k] = np.linalg.qr(rng.normal(size=(k, k)))[0]
+        mats.append(q)
+    nets = ladders.rotation_networks(mats)
+    assert len(nets) == len(mats)
+    for q, net in zip(mats, nets):
+        rotations, phases = rotation_network_loop(q)
+        assert net.n_modes == n
+        assert [(p, r, t.hex()) for p, r, t in net.rotations] == [
+            (p, r, t.hex()) for p, r, t in rotations
+        ]
+        assert net.phases.tobytes() == phases.tobytes()
+
+
+def test_rotation_networks_refuse_what_they_cannot_decompose():
+    q = np.eye(3)
+    with pytest.raises(ShapeError, match="real orthogonal"):
+        ladders.rotation_networks([q * 1j])
+    with pytest.raises(ShapeError, match="stack of equal squares"):
+        ladders.rotation_networks(q)
+    with pytest.raises(ShapeError, match="must be orthogonal"):
+        ladders.rotation_networks([q, 2 * q])

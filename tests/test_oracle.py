@@ -757,3 +757,63 @@ def test_prep_select_prep_matches_scipy_assembly(data, amps, workspace):
     ref = old_prep_select_prep(prep, branches, phases, workspace, n)
     assert got.nnz == ref.nnz
     assert got.toarray().tobytes() == ref.toarray().tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the unitarity residual against the sparse Gram expression it replaces
+# ---------------------------------------------------------------------------
+
+
+def gram_expression(w):
+    """``max |W^dag W - I|`` as one sparse expression: the reference."""
+    return float(abs(w.conj().T @ w - sparse.identity(w.shape[0], format="csr")).max())
+
+
+def near_unitary(seed, qubits, kind):
+    """A phased permutation (exactly unitary), or one with a dropped column."""
+    rng = np.random.default_rng(seed)
+    dim = 2**qubits
+    phases = np.exp(2j * np.pi * rng.random(dim))
+    if kind == "scaled":
+        phases[rng.integers(dim)] *= 1 + 1e-9
+    w = sparse.csr_matrix((phases, (rng.permutation(dim), np.arange(dim))), shape=(dim, dim))
+    if kind == "dropped":  # a zero column: a Gram diagonal entry goes missing
+        w = w @ sparse.diags(np.r_[np.zeros(1), np.ones(dim - 1)])
+    return w
+
+
+gram_inputs = st.one_of(
+    st.builds(random_op, seed=st.integers(0, 2**32 - 1), qubits=st.integers(0, 4),
+              density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+              stored_zeros=st.integers(0, 3), dense=st.just(False)),
+    st.builds(near_unitary, seed=st.integers(0, 2**32 - 1), qubits=st.integers(0, 4),
+              kind=st.sampled_from(["exact", "scaled", "dropped"])),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(w=gram_inputs, rows=st.sampled_from([1, 3, 4, oracle._GRAM_ROWS]))
+def test_unitarity_residual_has_the_bits_of_the_gram_expression(w, rows):
+    """Random complex CSR matrices (empty rows, missing diagonals, unsorted
+    indices, stored zeros) and near-unitary ones, read in row blocks of
+    every size: equal to the reference bit for bit."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_GRAM_ROWS", rows)
+        assert oracle.unitarity_residual(w).hex() == gram_expression(w).hex()
+
+
+@pytest.mark.parametrize("synth", ["1:2:2", "7:3:2", "7:4:2"])
+def test_unitarity_residual_is_exact_on_verify_encodings(synth):
+    """n_so = 4, 6 and 8: the generator unitary ``composer verify`` checks,
+    for the empty, first and full masks (full alone at n_so = 8), and its
+    scaled copy: the residual has the bits of the Gram expression."""
+    ints = synth_instance(*map(int, synth.split(":")))
+    ham = build_hamiltonian_pool(ints, 1e-10, 0.0)
+    gen = nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0)
+    skel = cir.compile_skeleton(ints.n_so, cir.pivots_from_pools(ham, gen))
+    full = [lad.address for lad in gen.ladders]
+    masks = [full] if ints.n_so == 8 else [[], full[:1], full]
+    for mask in masks:
+        w = cir.execute_generator_encoding(skel, cir.dial(skel, ham, gen, mask))
+        for case in (w, w * (1 + 1e-9)):
+            assert oracle.unitarity_residual(case).hex() == gram_expression(case).hex()
