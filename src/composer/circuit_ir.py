@@ -47,12 +47,12 @@ multiplexed encoding), or one adaptor's branch, ``"ham/<a>"`` or
 ``"gen/<a>"``.  :func:`ancillas` gives the register it runs on;
 :func:`execute_block` runs each adaptor's gadget tree (:mod:`oracle`) on
 its own ancilla-zero columns, those of a particle-number sector or all
-``2**n``, and sums a side's blocks with their PREP weights.  It keeps each
-checked run of the fabric last run on a side, one per adaptor position,
-keyed by the sector and the adaptor's values after its PREP amplitude, so
-a re-dial that changes only PREP amplitudes (a mask) re-weights kept
-blocks instead of running branches again; :func:`one_pool_skeleton` keeps
-its last fabric per side, so a scan of equal pivot plans runs on one.
+``2**n``, and sums a side's blocks with their PREP weights.  Checked
+sector runs are cached by fabric, adaptor, values after its PREP amplitude
+and sector (:data:`KEPT_RUNS`), so a re-dial that changes only PREP
+amplitudes (a mask) re-weights cached blocks instead of running branches
+again; :func:`one_pool_skeleton` caches its fabrics by pivot plan, so a
+scan of equal plans runs on one.
 :func:`execute_encoding` assembles the multiplexed encoding as a sparse
 unitary, which only ``composer verify`` needs.  Each of the two checks its
 one size limit before anything is built, then the sheet against the skeleton
@@ -69,7 +69,6 @@ import math
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 from operator import attrgetter, itemgetter
 
 import numpy as np
@@ -95,15 +94,13 @@ _TWO_BARS = re.compile(r"\|[^\n]*\|")
 # a channel's squared gadget holds four (its input, its PREP slabs, and its
 # output or two half-slab pairs inside W), the fifth covers the dense leaves
 RUN_COPIES = 5
+# checked sector runs execute_block keeps: at least ell_H + ell_sigma + 1 = 63
+# at the water-like synth 7:7:10, so a mask sweep never evicts its own runs
+KEPT_RUNS = 64
 # the skeleton's keys and a stored adaptor's: exactly the fingerprinted facts
 _SKEL_KEYS = frozenset({"format", "n_system", "n_occ", "qsp_degree", "adaptors",
                         "adaptors_ham", "adaptors_gen", "fingerprint"})
 _STORED_KEYS = frozenset({"kind", "pivot", "rank", "text"})
-# per side (which pools are given), one_pool_skeleton's last (n, plan, fabric)
-_FABRICS = {}
-# per side, ``(fabric, runs)``: the fabric execute_block last ran there and,
-# per adaptor position, that adaptor's last checked run (a _Kept)
-_KEPT = {}
 
 
 @dataclass(frozen=True)
@@ -516,19 +513,17 @@ def compile_skeleton(n, pivots, qsp_degree=0):
 def one_pool_skeleton(ham_pool, gen_pool):
     """Skeleton compiled for one pool alone; the other is passed as ``None``.
 
-    The last fabric compiled for each side (which pools are given) is kept
-    and returned again while ``n`` and the pivot plan are equal
-    (:class:`CompilePlan` compares by value), so a geometry or mask scan
-    compiles once and :func:`execute_block` finds its kept runs on that
-    one fabric.  A different ``n`` or plan compiles anew and drops it.
+    Equal ``n`` and pivot plans (:class:`CompilePlan` compares by value)
+    return the same fabric from an ``lru_cache`` of two, one per side, so a
+    geometry or mask scan compiles once.
     """
     plan = pivots_from_pools(ham_pool, gen_pool)
-    n = (gen_pool if ham_pool is None else ham_pool).n_so
-    side = (ham_pool is None, gen_pool is None)
-    kept = _FABRICS.get(side)
-    if kept is None or kept[:2] != (n, plan):
-        kept = _FABRICS[side] = n, plan, compile_skeleton(n, plan)
-    return kept[2]
+    return _compiled((gen_pool if ham_pool is None else ham_pool).n_so, plan)
+
+
+@lru_cache(maxsize=2)
+def _compiled(n, plan):
+    return compile_skeleton(n, plan)
 
 
 def _layer(gate, qubits):
@@ -1010,10 +1005,16 @@ def _combine(factors):
     return (ops[0] if len(ops) == 1 else oracle._Product(*ops)), width
 
 
-def _branch(skel, values, side, a, ad):
-    """Gadget node of adaptor ``a``'s lines, read over its span, and its phase."""
+def _own_values(skel, values, side, a):
+    """The bytes of adaptor ``a``'s values after its PREP amplitude."""
     start, stop = skel.slot_spans[side, a]
-    lines = _Interpreter(skel, values[start + 1:stop].tolist(), ad.layers)
+    return values[start + 1:stop].tobytes()
+
+
+def _branch(skel, side, a, values):
+    """Gadget node of adaptor ``a``'s lines, read from its own values, and its phase."""
+    ad = getattr(skel, f"adaptors_{side}")[a]
+    lines = _Interpreter(skel, np.frombuffer(values, "<f8").tolist(), ad.layers)
     factors, phase, closer = lines.frame()
     if closer is not None:
         raise ValidationError(f"adaptor {a}: unmatched {closer[0]!r}")
@@ -1072,7 +1073,8 @@ def _encoding(skel, sheet, address):
     """
     values = sheet_values(skel, sheet)
     side, entries = _addressed(skel, address)
-    branches = [_branch(skel, values, side, a, ad) for a, ad in entries]
+    branches = [_branch(skel, side, a, _own_values(skel, values, side, a))
+                for a, _ in entries]
     if "/" in address:
         return branches[0][0]
     amps = np.zeros(2**skel.selector_width)
@@ -1123,24 +1125,6 @@ def check_column_batch(skel, address, sector=None):
     return needed
 
 
-class _Kept(NamedTuple):
-    """One adaptor's checked run, re-weighted while its key stays equal."""
-
-    key: tuple  # (sector, its values after its PREP amplitude, as bytes)
-    block: np.ndarray  # its B_s on the sector rows (all 2**n rows without one)
-    phase: complex  # its sign line's phase
-    shape: tuple  # its gadget node's, for the width check on a hit
-
-
-def _kept_runs(skel, side):
-    """The side's kept runs, emptied unless ``skel`` is the fabric last run there."""
-    fabric, runs = _KEPT.get(side, (None, None))
-    if fabric is not skel:
-        runs = {}
-        _KEPT[side] = skel, runs
-    return runs
-
-
 def execute_block(skel, sheet, address, sector=None):
     """Ancilla-zero block of the encoding at ``address``, run one adaptor at a time.
 
@@ -1155,74 +1139,68 @@ def execute_block(skel, sheet, address, sector=None):
     block, and each ``B_s`` may hold at most ``oracle.SECTOR_TOL`` in the
     rows outside the sector (a :class:`SectorError` naming the adaptor);
     without one, the ``2**n x 2**n`` block.  An adaptor of zero weight is
-    built (its lines are checked) but not run, unless a kept run covers it.
+    built (its lines and width are checked) but not run.
 
-    Each run that passed its checks is kept, one per adaptor position of
-    the fabric last run on the side: ``B_s`` on the sector rows (all
-    ``2**n`` rows without a sector), its sign line's phase and its node's
-    shape, keyed by ``sector`` and the bytes of the adaptor's values
-    after its PREP amplitude.  A later run of the same fabric (the same
-    object, as :func:`one_pool_skeleton` returns it) with an equal key
-    re-weights the kept ``B_s`` by the new ``p_s**2 phase_s`` instead of
-    building and running the adaptor again, so a mask re-dial, which
-    changes only PREP amplitudes, runs only the branches it weights for
-    the first time.  An entry is replaced by the next run of its position
-    under another key, and all of a side's are dropped when another fabric
-    runs there; a branch that fails a check is never kept.
+    Each weighted ``B_s`` and phase come from :func:`_adaptor_run`, a pure
+    function of the fabric (by value), the adaptor, its values after its
+    PREP amplitude, the sector and the shared workspace, cached with a
+    sector (the latest :data:`KEPT_RUNS`): a mask re-dial, which changes
+    only PREP amplitudes, runs only the branches it weights for the first
+    time.  A run that fails a check raises, so it is never kept.
 
     The run is checked before anything is built (:func:`check_column_batch`),
     then the sheet (:func:`sheet_values`), then a side's PREP and SELECT as
     ``oracle._prep_select_prep`` checks them: amplitudes nonnegative with
     unit norm, no more branches than the selector holds, and no branch
-    wider than the side's shared workspace (a kept run's shape is checked
-    again on every hit).
+    wider than the side's shared workspace.
     """
     check_column_batch(skel, address, sector)
     values = sheet_values(skel, sheet)
     side, entries = _addressed(skel, address)
     n = skel.n_system
     single = "/" in address
-    if single:
-        weights = [1.0]
-    else:
+    weights, workspace = [1.0], None
+    if not single:
         oracle.check_capacity(len(entries), 2**skel.selector_width)
         amps = [values[skel.slot_spans[side, a][0]] for a, _ in entries]
         weights = oracle.check_prep(amps) ** 2
         workspace = ancillas(skel, side) - skel.selector_width
-    columns = np.arange(2**n) if sector is None else jw.sector_indices(n, sector)
-    runs = _kept_runs(skel, side)
-    block = np.zeros((len(columns),) * 2, dtype=complex)
-    for (a, ad), weight in zip(entries, weights):
-        start, stop = skel.slot_spans[side, a]
-        key = (sector, values[start + 1:stop].tobytes())
-        run = runs.get(a)
-        if run is None or run.key != key:
-            run = None
-            node, phase = _branch(skel, values, side, a, ad)
-        if not single:
-            oracle.branch_width(node if run is None else run, n, workspace)
+    run = _adaptor_run.__wrapped__ if sector is None else _adaptor_run
+    dim = 2**n if sector is None else math.comb(n, sector)
+    block = np.zeros((dim, dim), dtype=complex)
+    for (a, _), weight in zip(entries, weights):
+        own = _own_values(skel, values, side, a)
         if weight == 0.0:
+            oracle.branch_width(_branch(skel, side, a, own)[0], n, workspace)
             continue
-        if run is None:
-            part = oracle.column_block(node, n, columns)
-            if sector is not None:
-                _check_leak(part, n, sector, f"{_SIDE_NAMES[side]} adaptor {a}")
-                part = part[columns]
-            part.setflags(write=False)
-            run = runs[a] = _Kept(key, part, phase, node.shape)
-            del node, part  # so the next adaptor is built without this one's leaves
-        block += (weight * (1.0 if single else run.phase)) * run.block
+        part, phase = run(skel, side, a, own, sector, workspace)
+        block += (weight * (1.0 if single else phase)) * part
     return block
 
 
-def _check_leak(part, n, sector, name):
-    """Reject sector columns holding more than ``oracle.SECTOR_TOL`` off the sector."""
-    leak = float(np.abs(part[jw.hamming_weights(n) != sector]).max(initial=0.0))
-    if leak > oracle.SECTOR_TOL:
-        raise SectorError(
-            f"{name} leaks {leak:.3e} out of the N={sector} sector "
-            f"(tolerance {oracle.SECTOR_TOL:g})"
-        )
+@lru_cache(maxsize=KEPT_RUNS)
+def _adaptor_run(skel, side, a, values, sector, workspace):
+    """``(B_s, phase)``: adaptor ``a``'s checked, read-only block on the
+    sector rows (all ``2**n`` without one), run from its :func:`_own_values`,
+    and its sign line's phase.  Its node may be no wider than ``workspace``
+    (``None`` for a one-adaptor address, which has no shared one).
+    """
+    n = skel.n_system
+    node, phase = _branch(skel, side, a, values)
+    if workspace is not None:
+        oracle.branch_width(node, n, workspace)
+    columns = np.arange(2**n) if sector is None else jw.sector_indices(n, sector)
+    part = oracle.column_block(node, n, columns)
+    if sector is not None:
+        leak = float(np.abs(part[jw.hamming_weights(n) != sector]).max(initial=0.0))
+        if leak > oracle.SECTOR_TOL:
+            raise SectorError(
+                f"{_SIDE_NAMES[side]} adaptor {a} leaks {leak:.3e} out of the "
+                f"N={sector} sector (tolerance {oracle.SECTOR_TOL:g})"
+            )
+        part = part[columns]
+    part.setflags(write=False)
+    return part, phase
 
 
 def execute_generator_encoding(skel, sheet):

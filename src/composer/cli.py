@@ -114,6 +114,11 @@ def cmd_factorize(args):
     if not args.no_generator:
         t2 = mp2_amplitudes(ints)
         gen = nested_svd_t2(t2, args.tau_svd, args.tau_wedge)
+        if gen.ell == 0:  # it compiles no generator side, so no sheet could dial it
+            raise ComposerError(
+                "empty generator pool: no pair ladder survives; pass "
+                "--no-generator to factorize the Hamiltonian alone"
+            )
     _write(args.out, pools_to_json(ham, gen, manifest=manifest.as_dict()))
     print(
         f"factorize: ell_H={ham.ell} (R1={len(ham.one_body)}, K={len(ham.channels)})"

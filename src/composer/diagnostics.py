@@ -84,7 +84,7 @@ def wauc(t_a, t_b, eps_s=0.0):
     ``R`` (via ``s_r / s_1 >= eps_s``) and the explained-variance weights
     ``w_r = s_r^2 / sum_k s_k^2``.
     """
-    if np.abs(t_a.amplitudes).max() == 0.0 or np.abs(t_b.amplitudes).max() == 0.0:
+    if min(np.abs(t.amplitudes).max(initial=0.0) for t in (t_a, t_b)) == 0.0:
         raise ZeroTensorError("overlap of an identically zero tensor is undefined")
     s = np.linalg.svd(t_a.amplitudes, compute_uv=False)
     s_b = np.linalg.svd(t_b.amplitudes, compute_uv=False)

@@ -581,7 +581,7 @@ def nested_svd_t2(t2, tau_svd=1e-6, tau_wedge=1e-6):
     _check_threshold("tau_svd", tau_svd)
     _check_threshold("tau_wedge", tau_wedge)
     amp = t2.amplitudes
-    if np.abs(amp).max() == 0.0:
+    if np.abs(amp).max(initial=0.0) == 0.0:
         return GeneratorPool(
             ladders=(), n_occ=t2.n_occ, n_virt=t2.n_virt, n_elec=t2.n_occ
         )

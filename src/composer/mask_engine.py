@@ -9,22 +9,22 @@ its encoding runs one adaptor at a time on the ``C(n, N)`` sector
 columns ``|0_anc>|x>``, so no encoding is assembled either, and the
 sandwich and its exact reference are ``C(n, N) x C(n, N)`` arrays.
 
-A mask changes only the generator's PREP amplitudes.  Both one-pool
-fabrics are kept while their pivot plans hold
-(``circuit_ir.one_pool_skeleton``), and ``circuit_ir.execute_block`` keeps
-each adaptor's sector block under its sector and its values after its PREP
-amplitude, so a mask sweep on one geometry runs every Hamiltonian branch
-once and each generator branch the first time a mask weights it; a new
-geometry re-runs the adaptors whose values changed.  The Hamiltonian half
-of the last call (its encoded and exact sector blocks and their error) is
-kept for that Hamiltonian pool object, so a call that changes only the
-mask neither dials nor runs the Hamiltonian.
+A mask changes only the generator's PREP amplitudes.  Three
+``lru_cache``s of pure functions keep what a mask leaves equal: the
+one-pool fabrics by ``n`` and pivot plan
+(``circuit_ir.one_pool_skeleton``), each adaptor's sector run by fabric,
+adaptor, values after its PREP amplitude and sector
+(``circuit_ir.execute_block``), and the Hamiltonian half by pool object
+(:func:`_hamiltonian_half`).  So a mask sweep on one geometry dials and
+runs the Hamiltonian once and each generator branch the first time a mask
+weights it, and a new geometry re-runs the adaptors whose values changed.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,8 +38,6 @@ from .errors import (
 
 # relative slack on the sandwich's additive budget 2 eps_exp + eps_ham
 BUDGET_SLACK = 0.10
-# the last sandwich's Hamiltonian half, at key "last": (pool, block, exact, eps_ham)
-_HAMILTONIAN = {}
 
 
 @dataclass(frozen=True)
@@ -115,12 +113,10 @@ def similarity_sandwich(ham_pool, gen_pool, mask, model_space, eps_poly):
     encodings run one adaptor at a time on the sector columns
     (``circuit_ir.execute_block``), and the exact exponential is taken of
     the sector block of the generator.  Both pools must share the sector.
-    An adaptor whose fabric and values after its PREP amplitude equal
-    those of its last checked run on that sector is not run again: its
-    kept sector block is re-weighted (``circuit_ir.execute_block``).  The
-    Hamiltonian half is kept for the last ``ham_pool`` object
-    (:func:`_hamiltonian_half`), so a call that changes only the mask
-    neither dials nor runs the Hamiltonian.
+    A cached adaptor run is re-weighted, not run again
+    (``circuit_ir.execute_block``), and the Hamiltonian half is cached for
+    the last ``ham_pool`` object (:func:`_hamiltonian_half`), so a call
+    that changes only the mask neither dials nor runs the Hamiltonian.
     """
     n = ham_pool.n_so
     n_elec = ham_pool.n_elec
@@ -165,19 +161,14 @@ def similarity_sandwich(ham_pool, gen_pool, mask, model_space, eps_poly):
     return report, sandwich
 
 
+@lru_cache(maxsize=1)
 def _hamiltonian_half(ham_pool):
-    """``(block, exact, eps_ham)``: the pool's encoded and exact blocks on its
-    ``N = n_elec`` sector, and the norm of their difference.
+    """``(block, exact, eps_ham)``: the pool's read-only encoded and exact
+    blocks on its ``N = n_elec`` sector, and the norm of their difference.
 
-    The column run is checked before the pool is dialed and run.  The
-    result of the last pool is kept, read-only, and returned again for
-    the same pool object (``is``: pools are frozen with read-only arrays,
-    and the kept entry holds its pool, so no other pool can take its id);
-    another pool replaces it, so at most one is kept.
+    The column run is checked before the pool is dialed and run.  Pools
+    compare by identity (``eq=False``), and the cache holds its one pool.
     """
-    kept = _HAMILTONIAN.get("last")
-    if kept is not None and kept[0] is ham_pool:
-        return kept[1:]
     n, n_elec = ham_pool.n_so, ham_pool.n_elec
     skel = circuit_ir.one_pool_skeleton(ham_pool, None)
     circuit_ir.check_column_batch(skel, "ham", n_elec)
@@ -187,8 +178,7 @@ def _hamiltonian_half(ham_pool):
     exact = (oracle.hamiltonian_from_pool(ham_pool) / ham_pool.alpha)[on_sector]
     for arr in (block, exact):
         arr.setflags(write=False)
-    kept = _HAMILTONIAN["last"] = ham_pool, block, exact, oracle.sector_norm(block - exact)
-    return kept[1:]
+    return block, exact, oracle.sector_norm(block - exact)
 
 
 def matrix_elements(block, bras, kets):

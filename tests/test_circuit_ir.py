@@ -720,17 +720,17 @@ def _built(monkeypatch):
     """Positions of the branches ``execute_block`` builds from here on, in order."""
     built = []
 
-    def spy(skel, values, side, a, ad, _branch=cir._branch):
+    def spy(skel, side, a, values, _branch=cir._branch):
         built.append((side, a))
-        return _branch(skel, values, side, a, ad)
+        return _branch(skel, side, a, values)
 
     monkeypatch.setattr(cir, "_branch", spy)
     return built
 
 
 def _cold(skel, sheet, address, sector=None):
-    """``execute_block`` on an emptied store: every branch built and run."""
-    cir._KEPT.clear()
+    """``execute_block`` on an emptied cache: every branch built and run."""
+    cir._adaptor_run.cache_clear()
     return cir.execute_block(skel, sheet, address, sector)
 
 
@@ -745,28 +745,34 @@ def _nudged(sheet, index):
 @pytest.mark.parametrize("sector", [None, 2])
 def test_a_value_nudged_by_one_ulp_reruns_exactly_its_adaptor(compiled, sector,
                                                               monkeypatch):
-    """A second run of one fabric with equal values builds only its
-    zero-weight branches, which are checked but never run, so never kept;
-    one value moved by one ulp rebuilds its adaptor besides, and every
-    block is bit-identical to a run on an emptied store."""
+    """On a sector, a second run of one fabric with equal values builds only
+    its zero-weight branches, which are checked but never run, so never
+    kept; one value moved by one ulp rebuilds its adaptor besides.  Without
+    a sector no run is kept: every call builds every branch and adds no
+    cache entry.  Every block is bit-identical to a run on an emptied cache."""
     ham, gen, skel = compiled
     sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", [1, 2]))
     for side, adaptors in skel.sides():
-        idle = [(side, a) for a in range(len(adaptors))
+        every = [(side, a) for a in range(len(adaptors))]
+        idle = [(side, a) for side, a in every
                 if sheet.values[skel.slot_spans[side, a][0]] == 0.0]
         assert len(idle) < len(adaptors)
         first = _cold(skel, sheet, side, sector)
+        kept = cir._adaptor_run.cache_info().currsize
+        assert (kept == 0) == (sector is None)
         built = _built(monkeypatch)
         again = cir.execute_block(skel, sheet, side, sector)
-        assert built == idle and again.tobytes() == first.tobytes()
+        assert built == (every if sector is None else idle)
+        assert again.tobytes() == first.tobytes()
         a = 1 if side == "gen" else 0
         start, stop = skel.slot_spans[side, a]
         assert stop - start > 1 and (side, a) not in idle
         nudged = _nudged(sheet, start + 1)
         built.clear()
-        kept = cir.execute_block(skel, nudged, side, sector)
-        assert sorted(built) == sorted([(side, a), *idle])
-        assert kept.tobytes() == _cold(skel, nudged, side, sector).tobytes()
+        rerun = cir.execute_block(skel, nudged, side, sector)
+        assert sorted(built) == sorted(every if sector is None else [(side, a), *idle])
+        assert cir._adaptor_run.cache_info().currsize == kept + (sector is not None)
+        assert rerun.tobytes() == _cold(skel, nudged, side, sector).tobytes()
         monkeypatch.undo()
 
 
@@ -774,7 +780,7 @@ def test_a_second_geometry_reruns_every_adaptor_whose_values_changed(monkeypatch
     """Synth 7:3:2 and 10:3:2 share one Hamiltonian pivot plan, so
     ``one_pool_skeleton`` hands back the one fabric; the second geometry
     rebuilds every adaptor whose values after its PREP amplitude changed,
-    and its block is bit-identical to a run on an emptied store."""
+    and its block is bit-identical to a run on an emptied cache."""
     pools = [build_hamiltonian_pool(synth_instance(seed, 3, 2), 1e-10, 0.0)
              for seed in (7, 10)]
     skel = cir.one_pool_skeleton(pools[0], None)
@@ -797,16 +803,17 @@ def test_a_failed_branch_is_never_kept(compiled, monkeypatch):
     """A branch that leaks out of the sector (``SectorError``) or is wider
     than its side's workspace (``ShapeError``) is not kept, so a second
     identical call raises again; a branch kept from a one-adaptor run, which
-    has no shared workspace, still fails the width check on a hit."""
+    has no shared workspace, still fails the width check in a side's run."""
     ham, gen, skel = compiled
     ad = skel.adaptors_ham[0]
     sys0 = skel.selector_width + skel.workspace_width
     leaky = _reloaded(skel, ad, [ad.layers[0], f"x|{sys0}", *ad.layers[1:]])
     sheet = cir.dial(leaky, ham, gen, cir.Mask.of("m", [1]))
+    cir._adaptor_run.cache_clear()
     for _ in range(2):
         with pytest.raises(SectorError, match="Hamiltonian adaptor 0 leaks"):
             cir.execute_block(leaky, sheet, "ham", 2)
-        assert 0 not in cir._KEPT["ham"][1]
+        assert cir._adaptor_run.cache_info().currsize == 0
 
     # one rank-1 mode group on one workspace qubit, its body wrapped in a
     # one-case select: a two-qubit branch on a one-qubit shared workspace
@@ -824,30 +831,35 @@ def test_a_failed_branch_is_never_kept(compiled, monkeypatch):
     for _ in range(2):
         with pytest.raises(ShapeError, match="exceeds the shared width"):
             cir.execute_block(wide, sheet, "ham", 2)
-        assert 0 not in cir._KEPT["ham"][1]
+        assert cir._adaptor_run.cache_info().currsize == 0
     cir.execute_block(wide, sheet, "ham/0", 2)
-    assert 0 in cir._KEPT["ham"][1]
-    built = _built(monkeypatch)
+    assert cir._adaptor_run.cache_info().currsize == 1
     with pytest.raises(ShapeError, match="exceeds the shared width"):
         cir.execute_block(wide, sheet, "ham", 2)
-    assert built == []
+    assert cir._adaptor_run.cache_info().currsize == 1
 
 
-def test_kept_runs_are_bounded_by_one_fabric_per_side(compiled):
-    """Each side keeps the fabric it last ran and one run per adaptor
-    position; running another fabric there drops the old runs."""
-    ham, gen, skel = compiled
-    sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", [1, 2, 3]))
-    for sector in (None, 2, 1):
-        for side, adaptors in skel.sides():
-            cir.execute_block(skel, sheet, side, sector)
-            fabric, runs = cir._KEPT[side]
-            assert fabric is skel and set(runs) <= set(range(len(adaptors)))
-            assert {run.key[0] for run in runs.values()} == {sector}
-    other = cir.one_pool_skeleton(ham, None)
-    cir.execute_block(other, cir.dial(other, ham, None, ()), "ham", 2)
-    assert cir._KEPT["ham"][0] is other
-    assert cir._KEPT["gen"][0] is skel
+def test_kept_runs_are_keyed_by_their_fabric():
+    """At synth 7:3:2 the generator side of the two-sided fabric runs on
+    one ancilla more than on its one-pool fabric; run in turn, each block
+    has the bytes of its own run on an emptied cache, and a second turn
+    hits a kept run for every run of the first."""
+    ints = synth_instance(7, 3, 2)
+    ham = build_hamiltonian_pool(ints, 1e-10, 0.0)
+    gen = nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0)
+    skel = cir.compile_skeleton(6, cir.pivots_from_pools(ham, gen))
+    one = cir.one_pool_skeleton(None, gen)
+    assert cir.ancillas(skel, "gen") == cir.ancillas(one, "gen") + 1
+    mask = cir.Mask.of("m", [1])
+    runs = [(skel, cir.dial(skel, ham, gen, mask)), (one, cir.dial(one, None, gen, mask))]
+    cold = [_cold(fabric, sheet, "gen", 2).tobytes() for fabric, sheet in runs]
+    cir._adaptor_run.cache_clear()
+    for _ in range(2):
+        warm = [cir.execute_block(fabric, sheet, "gen", 2).tobytes()
+                for fabric, sheet in runs]
+        assert warm == cold
+    info = cir._adaptor_run.cache_info()
+    assert info.hits == info.misses == info.currsize <= cir.KEPT_RUNS
 
 
 @lru_cache(maxsize=None)

@@ -826,6 +826,21 @@ def test_a_non_finite_factorize_threshold_exits_two(tmp_path, flag, value):
     assert not out.exists()
 
 
+def test_an_empty_generator_pool_exits_two(tmp_path, capsys):
+    """Synth 1:1:2 has no virtual orbital, so no pair ladder: factorize names
+    the empty generator pool and ``--no-generator``, which then succeeds."""
+    out = tmp_path / "pool.json"
+    argv = ["factorize", "--synth", "1:1:2", "--out", str(out)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: empty generator pool: no pair ladder survives; pass "
+        "--no-generator to factorize the Hamiltonian alone\n"
+    )
+    assert not out.exists()
+    assert run([*argv, "--no-generator"]) == 0
+    assert out.exists()
+
+
 def test_a_non_finite_polynomial_budget_exits_two(pipeline):
     tmp, pool, _, _ = pipeline
     out = tmp / "s.json"

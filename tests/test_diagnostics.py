@@ -84,6 +84,16 @@ def test_wauc_zero_tensor_raises():
         dg.wauc(t0, random_t2(rng))
 
 
+def test_wauc_of_an_empty_tensor_raises():
+    """Synth 1:1:2 has no virtual orbital: its amplitudes hold no entry, so
+    the overlap is undefined and ``nested_svd_t2`` gives an empty pool."""
+    t2 = mp2_amplitudes(synth_instance(1, 1, 2))
+    assert t2.amplitudes.size == 0
+    with pytest.raises(ZeroTensorError):
+        dg.wauc(t2, t2)
+    assert nested_svd_t2(t2).ell == 0
+
+
 def test_wauc_is_asymmetric():
     rng = np.random.default_rng(4)
     # reference with one dominant singular value versus a flat spectrum

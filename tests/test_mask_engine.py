@@ -28,10 +28,10 @@ from composer.factorization import (
 from composer.integrals import synth_instance
 
 
-def empty_stores():
-    """Drop every kept run and the kept Hamiltonian half: the next sandwich is cold."""
-    cir._KEPT.clear()
-    me._HAMILTONIAN.clear()
+def clear_caches():
+    """Empty the adaptor-run and Hamiltonian-half caches: the next sandwich is cold."""
+    cir._adaptor_run.cache_clear()
+    me._hamiltonian_half.cache_clear()
 
 
 def sector_basis(n, n_elec):
@@ -178,8 +178,8 @@ def test_the_n8_sandwich_holds_no_more_than_its_column_runs_allow():
     warm, stays under the bytes ``check_column_batch`` computes for its
     wider side's run, 16 to a complex amplitude.  The all-column
     multiplexed run peaked near 590 MB here.  Each traced run starts from
-    an emptied store of kept runs and Hamiltonian half, so every branch is
-    built and run; the kept runs then hold one ``C x C`` sector block per adaptor at most.
+    emptied adaptor-run and Hamiltonian-half caches, so every branch is
+    built and run; the run cache then holds one ``C x C`` sector block per adaptor at most.
     """
     ints = synth_instance(7, 4, 2)
     ham = build_hamiltonian_pool(ints, 1e-10, 0.0)
@@ -190,7 +190,7 @@ def test_the_n8_sandwich_holds_no_more_than_its_column_runs_allow():
         cir.check_column_batch(cir.one_pool_skeleton(None, gen), "gen", 2),
     )
     for _ in range(2):
-        empty_stores()
+        clear_caches()
         tracemalloc.start()
         try:
             rep, block = me.similarity_sandwich(ham, gen, frozenset([1]), sector, 1e-9)
@@ -199,9 +199,7 @@ def test_the_n8_sandwich_holds_no_more_than_its_column_runs_allow():
             tracemalloc.stop()
         assert rep.within_budget and block.shape == (28, 28)
         assert peak <= allowed, f"{peak} bytes traced, {allowed} allowed"
-        kept = sum(run.block.size for _, runs in cir._KEPT.values()
-                   for run in runs.values())
-        assert 0 < kept <= (ham.ell + gen.ell + 1) * 28**2
+        assert 0 < cir._adaptor_run.cache_info().currsize <= ham.ell + gen.ell + 1
 
 
 def test_sandwich_on_six_modes(medium_instance):
@@ -278,7 +276,7 @@ def test_sandwich_builds_each_dense_target_once(small_pools, mixed_gen_pool,
     )
     sector = list(jw.sector_indices(4, 2))
     mask = frozenset([1, 2])
-    me._HAMILTONIAN.clear()  # a cold call, whatever an earlier test kept
+    me._hamiltonian_half.cache_clear()  # a cold call, whatever an earlier test kept
     rep, _ = me.similarity_sandwich(ham, mixed_gen_pool, mask, sector, 1e-9)
     assert rep.within_budget
     assert calls == {"hamiltonian_from_pool": 1, "generator_dense": 1, "eigh": 1}
@@ -294,8 +292,8 @@ def _mask_sweep(ham, gen):
 @pytest.mark.parametrize("synth", [(7, 3, 2), (7, 4, 2)])
 def test_a_mask_sweep_reuses_kept_runs_bit_for_bit(synth):
     """n_so = 6 and 8: every block and report of a mask sweep, run on the
-    runs and the Hamiltonian half kept from the calls before it, has the
-    bytes of the same call on emptied stores."""
+    runs and the Hamiltonian half cached by the calls before it, has the
+    bytes of the same call on emptied caches."""
     ints = synth_instance(*synth)
     ham = build_hamiltonian_pool(ints, 1e-10, 0.0)
     gen = nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0)
@@ -303,7 +301,7 @@ def test_a_mask_sweep_reuses_kept_runs_bit_for_bit(synth):
     masks = _mask_sweep(ham, gen)
     warm = [me.similarity_sandwich(ham, gen, mask, sector, 1e-9) for mask in masks]
     for mask, (rep, block) in zip(masks, warm):
-        empty_stores()
+        clear_caches()
         cold_rep, cold_block = me.similarity_sandwich(ham, gen, mask, sector, 1e-9)
         assert rep.to_json() == cold_rep.to_json()
         assert block.tobytes() == cold_block.tobytes()
@@ -334,8 +332,8 @@ def test_a_mask_change_runs_no_hamiltonian_branch(monkeypatch):
 def test_a_mask_change_dials_only_the_generator(monkeypatch):
     """n_so = 6 (synth 7:3:2): after the first call on a Hamiltonian pool, a
     mask-only call dials the generator alone; another pool object, even with
-    equal contents, is dialed and replaces the kept half, and every report
-    and block has the bytes of a call on emptied stores."""
+    equal contents, is dialed and replaces the cached half, and every report
+    and block has the bytes of a call on emptied caches."""
     ints = synth_instance(7, 3, 2)
     ham = build_hamiltonian_pool(ints, 1e-10, 0.0)
     gen = nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0)
@@ -348,7 +346,7 @@ def test_a_mask_change_dials_only_the_generator(monkeypatch):
         dialed.append("gen" if ham_pool is None else "ham")
         return _dial(skel, ham_pool, gen_pool, mask, *rest)
 
-    empty_stores()
+    clear_caches()
     monkeypatch.setattr(cir, "dial", spy)
     calls = [(ham, []), (ham, [1]), (ham, [1, 2]), (twin, [1, 2]), (twin, []),
              (other, [2]), (ham, [2]), (ham, [])]
@@ -359,10 +357,10 @@ def test_a_mask_change_dials_only_the_generator(monkeypatch):
         dialed.clear()
         warm.append(me.similarity_sandwich(pool, gen, frozenset(mask), sector, 1e-9))
         assert dialed == dials, (mask, dialed)
-        assert list(me._HAMILTONIAN) == ["last"] and me._HAMILTONIAN["last"][0] is pool
+        assert me._hamiltonian_half.cache_info().currsize == 1
     monkeypatch.undo()
     for (pool, mask), (rep, block) in zip(calls, warm):
-        empty_stores()
+        clear_caches()
         cold_rep, cold_block = me.similarity_sandwich(pool, gen, frozenset(mask), sector, 1e-9)
         assert rep.to_json() == cold_rep.to_json()
         assert block.tobytes() == cold_block.tobytes()
@@ -374,7 +372,7 @@ def test_a_failed_hamiltonian_half_is_not_kept(monkeypatch):
     ham = build_hamiltonian_pool(ints, 1e-10, 0.0)
     gen = nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0)
     sector = list(jw.sector_indices(6, 2))
-    empty_stores()
+    clear_caches()
 
     def leaking(skel, sheet, address, *rest, _run=cir.execute_block):
         if address == "ham":
@@ -384,10 +382,10 @@ def test_a_failed_hamiltonian_half_is_not_kept(monkeypatch):
     monkeypatch.setattr(cir, "execute_block", leaking)
     with pytest.raises(SectorError, match="leaks"):
         me.similarity_sandwich(ham, gen, frozenset([1]), sector, 1e-9)
-    assert not me._HAMILTONIAN
+    assert me._hamiltonian_half.cache_info().currsize == 0
     monkeypatch.undo()
     rep, _ = me.similarity_sandwich(ham, gen, frozenset([1]), sector, 1e-9)
-    assert rep.within_budget and me._HAMILTONIAN["last"][0] is ham
+    assert rep.within_budget and me._hamiltonian_half.cache_info().currsize == 1
 
 
 def test_topology_invariant_blocks_differ(small_pools, mixed_gen_pool):

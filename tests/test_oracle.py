@@ -349,6 +349,52 @@ def test_only_the_scatter_maps_read_ladder_operators():
     assert callers == allowed
 
 
+# calls that change a container in place
+_MUTATORS = {"clear", "update", "setdefault", "pop", "append", "add", "extend"}
+
+
+def _root(node):
+    """The name a chain of attributes and subscripts starts from, if any."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_no_function_writes_a_module_level_name():
+    """No function in ``src/`` writes a name its module binds at the top
+    level (an assigned value or a class): no ``global``, no item or
+    attribute store or delete, no in-place container call.  What is kept
+    across calls lives in ``lru_cache``s of pure functions, and constant
+    tables such as ``circuit_ir.LINE_VALUES`` are only read."""
+    writes = []
+    for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        shared = {stmt.name for stmt in tree.body if isinstance(stmt, ast.ClassDef)}
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                for target in targets:
+                    shared.update(n.id for n in ast.walk(target)
+                                  if isinstance(n, ast.Name))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            local = {arg.arg for arg in ast.walk(func.args) if isinstance(arg, ast.arg)}
+            local.update(n.id for n in ast.walk(func)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+            for node in ast.walk(func):
+                stored = (isinstance(node, (ast.Attribute, ast.Subscript))
+                          and isinstance(node.ctx, (ast.Store, ast.Del))
+                          and _root(node))
+                called = (isinstance(node, ast.Call)
+                          and isinstance(node.func, ast.Attribute)
+                          and node.func.attr in _MUTATORS and _root(node.func.value))
+                name = stored or called
+                if isinstance(node, ast.Global) or name in shared - local:
+                    writes.append(f"{path.name}:{node.lineno} {name or 'global'}")
+    assert not writes, sorted(set(writes))
+
+
 def test_cached_leaves_unchanged_by_verify_and_sandwich(
     small_pools, mixed_gen_pool, tmp_path
 ):
