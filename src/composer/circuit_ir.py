@@ -70,6 +70,7 @@ import re
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from operator import attrgetter, itemgetter
+from types import MappingProxyType
 
 import numpy as np
 
@@ -79,7 +80,6 @@ from .errors import ValidationError
 from .errors import DICT, INT, LIST, NUMBER, STR, checked, checked_list
 from .errors import checked_keys, checked_packed, fields_of
 from .factorization import bilinear_asym_spectrum, generator_branch_alpha
-from .factorization import pair_vector_batches
 
 SKEL_FORMAT = "composer-skel-v12"
 DIAL_FORMAT = "composer-dial-v4"
@@ -144,6 +144,13 @@ def wedge_pairs(n, n_occ, side):
     return tuple((lo + p, lo + q) for p, q in ladders.pair_indices(hi - lo))
 
 
+@lru_cache(maxsize=None)
+def wedge_slots(n, n_occ, side):
+    """``pair -> k``: the index of each of :func:`wedge_pairs`' pairs, read-only."""
+    pairs = wedge_pairs(n, n_occ, side)
+    return MappingProxyType({pair: k for k, pair in enumerate(pairs)})
+
+
 def pivots_from_pools(ham_pool, gen_pool):
     """Canonical pivot plan: argmax amplitudes, frozen at compile time.
 
@@ -151,8 +158,8 @@ def pivots_from_pools(ham_pool, gen_pool):
     be ``None``; the plan then covers the other alone, and without a
     generator pool ``n_occ`` is the Hamiltonian's ``n_elec``.  The pair
     ladders' pivots are the row argmaxes of their pair vectors' moduli,
-    formed in batches (:func:`factorization.pair_vector_batches`), so each
-    is the one its ladder's own vectors give.
+    read from the pool's batches (:attr:`GeneratorPool.pair_batches`), so
+    each is the one its ladder's own vectors give.
     """
     ham = []
     if ham_pool is not None:
@@ -167,12 +174,8 @@ def pivots_from_pools(ham_pool, gen_pool):
                 ham.append(AdaptorDescriptor("channel", rank=lad.channel.rank))
     gen = []
     if gen_pool is not None:
-        ladders_gen = sorted(gen_pool.ladders, key=attrgetter("address"))
-        pair_pivots = _pair_pivots(
-            [lad for lad in ladders_gen if lad.kind == "pair"],
-            gen_pool.n_so, gen_pool.n_occ,
-        )
-        for lad in ladders_gen:
+        pair_pivots = _pair_pivots(gen_pool)
+        for lad in sorted(gen_pool.ladders, key=attrgetter("address")):
             if lad.kind == "pair":
                 gen.append(AdaptorDescriptor("pair", pair_pivots[id(lad)]))
             else:
@@ -185,10 +188,11 @@ def pivots_from_pools(ham_pool, gen_pool):
     return CompilePlan(ham=tuple(ham), gen=tuple(gen), n_occ=n_occ)
 
 
-def _pair_pivots(pairs, n, n_occ):
+def _pair_pivots(gen_pool):
     """``id(ladder) -> (u, v)`` pivot pairs: each side's largest-modulus wedge pair."""
+    n, n_occ = gen_pool.n_so, gen_pool.n_occ
     pivots = {}
-    for group, *vectors in pair_vector_batches(pairs):
+    for group, *vectors in gen_pool.pair_batches:
         u, v = (
             [wedge_pairs(n, n_occ, side)[k]
              for k in np.abs(vecs).argmax(axis=-1).tolist()]
@@ -225,10 +229,11 @@ class CircuitSkeleton:
     fingerprint: str
 
     def __post_init__(self):
-        wedges = [wedge_pairs(self.n_system, self.n_occ, side) for side in "uv"]
+        wedges = [wedge_slots(self.n_system, self.n_occ, side) for side in "uv"]
         for a, ad in enumerate(self.adaptors_gen):  # pair sides pivot in their wedges
-            ok = len(ad.pivot) == 2 and all(p in w for p, w in zip(ad.pivot, wedges))
-            if ad.kind == "pair" and not ok:
+            if ad.kind == "pair" and not (
+                len(ad.pivot) == 2 and all(p in w for p, w in zip(ad.pivot, wedges))
+            ):
                 raise ValidationError(
                     f"gen adaptor {a}: pair pivots {ad.pivot} off their wedges"
                 )
@@ -393,16 +398,22 @@ class DialSheet:
     classical_coeffs: dict
 
     def to_json(self):
-        packed = base64.b64encode(self.values.tobytes())
+        """The sheet as JSON with sorted keys, ``values`` written after the rest.
+
+        ``values`` sorts last and base64 needs no escaping, so the packed
+        stream is appended as it stands: the same bytes as one
+        ``json.dumps`` of the whole document, without scanning the stream
+        for characters to escape.
+        """
         doc = {
             "format": DIAL_FORMAT,
             "skeleton_fingerprint": self.skeleton_fingerprint,
             "mask_id": self.mask_id,
             "mask_indices": list(self.mask_indices),
-            "values": packed.decode(),
             "classical_coeffs": self.classical_coeffs,
         }
-        return json.dumps(doc, sort_keys=True)
+        packed = base64.b64encode(self.values.tobytes()).decode()
+        return json.dumps(doc, sort_keys=True)[:-1] + f', "values": "{packed}"}}'
 
     @staticmethod
     @fields_of("dial sheet")
@@ -773,24 +784,29 @@ def _bind_hamiltonian(skel, ham_pool, rows):
     return {"Omega": [float(x) for x in omega_list], "alpha": float(alpha)}
 
 
-def _pair_rows(skel, pairs):
-    """``(key, row)`` per ``(ladder, adaptor, prep)``, wedge ladders in one array pass.
+def _pair_rows(skel, gen_pool, bound):
+    """``(key, row)`` per pair ladder, each of the pool's batches in one array pass.
 
-    A row is PREP and sign, then the ``v`` and ``u`` ladders' lines' values.
+    ``bound`` maps ``id(ladder)`` to its ``(adaptor, prep)``; the wedge
+    vectors are the pool's own (:attr:`GeneratorPool.pair_batches`), and
+    each pivot's index in its wedge is looked up (:func:`wedge_slots`).  A
+    row is PREP and sign, then the ``v`` and ``u`` ladders' lines' values.
     """
-    sides = {}
-    for k, (side, factors) in enumerate((("u", "xy"), ("v", "rs"))):
-        wedge = wedge_pairs(skel.n_system, skel.n_occ, side)
-        pivots = [wedge.index(ad.pivot[k]) for _, ad, _ in pairs]
-        x, y = (np.array([getattr(lad, f) for lad, _, _ in pairs]) for f in factors)
-        thetas, phases, gauges = ladders.pair_ladder_angles(
-            ladders.wedge_vectors(x, y), pivots
-        )
-        per_line = np.stack([thetas, phases], axis=-1).reshape(len(pairs), -1)
-        sides[side] = np.column_stack([per_line, gauges])
-    heads = [[prep, _sign_phi(lad.coefficient)] for lad, _, prep in pairs]
-    table = np.hstack([heads, sides["v"], sides["u"]])
-    return [(("gen", lad.address), row) for (lad, _, _), row in zip(pairs, table)]
+    slots = [wedge_slots(skel.n_system, skel.n_occ, side) for side in "uv"]
+    out = []
+    for group, *vectors in gen_pool.pair_batches:
+        entries = [bound[id(lad)] for lad in group]
+        sides = []
+        for k, vecs in enumerate(vectors):
+            pivots = [slots[k][ad.pivot[k]] for ad, _ in entries]
+            thetas, phases, gauges = ladders.pair_ladder_angles(vecs, pivots)
+            per_line = np.stack([thetas, phases], axis=-1).reshape(len(group), -1)
+            sides.append(np.column_stack([per_line, gauges]))
+        heads = [[prep, _sign_phi(lad.coefficient)]
+                 for lad, (_, prep) in zip(group, entries)]
+        table = np.hstack([heads, sides[1], sides[0]])
+        out += [(("gen", lad.address), row) for lad, row in zip(group, table)]
+    return out
 
 
 def _bind_generator(skel, gen_pool, masked, alpha_bar, rows):
@@ -811,7 +827,7 @@ def _bind_generator(skel, gen_pool, masked, alpha_bar, rows):
             f"(addresses: {sorted(masked.difference(addresses))})"
         )
     alpha_bar = gen_pool.alpha_bar if alpha_bar is None else float(alpha_bar)
-    omega_gen, pairs = [], []
+    omega_gen, pairs = [], {}
     used = 0.0
     for addr, lad in enumerate(gen, start=1):
         ad = skel.adaptors_gen[addr]
@@ -825,7 +841,7 @@ def _bind_generator(skel, gen_pool, masked, alpha_bar, rows):
             prep = float(np.sqrt(weight / alpha_bar))
             used += weight
         if lad.kind == "pair":
-            pairs.append((lad, ad, prep))
+            pairs[id(lad)] = ad, prep
             continue
         w_vals, w_vecs = bilinear_asym_spectrum(lad.u, lad.v)
         amps, signs, _ = oracle.signed_loading(w_vals)
@@ -836,8 +852,7 @@ def _bind_generator(skel, gen_pool, masked, alpha_bar, rows):
             row += [float(amps[j]), *_ladder_row(sched), _sign_phi(signs[j])]
         row += [0.0] * ((2 * n + 1) * (2 - len(w_vals)))  # a missing mode idles
         rows.append((("gen", addr), row))
-    if pairs:
-        rows += _pair_rows(skel, pairs)
+    rows += _pair_rows(skel, gen_pool, pairs)
     if used > alpha_bar * (1 + 1e-12):
         raise BindError("masked weight exceeds the global normalization")
     rows.append((("gen", 0), [float(np.sqrt(max(1.0 - used / alpha_bar, 0.0)))]))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,6 @@ import numpy as np
 from . import jw, oracle, qsp
 from .circuit_ir import Mask
 from .errors import MaskError, RankError, ValidationError, ZeroTensorError
-from .factorization import pair_vector_batches
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,21 +110,31 @@ def ladder_weights(pool):
     """Ranking weights ``|omega|^2 ||U||_F^2 ||V||_F^2`` per generator ladder.
 
     With unit-normalized wedge factors this reduces to ``|omega|^2``.  The
-    pair ladders' wedge vectors are formed in one batch per side and group
-    of equal factor dtypes and shapes; each row's norm is still taken alone,
-    so every weight keeps the bits of the per-ladder sum.
+    pair ladders' wedge vectors are the pool's own batches
+    (:attr:`GeneratorPool.pair_batches`); each row's norm is still taken
+    alone, by the steps of ``np.linalg.norm`` (:func:`_row_norm`), so every
+    weight keeps the bits of the per-ladder formula.
     """
-    pairs = [lad for lad in pool.ladders if lad.kind == "pair"]
     pair_norms = {}
-    for group, u, v in pair_vector_batches(pairs):
+    for group, u, v in pool.pair_batches:
         for lad, u_row, v_row in zip(group, u, v):
-            pair_norms[lad.address] = (
-                np.linalg.norm(u_row) ** 2 * np.linalg.norm(v_row) ** 2
-            )
+            pair_norms[lad.address] = _row_norm(u_row) ** 2 * _row_norm(v_row) ** 2
     return {
         lad.address: float(abs(lad.coefficient) ** 2 * pair_norms.get(lad.address, 1))
         for lad in pool.ladders
     }
+
+
+def _row_norm(row):
+    """``np.linalg.norm(row)`` of a float or complex vector, without its wrapper.
+
+    The same steps: a complex row's squared norm is its real parts' dot
+    product plus its imaginary parts', so the result has the same bits.
+    """
+    x = row.ravel(order="K")
+    if np.iscomplexobj(x):
+        return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    return math.sqrt(x.dot(x))
 
 
 def one_shot_mask(pool, eta, label=None):

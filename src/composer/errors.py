@@ -157,13 +157,20 @@ def _packed_bytes(value, what):
 
     Canonical: re-encoding the bytes gives ``value`` back, which refuses
     what a lenient decoder skips, such as a stray ``=`` after a full quad
-    or nonzero bits after the last byte.  A refused value is decoded again
-    strictly, only to say what is wrong with it.
+    or nonzero bits after the last byte.  A strict decode leaves only the
+    last quad in question (it refuses padding before the end and any
+    character off the alphabet), so the length and that quad, re-encoded
+    from the last one to three bytes, are checked without encoding the
+    whole field again.  A refused value is decoded again strictly, only to
+    say what is wrong with it.
     """
     checked(value, STR, what)
     try:
-        raw = binascii.a2b_base64(value)
-        canonical = binascii.b2a_base64(raw, newline=False) == value.encode()
+        raw = binascii.a2b_base64(value, strict_mode=True)
+        tail = raw[-(len(raw) % 3 or 3):]
+        canonical = len(value) == 4 * -(-len(raw) // 3) and (
+            binascii.b2a_base64(tail, newline=False) == value[-4:].encode()
+        )
     except ValueError:  # binascii.Error, or a non-ASCII character
         canonical = False
     if not canonical:

@@ -14,6 +14,8 @@ import base64
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 from scipy import linalg as sla
@@ -25,11 +27,11 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .errors import DICT, INT, NUMBER, STR, checked, checked_list, fields_of
-from .errors import checked_packed_batch
+from .errors import DICT, INT, NUMBER, checked, checked_list, fields_of
+from .errors import checked_keys, checked_packed_batch
 from .integrals import mean_field_shift, with_orbital_energies
 
-POOL_FORMAT = "composer-pool-v2"
+POOL_FORMAT = "composer-pool-v3"
 T2_FORMAT = "composer-t2-v1"
 
 
@@ -150,28 +152,6 @@ class PairLadder:
         return ladder_mod.wedge_vectors(self.r, self.s)
 
 
-def pair_vector_batches(pairs):
-    """``(group, u, v)`` per group of pair ladders with equal factor dtypes and shapes.
-
-    ``u`` and ``v`` hold the group's virtual and occupied pair vectors, one
-    row per ladder in input order, each side formed in one batch.  The
-    operations are elementwise, so every row keeps the bits of the
-    ladder's own :meth:`PairLadder.virtual_pair_vector` and
-    :meth:`PairLadder.occupied_pair_vector`.
-    """
-    groups = {}
-    for lad in pairs:
-        key = tuple((f.dtype, f.shape) for f in (lad.x, lad.y, lad.r, lad.s))
-        groups.setdefault(key, []).append(lad)
-    for group in groups.values():
-        u, v = (
-            ladder_mod.wedge_vectors(*(np.stack([getattr(lad, f) for lad in group])
-                                       for f in side))
-            for side in ("xy", "rs")
-        )
-        yield group, u, v
-
-
 @dataclass(frozen=True, eq=False)
 class ChannelLadder:
     """Projected-quadratic ladder: one squared diagonalized channel."""
@@ -271,13 +251,41 @@ class GeneratorPool:
         """Working particle-number sector: ``n_elec``, else the occupied count."""
         return self.n_occ if self.n_elec is None else self.n_elec
 
-    @property
+    @cached_property
     def alpha_bar(self):
         return float(
             sum(
                 abs(lad.coefficient) * generator_branch_alpha(lad)
                 for lad in self.ladders
             )
+        )
+
+    @cached_property
+    def pair_batches(self):
+        """``(group, u, v)`` per group of pair ladders with equal factor dtypes and shapes.
+
+        ``u`` and ``v`` hold the group's virtual and occupied pair vectors,
+        one row per ladder in pool order, each side formed in one batch.
+        The operations are elementwise, so every row keeps the bits of the
+        ladder's own :meth:`PairLadder.virtual_pair_vector` and
+        :meth:`PairLadder.occupied_pair_vector`; a loaded pool of real pair
+        ladders is one group.  The pool is frozen, so compile's pivots, the
+        mask weights and every dial read these arrays instead of stacking
+        the ladders' factors again.
+        """
+        groups = {}
+        for lad in self.ladders:
+            if lad.kind == "pair":
+                key = (lad.x.dtype, lad.y.dtype, lad.r.dtype, lad.s.dtype,
+                       lad.x.shape, lad.y.shape, lad.r.shape, lad.s.shape)
+                groups.setdefault(key, []).append(lad)
+        return tuple(
+            (group, *(  # equal shapes and dtypes: np.array stacks them as np.stack does
+                ladder_mod.wedge_vectors(*(np.array([getattr(lad, f) for lad in group])
+                                           for f in side))
+                for side in ("xy", "rs")
+            ))
+            for group in groups.values()
         )
 
     @property
@@ -647,8 +655,12 @@ def rebuild_t2(pool, n_virt=None, n_occ=None):
 
 # packed arrays of a serialized channel, in document order
 CHANNEL_ARRAYS = ("factor", "eigvals", "rotation", "rotation_full")
-# complex vectors of a serialized generator ladder, per kind
+# complex vectors of a serialized generator ladder, per kind: each a column
 GENERATOR_VECTORS = {"pair": ("x", "y", "r", "s"), "bilinear": ("u", "v")}
+# each kind's ladder type, built from its vectors, coefficient and address in order
+_GENERATOR_LADDERS = {"pair": PairLadder, "bilinear": BilinearLadder}
+# the generator section's keys: its counts, then one block per kind
+_GENERATOR_KEYS = frozenset({"alpha_bar", "ell", "n_occ", "n_virt", *GENERATOR_VECTORS})
 
 
 def _packed(arr):
@@ -715,42 +727,47 @@ def pools_to_json(ham, gen=None, manifest=None):
             "ell": gen.ell,
             "n_occ": gen.n_occ,
             "n_virt": gen.n_virt,
-            "ladders": [
-                _gen_ladder_doc(lad) for lad in gen.ladders
-            ],
+            **_generator_blocks(gen),
         }
     if manifest is not None:
         doc["manifest"] = manifest
     return json.dumps(doc, sort_keys=True)
 
 
-def _gen_ladder_doc(lad):
-    if lad.kind not in GENERATOR_VECTORS:
-        raise ValidationError(f"unsupported generator ladder kind {lad.kind!r}")
-    return {
-        "kind": lad.kind,
-        "address": lad.address,
-        "coefficient": lad.coefficient,
-        **{key: _packed_complex(getattr(lad, key))
-           for key in GENERATOR_VECTORS[lad.kind]},
-    }
+def _generator_blocks(gen):
+    """One block per ladder kind: its ladders in address order, by columns.
+
+    ``address`` and ``coefficient`` are JSON lists; each vector key packs
+    the kind's vectors stacked in list order, as interleaved complex.
+    """
+    ladders = sorted(gen.ladders, key=attrgetter("address"))
+    unknown = [lad.kind for lad in ladders if lad.kind not in GENERATOR_VECTORS]
+    if unknown:
+        raise ValidationError(f"unsupported generator ladder kind {unknown[0]!r}")
+    blocks = {}
+    for kind, keys in GENERATOR_VECTORS.items():
+        lads = [lad for lad in ladders if lad.kind == kind]
+        blocks[kind] = {
+            "address": [lad.address for lad in lads],
+            "coefficient": [lad.coefficient for lad in lads],
+            # stacked as complex (a real vector gets +0.0 imaginary parts),
+            # so an empty kind packs as ""
+            **{key: _packed_complex(np.concatenate(
+                [np.zeros(0, complex), *(getattr(lad, key) for lad in lads)]))
+               for key in keys},
+        }
+    return blocks
 
 
-def _complex_vectors(values, bounds):
-    """Interleaved complex vectors ``values[bounds[k]:bounds[k + 1]]``.
+def _rows_real_where_possible(z):
+    """The rows of the complex array ``z``, one array each.
 
-    A vector whose imaginary parts are all zero is real: a slice of one
+    A row whose imaginary parts are all zero is real: a row of one
     contiguous copy of every real part.
     """
-    z = values[bounds[0]:bounds[-1]].view(complex)
     real = z.real.copy()
-    half = (np.asarray(bounds) - bounds[0]) // 2
-    imag_seen = np.concatenate(([0], np.cumsum(z.imag != 0)))[half]
-    has_imag = np.diff(imag_seen) > 0
-    return [
-        z[a:b] if imag else real[a:b]
-        for a, b, imag in zip(half.tolist(), half[1:].tolist(), has_imag.tolist())
-    ]
+    has_imag = (z.imag != 0).any(axis=1).tolist()
+    return [row if imag else real_row for row, real_row, imag in zip(z, real, has_imag)]
 
 
 @fields_of("pool")
@@ -760,7 +777,11 @@ def pools_from_json(text):
     Every field read is type-checked; a wrongly typed or missing one is a
     ParseError.  Every packed array of the pool is decoded in one batch
     (:func:`errors.checked_packed_batch`), each array a view of it, and
-    checked for the length its ladder needs.
+    checked for the length its ladders need: a generator column holds
+    ``len(address)`` vectors of its key's size.  Each generator ladder
+    takes one row of each of its kind's columns; a pair ladder's row whose
+    imaginary parts are all zero is real, a bilinear ladder's vectors are
+    complex.  The generator pool lists its ladders in address order.
     """
     doc = checked(json.loads(text), DICT, "pool")
     if doc.get("format") != POOL_FORMAT:
@@ -769,21 +790,21 @@ def pools_from_json(text):
     hdoc = checked(doc["hamiltonian"], DICT, "hamiltonian")
     modes = checked_list(hdoc["one_body"], DICT, "one_body")
     chans = checked_list(hdoc["channels"], DICT, "channels")
-    gdoc, lads = None, []
+    gdoc, blocks = None, {}
     if "generator" in doc:
         gdoc = checked(doc["generator"], DICT, "generator")
-        lads = checked_list(gdoc["ladders"], DICT, "generator ladders")
-    heads = [_generator_head(item) for item in lads]
+        checked_keys(gdoc, _GENERATOR_KEYS, "generator")
+        blocks = {kind: _generator_block(gdoc[kind], kind)
+                  for kind in GENERATOR_VECTORS}
 
     # every packed array, in document order: one batch
     packed = [(item["vectors"], "one_body ladder vectors") for item in modes]
     packed += [
         (item[key], f"channel {key}") for item in chans for key in CHANNEL_ARRAYS
     ]
-    n_ham = len(packed)
     packed += [
-        (item[key], f"{where} {key}")
-        for item, (kind, where, _) in zip(lads, heads)
+        (block[key], f"generator {kind} {key}")
+        for kind, (block, _, _) in blocks.items()
         for key in GENERATOR_VECTORS[kind]
     ]
     values, bounds = checked_packed_batch(packed)
@@ -829,20 +850,17 @@ def pools_from_json(text):
     n_occ = checked(gdoc["n_occ"], INT, "generator n_occ")
     n_virt = checked(gdoc["n_virt"], INT, "generator n_virt")
     sizes = {"x": n_virt, "y": n_virt, "r": n_occ, "s": n_occ, "u": n, "v": n}
-    for kind, _, _ in heads:
-        for key in GENERATOR_VECTORS[kind]:
-            take(2 * sizes[key])  # interleaved real and imaginary parts
-    vectors = iter(_complex_vectors(values, bounds[n_ham:]))
     gen_ladders = []
-    for kind, _, fields in heads:
-        vecs = {key: next(vectors) for key in GENERATOR_VECTORS[kind]}
-        if kind == "pair":
-            gen_ladders.append(PairLadder(**vecs, **fields))
-        else:
-            vecs = {key: vec.astype(complex) for key, vec in vecs.items()}
-            gen_ladders.append(BilinearLadder(**vecs, **fields))
+    for kind, (_, addresses, coefficients) in blocks.items():
+        count = len(addresses)
+        columns = []
+        for key in GENERATOR_VECTORS[kind]:
+            # interleaved real and imaginary parts, one row per ladder
+            z = take(2 * count * sizes[key]).view(complex).reshape(count, sizes[key])
+            columns.append(_rows_real_where_possible(z) if kind == "pair" else list(z))
+        gen_ladders += map(_GENERATOR_LADDERS[kind], *columns, coefficients, addresses)
     gen = GeneratorPool(
-        ladders=tuple(gen_ladders),
+        ladders=tuple(sorted(gen_ladders, key=attrgetter("address"))),
         n_occ=n_occ,
         n_virt=n_virt,
         n_elec=n_occ,
@@ -850,11 +868,15 @@ def pools_from_json(text):
     return ham, gen
 
 
-def _generator_head(item):
-    """``(kind, where, fields)`` of one serialized generator ladder."""
-    fields = _ladder_fields(item, "generator ladder")
-    where = f"generator ladder {fields['address']}"
-    kind = checked(item["kind"], STR, f"{where} kind")
-    if kind not in GENERATOR_VECTORS:
-        raise ParseError(f"{where} kind must be 'pair' or 'bilinear', not {kind!r}")
-    return kind, where, fields
+def _generator_block(block, kind):
+    """``(block, addresses, coefficients)`` of one kind's checked block."""
+    where = f"generator {kind}"
+    checked(block, DICT, where)
+    addresses = checked_list(block["address"], INT, f"{where} address")
+    coefficients = checked_list(block["coefficient"], NUMBER, f"{where} coefficient")
+    if len(addresses) != len(coefficients):
+        raise ParseError(
+            f"{where} address and coefficient must have equal lengths, "
+            f"not {len(addresses)} and {len(coefficients)}"
+        )
+    return block, addresses, [float(c) for c in coefficients]

@@ -11,6 +11,7 @@ from scipy import sparse
 
 from composer import cli
 from composer.factorization import (
+    POOL_FORMAT,
     build_hamiltonian_pool,
     mp2_amplitudes,
     nested_svd_t2,
@@ -318,17 +319,20 @@ def test_a_skeleton_key_outside_the_fingerprinted_ones_exits_two(pipeline, capsy
     assert "skeleton has unknown field 'manifest'" in capsys.readouterr().err
 
 
-def test_a_v1_pool_exits_two(pipeline, capsys):
-    """A ``composer-pool-v1`` pool, which held its arrays as JSON lists, is exit 2."""
+def test_a_v2_pool_exits_two(pipeline, capsys):
+    """A ``composer-pool-v2`` pool, which held each generator ladder as its own
+    object, is exit 2, as is a v1 pool, which held its arrays as JSON lists.
+    """
     tmp, pool, skel, _ = pipeline
     doc = json.loads(pool.read_text())
-    doc["format"] = "composer-pool-v1"
-    pool.write_text(json.dumps(doc))
     out = tmp / "d.json"
     argv = ["dial", "--skel", str(skel), "--pool", str(pool), "--mask", "1"]
-    assert run(argv + ["--out", str(out)]) == 2
-    assert "expected format 'composer-pool-v2'" in capsys.readouterr().err
-    assert not out.exists()
+    for old in older_formats(POOL_FORMAT):
+        doc["format"] = old
+        pool.write_text(json.dumps(doc))
+        assert run(argv + ["--out", str(out)]) == 2
+        assert "expected format 'composer-pool-v3'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 B64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
@@ -362,28 +366,28 @@ def test_dial_rejects_a_noncanonical_pool_array(pipeline, capsys, defect):
     """A packed pool array must be canonical base64 (exit 2)."""
     tmp, pool, skel, _ = pipeline
     doc = json.loads(pool.read_text())
-    message = _noncanonical(doc["generator"]["ladders"][0], "x", defect)
+    message = _noncanonical(doc["generator"]["pair"], "x", defect)
     pool.write_text(json.dumps(doc))
     out = tmp / "d.json"
     argv = ["dial", "--skel", str(skel), "--pool", str(pool), "--mask", "1"]
     assert run(argv + ["--out", str(out)]) == 2
-    assert f"generator ladder 1 {message}" in capsys.readouterr().err
+    assert f"generator pair {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
 def _nan_coefficient(doc):
-    doc["generator"]["ladders"][0]["coefficient"] = float("nan")
-    return "generator ladder coefficient must be finite, not nan"
+    doc["generator"]["pair"]["coefficient"][0] = float("nan")
+    return "generator pair coefficient entries must be finite, not nan"
 
 
 def _infinite_vector(doc):
-    edit_packed(doc["generator"]["ladders"][0], "x", _set_first(float("-inf")))
-    return "generator ladder 1 x entries must be finite, not -inf"
+    edit_packed(doc["generator"]["pair"], "x", _set_first(float("-inf")))
+    return "generator pair x entries must be finite, not -inf"
 
 
 def _huge_coefficient(doc):
-    doc["generator"]["ladders"][0]["coefficient"] = 10**400
-    return "coefficient must be finite, not an int too large for a float"
+    doc["generator"]["pair"]["coefficient"][0] = 10**400
+    return "coefficient entries must be finite, not an int too large for a float"
 
 
 @pytest.mark.parametrize(
@@ -513,27 +517,31 @@ def test_a_missing_field_names_its_artifact(
     assert not out.exists()
 
 
-def _pad_virtual(ladder):
+def _pad_virtual(block):
     for key in ("x", "y"):  # one more complex entry: its real and imaginary parts
-        edit_packed(ladder, key, lambda values: values.extend([0.0, 0.0]))
-    return "generator ladder 1 x must hold 8 float64 values, not 10"
+        edit_packed(block, key, lambda values: values.extend([0.0, 0.0]))
+    size = 8 * len(block["address"])  # 4 complex entries per ladder
+    return f"generator pair x must hold {size} float64 values, not {size + 2}"
 
 
-def _cut_occupied(ladder):
-    for key in ("r", "s"):  # only the first complex entry left
-        edit_packed(ladder, key, lambda values: values.__delitem__(slice(2, None)))
-    return "generator ladder 1 r must hold 4 float64 values, not 2"
+def _cut_occupied(block):
+    for key in ("r", "s"):  # the last ladder's second complex entry cut
+        edit_packed(block, key, lambda values: values.__delitem__(slice(-2, None)))
+    size = 4 * len(block["address"])  # 2 complex entries per ladder
+    return f"generator pair r must hold {size} float64 values, not {size - 2}"
 
 
 @pytest.mark.parametrize("edit", [_pad_virtual, _cut_occupied],
                          ids=["padded-x-y", "cut-r-s"])
 def test_dial_rejects_a_pair_vector_of_the_wrong_length(tmp_path, capsys, edit):
-    """Synth 5:3:2 (n_occ 2, n_virt 4): a wedge factor of the wrong length is exit 2."""
+    """Synth 5:3:2 (n_occ 2, n_virt 4): a wedge factor column of the wrong length
+    is exit 2.
+    """
     pool, skel, out = (tmp_path / name for name in ("pool.json", "skel.json", "d.json"))
     assert run(["factorize", "--synth", "5:3:2", "--out", str(pool)]) == 0
     assert run(["compile", "--pool", str(pool), "--out", str(skel)]) == 0
     doc = json.loads(pool.read_text())
-    message = edit(doc["generator"]["ladders"][0])
+    message = edit(doc["generator"]["pair"])
     pool.write_text(json.dumps(doc))
     capsys.readouterr()
     argv = ["dial", "--skel", str(skel), "--pool", str(pool), "--out", str(out)]
@@ -612,8 +620,8 @@ def _set_n_so(doc):
 
 
 def _set_coefficient(doc):
-    lad = doc["generator"]["ladders"][0]
-    lad["coefficient"] = str(lad["coefficient"])
+    coefficients = doc["generator"]["pair"]["coefficient"]
+    coefficients[0] = str(coefficients[0])
 
 
 def _set_eigval(doc):

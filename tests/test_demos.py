@@ -1,7 +1,9 @@
 """Smoke test: every narrative script in ``demos/`` runs to completion,
-and so does README's library quick start."""
+and so does README's library quick start; README's format table is current."""
 
+import importlib
 import os
+import pkgutil
 import re
 import runpy
 import subprocess
@@ -9,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import composer
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -33,3 +37,20 @@ def test_readme_quick_start_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_format_table_names_every_current_format():
+    """The ``File formats`` table lists exactly the package's ``*_FORMAT`` names."""
+    current = set()
+    for info in pkgutil.iter_modules(composer.__path__):
+        module = importlib.import_module(f"composer.{info.name}")
+        current.update(value for name, value in vars(module).items()
+                       if name.endswith("_FORMAT") and isinstance(value, str))
+    readme = (ROOT / "README.md").read_text()
+    table = re.search(r"^## File formats\n.*?((?:^\|.*\n)+)", readme,
+                      re.DOTALL | re.MULTILINE)
+    assert table, "README has no file-format table"
+    listed = re.findall(r"^\| `(composer-[a-z0-9]+-v\d+)`", table.group(1),
+                        re.MULTILINE)
+    assert len(current) == 6
+    assert sorted(listed) == sorted(current)

@@ -179,11 +179,14 @@ def _per_ladder_weights(pool):
     return out
 
 
-@pytest.mark.parametrize("synth", ["1:8:8", "81:8:8", "5:6:4"])
+@pytest.mark.parametrize(
+    "synth", ["1:8:8", "2:8:8", "3:8:8", "4:8:8", "5:8:8", "81:8:8", "5:6:4"]
+)
 def test_batched_ladder_weights_keep_the_per_ladder_bits(synth, monkeypatch):
-    """Every ladder kept, in memory and as ``dial`` loads it: the batched
-    weights equal the per-ladder ones bit for bit, so every ``--eta`` mask
-    is the same.
+    """Every ladder kept, in memory and as ``dial`` loads it: the weights read
+    from the pool's batches equal the per-ladder ``np.linalg.norm`` ones bit
+    for bit (a batched ``norm(axis=1)`` changes about a third of them at
+    ``n_so = 16``), so every ``--eta`` mask is the same.
     """
     ints = synth_instance(*map(int, synth.split(":")))
     ham = build_hamiltonian_pool(ints, 1e-10, 0.0)
@@ -197,6 +200,10 @@ def test_batched_ladder_weights_keep_the_per_ladder_bits(synth, monkeypatch):
         with monkeypatch.context() as patched:
             patched.setattr(dg, "ladder_weights", _per_ladder_weights)
             assert masks == [dg.one_shot_mask(pool, eta).indices for eta in etas]
+
+
+def test_weights_of_a_mixed_pool_keep_the_per_ladder_bits(mixed_gen_pool):
+    assert dg.ladder_weights(mixed_gen_pool) == _per_ladder_weights(mixed_gen_pool)
 
 
 def test_one_shot_mask_validation():

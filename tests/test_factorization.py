@@ -13,6 +13,10 @@ from hypothesis import strategies as st
 from composer import oracle
 from composer.errors import DegenerateGapError, NotPSDError, ParseError, ValidationError
 from composer.factorization import (
+    BilinearLadder,
+    GeneratorPool,
+    HamiltonianPool,
+    PairLadder,
     T2Tensor,
     _packed_complex,
     build_hamiltonian_pool,
@@ -366,15 +370,97 @@ def test_view_packing_equals_the_reference_on_any_vector(parts, step, real):
 
 
 def test_pool_loader_checks_bilinear_vector_lengths(small_pools, mixed_gen_pool):
-    """A bilinear ``u`` or ``v`` must have ``n_so`` entries."""
+    """A bilinear ``u`` or ``v`` column must hold ``n_so`` entries per ladder."""
     ham, _ = small_pools
     doc = json.loads(pools_to_json(ham, mixed_gen_pool))
-    lad = next(lad for lad in doc["generator"]["ladders"] if lad["kind"] == "bilinear")
+    block = doc["generator"]["bilinear"]
     # one more complex entry: its real and imaginary parts
-    edit_packed(lad, "v", lambda values: values.extend([0.0, 0.0]))
-    message = f"ladder {lad['address']} v must hold 8 float64 values, not 10"
+    edit_packed(block, "v", lambda values: values.extend([0.0, 0.0]))
+    size = 8 * len(block["address"])
+    message = f"generator bilinear v must hold {size} float64 values, not {size + 2}"
     with pytest.raises(ParseError, match=message):
         pools_from_json(json.dumps(doc))
+
+
+def test_pool_loader_refuses_unequal_address_and_coefficient_lists(
+    small_pools, mixed_gen_pool
+):
+    ham, _ = small_pools
+    doc = json.loads(pools_to_json(ham, mixed_gen_pool))
+    doc["generator"]["bilinear"]["coefficient"].pop()
+    message = "generator bilinear address and coefficient must have equal lengths, "
+    with pytest.raises(ParseError, match=message + "not 2 and 1"):
+        pools_from_json(json.dumps(doc))
+
+
+def test_pool_loader_refuses_an_unknown_ladder_kind(small_pools):
+    ham, gen = small_pools
+    doc = json.loads(pools_to_json(ham, gen))
+    doc["generator"]["triple"] = doc["generator"]["pair"]
+    with pytest.raises(ParseError, match="generator has unknown field 'triple'"):
+        pools_from_json(json.dumps(doc))
+
+
+_ENTRIES = st.floats(-1, 1, allow_subnormal=True)
+
+
+def _drawn_vector(draw, size, complex_row):
+    """A vector of ``size`` entries; a complex one has a nonzero imaginary part."""
+    real = np.array(draw(st.lists(_ENTRIES, min_size=size, max_size=size)))
+    if not complex_row:
+        return real
+    imag = draw(st.lists(_ENTRIES, min_size=size, max_size=size))
+    imag[draw(st.integers(0, size - 1))] = draw(st.sampled_from([0.5, -1e-300]))
+    return real + 1j * np.array(imag)
+
+
+def _drawn_unit_vector(draw, size):
+    vec = _drawn_vector(draw, size, draw(st.booleans()))
+    norm = np.linalg.norm(vec)
+    return vec / norm if norm > 1e-3 else np.eye(size)[0]
+
+
+@st.composite
+def _generator_pools(draw):
+    """Pair and bilinear ladders in any order of kinds, addresses ascending."""
+    n_occ, n_virt = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    kinds = draw(st.lists(st.sampled_from(["pair", "bilinear"]), max_size=6))
+    ladders = []
+    for address, kind in enumerate(kinds, start=1):
+        coefficient = draw(st.floats(-2, 2))
+        if kind == "pair":
+            vecs = [_drawn_vector(draw, size, draw(st.booleans()))
+                    for size in (n_virt, n_virt, n_occ, n_occ)]
+            ladders.append(PairLadder(*vecs, coefficient, address))
+        else:
+            u, v = (_drawn_unit_vector(draw, n_occ + n_virt) for _ in "uv")
+            ladders.append(BilinearLadder(u, v, coefficient, address))
+    return GeneratorPool(tuple(ladders), n_occ, n_virt, n_elec=n_occ)
+
+
+def _same_array(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(gen=_generator_pools())
+def test_generator_columns_load_back_bit_for_bit(gen):
+    """Mixed kinds, real and complex rows, an empty kind: every ladder loads
+    back in address order with its own dtype, shape and bytes (a bilinear
+    ladder's vectors complex), and the text writes back as read.
+    """
+    ham = HamiltonianPool((), (), n_so=gen.n_so, n_elec=gen.n_occ)
+    text = pools_to_json(ham, gen)
+    _, back = pools_from_json(text)
+    assert [lad.kind for lad in back.ladders] == [lad.kind for lad in gen.ladders]
+    for lad, got in zip(gen.ladders, back.ladders):
+        assert (got.address, got.coefficient) == (lad.address, lad.coefficient)
+        keys = ("x", "y", "r", "s") if lad.kind == "pair" else ("u", "v")
+        for key in keys:
+            vec = getattr(lad, key)
+            expected = vec.astype(complex) if lad.kind == "bilinear" else vec
+            assert _same_array(getattr(got, key), expected)
+    assert pools_to_json(ham, back) == text
 
 
 def test_nested_svd_truncation_monotone():
