@@ -5,7 +5,9 @@ a Hamiltonian pool and a generator pool, dialed once, and each adaptor's
 branch is executed from the dial sheet alone, at its address
 (``execute_encoding(skel, sheet, "gen/<a>")``, assembled so its unitarity
 shows too).  Its block is checked against the dense operator it encodes,
-restricted to the working particle-number sector.
+restricted to the working particle-number sector.  The pool encoder runs
+the multiplexed Hamiltonian on that sector's columns alone and returns its
+sector block.
 """
 
 from composer import circuit_ir as cir
@@ -33,6 +35,7 @@ def report(label, address, target, sector):
     err = oracle.restricted_block_error(w, target, ancillas, sector=sector)
     print(f"{label}: ancillas = {ancillas}, restricted error = {err:.2e}, "
           f"unitarity = {oracle.unitarity_residual(w):.2e}")
+    return w
 
 
 # 1. pair adaptor: the dyad |U><V| of two prepared two-electron states
@@ -51,11 +54,14 @@ report(f"channel adaptor ham/{lad.address} (Gamma^2 = {lad.channel.gamma**2:.4f}
        o_mu @ o_mu / lad.channel.gamma**2, pool.n_elec)
 
 # 3. the binary-multiplexed Hamiltonian: block = H / alpha on the sector,
-#    from the pool encoder (run on its ancilla-zero columns), then assembled
-#    from the shared sheet
+#    from the pool encoder (run on the sector's ancilla-zero columns, each
+#    adaptor checked to leak nothing out of it), then assembled from the
+#    shared sheet, whose whole 2^n block preserves every sector
 block, reph = oracle.hamiltonian_block_encoding(pool)
 print(f"multiplexed Hamiltonian: alpha = {reph.alpha:.4f}, "
-      f"ancillas = {reph.ancillas}, restricted error = {reph.measured_error:.2e}")
-print(f"  sector preserving: {oracle.assert_sector_preserving(block, n)}")
-report("  assembled from the shared sheet", "ham",
-       oracle.hamiltonian_from_pool(pool) / pool.alpha, pool.n_elec)
+      f"ancillas = {reph.ancillas}, {len(block)} x {len(block)} block on {reph.sector}, "
+      f"restricted error = {reph.measured_error:.2e}")
+w = report("  assembled from the shared sheet", "ham",
+           oracle.hamiltonian_from_pool(pool) / pool.alpha, pool.n_elec)
+print("  sector preserving: "
+      f"{oracle.assert_sector_preserving(oracle.extract_block(w, n), n)}")

@@ -2,11 +2,13 @@
 
 Masks and coefficient rescalings produce distinct dial sheets bound to
 the same fabric digest; executing any sheet encodes the dense masked
-generator it was dialed for.
+generator it was dialed for, on the working particle-number sector.
 """
 
+import numpy as np
+
 from composer import circuit_ir as cir
-from composer import oracle
+from composer import jw, oracle
 from composer.factorization import (
     GeneratorPool,
     PairLadder,
@@ -54,11 +56,10 @@ print(f"{len(sheets)} dials -> {len(fingerprints)} fingerprint(s), "
 
 worst_dev = 0.0
 for pool, mask, sheet in sheets:
-    block = cir.execute_block(skel, sheet, "gen")
-    target = oracle.generator_dense(pool, mask.indices) / worst
-    worst_dev = max(
-        worst_dev, oracle.restricted_block_error(block, target, 0, sector=pool.sector)
-    )
+    block = cir.execute_block(skel, sheet, "gen", pool.sector)
+    on_sector = np.ix_(*(jw.sector_indices(ints.n_so, pool.sector),) * 2)
+    target = oracle.generator_dense(pool, mask.indices)[on_sector] / worst
+    worst_dev = max(worst_dev, oracle.sector_norm(block - target))
 print(f"worst executed-vs-dense-target deviation: {worst_dev:.2e}")
 
 ledger = payoff_ledger("mask", n_dials=len(sheets), n_fingerprints=len(fingerprints))

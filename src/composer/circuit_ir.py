@@ -46,13 +46,13 @@ Execution is keyed by an address: a side, ``"ham"`` or ``"gen"`` (its
 multiplexed encoding), or one adaptor's branch, ``"ham/<a>"`` or
 ``"gen/<a>"``.  :func:`ancillas` gives the register it runs on;
 :func:`execute_block` runs each adaptor's gadget tree (:mod:`oracle`) on
-its own ancilla-zero columns, those of a particle-number sector or all
-``2**n``, and sums a side's blocks with their PREP weights.  Checked
-sector runs are cached by fabric, adaptor, values after its PREP amplitude
-and sector (:data:`KEPT_RUNS`), so a re-dial that changes only PREP
-amplitudes (a mask) re-weights cached blocks instead of running branches
-again; :func:`one_pool_skeleton` caches its fabrics by pivot plan, so a
-scan of equal plans runs on one.
+its own ancilla-zero columns of one particle-number sector, checks that
+nothing leaks out of it, and sums a side's sector blocks with their PREP
+weights.  Every checked run is cached by fabric, adaptor, values after its
+PREP amplitude and sector (:data:`KEPT_RUNS`), so a re-dial that changes
+only PREP amplitudes (a mask) re-weights cached blocks instead of running
+branches again; :func:`one_pool_skeleton` caches its fabrics by pivot
+plan, so a scan of equal plans runs on one.
 :func:`execute_encoding` assembles the multiplexed encoding as a sparse
 unitary, which only ``composer verify`` needs.  Each of the two checks its
 one size limit before anything is built, then the sheet against the skeleton
@@ -1112,21 +1112,24 @@ def execute_encoding(skel, sheet, address):
     return oracle._csr(_encoding(skel, sheet, address))
 
 
-def check_column_batch(skel, address, sector=None):
+def check_column_batch(skel, address, sector):
     """Reject the column run at ``address`` before anything is built; return its size.
 
-    :func:`execute_block` runs one adaptor at a time, so a run holds
-    :data:`RUN_COPIES` slabs of its widest adaptor's ``2**(w + n) x C``
-    columns (``w`` that adaptor's own workspace, ``C`` the ``C(n, N)``
-    sector columns, or all ``2**n`` when ``sector`` is ``None``) and the
-    ``2**n x C`` sum.  That many amplitudes may be no more than the
-    largest dense operator holds.
+    ``sector`` is an ``int`` (not a ``bool``) in ``0..n``, else a
+    :class:`SectorError` names it.  :func:`execute_block` runs one adaptor
+    at a time, so a run holds :data:`RUN_COPIES` slabs of its widest
+    adaptor's ``2**(w + n) x C`` columns (``w`` that adaptor's own
+    workspace, ``C`` the ``C(n, N)`` sector columns) and the ``2**n x C``
+    sum.  That many amplitudes may be no more than the largest dense
+    operator holds.
     """
+    if type(sector) is not int:
+        raise SectorError(f"sector must be an int, not {sector!r}")
     side, entries = _addressed(skel, address)
     n = skel.n_system
-    if sector is not None and not 0 <= sector <= n:
+    if not 0 <= sector <= n:
         raise SectorError(f"sector N={sector} outside 0..{n}")
-    columns = 2**n if sector is None else math.comb(n, sector)
+    columns = math.comb(n, sector)
     a, width = max(((a, _own_workspace(side, ad)) for a, ad in entries),
                    key=itemgetter(1))
     needed = (RUN_COPIES * 2 ** (width + n) + 2**n) * columns
@@ -1140,28 +1143,28 @@ def check_column_batch(skel, address, sector=None):
     return needed
 
 
-def execute_block(skel, sheet, address, sector=None):
-    """Ancilla-zero block of the encoding at ``address``, run one adaptor at a time.
+def execute_block(skel, sheet, address, sector):
+    """Sector block of the encoding at ``address``, run one adaptor at a time.
 
     The PREP is real orthogonal with the amplitudes ``p_s`` as its first
     column, so a side's block is ``sum_s p_s**2 phase_s B_s``, where
     ``B_s`` is adaptor ``s``'s own block on its own workspace; one
     adaptor's block is its ``B_s`` alone, without its sign line's phase
     (as :func:`_encoding` selects it).  Each ``B_s`` runs on the columns
-    ``|0_anc>|x>`` (``oracle.column_block``): ``x`` in
-    ``jw.sector_indices(n, sector)``, or all ``2**n`` when ``sector`` is
-    ``None``.  With a sector the result is the ``C(n, N)``-square sector
-    block, and each ``B_s`` may hold at most ``oracle.SECTOR_TOL`` in the
-    rows outside the sector (a :class:`SectorError` naming the adaptor);
-    without one, the ``2**n x 2**n`` block.  An adaptor of zero weight is
-    built (its lines and width are checked) but not run.
+    ``|0_anc>|x>`` (``oracle.column_block``), ``x`` in
+    ``jw.sector_indices(n, sector)``, and may hold at most
+    ``oracle.SECTOR_TOL`` in the rows outside the sector (a
+    :class:`SectorError` naming the adaptor).  The result is the
+    ``C(n, N)``-square sector block, indexed like those columns.  An
+    adaptor of zero weight is built (its lines and width are checked) but
+    not run.
 
     Each weighted ``B_s`` and phase come from :func:`_adaptor_run`, a pure
     function of the fabric (by value), the adaptor, its values after its
-    PREP amplitude, the sector and the shared workspace, cached with a
-    sector (the latest :data:`KEPT_RUNS`): a mask re-dial, which changes
-    only PREP amplitudes, runs only the branches it weights for the first
-    time.  A run that fails a check raises, so it is never kept.
+    PREP amplitude, the sector and the shared workspace, cached (the
+    latest :data:`KEPT_RUNS`): a mask re-dial, which changes only PREP
+    amplitudes, runs only the branches it weights for the first time.  A
+    run that fails a check raises, so it is never kept.
 
     The run is checked before anything is built (:func:`check_column_batch`),
     then the sheet (:func:`sheet_values`), then a side's PREP and SELECT as
@@ -1180,40 +1183,37 @@ def execute_block(skel, sheet, address, sector=None):
         amps = [values[skel.slot_spans[side, a][0]] for a, _ in entries]
         weights = oracle.check_prep(amps) ** 2
         workspace = ancillas(skel, side) - skel.selector_width
-    run = _adaptor_run.__wrapped__ if sector is None else _adaptor_run
-    dim = 2**n if sector is None else math.comb(n, sector)
-    block = np.zeros((dim, dim), dtype=complex)
+    block = np.zeros((math.comb(n, sector),) * 2, dtype=complex)
     for (a, _), weight in zip(entries, weights):
         own = _own_values(skel, values, side, a)
         if weight == 0.0:
             oracle.branch_width(_branch(skel, side, a, own)[0], n, workspace)
             continue
-        part, phase = run(skel, side, a, own, sector, workspace)
+        part, phase = _adaptor_run(skel, side, a, own, sector, workspace)
         block += (weight * (1.0 if single else phase)) * part
     return block
 
 
 @lru_cache(maxsize=KEPT_RUNS)
 def _adaptor_run(skel, side, a, values, sector, workspace):
-    """``(B_s, phase)``: adaptor ``a``'s checked, read-only block on the
-    sector rows (all ``2**n`` without one), run from its :func:`_own_values`,
-    and its sign line's phase.  Its node may be no wider than ``workspace``
-    (``None`` for a one-adaptor address, which has no shared one).
+    """``(B_s, phase)``: adaptor ``a``'s checked, read-only sector block,
+    run from its :func:`_own_values`, and its sign line's phase.  Its node
+    may be no wider than ``workspace`` (``None`` for a one-adaptor address,
+    which has no shared one).
     """
     n = skel.n_system
     node, phase = _branch(skel, side, a, values)
     if workspace is not None:
         oracle.branch_width(node, n, workspace)
-    columns = np.arange(2**n) if sector is None else jw.sector_indices(n, sector)
+    columns = jw.sector_indices(n, sector)
     part = oracle.column_block(node, n, columns)
-    if sector is not None:
-        leak = float(np.abs(part[jw.hamming_weights(n) != sector]).max(initial=0.0))
-        if leak > oracle.SECTOR_TOL:
-            raise SectorError(
-                f"{_SIDE_NAMES[side]} adaptor {a} leaks {leak:.3e} out of the "
-                f"N={sector} sector (tolerance {oracle.SECTOR_TOL:g})"
-            )
-        part = part[columns]
+    leak = float(np.abs(part[jw.hamming_weights(n) != sector]).max(initial=0.0))
+    if leak > oracle.SECTOR_TOL:
+        raise SectorError(
+            f"{_SIDE_NAMES[side]} adaptor {a} leaks {leak:.3e} out of the "
+            f"N={sector} sector (tolerance {oracle.SECTOR_TOL:g})"
+        )
+    part = part[columns]
     part.setflags(write=False)
     return part, phase
 

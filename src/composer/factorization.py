@@ -78,7 +78,9 @@ class BilinearLadder:
     """Rank-one bilinear ladder ``coefficient * a^dag(u) a(v)``.
 
     ``u`` and ``v`` are unit vectors; norms and phases are absorbed into
-    the real coefficient and the vectors themselves.
+    the real coefficient and the vectors themselves.  Both are held
+    complex, as a pool document loads them, so a ladder and its loaded
+    copy derive the same bits (its spectrum, hence ``alpha_bar``).
     """
 
     u: np.ndarray
@@ -87,9 +89,10 @@ class BilinearLadder:
     address: int
 
     def __post_init__(self):
-        self.u.setflags(write=False)
-        self.v.setflags(write=False)
-        for name, vec in (("u", self.u), ("v", self.v)):
+        for name in ("u", "v"):
+            vec = np.asarray(getattr(self, name), complex)
+            vec.setflags(write=False)
+            object.__setattr__(self, name, vec)
             if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
                 raise ValidationError(f"{name} must be unit norm")
 

@@ -5,8 +5,9 @@ groups, so its all-ancilla-zero block is exactly the product of the three
 encoded blocks; it therefore works with the encoded blocks directly and
 never forms the joint-register matrix.  Every encoding preserves the
 particle number, so each block is computed on the working sector alone:
-its encoding runs one adaptor at a time on the ``C(n, N)`` sector
-columns ``|0_anc>|x>``, so no encoding is assembled either, and the
+its two halves are the encoders' own (``oracle.hamiltonian_block_encoding``
+and ``qsp.exp_sigma_block``), run one adaptor at a time on the ``C(n, N)``
+sector columns ``|0_anc>|x>``, so no encoding is assembled either, and the
 sandwich and its exact reference are ``C(n, N) x C(n, N)`` arrays.
 
 A mask changes only the generator's PREP amplitudes.  Three
@@ -108,17 +109,15 @@ def similarity_sandwich(ham_pool, gen_pool, mask, model_space, eps_poly):
     The report compares the model-space restriction against the
     eigendecomposition-exact sandwich, checking the additive budget
     ``2 eps_exp + eps_ham`` at the slack :data:`BUDGET_SLACK`.  The
-    generator is normalized by the full pool's ``alpha_bar``.  Every
-    block, exact or encoded, is computed on the sector alone: the
-    encodings run one adaptor at a time on the sector columns
-    (``circuit_ir.execute_block``), and the exact exponential is taken of
-    the sector block of the generator.  Both pools must share the sector.
+    generator is normalized by the full pool's ``alpha_bar``.  Both pools
+    must share the sector, and both column runs are checked before either
+    is dialed or run.  Each half, encoded and exact, is its encoder's own
+    on the sector (``oracle._hamiltonian_sector``, ``qsp._exp_sigma``).
     A cached adaptor run is re-weighted, not run again
     (``circuit_ir.execute_block``), and the Hamiltonian half is cached for
     the last ``ham_pool`` object (:func:`_hamiltonian_half`), so a call
     that changes only the mask neither dials nor runs the Hamiltonian.
     """
-    n = ham_pool.n_so
     n_elec = ham_pool.n_elec
     if gen_pool.sector != n_elec:
         raise SectorError(
@@ -126,26 +125,19 @@ def similarity_sandwich(ham_pool, gen_pool, mask, model_space, eps_poly):
             f"Hamiltonian's N={n_elec}"
         )
     mask_indices = frozenset(getattr(mask, "indices", mask))
-    # both encodings run on one-pool skeletons; both column runs are
-    # checked before either is dialed or run
+    # the Hamiltonian half checks its own run before it dials
     gen_skel = circuit_ir.one_pool_skeleton(None, gen_pool)
     circuit_ir.check_column_batch(gen_skel, "gen", n_elec)
-    b_block, h_exact, eps_ham = _hamiltonian_half(ham_pool)
-    on_sector = np.ix_(*(jw.sector_indices(n, n_elec),) * 2)
-
-    sheet = circuit_ir.dial(gen_skel, None, gen_pool, mask_indices)
-    generator = oracle.generator_dense(gen_pool, mask_indices)[on_sector]
-    exp_exact = qsp.exact_exponential(generator)
-    e_block, exp_rep = qsp.exp_encoded_block(
-        circuit_ir.execute_block(gen_skel, sheet, "gen", n_elec),
-        exp_exact, gen_pool.alpha_bar, eps_poly, None,
+    b_block, h_exact, ham_rep = _hamiltonian_half(ham_pool)
+    e_block, exp_exact, exp_rep = qsp._exp_sigma(
+        gen_skel, gen_pool, mask_indices, eps_poly, 0.0, gen_pool.alpha_bar
     )
-    eps_exp = exp_rep.measured_deviation
+    eps_ham, eps_exp = ham_rep.measured_error, exp_rep.measured_deviation
 
     sandwich = e_block.conj().T @ b_block @ e_block
     exact = exp_exact.conj().T @ h_exact @ exp_exact
 
-    proj = model_space_projector(model_space, n, n_elec)
+    proj = model_space_projector(model_space, ham_pool.n_so, n_elec)
     measured = oracle.sector_norm(proj @ (sandwich - exact) @ proj)
     budget = 2.0 * eps_exp + eps_ham
     within = measured <= budget * (1.0 + BUDGET_SLACK) + 1e-13
@@ -161,24 +153,8 @@ def similarity_sandwich(ham_pool, gen_pool, mask, model_space, eps_poly):
     return report, sandwich
 
 
-@lru_cache(maxsize=1)
-def _hamiltonian_half(ham_pool):
-    """``(block, exact, eps_ham)``: the pool's read-only encoded and exact
-    blocks on its ``N = n_elec`` sector, and the norm of their difference.
-
-    The column run is checked before the pool is dialed and run.  Pools
-    compare by identity (``eq=False``), and the cache holds its one pool.
-    """
-    n, n_elec = ham_pool.n_so, ham_pool.n_elec
-    skel = circuit_ir.one_pool_skeleton(ham_pool, None)
-    circuit_ir.check_column_batch(skel, "ham", n_elec)
-    sheet = circuit_ir.dial(skel, ham_pool, None, ())
-    block = circuit_ir.execute_block(skel, sheet, "ham", n_elec)
-    on_sector = np.ix_(*(jw.sector_indices(n, n_elec),) * 2)
-    exact = (oracle.hamiltonian_from_pool(ham_pool) / ham_pool.alpha)[on_sector]
-    for arr in (block, exact):
-        arr.setflags(write=False)
-    return block, exact, oracle.sector_norm(block - exact)
+# the last pool object's Hamiltonian half; pools compare by identity (eq=False)
+_hamiltonian_half = lru_cache(maxsize=1)(oracle._hamiltonian_sector)
 
 
 def matrix_elements(block, bras, kets):

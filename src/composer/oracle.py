@@ -4,8 +4,8 @@ Every gadget is an operator tree whose leaves are dense system-gate
 runs (built by the :mod:`circuit_ir` interpreter with the :mod:`ladders`
 kernel) and cached sparse workspace gadgets.  It has two evaluations:
 ``apply`` runs it on dense state columns, so block consumers read the
-ancilla-zero block from the columns ``|0_anc>|x>`` (all ``2**n``, or a
-particle-number sector's); ``tocsr`` assembles the sparse (CSR) unitary,
+ancilla-zero block from a particle-number sector's columns ``|0_anc>|x>``;
+``tocsr`` assembles the sparse (CSR) unitary,
 which only ``composer verify`` needs, for its unitarity check.  Assembly
 builds each node's CSR arrays by index arithmetic: a lift repeats its
 operand's arrays along the diagonal, SELECT joins its branches' arrays,
@@ -23,10 +23,10 @@ The trees are built only by the :mod:`circuit_ir` interpreter, from a
 skeleton's layer lines and a dial sheet; this module holds their nodes
 and the cached angle-free leaves the lines map onto (flag copy, vacuum
 reflection, null flip, squaring, PREP-SELECT-PREP).  Each pool encoder
-(and :func:`channel_block_encoding`, for one channel) compiles a
-skeleton for its one pool, dials it, runs the dial sheet one adaptor at
-a time on the ``2**n`` ancilla-zero columns (:func:`circuit_ir.execute_block`)
-and returns that block with its error against the dense target.
+compiles a skeleton for its one pool, dials it, runs the dial sheet one
+adaptor at a time on its working sector's ancilla-zero columns
+(:func:`circuit_ir.execute_block`) and returns that sector block with its
+error against the dense target's; :func:`channel_block_encoding` runs every sector.
 """
 
 from __future__ import annotations
@@ -227,19 +227,21 @@ def restricted_block_error(w, target, ancilla_count, sector=None):
         raise ShapeError(
             f"unitary dimension {w.shape[0]} != 2**(t + n) with t={ancilla_count}"
         )
-    return sector_norm(extract_block(w, n) - target, sector)
+    delta = extract_block(w, n) - target
+    return sector_norm(delta if sector is None else _on_sector(delta, sector))
 
 
-def sector_norm(delta, sector=None):
-    """Spectral norm of ``delta`` restricted to the particle-number ``sector``.
-
-    With no sector, the norm of the whole block.  The ``sector x sector``
-    submatrix is normed, which equals the norm of ``P delta P``.
-    """
-    if sector is not None:
-        idx = jw.sector_indices(int(np.log2(delta.shape[0])), sector)
-        delta = delta[np.ix_(idx, idx)]
+def sector_norm(delta):
+    """Spectral norm of a block deviation ``delta``, on a sector when ``delta``
+    is its ``C(n, N)``-square block (which equals the norm of ``P delta P``)."""
     return float(np.linalg.norm(delta, 2))
+
+
+def _on_sector(mat, sector):
+    """The ``C(n, N)``-square block of a ``2**n``-square ``mat`` on sector ``N``,
+    indexed like ``jw.sector_indices(n, N)``."""
+    idx = jw.sector_indices(int(np.log2(mat.shape[0])), sector)
+    return mat[np.ix_(idx, idx)]
 
 
 def unitarity_residual(w):
@@ -431,14 +433,13 @@ class _PrepSelectPrep(_Node):
         return (self.prep.T @ slabs.reshape(n_states, -1)).reshape(-1, k)
 
 
-def column_block(op, n, columns=None):
+def column_block(op, n, columns):
     """Ancilla-zero rows of a leaf or node, run on the columns ``|0_anc>|x>``.
 
-    ``x`` runs over ``columns`` (system basis indices), all ``2**n`` of
-    them by default, so the result is ``2**n x len(columns)``: the
-    listed columns of the dense block ``<0_anc| W |0_anc>``.
+    ``x`` runs over ``columns`` (system basis indices), so the result is
+    ``2**n x len(columns)``: the listed columns of the dense block
+    ``<0_anc| W |0_anc>``.
     """
-    columns = np.arange(2**n) if columns is None else columns
     cols = np.zeros((op.shape[0], len(columns)), dtype=complex)
     cols[columns, np.arange(len(columns))] = 1.0
     return _apply(op, cols)[: 2**n].copy()  # a copy, so the rows above are freed
@@ -653,9 +654,10 @@ def squared_block_gadget(w, t, n):
 def channel_block_encoding(ch, n):
     """Squared channel adaptor, run on the fabric of a one-channel pool.
 
-    Compiles and dials that pool, runs ``ham/0`` on its ancilla-zero
-    columns and returns the block with its error against
-    ``O_mu^2 / Gamma_mu^2`` on every particle sector.
+    Compiles and dials that pool and runs ``ham/0`` on the ancilla-zero
+    columns of every sector ``N = 0..n``, the widest run checked first.
+    Returns the ``2**n``-square block, each sector block on its diagonal,
+    with its error against ``O_mu^2 / Gamma_mu^2`` on the whole register.
     """
     if ch.eigvals is None:
         raise ValidationError("channel must be eigendecomposed first")
@@ -664,11 +666,15 @@ def channel_block_encoding(ch, n):
     # the channel block is exact on every sector, so n_elec is never read
     pool = HamiltonianPool((), (ChannelLadder(ch, 1.0, 0),), n_so=n, n_elec=0)
     skel = circuit_ir.one_pool_skeleton(pool, None)
+    circuit_ir.check_column_batch(skel, "ham/0", n // 2)
     sheet = circuit_ir.dial(skel, pool, None, ())
-    block = circuit_ir.execute_block(skel, sheet, "ham/0")
+    block = np.zeros((2**n, 2**n), dtype=complex)
+    for sector in range(n + 1):
+        idx = jw.sector_indices(n, sector)
+        block[np.ix_(idx, idx)] = circuit_ir.execute_block(skel, sheet, "ham/0", sector)
     o_mu = channel_operator(ch, n)
     target = o_mu @ o_mu / ch.gamma**2
-    return block, _report(skel, "ham/0", block, target, ch.gamma**2, None)
+    return block, _report(skel, "ham/0", block - target, ch.gamma**2, None)
 
 
 def channel_operator(ch, n):
@@ -677,12 +683,13 @@ def channel_operator(ch, n):
     return one_body_operator((w * ch.eigvals) @ w.conj().T, n)
 
 
-def _report(skel, address, block, target, alpha, sector):
-    """Report of the block run at ``address``, measured against its dense target."""
+def _report(skel, address, delta, alpha, sector):
+    """Report of the block run at ``address``, ``delta`` off its target on
+    ``sector`` (``None``: every sector)."""
     return BlockEncodingReport(
         alpha=alpha,
         ancillas=circuit_ir.ancillas(skel, address),
-        measured_error=sector_norm(block - target, sector),
+        measured_error=sector_norm(delta),
         sector="all" if sector is None else f"N={sector}",
     )
 
@@ -690,15 +697,26 @@ def _report(skel, address, block, target, alpha, sector):
 def hamiltonian_block_encoding(pool):
     """Block of the pool Hamiltonian's multiplexed encoding (no constant shift).
 
-    Compiles a Hamiltonian-only skeleton, dials it, runs it on its
-    ancilla-zero columns and measures the block against the dense pool
-    rebuild on the working sector; returns ``(block, report)``.
+    Returns the ``block`` and ``report`` of :func:`_hamiltonian_sector`.
+    """
+    block, _, report = _hamiltonian_sector(pool)
+    return block, report
+
+
+def _hamiltonian_sector(pool):
+    """``(block, target, report)``: the read-only ``C(n, N)``-square encoded
+    and dense (pool rebuild over ``alpha``) blocks on ``N = n_elec``, and
+    the report of their difference.  The column run is checked before the
+    Hamiltonian-only skeleton is dialed and run on the sector columns.
     """
     skel = circuit_ir.one_pool_skeleton(pool, None)
+    circuit_ir.check_column_batch(skel, "ham", pool.n_elec)
     sheet = circuit_ir.dial(skel, pool, None, ())
-    block = circuit_ir.execute_block(skel, sheet, "ham")
-    target = hamiltonian_from_pool(pool) / pool.alpha
-    return block, _report(skel, "ham", block, target, pool.alpha, pool.n_elec)
+    block = circuit_ir.execute_block(skel, sheet, "ham", pool.n_elec)
+    target = _on_sector(hamiltonian_from_pool(pool) / pool.alpha, pool.n_elec)
+    for arr in (block, target):
+        arr.setflags(write=False)
+    return block, target, _report(skel, "ham", block - target, pool.alpha, pool.n_elec)
 
 
 def generator_block_encoding(pool, mask_indices):
@@ -709,14 +727,15 @@ def generator_block_encoding(pool, mask_indices):
     surplus PREP amplitude is routed to the reserved address-0 null branch,
     whose workspace flip keeps it invisible to the ancilla-vacuum block.
     A generator-only skeleton is compiled, dialed (which checks the mask
-    and the masked-weight budget) and run on its ancilla-zero columns;
-    returns ``(block, report)``.
+    and the masked-weight budget) and run on the ancilla-zero columns of
+    the working sector ``N = pool.sector``; returns ``(block, report)``.
     """
     mask_indices = frozenset(mask_indices)
     if pool.ell == 0 and mask_indices:
         raise MaskError("nonzero mask over an empty generator pool")
     skel = circuit_ir.one_pool_skeleton(None, pool)
     sheet = circuit_ir.dial(skel, None, pool, mask_indices)
-    block = circuit_ir.execute_block(skel, sheet, "gen")
-    target = generator_dense(pool, mask_indices) / pool.alpha_bar
-    return block, _report(skel, "gen", block, target, pool.alpha_bar, pool.sector)
+    block = circuit_ir.execute_block(skel, sheet, "gen", pool.sector)
+    target = _on_sector(generator_dense(pool, mask_indices), pool.sector)
+    target = target / pool.alpha_bar
+    return block, _report(skel, "gen", block - target, pool.alpha_bar, pool.sector)

@@ -5,9 +5,10 @@ series whose coefficients are Bessel values, with a certified tail bound;
 the polynomial is applied to the encoded block through the three-term
 matrix recurrence, which realizes the same map a phased signal-processing
 sequence would produce without synthesizing phase lists.  The generator
-block comes from running its encoding on the ancilla-zero columns
-(``circuit_ir.execute_block(skel, sheet, "gen")``); the unitary is never
-assembled.  Every matrix here is a plain dense array.
+block comes from running its encoding on the ancilla-zero columns of its
+working particle-number sector (``circuit_ir.execute_block(skel, sheet,
+"gen", N)``); the unitary is never assembled.  Every matrix here is a
+plain dense ``C(n, N)``-square array.
 """
 
 from __future__ import annotations
@@ -159,14 +160,29 @@ def exact_exponential(herm):
     return (evecs * np.exp(-1j * evals)) @ evecs.conj().T
 
 
-def exp_encoded_block(block, exact, alpha_bar, eps_poly, sector, eps_prime=0.0):
-    """Chebyshev ``exp(-i alpha_bar x)`` of an encoded generator block.
+def exp_sigma_block(pool, mask_indices, eps_poly, eps_prime=0.0, alpha_bar=None):
+    """Approximate ``exp(sigma)`` for the masked generator at the block level:
+    the ``approx`` and ``report`` of :func:`_exp_sigma`."""
+    alpha_bar = pool.alpha_bar if alpha_bar is None else float(alpha_bar)
+    approx, _, report = _exp_sigma(circuit_ir.one_pool_skeleton(None, pool), pool,
+                                   mask_indices, eps_poly, eps_prime, alpha_bar)
+    return approx, report
 
-    Optionally injects a Hermitian perturbation of spectral norm
-    ``eps_prime`` (a stand-in for branch synthesis error) first; the
-    report records the deviation from ``exact`` on the particle-number
-    ``sector``, or on the whole block when ``sector`` is ``None``.
+
+def _exp_sigma(skel, pool, mask_indices, eps_poly, eps_prime, alpha_bar):
+    """``(approx, exact, report)``: Chebyshev and exact ``exp(-i alpha_bar x)``
+    of the masked generator on its working sector ``N = pool.sector``.
+
+    The pool's generator-only skeleton ``skel`` is dialed and run on the
+    sector's columns, with an optional Hermitian perturbation of spectral
+    norm ``eps_prime`` (a stand-in for branch synthesis error); ``exact``
+    is by ``eigh`` of the generator's sector block.
     """
+    sheet = circuit_ir.dial(skel, None, pool, mask_indices, alpha_bar)
+    block = circuit_ir.execute_block(skel, sheet, "gen", pool.sector)
+    exact = exact_exponential(
+        oracle._on_sector(oracle.generator_dense(pool, mask_indices), pool.sector)
+    )
     if eps_prime:
         block = block + eps_prime * _seeded_hermitian_direction(block.shape[0])
         norm = np.linalg.norm(block, 2)
@@ -180,23 +196,7 @@ def exp_encoded_block(block, exact, alpha_bar, eps_poly, sector, eps_prime=0.0):
         alpha_bar=alpha_bar,
         eps_poly=poly.eps_poly,
         eps_prime=float(eps_prime),
-        measured_deviation=oracle.sector_norm(approx - exact, sector),
-        sector="all" if sector is None else f"N={sector}",
+        measured_deviation=oracle.sector_norm(approx - exact),
+        sector=f"N={pool.sector}",
     )
-    return approx, report
-
-
-def exp_sigma_block(pool, mask_indices, eps_poly, eps_prime=0.0, alpha_bar=None):
-    """Approximate ``exp(sigma)`` for the masked generator at the block level.
-
-    Compiles and dials the masked generator encoding, runs it on its
-    ancilla-zero columns and applies :func:`exp_encoded_block`; the report
-    records the measured deviation from the eigendecomposition-exact
-    exponential on the working sector.
-    """
-    alpha_bar = pool.alpha_bar if alpha_bar is None else float(alpha_bar)
-    skel = circuit_ir.one_pool_skeleton(None, pool)
-    sheet = circuit_ir.dial(skel, None, pool, mask_indices, alpha_bar=alpha_bar)
-    block = circuit_ir.execute_block(skel, sheet, "gen")
-    exact = exact_exponential(oracle.generator_dense(pool, mask_indices))
-    return exp_encoded_block(block, exact, alpha_bar, eps_poly, pool.sector, eps_prime)
+    return approx, exact, report

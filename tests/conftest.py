@@ -81,6 +81,13 @@ def sector_projector_diagonal(n, n_elec):
     return (jw.hamming_weights(n) == n_elec).astype(float)
 
 
+def sector_block(mat, sector):
+    """The ``C(n, N)``-square block of a ``2**n``-square ``mat`` on sector
+    ``N = sector``, indexed like ``jw.sector_indices(n, N)``."""
+    idx = jw.sector_indices(int(np.log2(len(mat))), sector)
+    return mat[np.ix_(idx, idx)]
+
+
 def assert_encodes(w, target, n, sector):
     """Executed encoding ``w`` encodes ``target`` on the particle sector.
 

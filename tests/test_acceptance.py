@@ -29,6 +29,7 @@ from composer.factorization import (
 from composer.integrals import parse_fcidump, synth_instance
 from composer.resources import block_cost
 from conftest import adaptor_targets, assert_encodes, mixed_generator_pool
+from conftest import sector_block
 
 
 def _stamp(label, t0, budget):
@@ -141,12 +142,11 @@ def test_c03_adaptor_and_multiplex_verification():
         def multiplexed_error(sheet):
             if assembled:
                 w = cir.execute_encoding(skel, sheet, "ham")
-                ancillas = cir.ancillas(skel, "ham")
-            else:
-                w, ancillas = cir.execute_block(skel, sheet, "ham"), 0
-            return oracle.restricted_block_error(
-                w, h_target, ancillas, sector=pool.n_elec
-            )
+                return oracle.restricted_block_error(
+                    w, h_target, cir.ancillas(skel, "ham"), sector=pool.n_elec
+                )
+            block = cir.execute_block(skel, sheet, "ham", pool.n_elec)
+            return oracle.sector_norm(block - sector_block(h_target, pool.n_elec))
 
         noisy = replace(
             pool,

@@ -35,7 +35,7 @@ from conftest import (
     line_value_index,
     mixed_generator_pool,
     older_formats,
-    sector_projector_diagonal,
+    sector_block,
 )
 
 
@@ -500,18 +500,22 @@ def every_address(skel):
 
 
 def _assert_blocks_match_assembly(skel, sheet, addresses):
-    """At each address the column block is the assembled unitary's top-left block."""
+    """At each address and on every sector ``N = 0..n``, the column block is
+    the sector block of the assembled unitary's top-left block."""
     n = skel.n_system
     for address in addresses:
-        block = cir.execute_block(skel, sheet, address)
-        w = cir.execute_encoding(skel, sheet, address)
-        assert np.abs(block - oracle.extract_block(w, n)).max() <= 1e-13, address
+        top_left = oracle.extract_block(cir.execute_encoding(skel, sheet, address), n)
+        for sector in range(n + 1):
+            block = cir.execute_block(skel, sheet, address, sector)
+            assembled = sector_block(top_left, sector)
+            assert np.abs(block - assembled).max() <= 1e-13, (address, sector)
 
 
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_column_blocks_match_assembly(compiled, data):
-    """n_so = 4: at every address, run on columns, equals the assembled block."""
+    """n_so = 4: at every address, run on each sector's columns, equals the
+    assembled block."""
     ham, gen, skel = compiled
     sheet = _dial_random_prefix(ham, gen, skel, data)
     _assert_blocks_match_assembly(skel, sheet, every_address(skel))
@@ -585,9 +589,9 @@ def test_every_adaptor_encodes_its_ladder(small_pools, mixed_gen_pool, data):
     assert_encodes(null, np.zeros((2**n, 2**n)), n, ham.n_elec)
 
 
-def _sector_max(block, target, n, sector):
-    diag = sector_projector_diagonal(n, sector)
-    return float(np.abs((block - target) * np.outer(diag, diag)).max())
+def _sector_max(block, target, sector):
+    """Largest entry of a sector block minus ``target``'s block on that sector."""
+    return float(np.abs(block - sector_block(target, sector)).max())
 
 
 def _flipped(ladders, flips):
@@ -615,10 +619,10 @@ def test_branch_signs_follow_the_coefficients(small_pools, mixed_gen_pool, data)
     n = ham.n_so
     skel = cir.compile_skeleton(n, cir.pivots_from_pools(ham, gen))
     sheet = cir.dial(skel, ham, gen, mask)
-    block = cir.execute_block(skel, sheet, "gen")
-    assert _sector_max(block, generator_target(gen, mask), n, gen.sector) <= 1e-12
-    block = cir.execute_block(skel, sheet, "ham")
-    assert _sector_max(block, hamiltonian_target(ham), n, ham.n_elec) <= 1e-12
+    block = cir.execute_block(skel, sheet, "gen", gen.sector)
+    assert _sector_max(block, generator_target(gen, mask), gen.sector) <= 1e-12
+    block = cir.execute_block(skel, sheet, "ham", ham.n_elec)
+    assert _sector_max(block, hamiltonian_target(ham), ham.n_elec) <= 1e-12
 
 
 def test_layer_stream_is_the_program(compiled):
@@ -627,8 +631,8 @@ def test_layer_stream_is_the_program(compiled):
     sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", [1]))
     n = skel.n_system
     target = hamiltonian_target(ham)
-    block = cir.execute_block(skel, sheet, "ham")
-    assert _sector_max(block, target, n, ham.n_elec) <= 1e-10
+    block = cir.execute_block(skel, sheet, "ham", ham.n_elec)
+    assert _sector_max(block, target, ham.n_elec) <= 1e-10
     # the givens line of the first one-body adaptor with the largest angle
     a, ad = next((a, ad) for a, ad in enumerate(skel.adaptors_ham)
                  if ad.kind == "one_body_mode")
@@ -644,26 +648,26 @@ def test_layer_stream_is_the_program(compiled):
     layers[k] = f"givens|{other},{pivot}"
     tampered = _reloaded(skel, ad, layers)
     sheet = cir.dial(tampered, ham, gen, cir.Mask.of("m", [1]))
-    block = cir.execute_block(tampered, sheet, "ham")
-    assert _sector_max(block, target, n, ham.n_elec) > 1e-3
+    block = cir.execute_block(tampered, sheet, "ham", ham.n_elec)
+    assert _sector_max(block, target, ham.n_elec) > 1e-3
 
 
 @pytest.mark.parametrize("synth", [(7, 2, 2), (7, 3, 2), (7, 4, 2)])
 def test_the_multiplexed_run_equals_the_per_adaptor_sum(synth):
-    """n_so = 4, 6 and 8: each side's multiplexed encoding, one
-    PREP-SELECT-PREP node run on all ``2**n`` columns, has the block that
-    ``execute_block`` sums adaptor by adaptor, to 1e-14, so the SELECT
-    wiring (case order, lifts and branch signs) stays covered; on the
-    sector columns ``execute_block`` returns that block's sector block.
+    """n_so = 4, 6 and 8: on every sector ``N = 0..n``, each side's
+    multiplexed encoding, one PREP-SELECT-PREP node run on the sector's
+    columns, has the sector block that ``execute_block`` sums adaptor by
+    adaptor, to 1e-14, so the SELECT wiring (case order, lifts and branch
+    signs) stays covered, and the node leaks nothing out of the sector.
 
     The mask keeps every other generator ladder, so zero-weight branches
     are skipped.  At n_so = 8 the Hamiltonian pool keeps its first mode
     group and its first channel (addresses 0 and 1): its multiplexed
     register is then 14 qubits, where the whole pool's 16-qubit
-    all-column run alone peaks near 0.8 GB.
+    multiplexed run on all 256 columns alone peaks near 0.8 GB.
     """
     ints = synth_instance(*synth)
-    n, n_elec = ints.n_so, ints.n_elec
+    n = ints.n_so
     ham = build_hamiltonian_pool(ints, 1e-10, 0.0)
     if n == 8:
         channel = replace(ham.channels[0], address=1)
@@ -671,23 +675,25 @@ def test_the_multiplexed_run_equals_the_per_adaptor_sum(synth):
     base = nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0)
     gen = mixed_generator_pool(base, n_so=n, seed=synth[0])
     mask = cir.Mask.of("m", range(1, gen.ell + 1, 2))
-    sector = np.ix_(*(jw.sector_indices(n, n_elec),) * 2)
     for skel, pools, side in ((cir.one_pool_skeleton(ham, None), (ham, None), "ham"),
                               (cir.one_pool_skeleton(None, gen), (None, gen), "gen")):
         sheet = cir.dial(skel, *pools, mask if side == "gen" else ())
-        summed = cir.execute_block(skel, sheet, side)
-        multiplexed = oracle.column_block(cir._encoding(skel, sheet, side), n)
-        assert np.abs(multiplexed - summed).max() <= 1e-14, side
-        on_sector = cir.execute_block(skel, sheet, side, n_elec)
-        assert np.abs(on_sector - summed[sector]).max() <= 1e-14, side
+        node = cir._encoding(skel, sheet, side)
+        for sector in range(n + 1):
+            columns = jw.sector_indices(n, sector)
+            multiplexed = oracle.column_block(node, n, columns)
+            outside = multiplexed[jw.hamming_weights(n) != sector]
+            assert np.abs(outside).max(initial=0.0) <= oracle.SECTOR_TOL, (side, sector)
+            summed = cir.execute_block(skel, sheet, side, sector)
+            assert np.abs(multiplexed[columns] - summed).max() <= 1e-14, (side, sector)
 
 
 def test_a_system_flip_spliced_into_an_adaptor_leaks_out_of_the_sector(compiled):
     """An ``x`` system line spliced into the first Hamiltonian adaptor,
     re-fingerprinted, moves its sector columns out of the sector.
 
-    On the sector columns ``execute_block`` raises a ``SectorError`` that
-    names the adaptor and the leak; on all columns nothing is compared.
+    ``execute_block`` raises a ``SectorError`` that names the adaptor and
+    the leak.
     """
     ham, gen, skel = compiled
     ad = skel.adaptors_ham[0]
@@ -699,7 +705,6 @@ def test_a_system_flip_spliced_into_an_adaptor_leaks_out_of_the_sector(compiled)
         cir.execute_block(tampered, sheet, "ham", ham.n_elec)
     with pytest.raises(SectorError, match="Hamiltonian adaptor 0 leaks"):
         cir.execute_block(tampered, sheet, "ham/0", ham.n_elec)
-    assert cir.execute_block(tampered, sheet, "ham").shape == (16, 16)
     cir.execute_block(skel, cir.dial(skel, ham, gen, cir.Mask.of("m", [1])), "ham", 2)
 
 
@@ -716,6 +721,22 @@ def test_a_sector_outside_the_register_is_refused(compiled):
     assert cir.execute_block(skel, sheet, "ham", 4).shape == (1, 1)
 
 
+@pytest.mark.parametrize("sector", [True, False, 2.0, "2", None, np.int64(2)])
+def test_a_sector_that_is_not_an_int_is_refused(compiled, sector, monkeypatch):
+    """``sector`` must be an ``int``: a ``bool``, a float, a string, ``None``
+    or a NumPy integer is refused with a ``SectorError`` that names it,
+    before the address is read or any branch is built."""
+    ham, gen, skel = compiled
+    sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", [1]))
+    built = _built(monkeypatch)
+    message = re.escape(f"sector must be an int, not {sector!r}")
+    with pytest.raises(SectorError, match=message):
+        cir.check_column_batch(skel, "qsp/0", sector)
+    with pytest.raises(SectorError, match=message):
+        cir.execute_block(skel, sheet, "ham", sector)
+    assert built == []
+
+
 def _built(monkeypatch):
     """Positions of the branches ``execute_block`` builds from here on, in order."""
     built = []
@@ -728,7 +749,7 @@ def _built(monkeypatch):
     return built
 
 
-def _cold(skel, sheet, address, sector=None):
+def _cold(skel, sheet, address, sector):
     """``execute_block`` on an emptied cache: every branch built and run."""
     cir._adaptor_run.cache_clear()
     return cir.execute_block(skel, sheet, address, sector)
@@ -742,14 +763,13 @@ def _nudged(sheet, index):
     return replace(sheet, values=values)
 
 
-@pytest.mark.parametrize("sector", [None, 2])
+@pytest.mark.parametrize("sector", [2])
 def test_a_value_nudged_by_one_ulp_reruns_exactly_its_adaptor(compiled, sector,
                                                               monkeypatch):
-    """On a sector, a second run of one fabric with equal values builds only
-    its zero-weight branches, which are checked but never run, so never
-    kept; one value moved by one ulp rebuilds its adaptor besides.  Without
-    a sector no run is kept: every call builds every branch and adds no
-    cache entry.  Every block is bit-identical to a run on an emptied cache."""
+    """A second run of one fabric with equal values builds only its
+    zero-weight branches, which are checked but never run, so never kept;
+    one value moved by one ulp rebuilds its adaptor besides.  Every block
+    is bit-identical to a run on an emptied cache."""
     ham, gen, skel = compiled
     sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", [1, 2]))
     for side, adaptors in skel.sides():
@@ -759,10 +779,10 @@ def test_a_value_nudged_by_one_ulp_reruns_exactly_its_adaptor(compiled, sector,
         assert len(idle) < len(adaptors)
         first = _cold(skel, sheet, side, sector)
         kept = cir._adaptor_run.cache_info().currsize
-        assert (kept == 0) == (sector is None)
+        assert kept > 0
         built = _built(monkeypatch)
         again = cir.execute_block(skel, sheet, side, sector)
-        assert built == (every if sector is None else idle)
+        assert built == idle
         assert again.tobytes() == first.tobytes()
         a = 1 if side == "gen" else 0
         start, stop = skel.slot_spans[side, a]
@@ -770,8 +790,8 @@ def test_a_value_nudged_by_one_ulp_reruns_exactly_its_adaptor(compiled, sector,
         nudged = _nudged(sheet, start + 1)
         built.clear()
         rerun = cir.execute_block(skel, nudged, side, sector)
-        assert sorted(built) == sorted(every if sector is None else [(side, a), *idle])
-        assert cir._adaptor_run.cache_info().currsize == kept + (sector is not None)
+        assert sorted(built) == sorted([(side, a), *idle])
+        assert cir._adaptor_run.cache_info().currsize == kept + 1
         assert rerun.tobytes() == _cold(skel, nudged, side, sector).tobytes()
         monkeypatch.undo()
 
@@ -894,7 +914,7 @@ def test_malformed_pair_lines_are_rejected(edit):
     sheet = cir.dial(tampered, ham, gen, cir.Mask.of("m", [1]))
     match = f"layer stream near line {line}: expected pgivens on 4 modes"
     with pytest.raises(ValidationError, match=match):
-        cir.execute_block(tampered, sheet, "gen")
+        cir.execute_block(tampered, sheet, "gen", gen.sector)
     with pytest.raises(ValidationError, match=match):
         cir.execute_encoding(tampered, sheet, f"gen/{a}")
 
@@ -1042,6 +1062,11 @@ def test_run_of_system_lines_is_the_product_of_its_gates(data):
     assert np.abs(adjoint - expected.conj().T).max() <= 1e-13
 
 
+# both execution entries at n_so = 4, the block run on the two-electron sector
+EXECUTIONS = (cir.execute_encoding,
+              lambda skel, sheet, address: cir.execute_block(skel, sheet, address, 2))
+
+
 def test_execute_rejects_an_unknown_address_and_a_foreign_sheet(compiled):
     """Every execution entry refuses an address the skeleton lacks.
 
@@ -1059,14 +1084,14 @@ def test_execute_rejects_an_unknown_address_and_a_foreign_sheet(compiled):
         with pytest.raises(BindError, match="no adaptor"):
             cir.ancillas(skel, address)
         with pytest.raises(BindError, match="no adaptor"):
-            cir.check_column_batch(skel, address)
-        for execute in (cir.execute_encoding, cir.execute_block):
+            cir.check_column_batch(skel, address, 2)
+        for execute in EXECUTIONS:
             with pytest.raises(BindError, match="no adaptor"):
                 execute(skel, sheet, address)
     with pytest.raises(BindError, match="no adaptor"):
-        cir.execute_block(cir.one_pool_skeleton(None, gen), sheet, "ham")
+        cir.execute_block(cir.one_pool_skeleton(None, gen), sheet, "ham", 2)
     other = cir.one_pool_skeleton(ham, None)
-    for execute in (cir.execute_encoding, cir.execute_block):
+    for execute in EXECUTIONS:
         with pytest.raises(BindError, match="fingerprint"):
             execute(other, sheet, "ham/0")
 
@@ -1091,7 +1116,7 @@ def test_execute_rejects_fingerprint_mismatch(compiled):
     ham, gen, skel = compiled
     sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", [1]))
     tampered = replace(sheet, skeleton_fingerprint="0" * 64)
-    for execute in (cir.execute_encoding, cir.execute_block):
+    for execute in EXECUTIONS:
         with pytest.raises(BindError):
             execute(skel, tampered, "gen")
 

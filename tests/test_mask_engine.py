@@ -242,13 +242,15 @@ def test_block_consumers_never_assemble(small_pools, mixed_gen_pool, monkeypatch
     assert rep.within_budget
     _, exp_rep = qsp.exp_sigma_block(mixed_gen_pool, mask, 1e-10)
     assert exp_rep.measured_deviation <= exp_rep.eps_poly + 1e-12
-    for encoded in (
-        oracle.hamiltonian_block_encoding(ham),
-        oracle.generator_block_encoding(mixed_gen_pool, mask),
-        oracle.channel_block_encoding(ham.channels[0].channel, ham.n_so),
+    # the pool encoders' blocks are the six-determinant sector's, the
+    # channel's the whole register's, every sector on its diagonal
+    for encoded, dim in (
+        (oracle.hamiltonian_block_encoding(ham), 6),
+        (oracle.generator_block_encoding(mixed_gen_pool, mask), 6),
+        (oracle.channel_block_encoding(ham.channels[0].channel, ham.n_so), 16),
     ):
         block, rep = encoded
-        assert block.shape == (2**ham.n_so,) * 2
+        assert block.shape == (dim, dim)
         assert rep.measured_error <= 1e-10
 
 
@@ -280,6 +282,24 @@ def test_sandwich_builds_each_dense_target_once(small_pools, mixed_gen_pool,
     rep, _ = me.similarity_sandwich(ham, mixed_gen_pool, mask, sector, 1e-9)
     assert rep.within_budget
     assert calls == {"hamiltonian_from_pool": 1, "generator_dense": 1, "eigh": 1}
+
+
+@pytest.mark.parametrize("synth", [(1, 2, 2), (7, 3, 2)])
+def test_the_sandwich_halves_are_the_encoders_own(synth):
+    """n_so = 4 and 6: the sandwich's ``eps_ham`` and ``eps_exp`` are, bit
+    for bit, the Hamiltonian encoder's error and ``exp_sigma_block``'s
+    deviation, cold or on kept runs."""
+    ints = synth_instance(*synth)
+    ham = build_hamiltonian_pool(ints, 1e-10, 0.0)
+    gen = nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0)
+    sector = list(jw.sector_indices(ints.n_so, ints.n_elec))
+    clear_caches()
+    for mask in (frozenset(), frozenset([1]), frozenset(range(1, gen.ell + 1))):
+        rep, _ = me.similarity_sandwich(ham, gen, mask, sector, 1e-9)
+        _, ham_rep = oracle.hamiltonian_block_encoding(ham)
+        _, exp_rep = qsp.exp_sigma_block(gen, mask, 1e-9)
+        assert rep.eps_ham.hex() == ham_rep.measured_error.hex(), mask
+        assert rep.eps_exp.hex() == exp_rep.measured_deviation.hex(), mask
 
 
 def _mask_sweep(ham, gen):

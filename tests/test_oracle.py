@@ -1,5 +1,6 @@
 import ast
 import itertools
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from composer.factorization import (
     nested_svd_t2,
 )
 from composer.integrals import IntegralSet, synth_instance
-from conftest import adaptor_targets, line_value_index
+from conftest import adaptor_targets, line_value_index, sector_block
 
 
 def unit(rng, n):
@@ -145,8 +146,9 @@ def test_zero_coefficient_ladder_loads_no_weight():
     assert np.abs(block).max() == 0.0
 
 
-def _rotated_diagonal_block(ch, n):
-    """Unsquared channel gadget: block ``O_mu / Gamma_mu``.
+def _rotated_diagonal_blocks(ch, n):
+    """Unsquared channel gadget: block ``O_mu / Gamma_mu``, on each sector
+    ``N = 0..n`` in turn.
 
     The channel adaptor's own lines without their final ``square`` marker,
     dialed and executed.
@@ -158,7 +160,13 @@ def _rotated_diagonal_block(ch, n):
     skel = replace(skel, adaptors_ham=(replace(ad, text=cir._text(ad.layers[:-1])),))
     skel = replace(skel, fingerprint=cir.fabric_fingerprint(skel))
     sheet = cir.dial(skel, pool, None, ())
-    return cir.execute_block(skel, sheet, "ham/0")
+    return [cir.execute_block(skel, sheet, "ham/0", sector) for sector in range(n + 1)]
+
+
+def _max_sector_deviation(blocks, target):
+    """Largest entry of each sector's block minus ``target``'s sector block."""
+    return max(np.abs(block - sector_block(target, sector)).max()
+               for sector, block in enumerate(blocks))
 
 
 def test_channel_single_mode_is_occupation():
@@ -171,7 +179,7 @@ def test_channel_single_mode_is_occupation():
     assert ch.rank == 1
     cr, an = jw.jw_ladder_ops(n)
     target = (cr[0] @ an[0]).toarray()
-    assert np.abs(_rotated_diagonal_block(ch, n) - target).max() <= 1e-12
+    assert _max_sector_deviation(_rotated_diagonal_blocks(ch, n), target) <= 1e-12
 
 
 def test_channel_two_branch_signs():
@@ -184,7 +192,7 @@ def test_channel_two_branch_signs():
     assert ch.gamma == pytest.approx(2.0)
     cr, an = jw.jw_ladder_ops(n)
     target = ((cr[0] @ an[0]) - (cr[1] @ an[1])).toarray() / 2.0
-    assert np.abs(_rotated_diagonal_block(ch, n) - target).max() <= 1e-12
+    assert _max_sector_deviation(_rotated_diagonal_blocks(ch, n), target) <= 1e-12
 
 
 def test_channel_square_matches_dense_square():
@@ -492,7 +500,7 @@ def test_full_hamiltonian_block_encoding(small_instance, small_pools):
     block, rep = oracle.hamiltonian_block_encoding(ham)
     assert rep.measured_error <= 1e-9
     assert_unitary(cir.execute_encoding(*dialed(ham, None), "ham"))
-    assert oracle.assert_sector_preserving(block, ham.n_so)
+    assert block.shape == (math.comb(ham.n_so, ham.n_elec),) * 2
     # against the Hamiltonian built directly from the integrals: the
     # deviation picks up only the factorization truncation on top of the
     # numerically exact multiplexing
@@ -500,7 +508,7 @@ def test_full_hamiltonian_block_encoding(small_instance, small_pools):
     target = (
         oracle.dense_hamiltonian(small_instance, include_e_nn=False) / ham.alpha
     )
-    err = oracle.restricted_block_error(block, target, 0, sector=ham.n_elec)
+    err = oracle.sector_norm(block - sector_block(target, ham.n_elec))
     assert err <= 1e-9 + 10 * tau * ham.n_so**2 / ham.alpha
 
 
@@ -577,7 +585,7 @@ def test_hamiltonian_encoding_rejects_oversized_register_before_building(
 def test_generator_empty_mask_is_null(small_pools):
     _, gen = small_pools
     block, rep = oracle.generator_block_encoding(gen, frozenset())
-    assert block.shape == (2**gen.n_so,) * 2
+    assert block.shape == (math.comb(gen.n_so, gen.sector),) * 2
     assert np.abs(block).max() == 0.0
 
 
@@ -655,12 +663,17 @@ def test_every_constructed_unitary_is_unitary(small_pools, mixed_gen_pool):
 
 
 def test_blocks_preserve_hamming_sectors(small_pools, mixed_gen_pool):
+    """Both assembled encodings' blocks are block-diagonal over Hamming
+    weight, and every sector's column run passes its leak check."""
     ham, _ = small_pools
     n = ham.n_so
-    block, _ = oracle.hamiltonian_block_encoding(ham)
-    assert oracle.assert_sector_preserving(block, n)
-    block, _ = oracle.generator_block_encoding(mixed_gen_pool, frozenset([1, 2, 3]))
-    assert oracle.assert_sector_preserving(block, n)
+    assert mixed_gen_pool.ell == 3  # the full mask is {1, 2, 3}
+    for pools, side in (((ham, None), "ham"), ((None, mixed_gen_pool), "gen")):
+        skel, sheet = dialed(*pools)
+        w = cir.execute_encoding(skel, sheet, side)
+        assert oracle.assert_sector_preserving(oracle.extract_block(w, n), n)
+        for sector in range(n + 1):
+            cir.execute_block(skel, sheet, side, sector)
 
 
 # ---------------------------------------------------------------------------
