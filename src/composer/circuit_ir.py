@@ -79,7 +79,7 @@ from .errors import BindError, MaskError, ParseError, SectorError, ShapeError
 from .errors import ValidationError
 from .errors import DICT, INT, LIST, NUMBER, STR, checked, checked_list
 from .errors import checked_keys, checked_packed, fields_of
-from .factorization import bilinear_asym_spectrum, generator_branch_alpha
+from .factorization import bilinear_asym_spectrum, sequential_sum
 
 SKEL_FORMAT = "composer-skel-v12"
 DIAL_FORMAT = "composer-dial-v4"
@@ -158,8 +158,9 @@ def pivots_from_pools(ham_pool, gen_pool):
     be ``None``; the plan then covers the other alone, and without a
     generator pool ``n_occ`` is the Hamiltonian's ``n_elec``.  The pair
     ladders' pivots are the row argmaxes of their pair vectors' moduli,
-    read from the pool's batches (:attr:`GeneratorPool.pair_batches`), so
-    each is the one its ladder's own vectors give.
+    read from the batches of the pool's table
+    (:class:`~composer.factorization.PairTable`), so each is the one its
+    ladder's own vectors give.
     """
     ham = []
     if ham_pool is not None:
@@ -175,10 +176,12 @@ def pivots_from_pools(ham_pool, gen_pool):
     gen = []
     if gen_pool is not None:
         pair_pivots = _pair_pivots(gen_pool)
-        for lad in sorted(gen_pool.ladders, key=attrgetter("address")):
-            if lad.kind == "pair":
-                gen.append(AdaptorDescriptor("pair", pair_pivots[id(lad)]))
+        branches = gen_pool.branches
+        for pair, index in zip(branches.pair.tolist(), branches.index.tolist()):
+            if pair:
+                gen.append(AdaptorDescriptor("pair", pair_pivots[index]))
             else:
+                lad = gen_pool.bilinears[index]
                 w_vals, w_vecs = bilinear_asym_spectrum(lad.u, lad.v)
                 pivots = tuple(
                     int(np.argmax(np.abs(w_vecs[:, j]))) for j in range(len(w_vals))
@@ -189,16 +192,17 @@ def pivots_from_pools(ham_pool, gen_pool):
 
 
 def _pair_pivots(gen_pool):
-    """``id(ladder) -> (u, v)`` pivot pairs: each side's largest-modulus wedge pair."""
+    """``(u, v)`` pivot pairs per pair table row: each side's largest-modulus wedge pair."""
     n, n_occ = gen_pool.n_so, gen_pool.n_occ
-    pivots = {}
-    for group, *vectors in gen_pool.pair_batches:
+    pivots = [None] * len(gen_pool.pairs.address)
+    for batch in gen_pool.pairs.batches:
         u, v = (
             [wedge_pairs(n, n_occ, side)[k]
              for k in np.abs(vecs).argmax(axis=-1).tolist()]
-            for side, vecs in zip("uv", vectors)
+            for side, vecs in zip("uv", (batch.u, batch.v))
         )
-        pivots.update((id(lad), pivot) for lad, pivot in zip(group, zip(u, v)))
+        for k, pivot in zip(batch.rows.tolist(), zip(u, v)):
+            pivots[k] = pivot
     return pivots
 
 
@@ -229,14 +233,38 @@ class CircuitSkeleton:
     fingerprint: str
 
     def __post_init__(self):
-        wedges = [wedge_slots(self.n_system, self.n_occ, side) for side in "uv"]
-        for a, ad in enumerate(self.adaptors_gen):  # pair sides pivot in their wedges
-            if ad.kind == "pair" and not (
-                len(ad.pivot) == 2 and all(p in w for p, w in zip(ad.pivot, wedges))
-            ):
-                raise ValidationError(
-                    f"gen adaptor {a}: pair pivots {ad.pivot} off their wedges"
-                )
+        self.pair_slots  # pair sides pivot in their wedges
+
+    @cached_property
+    def pair_slots(self):
+        """``(len(adaptors_gen), 2)`` read-only: each generator adaptor's pivots' wedge slots.
+
+        Row ``a`` holds the index of adaptor ``a``'s ``u`` and ``v`` pivot
+        pairs in their wedges (:func:`wedge_slots`), or ``-1, -1`` off a
+        pair adaptor.  Each distinct adaptor object is looked up once (the
+        addresses that share a pair adaptor share one); a pivot off its
+        wedge is a ValidationError naming the first address that uses it.
+        Built when the skeleton is.
+        """
+        wedge_u, wedge_v = (wedge_slots(self.n_system, self.n_occ, side) for side in "uv")
+        ids = list(map(id, self.adaptors_gen))
+        first = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
+        rows, slots = {}, []
+        for a in sorted(first.values()):  # each distinct adaptor, at its first address
+            ad = self.adaptors_gen[a]
+            rows[ids[a]] = len(rows)
+            slot = (-1, -1)
+            if ad.kind == "pair":
+                u, v = ad.pivot if len(ad.pivot) == 2 else (None, None)
+                slot = wedge_u.get(u), wedge_v.get(v)
+                if None in slot:
+                    raise ValidationError(
+                        f"gen adaptor {a}: pair pivots {ad.pivot} off their wedges"
+                    )
+            slots += slot
+        table = np.array(slots, dtype=np.intp).reshape(-1, 2)[list(map(rows.get, ids))]
+        table.setflags(write=False)
+        return table
 
     @property
     def ell_ham(self):
@@ -263,32 +291,43 @@ class CircuitSkeleton:
         return ("ham", self.adaptors_ham), ("gen", self.adaptors_gen)
 
     @cached_property
-    def slot_spans(self):
-        """``(side, position) -> (start, stop)``: each adaptor's span of the stream.
+    def span_bounds(self):
+        """``{side: bounds}``: adaptor ``a``'s span of the stream is ``bounds[a]:bounds[a + 1]``.
 
         A span holds the adaptor's PREP amplitude, then the values its lines
         take (:data:`LINE_VALUES`), counted as the ``\\n<gate>|`` line starts
         of each kind in the adaptor's :attr:`AdaptorSpec.text`, once per
-        distinct text.  Built on first use, by dial, execution or
-        ``estimate``; loading a skeleton never builds it.
+        distinct text.  Each side's bounds are a read-only ``int64`` array,
+        the generator side's starting at the Hamiltonian side's stop.
+        Built on first use, by dial, execution or ``estimate``; loading a
+        skeleton never builds it.
         """
-        spans, start, sizes = {}, 0, {}
-        for side, adaptors in self.sides():
-            for a, ad in enumerate(adaptors):
-                if ad.text not in sizes:
-                    text = "\n" + ad.text
-                    sizes[ad.text] = 1 + sum(
-                        n * text.count(f"\n{gate}|") for gate, n in LINE_VALUES.items()
-                    )
-                stop = start + sizes[ad.text]
-                spans[side, a] = start, stop
-                start = stop
-        return spans
+        texts = [ad.text for _, adaptors in self.sides() for ad in adaptors]
+        sizes = {
+            text: 1 + sum(n * f"\n{text}".count(f"\n{gate}|") for gate, n in LINE_VALUES.items())
+            for text in set(texts)
+        }
+        ends = np.cumsum([0, *map(sizes.__getitem__, texts)])
+        cut = len(self.adaptors_ham) + 1
+        bounds = {"ham": ends[:cut], "gen": ends[cut - 1:]}
+        for arr in bounds.values():
+            arr.setflags(write=False)
+        return bounds
 
-    @property
+    @cached_property
+    def slot_spans(self):
+        """``(side, position) -> (start, stop)``: each adaptor's span of the stream
+        (:attr:`span_bounds`)."""
+        return {
+            (side, a): span
+            for side, bounds in self.span_bounds.items()
+            for a, span in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+        }
+
+    @cached_property
     def n_slots(self):
         """Length of the value stream, the stop of its last span."""
-        return next(reversed(self.slot_spans.values()))[1]
+        return int(self.span_bounds["gen"][-1])
 
     def to_json(self):
         stored = {}  # each distinct (kind, pivot, rank, text): its index, by first use
@@ -682,8 +721,12 @@ def dial(skel, ham_pool, gen_pool, mask, alpha_bar=None):
     to the null branch (generator) or zero-weight branches (Hamiltonian).
     A pool is ``None`` exactly when the skeleton compiled no ladders for it,
     and a generator pool must have the occupied count the skeleton records.
-    Each adaptor's binder returns its row in line order, written into the
-    adaptor's span of the value stream.
+    The binders return each adaptor's row in line order, written into the
+    adaptor's span of the value stream (:attr:`CircuitSkeleton.span_bounds`),
+    except the pair ladders': they are bound from the generator pool's
+    :class:`~composer.factorization.PairTable`, a batch at a time, and each
+    batch's rows are written through their spans' starts at once, with no
+    per-ladder object or loop.
     """
     if (ham_pool is None, gen_pool is None) != (skel.ell_ham == 0, skel.ell_gen == 0):
         raise BindError("pools must match the sides the skeleton compiled")
@@ -697,21 +740,25 @@ def dial(skel, ham_pool, gen_pool, mask, alpha_bar=None):
     masked = frozenset(mask.indices if isinstance(mask, Mask) else mask)
     if gen_pool is None and masked:
         raise MaskError("nonzero mask over a skeleton without a generator pool")
-    rows, coeffs = [], {}
+    rows, tables, coeffs = [], [], {}
     if ham_pool is not None:
         coeffs.update(_bind_hamiltonian(skel, ham_pool, rows))
     if gen_pool is not None:
-        coeffs.update(_bind_generator(skel, gen_pool, masked, alpha_bar, rows))
+        coeffs.update(_bind_generator(skel, gen_pool, masked, alpha_bar, rows, tables))
     # every slot starts at zero, where surplus compiled modes and adaptors idle
     values = np.zeros(skel.n_slots, "<f8")
     for (side, address), row in rows:
-        start, stop = skel.slot_spans[side, address]
-        if len(row) != stop - start:
-            raise BindError(
-                f"{side} adaptor {address}: {len(row)} values for its "
-                f"{stop - start} slots"
-            )
+        start, stop = skel.span_bounds[side][address:address + 2].tolist()
+        _check_span(side, address, len(row), stop - start)
         values[start:stop] = row
+    bounds = skel.span_bounds["gen"]
+    for addresses, table in tables:  # the pair batches
+        starts, stops = bounds[addresses], bounds[addresses + 1]
+        wrong = np.flatnonzero(stops - starts != table.shape[1])
+        if len(wrong):
+            k = wrong[0]
+            _check_span("gen", addresses[k], table.shape[1], stops[k] - starts[k])
+        values[starts[:, None] + np.arange(table.shape[1])] = table
     values.setflags(write=False)
 
     label = mask.label if isinstance(mask, Mask) else "mask"
@@ -724,14 +771,20 @@ def dial(skel, ham_pool, gen_pool, mask, alpha_bar=None):
     )
 
 
+def _check_span(side, address, held, slots):
+    if held != slots:
+        raise BindError(f"{side} adaptor {address}: {held} values for its {slots} slots")
+
+
 def _bind_hamiltonian(skel, ham_pool, rows):
     """Append the Hamiltonian adaptors' rows; returns the classical coefficients.
 
-    Every channel's rotation network is decomposed in one stack, after
-    the adaptors' own checks, and its values are put in after the row's
+    Every one-body mode column's ladder angles are formed in one batch
+    (:func:`ladders.ladder_angles`, each column's norm checked) and every
+    channel's rotation network is decomposed in one stack, both after the
+    adaptors' own checks; the network's values are put in after the row's
     PREP amplitude and sign.
     """
-    n = skel.n_system
     ham = sorted(ham_pool.ladders, key=attrgetter("address"))
     if ham_pool.ell > skel.ell_ham:
         raise BindError(
@@ -740,32 +793,39 @@ def _bind_hamiltonian(skel, ham_pool, rows):
         )
     if [lad.address for lad in ham] != list(range(ham_pool.ell)):
         raise BindError("hamiltonian addresses must be contiguous from 0")
-    alpha = ham_pool.alpha
-    omega_list, channel_rows = [], []
     for addr, lad in enumerate(ham):
         ad = skel.adaptors_ham[addr]
         if (lad.kind == "one_body_mode") != (ad.kind == "one_body_mode"):
             raise BindError("adaptor kind mismatch", addresses=[addr])
+        if lad.kind == "one_body_mode" and lad.multiplicity != ad.rank:
+            raise BindError("mode multiplicity differs from compiled rank", addresses=[addr])
+        for pivot in ad.pivot if lad.kind == "one_body_mode" else ():
+            if not 0 <= pivot < skel.n_system:
+                raise ShapeError(f"pivot {pivot} out of range")
+        if lad.kind != "one_body_mode" and lad.channel.rank > ad.rank:
+            raise BindError("channel rank exceeds compiled rank", addresses=[addr])
+    modes = [(lad, skel.adaptors_ham[addr]) for addr, lad in enumerate(ham)
+             if lad.kind == "one_body_mode"]
+    mode_rows = iter(())
+    if modes:
+        columns = np.concatenate([lad.vectors.T for lad, _ in modes])
+        thetas, phases, gauges = ladders.ladder_angles(
+            columns, [p for _, ad in modes for p in ad.pivot]
+        )
+        mode_rows = iter(np.column_stack([thetas, phases, gauges]).tolist())
+    alpha = ham_pool.alpha
+    omega_list, channel_rows, ham_rows = [], [], []
+    for addr, lad in enumerate(ham):
+        ad = skel.adaptors_ham[addr]
         body = []
         if lad.kind == "one_body_mode":
-            if lad.multiplicity != ad.rank:
-                raise BindError(
-                    "mode multiplicity differs from compiled rank", addresses=[addr]
-                )
-            for j in range(lad.multiplicity):
-                sched = ladders.one_electron_angles(
-                    lad.vectors[:, j].astype(complex), pivot=ad.pivot[j], n=n
-                )
+            for _ in range(lad.multiplicity):
                 if lad.multiplicity > 1:  # the mode's case amplitude
                     body.append(float(1 / np.sqrt(ad.rank)))
-                body += _ladder_row(sched)
+                body += next(mode_rows)
             weight = abs(lad.coefficient) * lad.multiplicity
         else:
             ch = lad.channel
-            if ch.rank > ad.rank:
-                raise BindError(
-                    "channel rank exceeds compiled rank", addresses=[addr]
-                )
             amps, signs, _ = oracle.signed_loading(ch.eigvals)
             for xi in range(ch.rank):  # each case: amplitude, then sign
                 body += [float(amps[xi]), _sign_phi(signs[xi])]
@@ -774,89 +834,105 @@ def _bind_hamiltonian(skel, ham_pool, rows):
         omega_list.append(lad.coefficient)
         prep = float(np.sqrt(weight / alpha))
         row = [prep, _sign_phi(lad.coefficient), *body]
-        rows.append((("ham", addr), row))
         if lad.kind != "one_body_mode":
             channel_rows.append((lad.channel.rotation_full, row))
+        ham_rows.append(row)
     if channel_rows:
-        nets = ladders.rotation_networks([rot for rot, _ in channel_rows])
-        for (_, row), net in zip(channel_rows, nets):
-            row[2:2] = [*net.phases.tolist(), *(theta for _, _, theta in net.rotations)]
+        angles, phases = ladders.network_angles([rot for rot, _ in channel_rows])
+        network_rows = np.hstack([phases, angles]).tolist()
+        for (_, row), network in zip(channel_rows, network_rows):
+            row[2:2] = network
+    rows += [(("ham", addr), row) for addr, row in enumerate(ham_rows)]
     return {"Omega": [float(x) for x in omega_list], "alpha": float(alpha)}
 
 
-def _pair_rows(skel, gen_pool, bound):
-    """``(key, row)`` per pair ladder, each of the pool's batches in one array pass.
+def _pair_rows(skel, gen_pool, prep, sign):
+    """``(addresses, table)`` per batch of the pool's pair table, in one array pass.
 
-    ``bound`` maps ``id(ladder)`` to its ``(adaptor, prep)``; the wedge
-    vectors are the pool's own (:attr:`GeneratorPool.pair_batches`), and
-    each pivot's index in its wedge is looked up (:func:`wedge_slots`).  A
-    row is PREP and sign, then the ``v`` and ``u`` ladders' lines' values.
+    ``prep`` and ``sign`` hold every generator address's PREP amplitude
+    and sign phase, address ``a`` at ``a - 1``.  The wedge vectors are the
+    batch's own (:class:`~composer.factorization.PairBatch`), and each
+    pivot's index in its wedge is the skeleton's
+    (:attr:`CircuitSkeleton.pair_slots`).  A row is PREP and sign, then the
+    ``v`` and ``u`` ladders' lines' values: an angle and a phase per
+    ``pgivens`` line, then the pivot gauge.
     """
-    slots = [wedge_slots(skel.n_system, skel.n_occ, side) for side in "uv"]
+    table = gen_pool.pairs
     out = []
-    for group, *vectors in gen_pool.pair_batches:
-        entries = [bound[id(lad)] for lad in group]
-        sides = []
-        for k, vecs in enumerate(vectors):
-            pivots = [slots[k][ad.pivot[k]] for ad, _ in entries]
-            thetas, phases, gauges = ladders.pair_ladder_angles(vecs, pivots)
-            per_line = np.stack([thetas, phases], axis=-1).reshape(len(group), -1)
-            sides.append(np.column_stack([per_line, gauges]))
-        heads = [[prep, _sign_phi(lad.coefficient)]
-                 for lad, (_, prep) in zip(group, entries)]
-        table = np.hstack([heads, sides[1], sides[0]])
-        out += [(("gen", lad.address), row) for lad, row in zip(group, table)]
+    for batch in table.batches:
+        addresses = table.address[batch.rows]
+        pivots = skel.pair_slots[addresses]
+        u, v = (ladders.ladder_angles(vecs, pivots[:, k])
+                for k, vecs in enumerate((batch.u, batch.v)))
+        rows = np.empty((len(addresses), 2 + sum(2 * t.shape[1] + 1 for t, _, _ in (u, v))))
+        rows[:, 0], rows[:, 1] = prep[addresses - 1], sign[addresses - 1]
+        start = 2
+        for thetas, phases, gauges in (v, u):
+            stop = start + 2 * thetas.shape[1]
+            rows[:, start:stop:2], rows[:, start + 1:stop:2] = thetas, phases
+            rows[:, stop] = gauges
+            start = stop + 1
+        out.append((addresses, rows))
     return out
 
 
-def _bind_generator(skel, gen_pool, masked, alpha_bar, rows):
-    """Append the generator adaptors' rows; checks mask and budget."""
+def _bind_generator(skel, gen_pool, masked, alpha_bar, rows, tables):
+    """Append the generator adaptors' rows, and the pair batches' tables
+    (:func:`_pair_rows`); checks mask and budget.
+
+    Everything is read from the pool's :class:`~composer.factorization.Branches`
+    in address order: the PREP amplitudes elementwise, the masked weight
+    ``used`` added one branch at a time, as ``alpha_bar`` is.
+    """
     n = skel.n_system
-    gen = sorted(gen_pool.ladders, key=attrgetter("address"))
-    if gen_pool.ell > skel.ell_gen:
+    branches = gen_pool.branches
+    addresses = branches.address
+    ell = len(addresses)
+    if ell > skel.ell_gen:
         raise BindError(
             "generator pool exceeds compiled size",
-            addresses=[lad.address for lad in gen[skel.ell_gen:]],
+            addresses=addresses[skel.ell_gen:].tolist(),
         )
-    addresses = [lad.address for lad in gen]
-    if addresses != list(range(1, gen_pool.ell + 1)):
+    if not np.array_equal(addresses, np.arange(1, ell + 1)):
         raise BindError("generator addresses must be contiguous from 1")
-    if not masked <= set(addresses):
+    missing = masked.difference(range(1, ell + 1))
+    if missing:
         raise MaskError(
-            "mask addresses missing from generator pool "
-            f"(addresses: {sorted(masked.difference(addresses))})"
+            f"mask addresses missing from generator pool (addresses: {sorted(missing)})"
         )
+    # a pair ladder binds to a pair adaptor, a bilinear one to a bilinear_asym
+    bilinear = np.flatnonzero(~branches.pair)
+    fits = branches.pair == (skel.pair_slots[1:ell + 1, 0] >= 0)
+    fits[bilinear] = [skel.adaptors_gen[a].kind == "bilinear_asym"
+                      for a in addresses[bilinear].tolist()]
+    if not fits.all():
+        raise BindError("adaptor kind mismatch", addresses=[int(addresses[~fits][0])])
     alpha_bar = gen_pool.alpha_bar if alpha_bar is None else float(alpha_bar)
-    omega_gen, pairs = [], {}
-    used = 0.0
-    for addr, lad in enumerate(gen, start=1):
+    chosen = np.zeros(ell, bool)
+    chosen[np.fromiter(masked, np.intp, len(masked)) - 1] = True
+    weight = branches.weight[chosen]
+    prep = np.zeros(ell)
+    prep[chosen] = np.sqrt(weight / alpha_bar)
+    used = sequential_sum(weight)
+    sign = np.where(branches.coefficient < 0, np.pi, 0.0)
+    for k in bilinear.tolist():
+        addr = k + 1
         ad = skel.adaptors_gen[addr]
-        expected = "pair" if lad.kind == "pair" else "bilinear_asym"
-        if ad.kind != expected:
-            raise BindError("adaptor kind mismatch", addresses=[addr])
-        omega_gen.append(lad.coefficient)
-        weight = abs(lad.coefficient) * generator_branch_alpha(lad)
-        prep = 0.0
-        if addr in masked:
-            prep = float(np.sqrt(weight / alpha_bar))
-            used += weight
-        if lad.kind == "pair":
-            pairs[id(lad)] = ad, prep
-            continue
+        lad = gen_pool.bilinears[branches.index[k]]
         w_vals, w_vecs = bilinear_asym_spectrum(lad.u, lad.v)
         amps, signs, _ = oracle.signed_loading(w_vals)
-        row = [prep, _sign_phi(lad.coefficient)]
+        row = [prep[k], sign[k]]
         for j in range(len(w_vals)):  # each case: amplitude, ladder, sign
             pivot = _mode_pivot(ad, j)
             sched = ladders.one_electron_angles(w_vecs[:, j], pivot=pivot, n=n)
             row += [float(amps[j]), *_ladder_row(sched), _sign_phi(signs[j])]
         row += [0.0] * ((2 * n + 1) * (2 - len(w_vals)))  # a missing mode idles
         rows.append((("gen", addr), row))
-    rows += _pair_rows(skel, gen_pool, pairs)
+    tables += _pair_rows(skel, gen_pool, prep, sign)
     if used > alpha_bar * (1 + 1e-12):
         raise BindError("masked weight exceeds the global normalization")
     rows.append((("gen", 0), [float(np.sqrt(max(1.0 - used / alpha_bar, 0.0)))]))
-    return {"omega": [float(x) for x in omega_gen], "alpha_bar": float(alpha_bar)}
+    return {"omega": branches.coefficient.tolist(), "alpha_bar": float(alpha_bar)}
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,7 @@ def _parse_mask(args, gen):
         return cir.Mask.of(args.mask_id or "cli", indices)
     if args.eta is not None:
         return dg.one_shot_mask(gen, args.eta, label=args.mask_id)
-    return cir.Mask.of(args.mask_id or "full", [lad.address for lad in gen.ladders])
+    return cir.Mask.of(args.mask_id or "full", gen.branches.address.tolist())
 
 
 def cmd_dial(args):
@@ -340,9 +340,10 @@ def build_parser():
     p = sub.add_parser("dial", help="skeleton + pools + mask -> dial sheet")
     p.add_argument("--skel", required=True)
     p.add_argument("--pool", required=True)
-    p.add_argument("--mask", help="comma-separated generator addresses")
+    chosen = p.add_mutually_exclusive_group()  # neither: the full mask
+    chosen.add_argument("--mask", help="comma-separated generator addresses")
+    chosen.add_argument("--eta", type=float, default=None, help="coverage target")
     p.add_argument("--mask-id", dest="mask_id")
-    p.add_argument("--eta", type=float, default=None, help="coverage target")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_dial)
 

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from . import jw, oracle, qsp
 from .circuit_ir import Mask
 from .errors import MaskError, RankError, ValidationError, ZeroTensorError
+from .factorization import sequential_sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,54 +110,73 @@ def wauc(t_a, t_b, eps_s=0.0):
 def ladder_weights(pool):
     """Ranking weights ``|omega|^2 ||U||_F^2 ||V||_F^2`` per generator ladder.
 
-    With unit-normalized wedge factors this reduces to ``|omega|^2``.  The
-    pair ladders' wedge vectors are the pool's own batches
-    (:attr:`GeneratorPool.pair_batches`); each row's norm is still taken
-    alone, by the steps of ``np.linalg.norm`` (:func:`_row_norm`), so every
-    weight keeps the bits of the per-ladder formula.
+    ``{address: weight}`` in address order, read from the pool's table
+    (:func:`branch_weights`): no ladder object is built.
     """
-    pair_norms = {}
-    for group, u, v in pool.pair_batches:
-        for lad, u_row, v_row in zip(group, u, v):
-            pair_norms[lad.address] = _row_norm(u_row) ** 2 * _row_norm(v_row) ** 2
-    return {
-        lad.address: float(abs(lad.coefficient) ** 2 * pair_norms.get(lad.address, 1))
-        for lad in pool.ladders
-    }
+    address, weight = branch_weights(pool)
+    return dict(zip(address.tolist(), weight.tolist()))
 
 
-def _row_norm(row):
-    """``np.linalg.norm(row)`` of a float or complex vector, without its wrapper.
+def branch_weights(pool):
+    """``(address, weight)`` arrays of :func:`ladder_weights`, in address order.
 
-    The same steps: a complex row's squared norm is its real parts' dot
-    product plus its imaginary parts', so the result has the same bits.
+    With unit-normalized wedge factors a pair ladder's weight reduces to
+    ``|omega|^2``, and a bilinear ladder's is ``|omega|^2``.  The pair
+    vectors are the batches of the pool's
+    :class:`~composer.factorization.PairTable`, weighed a batch at a time,
+    and every weight keeps the bits of the per-ladder formula
+    ``abs(omega) ** 2 * (norm(U) ** 2 * norm(V) ** 2)``: the norms by
+    ``np.linalg.norm``'s steps per row (:func:`_row_norms`;
+    ``np.linalg.norm(..., axis=-1)`` and ``einsum`` sum in another order)
+    and each square by Python's ``** 2`` (:func:`_squares`).
     """
-    x = row.ravel(order="K")
-    if np.iscomplexobj(x):
-        return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
-    return math.sqrt(x.dot(x))
+    table, branches = pool.pairs, pool.branches
+    pair_norms = np.empty(len(table.address))
+    for batch in table.batches:
+        pair_norms[batch.rows] = _squares(_row_norms(batch.u)) * _squares(_row_norms(batch.v))
+    norms = np.ones(len(branches.address))
+    norms[branches.pair] = pair_norms[branches.index[branches.pair]]
+    return branches.address, _squares(np.abs(branches.coefficient)) * norms
+
+
+def _row_norms(rows):
+    """``np.linalg.norm`` of each row of a float or complex array, with its bits.
+
+    The same steps: a row's squared norm is the dot product of its
+    contiguous copy (a complex row's real parts' plus its imaginary
+    parts'), each row's by the dot kernel ``matmul`` calls per stacked
+    vector pair.
+    """
+    x = np.ascontiguousarray(rows)
+
+    def dots(a):
+        return (a[:, None, :] @ a[:, :, None])[:, 0, 0]
+
+    return np.sqrt(dots(x.real) + dots(x.imag) if np.iscomplexobj(x) else dots(x))
+
+
+def _squares(values):
+    """Python's ``x ** 2`` of each value: C ``pow``, not always the bits of ``x * x``."""
+    return np.fromiter(map(pow, values.tolist(), repeat(2.0)), float, len(values))
 
 
 def one_shot_mask(pool, eta, label=None):
     """Smallest weight-sorted prefix reaching the coverage target.
 
     Ties break toward lower addresses so the selection is reproducible.
+    The total and the running coverage are added one weight at a time
+    (the total in address order, the prefix in selection order).
     """
     if not 0 < eta <= 1:
         raise ValidationError("eta must lie in (0, 1]")
     if pool.ell == 0:
         raise MaskError("cannot mask an empty generator pool")
-    weights = ladder_weights(pool)
-    total = sum(weights.values())
-    order = sorted(weights, key=lambda a: (-weights[a], a))
-    chosen = []
-    acc = 0.0
-    for addr in order:
-        chosen.append(addr)
-        acc += weights[addr]
-        if acc >= eta * total - 1e-15:
-            break
-    return Mask.of(label or f"eta{eta:g}", chosen)
+    address, weight = branch_weights(pool)
+    total = sequential_sum(weight)
+    order = np.lexsort((address, -weight))
+    covered = np.add.accumulate(weight[order]) >= eta * total - 1e-15
+    stop = int(covered.argmax()) + 1 if covered.any() else len(order)
+    return Mask.of(label or f"eta{eta:g}", address[order[:stop]].tolist())
 
 
 def mask_coverage(pool, mask):

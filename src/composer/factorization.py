@@ -228,18 +228,227 @@ def generator_branch_alpha(lad):
     raise ValidationError(f"unsupported generator ladder kind {lad.kind!r}")
 
 
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
+class PairBatch:
+    """The pair ladders of one :class:`PairTable` whose factors share dtypes and shapes.
+
+    ``rows`` are their positions in the table, ascending; ``x``, ``y``, ``r``
+    and ``s`` stack their factors, one row per ladder.  All are read-only.
+    """
+
+    rows: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    r: np.ndarray
+    s: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.rows, self.x, self.y, self.r, self.s):
+            _read_only(arr)
+
+    @cached_property
+    def u(self):
+        """Virtual pair vectors, one row per ladder, formed in one batch.
+
+        The operations are elementwise, so each row keeps the bits of its
+        ladder's own :meth:`PairLadder.virtual_pair_vector`.
+        """
+        return _read_only(ladder_mod.wedge_vectors(self.x, self.y))
+
+    @cached_property
+    def v(self):
+        """Occupied pair vectors, as :attr:`u` forms the virtual ones."""
+        return _read_only(ladder_mod.wedge_vectors(self.r, self.s))
+
+
+@dataclass(frozen=True, eq=False)
+class PairTable:
+    """A generator pool's pair ladders as one table, in address order.
+
+    ``address`` and ``coefficient`` hold one entry per ladder (read-only
+    ``int64`` and ``float64`` arrays); ``batches`` group the ladders'
+    stacked factors by dtypes and shapes (:class:`PairBatch`), in order of
+    their first row.  A pool of real pair ladders, as ``factorize`` writes
+    it, is one batch.
+    """
+
+    address: np.ndarray
+    coefficient: np.ndarray
+    batches: tuple
+
+    def __post_init__(self):
+        _read_only(self.address)
+        _read_only(self.coefficient)
+
+    @staticmethod
+    def of_ladders(ladders):
+        """The table of :class:`PairLadder` objects, stably sorted by address.
+
+        Each batch stacks its ladders' factors as they are, so every row
+        keeps its ladder's dtype, shape and bytes.
+        """
+        ladders = sorted(ladders, key=attrgetter("address"))
+        groups = {}
+        for k, lad in enumerate(ladders):
+            key = (lad.x.dtype, lad.y.dtype, lad.r.dtype, lad.s.dtype,
+                   lad.x.shape, lad.y.shape, lad.r.shape, lad.s.shape)
+            groups.setdefault(key, []).append(k)
+        batches = tuple(
+            PairBatch(np.array(rows, dtype=np.intp),
+                      *(np.array([getattr(ladders[k], f) for k in rows]) for f in "xyrs"))
+            for rows in groups.values()
+        )
+        return PairTable(np.array([lad.address for lad in ladders], dtype=np.int64),
+                         np.array([lad.coefficient for lad in ladders], dtype=float),
+                         batches)
+
+    @staticmethod
+    def of_columns(address, coefficient, columns):
+        """The table of a pool document's pair block, stably sorted by address.
+
+        ``columns`` are its ``x y r s`` columns as complex ``(len(address), size)``
+        arrays.  A factor row whose imaginary parts are all zero is real:
+        a row of the column's real parts.  A ladder's batch is fixed by
+        which of its four factors are real.
+        """
+        address = np.array(address, dtype=np.int64)
+        coefficient = np.array(coefficient, dtype=float)
+        if (address[1:] < address[:-1]).any():  # a document out of address order
+            order = np.argsort(address, kind="stable")
+            address, coefficient = address[order], coefficient[order]
+            columns = [z[order] for z in columns]
+        complex_rows = np.zeros((len(address), len(columns)), bool)
+        for k, z in enumerate(columns):
+            if z.imag.any():  # a real column, as factorize writes, is real in every row
+                complex_rows[:, k] = (z.imag != 0).any(axis=1)
+        kinds = complex_rows @ (1 << np.arange(len(columns)))
+        batches = []
+        for kind in dict.fromkeys(kinds.tolist()):  # in order of first row
+            rows = np.flatnonzero(kinds == kind)
+            batches.append(PairBatch(rows, *(
+                z[rows] if is_complex else z.real[rows]
+                for z, is_complex in zip(columns, complex_rows[rows[0]].tolist())
+            )))
+        return PairTable(address, coefficient, tuple(batches))
+
+    def as_ladders(self):
+        """One :class:`PairLadder` per row, in address order, built from row views."""
+        lads = [None] * len(self.address)
+        addresses, coefficients = self.address.tolist(), self.coefficient.tolist()
+        for batch in self.batches:
+            for k, *factors in zip(batch.rows.tolist(), batch.x, batch.y, batch.r, batch.s):
+                lads[k] = PairLadder(*factors, coefficients[k], addresses[k])
+        return lads
+
+
+@dataclass(frozen=True, eq=False)
+class Branches:
+    """Every ladder of a generator pool, one entry each, in address order.
+
+    ``alpha`` is each branch's normalization (:func:`generator_branch_alpha`),
+    ``pair`` whether it is a pair ladder, and ``index`` its row in the pool's
+    :class:`PairTable` or its position among the pool's bilinear ladders.
+    """
+
+    address: np.ndarray
+    coefficient: np.ndarray
+    alpha: np.ndarray
+    pair: np.ndarray
+    index: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.address, self.coefficient, self.alpha, self.pair, self.index):
+            _read_only(arr)
+
+    @property
+    def weight(self):
+        """``|omega| alpha`` of each branch, elementwise."""
+        return np.abs(self.coefficient) * self.alpha
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class GeneratorPool:
     """Rank-one ladder pool of an anti-Hermitian generator.
 
     ``alpha_bar`` is the global normalization over the full compiled pool;
     masking never changes it (unused amplitude is routed to a null branch).
+
+    The pool is held as its pair ladders' table (:attr:`pairs`) and its
+    bilinear ladders (:attr:`bilinears`), each in address order; the mask
+    weights, the pivots and every dial read these.  ``GeneratorPool(ladders,
+    n_occ, n_virt, n_elec)`` keeps ``ladders`` as given and derives the
+    table from them on first use; :func:`pools_from_json` builds the table
+    from the document's columns, and ``ladders`` is then derived on first
+    use, in address order, each array a row of the table.
     """
 
-    ladders: tuple
+    ladders: tuple  # a field whose value, unless given, is derived (below)
     n_occ: int
     n_virt: int
     n_elec: int | None = None
+
+    def __init__(self, ladders, n_occ, n_virt, n_elec=None):
+        # frozen: the fields and the cached properties live in the instance dict
+        vars(self).update(ladders=tuple(ladders), n_occ=n_occ, n_virt=n_virt, n_elec=n_elec)
+
+    @classmethod
+    def of_table(cls, pairs, bilinears, n_occ, n_virt, n_elec=None):
+        """The pool of a :class:`PairTable` and bilinear ladders in address order."""
+        pool = cls.__new__(cls)
+        vars(pool).update(pairs=pairs, bilinears=tuple(bilinears), n_occ=n_occ,
+                          n_virt=n_virt, n_elec=n_elec)
+        return pool
+
+    @cached_property
+    def ladders(self):
+        """Every ladder, in address order (pair ladders first on an equal address)."""
+        pair_ladders = self.pairs.as_ladders()
+        return tuple(
+            pair_ladders[k] if pair else self.bilinears[k]
+            for pair, k in zip(self.branches.pair.tolist(), self.branches.index.tolist())
+        )
+
+    @cached_property
+    def pairs(self):
+        """The pair ladders' :class:`PairTable`."""
+        self._check_kinds()
+        return PairTable.of_ladders(lad for lad in self.ladders if lad.kind == "pair")
+
+    @cached_property
+    def bilinears(self):
+        """The bilinear ladders, stably sorted by address."""
+        self._check_kinds()
+        return tuple(sorted((lad for lad in self.ladders if lad.kind == "bilinear"),
+                            key=attrgetter("address")))
+
+    def _check_kinds(self):
+        unknown = [lad.kind for lad in self.ladders if lad.kind not in GENERATOR_VECTORS]
+        if unknown:
+            raise ValidationError(f"unsupported generator ladder kind {unknown[0]!r}")
+
+    @cached_property
+    def branches(self):
+        """The pool's :class:`Branches`, in address order (stable: a pair
+        ladder before a bilinear one of equal address)."""
+        pairs, bils = self.pairs, self.bilinears
+        n_pairs = len(pairs.address)
+        address = np.concatenate([pairs.address, np.array([lad.address for lad in bils], np.int64)])
+        order = np.argsort(address, kind="stable")
+        pair = order < n_pairs
+        return Branches(
+            address=address[order],
+            coefficient=np.concatenate(
+                [pairs.coefficient, [lad.coefficient for lad in bils]])[order],
+            alpha=np.concatenate(
+                [np.full(n_pairs, 2.0), [generator_branch_alpha(lad) for lad in bils]])[order],
+            pair=pair,
+            index=np.where(pair, order, order - n_pairs),
+        )
 
     @property
     def n_so(self):
@@ -247,7 +456,7 @@ class GeneratorPool:
 
     @property
     def ell(self):
-        return len(self.ladders)
+        return len(self.pairs.address) + len(self.bilinears)
 
     @property
     def sector(self):
@@ -256,44 +465,21 @@ class GeneratorPool:
 
     @cached_property
     def alpha_bar(self):
-        return float(
-            sum(
-                abs(lad.coefficient) * generator_branch_alpha(lad)
-                for lad in self.ladders
-            )
-        )
-
-    @cached_property
-    def pair_batches(self):
-        """``(group, u, v)`` per group of pair ladders with equal factor dtypes and shapes.
-
-        ``u`` and ``v`` hold the group's virtual and occupied pair vectors,
-        one row per ladder in pool order, each side formed in one batch.
-        The operations are elementwise, so every row keeps the bits of the
-        ladder's own :meth:`PairLadder.virtual_pair_vector` and
-        :meth:`PairLadder.occupied_pair_vector`; a loaded pool of real pair
-        ladders is one group.  The pool is frozen, so compile's pivots, the
-        mask weights and every dial read these arrays instead of stacking
-        the ladders' factors again.
-        """
-        groups = {}
-        for lad in self.ladders:
-            if lad.kind == "pair":
-                key = (lad.x.dtype, lad.y.dtype, lad.r.dtype, lad.s.dtype,
-                       lad.x.shape, lad.y.shape, lad.r.shape, lad.s.shape)
-                groups.setdefault(key, []).append(lad)
-        return tuple(
-            (group, *(  # equal shapes and dtypes: np.array stacks them as np.stack does
-                ladder_mod.wedge_vectors(*(np.array([getattr(lad, f) for lad in group])
-                                           for f in side))
-                for side in ("xy", "rs")
-            ))
-            for group in groups.values()
-        )
+        """``sum |omega| alpha`` over the branches, added in address order."""
+        return sequential_sum(self.branches.weight)
 
     @property
     def weights(self):
         return np.array([lad.coefficient for lad in self.ladders])
+
+
+def sequential_sum(values):
+    """``values[0] + values[1] + ...`` added one at a time, as ``sum`` adds floats.
+
+    ``np.add.accumulate`` adds in order, where ``np.sum`` adds pairwise, so
+    the total keeps the bits of a Python loop over the values; 0.0 when empty.
+    """
+    return float(np.add.accumulate(values)[-1]) if len(values) else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -660,8 +846,6 @@ def rebuild_t2(pool, n_virt=None, n_occ=None):
 CHANNEL_ARRAYS = ("factor", "eigvals", "rotation", "rotation_full")
 # complex vectors of a serialized generator ladder, per kind: each a column
 GENERATOR_VECTORS = {"pair": ("x", "y", "r", "s"), "bilinear": ("u", "v")}
-# each kind's ladder type, built from its vectors, coefficient and address in order
-_GENERATOR_LADDERS = {"pair": PairLadder, "bilinear": BilinearLadder}
 # the generator section's keys: its counts, then one block per kind
 _GENERATOR_KEYS = frozenset({"alpha_bar", "ell", "n_occ", "n_virt", *GENERATOR_VECTORS})
 
@@ -762,17 +946,6 @@ def _generator_blocks(gen):
     return blocks
 
 
-def _rows_real_where_possible(z):
-    """The rows of the complex array ``z``, one array each.
-
-    A row whose imaginary parts are all zero is real: a row of one
-    contiguous copy of every real part.
-    """
-    real = z.real.copy()
-    has_imag = (z.imag != 0).any(axis=1).tolist()
-    return [row if imag else real_row for row, real_row, imag in zip(z, real, has_imag)]
-
-
 @fields_of("pool")
 def pools_from_json(text):
     """Inverse of :func:`pools_to_json`; returns ``(ham, gen_or_None)``.
@@ -781,10 +954,12 @@ def pools_from_json(text):
     ParseError.  Every packed array of the pool is decoded in one batch
     (:func:`errors.checked_packed_batch`), each array a view of it, and
     checked for the length its ladders need: a generator column holds
-    ``len(address)`` vectors of its key's size.  Each generator ladder
-    takes one row of each of its kind's columns; a pair ladder's row whose
-    imaginary parts are all zero is real, a bilinear ladder's vectors are
-    complex.  The generator pool lists its ladders in address order.
+    ``len(address)`` vectors of its key's size.  The pair block becomes
+    the pool's :class:`PairTable` (:meth:`PairTable.of_columns`: a factor
+    row whose imaginary parts are all zero is real) and no
+    :class:`PairLadder` is built; each bilinear ladder takes one complex
+    row of each of its block's columns.  The pool's :attr:`GeneratorPool.ladders`,
+    derived on first use, are in address order.
     """
     doc = checked(json.loads(text), DICT, "pool")
     if doc.get("format") != POOL_FORMAT:
@@ -853,17 +1028,20 @@ def pools_from_json(text):
     n_occ = checked(gdoc["n_occ"], INT, "generator n_occ")
     n_virt = checked(gdoc["n_virt"], INT, "generator n_virt")
     sizes = {"x": n_virt, "y": n_virt, "r": n_occ, "s": n_occ, "u": n, "v": n}
-    gen_ladders = []
-    for kind, (_, addresses, coefficients) in blocks.items():
+    columns = {}
+    for kind, (_, addresses, _) in blocks.items():
         count = len(addresses)
-        columns = []
-        for key in GENERATOR_VECTORS[kind]:
-            # interleaved real and imaginary parts, one row per ladder
-            z = take(2 * count * sizes[key]).view(complex).reshape(count, sizes[key])
-            columns.append(_rows_real_where_possible(z) if kind == "pair" else list(z))
-        gen_ladders += map(_GENERATOR_LADDERS[kind], *columns, coefficients, addresses)
-    gen = GeneratorPool(
-        ladders=tuple(sorted(gen_ladders, key=attrgetter("address"))),
+        # interleaved real and imaginary parts, one row per ladder
+        columns[kind] = [
+            take(2 * count * sizes[key]).view(complex).reshape(count, sizes[key])
+            for key in GENERATOR_VECTORS[kind]
+        ]
+    _, addresses, coefficients = blocks["bilinear"]
+    bilinears = map(BilinearLadder, *columns["bilinear"], coefficients, addresses)
+    _, addresses, coefficients = blocks["pair"]
+    gen = GeneratorPool.of_table(
+        PairTable.of_columns(addresses, coefficients, columns["pair"]),
+        sorted(bilinears, key=attrgetter("address")),
         n_occ=n_occ,
         n_virt=n_virt,
         n_elec=n_occ,

@@ -137,17 +137,21 @@ def _pair_arrays(n):
     return p, q
 
 
-def pair_ladder_angles(u_pairs, pivots):
-    """Angles of one pair ladder per row of ``u_pairs``, all rows at once.
+def ladder_angles(amplitudes, pivots):
+    """Angles of one ladder per row of ``amplitudes``, all rows at once.
 
-    Each row is indexed by the lexicographic ``p < q`` pair list and
-    ``pivots[i]`` is the index of row ``i``'s pivot pair.  Returns the
-    ``thetas`` and ``phases`` of the non-pivot pairs in order (one row
-    each) and the pivot ``gauges``, the phases the pivot amplitudes are
-    gauged real by.  The phase of each amplitude rides inside its phased
-    pair-Givens rotation.
+    A row is a one-electron state over the modes or a two-electron state
+    over the lexicographic ``p < q`` pairs, and ``pivots[i]`` is the index
+    of row ``i``'s pivot mode or pair.  Returns the ``thetas`` and
+    ``phases`` of the non-pivot entries in order (one row each) and the
+    pivot ``gauges``, the phases the pivot amplitudes are gauged real by:
+    per row, the values :func:`one_electron_angles` gives a real
+    one-electron state, bit for bit (of a complex one, a theta may differ
+    in its last bit, since the pivot's modulus is taken in an array).  A
+    pair amplitude's phase rides inside its phased pair-Givens rotation.
+    Each row must have unit norm.
     """
-    u = np.asarray(u_pairs, dtype=complex)
+    u = np.asarray(amplitudes, dtype=complex)
     norms = np.linalg.norm(u, axis=-1)
     bad = np.abs(norms - 1.0) > _NORM_TOL
     if bad.any():
@@ -168,7 +172,7 @@ def two_electron_angles(u_pairs, pivot_pair=None):
     """Schedule preparing a two-electron state from pair amplitudes.
 
     ``u_pairs`` is indexed by the lexicographic ``p < q`` pair list, whose
-    length sets the mode count; the angles are :func:`pair_ladder_angles`
+    length sets the mode count; the angles are :func:`ladder_angles`
     of this one row.  The pivot-pair amplitude is gauged real.
     """
     u_pairs = np.asarray(u_pairs, dtype=complex).reshape(-1)
@@ -182,7 +186,7 @@ def two_electron_angles(u_pairs, pivot_pair=None):
     if pivot_pair not in pairs:
         raise ShapeError(f"pivot pair {pivot_pair} invalid")
     k0 = pairs.index(pivot_pair)
-    (thetas,), (phases,), (gauge,) = pair_ladder_angles(u_pairs[None], [k0])
+    (thetas,), (phases,), (gauge,) = ladder_angles(u_pairs[None], [k0])
     ordering = pairs[:k0] + pairs[k0 + 1:]
     return LadderSchedule("two", n, pivot_pair, ordering, thetas, phases, float(gauge))
 
@@ -354,13 +358,29 @@ def network_pair_sequence(n):
 def rotation_networks(matrices):
     """Decompose a stack of equal-size real orthogonal matrices into networks.
 
+    One network per matrix, its rotations in :func:`network_pair_sequence`
+    order with the angles of :func:`network_angles`.
+    """
+    angles, phases = network_angles(matrices)
+    pairs = network_pair_sequence(phases.shape[-1])
+    return tuple(
+        RotationNetwork(len(ph), tuple((p, q, t) for (p, q), t in zip(pairs, row)), ph)
+        for row, ph in zip(angles.tolist(), phases)
+    )
+
+
+def network_angles(matrices):
+    """``(angles, phases)``: the rotation networks of a stack of real orthogonal matrices.
+
     One adjacent-row Givens QR runs on the whole stack: each elimination
     takes every matrix's angle at once and rotates each matrix's two rows
     by its own ``2 x 2`` product, so each network has the bits of its
     matrix decomposed alone (one matrix is a stack of one).  The QR brings
     each matrix to a diagonal of signs; negative signs become pi phases.
     Zero-angle rotations are kept so the network shape depends only on
-    the mode count (fixed topology).  Returns one network per matrix.
+    the mode count (fixed topology).  Row ``i`` of ``angles`` holds matrix
+    ``i``'s rotation angles in :func:`network_pair_sequence` order, row
+    ``i`` of ``phases`` its per-mode phases.
     """
     v = np.asarray(matrices)
     if np.iscomplexobj(v) and np.abs(v.imag).max(initial=0.0) > 1e-13:
@@ -386,12 +406,8 @@ def rotation_networks(matrices):
     phases = np.where(np.diagonal(a, axis1=1, axis2=2) < 0, np.pi, 0.0)
     # v = G_1^T ... G_M^T D: phases first, then transposed rotations in
     # reverse elimination order
-    pairs = network_pair_sequence(n)
     angles = -np.array(thetas[::-1]).reshape(len(thetas), k).T
-    return tuple(
-        RotationNetwork(n, tuple((p, q, t) for (p, q), t in zip(pairs, row)), ph)
-        for row, ph in zip(angles.tolist(), phases)
-    )
+    return angles, phases
 
 
 def network_single_particle(net):

@@ -387,7 +387,7 @@ def test_pair_adaptor_slots_keep_their_stream_order(synth):
             wedge = cir.wedge_pairs(skel.n_system, skel.n_occ, side)
             vector = (lad.occupied_pair_vector() if side == "v"
                       else lad.virtual_pair_vector())
-            (thetas,), (phases,), (gauge,) = ladders.pair_ladder_angles(
+            (thetas,), (phases,), (gauge,) = ladders.ladder_angles(
                 [vector], [wedge.index(pivot)]
             )
             for theta, phi in zip(thetas, phases):

@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from scipy import sparse
 from composer import cli
 from composer.factorization import (
     POOL_FORMAT,
+    PairLadder,
     build_hamiltonian_pool,
     mp2_amplitudes,
     nested_svd_t2,
@@ -211,6 +213,27 @@ def test_dial_foreign_mask_exits_two(pipeline, capsys):
     argv = ["dial", "--skel", str(skel), "--pool", str(pool), "--mask", "99"]
     assert run(argv + ["--out", str(out)]) == 2
     assert "mask addresses missing from generator pool" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("order", ["mask-first", "eta-first"])
+def test_dial_refuses_mask_with_eta(pipeline, capsys, order):
+    """``--mask`` and ``--eta`` each choose the mask, so together they are a
+    usage error (exit 2, with usage), whichever comes first, and no sheet is
+    written; before, ``--eta`` was silently ignored."""
+    tmp, pool, skel, _ = pipeline
+    out = tmp / "both.json"
+    chosen = [["--mask", "1"], ["--eta", "0.9"]]
+    if order == "eta-first":
+        chosen.reverse()
+    argv = ["dial", "--skel", str(skel), "--pool", str(pool), *chosen[0], *chosen[1],
+            "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: composer dial")
+    assert "not allowed with argument" in err
     assert not out.exists()
 
 
@@ -977,3 +1000,60 @@ def test_deterministic_outputs(tmp_path):
     argv[-1] = str(out1 / "pool.json")
     assert run(list(argv)) == 0
     assert (out1 / "pool.json").read_text() == text1
+
+
+# the benchmark's thresholds: every ladder is kept
+BENCH_TAUS = ["--tau-chol", "1e-10", "--tau-svd", "0", "--tau-wedge", "0"]
+BENCH_MASKS = {"eta0.5": ["--eta", "0.5"], "eta0.9": ["--eta", "0.9"],
+               "eta0.99": ["--eta", "0.99"], "full": []}
+# SHA-256 of each (dial sheet, estimate) at synth 1:8:8, as the pair ladders
+# were bound one PairLadder at a time
+PINNED_1_8_8 = {
+    "eta0.5": ("e919fd17e586fcbb3ab8eb3f125a800bfda6fbe16aa9056691de213aa4bd872a",
+               "28e5fdf94912588239fb5e08d6bf2998eccaca1da4d367bd369a75200d8737de"),
+    "eta0.9": ("b8a2121401d65e8de722f3f6be2a84fbf13e40fa2bf11b2a3349b226b32c9ed4",
+               "cd7ba972b1b55b3b66fcb3d0daa3802122c919f0b69ee49de23afc4e7ecd873a"),
+    "eta0.99": ("ce82e610389d08f8e5a037373675d705b01a32fea0a291f8480389af49cb9050",
+                "d476f04370270f86edb3450d7bd5a660e1b40f35327f6e9680905dec52fdbc6b"),
+    "full": ("60ec481f5fad4275a5c9ce9afb28cd2df22d9238f213fafb6500424b03a882c9",
+             "85b88a5db5e529a867168e3ad70b337c4f310677d31803a57abedbe3dff5d8f3"),
+}
+
+
+@pytest.fixture(scope="module")
+def pipeline_1_8_8(tmp_path_factory):
+    """Pool and skeleton of synth 1:8:8 (448 pair ladders) at the benchmark thresholds."""
+    tmp = tmp_path_factory.mktemp("synth188")
+    pool, skel = tmp / "pool.json", tmp / "skel.json"
+    assert run(["factorize", "--synth", "1:8:8", *BENCH_TAUS, "--out", str(pool)]) == 0
+    assert run(["compile", "--pool", str(pool), "--out", str(skel)]) == 0
+    return tmp, pool, skel
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("mask", BENCH_MASKS)
+def test_dial_sheets_and_estimates_at_1_8_8_keep_their_bytes(pipeline_1_8_8, mask):
+    """Each dial sheet and estimate of the benchmark's masks has the bytes it
+    had when every pair ladder was bound alone."""
+    tmp, pool, skel = pipeline_1_8_8
+    sheet, est = tmp / f"dial-{mask}.json", tmp / f"est-{mask}.json"
+    assert run(["dial", "--skel", str(skel), "--pool", str(pool), *BENCH_MASKS[mask],
+                "--out", str(sheet)]) == 0
+    assert run(["estimate", "--skel", str(skel), "--dial", str(sheet),
+                "--out", str(est)]) == 0
+    assert (_sha256(sheet), _sha256(est)) == PINNED_1_8_8[mask]
+
+
+def test_dial_builds_no_pair_ladder(pipeline_1_8_8, monkeypatch):
+    """``composer dial`` binds the pair ladders from the pool's table: under
+    every benchmark mask and an explicit one, no PairLadder is constructed."""
+    tmp, pool, skel = pipeline_1_8_8
+    built = []
+    monkeypatch.setattr(PairLadder, "__post_init__", lambda lad: built.append(lad.address))
+    for k, args in enumerate([*BENCH_MASKS.values(), ["--mask", "1,7"]]):
+        assert run(["dial", "--skel", str(skel), "--pool", str(pool), *args,
+                    "--out", str(tmp / f"no-ladder-{k}.json")]) == 0
+    assert built == []

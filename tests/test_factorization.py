@@ -1,5 +1,6 @@
 import base64
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from composer import oracle
+from composer import circuit_ir as cir
+from composer import diagnostics, ladders, oracle
 from composer.errors import DegenerateGapError, NotPSDError, ParseError, ValidationError
 from composer.factorization import (
     BilinearLadder,
@@ -21,6 +23,7 @@ from composer.factorization import (
     _packed_complex,
     build_hamiltonian_pool,
     channel_eigendecomp,
+    generator_branch_alpha,
     mp2_amplitudes,
     nested_svd_t2,
     pivoted_cholesky,
@@ -471,6 +474,151 @@ def test_generator_columns_load_back_bit_for_bit(gen):
             vec = getattr(lad, key)
             assert _same_array(getattr(got, key), vec)
     assert pools_to_json(ham, back) == text
+
+
+def _drawn_orthonormal_pair(draw, size):
+    """Orthonormal factors ``(x, y)`` of ``size >= 2`` entries; each is real
+    or carries a unit phase that makes every nonzero entry complex, so the
+    pair vector ``x ^ y`` keeps unit norm."""
+    a = np.array(draw(st.lists(_ENTRIES, min_size=2 * size, max_size=2 * size)))
+    q, r = np.linalg.qr(a.reshape(size, 2))
+    if np.abs(np.diag(r)).min() < 1e-3:
+        q = np.eye(size)[:, :2]
+    return tuple(
+        q[:, k] * np.exp(1j * draw(st.sampled_from([0.4, 1.9, -2.6])))
+        if draw(st.booleans()) else q[:, k].copy()
+        for k in range(2)
+    )
+
+
+@st.composite
+def _dialable_pools(draw):
+    """Pair ladders with real and complex factor rows, and bilinear ladders,
+    addresses ascending: a pool every factor of which a skeleton can bind."""
+    n_occ, n_virt = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    kinds = draw(st.lists(st.sampled_from(["pair", "pair", "bilinear"]), min_size=1,
+                          max_size=8).filter(lambda kinds: "pair" in kinds))
+    ladders_ = []
+    for address, kind in enumerate(kinds, start=1):
+        coefficient = draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(0.05, 2))
+        if kind == "pair":
+            (x, y), (r, s) = (_drawn_orthonormal_pair(draw, n) for n in (n_virt, n_occ))
+            ladders_.append(PairLadder(x, y, r, s, coefficient, address))
+        else:
+            u, v = (_drawn_unit_vector(draw, n_occ + n_virt) for _ in "uv")
+            ladders_.append(BilinearLadder(u, v, coefficient, address))
+    return GeneratorPool(tuple(ladders_), n_occ, n_virt, n_elec=n_occ)
+
+
+def _row_norm(row):
+    """``np.linalg.norm(row)`` by its steps, one ladder at a time: the weight
+    kernel before the pair ladders were weighed as a table."""
+    x = row.ravel(order="K")
+    if np.iscomplexobj(x):
+        return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    return math.sqrt(x.dot(x))
+
+
+def _reference_weights(lads):
+    """``{address: |omega|^2 ||U||^2 ||V||^2}``, one ladder at a time."""
+    return {
+        lad.address: float(abs(lad.coefficient) ** 2 * (
+            _row_norm(lad.virtual_pair_vector()) ** 2
+            * _row_norm(lad.occupied_pair_vector()) ** 2 if lad.kind == "pair" else 1))
+        for lad in lads
+    }
+
+
+def _reference_one_shot_mask(weights, eta):
+    total = sum(weights.values())
+    chosen, acc = [], 0.0
+    for addr in sorted(weights, key=lambda a: (-weights[a], a)):
+        chosen.append(addr)
+        acc += weights[addr]
+        if acc >= eta * total - 1e-15:
+            break
+    return frozenset(chosen)
+
+
+def _reference_pair_row(skel, lad, prep):
+    """A pair ladder's dialed row, the ladder a batch of one: PREP and sign,
+    then the ``v`` and ``u`` ladders' angle and phase per line, then gauge."""
+    ad = skel.adaptors_gen[lad.address]
+    row = [prep, np.pi if lad.coefficient < 0 else 0.0]
+    for k, side, vec in ((1, "v", lad.occupied_pair_vector()),
+                         (0, "u", lad.virtual_pair_vector())):
+        slot = cir.wedge_pairs(skel.n_system, skel.n_occ, side).index(ad.pivot[k])
+        (thetas,), (phases,), (gauge,) = ladders.ladder_angles([vec], [slot])
+        row += [*np.stack([thetas, phases], axis=-1).ravel().tolist(), gauge]
+    return row
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=40, deadline=None)
+@given(gen=_dialable_pools(), data=st.data())
+def test_the_pair_table_keeps_every_per_ladder_bit(gen, data):
+    """Built from ladders or loaded from a document, the table gives each
+    ladder's weight, the mask, each pivot, ``alpha_bar``, each PREP
+    amplitude and each pair row with the bits of its ladder alone."""
+    mask = data.draw(st.sets(st.integers(1, gen.ell)))
+    eta = data.draw(st.sampled_from([0.3, 0.9, 1.0]))
+    ham = HamiltonianPool((), (), n_so=gen.n_so, n_elec=gen.n_occ)
+    _, loaded = pools_from_json(pools_to_json(ham, gen))
+    for pool in (gen, loaded):
+        lads = sorted(pool.ladders, key=lambda lad: lad.address)
+        weights = _reference_weights(lads)
+        got = diagnostics.ladder_weights(pool)
+        assert list(got) == list(weights)
+        assert _bits(got.values()) == _bits(weights.values())
+        assert diagnostics.one_shot_mask(pool, eta).indices == _reference_one_shot_mask(
+            weights, eta)
+
+        plan = cir.pivots_from_pools(None, pool)
+        for lad, ad in zip(lads, plan.gen):
+            if lad.kind == "pair":
+                assert ad.pivot == tuple(
+                    cir.wedge_pairs(pool.n_so, pool.n_occ, side)[int(np.argmax(np.abs(vec)))]
+                    for side, vec in (("u", lad.virtual_pair_vector()),
+                                      ("v", lad.occupied_pair_vector())))
+
+        branch = [abs(lad.coefficient) * generator_branch_alpha(lad) for lad in lads]
+        alpha_bar = float(sum(branch))
+        assert _bits([pool.alpha_bar]) == _bits([alpha_bar])
+        skel = cir.compile_skeleton(pool.n_so, plan)
+        values = cir.dial(skel, None, pool, cir.Mask.of("m", mask)).values
+        used = 0.0
+        for lad, weight in zip(lads, branch):
+            prep = 0.0
+            if lad.address in mask:
+                prep = float(np.sqrt(weight / alpha_bar))
+                used += weight
+            start, stop = skel.slot_spans["gen", lad.address]
+            row = _reference_pair_row(skel, lad, prep) if lad.kind == "pair" else [prep]
+            assert _bits(values[start:start + len(row)]) == _bits(row)
+        null = float(np.sqrt(max(1.0 - used / alpha_bar, 0.0)))
+        assert _bits(values[slice(*skel.slot_spans["gen", 0])]) == _bits([null])
+
+
+def test_weights_of_448_pair_ladders_keep_every_per_ladder_bit():
+    """Synth 1:8:8 at zero cuts: each weight of the 448 pair ladders, built
+    or loaded, has the bits of its ladder's own formula (one ``|omega| ** 2``
+    there differs from ``|omega| * |omega|`` in its last bit), and so has
+    each benchmark mask."""
+    gen = nested_svd_t2(mp2_amplitudes(synth_instance(1, 8, 8)), 0.0, 0.0)
+    ham = HamiltonianPool((), (), n_so=gen.n_so, n_elec=gen.n_occ)
+    _, loaded = pools_from_json(pools_to_json(ham, gen))
+    weights = _reference_weights(gen.ladders)
+    assert len(weights) == 448
+    for pool in (gen, loaded):
+        got = diagnostics.ladder_weights(pool)
+        assert list(got) == list(weights)
+        assert _bits(got.values()) == _bits(weights.values())
+        for eta in (0.5, 0.9, 0.99, 1.0):
+            assert diagnostics.one_shot_mask(pool, eta).indices == _reference_one_shot_mask(
+                weights, eta)
 
 
 def test_nested_svd_truncation_monotone():

@@ -158,12 +158,30 @@ def pair_rows(draw):
 def test_batched_pair_angles_equal_the_one_row_schedule(case):
     """Each row of the batched kernel is exactly ``two_electron_angles`` of it."""
     n, rows, pivots = case
-    thetas, phases, gauges = ladders.pair_ladder_angles(rows, pivots)
+    thetas, phases, gauges = ladders.ladder_angles(rows, pivots)
     for row, pivot, theta, phase, gauge in zip(rows, pivots, thetas, phases, gauges):
         sched = ladders.two_electron_angles(row, ladders.pair_indices(n)[pivot])
         assert np.array_equal(sched.thetas, theta)
         assert np.array_equal(sched.phases, phase)
         assert sched.pivot_phase == gauge
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 16])
+def test_batched_angles_of_real_states_equal_one_electron_angles(n):
+    """The dial forms every one-body mode column's angles in one batch: each
+    row of a real batch, zero entries included, has the bits of
+    ``one_electron_angles`` of it."""
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((40, n)) * (rng.uniform(size=(40, n)) < 0.8)
+    rows[:, 0] += 1e-3
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    pivots = rng.integers(0, n, len(rows))
+    thetas, phases, gauges = ladders.ladder_angles(rows, pivots)
+    for row, pivot, theta, phase, gauge in zip(rows, pivots, thetas, phases, gauges):
+        sched = ladders.one_electron_angles(row, pivot=int(pivot), n=n)
+        assert sched.thetas.tobytes() == theta.tobytes()
+        assert sched.phases.tobytes() == phase.tobytes()
+        assert float(sched.pivot_phase).hex() == float(gauge).hex()
 
 
 def test_two_electron_prep_exact():
