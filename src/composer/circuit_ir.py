@@ -21,7 +21,10 @@ also fixes the stream's order.  A dial sheet (``composer-dial-v4``) holds one
 instance's (pools, mask, coefficient set) values as one array, ``values[i]``
 binding the stream's ``i``-th slot, and is the only thing that changes
 between instances; its JSON stores the array as one base64 string of
-little-endian float64 bytes.
+little-endian float64 bytes.  :func:`dial` is two stages: :func:`bind`
+binds everything a mask leaves equal (every ladder row, the Hamiltonian
+PREP, the coefficients) into a :class:`Binding`, and :func:`dial_prep`
+writes one mask's generator PREP amplitudes into a copy of its stream.
 
 An adaptor's lines, in application order, are its whole branch, held as
 one text, each line ended by a newline.  The document (``composer-skel-v12``)
@@ -51,8 +54,11 @@ nothing leaks out of it, and sums a side's sector blocks with their PREP
 weights.  Every checked run is cached by fabric, adaptor, values after its
 PREP amplitude and sector (:data:`KEPT_RUNS`), so a re-dial that changes
 only PREP amplitudes (a mask) re-weights cached blocks instead of running
-branches again; :func:`one_pool_skeleton` caches its fabrics by pivot
-plan, so a scan of equal plans runs on one.
+branches again, and a branch it leaves idle is width-checked once
+(:func:`_idle_branch`); :func:`one_pool_skeleton` caches its fabrics by
+pivot plan, so a scan of equal plans runs on one, and
+:func:`generator_binding` keeps the last generator pool's fabric and
+binding, so a mask re-dial of it is one :func:`dial_prep`.
 :func:`execute_encoding` assembles the multiplexed encoding as a sparse
 unitary, which only ``composer verify`` needs.  Each of the two checks its
 one size limit before anything is built, then the sheet against the skeleton
@@ -234,6 +240,10 @@ class CircuitSkeleton:
 
     def __post_init__(self):
         self.pair_slots  # pair sides pivot in their wedges
+
+    def __hash__(self):
+        # equality stays by value, and equal skeletons have equal fingerprints
+        return hash(self.fingerprint)
 
     @cached_property
     def pair_slots(self):
@@ -565,10 +575,18 @@ def one_pool_skeleton(ham_pool, gen_pool):
 
     Equal ``n`` and pivot plans (:class:`CompilePlan` compares by value)
     return the same fabric from an ``lru_cache`` of two, one per side, so a
-    geometry or mask scan compiles once.
+    geometry or mask scan compiles once.  Each pool object's plan is
+    derived once (:func:`_one_pool_plan`).
     """
-    plan = pivots_from_pools(ham_pool, gen_pool)
+    plan = _one_pool_plan(ham_pool, gen_pool)
     return _compiled((gen_pool if ham_pool is None else ham_pool).n_so, plan)
+
+
+@lru_cache(maxsize=2)
+def _one_pool_plan(ham_pool, gen_pool):
+    """:func:`pivots_from_pools` of the last two pool pairs, one per side;
+    pools compare by identity (``eq=False``)."""
+    return pivots_from_pools(ham_pool, gen_pool)
 
 
 @lru_cache(maxsize=2)
@@ -714,8 +732,44 @@ def _sign_phi(x):
     return np.pi if x < 0 else 0.0
 
 
+@dataclass(frozen=True, eq=False)
+class Binding:
+    """A dial's mask-free stage (:func:`bind`): every slot but the generator's PREP.
+
+    ``values`` is the read-only stream, every slot bound except the
+    generator adaptors' PREP amplitudes and the null branch's, which are
+    zero; ``prep_slots`` are their positions, the null branch's first.
+    ``weights`` is each generator address's ``|omega| alpha`` in address
+    order and ``alpha_bar`` the pool's normalization (both ``None``
+    without a generator pool); ``classical_coeffs`` holds every
+    coefficient but ``alpha_bar``, each list as a tuple.
+    """
+
+    fingerprint: str
+    values: np.ndarray
+    classical_coeffs: MappingProxyType
+    weights: np.ndarray | None
+    prep_slots: np.ndarray | None
+    alpha_bar: float | None
+
+
 def dial(skel, ham_pool, gen_pool, mask, alpha_bar=None):
     """Bind every parameter slot for one instance; the skeleton is untouched.
+
+    The composition of its two stages: :func:`bind`, which binds every
+    ladder row, the Hamiltonian PREP and the coefficients, none of which
+    a mask changes, then :func:`dial_prep`, which writes the mask's
+    generator PREP amplitudes, the null amplitude and ``alpha_bar`` into
+    a copy of that stream.  The pools are checked before the mask.  A
+    caller that keeps the binding re-dials a mask with :func:`dial_prep`
+    alone: the library keeps the last generator pool's
+    (:func:`generator_binding`), ``composer dial`` keeps nothing.
+    """
+    return dial_prep(bind(skel, ham_pool, gen_pool), mask, alpha_bar)
+
+
+def bind(skel, ham_pool, gen_pool):
+    """The mask-free stage of :func:`dial`: a :class:`Binding` of the pools.
 
     Pools may be smaller than the compiled sizes; surplus amplitude routes
     to the null branch (generator) or zero-weight branches (Hamiltonian).
@@ -737,14 +791,16 @@ def dial(skel, ham_pool, gen_pool, mask, alpha_bar=None):
             f"generator pool n_occ {gen_pool.n_occ} differs from the compiled "
             f"{skel.n_occ}"
         )
-    masked = frozenset(mask.indices if isinstance(mask, Mask) else mask)
-    if gen_pool is None and masked:
-        raise MaskError("nonzero mask over a skeleton without a generator pool")
     rows, tables, coeffs = [], [], {}
     if ham_pool is not None:
         coeffs.update(_bind_hamiltonian(skel, ham_pool, rows))
+    weights = prep_slots = alpha_bar = None
     if gen_pool is not None:
-        coeffs.update(_bind_generator(skel, gen_pool, masked, alpha_bar, rows, tables))
+        coeffs.update(_bind_generator(skel, gen_pool, rows, tables))
+        weights = gen_pool.branches.weight
+        weights.setflags(write=False)
+        prep_slots = skel.span_bounds["gen"][:len(weights) + 1]
+        alpha_bar = gen_pool.alpha_bar
     # every slot starts at zero, where surplus compiled modes and adaptors idle
     values = np.zeros(skel.n_slots, "<f8")
     for (side, address), row in rows:
@@ -760,15 +816,69 @@ def dial(skel, ham_pool, gen_pool, mask, alpha_bar=None):
             _check_span("gen", addresses[k], table.shape[1], stops[k] - starts[k])
         values[starts[:, None] + np.arange(table.shape[1])] = table
     values.setflags(write=False)
+    coeffs = {key: tuple(value) if isinstance(value, list) else value
+              for key, value in coeffs.items()}
+    return Binding(skel.fingerprint, values, MappingProxyType(coeffs), weights,
+                   prep_slots, alpha_bar)
 
+
+def dial_prep(binding, mask, alpha_bar=None):
+    """The mask's stage of :func:`dial`: a :class:`DialSheet` from a kept binding.
+
+    Checks the mask against the generator pool (a ``MaskError`` names the
+    addresses it lacks) and the masked weight ``used`` against
+    ``alpha_bar`` (the pool's unless given), then writes into a copy of the
+    binding's stream each masked address's PREP amplitude
+    ``sqrt(|omega| alpha / alpha_bar)`` (0 elsewhere) and the null branch's
+    ``sqrt(1 - used / alpha_bar)``.  ``used`` is added one branch at a
+    time in address order, as ``alpha_bar`` is.  A failed check writes
+    nothing, and the binding is never changed.
+    """
+    masked = frozenset(mask.indices if isinstance(mask, Mask) else mask)
+    coeffs = {key: list(value) if isinstance(value, tuple) else value
+              for key, value in binding.classical_coeffs.items()}
+    values = binding.values
+    if binding.weights is None:
+        if masked:
+            raise MaskError("nonzero mask over a skeleton without a generator pool")
+    else:
+        ell = len(binding.weights)
+        missing = masked.difference(range(1, ell + 1))
+        if missing:
+            raise MaskError(
+                f"mask addresses missing from generator pool (addresses: {sorted(missing)})"
+            )
+        alpha_bar = binding.alpha_bar if alpha_bar is None else float(alpha_bar)
+        chosen = np.zeros(ell, bool)
+        chosen[np.fromiter(masked, np.intp, len(masked)) - 1] = True
+        weight = binding.weights[chosen]
+        prep = np.zeros(ell + 1)
+        prep[1:][chosen] = np.sqrt(weight / alpha_bar)
+        used = sequential_sum(weight)
+        if used > alpha_bar * (1 + 1e-12):
+            raise BindError("masked weight exceeds the global normalization")
+        prep[0] = np.sqrt(max(1.0 - used / alpha_bar, 0.0))
+        values = values.copy()
+        values[binding.prep_slots] = prep
+        values.setflags(write=False)
+        coeffs["alpha_bar"] = float(alpha_bar)
     label = mask.label if isinstance(mask, Mask) else "mask"
     return DialSheet(
-        skeleton_fingerprint=skel.fingerprint,
+        skeleton_fingerprint=binding.fingerprint,
         mask_id=label,
         mask_indices=tuple(sorted(masked)),
         values=values,
         classical_coeffs=coeffs,
     )
+
+
+@lru_cache(maxsize=1)
+def generator_binding(gen_pool):
+    """``(fabric, binding)`` of a generator pool alone (:func:`one_pool_skeleton`,
+    :func:`bind`), kept for the last pool object; pools compare by identity
+    (``eq=False``), so a mask re-dial of one pool is a :func:`dial_prep`."""
+    skel = one_pool_skeleton(None, gen_pool)
+    return skel, bind(skel, None, gen_pool)
 
 
 def _check_span(side, address, held, slots):
@@ -846,16 +956,16 @@ def _bind_hamiltonian(skel, ham_pool, rows):
     return {"Omega": [float(x) for x in omega_list], "alpha": float(alpha)}
 
 
-def _pair_rows(skel, gen_pool, prep, sign):
+def _pair_rows(skel, gen_pool, sign):
     """``(addresses, table)`` per batch of the pool's pair table, in one array pass.
 
-    ``prep`` and ``sign`` hold every generator address's PREP amplitude
-    and sign phase, address ``a`` at ``a - 1``.  The wedge vectors are the
-    batch's own (:class:`~composer.factorization.PairBatch`), and each
-    pivot's index in its wedge is the skeleton's
-    (:attr:`CircuitSkeleton.pair_slots`).  A row is PREP and sign, then the
-    ``v`` and ``u`` ladders' lines' values: an angle and a phase per
-    ``pgivens`` line, then the pivot gauge.
+    ``sign`` holds every generator address's sign phase, address ``a`` at
+    ``a - 1``.  The wedge vectors are the batch's own
+    (:class:`~composer.factorization.PairBatch`), and each pivot's index in
+    its wedge is the skeleton's (:attr:`CircuitSkeleton.pair_slots`).  A
+    row is the PREP amplitude (0 here: :func:`dial_prep` writes it) and
+    sign, then the ``v`` and ``u`` ladders' lines' values: an angle and a
+    phase per ``pgivens`` line, then the pivot gauge.
     """
     table = gen_pool.pairs
     out = []
@@ -865,7 +975,7 @@ def _pair_rows(skel, gen_pool, prep, sign):
         u, v = (ladders.ladder_angles(vecs, pivots[:, k])
                 for k, vecs in enumerate((batch.u, batch.v)))
         rows = np.empty((len(addresses), 2 + sum(2 * t.shape[1] + 1 for t, _, _ in (u, v))))
-        rows[:, 0], rows[:, 1] = prep[addresses - 1], sign[addresses - 1]
+        rows[:, 0], rows[:, 1] = 0.0, sign[addresses - 1]
         start = 2
         for thetas, phases, gauges in (v, u):
             stop = start + 2 * thetas.shape[1]
@@ -876,13 +986,12 @@ def _pair_rows(skel, gen_pool, prep, sign):
     return out
 
 
-def _bind_generator(skel, gen_pool, masked, alpha_bar, rows, tables):
+def _bind_generator(skel, gen_pool, rows, tables):
     """Append the generator adaptors' rows, and the pair batches' tables
-    (:func:`_pair_rows`); checks mask and budget.
+    (:func:`_pair_rows`), each PREP amplitude 0; returns the coefficients.
 
     Everything is read from the pool's :class:`~composer.factorization.Branches`
-    in address order: the PREP amplitudes elementwise, the masked weight
-    ``used`` added one branch at a time, as ``alpha_bar`` is.
+    in address order.
     """
     n = skel.n_system
     branches = gen_pool.branches
@@ -895,11 +1004,6 @@ def _bind_generator(skel, gen_pool, masked, alpha_bar, rows, tables):
         )
     if not np.array_equal(addresses, np.arange(1, ell + 1)):
         raise BindError("generator addresses must be contiguous from 1")
-    missing = masked.difference(range(1, ell + 1))
-    if missing:
-        raise MaskError(
-            f"mask addresses missing from generator pool (addresses: {sorted(missing)})"
-        )
     # a pair ladder binds to a pair adaptor, a bilinear one to a bilinear_asym
     bilinear = np.flatnonzero(~branches.pair)
     fits = branches.pair == (skel.pair_slots[1:ell + 1, 0] >= 0)
@@ -907,13 +1011,6 @@ def _bind_generator(skel, gen_pool, masked, alpha_bar, rows, tables):
                       for a in addresses[bilinear].tolist()]
     if not fits.all():
         raise BindError("adaptor kind mismatch", addresses=[int(addresses[~fits][0])])
-    alpha_bar = gen_pool.alpha_bar if alpha_bar is None else float(alpha_bar)
-    chosen = np.zeros(ell, bool)
-    chosen[np.fromiter(masked, np.intp, len(masked)) - 1] = True
-    weight = branches.weight[chosen]
-    prep = np.zeros(ell)
-    prep[chosen] = np.sqrt(weight / alpha_bar)
-    used = sequential_sum(weight)
     sign = np.where(branches.coefficient < 0, np.pi, 0.0)
     for k in bilinear.tolist():
         addr = k + 1
@@ -921,18 +1018,16 @@ def _bind_generator(skel, gen_pool, masked, alpha_bar, rows, tables):
         lad = gen_pool.bilinears[branches.index[k]]
         w_vals, w_vecs = bilinear_asym_spectrum(lad.u, lad.v)
         amps, signs, _ = oracle.signed_loading(w_vals)
-        row = [prep[k], sign[k]]
+        row = [0.0, sign[k]]
         for j in range(len(w_vals)):  # each case: amplitude, ladder, sign
             pivot = _mode_pivot(ad, j)
             sched = ladders.one_electron_angles(w_vecs[:, j], pivot=pivot, n=n)
             row += [float(amps[j]), *_ladder_row(sched), _sign_phi(signs[j])]
         row += [0.0] * ((2 * n + 1) * (2 - len(w_vals)))  # a missing mode idles
         rows.append((("gen", addr), row))
-    tables += _pair_rows(skel, gen_pool, prep, sign)
-    if used > alpha_bar * (1 + 1e-12):
-        raise BindError("masked weight exceeds the global normalization")
-    rows.append((("gen", 0), [float(np.sqrt(max(1.0 - used / alpha_bar, 0.0)))]))
-    return {"omega": branches.coefficient.tolist(), "alpha_bar": float(alpha_bar)}
+    tables += _pair_rows(skel, gen_pool, sign)
+    rows.append((("gen", 0), [0.0]))  # the null branch's PREP amplitude
+    return {"omega": branches.coefficient.tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -1233,7 +1328,8 @@ def execute_block(skel, sheet, address, sector):
     :class:`SectorError` naming the adaptor).  The result is the
     ``C(n, N)``-square sector block, indexed like those columns.  An
     adaptor of zero weight is built (its lines and width are checked) but
-    not run.
+    not run, once per fabric, adaptor, values after its PREP amplitude and
+    shared workspace (:func:`_idle_branch`, the latest :data:`KEPT_RUNS`).
 
     Each weighted ``B_s`` and phase come from :func:`_adaptor_run`, a pure
     function of the fabric (by value), the adaptor, its values after its
@@ -1263,11 +1359,19 @@ def execute_block(skel, sheet, address, sector):
     for (a, _), weight in zip(entries, weights):
         own = _own_values(skel, values, side, a)
         if weight == 0.0:
-            oracle.branch_width(_branch(skel, side, a, own)[0], n, workspace)
+            _idle_branch(skel, side, a, own, workspace)
             continue
         part, phase = _adaptor_run(skel, side, a, own, sector, workspace)
         block += (weight * (1.0 if single else phase)) * part
     return block
+
+
+@lru_cache(maxsize=KEPT_RUNS)
+def _idle_branch(skel, side, a, values, workspace):
+    """Build idle adaptor ``a``'s branch from its :func:`_own_values` and check
+    it is no wider than ``workspace``; only the passed check is kept, never
+    the node."""
+    oracle.branch_width(_branch(skel, side, a, values)[0], skel.n_system, workspace)
 
 
 @lru_cache(maxsize=KEPT_RUNS)

@@ -66,8 +66,9 @@ class CholeskyChannel:
     def rank(self):
         return 0 if self.eigvals is None else len(self.eigvals)
 
-    @property
+    @cached_property
     def gamma(self):
+        """``sum |lambda|`` of the retained eigenvalues, derived once."""
         if self.eigvals is None:
             raise ValidationError("channel not eigendecomposed")
         return float(np.abs(self.eigvals).sum())
@@ -180,9 +181,9 @@ class HamiltonianPool:
     def ell(self):
         return len(self.one_body) + len(self.channels)
 
-    @property
+    @cached_property
     def alpha(self):
-        """LCU normalization ``sum_s |Omega_s| alpha_s``."""
+        """LCU normalization ``sum_s |Omega_s| alpha_s``, derived once."""
         total = sum(
             abs(lad.coefficient) * lad.multiplicity for lad in self.one_body
         )

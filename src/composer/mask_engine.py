@@ -10,15 +10,23 @@ and ``qsp.exp_sigma_block``), run one adaptor at a time on the ``C(n, N)``
 sector columns ``|0_anc>|x>``, so no encoding is assembled either, and the
 sandwich and its exact reference are ``C(n, N) x C(n, N)`` arrays.
 
-A mask changes only the generator's PREP amplitudes.  Three
-``lru_cache``s of pure functions keep what a mask leaves equal: the
-one-pool fabrics by ``n`` and pivot plan
-(``circuit_ir.one_pool_skeleton``), each adaptor's sector run by fabric,
-adaptor, values after its PREP amplitude and sector
-(``circuit_ir.execute_block``), and the Hamiltonian half by pool object
-(:func:`_hamiltonian_half`).  So a mask sweep on one geometry dials and
-runs the Hamiltonian once and each generator branch the first time a mask
-weights it, and a new geometry re-runs the adaptors whose values changed.
+A mask changes only the generator's PREP amplitudes, and ``lru_cache``s
+of pure functions keep what it leaves equal: the pivot plans by pool
+object and the one-pool fabrics by ``n`` and plan
+(``circuit_ir.one_pool_skeleton``); the generator's mask-free binding by
+pool object (``circuit_ir.generator_binding``); each adaptor's sector run
+by fabric, adaptor, values after its PREP amplitude and sector, and each
+idle branch's width check by the same key without the sector
+(``circuit_ir.execute_block``); the Chebyshev degree and coefficients by
+``(alpha_bar, eps_poly)`` (``qsp.jacobi_anger_series``); and the
+Hamiltonian half by pool object (:func:`_hamiltonian_half`).  So a call
+that changes only the mask binds no ladder and runs no Hamiltonian: it
+writes the generator's PREP amplitudes into a copy of the kept binding
+(``circuit_ir.dial_prep``), runs each generator branch the first time a
+mask weights it, re-weights the kept runs, and recomputes only the
+mask's exact generator block, its ``eigh`` exponential, the Chebyshev
+series applied to the block and the report.  A new geometry re-binds its pools and re-runs
+the adaptors whose values changed.
 """
 
 from __future__ import annotations
@@ -114,9 +122,11 @@ def similarity_sandwich(ham_pool, gen_pool, mask, model_space, eps_poly):
     is dialed or run.  Each half, encoded and exact, is its encoder's own
     on the sector (``oracle._hamiltonian_sector``, ``qsp._exp_sigma``).
     A cached adaptor run is re-weighted, not run again
-    (``circuit_ir.execute_block``), and the Hamiltonian half is cached for
-    the last ``ham_pool`` object (:func:`_hamiltonian_half`), so a call
-    that changes only the mask neither dials nor runs the Hamiltonian.
+    (``circuit_ir.execute_block``), the Hamiltonian half is cached for
+    the last ``ham_pool`` object (:func:`_hamiltonian_half`) and the
+    generator's binding for the last ``gen_pool`` object, so a call
+    that changes only the mask neither dials nor runs the Hamiltonian and
+    binds no generator ladder.
     """
     n_elec = ham_pool.n_elec
     if gen_pool.sector != n_elec:
@@ -125,12 +135,13 @@ def similarity_sandwich(ham_pool, gen_pool, mask, model_space, eps_poly):
             f"Hamiltonian's N={n_elec}"
         )
     mask_indices = frozenset(getattr(mask, "indices", mask))
-    # the Hamiltonian half checks its own run before it dials
+    # the Hamiltonian half checks its own run before it dials; the generator
+    # is bound after it (qsp._exp_sigma)
     gen_skel = circuit_ir.one_pool_skeleton(None, gen_pool)
     circuit_ir.check_column_batch(gen_skel, "gen", n_elec)
     b_block, h_exact, ham_rep = _hamiltonian_half(ham_pool)
     e_block, exp_exact, exp_rep = qsp._exp_sigma(
-        gen_skel, gen_pool, mask_indices, eps_poly, 0.0, gen_pool.alpha_bar
+        gen_pool, mask_indices, eps_poly, 0.0, gen_pool.alpha_bar
     )
     eps_ham, eps_exp = ham_rep.measured_error, exp_rep.measured_deviation
 

@@ -726,15 +726,17 @@ def generator_block_encoding(pool, mask_indices):
     with ``alpha_bar`` fixed by the full compiled pool (never by the mask);
     surplus PREP amplitude is routed to the reserved address-0 null branch,
     whose workspace flip keeps it invisible to the ancilla-vacuum block.
-    A generator-only skeleton is compiled, dialed (which checks the mask
-    and the masked-weight budget) and run on the ancilla-zero columns of
-    the working sector ``N = pool.sector``; returns ``(block, report)``.
+    The pool's generator-only skeleton and binding are kept
+    (``circuit_ir.generator_binding``); the mask is dialed onto them
+    (``dial_prep``, which checks the mask and the masked-weight budget)
+    and run on the ancilla-zero columns of the working sector
+    ``N = pool.sector``; returns ``(block, report)``.
     """
     mask_indices = frozenset(mask_indices)
     if pool.ell == 0 and mask_indices:
         raise MaskError("nonzero mask over an empty generator pool")
-    skel = circuit_ir.one_pool_skeleton(None, pool)
-    sheet = circuit_ir.dial(skel, None, pool, mask_indices)
+    skel, binding = circuit_ir.generator_binding(pool)
+    sheet = circuit_ir.dial_prep(binding, mask_indices)
     block = circuit_ir.execute_block(skel, sheet, "gen", pool.sector)
     target = _on_sector(generator_dense(pool, mask_indices), pool.sector)
     target = target / pool.alpha_bar

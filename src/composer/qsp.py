@@ -14,6 +14,7 @@ plain dense ``C(n, N)``-square array.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -105,6 +106,15 @@ def degree_for(alpha, eps):
     raise ValidationError("degree search window exhausted")  # pragma: no cover
 
 
+@lru_cache(maxsize=1)
+def jacobi_anger_series(alpha, eps):
+    """``(degree, poly)``: :func:`degree_for` and :func:`jacobi_anger_coeffs`
+    at ``alpha``, kept for the last ``(alpha, eps)``, which a mask sweep
+    does not change (the poly's coefficients are read-only)."""
+    d = degree_for(alpha, eps)
+    return d, jacobi_anger_coeffs(alpha, d)
+
+
 def jacobi_anger_coeffs(alpha, d):
     """Chebyshev coefficients ``(-i)^k (2 - delta_k0) J_k(alpha)``."""
     if d < 0:
@@ -164,21 +174,23 @@ def exp_sigma_block(pool, mask_indices, eps_poly, eps_prime=0.0, alpha_bar=None)
     """Approximate ``exp(sigma)`` for the masked generator at the block level:
     the ``approx`` and ``report`` of :func:`_exp_sigma`."""
     alpha_bar = pool.alpha_bar if alpha_bar is None else float(alpha_bar)
-    approx, _, report = _exp_sigma(circuit_ir.one_pool_skeleton(None, pool), pool,
-                                   mask_indices, eps_poly, eps_prime, alpha_bar)
+    approx, _, report = _exp_sigma(pool, mask_indices, eps_poly, eps_prime, alpha_bar)
     return approx, report
 
 
-def _exp_sigma(skel, pool, mask_indices, eps_poly, eps_prime, alpha_bar):
+def _exp_sigma(pool, mask_indices, eps_poly, eps_prime, alpha_bar):
     """``(approx, exact, report)``: Chebyshev and exact ``exp(-i alpha_bar x)``
     of the masked generator on its working sector ``N = pool.sector``.
 
-    The pool's generator-only skeleton ``skel`` is dialed and run on the
+    The pool's generator-only skeleton is dialed from its kept binding
+    (``circuit_ir.generator_binding``, then ``dial_prep``) and run on the
     sector's columns, with an optional Hermitian perturbation of spectral
     norm ``eps_prime`` (a stand-in for branch synthesis error); ``exact``
-    is by ``eigh`` of the generator's sector block.
+    is by ``eigh`` of the generator's sector block.  The degree and
+    coefficients are :func:`jacobi_anger_series`'.
     """
-    sheet = circuit_ir.dial(skel, None, pool, mask_indices, alpha_bar)
+    skel, binding = circuit_ir.generator_binding(pool)
+    sheet = circuit_ir.dial_prep(binding, mask_indices, alpha_bar)
     block = circuit_ir.execute_block(skel, sheet, "gen", pool.sector)
     exact = exact_exponential(
         oracle._on_sector(oracle.generator_dense(pool, mask_indices), pool.sector)
@@ -188,8 +200,7 @@ def _exp_sigma(skel, pool, mask_indices, eps_poly, eps_prime, alpha_bar):
         norm = np.linalg.norm(block, 2)
         if norm > 1.0:
             block = block / norm
-    d = degree_for(alpha_bar, eps_poly)
-    poly = jacobi_anger_coeffs(alpha_bar, d)
+    d, poly = jacobi_anger_series(alpha_bar, eps_poly)
     approx = apply_matrix_poly(poly, block)
     report = ExpBlockReport(
         degree=d,

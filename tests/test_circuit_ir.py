@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -15,7 +16,7 @@ from scipy import sparse
 from scipy.linalg import expm
 
 from composer import circuit_ir as cir
-from composer import jw, ladders, oracle
+from composer import jw, ladders, oracle, qsp
 from composer.errors import BindError, MaskError, ParseError, SectorError, ShapeError
 from composer.errors import ValidationError
 from composer.factorization import (
@@ -278,6 +279,87 @@ def test_dial_rejects_foreign_mask(compiled):
     ham, gen, skel = compiled
     with pytest.raises(MaskError):
         cir.dial(skel, ham, gen, cir.Mask.of("m", [17]))
+
+
+def test_dial_checks_the_pools_before_the_mask(compiled):
+    """A pool that does not fit the fabric is reported before a mask that
+    does not fit the pool: the binding is made before the PREP step."""
+    ham, gen, skel = compiled
+    bilinear = next(lad for lad in gen.ladders if lad.kind == "bilinear")
+    misfit = GeneratorPool(ladders=(replace(bilinear, address=1),), n_occ=gen.n_occ,
+                           n_virt=gen.n_virt, n_elec=gen.n_elec)
+    with pytest.raises(BindError, match="adaptor kind mismatch"):
+        cir.dial(skel, ham, misfit, cir.Mask.of("m", [17]))
+    with pytest.raises(MaskError):
+        cir.dial(skel, ham, gen, cir.Mask.of("m", [17]))
+
+
+def _synth_pools(synth, mixed):
+    """Pools of synth ``seed:m:N``; ``mixed`` adds two bilinear ladders."""
+    ints = synth_instance(*synth)
+    ham = build_hamiltonian_pool(ints, 1e-10, 0.0)
+    gen = nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0)
+    return ham, mixed_generator_pool(gen, n_so=ints.n_so) if mixed else gen
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+@pytest.mark.parametrize("synth", [(1, 2, 2), (7, 3, 2)])
+def test_a_kept_binding_dials_every_mask_as_dial_does(synth, mixed):
+    """n_so = 4 and 6, with and without bilinear ladders: on one binding of
+    each skeleton, both pools' and the generator's alone, the PREP step
+    gives the sheet bytes of a full ``dial`` for every mask subset, at the
+    pool's ``alpha_bar`` and at twice it, and leaves the binding as it was."""
+    ham, gen = _synth_pools(synth, mixed)
+    both = cir.compile_skeleton(ham.n_so, cir.pivots_from_pools(ham, gen))
+    addresses = range(1, gen.ell + 1)
+    masks = [cir.Mask.of(f"m{r}", subset) for r in range(gen.ell + 1)
+             for subset in itertools.combinations(addresses, r)]
+    assert len(masks) == 2**gen.ell
+    for skel, pools in ((both, (ham, gen)), (cir.one_pool_skeleton(None, gen), (None, gen))):
+        binding = cir.bind(skel, *pools)
+        before = binding.values.tobytes()
+        for mask, alpha_bar in itertools.product(masks, (None, 2 * gen.alpha_bar)):
+            full = cir.dial(skel, *pools, mask, alpha_bar)
+            assert cir.dial_prep(binding, mask, alpha_bar).to_json() == full.to_json()
+        assert binding.values.tobytes() == before
+
+
+def _raised(call, *args):
+    with pytest.raises((BindError, MaskError)) as info:
+        call(*args)
+    return type(info.value), str(info.value)
+
+
+def _kept():
+    """Sizes of the caches a mask's dial, run or exponential would fill."""
+    return [f.cache_info().currsize for f in
+            (cir._adaptor_run, cir._idle_branch, qsp.jacobi_anger_series)]
+
+
+@pytest.mark.parametrize("synth", [(1, 2, 2), (7, 3, 2)])
+def test_a_bad_mask_fails_alike_by_both_routes_and_keeps_nothing(synth):
+    """A missing address (MaskError) and a masked weight over ``alpha_bar``
+    (BindError) raise the same class and message from a full ``dial``, the
+    PREP step and the library's encoders, which keep no run, idle check or
+    series for it; the kept binding is left as it was."""
+    _, gen = _synth_pools(synth, mixed=True)
+    full = frozenset(range(1, gen.ell + 1))
+    cases = [(frozenset([gen.ell + 1]), None, MaskError),
+             (full, gen.alpha_bar / 2, BindError)]
+    for cache in (cir._adaptor_run, cir._idle_branch, qsp.jacobi_anger_series):
+        cache.cache_clear()
+    skel, binding = cir.generator_binding(gen)
+    before = binding.values.tobytes()
+    for mask, alpha_bar, error in cases:
+        raised = _raised(cir.dial, skel, None, gen, mask, alpha_bar)
+        assert raised[0] is error
+        assert _raised(cir.dial_prep, binding, mask, alpha_bar) == raised
+        assert _raised(qsp.exp_sigma_block, gen, mask, 1e-9, 0.0, alpha_bar) == raised
+        if alpha_bar is None:
+            assert _raised(oracle.generator_block_encoding, gen, mask) == raised
+        assert _kept() == [0, 0, 0]
+        assert cir.generator_binding(gen) == (skel, binding)
+        assert binding.values.tobytes() == before
 
 
 def test_dial_rejects_another_occupied_count(compiled):
@@ -750,8 +832,9 @@ def _built(monkeypatch):
 
 
 def _cold(skel, sheet, address, sector):
-    """``execute_block`` on an emptied cache: every branch built and run."""
+    """``execute_block`` on emptied caches: every branch built, and run or checked."""
     cir._adaptor_run.cache_clear()
+    cir._idle_branch.cache_clear()
     return cir.execute_block(skel, sheet, address, sector)
 
 
@@ -766,10 +849,11 @@ def _nudged(sheet, index):
 @pytest.mark.parametrize("sector", [2])
 def test_a_value_nudged_by_one_ulp_reruns_exactly_its_adaptor(compiled, sector,
                                                               monkeypatch):
-    """A second run of one fabric with equal values builds only its
-    zero-weight branches, which are checked but never run, so never kept;
-    one value moved by one ulp rebuilds its adaptor besides.  Every block
-    is bit-identical to a run on an emptied cache."""
+    """A second run of one fabric with equal values builds no branch: its
+    weighted runs are kept, and so is the passed width check of each
+    zero-weight branch (never run, and its node never kept); one value
+    moved by one ulp rebuilds its adaptor alone.  Every block is
+    bit-identical to a run on emptied caches."""
     ham, gen, skel = compiled
     sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", [1, 2]))
     for side, adaptors in skel.sides():
@@ -779,10 +863,10 @@ def test_a_value_nudged_by_one_ulp_reruns_exactly_its_adaptor(compiled, sector,
         assert len(idle) < len(adaptors)
         first = _cold(skel, sheet, side, sector)
         kept = cir._adaptor_run.cache_info().currsize
-        assert kept > 0
+        assert kept > 0 and cir._idle_branch.cache_info().currsize == len(idle)
         built = _built(monkeypatch)
         again = cir.execute_block(skel, sheet, side, sector)
-        assert built == idle
+        assert built == []
         assert again.tobytes() == first.tobytes()
         a = 1 if side == "gen" else 0
         start, stop = skel.slot_spans[side, a]
@@ -790,7 +874,7 @@ def test_a_value_nudged_by_one_ulp_reruns_exactly_its_adaptor(compiled, sector,
         nudged = _nudged(sheet, start + 1)
         built.clear()
         rerun = cir.execute_block(skel, nudged, side, sector)
-        assert sorted(built) == sorted([(side, a), *idle])
+        assert built == [(side, a)]
         assert cir._adaptor_run.cache_info().currsize == kept + 1
         assert rerun.tobytes() == _cold(skel, nudged, side, sector).tobytes()
         monkeypatch.undo()
@@ -857,6 +941,43 @@ def test_a_failed_branch_is_never_kept(compiled, monkeypatch):
     with pytest.raises(ShapeError, match="exceeds the shared width"):
         cir.execute_block(wide, sheet, "ham", 2)
     assert cir._adaptor_run.cache_info().currsize == 1
+
+
+def test_a_failed_idle_check_is_never_kept(compiled):
+    """An idle generator branch whose lines build no gadget raises on every
+    run: its failed check is not kept, and no other idle check is either."""
+    ham, gen, skel = compiled
+    ad = skel.adaptors_gen[1]
+    flag = skel.selector_width + skel.workspace_width - 1
+    broken = _reloaded(skel, ad, [*ad.layers, f"h|{flag}"])
+    edited = broken.adaptors_gen[1].text
+    mask = [a for a in range(1, gen.ell + 1) if broken.adaptors_gen[a].text != edited]
+    assert mask
+    sheet = cir.dial(broken, ham, gen, cir.Mask.of("m", mask))
+    cir._idle_branch.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="no gadget for 'h'"):
+            cir.execute_block(broken, sheet, "gen", 2)
+        assert cir._idle_branch.cache_info().currsize == 0
+
+
+def test_equal_skeletons_hash_by_fingerprint_and_share_kept_runs(compiled):
+    """A reloaded skeleton is another object, equal by value, with the
+    fingerprint's hash; its runs hit the entries its twin's runs kept.  A
+    skeleton with the same fingerprint but other adaptors hashes alike yet
+    is unequal."""
+    ham, gen, skel = compiled
+    loaded = cir.CircuitSkeleton.from_json(skel.to_json())
+    assert loaded is not skel and loaded == skel
+    assert hash(loaded) == hash(skel) == hash(skel.fingerprint)
+    forged = replace(skel, adaptors_gen=skel.adaptors_gen[:-1])
+    assert hash(forged) == hash(skel) and forged != skel
+    sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", [1]))
+    cold = _cold(skel, sheet, "gen", 2)
+    before = cir._adaptor_run.cache_info()
+    assert cir.execute_block(loaded, sheet, "gen", 2).tobytes() == cold.tobytes()
+    after = cir._adaptor_run.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
 
 
 def test_kept_runs_are_keyed_by_their_fabric():

@@ -29,9 +29,12 @@ from composer.integrals import synth_instance
 
 
 def clear_caches():
-    """Empty the adaptor-run and Hamiltonian-half caches: the next sandwich is cold."""
-    cir._adaptor_run.cache_clear()
-    me._hamiltonian_half.cache_clear()
+    """Empty every cache the sandwich reads but the compiled fabrics': its
+    pivot plans, adaptor runs, idle-branch checks, Hamiltonian half,
+    generator binding and Chebyshev series.  The next sandwich is cold."""
+    for cache in (cir._one_pool_plan, cir._adaptor_run, cir._idle_branch,
+                  me._hamiltonian_half, cir.generator_binding, qsp.jacobi_anger_series):
+        cache.cache_clear()
 
 
 def sector_basis(n, n_elec):
@@ -351,32 +354,41 @@ def test_a_mask_change_runs_no_hamiltonian_branch(monkeypatch):
 
 def test_a_mask_change_dials_only_the_generator(monkeypatch):
     """n_so = 6 (synth 7:3:2): after the first call on a Hamiltonian pool, a
-    mask-only call dials the generator alone; another pool object, even with
-    equal contents, is dialed and replaces the cached half, and every report
-    and block has the bytes of a call on emptied caches."""
+    mask-only call binds no ladder on either side and takes one PREP step,
+    the generator's, on its kept binding; another Hamiltonian pool object,
+    even with equal contents, is bound and dialed and replaces the cached
+    half, and every report and block has the bytes of a call on emptied
+    caches."""
     ints = synth_instance(7, 3, 2)
     ham = build_hamiltonian_pool(ints, 1e-10, 0.0)
     gen = nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0)
     twin = dataclasses.replace(ham)  # equal fields, another object
     other = build_hamiltonian_pool(synth_instance(8, 3, 2), 1e-10, 0.0)
     sector = list(jw.sector_indices(6, 2))
-    dialed = []
+    bound, dialed = [], []
 
-    def spy(skel, ham_pool, gen_pool, mask, *rest, _dial=cir.dial):
-        dialed.append("gen" if ham_pool is None else "ham")
-        return _dial(skel, ham_pool, gen_pool, mask, *rest)
+    def bind_spy(skel, ham_pool, gen_pool, _bind=cir.bind):
+        bound.append("gen" if ham_pool is None else "ham")
+        return _bind(skel, ham_pool, gen_pool)
+
+    def prep_spy(binding, *rest, _prep=cir.dial_prep):
+        dialed.append("ham" if binding.weights is None else "gen")
+        return _prep(binding, *rest)
 
     clear_caches()
-    monkeypatch.setattr(cir, "dial", spy)
+    monkeypatch.setattr(cir, "bind", bind_spy)
+    monkeypatch.setattr(cir, "dial_prep", prep_spy)
     calls = [(ham, []), (ham, [1]), (ham, [1, 2]), (twin, [1, 2]), (twin, []),
              (other, [2]), (ham, [2]), (ham, [])]
-    expected = [["ham", "gen"], ["gen"], ["gen"], ["ham", "gen"], ["gen"],
-                ["ham", "gen"], ["ham", "gen"], ["gen"]]
+    binds = [["ham", "gen"], [], [], ["ham"], [], ["ham"], ["ham"], []]
+    preps = [["ham", "gen"], ["gen"], ["gen"], ["ham", "gen"], ["gen"],
+             ["ham", "gen"], ["ham", "gen"], ["gen"]]
     warm = []
-    for (pool, mask), dials in zip(calls, expected):
+    for (pool, mask), binding, dials in zip(calls, binds, preps):
+        bound.clear()
         dialed.clear()
         warm.append(me.similarity_sandwich(pool, gen, frozenset(mask), sector, 1e-9))
-        assert dialed == dials, (mask, dialed)
+        assert (bound, dialed) == (binding, dials), mask
         assert me._hamiltonian_half.cache_info().currsize == 1
     monkeypatch.undo()
     for (pool, mask), (rep, block) in zip(calls, warm):
@@ -384,6 +396,36 @@ def test_a_mask_change_dials_only_the_generator(monkeypatch):
         cold_rep, cold_block = me.similarity_sandwich(pool, gen, frozenset(mask), sector, 1e-9)
         assert rep.to_json() == cold_rep.to_json()
         assert block.tobytes() == cold_block.tobytes()
+
+
+def test_a_mask_sweep_derives_its_series_and_checks_each_idle_branch_once():
+    """n_so = 6 (synth 7:3:2), on emptied caches: a mask sweep on one
+    geometry binds the generator once and computes its Chebyshev degree
+    and coefficients once, and each branch a mask leaves idle (zero PREP
+    amplitude, the null branch's under the full mask) is built and
+    width-checked once, however often the sweep idles it."""
+    ints = synth_instance(7, 3, 2)
+    ham = build_hamiltonian_pool(ints, 1e-10, 0.0)
+    gen = nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0)
+    sector = list(jw.sector_indices(6, 2))
+    masks = _mask_sweep(ham, gen)
+    clear_caches()
+    for mask in masks:
+        assert me.similarity_sandwich(ham, gen, mask, sector, 1e-9)[0].within_budget
+    series, bindings = qsp.jacobi_anger_series.cache_info(), cir.generator_binding.cache_info()
+    assert (series.misses, series.hits) == (1, len(masks) - 1)
+    assert (bindings.misses, bindings.hits) == (1, len(masks) - 1)
+    ham_skel = cir.one_pool_skeleton(ham, None)
+    ham_amps = cir.dial(ham_skel, ham, None, ()).values[ham_skel.span_bounds["ham"][:-1]]
+    idle = [("ham", a) for a in np.flatnonzero(ham_amps == 0.0).tolist()]
+    _, binding = cir.generator_binding(gen)
+    for mask in masks:
+        amps = cir.dial_prep(binding, mask).values[binding.prep_slots]
+        idle += [("gen", a) for a in np.flatnonzero(amps == 0.0).tolist()]
+    # the sweep idles every generator branch, the null one included, at least once
+    assert {a for side, a in idle if side == "gen"} == set(range(gen.ell + 1))
+    checks = cir._idle_branch.cache_info()
+    assert (checks.misses, checks.hits) == (len(set(idle)), len(idle) - len(set(idle)))
 
 
 def test_a_failed_hamiltonian_half_is_not_kept(monkeypatch):
