@@ -14,7 +14,6 @@ from composer import circuit_ir as cir
 from composer import oracle
 from composer.factorization import (
     build_hamiltonian_pool,
-    generator_branch_alpha,
     mp2_amplitudes,
     nested_svd_t2,
 )
@@ -26,7 +25,7 @@ pool = build_hamiltonian_pool(ints, 1e-10, 0.0)
 gen = nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0)
 plan = cir.pivots_from_pools(pool, gen)
 skel = cir.compile_skeleton(n, plan)
-sheet = cir.dial(skel, pool, gen, [lad.address for lad in gen.ladders])
+sheet = cir.dial(skel, pool, gen, gen.branches.address.tolist())
 
 
 def report(label, address, target, sector):
@@ -40,11 +39,11 @@ def report(label, address, target, sector):
 
 # 1. pair adaptor: the dyad |U><V| of two prepared two-electron states
 #    through the vacuum-reflection gadget, in the Hermitian form i(L - L^dag)/2
-lad = gen.ladders[0]
-ell = oracle.dense_generator_ladder(lad, gen.n_occ, n)
-report(f"dyad (pair) adaptor gen/{lad.address}",
-       f"gen/{lad.address}",
-       1j * (ell - ell.conj().T) / generator_branch_alpha(lad), gen.sector)
+address, alpha = int(gen.branches.address[0]), gen.branches.alpha[0]
+ell = oracle.dense_generator_ladder(gen, 0)
+report(f"dyad (pair) adaptor gen/{address}",
+       f"gen/{address}",
+       1j * (ell - ell.conj().T) / alpha, gen.sector)
 
 # 2. squared diagonalized channel adaptor: O^2 / Gamma^2
 lad = pool.channels[0]

@@ -22,7 +22,7 @@ for eps in (1e-4, 1e-8, 1e-12):
     d = qsp.degree_for(gen.alpha_bar, eps)
     print(f"  eps = {eps:g}: degree {d}")
 
-full = frozenset(lad.address for lad in gen.ladders)
+full = frozenset(gen.branches.address.tolist())
 half = frozenset(list(sorted(full))[: max(len(full) // 2, 1)])
 for label, mask in (("full", full), ("half", half), ("empty", frozenset())):
     _, rep = qsp.exp_sigma_block(gen, mask, eps_poly=1e-10)

@@ -5,13 +5,13 @@ the same fabric digest; executing any sheet encodes the dense masked
 generator it was dialed for, on the working particle-number sector.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from composer import circuit_ir as cir
 from composer import jw, oracle
 from composer.factorization import (
-    GeneratorPool,
-    PairLadder,
     build_hamiltonian_pool,
     mp2_amplitudes,
     nested_svd_t2,
@@ -30,14 +30,7 @@ print(f"compiled once: selector width {skel.selector_width}, workspace "
 
 
 def rescale(pool, factor):
-    return GeneratorPool(
-        ladders=tuple(
-            PairLadder(x=l.x, y=l.y, r=l.r, s=l.s,
-                       coefficient=l.coefficient * factor, address=l.address)
-            for l in pool.ladders
-        ),
-        n_occ=pool.n_occ, n_virt=pool.n_virt, n_elec=pool.n_elec,
-    )
+    return replace(pool, pairs=replace(pool.pairs, coefficient=pool.pairs.coefficient * factor))
 
 
 pools = [rescale(gen, f) for f in (1.0, 0.5, 1.3)]

@@ -8,13 +8,14 @@ twice the exponential error plus the multiplexing error.  The block is
 the sector's, indexed by position in ``jw.sector_indices(4, 2)``.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from composer import jw
 from composer import mask_engine as me
 from composer.factorization import (
     BilinearLadder,
-    GeneratorPool,
     build_hamiltonian_pool,
     mp2_amplitudes,
     nested_svd_t2,
@@ -27,16 +28,10 @@ base = nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0)
 
 # enlarge the pool with two single-excitation ladders so masks have room
 u0 = np.eye(4, dtype=complex)
-gen = GeneratorPool(
-    ladders=base.ladders
-    + (
-        BilinearLadder(u=u0[:, 2], v=u0[:, 0], coefficient=0.08, address=2),
-        BilinearLadder(u=u0[:, 3], v=u0[:, 1], coefficient=0.05, address=3),
-    ),
-    n_occ=2,
-    n_virt=2,
-    n_elec=2,
-)
+gen = replace(base, bilinears=(
+    BilinearLadder(u=u0[:, 2], v=u0[:, 0], coefficient=0.08, address=2),
+    BilinearLadder(u=u0[:, 3], v=u0[:, 1], coefficient=0.05, address=3),
+))
 
 sector = list(jw.sector_indices(4, 2))
 for mask in (frozenset(), frozenset([1]), frozenset([1, 2, 3])):

@@ -6,13 +6,13 @@ masks over ladder weights, and density-matrix drift under coefficient
 updates.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from composer import diagnostics as dg
 from composer import jw
 from composer.factorization import (
-    GeneratorPool,
-    PairLadder,
     T2Tensor,
     mp2_amplitudes,
     nested_svd_t2,
@@ -40,14 +40,7 @@ for eta in (0.5, 0.9, 0.99):
           f"(coverage {dg.mask_coverage(gen, mask):.4f})")
 
 # density-matrix drift under a 1 percent coefficient update
-scaled = GeneratorPool(
-    ladders=tuple(
-        PairLadder(x=l.x, y=l.y, r=l.r, s=l.s,
-                   coefficient=1.01 * l.coefficient, address=l.address)
-        for l in gen.ladders
-    ),
-    n_occ=gen.n_occ, n_virt=gen.n_virt, n_elec=gen.n_elec,
-)
+scaled = replace(gen, pairs=replace(gen.pairs, coefficient=1.01 * gen.pairs.coefficient))
 ref = np.zeros(2**6, dtype=complex)
 ref[jw.basis_state(6, [0, 1])] = 1.0
 mask = dg.one_shot_mask(gen, 0.99)

@@ -128,35 +128,6 @@ class OneBodyModeLadder:
 
 
 @dataclass(frozen=True, eq=False)
-class PairLadder:
-    """Rank-one pair-excitation ladder from wedge factors.
-
-    The virtual-side wedge amplitude is ``x_a y_b - x_b y_a`` over ``a < b``
-    and analogously ``r_i s_j - r_j s_i`` on the occupied side; with
-    orthonormal ``(x, y)`` and ``(r, s)`` both pair vectors have unit norm.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    r: np.ndarray
-    s: np.ndarray
-    coefficient: float
-    address: int
-
-    def __post_init__(self):
-        for arr in (self.x, self.y, self.r, self.s):
-            arr.setflags(write=False)
-
-    kind = "pair"
-
-    def virtual_pair_vector(self):
-        return ladder_mod.wedge_vectors(self.x, self.y)
-
-    def occupied_pair_vector(self):
-        return ladder_mod.wedge_vectors(self.r, self.s)
-
-
-@dataclass(frozen=True, eq=False)
 class ChannelLadder:
     """Projected-quadratic ladder: one squared diagonalized channel."""
 
@@ -256,8 +227,8 @@ class PairBatch:
     def u(self):
         """Virtual pair vectors, one row per ladder, formed in one batch.
 
-        The operations are elementwise, so each row keeps the bits of its
-        ladder's own :meth:`PairLadder.virtual_pair_vector`.
+        The operations are elementwise, so each row keeps the bits that
+        :func:`ladders.wedge_vectors` gives its own factors.
         """
         return _read_only(ladder_mod.wedge_vectors(self.x, self.y))
 
@@ -271,11 +242,14 @@ class PairBatch:
 class PairTable:
     """A generator pool's pair ladders as one table, in address order.
 
-    ``address`` and ``coefficient`` hold one entry per ladder (read-only
-    ``int64`` and ``float64`` arrays); ``batches`` group the ladders'
-    stacked factors by dtypes and shapes (:class:`PairBatch`), in order of
-    their first row.  A pool of real pair ladders, as ``factorize`` writes
-    it, is one batch.
+    A pair ladder is the rank-one pair excitation ``omega B^dag[U] B[V]``
+    whose virtual pair vector ``U`` is the wedge ``x_a y_b - x_b y_a`` over
+    ``a < b`` and whose occupied one ``V`` is ``r_i s_j - r_j s_i``; with
+    orthonormal ``(x, y)`` and ``(r, s)`` both have unit norm.  ``address``
+    and ``coefficient`` hold one entry per ladder (read-only ``int64`` and
+    ``float64`` arrays); ``batches`` group the ladders' stacked factors by
+    dtypes and shapes (:class:`PairBatch`), in order of their first row.
+    A pool of real pair ladders, as ``factorize`` writes it, is one batch.
     """
 
     address: np.ndarray
@@ -285,28 +259,6 @@ class PairTable:
     def __post_init__(self):
         _read_only(self.address)
         _read_only(self.coefficient)
-
-    @staticmethod
-    def of_ladders(ladders):
-        """The table of :class:`PairLadder` objects, stably sorted by address.
-
-        Each batch stacks its ladders' factors as they are, so every row
-        keeps its ladder's dtype, shape and bytes.
-        """
-        ladders = sorted(ladders, key=attrgetter("address"))
-        groups = {}
-        for k, lad in enumerate(ladders):
-            key = (lad.x.dtype, lad.y.dtype, lad.r.dtype, lad.s.dtype,
-                   lad.x.shape, lad.y.shape, lad.r.shape, lad.s.shape)
-            groups.setdefault(key, []).append(k)
-        batches = tuple(
-            PairBatch(np.array(rows, dtype=np.intp),
-                      *(np.array([getattr(ladders[k], f) for k in rows]) for f in "xyrs"))
-            for rows in groups.values()
-        )
-        return PairTable(np.array([lad.address for lad in ladders], dtype=np.int64),
-                         np.array([lad.coefficient for lad in ladders], dtype=float),
-                         batches)
 
     @staticmethod
     def of_columns(address, coefficient, columns):
@@ -337,14 +289,13 @@ class PairTable:
             )))
         return PairTable(address, coefficient, tuple(batches))
 
-    def as_ladders(self):
-        """One :class:`PairLadder` per row, in address order, built from row views."""
-        lads = [None] * len(self.address)
-        addresses, coefficients = self.address.tolist(), self.coefficient.tolist()
+    def vectors(self, row):
+        """``(U, V)`` of table row ``row``: views of its batch's pair vectors."""
         for batch in self.batches:
-            for k, *factors in zip(batch.rows.tolist(), batch.x, batch.y, batch.r, batch.s):
-                lads[k] = PairLadder(*factors, coefficients[k], addresses[k])
-        return lads
+            k = int(np.searchsorted(batch.rows, row))
+            if k < len(batch.rows) and batch.rows[k] == row:
+                return batch.u[k], batch.v[k]
+        raise IndexError(f"pair table has no row {row}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,65 +323,23 @@ class Branches:
         return np.abs(self.coefficient) * self.alpha
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class GeneratorPool:
     """Rank-one ladder pool of an anti-Hermitian generator.
 
+    ``pairs`` is the pair ladders' :class:`PairTable` and ``bilinears`` the
+    bilinear ladders, each in address order; the mask weights, the pivots,
+    every dial and the dense references read these.  The only derived
+    values are :attr:`branches` and :attr:`alpha_bar`, each formed once.
     ``alpha_bar`` is the global normalization over the full compiled pool;
     masking never changes it (unused amplitude is routed to a null branch).
-
-    The pool is held as its pair ladders' table (:attr:`pairs`) and its
-    bilinear ladders (:attr:`bilinears`), each in address order; the mask
-    weights, the pivots and every dial read these.  ``GeneratorPool(ladders,
-    n_occ, n_virt, n_elec)`` keeps ``ladders`` as given and derives the
-    table from them on first use; :func:`pools_from_json` builds the table
-    from the document's columns, and ``ladders`` is then derived on first
-    use, in address order, each array a row of the table.
     """
 
-    ladders: tuple  # a field whose value, unless given, is derived (below)
+    pairs: PairTable
+    bilinears: tuple
     n_occ: int
     n_virt: int
     n_elec: int | None = None
-
-    def __init__(self, ladders, n_occ, n_virt, n_elec=None):
-        # frozen: the fields and the cached properties live in the instance dict
-        vars(self).update(ladders=tuple(ladders), n_occ=n_occ, n_virt=n_virt, n_elec=n_elec)
-
-    @classmethod
-    def of_table(cls, pairs, bilinears, n_occ, n_virt, n_elec=None):
-        """The pool of a :class:`PairTable` and bilinear ladders in address order."""
-        pool = cls.__new__(cls)
-        vars(pool).update(pairs=pairs, bilinears=tuple(bilinears), n_occ=n_occ,
-                          n_virt=n_virt, n_elec=n_elec)
-        return pool
-
-    @cached_property
-    def ladders(self):
-        """Every ladder, in address order (pair ladders first on an equal address)."""
-        pair_ladders = self.pairs.as_ladders()
-        return tuple(
-            pair_ladders[k] if pair else self.bilinears[k]
-            for pair, k in zip(self.branches.pair.tolist(), self.branches.index.tolist())
-        )
-
-    @cached_property
-    def pairs(self):
-        """The pair ladders' :class:`PairTable`."""
-        self._check_kinds()
-        return PairTable.of_ladders(lad for lad in self.ladders if lad.kind == "pair")
-
-    @cached_property
-    def bilinears(self):
-        """The bilinear ladders, stably sorted by address."""
-        self._check_kinds()
-        return tuple(sorted((lad for lad in self.ladders if lad.kind == "bilinear"),
-                            key=attrgetter("address")))
-
-    def _check_kinds(self):
-        unknown = [lad.kind for lad in self.ladders if lad.kind not in GENERATOR_VECTORS]
-        if unknown:
-            raise ValidationError(f"unsupported generator ladder kind {unknown[0]!r}")
 
     @cached_property
     def branches(self):
@@ -468,10 +377,6 @@ class GeneratorPool:
     def alpha_bar(self):
         """``sum |omega| alpha`` over the branches, added in address order."""
         return sequential_sum(self.branches.weight)
-
-    @property
-    def weights(self):
-        return np.array([lad.coefficient for lad in self.ladders])
 
 
 def sequential_sum(values):
@@ -774,67 +679,52 @@ def nested_svd_t2(t2, tau_svd=1e-6, tau_wedge=1e-6):
     SVD on the pair matrix, then a skew-spectral wedge extraction of every
     retained singular vector on each side.  The product of the singular
     value and the two wedge weights supplies the real ladder coefficient
-    ``omega``; with zero thresholds the decomposition is exact.
+    ``omega``; with zero thresholds the decomposition is exact.  The
+    ladders form the pool's :class:`PairTable` directly: addresses
+    ``1 ... ell`` in extraction order, their real factors one batch.
     """
     _check_threshold("tau_svd", tau_svd)
     _check_threshold("tau_wedge", tau_wedge)
     amp = t2.amplitudes
-    if np.abs(amp).max(initial=0.0) == 0.0:
-        return GeneratorPool(
-            ladders=(), n_occ=t2.n_occ, n_virt=t2.n_virt, n_elec=t2.n_occ
-        )
-    u, sing, vh = np.linalg.svd(amp, full_matrices=False)
-    smax = sing[0]
-    ladders = []
-    address = 1
-    for mu in range(len(sing)):
-        if smax > 0 and sing[mu] / smax < tau_svd:
-            break
-        if sing[mu] == 0.0:
-            break
-        mv = unpack_skew(u[:, mu], t2.n_virt)
-        mo = unpack_skew(vh[mu, :], t2.n_occ)
-        betas, xs, ys = _youla_wedges(mv)
-        gammas, rs, ss = _youla_wedges(mo)
-        if len(betas) == 0 or len(gammas) == 0:
-            continue
-        bmax, gmax = betas[0], gammas[0]
-        for kap in range(len(betas)):
-            if betas[kap] / bmax < tau_wedge:
+    factors, coefficients = [], []
+    if np.abs(amp).max(initial=0.0) > 0.0:
+        u, sing, vh = np.linalg.svd(amp, full_matrices=False)
+        smax = sing[0]
+        for mu in range(len(sing)):
+            if smax > 0 and sing[mu] / smax < tau_svd:
                 break
-            for eta in range(len(gammas)):
-                if gammas[eta] / gmax < tau_wedge:
+            if sing[mu] == 0.0:
+                break
+            betas, xs, ys = _youla_wedges(unpack_skew(u[:, mu], t2.n_virt))
+            gammas, rs, ss = _youla_wedges(unpack_skew(vh[mu, :], t2.n_occ))
+            if len(betas) == 0 or len(gammas) == 0:
+                continue
+            bmax, gmax = betas[0], gammas[0]
+            for kap in range(len(betas)):
+                if betas[kap] / bmax < tau_wedge:
                     break
-                omega = float(sing[mu] * betas[kap] * gammas[eta])
-                ladders.append(
-                    PairLadder(
-                        x=xs[kap],
-                        y=ys[kap],
-                        r=rs[eta],
-                        s=ss[eta],
-                        coefficient=omega,
-                        address=address,
-                    )
-                )
-                address += 1
-    return GeneratorPool(
-        ladders=tuple(ladders), n_occ=t2.n_occ, n_virt=t2.n_virt, n_elec=t2.n_occ
-    )
+                for eta in range(len(gammas)):
+                    if gammas[eta] / gmax < tau_wedge:
+                        break
+                    coefficients.append(float(sing[mu] * betas[kap] * gammas[eta]))
+                    factors.append((xs[kap], ys[kap], rs[eta], ss[eta]))
+    ell = len(coefficients)
+    batches = (PairBatch(np.arange(ell), *map(np.array, zip(*factors))),) if ell else ()
+    pairs = PairTable(np.arange(1, ell + 1, dtype=np.int64),
+                      np.array(coefficients, dtype=float), batches)
+    return GeneratorPool(pairs, (), n_occ=t2.n_occ, n_virt=t2.n_virt, n_elec=t2.n_occ)
 
 
 def rebuild_t2(pool, n_virt=None, n_occ=None):
-    """Pair matrix reassembled from a generator pool (reconstruction check)."""
+    """Pair matrix reassembled from a generator pool's pair table (reconstruction check)."""
     n_virt = n_virt or pool.n_virt
     n_occ = n_occ or pool.n_occ
     nvp = n_virt * (n_virt - 1) // 2
     nop = n_occ * (n_occ - 1) // 2
     out = np.zeros((nvp, nop))
-    for lad in pool.ladders:
-        if lad.kind != "pair":
-            continue
-        out += lad.coefficient * np.outer(
-            lad.virtual_pair_vector().real, lad.occupied_pair_vector().real
-        )
+    for k, coefficient in enumerate(pool.pairs.coefficient.tolist()):
+        uv, vo = pool.pairs.vectors(k)
+        out += coefficient * np.outer(uv.real, vo.real)
     return out
 
 
@@ -926,25 +816,26 @@ def _generator_blocks(gen):
     """One block per ladder kind: its ladders in address order, by columns.
 
     ``address`` and ``coefficient`` are JSON lists; each vector key packs
-    the kind's vectors stacked in list order, as interleaved complex.
+    the kind's vectors stacked in address order, as interleaved complex (a
+    real vector gets +0.0 imaginary parts; an empty kind packs as "").
     """
-    ladders = sorted(gen.ladders, key=attrgetter("address"))
-    unknown = [lad.kind for lad in ladders if lad.kind not in GENERATOR_VECTORS]
-    if unknown:
-        raise ValidationError(f"unsupported generator ladder kind {unknown[0]!r}")
-    blocks = {}
-    for kind, keys in GENERATOR_VECTORS.items():
-        lads = [lad for lad in ladders if lad.kind == kind]
-        blocks[kind] = {
-            "address": [lad.address for lad in lads],
-            "coefficient": [lad.coefficient for lad in lads],
-            # stacked as complex (a real vector gets +0.0 imaginary parts),
-            # so an empty kind packs as ""
+    table, bils = gen.pairs, gen.bilinears
+    pair = {"address": table.address.tolist(), "coefficient": table.coefficient.tolist()}
+    for key, size in zip(GENERATOR_VECTORS["pair"], (gen.n_virt,) * 2 + (gen.n_occ,) * 2):
+        column = np.zeros((len(table.address), size), complex)
+        for batch in table.batches:
+            column[batch.rows] = getattr(batch, key)
+        pair[key] = _packed_complex(column)
+    return {
+        "pair": pair,
+        "bilinear": {
+            "address": [lad.address for lad in bils],
+            "coefficient": [lad.coefficient for lad in bils],
             **{key: _packed_complex(np.concatenate(
-                [np.zeros(0, complex), *(getattr(lad, key) for lad in lads)]))
-               for key in keys},
-        }
-    return blocks
+                [np.zeros(0, complex), *(getattr(lad, key) for lad in bils)]))
+               for key in GENERATOR_VECTORS["bilinear"]},
+        },
+    }
 
 
 @fields_of("pool")
@@ -956,11 +847,10 @@ def pools_from_json(text):
     (:func:`errors.checked_packed_batch`), each array a view of it, and
     checked for the length its ladders need: a generator column holds
     ``len(address)`` vectors of its key's size.  The pair block becomes
-    the pool's :class:`PairTable` (:meth:`PairTable.of_columns`: a factor
-    row whose imaginary parts are all zero is real) and no
-    :class:`PairLadder` is built; each bilinear ladder takes one complex
-    row of each of its block's columns.  The pool's :attr:`GeneratorPool.ladders`,
-    derived on first use, are in address order.
+    the pool's :class:`PairTable` (:meth:`PairTable.of_columns`: stably
+    sorted by address, and a factor row whose imaginary parts are all zero
+    is real); each bilinear ladder takes one complex row of each of its
+    block's columns, and the pool holds them stably sorted by address.
     """
     doc = checked(json.loads(text), DICT, "pool")
     if doc.get("format") != POOL_FORMAT:
@@ -1040,9 +930,9 @@ def pools_from_json(text):
     _, addresses, coefficients = blocks["bilinear"]
     bilinears = map(BilinearLadder, *columns["bilinear"], coefficients, addresses)
     _, addresses, coefficients = blocks["pair"]
-    gen = GeneratorPool.of_table(
+    gen = GeneratorPool(
         PairTable.of_columns(addresses, coefficients, columns["pair"]),
-        sorted(bilinears, key=attrgetter("address")),
+        tuple(sorted(bilinears, key=attrgetter("address"))),
         n_occ=n_occ,
         n_virt=n_virt,
         n_elec=n_occ,

@@ -155,43 +155,45 @@ def dense_bilinear(u, v, n):
     return one_body_operator(np.outer(u, np.conj(v)), n)
 
 
-def dense_pair_ladder(lad, n_occ, n):
+def dense_pair_ladder(uv, vo, n_occ, n):
     """Dense pair-excitation ladder ``B^dag[U] B[V]`` on the full register.
 
-    Virtual wedge indices offset by the occupied count; the occupied wedge
-    sits on the lowest modes.
+    ``uv`` is the virtual pair vector ``U``, ``vo`` the occupied one ``V``;
+    the virtual wedge indices are offset by the occupied count, and the
+    occupied wedge sits on the lowest modes.
     """
     column = {pair: k for k, pair in enumerate(ladders.pair_indices(n))}
-    rows = [column[n_occ + a, n_occ + b] for a, b in ladders.pair_indices(len(lad.x))]
-    cols = [column[pair] for pair in ladders.pair_indices(len(lad.r))]
+    rows = [column[n_occ + a, n_occ + b] for a, b in ladders.pair_indices(n - n_occ)]
+    cols = [column[pair] for pair in ladders.pair_indices(n_occ)]
     g = np.zeros((len(column),) * 2, dtype=complex)
-    uv, vo = lad.virtual_pair_vector(), lad.occupied_pair_vector()
     g[np.ix_(rows, cols)] = np.outer(uv, vo.conj())
     return two_body_operator(g, n)
 
 
-def dense_generator_ladder(lad, n_occ, n):
-    """Dense ``L_s`` for any generator ladder kind."""
-    if lad.kind == "pair":
-        return dense_pair_ladder(lad, n_occ, n)
-    if lad.kind == "bilinear":
-        return dense_bilinear(lad.u, lad.v, n)
-    raise ValidationError(f"unsupported generator ladder kind {lad.kind!r}")
+def dense_generator_ladder(pool, k):
+    """Dense ``L_s`` of the generator pool's ``k``-th branch, in address order."""
+    index = int(pool.branches.index[k])
+    if pool.branches.pair[k]:
+        return dense_pair_ladder(*pool.pairs.vectors(index), pool.n_occ, pool.n_so)
+    lad = pool.bilinears[index]
+    return dense_bilinear(lad.u, lad.v, pool.n_so)
 
 
 def generator_dense(pool, mask_indices=None):
     """Dense Hermitian masked generator ``sum_s omega_s i(L_s - L_s^dag)``.
 
-    The anti-Hermitian generator itself is ``-i`` times the returned
-    matrix.
+    The branches are added in address order.  The anti-Hermitian generator
+    itself is ``-i`` times the returned matrix.
     """
     n = pool.n_so
     jw.check_n(n)
     out = np.zeros((2**n, 2**n), dtype=complex)
-    for lad in pool.ladders:
-        if mask_indices is None or lad.address in mask_indices:
-            lmat = dense_generator_ladder(lad, pool.n_occ, n)
-            out += lad.coefficient * 1j * (lmat - lmat.conj().T)
+    branches = pool.branches
+    for k, (address, coefficient) in enumerate(
+            zip(branches.address.tolist(), branches.coefficient.tolist())):
+        if mask_indices is None or address in mask_indices:
+            lmat = dense_generator_ladder(pool, k)
+            out += coefficient * 1j * (lmat - lmat.conj().T)
     return out
 
 
@@ -233,8 +235,12 @@ def restricted_block_error(w, target, ancilla_count, sector=None):
 
 def sector_norm(delta):
     """Spectral norm of a block deviation ``delta``, on a sector when ``delta``
-    is its ``C(n, N)``-square block (which equals the norm of ``P delta P``)."""
-    return float(np.linalg.norm(delta, 2))
+    is its ``C(n, N)``-square block (which equals the norm of ``P delta P``).
+
+    The largest singular value, as ``np.linalg.norm(delta, 2)`` computes it
+    (the same bits) without its axis handling; 0.0 for an empty block.
+    """
+    return float(np.linalg.svd(delta, compute_uv=False).max(initial=0.0))
 
 
 def _on_sector(mat, sector):

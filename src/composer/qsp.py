@@ -130,7 +130,7 @@ def jacobi_anger_coeffs(alpha, d):
 def apply_matrix_poly(poly, a_norm):
     """Evaluate the polynomial on a matrix via the Chebyshev recurrence."""
     mat = np.asarray(a_norm)
-    norm = float(np.linalg.norm(mat, 2))
+    norm = oracle.sector_norm(mat)
     if norm > 1.0 + 1e-9:
         raise SpectralBoundError(f"matrix norm {norm} exceeds 1")
     dim = mat.shape[0]
@@ -161,7 +161,7 @@ def _seeded_hermitian_direction(dim):
     rng = np.random.default_rng(0)
     p = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     p = (p + p.conj().T) / 2.0
-    return p / np.linalg.norm(p, 2)
+    return p / oracle.sector_norm(p)
 
 
 def exact_exponential(herm):
@@ -197,7 +197,7 @@ def _exp_sigma(pool, mask_indices, eps_poly, eps_prime, alpha_bar):
     )
     if eps_prime:
         block = block + eps_prime * _seeded_hermitian_direction(block.shape[0])
-        norm = np.linalg.norm(block, 2)
+        norm = oracle.sector_norm(block)
         if norm > 1.0:
             block = block / norm
     d, poly = jacobi_anger_series(alpha_bar, eps_poly)

@@ -1,16 +1,19 @@
 import base64
+from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
 from scipy import sparse
 
 from composer import circuit_ir as cir
-from composer import jw, oracle
+from composer import jw, ladders, oracle
 from composer.factorization import (
     BilinearLadder,
     GeneratorPool,
+    PairBatch,
+    PairTable,
     build_hamiltonian_pool,
-    generator_branch_alpha,
     mp2_amplitudes,
     nested_svd_t2,
 )
@@ -23,6 +26,72 @@ H2_LIKE_FCIDUMP = """\
 -1.2528 1 1 0 0
 0.7137 0 0 0 0
 """
+
+
+@dataclass(frozen=True, eq=False)
+class PairLadder:
+    """Reference pair-excitation ladder ``coefficient * B^dag[U] B[V]``, one object.
+
+    ``U`` is the virtual wedge ``x_a y_b - x_b y_a`` over ``a < b`` and
+    ``V`` the occupied one ``r_i s_j - r_j s_i``.  A generator pool holds
+    its pair ladders as a :class:`PairTable`; tests build and read pools
+    ladder by ladder through :func:`pool_of` and :func:`ladders_of`.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    r: np.ndarray
+    s: np.ndarray
+    coefficient: float
+    address: int
+
+    kind = "pair"
+
+    def virtual_pair_vector(self):
+        return ladders.wedge_vectors(self.x, self.y)
+
+    def occupied_pair_vector(self):
+        return ladders.wedge_vectors(self.r, self.s)
+
+
+def pool_of(lads, n_occ, n_virt, n_elec=None):
+    """The :class:`GeneratorPool` of pair and bilinear ladder objects.
+
+    Each kind is stably sorted by address.  The pair ladders' table stacks
+    their factors as they are, one batch per distinct factor dtypes and
+    shapes (in order of first row), so every row keeps its ladder's dtype,
+    shape and bytes, and a pool may mix real and complex rows.
+    """
+    pairs = sorted((lad for lad in lads if lad.kind == "pair"), key=attrgetter("address"))
+    groups = {}
+    for k, lad in enumerate(pairs):
+        factors = [getattr(lad, f) for f in "xyrs"]
+        key = tuple(f.dtype for f in factors) + tuple(f.shape for f in factors)
+        groups.setdefault(key, []).append(k)
+    batches = tuple(
+        PairBatch(np.array(rows, dtype=np.intp),
+                  *(np.array([getattr(pairs[k], f) for k in rows]) for f in "xyrs"))
+        for rows in groups.values()
+    )
+    table = PairTable(np.array([lad.address for lad in pairs], dtype=np.int64),
+                      np.array([lad.coefficient for lad in pairs], dtype=float), batches)
+    bilinears = sorted((lad for lad in lads if lad.kind == "bilinear"),
+                       key=attrgetter("address"))
+    return GeneratorPool(table, tuple(bilinears), n_occ, n_virt, n_elec)
+
+
+def ladders_of(pool):
+    """Every ladder of ``pool`` as an object, in address order (a pair
+    ladder before a bilinear one of equal address); each pair ladder's
+    factors are row views of its table's batch."""
+    table = pool.pairs
+    coefficients, addresses = table.coefficient.tolist(), table.address.tolist()
+    rows = {}
+    for batch in table.batches:
+        for k, *factors in zip(batch.rows.tolist(), batch.x, batch.y, batch.r, batch.s):
+            rows[k] = PairLadder(*factors, coefficients[k], addresses[k])
+    return [rows[k] if pair else pool.bilinears[k]
+            for pair, k in zip(pool.branches.pair.tolist(), pool.branches.index.tolist())]
 
 
 @pytest.fixture(scope="session")
@@ -47,27 +116,22 @@ def small_pools(small_instance):
 def mixed_generator_pool(base_gen, n_so=4, seed=11, extra=2):
     """Pair ladders from a pool plus deterministic bilinear singles."""
     rng = np.random.default_rng(seed)
-    ladders = list(base_gen.ladders)
+    bilinears = list(base_gen.bilinears)
     occ = base_gen.n_occ
     for k in range(extra):
         u = np.zeros(n_so, dtype=complex)
         v = np.zeros(n_so, dtype=complex)
         u[occ + (k % (n_so - occ))] = 1.0
         v[k % occ] = 1.0
-        ladders.append(
+        bilinears.append(
             BilinearLadder(
                 u=u,
                 v=v,
                 coefficient=float(0.05 + 0.04 * k + 0.01 * rng.uniform()),
-                address=len(ladders) + 1,
+                address=base_gen.ell + k + 1,
             )
         )
-    return GeneratorPool(
-        ladders=tuple(ladders),
-        n_occ=base_gen.n_occ,
-        n_virt=base_gen.n_virt,
-        n_elec=base_gen.n_elec,
-    )
+    return replace(base_gen, bilinears=tuple(bilinears))
 
 
 @pytest.fixture(scope="session")
@@ -137,8 +201,8 @@ def adaptor_targets(ham, gen):
 
     Built from the pools, independently of the gadgets: a one-body mode
     encodes ``sum_j n(w_j) / m``, a channel ``O^2 / Gamma^2``, and a pair
-    or bilinear ladder ``i(L - L^dag) / generator_branch_alpha``.  Either
-    pool may be ``None``.
+    or bilinear ladder ``i(L - L^dag) / alpha``, ``alpha`` its branch's
+    normalization.  Either pool may be ``None``.
     """
     out = {}
     if ham is not None:
@@ -152,9 +216,9 @@ def adaptor_targets(ham, gen):
             o_mu = oracle.channel_operator(lad.channel, n)
             out[f"ham/{lad.address}"] = o_mu @ o_mu / lad.channel.gamma**2
     if gen is not None:
-        for lad in gen.ladders:
-            ell = oracle.dense_generator_ladder(lad, gen.n_occ, gen.n_so)
-            out[f"gen/{lad.address}"] = (
-                1j * (ell - ell.conj().T) / generator_branch_alpha(lad)
-            )
+        branches = gen.branches
+        for k, (address, alpha) in enumerate(
+                zip(branches.address.tolist(), branches.alpha.tolist())):
+            ell = oracle.dense_generator_ladder(gen, k)
+            out[f"gen/{address}"] = 1j * (ell - ell.conj().T) / alpha
     return out

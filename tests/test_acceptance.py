@@ -18,7 +18,6 @@ from composer import diagnostics as dg
 from composer import jw, ladders, mask_engine as me, oracle, qsp
 from composer.factorization import (
     BilinearLadder,
-    GeneratorPool,
     T2Tensor,
     build_hamiltonian_pool,
     mp2_amplitudes,
@@ -29,7 +28,7 @@ from composer.factorization import (
 from composer.integrals import parse_fcidump, synth_instance
 from composer.resources import block_cost
 from conftest import adaptor_targets, assert_encodes, mixed_generator_pool
-from conftest import sector_block
+from conftest import pool_of, sector_block
 
 
 def _stamp(label, t0, budget):
@@ -127,7 +126,7 @@ def test_c03_adaptor_and_multiplex_verification():
         # own per-ladder target on the working sector
         plan = cir.pivots_from_pools(pool, gen)
         skel = cir.compile_skeleton(n, plan)
-        sheet = cir.dial(skel, pool, gen, [lad.address for lad in gen.ladders])
+        sheet = cir.dial(skel, pool, gen, gen.branches.address.tolist())
         targets = adaptor_targets(pool, gen)
         assert len(targets) == pool.ell + gen.ell
         for address, target in targets.items():
@@ -234,8 +233,9 @@ def _scaled(pool, factor):
     """The generator pool with every coefficient multiplied by ``factor``."""
     return replace(
         pool,
-        ladders=tuple(
-            replace(lad, coefficient=lad.coefficient * factor) for lad in pool.ladders
+        pairs=replace(pool.pairs, coefficient=pool.pairs.coefficient * factor),
+        bilinears=tuple(
+            replace(lad, coefficient=lad.coefficient * factor) for lad in pool.bilinears
         ),
     )
 
@@ -334,8 +334,8 @@ def test_c09_diagnostics():
     for trial in range(8):
         size = int(rng.integers(2, 21))
         weights = rng.uniform(0.01, 1.0, size=size)
-        pool = GeneratorPool(
-            ladders=tuple(
+        pool = pool_of(
+            [
                 BilinearLadder(
                     u=u0[:, 2 + (k % 2)],
                     v=u0[:, k % 2],
@@ -343,7 +343,7 @@ def test_c09_diagnostics():
                     address=k + 1,
                 )
                 for k, w in enumerate(weights)
-            ),
+            ],
             n_occ=2,
             n_virt=2,
             n_elec=2,

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import hashlib
 import itertools
@@ -20,22 +21,26 @@ from composer import jw, ladders, oracle, qsp
 from composer.errors import BindError, MaskError, ParseError, SectorError, ShapeError
 from composer.errors import ValidationError
 from composer.factorization import (
-    GeneratorPool,
+    GENERATOR_VECTORS,
     HamiltonianPool,
     OneBodyModeLadder,
     build_hamiltonian_pool,
     generator_branch_alpha,
     mp2_amplitudes,
     nested_svd_t2,
+    pools_from_json,
+    pools_to_json,
 )
 from composer.integrals import synth_instance
 from composer.resources import CONTROL_OVERHEAD, block_cost, estimate
 from conftest import (
     adaptor_targets,
     assert_encodes,
+    ladders_of,
     line_value_index,
     mixed_generator_pool,
     older_formats,
+    pool_of,
     sector_block,
 )
 
@@ -224,24 +229,8 @@ def test_mask_changes_only_prep_amplitudes(compiled):
 
 def test_coefficient_rescale_changes_only_amplitudes(compiled):
     ham, gen, skel = compiled
-    doubled = GeneratorPool(
-        ladders=tuple(
-            type(lad)(
-                **{
-                    **{
-                        f: getattr(lad, f)
-                        for f in ("address",)
-                    },
-                    **(
-                        {"x": lad.x, "y": lad.y, "r": lad.r, "s": lad.s}
-                        if lad.kind == "pair"
-                        else {"u": lad.u, "v": lad.v}
-                    ),
-                    "coefficient": 2.0 * lad.coefficient,
-                }
-            )
-            for lad in gen.ladders
-        ),
+    doubled = pool_of(
+        [replace(lad, coefficient=2.0 * lad.coefficient) for lad in ladders_of(gen)],
         n_occ=gen.n_occ,
         n_virt=gen.n_virt,
         n_elec=gen.n_elec,
@@ -255,14 +244,29 @@ def test_coefficient_rescale_changes_only_amplitudes(compiled):
     assert _changed(base, scaled, 1e-15) == _prep_starts(skel, "gen", [0, 1, 2])
 
 
+def _listed_in_reverse(gen):
+    """The pool document of ``gen`` with each generator block listing its
+    ladders in reverse address order (a one-ladder block as it is)."""
+    doc = json.loads(pools_to_json(HamiltonianPool((), (), gen.n_so, gen.sector), gen))
+    for kind, keys in GENERATOR_VECTORS.items():
+        block = doc["generator"][kind]
+        count = len(block["address"])
+        block["address"].reverse()
+        block["coefficient"].reverse()
+        for key in keys if count else ():
+            rows = np.frombuffer(base64.b64decode(block[key]), "<f8").reshape(count, -1)
+            block[key] = base64.b64encode(rows[::-1].tobytes()).decode()
+    return json.dumps(doc)
+
+
 def test_dial_rejects_oversized_pool(compiled, small_pools):
-    """The error names the surplus addresses, past the compiled ones, however
-    the pool lists its ladders.
+    """The error names the surplus addresses, past the compiled ones, also
+    for a pool loaded from a document that lists its ladders in reverse.
     """
     ham, gen, skel = compiled
     too_big = mixed_generator_pool(gen, seed=13, extra=20)
     surplus = list(range(skel.ell_gen + 1, too_big.ell + 1))
-    for pool in (too_big, replace(too_big, ladders=too_big.ladders[::-1])):
+    for pool in (too_big, pools_from_json(_listed_in_reverse(too_big))[1]):
         with pytest.raises(BindError, match=re.escape(f"(addresses: {surplus})")):
             cir.dial(skel, ham, pool, cir.Mask.of("m", [1]))
     small, _ = small_pools
@@ -285,9 +289,8 @@ def test_dial_checks_the_pools_before_the_mask(compiled):
     """A pool that does not fit the fabric is reported before a mask that
     does not fit the pool: the binding is made before the PREP step."""
     ham, gen, skel = compiled
-    bilinear = next(lad for lad in gen.ladders if lad.kind == "bilinear")
-    misfit = GeneratorPool(ladders=(replace(bilinear, address=1),), n_occ=gen.n_occ,
-                           n_virt=gen.n_virt, n_elec=gen.n_elec)
+    misfit = pool_of((replace(gen.bilinears[0], address=1),), n_occ=gen.n_occ,
+                     n_virt=gen.n_virt, n_elec=gen.n_elec)
     with pytest.raises(BindError, match="adaptor kind mismatch"):
         cir.dial(skel, ham, misfit, cir.Mask.of("m", [17]))
     with pytest.raises(MaskError):
@@ -459,8 +462,9 @@ def test_pair_adaptor_slots_keep_their_stream_order(synth):
     ham, gen, skel = _synth_compiled(synth)
     sheet = cir.dial(skel, ham, gen, cir.Mask.of("full", range(1, gen.ell + 1)))
     sys0 = skel.selector_width + skel.workspace_width
+    lads = ladders_of(gen)
     for a, ad in _pair_adaptors(skel):
-        lad = gen.ladders[a - 1]
+        lad = lads[a - 1]
         assert lad.address == a
         weight = abs(lad.coefficient) * generator_branch_alpha(lad)
         expected = [np.sqrt(weight / gen.alpha_bar), np.pi * (lad.coefficient < 0)]
@@ -507,7 +511,7 @@ def test_null_branch_amplitude_is_monotone_in_the_mask(mixed_gen_pool, data):
     """A larger mask never raises the null amplitude; each PREP has unit norm."""
     gen = mixed_gen_pool
     skel = cir.one_pool_skeleton(None, gen)
-    big = data.draw(st.sets(st.sampled_from([lad.address for lad in gen.ladders])))
+    big = data.draw(st.sets(st.sampled_from(gen.branches.address.tolist())))
     small = data.draw(st.sets(st.sampled_from(sorted(big))) if big else st.just(set()))
     nulls = []
     for mask in (small, big):
@@ -558,8 +562,8 @@ def _random_prefix(ham, gen, data):
         n_elec=ham.n_elec,
         e_nn=ham.e_nn,
     )
-    gen = GeneratorPool(
-        ladders=gen.ladders[:k_gen],
+    gen = pool_of(
+        ladders_of(gen)[:k_gen],
         n_occ=gen.n_occ,
         n_virt=gen.n_virt,
         n_elec=gen.n_elec,
@@ -697,7 +701,8 @@ def test_branch_signs_follow_the_coefficients(small_pools, mixed_gen_pool, data)
         one_body=_flipped(ham.one_body, flips),
         channels=_flipped(ham.channels, flips[len(ham.one_body):]),
     )
-    gen = replace(gen, ladders=_flipped(gen.ladders, flips[ham.ell:]))
+    gen = pool_of(_flipped(ladders_of(gen), flips[ham.ell:]), gen.n_occ, gen.n_virt,
+                  gen.n_elec)
     n = ham.n_so
     skel = cir.compile_skeleton(n, cir.pivots_from_pools(ham, gen))
     sheet = cir.dial(skel, ham, gen, mask)
@@ -1522,7 +1527,7 @@ def test_addresses_with_equal_descriptors_share_one_spec(synth):
 def _reference_pair_pivots(gen):
     """Per ladder, in address order: ``(u, v)`` argmax pivots of a pair, else None."""
     pivots = []
-    for lad in sorted(gen.ladders, key=lambda lad: lad.address):
+    for lad in ladders_of(gen):
         if lad.kind != "pair":
             pivots.append(None)
             continue
@@ -1543,15 +1548,16 @@ def _phased(lad, phase):
 @pytest.mark.parametrize("pool", ["mixed", "1:8:8"])
 def test_batched_pivots_equal_the_per_ladder_argmax(pool, seed, mixed_gen_pool):
     """Pair pivots formed in batches per factor dtype and shape are each
-    ladder's own argmax, whatever the order of the pool's ladders; some
-    factors are made complex so the batches split.
+    ladder's own argmax, whatever order the pool's ladders are given in;
+    some factors are made complex so the batches split.
     """
     gen = mixed_gen_pool if pool == "mixed" else _synth_compiled(pool)[1]
     rng = np.random.default_rng(seed)
     lads = [_phased(lad, rng.uniform(0, 2 * np.pi))
             if lad.kind == "pair" and seed and rng.uniform() < 0.5 else lad
-            for lad in gen.ladders]
-    shuffled = replace(gen, ladders=tuple(lads[k] for k in rng.permutation(len(lads))))
+            for lad in ladders_of(gen)]
+    shuffled = pool_of([lads[k] for k in rng.permutation(len(lads))], gen.n_occ,
+                       gen.n_virt, gen.n_elec)
     plan = cir.pivots_from_pools(None, shuffled)
     batched = [ad.pivot if ad.kind == "pair" else None for ad in plan.gen]
     assert batched == _reference_pair_pivots(shuffled)
@@ -1666,18 +1672,20 @@ def test_every_stored_adaptor_field_is_bound(compiled, field):
 def test_a_pool_listed_out_of_address_order_compiles_in_address_order(
     small_pools, mixed_gen_pool
 ):
-    """Ladders listed in reverse give the plan of the pool in order, so
-    the same skeleton, and a document that round-trips.
+    """Ladders listed in reverse (Hamiltonian ladders in the pool, generator
+    ladders in the pool document's blocks) give the plan of the pool in
+    order, so the same skeleton, and a document that round-trips.
     """
     ham, _ = small_pools
     gen = mixed_gen_pool
     shuffled_ham = replace(
         ham, one_body=ham.one_body[::-1], channels=ham.channels[::-1]
     )
-    shuffled_gen = replace(gen, ladders=gen.ladders[::-1])
-    plan = cir.pivots_from_pools(shuffled_ham, shuffled_gen)
-    listed = [lad.address for lad in shuffled_gen.ladders]
+    text = _listed_in_reverse(gen)
+    listed = json.loads(text)["generator"]["bilinear"]["address"]
     assert listed != sorted(listed)
+    _, shuffled_gen = pools_from_json(text)
+    plan = cir.pivots_from_pools(shuffled_ham, shuffled_gen)
     assert plan == cir.pivots_from_pools(ham, gen)
     skel = cir.compile_skeleton(ham.n_so, plan)
     in_order = cir.compile_skeleton(ham.n_so, cir.pivots_from_pools(ham, gen))

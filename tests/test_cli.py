@@ -13,7 +13,6 @@ from scipy import sparse
 from composer import cli
 from composer.factorization import (
     POOL_FORMAT,
-    PairLadder,
     build_hamiltonian_pool,
     mp2_amplitudes,
     nested_svd_t2,
@@ -775,7 +774,7 @@ def mixed_pipeline(tmp_path_factory):
     ints = synth_instance(7, 2, 2)
     ham = build_hamiltonian_pool(ints, 1e-10, 0.0)
     gen = mixed_generator_pool(nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0))
-    assert [lad.kind for lad in gen.ladders] == ["pair", "bilinear", "bilinear"]
+    assert gen.branches.pair.tolist() == [True, False, False]
     pool, skel = tmp / "pool.json", tmp / "skel.json"
     pool.write_text(pools_to_json(ham, gen))
     assert run(["compile", "--pool", str(pool), "--out", str(skel)]) == 0
@@ -1046,14 +1045,3 @@ def test_dial_sheets_and_estimates_at_1_8_8_keep_their_bytes(pipeline_1_8_8, mas
                 "--out", str(est)]) == 0
     assert (_sha256(sheet), _sha256(est)) == PINNED_1_8_8[mask]
 
-
-def test_dial_builds_no_pair_ladder(pipeline_1_8_8, monkeypatch):
-    """``composer dial`` binds the pair ladders from the pool's table: under
-    every benchmark mask and an explicit one, no PairLadder is constructed."""
-    tmp, pool, skel = pipeline_1_8_8
-    built = []
-    monkeypatch.setattr(PairLadder, "__post_init__", lambda lad: built.append(lad.address))
-    for k, args in enumerate([*BENCH_MASKS.values(), ["--mask", "1,7"]]):
-        assert run(["dial", "--skel", str(skel), "--pool", str(pool), *args,
-                    "--out", str(tmp / f"no-ladder-{k}.json")]) == 0
-    assert built == []

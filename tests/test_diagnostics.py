@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from composer import jw, oracle, qsp
 from composer.errors import MaskError, RankError, ValidationError, ZeroTensorError
 from composer.factorization import (
     BilinearLadder,
-    GeneratorPool,
     T2Tensor,
     build_hamiltonian_pool,
     mp2_amplitudes,
@@ -15,6 +16,7 @@ from composer.factorization import (
     pools_to_json,
 )
 from composer.integrals import synth_instance
+from conftest import ladders_of, pool_of
 
 
 def random_t2(rng, n_virt=4, n_occ=4):
@@ -134,7 +136,7 @@ def make_pool(weights):
         )
         for k, w in enumerate(weights)
     )
-    return GeneratorPool(ladders=ladders, n_occ=2, n_virt=2, n_elec=2)
+    return pool_of(ladders, n_occ=2, n_virt=2, n_elec=2)
 
 
 def test_one_shot_mask_full_coverage():
@@ -168,7 +170,7 @@ def test_one_shot_mask_minimality_exhaustive():
 def _per_ladder_weights(pool):
     """Reference :func:`diagnostics.ladder_weights`: one ladder at a time."""
     out = {}
-    for lad in pool.ladders:
+    for lad in ladders_of(pool):
         w = abs(lad.coefficient) ** 2
         if lad.kind == "pair":
             w *= (
@@ -210,7 +212,7 @@ def test_one_shot_mask_validation():
     pool = make_pool([1.0])
     with pytest.raises(ValidationError):
         dg.one_shot_mask(pool, 0.0)
-    empty = GeneratorPool(ladders=(), n_occ=2, n_virt=2, n_elec=2)
+    empty = pool_of((), n_occ=2, n_virt=2, n_elec=2)
     with pytest.raises(MaskError):
         dg.one_shot_mask(empty, 0.9)
 
@@ -251,35 +253,12 @@ def test_trace_conservation(mixed_gen_pool):
 
 
 def scaled_pool(pool, factor):
-    ladders = []
-    for lad in pool.ladders:
-        if lad.kind == "pair":
-            from composer.factorization import PairLadder
-
-            ladders.append(
-                PairLadder(
-                    x=lad.x,
-                    y=lad.y,
-                    r=lad.r,
-                    s=lad.s,
-                    coefficient=lad.coefficient * factor,
-                    address=lad.address,
-                )
-            )
-        else:
-            ladders.append(
-                BilinearLadder(
-                    u=lad.u,
-                    v=lad.v,
-                    coefficient=lad.coefficient * factor,
-                    address=lad.address,
-                )
-            )
-    return GeneratorPool(
-        ladders=tuple(ladders),
-        n_occ=pool.n_occ,
-        n_virt=pool.n_virt,
-        n_elec=pool.n_elec,
+    return replace(
+        pool,
+        pairs=replace(pool.pairs, coefficient=pool.pairs.coefficient * factor),
+        bilinears=tuple(
+            replace(lad, coefficient=lad.coefficient * factor) for lad in pool.bilinears
+        ),
     )
 
 

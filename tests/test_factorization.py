@@ -16,9 +16,7 @@ from composer import diagnostics, ladders, oracle
 from composer.errors import DegenerateGapError, NotPSDError, ParseError, ValidationError
 from composer.factorization import (
     BilinearLadder,
-    GeneratorPool,
     HamiltonianPool,
-    PairLadder,
     T2Tensor,
     _packed_complex,
     build_hamiltonian_pool,
@@ -34,7 +32,7 @@ from composer.factorization import (
     unpack_skew,
 )
 from composer.integrals import IntegralSet, synth_instance, with_orbital_energies
-from conftest import edit_packed
+from conftest import PairLadder, edit_packed, ladders_of, pool_of
 
 
 def zero_eri_instance(n_spatial=2):
@@ -292,7 +290,7 @@ def test_nested_svd_single_amplitude():
     amp[2, 0] = 0.3
     pool = nested_svd_t2(T2Tensor(amp, 2, 4), 0.0, 0.0)
     assert pool.ell == 1
-    assert pool.ladders[0].coefficient == pytest.approx(0.3, abs=1e-12)
+    assert ladders_of(pool)[0].coefficient == pytest.approx(0.3, abs=1e-12)
     assert np.abs(rebuild_t2(pool) - amp).max() <= 1e-12
 
 
@@ -307,7 +305,7 @@ def test_wedge_factors_are_antisymmetric_unit_norm():
     rng = np.random.default_rng(6)
     t2 = T2Tensor(rng.normal(size=(6, 6)), 4, 4)
     pool = nested_svd_t2(t2, 0.0, 0.0)
-    for lad in pool.ladders:
+    for lad in ladders_of(pool):
         uv = lad.virtual_pair_vector()
         m = unpack_skew(uv, 4)
         assert np.abs(m + m.T).max() <= 1e-12
@@ -438,7 +436,7 @@ def _generator_pools(draw):
         else:
             u, v = (_drawn_unit_vector(draw, n_occ + n_virt) for _ in "uv")
             ladders.append(BilinearLadder(u, v, coefficient, address))
-    return GeneratorPool(tuple(ladders), n_occ, n_virt, n_elec=n_occ)
+    return pool_of(ladders, n_occ, n_virt, n_elec=n_occ)
 
 
 def _same_array(a, b):
@@ -451,23 +449,36 @@ def _real_bilinear_pool():
     u = np.array([0.9690629422606521, 0.18424535240732187, -0.16422747654832243])
     v = np.array([-0.9910176143225039, -0.13301512508374563, -0.013822611963315834])
     lad = BilinearLadder(u / np.linalg.norm(u), v / np.linalg.norm(v), 1.0, 1)
-    return GeneratorPool((lad,), 1, 2, n_elec=1)
+    return pool_of((lad,), 1, 2, n_elec=1)
 
 
 @settings(max_examples=60, deadline=None)
 @given(gen=_generator_pools())
 @example(gen=_real_bilinear_pool())
+@example(gen=nested_svd_t2(mp2_amplitudes(synth_instance(1, 2, 2)), 0.0, 0.0))
+@example(gen=nested_svd_t2(mp2_amplitudes(synth_instance(7, 3, 2)), 0.0, 0.0))
 def test_generator_columns_load_back_bit_for_bit(gen):
-    """Mixed kinds, real and complex rows, an empty kind: every ladder loads
-    back in address order with its own dtype, shape and bytes (a bilinear
-    ladder's vectors complex, in memory as loaded), and the text writes
-    back as read.
+    """Mixed kinds, real and complex rows, an empty kind, factorized pools:
+    the pair table loads back with the same addresses, coefficients and
+    batches (rows, and each factor's dtype, shape and bytes), every ladder
+    loads back in address order with its own dtype, shape and bytes (a
+    bilinear ladder's vectors complex, in memory as loaded), and the text
+    writes back as read.
     """
     ham = HamiltonianPool((), (), n_so=gen.n_so, n_elec=gen.n_occ)
     text = pools_to_json(ham, gen)
     _, back = pools_from_json(text)
-    assert [lad.kind for lad in back.ladders] == [lad.kind for lad in gen.ladders]
-    for lad, got in zip(gen.ladders, back.ladders):
+    table, loaded = gen.pairs, back.pairs
+    assert _same_array(loaded.address, table.address)
+    assert _same_array(loaded.coefficient, table.coefficient)
+    assert len(loaded.batches) == len(table.batches)
+    for batch, got in zip(table.batches, loaded.batches):
+        assert np.array_equal(got.rows, batch.rows)
+        for key in "xyrs":
+            assert _same_array(getattr(got, key), getattr(batch, key))
+    lads, back_lads = ladders_of(gen), ladders_of(back)
+    assert [lad.kind for lad in back_lads] == [lad.kind for lad in lads]
+    for lad, got in zip(lads, back_lads):
         assert (got.address, got.coefficient) == (lad.address, lad.coefficient)
         keys = ("x", "y", "r", "s") if lad.kind == "pair" else ("u", "v")
         for key in keys:
@@ -507,7 +518,7 @@ def _dialable_pools(draw):
         else:
             u, v = (_drawn_unit_vector(draw, n_occ + n_virt) for _ in "uv")
             ladders_.append(BilinearLadder(u, v, coefficient, address))
-    return GeneratorPool(tuple(ladders_), n_occ, n_virt, n_elec=n_occ)
+    return pool_of(ladders_, n_occ, n_virt, n_elec=n_occ)
 
 
 def _row_norm(row):
@@ -568,7 +579,7 @@ def test_the_pair_table_keeps_every_per_ladder_bit(gen, data):
     ham = HamiltonianPool((), (), n_so=gen.n_so, n_elec=gen.n_occ)
     _, loaded = pools_from_json(pools_to_json(ham, gen))
     for pool in (gen, loaded):
-        lads = sorted(pool.ladders, key=lambda lad: lad.address)
+        lads = ladders_of(pool)
         weights = _reference_weights(lads)
         got = diagnostics.ladder_weights(pool)
         assert list(got) == list(weights)
@@ -610,7 +621,7 @@ def test_weights_of_448_pair_ladders_keep_every_per_ladder_bit():
     gen = nested_svd_t2(mp2_amplitudes(synth_instance(1, 8, 8)), 0.0, 0.0)
     ham = HamiltonianPool((), (), n_so=gen.n_so, n_elec=gen.n_occ)
     _, loaded = pools_from_json(pools_to_json(ham, gen))
-    weights = _reference_weights(gen.ladders)
+    weights = _reference_weights(ladders_of(gen))
     assert len(weights) == 448
     for pool in (gen, loaded):
         got = diagnostics.ladder_weights(pool)

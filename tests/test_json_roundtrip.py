@@ -39,7 +39,7 @@ def test_every_artifact_round_trips(seed, shape, data):
     gen = nested_svd_t2(t2, 1e-6, 1e-6)
     plan = cir.pivots_from_pools(ham, gen)
     skel = cir.compile_skeleton(ints.n_so, plan, qsp_degree=4)
-    addresses = [lad.address for lad in gen.ladders]
+    addresses = gen.branches.address.tolist()
     masks = st.sets(st.sampled_from(addresses)) if addresses else st.just(set())
     mask = data.draw(masks, label="mask")
     sheet = cir.dial(skel, ham, gen, cir.Mask.of("m", mask))

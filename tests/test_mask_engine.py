@@ -18,7 +18,6 @@ from composer.errors import (
 )
 from composer.factorization import (
     BilinearLadder,
-    GeneratorPool,
     HamiltonianPool,
     OneBodyModeLadder,
     build_hamiltonian_pool,
@@ -26,6 +25,7 @@ from composer.factorization import (
     nested_svd_t2,
 )
 from composer.integrals import synth_instance
+from conftest import pool_of
 
 
 def clear_caches():
@@ -154,7 +154,7 @@ def test_sandwich_rejects_oversized_generator_register_before_building(monkeypat
         (OneBodyModeLadder(vectors=modes[:, :1], coefficient=0.5, address=0),),
         (), n, n_elec,
     )
-    gen = GeneratorPool(
+    gen = pool_of(
         (BilinearLadder(u=modes[:, 3], v=modes[:, 0], coefficient=0.1, address=1),),
         n_occ=n_elec, n_virt=n - n_elec,
     )
@@ -170,8 +170,7 @@ def test_sandwich_rejects_oversized_generator_register_before_building(monkeypat
 
 def test_sandwich_rejects_pools_of_different_sectors(small_pools, mixed_gen_pool):
     ham, _ = small_pools
-    other = GeneratorPool(mixed_gen_pool.ladders, mixed_gen_pool.n_occ,
-                          mixed_gen_pool.n_virt, n_elec=3)
+    other = dataclasses.replace(mixed_gen_pool, n_elec=3)
     with pytest.raises(SectorError, match="generator sector N=3 differs"):
         me.similarity_sandwich(ham, other, frozenset([1]), [3], 1e-9)
 

@@ -16,16 +16,15 @@ from composer.errors import CapacityError, MaskError, ShapeError
 from composer.factorization import (
     BilinearLadder,
     ChannelLadder,
-    GeneratorPool,
     HamiltonianPool,
     OneBodyModeLadder,
-    PairLadder,
     build_hamiltonian_pool,
     mp2_amplitudes,
     nested_svd_t2,
 )
 from composer.integrals import IntegralSet, synth_instance
-from conftest import adaptor_targets, line_value_index, sector_block
+from conftest import PairLadder, adaptor_targets, ladders_of, line_value_index, pool_of
+from conftest import sector_block
 
 
 def unit(rng, n):
@@ -47,13 +46,13 @@ def orthonormal_pair(rng, n):
 def dialed(ham, gen):
     """One-pool skeleton (the other pool ``None``) and its full-mask dial sheet."""
     skel = cir.one_pool_skeleton(ham, gen)
-    mask = () if gen is None else [lad.address for lad in gen.ladders]
+    mask = () if gen is None else gen.branches.address.tolist()
     return skel, cir.dial(skel, ham, gen, mask)
 
 
 def generator_adaptor(lad, n_occ, n_virt):
     """Executed branch of a one-ladder generator pool's adaptor, and its target."""
-    gen = GeneratorPool((lad,), n_occ=n_occ, n_virt=n_virt)
+    gen = pool_of((lad,), n_occ=n_occ, n_virt=n_virt)
     skel, sheet = dialed(None, gen)
     target = adaptor_targets(None, gen)["gen/1"]
     return cir.execute_encoding(skel, sheet, "gen/1"), target
@@ -134,7 +133,7 @@ def test_zero_coefficient_ladder_loads_no_weight():
         BilinearLadder(u=u, v=v, coefficient=0.5, address=1),
         BilinearLadder(u=v, v=u, coefficient=0.0, address=2),
     ]
-    gen = GeneratorPool(tuple(ladders_), n_occ=1, n_virt=2)
+    gen = pool_of(ladders_, n_occ=1, n_virt=2)
     skel = cir.one_pool_skeleton(None, gen)
     sheet = cir.dial(skel, None, gen, [2])
     zero = np.zeros((2**n, 2**n), dtype=complex)
@@ -333,8 +332,9 @@ def test_references_match_the_sparse_loops(spec):
     ham = oracle.dense_hamiltonian(ints)
     assert np.abs(ham - _loop_dense_hamiltonian(ints)).max() <= 1e-13
     gen = nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0)
-    for lad in gen.ladders:
-        dense = oracle.dense_pair_ladder(lad, gen.n_occ, n)
+    for lad in ladders_of(gen):
+        dense = oracle.dense_pair_ladder(
+            lad.virtual_pair_vector(), lad.occupied_pair_vector(), gen.n_occ, n)
         assert np.abs(dense - _loop_pair_ladder(lad, gen.n_occ, n)).max() <= 1e-13
 
 
@@ -609,9 +609,7 @@ def test_generator_mask_validation(small_pools):
     _, gen = small_pools
     with pytest.raises(MaskError):
         oracle.generator_block_encoding(gen, frozenset([99]))
-    from composer.factorization import GeneratorPool
-
-    empty = GeneratorPool(ladders=(), n_occ=2, n_virt=2, n_elec=2)
+    empty = pool_of((), n_occ=2, n_virt=2, n_elec=2)
     with pytest.raises(MaskError):
         oracle.generator_block_encoding(empty, frozenset([1]))
 
@@ -629,7 +627,7 @@ def test_restricted_block_error_perturbation_scaling():
     rng = np.random.default_rng(4)
     n = 3
     u, v = orthonormal_pair(rng, n)
-    gen = GeneratorPool(
+    gen = pool_of(
         (BilinearLadder(u=u, v=v, coefficient=0.8, address=1),), n_occ=1, n_virt=2
     )
     skel, sheet = dialed(None, gen)
@@ -870,7 +868,7 @@ def test_unitarity_residual_is_exact_on_verify_encodings(synth):
     ham = build_hamiltonian_pool(ints, 1e-10, 0.0)
     gen = nested_svd_t2(mp2_amplitudes(ints), 0.0, 0.0)
     skel = cir.compile_skeleton(ints.n_so, cir.pivots_from_pools(ham, gen))
-    full = [lad.address for lad in gen.ladders]
+    full = gen.branches.address.tolist()
     masks = [full] if ints.n_so == 8 else [[], full[:1], full]
     for mask in masks:
         w = cir.execute_generator_encoding(skel, cir.dial(skel, ham, gen, mask))

@@ -156,7 +156,7 @@ def test_exp_sigma_block_exact_on_six_modes(medium_instance):
 
     gen = nested_svd_t2(mp2_amplitudes(medium_instance), 0.0, 0.0)
     assert gen.n_so == 6
-    full = frozenset(lad.address for lad in gen.ladders)
+    full = frozenset(gen.branches.address.tolist())
     _, rep = qsp.exp_sigma_block(gen, full, 1e-10)
     assert rep.measured_deviation <= rep.eps_poly + 1e-12
 
