@@ -31,10 +31,14 @@ one text, each line ended by a newline.  The document (``composer-skel-v12``)
 holds exactly the fingerprinted facts, each once (any other key is refused):
 an ``adaptors`` list of each distinct ``{kind, pivot, rank, text}`` in
 first-use order, loaded as one :class:`AdaptorSpec` each, and per side the
-indices into it.  Execution interprets the lines, each
-reading its values from a cursor over the adaptor's span: each run of system gates
-(:data:`SYSTEM_GATES`: ``givens``, ``pgivens``, ``rz``, ``cphase``, ``x``)
-becomes one dense ``2**n x 2**n`` leaf, the gates applied in order to the
+indices into it.  Everything derived from the adaptors is derived once per
+distinct one (:attr:`CircuitSkeleton.stored`): a load checks the stored
+texts' lines and counts their values in one scan (:func:`_line_scan`), so
+it builds the spans, and the fingerprint encodes each distinct adaptor once
+and hashes the addresses' bytes as one buffer.  Execution interprets the
+lines, each reading its values from a cursor over the adaptor's span: each
+run of system gates (:data:`SYSTEM_GATES`: ``givens``, ``pgivens``, ``rz``,
+``cphase``, ``x``) becomes one dense ``2**n x 2**n`` leaf, the gates applied in order to the
 identity by the :mod:`ladders` kernel; on the workspace, ``cx x`` is the
 flag copy, ``h mcz h`` the vacuum reflection, a lone ``x`` the null flip.
 ``gphase`` multiplies its branch or case by a dialed phase (0 or pi),
@@ -73,8 +77,9 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from functools import cached_property, lru_cache
+from itertools import accumulate, chain, repeat
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
 
@@ -96,6 +101,20 @@ LINE_VALUES = {"givens": 1, "pgivens": 2, "rz": 1, "cphase": 1, "gphase": 1, "ca
 SYSTEM_GATES = {"givens": 2, "pgivens": 4, "rz": 1, "cphase": 2, "x": 1}
 # a text line holding two ``|``
 _TWO_BARS = re.compile(r"\|[^\n]*\|")
+# the line scan's gate table (_line_scan): a line's first eight bytes, cut
+# after its ``|``, are the little-endian word of ``gate|``; each kind of
+# LINE_VALUES is the interval [word, word + 1) of _GATE_BOUNDS, and a right
+# search lands on its value count in _GATE_VALUES, every other word on a zero
+_GATE_WORDS = sorted(
+    (int.from_bytes(f"{gate}|".encode(), "little"), n) for gate, n in LINE_VALUES.items()
+)
+_GATE_BOUNDS = np.array([b for word, _ in _GATE_WORDS for b in (word, word + 1)], np.uint64)
+_GATE_VALUES = np.array([0, *(v for _, n in _GATE_WORDS for v in (n, 0))], np.int64)
+# the low bytes of a line's word kept for a gate of k bytes: its k bytes and
+# its ``|``, all eight from k = 7 on (a longer gate's word holds no ``|`` and
+# matches no kind)
+_GATE_MASKS = np.array([(1 << 8 * (k + 1)) - 1 for k in range(7)] + [2**64 - 1], np.uint64)
+_BAR_NEWLINE = int.from_bytes(b"|\n", "little")
 # slabs of its widest adaptor's columns that a column run is allowed at once:
 # a channel's squared gadget holds four (its input, its PREP slabs, and its
 # output or two half-slab pairs inside W), the fifth covers the dense leaves
@@ -237,8 +256,13 @@ class CircuitSkeleton:
     adaptors_ham: tuple
     adaptors_gen: tuple
     fingerprint: str
+    # each stored adaptor's value count, when the loader's line scan has
+    # counted them (:meth:`from_json`); never a field, so never compared
+    value_counts: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, value_counts):
+        if value_counts is not None:  # the spans, without a second scan
+            object.__setattr__(self, "span_bounds", self._bounds(value_counts))
         self.pair_slots  # pair sides pivot in their wedges
 
     def __hash__(self):
@@ -246,33 +270,46 @@ class CircuitSkeleton:
         return hash(self.fingerprint)
 
     @cached_property
+    def stored(self):
+        """``(adaptors, (ham, gen))``: each distinct adaptor object, in first-use
+        order (Hamiltonian side, then generator side), and each side's indices
+        into them, one per address.
+
+        The addresses that share an :class:`AdaptorSpec` object share one
+        entry, as a loaded skeleton's addresses share each stored adaptor
+        and a compiled one's each distinct descriptor; everything derived
+        from the adaptors is derived once per entry.
+        """
+        every = self.adaptors_ham + self.adaptors_gen
+        ids = list(map(id, every))
+        first = dict(zip(ids, every))  # keys in first-use order
+        indices = tuple(map(dict(zip(first, range(len(first)))).__getitem__, ids))
+        cut = len(self.adaptors_ham)
+        return tuple(first.values()), (indices[:cut], indices[cut:])
+
+    @cached_property
     def pair_slots(self):
         """``(len(adaptors_gen), 2)`` read-only: each generator adaptor's pivots' wedge slots.
 
         Row ``a`` holds the index of adaptor ``a``'s ``u`` and ``v`` pivot
         pairs in their wedges (:func:`wedge_slots`), or ``-1, -1`` off a
-        pair adaptor.  Each distinct adaptor object is looked up once (the
-        addresses that share a pair adaptor share one); a pivot off its
-        wedge is a ValidationError naming the first address that uses it.
-        Built when the skeleton is.
+        pair adaptor.  Each distinct adaptor (:attr:`stored`) is looked up
+        once; a pivot off its wedge is a ValidationError naming the first
+        address that uses it.  Built when the skeleton is.
         """
         wedge_u, wedge_v = (wedge_slots(self.n_system, self.n_occ, side) for side in "uv")
-        ids = list(map(id, self.adaptors_gen))
-        first = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
-        rows, slots = {}, []
-        for a in sorted(first.values()):  # each distinct adaptor, at its first address
-            ad = self.adaptors_gen[a]
-            rows[ids[a]] = len(rows)
-            slot = (-1, -1)
+        adaptors, (_, gen) = self.stored
+        slots = [(-1, -1)] * len(adaptors)
+        for k in dict.fromkeys(gen):  # each distinct adaptor, by its first address
+            ad = adaptors[k]
             if ad.kind == "pair":
                 u, v = ad.pivot if len(ad.pivot) == 2 else (None, None)
-                slot = wedge_u.get(u), wedge_v.get(v)
-                if None in slot:
+                slots[k] = wedge_u.get(u), wedge_v.get(v)
+                if None in slots[k]:
                     raise ValidationError(
-                        f"gen adaptor {a}: pair pivots {ad.pivot} off their wedges"
+                        f"gen adaptor {gen.index(k)}: pair pivots {ad.pivot} off their wedges"
                     )
-            slots += slot
-        table = np.array(slots, dtype=np.intp).reshape(-1, 2)[list(map(rows.get, ids))]
+        table = np.array(slots, np.intp).reshape(-1, 2)[list(gen)]
         table.setflags(write=False)
         return table
 
@@ -292,9 +329,11 @@ class CircuitSkeleton:
 
     @cached_property
     def workspace_width(self):
-        """Workspace qubits of the widest branch, the null flip's one at least."""
-        branches = [ad for ad in self.adaptors_gen if ad.kind != "null"]
-        return plan_workspace_width(self.adaptors_ham, branches)
+        """Workspace qubits of the widest branch, the null flip's one at least,
+        from each side's distinct adaptors (:attr:`stored`)."""
+        adaptors, (ham, gen) = self.stored
+        branches = [adaptors[k] for k in dict.fromkeys(gen) if adaptors[k].kind != "null"]
+        return plan_workspace_width([adaptors[k] for k in dict.fromkeys(ham)], branches)
 
     def sides(self):
         """``(("ham", adaptors), ("gen", adaptors))``, in stream order."""
@@ -305,24 +344,30 @@ class CircuitSkeleton:
         """``{side: bounds}``: adaptor ``a``'s span of the stream is ``bounds[a]:bounds[a + 1]``.
 
         A span holds the adaptor's PREP amplitude, then the values its lines
-        take (:data:`LINE_VALUES`), counted as the ``\\n<gate>|`` line starts
-        of each kind in the adaptor's :attr:`AdaptorSpec.text`, once per
-        distinct text.  Each side's bounds are a read-only ``int64`` array,
-        the generator side's starting at the Hamiltonian side's stop.
-        Built on first use, by dial, execution or ``estimate``; loading a
-        skeleton never builds it.
+        take (:data:`LINE_VALUES`).  One line scan (:func:`_line_scan`)
+        counts them per distinct adaptor (:attr:`stored`), and the counts
+        are gathered through each side's indices.  Each side's bounds are
+        a read-only ``int64`` array, the generator side's starting at the
+        Hamiltonian side's stop.  :meth:`from_json` builds them at load,
+        from its own scan of the stored texts; a skeleton built otherwise
+        builds them on first use, and a ParseError names a line of its
+        texts that is not a layer line.
         """
-        texts = [ad.text for _, adaptors in self.sides() for ad in adaptors]
-        sizes = {
-            text: 1 + sum(n * f"\n{text}".count(f"\n{gate}|") for gate, n in LINE_VALUES.items())
-            for text in set(texts)
-        }
-        ends = np.cumsum([0, *map(sizes.__getitem__, texts)])
-        cut = len(self.adaptors_ham) + 1
-        bounds = {"ham": ends[:cut], "gen": ends[cut - 1:]}
-        for arr in bounds.values():
-            arr.setflags(write=False)
-        return bounds
+        adaptors, _ = self.stored
+        texts = [ad.text for ad in adaptors]
+        _, counts = _line_scan(texts)
+        if counts is None:
+            for text in texts:
+                _check_body(text, "adaptor text")
+        return self._bounds(counts)
+
+    def _bounds(self, counts):
+        """:attr:`span_bounds` from each distinct adaptor's value count."""
+        _, (ham, gen) = self.stored
+        ends = np.zeros(len(ham) + len(gen) + 1, np.int64)
+        counts.take(ham + gen).cumsum(out=ends[1:])
+        ends.setflags(write=False)
+        return {"ham": ends[:len(ham) + 1], "gen": ends[len(ham):]}
 
     @cached_property
     def slot_spans(self):
@@ -365,21 +410,27 @@ class CircuitSkeleton:
     @staticmethod
     @fields_of("skeleton")
     def from_json(text):
+        """The skeleton a document holds, every field checked; its spans built.
+
+        The stored adaptors are checked with one fast test of each one's
+        keys and types and one line scan of their texts (:func:`_line_scan`),
+        which also counts each text's values, so :attr:`span_bounds` is
+        built here without a second scan.  Only a document that fails them
+        runs the per-field checks (:func:`_check_stored`), whose ParseError
+        names its first fault.  The fingerprint is recomputed from the
+        texts the scan encoded (:func:`fabric_fingerprint`).
+        """
         doc = checked(json.loads(text), DICT, "skeleton")
         if doc.get("format") != SKEL_FORMAT:
             raise ParseError(f"expected format {SKEL_FORMAT!r}")
         checked_keys(doc, _SKEL_KEYS, "skeleton")
         for key in ("n_system", "n_occ", "qsp_degree"):
             checked(doc[key], INT, key)
-        stored = []  # one AdaptorSpec per stored adaptor, shared by its addresses
-        for k, ad in enumerate(checked_list(doc["adaptors"], DICT, "adaptors")):
-            where = f"stored adaptor {k}"
-            checked_keys(ad, _STORED_KEYS, where)
-            checked(ad["kind"], STR, f"{where} kind")
-            checked(ad["rank"], INT, f"{where} rank")
-            _check_body(ad["text"], f"{where} text")
-            pivot = _pivot_load(ad["pivot"], where)
-            stored.append(AdaptorSpec(ad["kind"], pivot, ad["rank"], ad["text"]))
+        docs = checked_list(doc["adaptors"], DICT, "adaptors")
+        stored = _stored_specs(docs)  # one AdaptorSpec each, shared by its addresses
+        encoded, counts = _line_scan([ad.text for ad in stored or ()])
+        if stored is None or counts is None:  # name the first fault
+            _check_stored(docs)
         if len(set(stored)) != len(stored):
             raise ParseError("stored adaptors must be pairwise distinct")
         sides = {key: checked_list(doc[key], INT, key)
@@ -395,8 +446,9 @@ class CircuitSkeleton:
             **{key: tuple(map(stored.__getitem__, indices))
                for key, indices in sides.items()},
             fingerprint=checked(doc["fingerprint"], STR, "fingerprint"),
+            value_counts=counts,  # in first-use order, as the order check made it
         )
-        if fabric_fingerprint(skel) != skel.fingerprint:
+        if fabric_fingerprint(skel, encoded) != skel.fingerprint:
             raise ValidationError("skeleton fingerprint does not match its layers")
         return skel
 
@@ -405,13 +457,52 @@ def _pivot_doc(pivot):
     return [list(p) if isinstance(p, tuple) else p for p in pivot]
 
 
-def _pivot_load(doc, where):
-    for p in checked(doc, LIST, f"{where} pivot"):
-        if type(p) is list:
-            checked_list(p, INT, f"{where} pivot pair")
-        else:
-            checked(p, INT, f"{where} pivot")
-    return tuple(tuple(p) if isinstance(p, list) else p for p in doc)
+def _stored_specs(docs):
+    """One :class:`AdaptorSpec` per stored adaptor document, or ``None``
+    unless each passes one fast test of what :func:`_check_stored` checks
+    field by field: exactly the stored keys, a ``str`` kind and text, an
+    ``int`` rank, and a pivot that lists ints and lists of ints.  The
+    texts' lines are left to :func:`_line_scan`.
+    """
+    specs = []
+    for ad in docs:
+        if ad.keys() != _STORED_KEYS:
+            return None
+        kind, pivot, rank, text = ad["kind"], ad["pivot"], ad["rank"], ad["text"]
+        if (type(kind), type(rank), type(text), type(pivot)) != (str, int, str, list):
+            return None
+        entries = set(map(type, pivot))
+        if list in entries:
+            pairs = [p for p in pivot if type(p) is list]
+            if not (entries <= {int, list} and set(map(type, chain(*pairs))) <= {int}):
+                return None
+            pivot = [tuple(p) if type(p) is list else p for p in pivot]
+        elif not entries <= {int}:
+            return None
+        specs.append(AdaptorSpec(kind, tuple(pivot), rank, text))
+    return specs
+
+
+def _check_stored(docs):
+    """Raise the ParseError of the first stored adaptor field that fails its check.
+
+    Field by field, in document order: the keys, the kind, the rank, the
+    text's lines (:func:`_check_body`) and the pivot.  Only a document
+    whose stored adaptors fail the fast checks (:func:`_stored_specs`,
+    :func:`_line_scan`) runs these.
+    """
+    for k, ad in enumerate(docs):
+        where = f"stored adaptor {k}"
+        checked_keys(ad, _STORED_KEYS, where)
+        checked(ad["kind"], STR, f"{where} kind")
+        checked(ad["rank"], INT, f"{where} rank")
+        _check_body(ad["text"], f"{where} text")
+        for p in checked(ad["pivot"], LIST, f"{where} pivot"):
+            if type(p) is list:
+                checked_list(p, INT, f"{where} pivot pair")
+            else:
+                checked(p, INT, f"{where} pivot")
+    raise AssertionError("the fast checks refused stored adaptors the field checks accept")
 
 
 def _check_body(text, where):
@@ -427,6 +518,37 @@ def _check_body(text, where):
         *lines, rest = text.split("\n")
         bad = next((line for line in lines if line.count("|") != 1), rest)
         raise ParseError(f"{where}: malformed layer line {bad!r}")
+
+
+def _line_scan(texts):
+    """``(encoded, counts)``: each text as UTF-8, and each one's value count, in one pass.
+
+    The texts are joined after a leading newline and scanned once for
+    their ``|`` and newline bytes (neither is ever part of a longer UTF-8
+    character).  They are layer lines, as :func:`_check_body` accepts them,
+    when those bytes alternate ``|``, newline after the leading one and
+    every nonempty text ends in a newline.  Then each line's gate is the
+    bytes before its ``|``, matched exactly against the kinds of
+    :data:`LINE_VALUES` through its first eight bytes (:data:`_GATE_BOUNDS`),
+    and a text's count is one (its PREP amplitude) plus the values its
+    lines take.  ``counts`` is an ``int64`` array, or ``None`` when a text
+    is not layer lines.
+    """
+    encoded = [text.encode() for text in texts]
+    raw = b"".join([b"\n", *encoded, bytes(8)])  # every line start reads a whole word
+    body = np.frombuffer(raw, np.uint8, len(raw) - 8)
+    marks = ((body == 10) | (body == 124)).nonzero()[0]  # newline, then | and newline pairs
+    if (not len(marks) % 2 or (body[marks[1:]].view("<u2") != _BAR_NEWLINE).any()
+            or not all(map(bytes.endswith, filter(None, encoded), repeat(b"\n")))):
+        return encoded, None
+    starts, bars = marks[0:-1:2] + 1, marks[1::2]
+    words = np.ndarray((len(body) + 1,), "<u8", raw, 0, (1,))[starts]  # unaligned reads
+    words &= _GATE_MASKS.take(bars - starts, mode="clip")
+    done = np.zeros(len(words) + 1, np.int64)  # values of the lines before each
+    _GATE_VALUES.take(_GATE_BOUNDS.searchsorted(words, "right")).cumsum(out=done[1:])
+    edges = np.fromiter(accumulate(map(len, encoded), initial=1), np.intp, len(texts) + 1)
+    done = done.take(marks[2::2].searchsorted(edges))
+    return encoded, done[1:] - done[:-1] + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -690,32 +812,34 @@ def _compile_bilinear_asym(ad, n, sysq, ws0, t):
     return AdaptorSpec(ad.kind, ad.pivot, 2, _text(layers))
 
 
-def fabric_fingerprint(skel):
+def fabric_fingerprint(skel, encoded=None):
     """SHA-256 digest of the register widths, ``n_occ`` and the canonical layer stream.
 
     Structure only: each adaptor's address (its position on its side),
     kind, pivots and rank, then its layer lines as stored, one per text
     line, so qubit tuples enter in gate order (control before target) and
     the gate kinds fix every slot's stream position; angle values never
-    enter.  The widths are the derived ones.
+    enter.  The widths are the derived ones.  Each distinct adaptor
+    (:attr:`CircuitSkeleton.stored`) is encoded once, as its
+    ``:kind:pivot:rank`` line (the pivot as ``json.dumps`` writes a list
+    of ints and lists of ints, which ``str`` writes alike) and its text;
+    ``encoded`` holds those texts when the caller has encoded them
+    (:meth:`CircuitSkeleton.from_json`).  Every address adds its
+    ``adaptor:<a>`` prefix, and the bytes are hashed in one buffer.
     """
-    h = hashlib.sha256()
-    h.update(
-        f"registers|{skel.n_system}|{skel.selector_width}|{skel.workspace_width}\n"
-        .encode()
-    )
-    h.update(f"n_occ|{skel.n_occ}\n".encode())
-    pivots = {}  # each distinct pivot's JSON text: the pair pivots repeat
-    for _, adaptors in skel.sides():
-        for a, ad in enumerate(adaptors):
-            if ad.pivot not in pivots:
-                pivots[ad.pivot] = json.dumps(_pivot_doc(ad.pivot))
-            pivot = pivots[ad.pivot]
-            h.update(f"adaptor:{a}:{ad.kind}:{pivot}:{ad.rank}\n".encode())
-            h.update(ad.text.encode())
-    for k in range(skel.qsp_degree):
-        h.update(f"qsp_rep|{k}\n".encode())
-    return h.hexdigest()
+    adaptors, sides = skel.stored
+    if encoded is None:
+        encoded = [ad.text.encode() for ad in adaptors]
+    bodies = [f":{ad.kind}:{_pivot_doc(ad.pivot)}:{ad.rank}\n".encode() + text
+              for ad, text in zip(adaptors, encoded)]
+    head = (f"registers|{skel.n_system}|{skel.selector_width}|{skel.workspace_width}\n"
+            f"n_occ|{skel.n_occ}\n")
+    parts = [head.encode()]
+    for indices in sides:
+        prefixes = [b"adaptor:%d" % a for a in range(len(indices))]
+        parts += chain.from_iterable(zip(prefixes, map(bodies.__getitem__, indices)))
+    parts += [b"qsp_rep|%d\n" % k for k in range(skel.qsp_degree)]
+    return hashlib.sha256(b"".join(parts)).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,9 @@ from .integrals import mean_field_shift, with_orbital_energies
 
 POOL_FORMAT = "composer-pool-v3"
 T2_FORMAT = "composer-t2-v1"
+# block-encoding normalization of every pair branch: the two-term dyad
+# construction, one for the ladder and one for its adjoint
+PAIR_ALPHA = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +191,12 @@ def bilinear_asym_spectrum(u, v):
 def generator_branch_alpha(lad):
     """Block-encoding normalization of one generator branch.
 
-    Pair ladders use the two-term dyad construction (factor 2 for the
-    ladder and its adjoint); bilinear ladders use the rotated occupation
-    form whose normalization is the absolute eigenvalue sum.
+    Pair ladders use the two-term dyad construction (:data:`PAIR_ALPHA`);
+    bilinear ladders use the rotated occupation form whose normalization
+    is the absolute eigenvalue sum.
     """
     if lad.kind == "pair":
-        return 2.0
+        return PAIR_ALPHA
     if lad.kind == "bilinear":
         w, _ = bilinear_asym_spectrum(lad.u, lad.v)
         return float(np.abs(w).sum())
@@ -355,7 +358,7 @@ class GeneratorPool:
             coefficient=np.concatenate(
                 [pairs.coefficient, [lad.coefficient for lad in bils]])[order],
             alpha=np.concatenate(
-                [np.full(n_pairs, 2.0), [generator_branch_alpha(lad) for lad in bils]])[order],
+                [np.full(n_pairs, PAIR_ALPHA), [generator_branch_alpha(lad) for lad in bils]])[order],
             pair=pair,
             index=np.where(pair, order, order - n_pairs),
         )

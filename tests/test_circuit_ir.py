@@ -1115,6 +1115,111 @@ def test_the_one_pass_line_check_matches_the_per_line_rule(body):
             cir.CircuitSkeleton.from_json(text)
 
 
+@pytest.mark.parametrize(
+    ("body", "bad"),
+    [
+        ("rz\nrz|0|1\n", "rz"),  # as many ``|`` as newlines: a bar-less line first
+        ("rz|0|1\nrz\n", "rz|0|1"),  # and a two-bar line first
+        ("givens|0,1\n\n|\n||\n", ""),  # an empty line, bars balanced after it
+        ("x|1\nrz|0", "rz|0"),  # the last line without its newline
+        ("rz|0", "rz|0"),  # a one-line text without it
+        ("|", "|"),
+    ],
+)
+def test_a_bad_text_the_counts_cannot_see_is_named(body, bad):
+    """Texts whose ``|`` and newline counts agree, or whose last line is
+    unended, fail the line scan and are named as the line check names them.
+    """
+    doc = json.loads(_pair_line_skeleton()[2].to_json())
+    k = doc["adaptors_gen"][1]
+    doc["adaptors"][k]["text"] = body
+    match = re.escape(f"stored adaptor {k} text: malformed layer line {bad!r}")
+    with pytest.raises(ParseError, match=f"^{match}$"):
+        cir.CircuitSkeleton.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    ("first", "second", "match"),
+    [
+        (("text", "rz\nrz||\n"), ("pivot", [True]), "stored adaptor 1 text: malformed"),
+        (("pivot", [[0, 1.5]]), ("text", "rz|0"), "stored adaptor 1 pivot pair entries"),
+        (("rank", "0"), ("text", 7), "stored adaptor 1 rank must be int"),
+        (("text", "rz|0|\n"), ("kind", None), "stored adaptor 1 text: malformed"),
+    ],
+    ids=["text-then-pivot", "pivot-then-text", "rank-then-text", "text-then-kind"],
+)
+def test_of_two_bad_stored_adaptors_the_first_is_named(first, second, match):
+    """With faults in two stored adaptors, the first one's is raised, as the
+    field-by-field checks in document order find it, whichever fast check
+    (types or line scan) refused the document.
+    """
+    doc = json.loads(_pair_line_skeleton()[2].to_json())
+    for k, (field, value) in ((1, first), (2, second)):
+        doc["adaptors"][k][field] = value
+    with pytest.raises(ParseError, match=f"^{re.escape(match)}"):
+        cir.CircuitSkeleton.from_json(json.dumps(doc))
+
+
+def _with_texts(skel, texts):
+    """``skel`` with its distinct adaptors' texts replaced, in first-use order,
+    and re-fingerprinted."""
+    adaptors, _ = skel.stored
+    edited = {id(ad): replace(ad, text=text) for ad, text in zip(adaptors, texts)}
+    sides = {f"adaptors_{side}": tuple(edited.get(id(ad), ad) for ad in ads)
+             for side, ads in skel.sides()}
+    skel = replace(skel, **sides)
+    return replace(skel, fingerprint=cir.fabric_fingerprint(skel))
+
+
+def test_an_empty_text_loads_and_takes_its_prep_amplitude_alone():
+    """An empty text is layer lines (none): it loads, and its span holds
+    only its PREP amplitude, built or loaded.
+    """
+    skel = _pair_line_skeleton()[2]
+    texts = [ad.text for ad in skel.stored[0]]
+    texts[1] = ""
+    edited = _with_texts(skel, texts)
+    loaded = cir.CircuitSkeleton.from_json(edited.to_json())
+    a = skel.stored[1][0].index(1)  # the first Hamiltonian address using it
+    for s in (edited, loaded):
+        start, stop = s.slot_spans["ham", a]
+        assert stop - start == 1
+        assert s.slot_spans == _spans_per_line(s)
+        assert s.fingerprint == _fingerprint_per_line(s)
+
+
+# gates of the line vocabulary, and look-alikes of the kinds that take values
+_GATES = st.sampled_from(
+    [*cir.LINE_VALUES, "x", "cx", "h", "mcz", "begin", "end", "dagger", "mirror", "select",
+     "square", "fcase", "gphase+i", "gphase-i", "givensx", "xgivens", "pgiven", "rzz", "r",
+     "casee", "", "gphasé", "ρz"]
+)
+_LINE = st.tuples(_GATES, st.sampled_from(["", "0", "3,4", "12,13,14,15"]))
+_TEXT = st.lists(_LINE, max_size=12).map(lambda lines: cir._text(map("|".join, lines)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts=st.lists(_TEXT, min_size=1, max_size=5), data=st.data())
+def test_spans_of_random_texts_match_the_per_line_formula(texts, data):
+    """A skeleton of random layer texts, some shared by several addresses:
+    the spans counted by the line scan equal the per-line lookup, built and
+    after a JSON round trip, and the fingerprint equals the per-line one.
+    """
+    ham = [cir.AdaptorSpec("channel", (), 1, text) for text in texts]
+    null = cir.AdaptorSpec("null", (), 0, "x|7\n")
+    addresses = data.draw(st.lists(st.sampled_from(range(len(ham))), min_size=1, max_size=8))
+    skel = cir.CircuitSkeleton(n_system=2, n_occ=1, qsp_degree=2,
+                               adaptors_ham=tuple(ham[k] for k in addresses),
+                               adaptors_gen=(null,), fingerprint="")
+    skel = replace(skel, fingerprint=cir.fabric_fingerprint(skel))
+    loaded = cir.CircuitSkeleton.from_json(skel.to_json())
+    for s in (skel, loaded):
+        assert s.slot_spans == _spans_per_line(s)
+        assert s.fingerprint == _fingerprint_per_line(s)
+    for side in ("ham", "gen"):
+        assert loaded.span_bounds[side].tolist() == skel.span_bounds[side].tolist()
+
+
 def test_a_row_that_misfits_its_span_is_a_bind_error():
     """A dropped ``givens`` line, re-fingerprinted, loads; dial names the adaptor."""
     ham, gen, skel = _pair_line_skeleton()
